@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the method design choices the paper makes.
 
 Not figures from the paper, but direct probes of its design decisions:
 

@@ -56,7 +56,7 @@ def test_figure3_panel(benchmark, dataset_name, epsilon):
     # relatively larger, so we only assert it does not blow up — its
     # advantage re-emerges on large queries (asserted in the unit tests)
     # and its Figure 5 role (worse than UG at small grids) is asserted in
-    # bench_fig5.  See EXPERIMENTS.md for the divergence note.
+    # bench_fig5.
     assert w360 < u360 * 6.0
     # Choosing the grid size right (Guideline 1) matters more than adding
     # a hierarchy: UG at the guideline size beats all 360-leaf methods.

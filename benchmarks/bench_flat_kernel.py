@@ -8,18 +8,17 @@ covering both sides of the release boundary:
   ``fit_percell_reference`` (the pre-flat-kernel m1 x m1 Python loop),
   at several first-level sizes.  The releases must be bit-identical —
   the speedup is free of any change in what is released.
-* **query**: ``FlatAdaptiveGridEngine`` (one concatenated prefix buffer,
-  interior blocks O(1) from a level-1 totals prefix, border ring as
-  vectorised (query, cell) pairs) vs the per-cell composite
-  ``AdaptiveGridEngine`` on a large mixed q1-q6 batch, with answers
-  matching to ``rtol=1e-9``.
+* **query**: ``FlatAdaptiveGridEngine`` (four-corner inclusion-exclusion
+  over the summed-area function ``S = F + G - TP + P_cell``) vs the
+  per-cell composite ``AdaptiveGridEngine`` on a large mixed q1-q6
+  batch, with answers matching to ``rtol=1e-9``.
 
 Results are written to ``BENCH_flat_kernel.json`` at the repo root so the
-perf trajectory is tracked in-tree.  The hard targets asserted here are
-the ISSUE 2 acceptance criteria: >= 5x build speedup at the
-paper-realistic first-level size (the auto rule picks m1 ~ 28 for this
-dataset and epsilon, so m1 = 32 is the relevant regime; m1 = 16 is also
-recorded) and >= 3x on a >= 1k-query mixed batch.
+perf trajectory is tracked in-tree.  The hard targets asserted here:
+>= 5x build speedup at the paper-realistic first-level size (the auto
+rule picks m1 ~ 28 for this dataset and epsilon, so m1 = 32 is the
+relevant regime; m1 = 16 is also recorded) and >= 3x on a >= 1k-query
+mixed batch.
 """
 
 import time
@@ -89,7 +88,7 @@ def test_flat_kernel_build_and_query_speedups():
         )
 
     # Query side: a large mixed workload against one paper-realistic
-    # release, per-cell composite engine vs the flat CSR engine.
+    # release, per-cell composite engine vs the summed-area engine.
     synopsis = AdaptiveGridBuilder(first_level_size=ASSERT_M1).fit(
         dataset, EPSILON, np.random.default_rng(5)
     )
@@ -136,7 +135,7 @@ def test_flat_kernel_build_and_query_speedups():
             ["query path", "seconds"],
             [
                 [f"per-cell engine, {boxes.shape[0]} queries", f"{percell_q_s:.4f}"],
-                [f"flat CSR engine, {boxes.shape[0]} queries", f"{flat_q_s:.4f}"],
+                [f"summed-area engine, {boxes.shape[0]} queries", f"{flat_q_s:.4f}"],
                 ["speedup", f"{query_speedup:.1f}x"],
             ],
             title=f"Batch query engines (m1={ASSERT_M1})",

@@ -1,11 +1,11 @@
 """Shared configuration for the benchmark suite.
 
 Benchmarks run the per-figure experiment modules at reduced-but-meaningful
-scale (see DESIGN.md for the substitution rationale): dataset sizes are
-scaled down from the paper's (keeping storage at its full 9,000), and 100
-queries per size are used instead of 200.  Every bench writes its rendered
-report to ``benchmarks/output/`` so the regenerated tables survive pytest's
-output capture; EXPERIMENTS.md summarises them against the paper.
+scale (the dataset substitution rationale is in ``repro.datasets.synthetic``):
+dataset sizes are scaled down from the paper's (keeping storage at its full
+9,000), and 100 queries per size are used instead of 200.  Every bench
+writes its rendered report to ``benchmarks/output/`` so the regenerated
+tables survive pytest's output capture.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-#: Scaled dataset sizes used by the benches (paper sizes in DESIGN.md).
+#: Scaled dataset sizes used by the benches (paper sizes: ``paper_n`` in
+#: ``repro.datasets.registry``).
 BENCH_N = {
     "road": 150_000,
     "checkin": 150_000,

@@ -20,8 +20,13 @@ shared substrate in two layouts:
 regions fully inside the query contribute their whole count, disjoint
 regions contribute nothing, and partially covered *leaves* fall back to
 the uniformity assumption (Section II-B of the paper).  Its scalar
-``answer`` is the recursive reference; batches go through the flat
-:class:`~repro.queries.engine.FlatTreeEngine`.
+``answer`` is the recursive reference; batches go through the engine
+this module registers: a tree whose leaves lie on the ``2^h x 2^h``
+lattice of its domain and whose internal counts equal their children's
+sums is lowered onto that lattice (a uniform-grid
+:class:`~repro.queries.engine.BatchQueryEngine`) when its prefix is no
+larger than the tree's own buffers, any other tree goes through the
+frontier-descent :class:`~repro.queries.engine.FlatTreeEngine`.
 
 BFS level order, concretely: node 0 is the root, children of node ``v``
 are the contiguous index range ``child_offsets[v]:child_offsets[v + 1]``,
@@ -44,6 +49,7 @@ from repro.baselines.constrained_inference import (
     infer_tree,
 )
 from repro.core.geometry import Domain2D, Rect
+from repro.core.grid import GridLayout
 from repro.core.synopsis import Synopsis
 
 __all__ = [
@@ -375,8 +381,9 @@ def apply_tree_inference_arrays(tree: TreeArrays) -> None:
     to :func:`apply_tree_inference` on the equivalent object graph (see
     :func:`~repro.baselines.constrained_inference.infer_level_order`).
     The write updates the existing ``counts`` buffer rather than
-    rebinding it, so engines already built over these arrays (which
-    reference the buffer) see the refreshed estimates.
+    rebinding it.  Build engines after inference: whether a tree lowers
+    onto its lattice depends on the counts, and a lattice engine holds a
+    prefix derived from them.
     """
     tree.counts[:] = infer_level_order(
         tree.noisy_counts, tree.variances, tree.child_offsets, tree.level_offsets
@@ -409,7 +416,7 @@ class TreeSynopsis(Synopsis):
             raise TypeError(
                 f"tree must be TreeArrays or SpatialNode, got {type(tree).__name__}"
             )
-        self._engine = None  # lazy FlatTreeEngine for answer_many
+        self._engine = None  # lazy make_engine result for answer_many
 
     @property
     def arrays(self) -> TreeArrays:
@@ -454,7 +461,8 @@ class TreeSynopsis(Synopsis):
         return total
 
     def answer_many(self, rects: "list[Rect] | np.ndarray") -> np.ndarray:
-        """Batch answering via the flat level-order engine (see
+        """Batch answering via the registered tree engine (a lattice
+        :class:`~repro.queries.engine.BatchQueryEngine` or the level-order
         :class:`~repro.queries.engine.FlatTreeEngine`); equal to the
         scalar descent up to floating-point rounding.  Accepts a list of
         :class:`Rect`, a list of 4-number rows, or an ``(n, 4)`` array."""
@@ -494,21 +502,125 @@ class TreeSynopsis(Synopsis):
         return np.column_stack([xs, ys])
 
 
+#: A leaf edge lies on the lattice when it is within this many lattice
+#: cells of a lattice edge (midpoint splits carry a few ulps of rounding).
+_LATTICE_ATOL = 1e-9
+
+#: An internal count equals its children's sum when they differ by at
+#: most this fraction of the largest count (constrained inference leaves
+#: rounding-level residue; an uninferred tree differs by noise).
+_SUM_RTOL = 1e-9
+
+
+def _lattice_leaves(synopsis: TreeSynopsis):
+    """``(side, lo, hi, counts)`` of the leaves on the release's lattice.
+
+    ``side = 2^h`` for tree height ``h``; ``lo`` / ``hi`` are each leaf's
+    lattice index bounds as ``(x, y)`` rows.  ``None`` unless the release
+    lowers exactly onto the lattice: its prefix is no larger than the
+    :class:`~repro.queries.engine.FlatTreeEngine` buffers (checked first,
+    so a pruned deep tree never sizes a huge lattice), every internal
+    count equals its children's sum, and every leaf spans whole lattice
+    cells of the domain.
+    """
+    from repro.queries.engine import FlatTreeEngine
+
+    arrays = synopsis.arrays
+    side = 1 << arrays.height()
+    if 8 * (side + 1) ** 2 > FlatTreeEngine.buffer_nbytes(arrays.n_nodes):
+        return None
+    counts = arrays.counts
+    fan_out = np.diff(arrays.child_offsets)
+    internal = fan_out > 0
+    if internal.any():
+        parents = np.repeat(np.arange(arrays.n_nodes), fan_out)
+        child_sums = np.bincount(
+            parents, weights=counts[1:], minlength=arrays.n_nodes
+        )
+        tolerance = _SUM_RTOL * max(1.0, float(np.abs(counts).max()))
+        # NaN (an unmeasured, uninferred node) fails the comparison.
+        if not np.all(np.abs(counts[internal] - child_sums[internal]) <= tolerance):
+            return None
+    leaves = np.flatnonzero(~internal)
+    domain = synopsis.domain
+    origin = np.array([domain.bounds.x_lo, domain.bounds.y_lo] * 2)
+    cells_per_unit = np.array([side / domain.width, side / domain.height] * 2)
+    # Leaf rows (x_lo, y_lo, x_hi, y_hi) in lattice cells.
+    position = (arrays.rects.take(leaves, axis=0) - origin) * cells_per_unit
+    index = np.rint(position)
+    if not np.all(np.abs(position - index) <= _LATTICE_ATOL):
+        return None
+    index = index.astype(np.int64)
+    lo, hi = index[:, :2], index[:, 2:]
+    if lo.min() < 0 or hi.max() > side or np.any(hi <= lo):
+        return None
+    return side, lo, hi, counts[leaves]
+
+
+def _lattice_release(synopsis: TreeSynopsis):
+    """``(layout, counts)`` of the release spread over its lattice, or ``None``.
+
+    Each leaf's count is spread evenly over the lattice cells it covers,
+    which is the uniformity estimate the tree applies inside the leaf, so
+    the lattice's uniform-grid answers equal the tree's.
+    """
+    lowered = _lattice_leaves(synopsis)
+    if lowered is None:
+        return None
+    side, lo, hi, leaf_counts = lowered
+    extent = hi - lo
+    density = leaf_counts / (extent[:, 0] * extent[:, 1])
+    grid = np.zeros(side * side)
+    corner = lo[:, 0] * side + lo[:, 1]
+    # One scatter per distinct leaf shape (a quadtree has one per depth).
+    shape_id = extent[:, 0] * (side + 1) + extent[:, 1]
+    for shape in np.unique(shape_id):
+        width, height = divmod(int(shape), side + 1)
+        members = shape_id == shape
+        block = (np.arange(width)[:, None] * side + np.arange(height)).reshape(-1)
+        grid[corner[members][:, None] + block] = density[members][:, None]
+    return GridLayout(synopsis.domain, side, side), grid.reshape(side, side)
+
+
+def _tree_engine(synopsis: TreeSynopsis):
+    from repro.queries.engine import BatchQueryEngine, FlatTreeEngine
+
+    lattice = _lattice_release(synopsis)
+    if lattice is None:
+        return FlatTreeEngine(synopsis)
+    return BatchQueryEngine(*lattice)
+
+
+def _tree_precompute(synopsis: TreeSynopsis) -> dict[str, np.ndarray]:
+    from repro.queries.engine import BatchQueryEngine, FlatTreeEngine
+
+    lattice = _lattice_release(synopsis)
+    if lattice is None:
+        return FlatTreeEngine.precompute(synopsis)
+    return BatchQueryEngine.precompute(*lattice)
+
+
+def _tree_from_slabs(synopsis: TreeSynopsis, slabs: dict[str, np.ndarray]):
+    # The kernel follows the release, not the slabs: slabs sealed for the
+    # other kernel (e.g. before lowering existed) raise KeyError here.
+    from repro.queries.engine import BatchQueryEngine, FlatTreeEngine
+
+    lowered = _lattice_leaves(synopsis)
+    if lowered is None:
+        return FlatTreeEngine.from_slabs(synopsis, slabs)
+    side = lowered[0]
+    return BatchQueryEngine.from_slabs(
+        GridLayout(synopsis.domain, side, side), slabs
+    )
+
+
 def _register_engine() -> None:
     # Self-registration keeps queries.engine's make_engine registry in
     # sync without that module having to know about tree synopses.
-    from repro.queries.engine import (
-        FlatTreeEngine,
-        register_engine,
-        register_engine_sealer,
-    )
+    from repro.queries.engine import register_engine, register_engine_sealer
 
-    register_engine(TreeSynopsis, FlatTreeEngine)
-    register_engine_sealer(
-        TreeSynopsis,
-        FlatTreeEngine.precompute,
-        FlatTreeEngine.from_slabs,
-    )
+    register_engine(TreeSynopsis, _tree_engine)
+    register_engine_sealer(TreeSynopsis, _tree_precompute, _tree_from_slabs)
 
 
 _register_engine()

@@ -304,7 +304,7 @@ class AdaptiveGridSynopsis(Synopsis):
     _BATCH_ENGINE_THRESHOLD = 16
 
     def answer_many(self, rects: list[Rect] | np.ndarray) -> np.ndarray:
-        """Batch answering via the flat CSR prefix-sum engine (see
+        """Batch answering via the summed-area engine (see
         :class:`~repro.queries.engine.FlatAdaptiveGridEngine`); equal to
         the scalar path up to floating-point rounding.  Accepts a list of
         :class:`Rect`, a list of 4-number rows, or an ``(n, 4)`` array."""

@@ -147,7 +147,8 @@ def synopsis_to_bytes(synopsis: Synopsis, archive_format: str = "v1") -> bytes:
     ``np.savez_compressed`` payload, ``"v2"`` the page-aligned
     uncompressed layout that :func:`synopsis_from_path` memory-maps
     (with the type's derived engine buffers sealed alongside, when a
-    sealer is registered).  Either way the payload is followed by the
+    sealer is registered — the slabs already attached to the synopsis,
+    if any, else freshly computed).  Either way the payload is followed by the
     same SHA-1 integrity footer (see ``_CHECKSUM_MAGIC``).  Raises
     ``TypeError`` for synopsis types without a registered format.
     """
@@ -160,7 +161,9 @@ def synopsis_to_bytes(synopsis: Synopsis, archive_format: str = "v1") -> bytes:
     elif archive_format == "v2":
         from repro.queries.engine import compute_engine_slabs
 
-        slabs = compute_engine_slabs(synopsis)
+        slabs = synopsis.sealed_engine_slabs
+        if slabs is None:
+            slabs = compute_engine_slabs(synopsis)
         if slabs is not None:
             payload[_SEALED_MARKER] = np.array(1, dtype=np.int64)
             for name, array in slabs.items():

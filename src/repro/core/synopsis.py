@@ -30,11 +30,11 @@ class Synopsis(abc.ABC):
     ``domain`` and ``epsilon``.
     """
 
-    #: Engine slabs sealed into the archive this synopsis was loaded
-    #: from (archive format v2), attached by the loader so
-    #: :func:`~repro.queries.engine.make_engine` can skip the derived-
-    #: buffer rebuild.  ``None`` when the synopsis was built in-process
-    #: or loaded from a v1 archive.
+    #: Precomputed engine slabs, attached by the v2 loader (sealed into
+    #: the archive) or by the store's build (computed once, then written)
+    #: so :func:`~repro.queries.engine.make_engine` can skip the derived-
+    #: buffer rebuild.  ``None`` when the synopsis was fitted directly or
+    #: loaded from a v1 archive.
     _sealed_engine_slabs: "dict[str, np.ndarray] | None" = None
 
     #: Size in bytes of the read-only file mapping backing this
@@ -53,12 +53,12 @@ class Synopsis(abc.ABC):
 
     @property
     def sealed_engine_slabs(self) -> "dict[str, np.ndarray] | None":
-        """Engine buffers sealed into the archive this release came from."""
+        """Precomputed engine buffers attached to this release."""
         return self._sealed_engine_slabs
 
-    def seal_engine_slabs(self, slabs: "dict[str, np.ndarray]") -> None:
-        """Attach precomputed engine buffers (called by the v2 loader)."""
-        self._sealed_engine_slabs = dict(slabs)
+    def seal_engine_slabs(self, slabs: "dict[str, np.ndarray] | None") -> None:
+        """Attach precomputed engine buffers; ``None`` drops them."""
+        self._sealed_engine_slabs = None if slabs is None else dict(slabs)
 
     @property
     def epsilon(self) -> float:

@@ -3,7 +3,8 @@
 Each :class:`DatasetSpec` records a dataset's generator, its domain, the
 query-size ladder (``q6`` from Table II; ``q1 = q6 / 32`` per axis), and
 both the paper's original point count and the scaled default this
-reproduction uses (see DESIGN.md for the substitution rationale).
+reproduction uses (the substitution rationale is in
+:mod:`repro.datasets.synthetic`).
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ class ExperimentReport:
     """A rendered experiment: a title plus ordered text blocks.
 
     ``data`` carries machine-readable results (per-experiment structure)
-    so tests and EXPERIMENTS.md generation don't have to parse the text.
+    so tests and report generation don't have to parse the text.
     """
 
     title: str

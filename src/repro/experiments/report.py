@@ -1,7 +1,8 @@
 """Plain-text rendering of experiment results.
 
 The paper reports two kinds of graphics; we render both as aligned text
-tables suitable for terminals and for diffing into EXPERIMENTS.md:
+tables suitable for terminals and for diffing (the benches write them to
+``benchmarks/output/``):
 
 * line graphs (mean relative error per query size) → a sizes x methods
   table (:func:`mean_by_size_table`);

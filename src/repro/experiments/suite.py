@@ -3,8 +3,7 @@
 ``run_suite`` regenerates every table/figure at a chosen scale and stitches
 the individual reports together — the programmatic equivalent of
 ``pytest benchmarks/ --benchmark-only``, convenient for one-shot rebuilds
-of all result tables (e.g. when refreshing EXPERIMENTS.md) and exposed on
-the CLI as ``python -m repro suite``.
+of all result tables and exposed on the CLI as ``python -m repro suite``.
 """
 
 from __future__ import annotations

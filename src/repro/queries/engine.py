@@ -17,23 +17,38 @@ four-corner inclusion-exclusion::
 where ``S(x, y)`` bilinearly interpolates the prefix sums at fractional
 cell coordinates.  This is algebraically identical to the per-query
 bilinear form (both are integrals of the piecewise-constant density), but
-evaluates a whole batch with eight vectorised gathers.
+evaluates a whole batch as one stacked pass over all ``4n`` corners — a
+summed-area table lookup (Crow, SIGGRAPH 1984).
 
 :class:`BatchQueryEngine` wraps this; ``UniformGridSynopsis.answer_many``
 delegates to it automatically for large batches.
 
-For adaptive grids, whose released state is a different sub-grid per
-first-level cell, :class:`FlatAdaptiveGridEngine` holds *one*
-concatenated prefix-sum buffer (CSR layout, mirroring the synopsis's
-flat leaf vector) and answers a batch by expanding it into
-(query, touched-cell) pairs evaluated in a single vectorised pass — no
-Python loop over cells or queries.  :class:`AdaptiveGridEngine`, the
-historical one-``BatchQueryEngine``-per-cell composite, is retained as
-the reference implementation for equivalence tests and benchmarks.
+Adaptive grids answer the same way.  A corner ``(x, y)`` in first-level
+cell ``(i, j)`` splits ``[X0, x] x [Y0, y]`` at the cell's lower-left
+corner ``(x_i, y_j)`` into four blocks, so::
 
-For spatial trees (quadtree, KD-standard, KD-hybrid), whose released
-state is the flat level-order :class:`~repro.baselines.tree.TreeArrays`,
-:class:`FlatTreeEngine` answers a whole batch by level-synchronous
+    S(x, y) = F(x, j) + G(i, y) - TP[i, j] + P_cell(i, j, x, y)
+
+where ``TP`` is the prefix over the released first-level totals,
+``F(x, j)`` the count of ``[X0, x] x [Y0, y_j]``, ``G(i, y)`` the count
+of ``[X0, x_i] x [Y0, y]`` and ``P_cell`` the cell's own sub-grid
+prefix.  ``F`` is linear in ``x`` between consecutive distinct sub-cell
+x-edges (and ``G`` likewise in ``y``), so :class:`FlatAdaptiveGridEngine`
+tabulates both at those edges once; every corner then costs one
+``searchsorted`` and two gathers per table plus the cell's four-gather
+bilinear prefix.  :class:`AdaptiveGridEngine`, the historical
+one-``BatchQueryEngine``-per-cell composite, is retained as the
+reference implementation for equivalence tests and benchmarks.
+
+Spatial trees (quadtree, KD-standard, KD-hybrid) release the flat
+level-order :class:`~repro.baselines.tree.TreeArrays`.  A tree whose
+leaves lie on the ``2^h x 2^h`` lattice of its domain, whose internal
+counts equal their children's sums, and whose lattice prefix is no larger
+than its :class:`FlatTreeEngine` buffers is the piecewise-constant
+density of a uniform grid: its engine registration lowers it onto that
+lattice and answers with :class:`BatchQueryEngine` itself (a default
+quadtree once the data fills it).  Every other tree keeps
+:class:`FlatTreeEngine`, which answers a whole batch by level-synchronous
 frontier descent: every live (query, node) pair is classified as
 contained / disjoint / partial in one vectorised pass per tree level,
 contained nodes contribute their counts through one ``bincount`` gather,
@@ -151,6 +166,11 @@ class BatchQueryEngine:
     def layout(self) -> GridLayout:
         return self._layout
 
+    @property
+    def nbytes(self) -> int:
+        """In-memory footprint of the prepared buffers."""
+        return self._prefix.nbytes
+
     def _continuous_prefix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Bilinear interpolation of the prefix sums at cell coordinates.
 
@@ -163,11 +183,14 @@ class BatchQueryEngine:
         y0 = np.minimum(ys.astype(np.int64), my - 1)
         tx = xs - x0
         ty = ys - y0
-        p = self._prefix
-        p00 = p[x0, y0]
-        p10 = p[x0 + 1, y0]
-        p01 = p[x0, y0 + 1]
-        p11 = p[x0 + 1, y0 + 1]
+        # Flat gathers over the row-major (mx+1, my+1) prefix: the same
+        # four values as 2-D indexing, without its per-call overhead.
+        p = self._prefix.reshape(-1)
+        base = x0 * (my + 1) + y0
+        p00 = p[base]
+        p10 = p[base + (my + 1)]
+        p01 = p[base + 1]
+        p11 = p[base + (my + 2)]
         return (
             (1 - tx) * (1 - ty) * p00
             + tx * (1 - ty) * p10
@@ -208,59 +231,66 @@ class BatchQueryEngine:
             y_lo = np.where(empty, 0.0, y_lo)
             y_hi = np.where(empty, 0.0, y_hi)
 
+        # All 4n corners in one stacked pass; every corner is computed
+        # with the same expressions as one call per corner would use.
+        n = boxes.shape[0]
+        corners = self._continuous_prefix(
+            np.concatenate([x_hi, x_lo, x_hi, x_lo]),
+            np.concatenate([y_hi, y_hi, y_lo, y_lo]),
+        )
         estimate = (
-            self._continuous_prefix(x_hi, y_hi)
-            - self._continuous_prefix(x_lo, y_hi)
-            - self._continuous_prefix(x_hi, y_lo)
-            + self._continuous_prefix(x_lo, y_lo)
+            corners[:n] - corners[n : 2 * n] - corners[2 * n : 3 * n]
+            + corners[3 * n :]
         )
         estimate[empty] = 0.0
         return estimate
 
 
 class FlatAdaptiveGridEngine:
-    """Flat CSR batch engine for ``AdaptiveGridSynopsis`` releases.
+    """Summed-area batch engine for ``AdaptiveGridSynopsis`` releases.
 
-    Preprocessing concatenates every first-level cell's zero-bordered
-    ``(m2+1) x (m2+1)`` prefix-sum matrix into one flat buffer indexed by
-    CSR offsets, alongside per-cell geometry vectors (origin and sub-cell
-    extents) and a level-1 prefix sum over the released cell totals.  A
-    batch is answered by:
+    Answers every rectangle by the four-corner inclusion-exclusion of
+    :class:`BatchQueryEngine`, over the release's continuous summed-area
+    function ``S``.  A corner ``(x, y)`` in first-level cell ``(i, j)``
+    evaluates::
 
-    1. computing each query's touched first-level index ranges in one
-       vectorised pass,
-    2. answering the *fully covered* interior block of each query O(1)
-       from the level-1 totals prefix (four corners on the ``(m1+1) x
-       (m1+1)`` matrix) — valid because each cell's leaf sum equals its
-       released total ``v'`` (constrained inference enforces ``sum(u')
-       == v'``; without inference the total is defined as the leaf sum),
-    3. expanding only the partial border ring into (query, cell) pairs
-       with ``repeat`` / ``arange`` arithmetic (no Python loop, no
-       ``np.argwhere``) — O(perimeter) pairs per query instead of
-       O(area),
-    4. converting every pair's clipped query to its cell's local cell
-       units and evaluating the four-corner inclusion-exclusion — each
-       corner a bilinear interpolation over four gathered prefix values
-       — in one vectorised pass over all pairs, and
-    5. summing pair estimates back per query with ``np.bincount``.
+        S(x, y) = F(x, j) + G(i, y) - TP[i, j] + P_cell(i, j, x, y)
 
-    Work scales with border cells *touched*, and the only per-batch
-    Python-level cost is a fixed number of numpy calls.  Answers equal
-    the scalar two-level path (and the per-cell
-    :class:`AdaptiveGridEngine`) up to floating-point rounding: partial
-    cells use the same uniformity estimator, and fully covered cells
-    contribute ``v'`` exactly as ``AdaptiveGridSynopsis.answer`` does.
+    * ``TP`` is the zero-bordered prefix over the released cell totals
+      ``v'``: ``TP[i, j]`` counts ``[X0, x_i] x [Y0, y_j]``;
+    * ``P_cell`` is cell ``(i, j)``'s own zero-bordered sub-grid prefix,
+      bilinearly interpolated at the corner's sub-cell coordinates (one
+      concatenated CSR buffer over all cells);
+    * ``F(x, j)`` counts ``[X0, x] x [Y0, y_j]``: ``TP[i, j]`` plus, for
+      every cell below row ``j`` in column ``i``, its leaves left of
+      ``x``.  It is linear in ``x`` between consecutive distinct sub-cell
+      x-edges (the union of the column's sub-grid edges), so it is
+      tabulated once at every such edge;
+    * ``G(i, y)`` is the transpose, counting ``[X0, x_i] x [Y0, y]``,
+      tabulated at every distinct sub-cell y-edge.
+
+    Coordinates run in first-level cell units (``(x - X0) /
+    cell_width``), where the sub-cell edges of column ``i`` are exactly
+    ``i + k / m2``.  Each table lookup is one ``searchsorted`` over the
+    edges and two gathers, and all ``4n`` corners of a batch go through
+    one stacked pass — no per-query or per-cell expansion.  The identity
+    needs each cell's leaves to sum to its released total, which
+    constrained inference enforces (``sum(u') == v'``) and a build
+    without inference satisfies by definition, so answers equal the
+    scalar two-level path up to floating-point rounding.
     """
 
     def __init__(self, synopsis, *, _slabs: dict[str, np.ndarray] | None = None):
         m1x, m1y = synopsis.first_level_size
-        self._domain = synopsis.domain
-        self._shape = (m1x, m1y)
         sizes = synopsis.cell_sizes.reshape(-1)
         slabs = self.precompute(synopsis) if _slabs is None else _slabs
         prefix = np.asarray(slabs["prefix"], dtype=float)
         prefix_offsets = np.asarray(slabs["prefix_offsets"], dtype=np.int64)
         totals_prefix = np.asarray(slabs["totals_prefix"], dtype=float)
+        x_edges = np.asarray(slabs["x_edges"], dtype=float)
+        y_edges = np.asarray(slabs["y_edges"], dtype=float)
+        f_table = np.asarray(slabs["f_table"], dtype=float)
+        g_table = np.asarray(slabs["g_table"], dtype=float)
         if prefix_offsets.shape != (sizes.size,):
             raise ValueError(
                 f"sealed prefix offsets cover {prefix_offsets.shape[0]} "
@@ -277,33 +307,42 @@ class FlatAdaptiveGridEngine:
                 f"sealed totals prefix shape {totals_prefix.shape} does not "
                 f"match first level ({m1x}, {m1y})"
             )
-
-        # Per-cell geometry from the shared level-1 layout, so the local
-        # conversions match the per-cell GridLayout expressions (the same
-        # tables the builder bins with).  Cheap O(m1^2) — recomputed even
-        # when restoring from sealed slabs.
-        layout = synopsis.level1_layout
-        x_edges, y_edges = layout.x_edges, layout.y_edges
-        cell_x_lo, cell_y_lo, cell_w, cell_h = layout.flat_cell_geometry()
-
+        for name, edges, table, extent, width in (
+            ("f_table", x_edges, f_table, m1x, m1y + 1),
+            ("g_table", y_edges, g_table, m1y, m1x + 1),
+        ):
+            if (
+                edges.ndim != 1
+                or edges.size < 2
+                or edges[0] != 0.0
+                or edges[-1] != extent
+                or table.shape != (edges.size, width)
+            ):
+                raise ValueError(
+                    f"sealed {name} of shape {table.shape} over "
+                    f"{edges.size} edges does not match first level "
+                    f"({m1x}, {m1y})"
+                )
+        self._domain = synopsis.domain
+        self._shape = (m1x, m1y)
+        self._cell_w = synopsis.domain.width / m1x
+        self._cell_h = synopsis.domain.height / m1y
         self._sizes = sizes
         self._prefix = prefix
         self._prefix_offsets = prefix_offsets
         self._totals_prefix = totals_prefix
         self._x_edges = x_edges
         self._y_edges = y_edges
-        self._cell_x_lo = cell_x_lo
-        self._cell_y_lo = cell_y_lo
-        self._sub_w = cell_w / sizes
-        self._sub_h = cell_h / sizes
+        self._f_table = f_table
+        self._g_table = g_table
 
     @staticmethod
     def precompute(synopsis) -> dict[str, np.ndarray]:
         """Derived buffers to seal into a v2 archive at release time.
 
-        The CSR prefix buffer and the level-1 totals prefix are the
-        expensive O(total leaf cells) part of engine preparation; the
-        per-cell geometry vectors are cheap and recomputed on restore.
+        The CSR prefix buffer, the level-1 totals prefix and the ``F`` /
+        ``G`` edge tables (see the class docstring) are the whole
+        prepared state; restoring from them only checks shapes.
         """
         m1x, m1y = synopsis.first_level_size
         sizes = synopsis.cell_sizes.reshape(-1)
@@ -329,18 +368,27 @@ class FlatAdaptiveGridEngine:
             ).reshape(-1)
             dst = prefix_offsets[cells][:, None] + inner[None, :]
             prefix[dst] = cums.reshape(cells.size, -1)
+        prefix_offsets = prefix_offsets[:-1]
 
-        # Level-1 prefix over released cell totals: fully covered interior
-        # blocks are answered from this in O(1) per query.
         totals_prefix = np.zeros((m1x + 1, m1y + 1))
         np.cumsum(
             np.cumsum(synopsis.cell_totals, axis=0), axis=1,
             out=totals_prefix[1:, 1:],
         )
+        x_edges, f_table = _edge_table(
+            synopsis.cell_sizes, prefix_offsets, prefix, totals_prefix, axis=0
+        )
+        y_edges, g_table = _edge_table(
+            synopsis.cell_sizes, prefix_offsets, prefix, totals_prefix, axis=1
+        )
         return {
             "prefix": prefix,
-            "prefix_offsets": prefix_offsets[:-1],
+            "prefix_offsets": prefix_offsets,
             "totals_prefix": totals_prefix,
+            "x_edges": x_edges,
+            "y_edges": y_edges,
+            "f_table": f_table,
+            "g_table": g_table,
         }
 
     @classmethod
@@ -351,7 +399,9 @@ class FlatAdaptiveGridEngine:
 
         The slabs may be read-only mmap views; ``answer_batch`` never
         writes into them, so restored engines share the archive's
-        physical pages across forked workers.
+        physical pages across forked workers.  Slabs sealed by an older
+        precompute raise ``KeyError`` (missing) or ``ValueError``
+        (mismatched), and :func:`make_engine` then rebuilds.
         """
         return cls(synopsis, _slabs=slabs)
 
@@ -366,173 +416,135 @@ class FlatAdaptiveGridEngine:
         arrays = (
             self._sizes, self._prefix, self._prefix_offsets,
             self._totals_prefix, self._x_edges, self._y_edges,
-            self._cell_x_lo, self._cell_y_lo, self._sub_w, self._sub_h,
+            self._f_table, self._g_table,
         )
         return sum(a.nbytes for a in arrays)
 
-    def _corner(
-        self,
-        row: np.ndarray,
-        stride: np.ndarray,
-        tx: np.ndarray,
-        y0: np.ndarray,
-        ty: np.ndarray,
-    ) -> np.ndarray:
-        """Bilinearly interpolated prefix value per (query, cell) pair.
-
-        ``row`` is the flat index of prefix row ``x0`` in the pair's cell
-        block (``prefix_offsets[cell] + x0 * stride``); ``tx`` / ``ty``
-        the fractional parts of the already-decomposed local coordinates.
-        """
+    def _summed_area(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+        """``S`` at corners given in first-level cell units (clipped)."""
+        mx, my = self._shape
+        i = np.minimum(gx.astype(np.int64), mx - 1)
+        j = np.minimum(gy.astype(np.int64), my - 1)
+        f = _edge_lerp(self._x_edges, self._f_table, gx, j)
+        g = _edge_lerp(self._y_edges, self._g_table, gy, i)
+        tp = self._totals_prefix.reshape(-1)[i * (my + 1) + j]
+        # The corner's own cell: bilinear in its zero-bordered prefix.
+        cell = i * my + j
+        size = self._sizes[cell]
+        xl = (gx - i) * size
+        yl = (gy - j) * size
+        x0 = np.minimum(xl.astype(np.int64), size - 1)
+        y0 = np.minimum(yl.astype(np.int64), size - 1)
+        tx = xl - x0
+        ty = yl - y0
+        stride = size + 1
+        base = self._prefix_offsets[cell] + x0 * stride + y0
         p = self._prefix
-        base = row + y0
         p00 = p[base]
         p10 = p[base + stride]
-        p01 = p[base + 1]
-        p11 = p[base + stride + 1]
-        return (
-            (1 - tx) * (1 - ty) * p00
-            + tx * (1 - ty) * p10
-            + (1 - tx) * ty * p01
-            + tx * ty * p11
-        )
+        low = p00 + ty * (p[base + 1] - p00)
+        high = p10 + ty * (p[base + stride + 1] - p10)
+        return f + g - tp + (low + tx * (high - low))
 
     def answer_batch(self, rects: list[Rect] | np.ndarray) -> np.ndarray:
-        """Uniformity estimates for every rectangle in the batch."""
+        """Uniformity estimates for every rectangle in the batch.
+
+        Rectangles are clipped to the domain; degenerate, inverted and
+        NaN rows answer 0, as in :class:`BatchQueryEngine`.
+        """
         boxes = rects_to_boxes(rects)
         n = boxes.shape[0]
-        if boxes.size == 0:
+        if n == 0:
             return np.empty(0)
-        # Pre-clip to the domain once so every pair sees the same
-        # effective query the scalar path evaluates.
-        bounds = self._domain.bounds
-        clipped = np.empty_like(boxes)
-        clipped[:, 0] = np.clip(boxes[:, 0], bounds.x_lo, bounds.x_hi)
-        clipped[:, 1] = np.clip(boxes[:, 1], bounds.y_lo, bounds.y_hi)
-        clipped[:, 2] = np.clip(boxes[:, 2], bounds.x_lo, bounds.x_hi)
-        clipped[:, 3] = np.clip(boxes[:, 3], bounds.y_lo, bounds.y_hi)
-
-        # First-level index ranges per query.  Edge-exact bounds may
-        # over-include a neighbouring cell, which then contributes a
-        # zero-width (zero) estimate — harmless.  Inverted rows answer 0
-        # and are excluded from pair expansion entirely.
         mx, my = self._shape
-        cell_w = self._domain.width / mx
-        cell_h = self._domain.height / my
-        valid = (clipped[:, 2] >= clipped[:, 0]) & (clipped[:, 3] >= clipped[:, 1])
-        q = np.flatnonzero(valid)
-        if q.size == 0:
-            return np.zeros(n)
-        i_lo = np.clip(((clipped[q, 0] - bounds.x_lo) / cell_w).astype(np.int64), 0, mx - 1)
-        i_hi = np.clip(((clipped[q, 2] - bounds.x_lo) / cell_w).astype(np.int64), 0, mx - 1)
-        j_lo = np.clip(((clipped[q, 1] - bounds.y_lo) / cell_h).astype(np.int64), 0, my - 1)
-        j_hi = np.clip(((clipped[q, 3] - bounds.y_lo) / cell_h).astype(np.int64), 0, my - 1)
-
-        # Fully covered interior block per query: cell column i is fully
-        # covered iff the query spans [x_edges[i], x_edges[i + 1]] (rows
-        # likewise), so the first/last full indices tighten the touched
-        # range by at most one on each side.  The block is answered O(1)
-        # from the level-1 totals prefix; when an axis has no full cells
-        # the block is marked empty past the touched range so the border
-        # bands below degrade to the whole dense block.
-        fi_lo = i_lo + (clipped[q, 0] > self._x_edges[i_lo])
-        fi_hi = i_hi - (clipped[q, 2] < self._x_edges[i_hi + 1])
-        fj_lo = j_lo + (clipped[q, 1] > self._y_edges[j_lo])
-        fj_hi = j_hi - (clipped[q, 3] < self._y_edges[j_hi + 1])
-        no_full_x = fi_lo > fi_hi
-        no_full_y = fj_lo > fj_hi
-        fi_lo = np.where(no_full_x, i_hi + 1, fi_lo)
-        fi_hi = np.where(no_full_x, i_hi, fi_hi)
-        fj_lo = np.where(no_full_y, j_hi + 1, fj_lo)
-        fj_hi = np.where(no_full_y, j_hi, fj_hi)
-
-        out = np.zeros(n)
-        interior = ~(no_full_x | no_full_y)
-        if interior.any():
-            tp = self._totals_prefix
-            qi, a_lo, a_hi = q[interior], fi_lo[interior], fi_hi[interior]
-            b_lo, b_hi = fj_lo[interior], fj_hi[interior]
-            out[qi] = (
-                tp[a_hi + 1, b_hi + 1]
-                - tp[a_lo, b_hi + 1]
-                - tp[a_hi + 1, b_lo]
-                + tp[a_lo, b_lo]
-            )
-
-        # The partial border ring, as four disjoint rectangular bands
-        # (left / right columns full-height, bottom / top rows between
-        # them), expanded to (query, cell) pairs in row-major order via
-        # repeat / arange arithmetic.
-        band_q = np.concatenate([q, q, q, q])
-        band_i_lo = np.concatenate([i_lo, fi_hi + 1, fi_lo, fi_lo])
-        band_i_hi = np.concatenate([fi_lo - 1, i_hi, fi_hi, fi_hi])
-        band_j_lo = np.concatenate([j_lo, j_lo, j_lo, fj_hi + 1])
-        band_j_hi = np.concatenate([j_hi, j_hi, fj_lo - 1, j_hi])
-        nx = np.maximum(0, band_i_hi - band_i_lo + 1)
-        ny = np.maximum(0, band_j_hi - band_j_lo + 1)
-        k = nx * ny
-        occupied = k > 0
-        band_q = band_q[occupied]
-        band_i_lo, band_j_lo = band_i_lo[occupied], band_j_lo[occupied]
-        ny, k = ny[occupied], k[occupied]
-        total_pairs = int(k.sum())
-        if total_pairs == 0:
-            return out
-        pair_q = np.repeat(band_q, k)
-        starts = np.cumsum(k) - k
-        local = np.arange(total_pairs, dtype=np.int64) - np.repeat(starts, k)
-        ny_rep = np.repeat(ny, k)
-        di = local // ny_rep
-        dj = local - di * ny_rep
-        cell = (np.repeat(band_i_lo, k) + di) * my + (np.repeat(band_j_lo, k) + dj)
-
-        # Local cell-unit coordinates per pair — the same expressions the
-        # per-cell BatchQueryEngine evaluates, with gathered geometry.
-        sizes = self._sizes[cell]
-        size_f = sizes.astype(float)
-        x_lo_u = (clipped[pair_q, 0] - self._cell_x_lo[cell]) / self._sub_w[cell]
-        y_lo_u = (clipped[pair_q, 1] - self._cell_y_lo[cell]) / self._sub_h[cell]
-        x_hi_u = (clipped[pair_q, 2] - self._cell_x_lo[cell]) / self._sub_w[cell]
-        y_hi_u = (clipped[pair_q, 3] - self._cell_y_lo[cell]) / self._sub_h[cell]
-        x_lo_u = np.clip(x_lo_u, 0.0, size_f)
-        x_hi_u = np.clip(x_hi_u, 0.0, size_f)
-        y_lo_u = np.clip(y_lo_u, 0.0, size_f)
-        y_hi_u = np.clip(y_hi_u, 0.0, size_f)
-
-        # Zero-width pairs (edge-exact over-inclusion, degenerate clipped
-        # queries) contribute nothing — drop them before paying for the
-        # 16-gather corner evaluation.
-        keep = (x_hi_u > x_lo_u) & (y_hi_u > y_lo_u)
-        if not keep.all():
-            pair_q, cell, sizes = pair_q[keep], cell[keep], sizes[keep]
-            x_lo_u, x_hi_u = x_lo_u[keep], x_hi_u[keep]
-            y_lo_u, y_hi_u = y_lo_u[keep], y_hi_u[keep]
-            if pair_q.size == 0:
-                return out
-
-        # Decompose each local coordinate into integer cell + fraction
-        # once (each is reused by two corners of the inclusion-exclusion).
-        stride = sizes + 1
-        limit = sizes - 1
-        x0_lo = np.minimum(x_lo_u.astype(np.int64), limit)
-        x0_hi = np.minimum(x_hi_u.astype(np.int64), limit)
-        y0_lo = np.minimum(y_lo_u.astype(np.int64), limit)
-        y0_hi = np.minimum(y_hi_u.astype(np.int64), limit)
-        tx_lo = x_lo_u - x0_lo
-        tx_hi = x_hi_u - x0_hi
-        ty_lo = y_lo_u - y0_lo
-        ty_hi = y_hi_u - y0_hi
-        base = self._prefix_offsets[cell]
-        row_lo = base + x0_lo * stride
-        row_hi = base + x0_hi * stride
-        estimate = (
-            self._corner(row_hi, stride, tx_hi, y0_hi, ty_hi)
-            - self._corner(row_lo, stride, tx_lo, y0_hi, ty_hi)
-            - self._corner(row_hi, stride, tx_hi, y0_lo, ty_lo)
-            + self._corner(row_lo, stride, tx_lo, y0_lo, ty_lo)
+        bounds = self._domain.bounds
+        gx = np.clip((boxes[:, 0::2] - bounds.x_lo) / self._cell_w, 0.0, mx)
+        gy = np.clip((boxes[:, 1::2] - bounds.y_lo) / self._cell_h, 0.0, my)
+        empty = ~((gx[:, 1] > gx[:, 0]) & (gy[:, 1] > gy[:, 0]))
+        if empty.any():
+            # NaN would poison the int64 casts; the mask zeroes the rows.
+            gx[empty] = 0.0
+            gy[empty] = 0.0
+        x_lo, x_hi = gx[:, 0], gx[:, 1]
+        y_lo, y_hi = gy[:, 0], gy[:, 1]
+        corners = self._summed_area(
+            np.concatenate([x_hi, x_lo, x_hi, x_lo]),
+            np.concatenate([y_hi, y_hi, y_lo, y_lo]),
         )
-        out += np.bincount(pair_q, weights=estimate, minlength=n)
-        return out
+        estimate = (
+            corners[:n] - corners[n : 2 * n] - corners[2 * n : 3 * n]
+            + corners[3 * n :]
+        )
+        estimate[empty] = 0.0
+        return estimate
+
+
+def _edge_table(
+    cell_sizes: np.ndarray,
+    prefix_offsets: np.ndarray,
+    prefix: np.ndarray,
+    totals_prefix: np.ndarray,
+    axis: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints and values of AG's ``F`` (``axis=0``) or ``G`` (``axis=1``).
+
+    Returns ``(edges, table)``: ``edges`` are the sorted distinct sub-cell
+    edges along ``axis`` in first-level cell units — ``i + k / m2`` for
+    every sub-grid size ``m2`` in first-level column ``i`` (row, for
+    ``axis=1``), then the far boundary — and ``table[e, j]`` counts the
+    block from the domain origin to edge ``e`` along ``axis`` and to
+    first-level edge ``j`` along the other axis.
+    """
+    ids = np.arange(cell_sizes.size).reshape(cell_sizes.shape)
+    if axis == 1:
+        cell_sizes, ids, totals_prefix = cell_sizes.T, ids.T, totals_prefix.T
+    n_cols, n_rows = cell_sizes.shape
+    # Each distinct (column, m2) pair contributes edges col + k / m2 for
+    # k < m2 (k = m2 is the next column's k = 0).  Equal fractions round
+    # to the same float, so np.unique merges e.g. 1/2 and 2/4 exactly.
+    span = int(cell_sizes.max()) + 1
+    pairs = np.unique(np.arange(n_cols)[:, None] * span + cell_sizes)
+    cols, m2 = pairs // span, pairs % span
+    k = np.arange(int(m2.sum())) - np.repeat(np.cumsum(m2) - m2, m2)
+    col = np.repeat(cols, m2)
+    frac = k / np.repeat(m2, m2)
+    edges, first = np.unique(col + frac, return_index=True)
+    col, frac = col[first], frac[first]
+    # Every cell of the edge's column, counted from the column start to
+    # the edge across its full extent on the other axis: the cell's
+    # prefix along its last column (axis 0) or last row (axis 1).
+    cells = ids[col]
+    size = cell_sizes[col]
+    pos = frac[:, None] * size
+    p0 = np.minimum(pos.astype(np.int64), size - 1)
+    stride = size + 1
+    if axis == 0:
+        lo = prefix_offsets[cells] + p0 * stride + size
+        step = stride
+    else:
+        lo = prefix_offsets[cells] + size * stride + p0
+        step = 1
+    below = prefix[lo]
+    partial = below + (pos - p0) * (prefix[lo + step] - below)
+    table = np.empty((edges.size + 1, n_rows + 1))
+    table[:-1] = totals_prefix[col]
+    table[:-1, 1:] += np.cumsum(partial, axis=1)
+    table[-1] = totals_prefix[n_cols]
+    return np.append(edges, float(n_cols)), table
+
+
+def _edge_lerp(
+    edges: np.ndarray, table: np.ndarray, coords: np.ndarray, other: np.ndarray
+) -> np.ndarray:
+    """``table`` linearly interpolated between ``edges`` at ``coords``,
+    in column ``other`` (one ``searchsorted`` and two gathers)."""
+    k = np.minimum(np.searchsorted(edges, coords, side="right") - 1, edges.size - 2)
+    t = (coords - edges[k]) / (edges[k + 1] - edges[k])
+    width = table.shape[1]
+    index = k * width + other
+    flat = table.reshape(-1)
+    below = flat[index]
+    return below + t * (flat[index + width] - below)
 
 
 class AdaptiveGridEngine:
@@ -722,6 +734,13 @@ class FlatTreeEngine:
     @property
     def n_nodes(self) -> int:
         return int(self._counts.size)
+
+    @staticmethod
+    def buffer_nbytes(n_nodes: int) -> int:
+        """:attr:`nbytes` of the engine for a tree of ``n_nodes`` nodes,
+        without building it: seven 8-byte vectors per node (bounds,
+        areas, counts, fan-outs), ``n + 1`` child offsets, the leaf mask."""
+        return 8 * (8 * n_nodes + 1) + n_nodes
 
     @property
     def nbytes(self) -> int:
@@ -1178,9 +1197,13 @@ def compute_engine_slabs(synopsis) -> "dict[str, np.ndarray] | None":
 
 
 def has_sealed_engine(synopsis) -> bool:
-    """Whether :func:`make_engine` can restore this synopsis's engine
-    from sealed slabs instead of rebuilding (i.e. the synopsis carries
-    loader-attached slabs *and* its type has a registered sealer)."""
+    """Whether the synopsis carries sealed engine slabs its type can
+    restore from (attached by the v2 loader or by the store's build).
+
+    After :func:`make_engine` this also says how the engine was made:
+    slabs that turn out stale are dropped there, so a ``True`` here
+    afterwards means the engine was restored, not rebuilt.
+    """
     return (
         getattr(synopsis, "sealed_engine_slabs", None) is not None
         and _sealer_for(synopsis) is not None
@@ -1190,17 +1213,21 @@ def has_sealed_engine(synopsis) -> bool:
 def make_engine(synopsis):
     """Build the fastest available batch engine for a released synopsis.
 
-    Synopses carrying sealed engine slabs (loaded from a v2 archive)
-    restore their engine directly from the slabs — no derived-buffer
-    rebuild, and the buffers stay read-only views over the archive
-    mapping.  Otherwise, looks the synopsis type (nearest registered
-    ancestor first) up in the engine registry — uniform grids register
-    the prefix-sum :class:`BatchQueryEngine`, adaptive grids the flat
-    CSR :class:`FlatAdaptiveGridEngine`, spatial trees the level-order
-    :class:`FlatTreeEngine` — and falls back to the scalar
-    :class:`FallbackEngine` for unregistered types.  The returned object
-    exposes ``answer_batch(rects) -> np.ndarray`` and holds no reference
-    to raw data, so it can be cached and shared across threads.
+    Synopses carrying sealed engine slabs (loaded from a v2 archive, or
+    sealed by the store when it built the release) restore their engine
+    directly from the slabs — no derived-buffer rebuild, and mapped
+    buffers stay read-only views over the archive.  Slabs an older
+    precompute sealed (missing or mismatched arrays) are dropped from
+    the synopsis and the engine is rebuilt.  Otherwise, looks the
+    synopsis type (nearest registered ancestor first) up in the engine
+    registry — uniform grids register the prefix-sum
+    :class:`BatchQueryEngine`, adaptive grids the summed-area
+    :class:`FlatAdaptiveGridEngine`, spatial trees a lattice
+    :class:`BatchQueryEngine` or the level-order :class:`FlatTreeEngine`
+    — and falls back to the scalar :class:`FallbackEngine` for
+    unregistered types.  The returned object exposes
+    ``answer_batch(rects) -> np.ndarray`` and holds no reference to raw
+    data, so it can be cached and shared across threads.
     """
     global _fallback_count
     slabs = getattr(synopsis, "sealed_engine_slabs", None)
@@ -1210,9 +1237,9 @@ def make_engine(synopsis):
             try:
                 return sealer[1](synopsis, slabs)
             except (KeyError, ValueError):
-                # Slabs sealed by an older precompute (missing or
-                # mismatched arrays): fall through to a full rebuild.
-                pass
+                # Stale slabs: drop them, so has_sealed_engine reports
+                # the rebuild below and later calls skip the retry.
+                synopsis.seal_engine_slabs(None)
     for cls in type(synopsis).__mro__:
         factory = _ENGINE_FACTORIES.get(cls)
         if factory is not None:

@@ -70,7 +70,8 @@ def _register_defaults() -> None:
     register_method("AG", AdaptiveGridBuilder)
     # The tree baselines serve like grids since the flat tree kernel:
     # TreeArrays releases serialise, report synopsis_nbytes, and
-    # batch-answer through FlatTreeEngine.
+    # batch-answer through the tree engine (a lattice BatchQueryEngine
+    # for a quadtree that lowers onto its lattice, else FlatTreeEngine).
     register_method("Quad", QuadtreeBuilder)
     register_method("Kst", KDStandardBuilder)
     register_method("Khy", KDHybridBuilder)

@@ -3,10 +3,11 @@
 :class:`QueryService` is the read path of the serving layer.  It keeps one
 prepared batch engine per release (built by
 :func:`~repro.queries.engine.make_engine`, prefix sums precomputed:
-:class:`~repro.queries.engine.BatchQueryEngine` for uniform grids, the
-flat CSR :class:`~repro.queries.engine.FlatAdaptiveGridEngine` for
-adaptive grids, the level-order :class:`~repro.queries.engine.
-FlatTreeEngine` for the tree baselines) and routes each incoming batch to
+:class:`~repro.queries.engine.BatchQueryEngine` for uniform grids and
+lattice-aligned trees, the summed-area :class:`~repro.queries.engine.
+FlatAdaptiveGridEngine` for adaptive grids, the level-order
+:class:`~repro.queries.engine.FlatTreeEngine` for the other tree
+baselines) and routes each incoming batch to
 the engine of the requested key.  Engines are pure functions of released
 state, so concurrent batches against the same release run without locking
 — only the engine-cache bookkeeping is guarded.
@@ -178,15 +179,18 @@ class QueryService:
         Raises :class:`~repro.service.errors.ReleaseNotFound` when the
         store has no release for the key.
         """
-        return self._engine_for(key)[0]
+        return self._engine_for(key.with_tenant(self._store.tenant))[0]
 
     def _engine_for(self, key: ReleaseKey, deadline: Deadline | None = None):
         """``(engine, answer_generation)`` for ``key``.
 
-        The generation is read in the same critical section that
-        validated (or installed) the engine, so an answer computed with
-        the returned engine may be cached under that generation: any
-        later rebuild bumps it first, which vetoes the insert.
+        ``key`` must carry the store's tenant: engines and answers are
+        indexed by the keys ``store.cached_keys()`` returns, so an
+        unstamped key would be swept as stale on every lookup.  The
+        generation is read in the same critical section that validated
+        (or installed) the engine, so an answer computed with the
+        returned engine may be cached under that generation: any later
+        rebuild bumps it first, which vetoes the insert.
         """
         synopsis = self._store.get(key, deadline)
         # Engines pin their synopsis; on every lookup keep only keys the
@@ -218,14 +222,6 @@ class QueryService:
                 # the old engine can no longer insert.
                 self._invalidate_answers(key)
             self._engine_building.add(key)
-            # A synopsis carrying sealed slabs (loaded from a v2 archive)
-            # restores its engine as a map of the archive's pages — no
-            # derived-buffer rebuild, so it is a warm load, not a cold
-            # start.  Only genuine rebuilds count as cold.
-            if has_sealed_engine(synopsis):
-                self._engine_sealed_loads += 1
-            else:
-                self._engine_cold_starts += 1
         # Build outside the lock: prefix-sum preparation can take a few
         # milliseconds for large releases and must not stall other keys.
         try:
@@ -244,6 +240,14 @@ class QueryService:
         # entry; the sweep above clears it on the next lookup.)
         still_cached = key in set(self._store.cached_keys())
         with self._lock:
+            # Slabs sealed at build time or into a v2 archive restore the
+            # engine without a derived-buffer rebuild: a warm load.
+            # make_engine drops stale slabs before rebuilding, so only
+            # genuine rebuilds count as cold starts.
+            if has_sealed_engine(synopsis):
+                self._engine_sealed_loads += 1
+            else:
+                self._engine_cold_starts += 1
             try:
                 if still_cached:
                     self._engines[key] = (synopsis, engine)
@@ -276,8 +280,12 @@ class QueryService:
         feed the counts onward usually want it, evaluation code does not).
         ``deadline`` bounds the slow steps (store waits, engine
         preparation, the batch itself); expiry raises
-        :class:`~repro.service.errors.DeadlineExpired`.
+        :class:`~repro.service.errors.DeadlineExpired`.  The result
+        reports ``key`` as given; engines and cached answers are indexed
+        by the key stamped with the store's tenant.
         """
+        request_key = key
+        key = key.with_tenant(self._store.tenant)
         boxes = np.ascontiguousarray(rects_to_boxes(rects))
         cache_key = None
         if self._answer_cache_bytes > 0:
@@ -311,8 +319,8 @@ class QueryService:
                     self._batches_answered += 1
                     answer_ms = (time.perf_counter() - start) * 1e3
                     return QueryResult(
-                        key, cached[1], build_ms=0.0, answer_ms=answer_ms,
-                        cached=True,
+                        request_key, cached[1], build_ms=0.0,
+                        answer_ms=answer_ms, cached=True,
                     )
 
         build_start = time.perf_counter()
@@ -342,7 +350,9 @@ class QueryService:
                     and estimates.nbytes <= self._answer_cache_bytes
                 ):
                     self._cache_insert(cache_key, generation, estimates)
-        return QueryResult(key, estimates, build_ms=build_ms, answer_ms=answer_ms)
+        return QueryResult(
+            request_key, estimates, build_ms=build_ms, answer_ms=answer_ms
+        )
 
     def stats(self) -> dict:
         with self._lock:

@@ -14,7 +14,10 @@
   uncompressed: reloads memory-map it read-only, so ``--workers N``
   processes serving the same release share one set of physical pages
   (and the sealed engine slabs restore without a per-worker rebuild);
-  eviction simply drops the views and lets the page cache decide.
+  eviction simply drops the views and lets the page cache decide.  A
+  build computes the release's engine slabs once, writes them, and
+  attaches them to the in-memory release, so the first query after a
+  build or an ingest refresh restores its engine too;
   ``archive_format="v1"`` keeps the compact ``savez_compressed`` blobs,
   and a mixed-format directory is served transparently — the loader
   sniffs each file;
@@ -71,6 +74,7 @@ from repro.core.serialization import (
 )
 from repro.core.synopsis import Synopsis
 from repro.datasets.registry import get_spec
+from repro.queries.engine import compute_engine_slabs
 from repro.privacy.budget import BudgetExceededError, PrivacyBudget
 from repro.service import faultinject
 from repro.service.errors import (
@@ -539,6 +543,12 @@ class SynopsisStore:
                     dataset = dataset.extend(context.points)
             builder = make_builder(key.method)
             synopsis = builder.fit(dataset, key.epsilon, key.build_rng(salt))
+            # Engine slabs are computed once: the archive writer reuses
+            # them, and the first query restores its engine from them
+            # instead of rebuilding it.
+            slabs = compute_engine_slabs(synopsis)
+            if slabs is not None:
+                synopsis.seal_engine_slabs(slabs)
             self._persist(key, synopsis)
         except BaseException:
             with self._lock:

@@ -150,14 +150,16 @@ class TestTreeArrays:
             TreeSynopsis(Domain2D.unit(), 1.0, "not a tree")
 
     def test_answer_many_routes_through_flat_engine(self):
-        from repro.queries.engine import FlatTreeEngine
+        from repro.queries.engine import BatchQueryEngine
 
         synopsis = TreeSynopsis(Domain2D.unit(), 1.0, two_level_tree())
         rects = [Rect(0.0, 0.0, 0.25, 1.0), Rect(0.0, 0.0, 1.0, 1.0)]
         np.testing.assert_allclose(
             synopsis.answer_many(rects), [35.0, 100.0], rtol=1e-12
         )
-        assert isinstance(synopsis._engine, FlatTreeEngine)
+        # Batches go through make_engine's pick, which for this consistent
+        # (100 = 70 + 30), lattice-aligned tree is its 2 x 2 lattice.
+        assert isinstance(synopsis._engine, BatchQueryEngine)
 
     def test_flat_inference_matches_object_graph_path(self):
         from repro.baselines.tree import (

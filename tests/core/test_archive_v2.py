@@ -22,7 +22,11 @@ from repro.core.serialization import (
     synopsis_from_path,
     synopsis_to_bytes,
 )
-from repro.queries.engine import has_sealed_engine, make_engine
+from repro.queries.engine import (
+    compute_engine_slabs,
+    has_sealed_engine,
+    make_engine,
+)
 from repro.service.keys import make_builder, method_names
 
 QUERIES = [
@@ -81,6 +85,29 @@ class TestRoundTripMatrix:
         assert has_sealed_engine(mapped)
         cold = build(dataset, method)  # same seed: identical synopsis
         np.testing.assert_array_equal(batch_answers(mapped), batch_answers(cold))
+
+    @pytest.mark.parametrize("method", method_names())
+    def test_build_sealed_engine_matches_rebuilt(self, dataset, method, tmp_path):
+        """Slabs sealed at build time (as the store seals them), the same
+        slabs restored from v2, and a rebuild (unsealed, or a v1 load)
+        give one engine type and bit-identical answers."""
+        sealed = build(dataset, method)
+        sealed.seal_engine_slabs(compute_engine_slabs(sealed))
+        for fmt in ARCHIVE_FORMATS:
+            save_synopsis(sealed, tmp_path / f"{fmt}.npz", archive_format=fmt)
+        engines = {
+            "rebuilt": make_engine(build(dataset, method)),
+            "sealed": make_engine(sealed),
+            "v1": make_engine(synopsis_from_path(tmp_path / "v1.npz")),
+            "v2": make_engine(synopsis_from_path(tmp_path / "v2.npz")),
+        }
+        assert has_sealed_engine(sealed)
+        reference = engines["rebuilt"].answer_batch(QUERIES)
+        for label, engine in engines.items():
+            assert type(engine) is type(engines["rebuilt"]), label
+            np.testing.assert_array_equal(
+                engine.answer_batch(QUERIES), reference, err_msg=label
+            )
 
     def test_v1_restore_is_not_sealed(self, dataset, tmp_path):
         synopsis = build(dataset, "UG")

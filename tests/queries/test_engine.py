@@ -422,6 +422,70 @@ class TestMakeEngine:
             synopsis.answer(rect)
         )
 
+    def test_default_quadtree_gets_lattice_kernel(self, rng):
+        """50k points fill a default (depth-8) quadtree enough that its
+        257 x 257 lattice prefix is smaller than its tree buffers.  (At
+        10k points the pruned tree is smaller than the lattice and keeps
+        the frontier kernel by the size rule.)"""
+        from repro.baselines.quadtree import QuadtreeBuilder
+        from repro.core.dataset import GeoDataset
+        from repro.queries.engine import FlatTreeEngine
+
+        points = rng.uniform(size=(50_000, 2))
+        dataset = GeoDataset(points, Domain2D.unit(), name="uniform")
+        synopsis = QuadtreeBuilder().fit(dataset, 1.0, rng)
+        engine = make_engine(synopsis)
+        assert isinstance(engine, BatchQueryEngine)
+        side = 2 ** synopsis.height()
+        assert engine.layout.shape == (side, side)
+        assert engine.nbytes <= FlatTreeEngine.buffer_nbytes(synopsis.node_count())
+        rects = [Rect(0.1, 0.2, 0.7, 0.45), Rect(0.0, 0.0, 0.5, 0.5)]
+        np.testing.assert_allclose(
+            engine.answer_batch(rects), scalar_answer_batch(synopsis, rects),
+            rtol=1e-9,
+        )
+
+    @pytest.mark.parametrize("method", ["Kst", "Khy", "Quad-no-inference"])
+    def test_trees_that_do_not_lower_keep_frontier_kernel(
+        self, small_skewed, rng, method
+    ):
+        """Kst answers from uninferred internal counts, Khy's kd-split
+        leaves are off the lattice, and a Quad without inference is
+        inconsistent like Kst."""
+        from repro.baselines.kd_tree import KDHybridBuilder, KDStandardBuilder
+        from repro.baselines.quadtree import QuadtreeBuilder
+        from repro.queries.engine import FlatTreeEngine
+
+        builder = {
+            "Kst": KDStandardBuilder(),
+            "Khy": KDHybridBuilder(),
+            "Quad-no-inference": QuadtreeBuilder(constrained_inference=False),
+        }[method]
+        synopsis = builder.fit(small_skewed, 1.0, rng)
+        engine = make_engine(synopsis)
+        assert isinstance(engine, FlatTreeEngine)
+        # The size rule's estimate is the engine's real footprint.
+        assert engine.nbytes == FlatTreeEngine.buffer_nbytes(synopsis.node_count())
+
+    def test_pruned_deep_quadtree_keeps_frontier_kernel(self, rng):
+        """One tight cluster: a depth-12 quadtree splits only along its
+        branch, so its 4096 x 4096 lattice would dwarf the tree's own
+        buffers; the size rule keeps the frontier kernel."""
+        from repro.baselines.quadtree import QuadtreeBuilder
+        from repro.core.dataset import GeoDataset
+        from repro.queries.engine import FlatTreeEngine
+
+        points = 0.3 + 1e-5 * rng.standard_normal((2_000, 2))
+        dataset = GeoDataset(points, Domain2D.unit(), name="tight-cluster")
+        synopsis = QuadtreeBuilder(depth=12).fit(dataset, 1.0, rng)
+        assert synopsis.height() == 12
+        engine = make_engine(synopsis)
+        assert isinstance(engine, FlatTreeEngine)
+        rect = Rect(0.25, 0.25, 0.3, 0.31)
+        assert engine.answer_batch([rect])[0] == pytest.approx(
+            synopsis.answer(rect), rel=1e-9
+        )
+
     def test_unregistered_synopses_get_fallback(self, unit_domain):
         from repro.core.synopsis import Synopsis
 

@@ -257,7 +257,9 @@ class TestLatencySplit:
         assert body["build_ms"] == 0.0
         status, body = call(server, "/health")
         assert body["answer_cache_hits"] == 1
-        assert body["engine_cold_starts"] == 1
+        # The build sealed the engine slabs: the first query restores.
+        assert body["engine_sealed_loads"] == 1
+        assert body["engine_cold_starts"] == 0
 
 
 class TestHTTPEdges:
@@ -348,7 +350,9 @@ class TestAnswerCacheInvalidation:
         assert status == 200
         assert body["cached"] is False  # generation bumped, not served stale
         stats = service.stats()
-        assert stats["engine_cold_starts"] == 2
+        # One engine per build, each restored from its build's slabs.
+        assert stats["engine_sealed_loads"] == 2
+        assert stats["engine_cold_starts"] == 0
 
     def test_store_eviction_drops_cached_answers(self):
         # max_entries=1: building a second key evicts the first; the

@@ -137,6 +137,51 @@ class TestSealedEngineLoads:
         assert stats["engine_sealed_loads"] == 1
         assert stats["engine_cold_starts"] == 0
 
+    @pytest.mark.parametrize("method", ["AG", "Quad"])
+    def test_stale_sealed_slabs_count_as_cold_start(self, tmp_path, method):
+        """A v2 archive sealed by the previous kernels (AG's CSR prefix
+        and totals prefix alone; a quadtree's frontier-descent vectors)
+        cannot restore today's engine: it is rebuilt, answers match the
+        scalar oracle, and the rebuild counts as a cold start."""
+        from repro.core.serialization import synopsis_to_bytes
+        from repro.queries.engine import (
+            BatchQueryEngine,
+            FlatTreeEngine,
+            make_engine,
+            scalar_answer_batch,
+        )
+
+        if method == "AG":
+            k, options = key(method=method), {}
+        else:
+            # Enough points that the default quadtree lowers onto its
+            # lattice, as at full scale; small trees keep the frontier.
+            k, options = key(method=method, dataset="landmark"), {
+                "n_points": 100_000
+            }
+        synopsis, _ = _store(tmp_path, **options).build(k)
+        if method == "AG":
+            slabs = synopsis.sealed_engine_slabs
+            stale = {
+                name: slabs[name]
+                for name in ("prefix", "prefix_offsets", "totals_prefix")
+            }
+        else:
+            assert isinstance(make_engine(synopsis), BatchQueryEngine)
+            stale = FlatTreeEngine.precompute(synopsis)
+        synopsis.seal_engine_slabs(stale)
+        (tmp_path / f"{k.slug()}.npz").write_bytes(
+            synopsis_to_bytes(synopsis, archive_format="v2")
+        )
+        service = QueryService(_store(tmp_path, **options))
+        estimates = service.answer(k, BOXES).estimates
+        oracle = scalar_answer_batch(service.store.get(k), BOXES)
+        scale = max(1.0, float(np.abs(oracle).max()))
+        np.testing.assert_allclose(estimates, oracle, rtol=1e-9, atol=1e-9 * scale)
+        stats = service.stats()
+        assert stats["engine_cold_starts"] == 1
+        assert stats["engine_sealed_loads"] == 0
+
     def test_v1_release_still_cold_starts(self, tmp_path):
         _store(tmp_path, archive_format="v1").build(key())
         service = QueryService(_store(tmp_path))

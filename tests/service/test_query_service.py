@@ -276,7 +276,32 @@ class TestResultPayload:
         assert payload["elapsed_ms"] == pytest.approx(
             payload["build_ms"] + payload["answer_ms"], abs=2e-3
         )
-        assert service.stats()["engine_cold_starts"] == 1
+        # The build sealed the engine slabs: a warm load, not a rebuild.
+        assert service.stats()["engine_sealed_loads"] == 1
+        assert service.stats()["engine_cold_starts"] == 0
+
+
+class TestTenantKeys:
+    def test_tenant_engine_prepared_once_and_repeat_is_cached(self, rng):
+        """Requests arrive with unstamped keys (the binary slug and JSON
+        bodies carry no tenant); a tenant's store caches stamped keys.
+        The service must index by the stamped key, or it sweeps and
+        rebuilds the engine on every request and never hits its cache."""
+        store = SynopsisStore(n_points=N_POINTS, tenant="acme")
+        service = QueryService(store)
+        key = ReleaseKey("storage", "AG", epsilon=1.0, seed=0)
+        store.build(key)
+        batches = [storage_rects(16, rng) for _ in range(5)]
+        for batch in batches:
+            assert not service.answer(key, batch).cached
+        stats = service.stats()
+        assert stats["engine_cold_starts"] + stats["engine_sealed_loads"] == 1
+        assert stats["engines_cached"] == 1
+        repeat = service.answer(key, batches[0])
+        assert repeat.cached
+        assert repeat.key == key  # reported as requested
+        assert service.stats()["answer_cache_hits"] == 1
+        assert service.engine_for(key) is service.engine_for(key)
 
 
 class TestConcurrency:

@@ -17,6 +17,36 @@ def key(method="AG", epsilon=1.0, seed=0, dataset="storage"):
     return ReleaseKey(dataset, method, epsilon=epsilon, seed=seed)
 
 
+class TestBuildSealsEngine:
+    @pytest.mark.parametrize("archive_format", [None, "v1", "v2"])
+    @pytest.mark.parametrize("method", ["UG", "AG", "Quad"])
+    def test_first_query_after_build_is_sealed_load(
+        self, tmp_path, archive_format, method
+    ):
+        """A build computes the engine slabs once and attaches them, so
+        the first query restores the engine instead of rebuilding it —
+        in memory and whatever archive format the store writes."""
+        from repro.queries.engine import has_sealed_engine
+        from repro.service.query_service import QueryService
+
+        if archive_format is None:
+            store = SynopsisStore(n_points=N_POINTS)
+        else:
+            store = SynopsisStore(
+                store_dir=tmp_path, n_points=N_POINTS,
+                archive_format=archive_format,
+            )
+        synopsis, built = store.build(key(method=method))
+        assert built and has_sealed_engine(synopsis)
+        service = QueryService(store)
+        bounds = synopsis.domain.bounds
+        result = service.answer(key(method=method), [bounds])
+        assert result.estimates[0] == pytest.approx(synopsis.total(), rel=1e-9)
+        stats = service.stats()
+        assert stats["engine_sealed_loads"] == 1
+        assert stats["engine_cold_starts"] == 0
+
+
 class TestBuildAndGet:
     def test_get_before_build_raises(self):
         store = SynopsisStore(n_points=N_POINTS)
