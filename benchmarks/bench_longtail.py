@@ -14,8 +14,8 @@ pattern, at figure-3 scale (150k points, 6 sizes x 200 queries):
   (bit-identical) with :class:`NDPrefixSumEngine` vs the scalar
   tensordot loop, plus a d = 3 sweep on the hyper-rectangle workload.
 
-Bit-identity is asserted in *every* mode; the registry must resolve all
-three engines without ever touching ``fallback_engine_count()``.
+Bit-identity is asserted in *every* mode; ``make_engine`` resolves all
+three engines through their declared rows (an undeclared type raises).
 Results land in ``BENCH_longtail.json`` at the repo root so the perf
 trajectory is tracked in-tree.
 
@@ -43,7 +43,6 @@ from repro.extensions.multidim import (
 from repro.queries.engine import (
     NDPrefixSumEngine,
     WaveletRangeEngine,
-    fallback_engine_count,
     make_engine,
     scalar_answer_batch,
 )
@@ -89,7 +88,6 @@ def _scalar_loop(synopsis, rects):
 
 
 def test_longtail_kernels_vs_reference():
-    fallbacks_before = fallback_engine_count()
     dataset = make_checkin(BENCH_N, rng=3)
     workload = QueryWorkload.generate(
         dataset, 90.0, 90.0, np.random.default_rng(11),
@@ -220,10 +218,6 @@ def test_longtail_kernels_vs_reference():
             f"{nd_speedup:.1f}x",
         ]
     )
-
-    # The registry resolved every engine above; nothing fell back to the
-    # scalar loop — the ISSUE 6 acceptance criterion.
-    assert fallback_engine_count() == fallbacks_before
 
     table = format_table(
         [

@@ -44,6 +44,7 @@ from repro.queries.engine import make_engine
 from repro.service.keys import ReleaseKey
 from repro.service.query_service import QueryService
 from repro.service.store import SynopsisStore
+from tests.v1_archive import v1_archive_bytes
 
 QUICK = os.environ.get("BENCH_MMAP_QUICK", "") not in ("", "0")
 
@@ -181,13 +182,15 @@ def test_mmap_fork_scaling(tmp_path):
     dirs = {fmt: tmp_path / fmt for fmt in ("v1", "v2")}
     archive_bytes = {}
     for fmt, directory in dirs.items():
-        SynopsisStore(
-            store_dir=directory,
-            n_points=N_POINTS,
-            dataset_budget=4.0,
-            archive_format=fmt,
+        synopsis, _ = SynopsisStore(
+            store_dir=directory, n_points=N_POINTS, dataset_budget=4.0
         ).build(KEY)
-        archive_bytes[fmt] = (directory / f"{KEY.slug()}.npz").stat().st_size
+        path = directory / f"{KEY.slug()}.npz"
+        if fmt == "v1":
+            # The store writes v2; a v1 directory is what a store from
+            # before v2 left behind.
+            path.write_bytes(v1_archive_bytes(synopsis))
+        archive_bytes[fmt] = path.stat().st_size
 
     # ------------------------------------------------------------------
     # Bit-identity: the mapped container restores the exact v1 synopsis.
@@ -211,10 +214,7 @@ def test_mmap_fork_scaling(tmp_path):
         row = {}
         for fmt, directory in dirs.items():
             store = SynopsisStore(
-                store_dir=directory,
-                n_points=N_POINTS,
-                dataset_budget=4.0,
-                archive_format=fmt,
+                store_dir=directory, n_points=N_POINTS, dataset_budget=4.0
             )
             reports = _fork_round(store, n_workers)
             digests.update(r["answers_sha1"] for r in reports)

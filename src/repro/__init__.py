@@ -57,7 +57,6 @@ from repro.queries.engine import (
     FlatAdaptiveGridEngine,
     FlatTreeEngine,
     make_engine,
-    register_engine,
 )
 from repro.queries.metrics import ErrorProfile, absolute_errors, relative_errors
 from repro.queries.workload import QueryWorkload
@@ -111,7 +110,6 @@ __all__ = [
     "make_road",
     "make_storage",
     "make_uniform",
-    "register_engine",
     "relative_errors",
     "save_synopsis",
     "uniformity_profile",

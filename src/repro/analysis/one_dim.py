@@ -19,10 +19,10 @@ The module is also servable: :class:`OneDimHistogramSynopsis` releases
 the hierarchical histogram over a 2-D dataset's *x-marginal* and answers
 rectangle queries as (interval estimate) x (fractional y-coverage of the
 domain) — the uniformity assumption applied on the unmodelled axis.  It
-registers in all three service registries (method ``Hier1d`` in
-:mod:`repro.service.keys`, serialization kind ``one_dim``, and
-:class:`OneDimIntervalEngine` in the engine registry), closing the last
-analysis family with no registration.
+is declared in both service tables: method ``Hier1d`` in
+:mod:`repro.service.keys`, and kind ``one_dim`` in
+:mod:`repro.core.serialization`, whose row serves it through
+:class:`OneDimIntervalEngine`.
 """
 
 from __future__ import annotations
@@ -316,7 +316,7 @@ class OneDimHistogramSynopsis(Synopsis):
         return range_query(self._released, lo, hi) * y_fraction
 
     def answer_many(self, rects: "list[Rect] | np.ndarray") -> np.ndarray:
-        """Vectorised batch answering via the registered engine."""
+        """Vectorised batch answering via the declared engine."""
         if self._engine is None:
             from repro.queries.engine import make_engine
 
@@ -333,14 +333,9 @@ class OneDimIntervalEngine:
     the scalar :func:`range_query` formula.  O(m) build, O(1) per query.
     """
 
-    def __init__(self, synopsis: OneDimHistogramSynopsis):
+    def __init__(self, synopsis: OneDimHistogramSynopsis, slabs: dict):
         self._domain = synopsis.domain.bounds.as_tuple()
-        released = synopsis.released
-        slabs = self.precompute(released)
-        self._finish_init(released, slabs)
-
-    def _finish_init(self, released: np.ndarray, slabs: dict) -> None:
-        self._released = released
+        self._released = synopsis.released
         self._prefix = slabs["prefix"]
 
     @staticmethod
@@ -355,10 +350,7 @@ class OneDimIntervalEngine:
         cls, synopsis: OneDimHistogramSynopsis, slabs: dict
     ) -> "OneDimIntervalEngine":
         """Restore from sealed (possibly read-only mmap) slabs."""
-        engine = cls.__new__(cls)
-        engine._domain = synopsis.domain.bounds.as_tuple()
-        engine._finish_init(synopsis.released, dict(slabs))
-        return engine
+        return cls(synopsis, slabs)
 
     def _mass_below(self, positions: np.ndarray) -> np.ndarray:
         """Vector of ``S(t)`` for fractional bucket positions ``t``."""
@@ -439,19 +431,3 @@ class OneDimHistogramBuilder(SynopsisBuilder):
             counts.astype(float), epsilon, rng, budget
         )
         return OneDimHistogramSynopsis(dataset.domain, epsilon, released)
-
-
-def _register_engine() -> None:
-    # Registered here (not in queries.engine) so the engine registry
-    # never has to import analysis modules.
-    from repro.queries.engine import register_engine, register_engine_sealer
-
-    register_engine(OneDimHistogramSynopsis, OneDimIntervalEngine)
-    register_engine_sealer(
-        OneDimHistogramSynopsis,
-        lambda synopsis: OneDimIntervalEngine.precompute(synopsis.released),
-        OneDimIntervalEngine.from_slabs,
-    )
-
-
-_register_engine()

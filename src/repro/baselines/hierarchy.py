@@ -459,31 +459,3 @@ class HierarchicalGridBuilder(SynopsisBuilder):
             leaf_counts = inferred[-1]
 
         return UniformGridSynopsis(dataset.domain, epsilon, leaf_layout, leaf_counts)
-
-
-def _register_engine() -> None:
-    # The subclass would inherit UniformGridSynopsis's registration via
-    # the MRO walk; registering explicitly documents that the hierarchy
-    # serves queries from its inferred leaf grid.
-    from repro.queries.engine import (
-        BatchQueryEngine,
-        register_engine,
-        register_engine_sealer,
-    )
-
-    register_engine(
-        HierarchicalGridSynopsis,
-        lambda synopsis: BatchQueryEngine(synopsis.layout, synopsis.counts),
-    )
-    register_engine_sealer(
-        HierarchicalGridSynopsis,
-        lambda synopsis: BatchQueryEngine.precompute(
-            synopsis.layout, synopsis.counts
-        ),
-        lambda synopsis, slabs: BatchQueryEngine.from_slabs(
-            synopsis.layout, slabs
-        ),
-    )
-
-
-_register_engine()

@@ -184,7 +184,7 @@ class PriveletSynopsis(UniformGridSynopsis):
     :class:`UniformGridSynopsis` base) keep every grid consumer working —
     synthetic points, post-hoc analysis, serialization of the coarse
     view.  The ``p x p`` coefficient matrix is the *primary* release: the
-    registered :class:`~repro.queries.engine.WaveletRangeEngine` answers
+    declared :class:`~repro.queries.engine.WaveletRangeEngine` answers
     ranges straight from it in ``O(log^2 p)`` gathers per query, and the
     scalar :meth:`answer` routes through a single-row engine call so the
     scalar and batch paths are bit-identical by construction.
@@ -226,7 +226,7 @@ class PriveletSynopsis(UniformGridSynopsis):
         return int(self._coefficients.shape[0])
 
     def answer(self, rect) -> float:
-        # One-row batch through the registered wavelet engine: the
+        # One-row batch through the declared wavelet engine: the
         # scalar path and answer_many are then bit-identical (numpy's
         # elementwise ops do not depend on batch size).
         return float(self._batch_engine().answer_batch([rect])[0])
@@ -338,32 +338,3 @@ class PriveletBuilder(SynopsisBuilder):
         counts = reconstructed[:m, :m]
 
         return UniformGridSynopsis(dataset.domain, epsilon, layout, counts)
-
-
-def _register_engine() -> None:
-    # Registered here (not in queries.engine) so the engine registry
-    # never has to import baseline modules.
-    from repro.queries.engine import (
-        WaveletRangeEngine,
-        register_engine,
-        register_engine_sealer,
-    )
-
-    register_engine(
-        PriveletSynopsis,
-        lambda synopsis: WaveletRangeEngine(
-            synopsis.layout, synopsis.coefficients
-        ),
-    )
-    register_engine_sealer(
-        PriveletSynopsis,
-        lambda synopsis: WaveletRangeEngine.precompute(
-            synopsis.layout, synopsis.coefficients
-        ),
-        lambda synopsis, slabs: WaveletRangeEngine.from_slabs(
-            synopsis.layout, synopsis.coefficients, slabs
-        ),
-    )
-
-
-_register_engine()

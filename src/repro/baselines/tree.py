@@ -21,9 +21,10 @@ regions fully inside the query contribute their whole count, disjoint
 regions contribute nothing, and partially covered *leaves* fall back to
 the uniformity assumption (Section II-B of the paper).  Its scalar
 ``answer`` is the recursive reference; batches go through the engine
-this module registers: a tree whose leaves lie on the ``2^h x 2^h``
-lattice of its domain and whose internal counts equal their children's
-sums is lowered onto that lattice (a uniform-grid
+this module chooses (:func:`tree_engine_precompute`): a tree whose
+leaves lie on the ``2^h x 2^h`` lattice of its domain and whose
+internal counts equal their children's sums is lowered onto that
+lattice (a uniform-grid
 :class:`~repro.queries.engine.BatchQueryEngine`) when its prefix is no
 larger than the tree's own buffers, any other tree goes through the
 frontier-descent :class:`~repro.queries.engine.FlatTreeEngine`.
@@ -58,6 +59,8 @@ __all__ = [
     "TreeSynopsis",
     "apply_tree_inference",
     "apply_tree_inference_arrays",
+    "tree_engine_from_slabs",
+    "tree_engine_precompute",
 ]
 
 
@@ -461,7 +464,7 @@ class TreeSynopsis(Synopsis):
         return total
 
     def answer_many(self, rects: "list[Rect] | np.ndarray") -> np.ndarray:
-        """Batch answering via the registered tree engine (a lattice
+        """Batch answering via the declared tree engine (a lattice
         :class:`~repro.queries.engine.BatchQueryEngine` or the level-order
         :class:`~repro.queries.engine.FlatTreeEngine`); equal to the
         scalar descent up to floating-point rounding.  Accepts a list of
@@ -582,16 +585,9 @@ def _lattice_release(synopsis: TreeSynopsis):
     return GridLayout(synopsis.domain, side, side), grid.reshape(side, side)
 
 
-def _tree_engine(synopsis: TreeSynopsis):
-    from repro.queries.engine import BatchQueryEngine, FlatTreeEngine
-
-    lattice = _lattice_release(synopsis)
-    if lattice is None:
-        return FlatTreeEngine(synopsis)
-    return BatchQueryEngine(*lattice)
-
-
-def _tree_precompute(synopsis: TreeSynopsis) -> dict[str, np.ndarray]:
+def tree_engine_precompute(synopsis: TreeSynopsis) -> dict[str, np.ndarray]:
+    """Engine buffers of a tree release: its lattice prefix when it
+    lowers onto its lattice, else the frontier-descent node vectors."""
     from repro.queries.engine import BatchQueryEngine, FlatTreeEngine
 
     lattice = _lattice_release(synopsis)
@@ -600,7 +596,8 @@ def _tree_precompute(synopsis: TreeSynopsis) -> dict[str, np.ndarray]:
     return BatchQueryEngine.precompute(*lattice)
 
 
-def _tree_from_slabs(synopsis: TreeSynopsis, slabs: dict[str, np.ndarray]):
+def tree_engine_from_slabs(synopsis: TreeSynopsis, slabs: dict[str, np.ndarray]):
+    """The engine :func:`tree_engine_precompute` chose, over ``slabs``."""
     # The kernel follows the release, not the slabs: slabs sealed for the
     # other kernel (e.g. before lowering existed) raise KeyError here.
     from repro.queries.engine import BatchQueryEngine, FlatTreeEngine
@@ -612,15 +609,3 @@ def _tree_from_slabs(synopsis: TreeSynopsis, slabs: dict[str, np.ndarray]):
     return BatchQueryEngine.from_slabs(
         GridLayout(synopsis.domain, side, side), slabs
     )
-
-
-def _register_engine() -> None:
-    # Self-registration keeps queries.engine's make_engine registry in
-    # sync without that module having to know about tree synopses.
-    from repro.queries.engine import register_engine, register_engine_sealer
-
-    register_engine(TreeSynopsis, _tree_engine)
-    register_engine_sealer(TreeSynopsis, _tree_precompute, _tree_from_slabs)
-
-
-_register_engine()

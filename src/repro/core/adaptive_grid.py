@@ -624,23 +624,3 @@ class AdaptiveGridBuilder(SynopsisBuilder):
             totals,
             np.concatenate(leaf_chunks),
         )
-
-
-def _register_engine() -> None:
-    # Self-registration keeps queries.engine's make_engine registry in
-    # sync without that module having to know about grid synopses.
-    from repro.queries.engine import (
-        FlatAdaptiveGridEngine,
-        register_engine,
-        register_engine_sealer,
-    )
-
-    register_engine(AdaptiveGridSynopsis, FlatAdaptiveGridEngine)
-    register_engine_sealer(
-        AdaptiveGridSynopsis,
-        FlatAdaptiveGridEngine.precompute,
-        FlatAdaptiveGridEngine.from_slabs,
-    )
-
-
-_register_engine()

@@ -1,4 +1,4 @@
-"""Serialisation of released synopses.
+"""Serialisation of released synopses, and the table that declares them.
 
 A differentially private synopsis is a *publishable artifact*: once built,
 its noisy state can be shared freely (post-processing preserves DP).  This
@@ -6,27 +6,25 @@ module persists synopses to a single archive file and restores them, so a
 data curator can run ``fit`` once on the sensitive data and distribute the
 file; consumers answer queries without ever seeing the raw points.
 
-Two archive formats are written, both ending in the same SHA-1 integrity
-footer:
+Every synopsis type is declared in one row of :data:`KINDS`: its archive
+kind tag, its class, the ``pack``/``unpack`` pair mapping it to named
+arrays and back, and its query engine's ``precompute``/``from_slabs``
+pair.  The archive writer and reader, and
+:func:`~repro.queries.engine.make_engine`, resolve a synopsis through the
+row of its nearest declared type, so a subclass serves like its declared
+ancestor and an undeclared type raises ``TypeError`` everywhere.
 
-* **v1** — a ``np.savez_compressed`` payload.  Compact, but every load
-  decompresses a private copy per process.
-* **v2** — a small binary header and JSON table of contents (per-array
-  name/dtype/shape/offset/length) followed by *page-aligned* (4096 B)
-  uncompressed array slabs.  :func:`synopsis_from_path` loads v2 via
-  ``mmap`` and hands out read-only ``np.frombuffer`` views, so N forked
-  workers serving the same release share one set of physical pages, and
-  derived engine buffers sealed into the archive at release time (see
-  :func:`~repro.queries.engine.register_engine_sealer`) restore without
-  a per-worker rebuild.
-
-Supported types: :class:`~repro.core.uniform_grid.UniformGridSynopsis`,
-its wavelet and hierarchy subclasses (:class:`~repro.baselines.privelet.
-PriveletSynopsis` keeps its coefficient matrix, :class:`~repro.baselines.
-hierarchy.HierarchicalGridSynopsis` its raw level stack),
-:class:`~repro.core.adaptive_grid.AdaptiveGridSynopsis`,
-:class:`~repro.baselines.tree.TreeSynopsis`, and the d = 2 ND-grid
-embedding :class:`~repro.extensions.multidim.MultiDimGridSynopsis`.
+Archives are written in one format (v2): a small binary header and JSON
+table of contents (per-array name/dtype/shape/offset/length), then
+*page-aligned* (4096 B) uncompressed array slabs — the released arrays
+and the engine buffers sealed beside them — then a SHA-1 integrity
+footer.  :func:`synopsis_from_path` memory-maps it and hands out
+read-only ``np.frombuffer`` views, so N forked workers serving the same
+release share one set of physical pages and restore their engines
+without a rebuild.  The loaders still read the older compressed
+``np.savez_compressed`` archives (v1), whose engines are rebuilt on
+load.  An archive of either format without a valid footer is rejected
+with :class:`ChecksumError`.
 """
 
 from __future__ import annotations
@@ -35,18 +33,24 @@ import hashlib
 import io
 import json
 import mmap
-import os
 import struct
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from repro.analysis.one_dim import OneDimHistogramSynopsis
+from repro.analysis.one_dim import OneDimHistogramSynopsis, OneDimIntervalEngine
 from repro.baselines.hierarchy import HierarchicalGridSynopsis
 from repro.baselines.privelet import PriveletSynopsis, reconstruct_counts
-from repro.baselines.tree import SpatialNode, TreeArrays, TreeSynopsis
+from repro.baselines.tree import (
+    TreeArrays,
+    TreeSynopsis,
+    tree_engine_from_slabs,
+    tree_engine_precompute,
+)
 from repro.core.adaptive_grid import AdaptiveGridSynopsis
-from repro.core.geometry import Domain2D, Rect
+from repro.core.geometry import Domain2D
 from repro.core.grid import GridLayout
 from repro.core.synopsis import Synopsis
 from repro.core.uniform_grid import UniformGridSynopsis
@@ -56,22 +60,27 @@ from repro.extensions.multidim import (
     NDGridLayout,
     NDUniformGridSynopsis,
 )
+from repro.queries.engine import (
+    BatchQueryEngine,
+    FlatAdaptiveGridEngine,
+    NDPrefixSumEngine,
+    WaveletRangeEngine,
+)
 
 __all__ = [
-    "ARCHIVE_FORMATS",
+    "KINDS",
     "ChecksumError",
+    "SynopsisKind",
     "load_synopsis",
     "save_synopsis",
     "synopsis_from_bytes",
     "synopsis_from_path",
+    "synopsis_kind",
     "synopsis_nbytes",
     "synopsis_to_bytes",
 ]
 
 _FORMAT_VERSION = 1
-
-#: Supported on-disk archive container formats (see module docstring).
-ARCHIVE_FORMATS = ("v1", "v2")
 
 # v2 container: an 8-byte magic (deliberately not starting with "PK" so
 # zip sniffers never mistake it for an npz), a u32 container version, a
@@ -88,25 +97,20 @@ _V2_ALIGN = 4096
 #: Sealed engine buffers ride in the same archive under a reserved name
 #: prefix; the marker key distinguishes "sealed with no derived buffers"
 #: (e.g. Privelet, whose coefficients are the prepared state) from "not
-#: sealed at all".
+#: sealed at all" (a v1 archive).
 _ENGINE_SLAB_PREFIX = "engine/"
 _SEALED_MARKER = "engine/__sealed__"
 
-_HASH_CHUNK = 1 << 20
-
-# Integrity footer appended after the ``.npz`` payload: 20-byte SHA-1 of
-# the payload, its 8-byte little-endian length, then an 8-byte magic.
-# Appending (rather than prepending) keeps the file a readable zip for
-# legacy ``np.load`` consumers — zip readers treat trailing bytes as the
-# archive comment — while letting the loader detect truncation and
-# bit-rot before any array is parsed.  Archives written before the
-# footer existed (no trailing magic) still load, unverified.
+# Integrity footer appended after every payload: 20-byte SHA-1 of the
+# payload, its 8-byte little-endian length, then an 8-byte magic.
+# Appending (rather than prepending) lets the loader detect truncation
+# and bit-rot before any array is parsed; a file without it is rejected.
 _CHECKSUM_MAGIC = b"RPRSHA1\x00"
 _CHECKSUM_FOOTER = struct.Struct(f"<20sQ{len(_CHECKSUM_MAGIC)}s")
 
 
 class ChecksumError(ValueError):
-    """The archive's integrity footer does not match its payload.
+    """The archive's integrity footer is missing or does not match.
 
     Truncation, a short write, or on-disk bit-rot — the payload cannot be
     trusted and must not be parsed.  The serving layer quarantines the
@@ -114,66 +118,67 @@ class ChecksumError(ValueError):
     """
 
 
-def _pack(synopsis: Synopsis) -> dict[str, np.ndarray]:
-    """Dispatch to the per-type packer; raises ``TypeError`` for others.
+@dataclass(frozen=True)
+class SynopsisKind:
+    """One declared synopsis type: how it is archived and served.
 
-    Subclasses must be tested before their bases (Privelet and hierarchy
-    releases *are* ``UniformGridSynopsis`` instances, but carry extra
-    state the grid packer would silently drop).
+    ``pack`` maps a synopsis to its named released arrays and ``unpack``
+    restores it from them (raising ``ValueError`` for arrays that break
+    an invariant).  ``precompute`` returns its engine's derived buffers
+    and ``from_slabs(synopsis, slabs)`` the engine over them; every
+    engine is built as ``from_slabs(s, precompute(s))``, so an engine
+    restored from sealed buffers is the one a rebuild gives.
     """
-    if isinstance(synopsis, PriveletSynopsis):
-        return _pack_wavelet(synopsis)
-    if isinstance(synopsis, HierarchicalGridSynopsis):
-        return _pack_hierarchy(synopsis)
-    if isinstance(synopsis, UniformGridSynopsis):
-        return _pack_uniform(synopsis)
-    if isinstance(synopsis, AdaptiveGridSynopsis):
-        return _pack_adaptive(synopsis)
-    if isinstance(synopsis, TreeSynopsis):
-        return _pack_tree(synopsis)
-    if isinstance(synopsis, MultiDimGridSynopsis):
-        return _pack_ndgrid(synopsis)
-    if isinstance(synopsis, OneDimHistogramSynopsis):
-        return _pack_onedim(synopsis)
+
+    kind: str
+    type: type
+    pack: Callable[[Synopsis], dict[str, np.ndarray]]
+    unpack: Callable[[dict[str, np.ndarray]], Synopsis]
+    precompute: Callable[[Synopsis], dict[str, np.ndarray]]
+    from_slabs: Callable[[Synopsis, dict[str, np.ndarray]], object]
+
+
+def synopsis_kind(synopsis_type: type) -> SynopsisKind:
+    """The row declaring ``synopsis_type`` or its nearest declared ancestor.
+
+    Raises ``TypeError`` when no ancestor is declared: such a synopsis
+    can be neither archived nor served.
+    """
+    for cls in synopsis_type.__mro__:
+        row = _KIND_BY_TYPE.get(cls)
+        if row is not None:
+            return row
     raise TypeError(
-        f"cannot serialise synopsis of type {type(synopsis).__name__}"
+        f"synopsis type {synopsis_type.__name__} is not declared in "
+        "repro.core.serialization.KINDS"
     )
 
 
-def synopsis_to_bytes(synopsis: Synopsis, archive_format: str = "v1") -> bytes:
+def _pack(synopsis: Synopsis) -> dict[str, np.ndarray]:
+    """The released arrays of a synopsis, tagged with its kind."""
+    row = synopsis_kind(type(synopsis))
+    return {"kind": np.array(row.kind), **row.pack(synopsis)}
+
+
+def synopsis_to_bytes(synopsis: Synopsis) -> bytes:
     """Serialise a released synopsis to checksummed archive bytes.
 
-    ``archive_format`` selects the container: ``"v1"`` is the compact
-    ``np.savez_compressed`` payload, ``"v2"`` the page-aligned
-    uncompressed layout that :func:`synopsis_from_path` memory-maps
-    (with the type's derived engine buffers sealed alongside, when a
-    sealer is registered — the slabs already attached to the synopsis,
-    if any, else freshly computed).  Either way the payload is followed by the
-    same SHA-1 integrity footer (see ``_CHECKSUM_MAGIC``).  Raises
-    ``TypeError`` for synopsis types without a registered format.
+    Writes the page-aligned layout :func:`synopsis_from_path`
+    memory-maps, with the engine buffers sealed beside the released
+    arrays — the slabs already attached to the synopsis, if any, else
+    its row's ``precompute`` — and the SHA-1 footer (see
+    ``_CHECKSUM_MAGIC``).  Raises ``TypeError`` for an undeclared
+    synopsis type.
     """
     payload = _pack(synopsis)
     payload["format_version"] = np.array(_FORMAT_VERSION)
-    if archive_format == "v1":
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **payload)
-        blob = buffer.getvalue()
-    elif archive_format == "v2":
-        from repro.queries.engine import compute_engine_slabs
-
-        slabs = synopsis.sealed_engine_slabs
-        if slabs is None:
-            slabs = compute_engine_slabs(synopsis)
-        if slabs is not None:
-            payload[_SEALED_MARKER] = np.array(1, dtype=np.int64)
-            for name, array in slabs.items():
-                payload[_ENGINE_SLAB_PREFIX + name] = array
-        blob = _pack_v2_payload(payload)
-    else:
-        raise ValueError(
-            f"unknown archive format {archive_format!r}; expected one of "
-            f"{ARCHIVE_FORMATS}"
-        )
+    payload[_SEALED_MARKER] = np.array(1, dtype=np.int64)
+    slabs = synopsis.sealed_engine_slabs
+    if slabs is None:
+        slabs = synopsis_kind(type(synopsis)).precompute(synopsis)
+    for name, array in slabs.items():
+        payload[_ENGINE_SLAB_PREFIX + name] = array
+    blob = _pack_v2_payload(payload)
     footer = _CHECKSUM_FOOTER.pack(
         hashlib.sha1(blob).digest(), len(blob), _CHECKSUM_MAGIC
     )
@@ -278,49 +283,50 @@ def _parse_v2(buf) -> dict[str, np.ndarray]:
     return arrays
 
 
-def _verify_checksum(data: bytes) -> bytes:
-    """Strip and verify the integrity footer; returns the npz payload.
+def _verify_checksum(buf: memoryview) -> memoryview:
+    """Verify and strip the integrity footer; returns the payload view.
 
-    Data without a trailing magic is passed through unchanged (legacy
-    pre-footer archives); anything carrying the magic must verify.
+    Raises :class:`ChecksumError` when the footer is missing (the file
+    was cut, or never carried one), records another payload length, or
+    does not match the payload's SHA-1.
     """
-    if len(data) < _CHECKSUM_FOOTER.size or not data.endswith(_CHECKSUM_MAGIC):
-        return data
-    digest, length, _ = _CHECKSUM_FOOTER.unpack(data[-_CHECKSUM_FOOTER.size:])
-    blob = data[: -_CHECKSUM_FOOTER.size]
-    if length != len(blob):
+    payload_len = len(buf) - _CHECKSUM_FOOTER.size
+    footer = bytes(buf[max(payload_len, 0) :])
+    if payload_len < 0 or not footer.endswith(_CHECKSUM_MAGIC):
+        raise ChecksumError("archive is missing its integrity footer (truncated)")
+    digest, length, _ = _CHECKSUM_FOOTER.unpack(footer)
+    if length != payload_len:
         raise ChecksumError(
             f"archive truncated: footer records {length} payload bytes, "
-            f"found {len(blob)}"
+            f"found {payload_len}"
         )
-    if hashlib.sha1(blob).digest() != digest:
+    payload = buf[:payload_len]
+    if hashlib.sha1(payload).digest() != digest:
         raise ChecksumError(
             "archive payload does not match its SHA-1 footer (bit-rot or "
             "a torn write)"
         )
-    return blob
+    return payload
 
 
-def save_synopsis(
-    synopsis: Synopsis, path: str | Path, archive_format: str = "v1"
-) -> None:
+def save_synopsis(synopsis: Synopsis, path: str | Path) -> None:
     """Write a released synopsis to ``path`` (a checksummed archive).
 
-    Raises ``TypeError`` for synopsis types without a registered format.
-    The write itself is not atomic — callers that need crash safety
-    (the synopsis store does) write :func:`synopsis_to_bytes` to a temp
-    file and rename.
+    Raises ``TypeError`` for an undeclared synopsis type.  The write
+    itself is not atomic — callers that need crash safety (the synopsis
+    store does) write :func:`synopsis_to_bytes` to a temp file and
+    rename.
     """
-    Path(path).write_bytes(synopsis_to_bytes(synopsis, archive_format))
+    Path(path).write_bytes(synopsis_to_bytes(synopsis))
 
 
 def synopsis_nbytes(synopsis: Synopsis) -> int:
     """Uncompressed in-memory footprint of a synopsis's released state.
 
-    Computed from the same payload :func:`save_synopsis` writes, so it is
-    defined for exactly the serialisable types.  The serving layer's
-    :class:`~repro.service.store.SynopsisStore` uses it to enforce its
-    cache size bound.
+    Computed from the same released arrays :func:`save_synopsis` writes,
+    so it is defined for exactly the declared types.  The serving
+    layer's :class:`~repro.service.store.SynopsisStore` uses it to
+    enforce its cache size bound.
     """
     return sum(np.asarray(value).nbytes for value in _pack(synopsis).values())
 
@@ -328,13 +334,10 @@ def synopsis_nbytes(synopsis: Synopsis) -> int:
 def load_synopsis(path: str | Path) -> Synopsis:
     """Restore a synopsis previously written by :func:`save_synopsis`.
 
-    Delegates to :func:`synopsis_from_path`: v2 archives are
-    memory-mapped, v1 archives are checksum-verified in streaming
-    chunks and parsed straight from the file (no full in-memory copy
-    of the archive either way).  Raises :class:`ChecksumError` when the
-    archive carries an integrity footer that does not match its
-    payload, and ``ValueError`` for payloads that parse but violate a
-    synopsis invariant.
+    Delegates to :func:`synopsis_from_path`.  Raises
+    :class:`ChecksumError` when the archive's integrity footer is missing
+    or does not match its payload, and ``ValueError`` for payloads that
+    parse but violate a synopsis invariant.
     """
     return synopsis_from_path(path)
 
@@ -342,125 +345,52 @@ def load_synopsis(path: str | Path) -> Synopsis:
 def synopsis_from_path(path: str | Path) -> Synopsis:
     """Restore a synopsis from an archive file, zero-copy where possible.
 
-    v2 archives are verified and parsed over a read-only ``mmap``; the
-    returned synopsis's arrays (and any sealed engine slabs) are views
-    into the mapping, so forked workers loading the same file share
-    physical pages and ``synopsis.mapped_nbytes`` reports the mapping
-    size.  v1 and legacy archives stream the SHA-1 verification and
-    then parse with ``np.load`` directly from the file, avoiding the
-    full byte-string materialisation :func:`synopsis_from_bytes` pays.
-    """
-    path = Path(path)
-    with open(path, "rb") as handle:
-        if handle.read(len(_V2_MAGIC)) == _V2_MAGIC:
-            return _load_v2_mapped(handle)
-        _verify_checksum_stream(handle)
-    with np.load(path, allow_pickle=False) as archive:
-        data = {key: archive[key] for key in archive.files}
-    return _assemble(data)
-
-
-def _load_v2_mapped(handle) -> Synopsis:
-    """Map, verify, and assemble a v2 archive from an open file handle.
-
-    The mapping outlives the handle: numpy views hold the ``mmap``
-    through the buffer protocol, and the pages are released when the
+    The file is verified and parsed over a read-only ``mmap``.  For a v2
+    archive the returned synopsis's arrays (and its sealed engine slabs)
+    are views into the mapping, so forked workers loading the same file
+    share physical pages and ``synopsis.mapped_nbytes`` reports the
+    mapping size.  The mapping outlives this call: numpy views hold it
+    through the buffer protocol, and its pages are released when the
     last view is garbage-collected (store eviction drops the synopsis,
-    the views die, the kernel reclaims the pages).
+    the views die, the kernel reclaims the pages).  A v1 archive is
+    decompressed into private arrays.
     """
-    mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    view = memoryview(mapping)
-    size = len(view)
-    if size < _CHECKSUM_FOOTER.size or bytes(
-        view[-len(_CHECKSUM_MAGIC) :]
-    ) != _CHECKSUM_MAGIC:
-        raise ChecksumError(
-            "v2 archive is missing its integrity footer (truncated)"
-        )
-    digest, length, _ = _CHECKSUM_FOOTER.unpack(
-        bytes(view[-_CHECKSUM_FOOTER.size :])
-    )
-    payload_len = size - _CHECKSUM_FOOTER.size
-    if length != payload_len:
-        raise ChecksumError(
-            f"archive truncated: footer records {length} payload bytes, "
-            f"found {payload_len}"
-        )
-    if hashlib.sha1(view[:payload_len]).digest() != digest:
-        raise ChecksumError(
-            "archive payload does not match its SHA-1 footer (bit-rot or "
-            "a torn write)"
-        )
-    synopsis = _assemble(_parse_v2(view[:payload_len]))
-    synopsis.mapped_nbytes = size
+    with open(path, "rb") as handle:
+        try:
+            mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError as exc:  # an empty file cannot be mapped
+            raise ChecksumError(
+                "archive is missing its integrity footer (empty file)"
+            ) from exc
+    synopsis = _restore(_verify_checksum(memoryview(mapping)))
+    if mapping[: len(_V2_MAGIC)] == _V2_MAGIC:
+        synopsis.mapped_nbytes = len(mapping)
     return synopsis
-
-
-def _verify_checksum_stream(handle) -> None:
-    """Verify a v1 archive's SHA-1 footer in streaming chunks.
-
-    Same contract as :func:`_verify_checksum` — pre-footer legacy files
-    pass unverified, anything carrying the magic must verify — but the
-    payload is hashed ``_HASH_CHUNK`` bytes at a time instead of being
-    materialised in memory.
-    """
-    handle.seek(0, os.SEEK_END)
-    size = handle.tell()
-    if size < _CHECKSUM_FOOTER.size:
-        return
-    handle.seek(size - _CHECKSUM_FOOTER.size)
-    footer = handle.read(_CHECKSUM_FOOTER.size)
-    if not footer.endswith(_CHECKSUM_MAGIC):
-        return
-    digest, length, _ = _CHECKSUM_FOOTER.unpack(footer)
-    payload_len = size - _CHECKSUM_FOOTER.size
-    if length != payload_len:
-        raise ChecksumError(
-            f"archive truncated: footer records {length} payload bytes, "
-            f"found {payload_len}"
-        )
-    handle.seek(0)
-    sha = hashlib.sha1()
-    remaining = payload_len
-    while remaining:
-        chunk = handle.read(min(_HASH_CHUNK, remaining))
-        if not chunk:
-            raise ChecksumError("archive shrank while being verified")
-        sha.update(chunk)
-        remaining -= len(chunk)
-    if sha.digest() != digest:
-        raise ChecksumError(
-            "archive payload does not match its SHA-1 footer (bit-rot or "
-            "a torn write)"
-        )
 
 
 def synopsis_from_bytes(data: bytes) -> Synopsis:
     """Restore a synopsis from :func:`synopsis_to_bytes` output.
 
-    Handles both archive formats.  Prefer :func:`synopsis_from_path`
-    when the archive lives in a file — it memory-maps v2 payloads and
-    streams v1 verification instead of double-buffering the bytes.
+    Reads v1 archives too.  Prefer :func:`synopsis_from_path` when the
+    archive lives in a file — it memory-maps the payload instead of
+    holding the bytes in memory.
     """
-    blob = _verify_checksum(data)
-    if blob[: len(_V2_MAGIC)] == _V2_MAGIC:
-        if blob is data:
-            # v2 archives are always written with a footer; reaching the
-            # parser without one means the footer (at least) was cut off.
-            raise ChecksumError(
-                "v2 archive is missing its integrity footer (truncated)"
-            )
-        return _assemble(_parse_v2(memoryview(blob)))
-    with np.load(io.BytesIO(blob), allow_pickle=False) as archive:
-        data = {key: archive[key] for key in archive.files}
-    return _assemble(data)
+    return _restore(_verify_checksum(memoryview(data)))
+
+
+def _restore(payload: memoryview) -> Synopsis:
+    """Assemble a verified payload of either format."""
+    if bytes(payload[: len(_V2_MAGIC)]) == _V2_MAGIC:
+        return _assemble(_parse_v2(payload))
+    with np.load(io.BytesIO(payload), allow_pickle=False) as archive:
+        return _assemble({key: archive[key] for key in archive.files})
 
 
 def _assemble(data: dict[str, np.ndarray]) -> Synopsis:
-    """Dispatch a parsed payload dict to the per-kind unpacker.
+    """Restore a parsed payload dict through the row of its kind.
 
-    Shared by both container formats; sealed engine slabs (v2) are
-    split off their reserved prefix and attached to the synopsis so
+    Sealed engine slabs (v2) are split off their reserved prefix and
+    attached to the synopsis so
     :func:`~repro.queries.engine.make_engine` restores the engine
     without rebuilding.
     """
@@ -476,23 +406,11 @@ def _assemble(data: dict[str, np.ndarray]) -> Synopsis:
     version = int(data.pop("format_version"))
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported synopsis format version {version}")
-    kind = str(data["kind"])
-    if kind == "uniform_grid":
-        synopsis = _unpack_uniform(data)
-    elif kind == "adaptive_grid":
-        synopsis = _unpack_adaptive(data)
-    elif kind == "tree":
-        synopsis = _unpack_tree(data)
-    elif kind == "wavelet":
-        synopsis = _unpack_wavelet(data)
-    elif kind == "hierarchy":
-        synopsis = _unpack_hierarchy(data)
-    elif kind == "ndgrid":
-        synopsis = _unpack_ndgrid(data)
-    elif kind == "one_dim":
-        synopsis = _unpack_onedim(data)
-    else:
+    kind = str(data.pop("kind"))
+    row = _KIND_BY_NAME.get(kind)
+    if row is None:
         raise ValueError(f"unknown synopsis kind {kind!r}")
+    synopsis = row.unpack(data)
     if sealed:
         synopsis.seal_engine_slabs(engine_slabs)
     return synopsis
@@ -514,7 +432,6 @@ def _domain_from_array(values: np.ndarray) -> Domain2D:
 
 def _pack_onedim(synopsis: OneDimHistogramSynopsis) -> dict[str, np.ndarray]:
     return {
-        "kind": np.array("one_dim"),
         "domain": _domain_array(synopsis.domain),
         "epsilon": np.array(synopsis.epsilon),
         "released": synopsis.released,
@@ -534,7 +451,6 @@ def _unpack_onedim(data: dict[str, np.ndarray]) -> OneDimHistogramSynopsis:
 
 def _pack_uniform(synopsis: UniformGridSynopsis) -> dict[str, np.ndarray]:
     return {
-        "kind": np.array("uniform_grid"),
         "domain": _domain_array(synopsis.domain),
         "epsilon": np.array(synopsis.epsilon),
         "counts": synopsis.counts,
@@ -558,7 +474,6 @@ def _pack_wavelet(synopsis: PriveletSynopsis) -> dict[str, np.ndarray]:
     # deterministic post-processing and is rebuilt on load (bit-identical
     # — the loader runs the same reconstruct_counts the builder ran).
     return {
-        "kind": np.array("wavelet"),
         "domain": _domain_array(synopsis.domain),
         "epsilon": np.array(synopsis.epsilon),
         "grid_size": np.array(synopsis.grid_size[0]),
@@ -593,7 +508,6 @@ def _pack_hierarchy(synopsis: HierarchicalGridSynopsis) -> dict[str, np.ndarray]
     # the loaded release answers bit-identically without re-running
     # inference, the stack so inference remains re-runnable downstream.
     return {
-        "kind": np.array("hierarchy"),
         "domain": _domain_array(synopsis.domain),
         "epsilon": np.array(synopsis.epsilon),
         "branching": np.array(synopsis.branching),
@@ -633,7 +547,6 @@ def _unpack_hierarchy(data: dict[str, np.ndarray]) -> HierarchicalGridSynopsis:
 def _pack_ndgrid(synopsis: MultiDimGridSynopsis) -> dict[str, np.ndarray]:
     nd = synopsis.nd
     return {
-        "kind": np.array("ndgrid"),
         "epsilon": np.array(nd.epsilon),
         "lows": nd.layout.box.lows,
         "highs": nd.layout.box.highs,
@@ -665,7 +578,6 @@ def _pack_adaptive(synopsis: AdaptiveGridSynopsis) -> dict[str, np.ndarray]:
     # The synopsis already *is* the archive layout: flat CSR arrays.
     m1x, m1y = synopsis.first_level_size
     return {
-        "kind": np.array("adaptive_grid"),
         "domain": _domain_array(synopsis.domain),
         "epsilon": np.array(synopsis.epsilon),
         "first_level": np.array([m1x, m1y]),
@@ -701,7 +613,6 @@ def _pack_tree(synopsis: TreeSynopsis) -> dict[str, np.ndarray]:
     # so constrained inference can be re-run on a loaded release.
     arrays = synopsis.arrays
     return {
-        "kind": np.array("tree"),
         "domain": _domain_array(synopsis.domain),
         "epsilon": np.array(synopsis.epsilon),
         "rects": arrays.rects,
@@ -715,8 +626,6 @@ def _pack_tree(synopsis: TreeSynopsis) -> dict[str, np.ndarray]:
 
 
 def _unpack_tree(data: dict[str, np.ndarray]) -> TreeSynopsis:
-    if "child_offsets" not in data:
-        return _unpack_tree_legacy(data)
     arrays = TreeArrays(
         rects=np.asarray(data["rects"], dtype=float),
         depths=np.asarray(data["depths"], dtype=np.int64),
@@ -735,36 +644,63 @@ def _unpack_tree(data: dict[str, np.ndarray]) -> TreeSynopsis:
     )
 
 
-def _unpack_tree_legacy(data: dict[str, np.ndarray]) -> TreeSynopsis:
-    """Restore the pre-flat-kernel pre-order archive layout.
 
-    Older archives stored per-node child *counts* in DFS pre-order (and
-    no raw measurements); the object graph is rebuilt recursively and
-    converted, so releases persisted before the flat tree kernel stay
-    loadable.
-    """
-    rects = np.asarray(data["rects"], dtype=float)
-    counts = np.asarray(data["counts"], dtype=float)
-    child_counts = np.asarray(data["child_counts"], dtype=np.int64)
-    depths = np.asarray(data["depths"], dtype=np.int64)
-    cursor = 0
+# ----------------------------------------------------------------------
+# The declaration table
+# ----------------------------------------------------------------------
 
-    def build() -> SpatialNode:
-        nonlocal cursor
-        index = cursor
-        cursor += 1
-        node = SpatialNode(
-            rect=Rect(*rects[index]),
-            count=float(counts[index]),
-            depth=int(depths[index]),
-        )
-        for _ in range(int(child_counts[index])):
-            node.children.append(build())
-        return node
 
-    root = build()
-    if cursor != counts.size:
-        raise ValueError("corrupt tree archive: node count mismatch")
-    return TreeSynopsis(
-        _domain_from_array(data["domain"]), float(data["epsilon"]), root
-    )
+def _grid_precompute(synopsis: UniformGridSynopsis) -> dict[str, np.ndarray]:
+    return BatchQueryEngine.precompute(synopsis.layout, synopsis.counts)
+
+
+def _grid_from_slabs(
+    synopsis: UniformGridSynopsis, slabs: dict[str, np.ndarray]
+) -> BatchQueryEngine:
+    return BatchQueryEngine.from_slabs(synopsis.layout, slabs)
+
+
+#: One row per declared synopsis type.  Privelet and hierarchy releases
+#: *are* ``UniformGridSynopsis`` instances but carry state the grid row
+#: would drop, so each has its own row (the hierarchy still answers from
+#: its inferred leaf grid).  A subclass of a declared type resolves to
+#: its nearest declared ancestor's row (see :func:`synopsis_kind`).
+KINDS: tuple[SynopsisKind, ...] = (
+    SynopsisKind(
+        "uniform_grid", UniformGridSynopsis, _pack_uniform, _unpack_uniform,
+        _grid_precompute, _grid_from_slabs,
+    ),
+    SynopsisKind(
+        "hierarchy", HierarchicalGridSynopsis, _pack_hierarchy,
+        _unpack_hierarchy, _grid_precompute, _grid_from_slabs,
+    ),
+    SynopsisKind(
+        "wavelet", PriveletSynopsis, _pack_wavelet, _unpack_wavelet,
+        lambda s: WaveletRangeEngine.precompute(s.layout, s.coefficients),
+        lambda s, slabs: WaveletRangeEngine.from_slabs(
+            s.layout, s.coefficients, slabs
+        ),
+    ),
+    SynopsisKind(
+        "adaptive_grid", AdaptiveGridSynopsis, _pack_adaptive,
+        _unpack_adaptive, FlatAdaptiveGridEngine.precompute,
+        FlatAdaptiveGridEngine.from_slabs,
+    ),
+    SynopsisKind(
+        "tree", TreeSynopsis, _pack_tree, _unpack_tree,
+        tree_engine_precompute, tree_engine_from_slabs,
+    ),
+    SynopsisKind(
+        "ndgrid", MultiDimGridSynopsis, _pack_ndgrid, _unpack_ndgrid,
+        lambda s: NDPrefixSumEngine.precompute(s.layout, s.counts),
+        lambda s, slabs: NDPrefixSumEngine.from_slabs(s.layout, slabs),
+    ),
+    SynopsisKind(
+        "one_dim", OneDimHistogramSynopsis, _pack_onedim, _unpack_onedim,
+        lambda s: OneDimIntervalEngine.precompute(s.released),
+        OneDimIntervalEngine.from_slabs,
+    ),
+)
+
+_KIND_BY_NAME = {row.kind: row for row in KINDS}
+_KIND_BY_TYPE = {row.type: row for row in KINDS}

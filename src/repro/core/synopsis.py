@@ -81,9 +81,8 @@ class Synopsis(abc.ABC):
         scalar_answer_batch` — still a per-rect Python loop, but with the
         engines' shared batch contract (empty batches return ``(0,)``,
         inverted/NaN rows answer 0, ``(n, 4)`` arrays accepted).
-        Subclasses with a registered batch engine override this with a
-        vectorised path; anything left on this default shows up in
-        :func:`~repro.queries.engine.fallback_engine_count` when served.
+        Subclasses override this with a vectorised path through their
+        declared batch engine (see :mod:`repro.core.serialization`).
         """
         from repro.queries.engine import scalar_answer_batch
 

@@ -68,12 +68,12 @@ class UniformGridSynopsis(Synopsis):
         return self._layout.estimate(self._counts, rect)
 
     def _batch_engine(self):
-        """The registered batch engine for this synopsis, built lazily.
+        """The declared batch engine for this synopsis, built lazily.
 
         Routing through :func:`~repro.queries.engine.make_engine` (rather
         than hard-coding ``BatchQueryEngine``) lets subclasses that carry
         richer released state — wavelet coefficients, hierarchy levels —
-        answer batches through their own registered engines.
+        answer batches through their own declared engines.
         """
         if self._engine is None:
             from repro.queries.engine import make_engine
@@ -82,7 +82,7 @@ class UniformGridSynopsis(Synopsis):
         return self._engine
 
     def answer_many(self, rects: list[Rect]) -> np.ndarray:
-        """Vectorised batch answering via the registered engine."""
+        """Vectorised batch answering via the declared engine."""
         return self._batch_engine().answer_batch(rects)
 
     def synthetic_points(self, rng: np.random.Generator) -> np.ndarray:
@@ -202,30 +202,3 @@ class UniformGridBuilder(SynopsisBuilder):
         mx = max(1, round(m * math.sqrt(aspect)))
         my = max(1, round(m / math.sqrt(aspect)))
         return mx, my
-
-
-def _register_engine() -> None:
-    # Self-registration keeps queries.engine's make_engine registry in
-    # sync without that module having to know about grid synopses.
-    from repro.queries.engine import (
-        BatchQueryEngine,
-        register_engine,
-        register_engine_sealer,
-    )
-
-    register_engine(
-        UniformGridSynopsis,
-        lambda synopsis: BatchQueryEngine(synopsis.layout, synopsis.counts),
-    )
-    register_engine_sealer(
-        UniformGridSynopsis,
-        lambda synopsis: BatchQueryEngine.precompute(
-            synopsis.layout, synopsis.counts
-        ),
-        lambda synopsis, slabs: BatchQueryEngine.from_slabs(
-            synopsis.layout, slabs
-        ),
-    )
-
-
-_register_engine()

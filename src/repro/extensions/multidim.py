@@ -288,7 +288,7 @@ class MultiDimGridSynopsis(Synopsis):
     Wraps an :class:`NDUniformGridSynopsis` of dimension 2 so the
     generalised machinery — ND layout, ND prefix-sum engine — plugs into
     everything typed against :class:`~repro.core.synopsis.Synopsis`:
-    the engine registry, serialization, the synopsis store, and both
+    the kind table, serialization, the synopsis store, and both
     HTTP transports.  A :class:`~repro.core.geometry.Rect` row
     ``(x_lo, y_lo, x_hi, y_hi)`` *is* the ND engine's lows-then-highs
     layout at d = 2, so queries pass through unchanged; the scalar
@@ -393,30 +393,3 @@ class MultiDimGridBuilder(SynopsisBuilder):
         return self._nd_builder.fit(
             dataset.points, self._nd_box(dataset), epsilon, rng, budget=budget
         )
-
-
-def _register_engine() -> None:
-    # Self-registration keeps queries.engine's make_engine registry in
-    # sync without that module having to know about ND grids.
-    from repro.queries.engine import (
-        NDPrefixSumEngine,
-        register_engine,
-        register_engine_sealer,
-    )
-
-    register_engine(
-        MultiDimGridSynopsis,
-        lambda synopsis: NDPrefixSumEngine(synopsis.layout, synopsis.counts),
-    )
-    register_engine_sealer(
-        MultiDimGridSynopsis,
-        lambda synopsis: NDPrefixSumEngine.precompute(
-            synopsis.layout, synopsis.counts
-        ),
-        lambda synopsis, slabs: NDPrefixSumEngine.from_slabs(
-            synopsis.layout, slabs
-        ),
-    )
-
-
-_register_engine()

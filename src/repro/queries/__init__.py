@@ -8,7 +8,6 @@ from repro.queries.engine import (
     FlatTreeEngine,
     make_engine,
     rects_to_boxes,
-    register_engine,
     scalar_answer_batch,
 )
 from repro.queries.metrics import (
@@ -33,7 +32,6 @@ __all__ = [
     "FlatTreeEngine",
     "make_engine",
     "rects_to_boxes",
-    "register_engine",
     "scalar_answer_batch",
     "QuerySize",
     "QueryWorkload",

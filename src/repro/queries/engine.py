@@ -45,7 +45,7 @@ level-order :class:`~repro.baselines.tree.TreeArrays`.  A tree whose
 leaves lie on the ``2^h x 2^h`` lattice of its domain, whose internal
 counts equal their children's sums, and whose lattice prefix is no larger
 than its :class:`FlatTreeEngine` buffers is the piecewise-constant
-density of a uniform grid: its engine registration lowers it onto that
+density of a uniform grid: its declared engine pair lowers it onto that
 lattice and answers with :class:`BatchQueryEngine` itself (a default
 quadtree once the data fills it).  Every other tree keeps
 :class:`FlatTreeEngine`, which answers a whole batch by level-synchronous
@@ -55,17 +55,15 @@ contained nodes contribute their counts through one ``bincount`` gather,
 partial leaves resolve the uniformity estimate in the same fused pass,
 and only partial internal pairs expand to the next level's frontier.
 
-:func:`make_engine` picks the right engine for any supported synopsis
-from a **registry**: synopsis modules call :func:`register_engine` at
-import time to map their type to an engine factory, so adding a synopsis
-type never edits this module.  That is how the serving layer
-(:mod:`repro.service`) reuses one prepared engine across many incoming
-query batches for every synopsis family.
+:func:`make_engine` builds the engine of any declared synopsis type
+through its row of :data:`repro.core.serialization.KINDS`, the one table
+that says how each type is archived and which engine serves it, so
+adding a synopsis type never edits this module.  That is how the
+serving layer (:mod:`repro.service`) reuses one prepared engine across
+many incoming query batches for every synopsis family.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -81,11 +79,8 @@ __all__ = [
     "NDPrefixSumEngine",
     "FallbackEngine",
     "compute_engine_slabs",
-    "fallback_engine_count",
     "has_sealed_engine",
     "make_engine",
-    "register_engine",
-    "register_engine_sealer",
     "rects_to_boxes",  # canonical home: repro.core.geometry
     "scalar_answer_batch",
 ]
@@ -1110,9 +1105,8 @@ class FallbackEngine:
     """Adapter giving any :class:`~repro.core.synopsis.Synopsis` the
     ``answer_batch`` interface, via its scalar ``answer`` loop.
 
-    Used for synopsis types without a registered vectorised engine so
-    the serving layer can treat every release uniformly, and as the
-    scalar second opinion in engine equivalence tests and benchmarks.
+    The scalar second opinion in engine equivalence tests and
+    benchmarks; :func:`make_engine` never returns it.
     """
 
     def __init__(self, synopsis):
@@ -1122,127 +1116,60 @@ class FallbackEngine:
         return scalar_answer_batch(self._synopsis, rects)
 
 
-#: Synopsis type -> engine factory.  Populated by the synopsis modules
-#: themselves at import time (see :func:`register_engine`), so the
-#: registry is always in sync with whichever synopsis types exist in the
-#: process: a synopsis instance cannot reach :func:`make_engine` without
-#: its defining module — and hence its registration — having run.
-_ENGINE_FACTORIES: dict[type, Callable] = {}
+def compute_engine_slabs(synopsis) -> dict[str, np.ndarray]:
+    """Derived engine buffers to seal alongside a release.
 
-#: How many times :func:`make_engine` had to fall back to the scalar
-#: :class:`FallbackEngine` because no engine was registered for the
-#: synopsis type.  A scalar fallback on a hot path is an
-#: order-of-magnitude regression, so benchmarks and the serving layer's
-#: ``stats()`` surface this count instead of letting it hide.
-_fallback_count = 0
-
-
-def fallback_engine_count() -> int:
-    """Process-wide count of scalar-fallback engines built so far."""
-    return _fallback_count
-
-
-def register_engine(synopsis_type: type, factory: Callable) -> None:
-    """Register (or replace) the batch-engine factory for a synopsis type.
-
-    ``factory`` takes the synopsis and returns an object exposing
-    ``answer_batch(rects) -> np.ndarray``.  Subclasses inherit their
-    nearest registered ancestor's factory unless they register their own.
+    The ``precompute`` of the synopsis's declared row; an empty dict is
+    a valid sealing (the engine's prepared state is the released arrays
+    themselves).  Raises ``TypeError`` for an undeclared synopsis type.
     """
-    _ENGINE_FACTORIES[synopsis_type] = factory
+    from repro.core.serialization import synopsis_kind
 
-
-#: Synopsis type -> (precompute, from_slabs) pair for sealing derived
-#: engine buffers into archives at release time (archive format v2).
-#: ``precompute(synopsis)`` returns the named arrays to seal;
-#: ``from_slabs(synopsis, slabs)`` restores an engine from them without
-#: rebuilding.  Populated next to each module's :func:`register_engine`
-#: call, so sealing support always tracks engine support.
-_ENGINE_SEALERS: dict[type, tuple[Callable, Callable]] = {}
-
-
-def register_engine_sealer(
-    synopsis_type: type, precompute: Callable, from_slabs: Callable
-) -> None:
-    """Register the engine-sealing pair for a synopsis type.
-
-    ``precompute`` takes the synopsis and returns ``{name: array}`` of
-    derived engine buffers; ``from_slabs`` takes ``(synopsis, slabs)``
-    and returns a ready engine.  ``from_slabs(s, precompute(s))`` must
-    be bit-identical to the registered factory's engine.
-    """
-    _ENGINE_SEALERS[synopsis_type] = (precompute, from_slabs)
-
-
-def _sealer_for(synopsis) -> "tuple[Callable, Callable] | None":
-    for cls in type(synopsis).__mro__:
-        sealer = _ENGINE_SEALERS.get(cls)
-        if sealer is not None:
-            return sealer
-    return None
-
-
-def compute_engine_slabs(synopsis) -> "dict[str, np.ndarray] | None":
-    """Derived engine buffers to seal alongside a release, or ``None``.
-
-    ``None`` means the synopsis type has no registered sealer (the
-    archive is written without sealed buffers and loads trigger a
-    normal engine build); an empty dict is a valid sealing — the
-    engine's prepared state is the released arrays themselves.
-    """
-    sealer = _sealer_for(synopsis)
-    if sealer is None:
-        return None
-    return dict(sealer[0](synopsis))
+    return dict(synopsis_kind(type(synopsis)).precompute(synopsis))
 
 
 def has_sealed_engine(synopsis) -> bool:
-    """Whether the synopsis carries sealed engine slabs its type can
-    restore from (attached by the v2 loader or by the store's build).
+    """Whether the synopsis carries sealed engine slabs.
 
+    Slabs are attached only through a declared row: by the archive
+    loader, by the store's build, or from :func:`compute_engine_slabs`.
     After :func:`make_engine` this also says how the engine was made:
     slabs that turn out stale are dropped there, so a ``True`` here
     afterwards means the engine was restored, not rebuilt.
     """
-    return (
-        getattr(synopsis, "sealed_engine_slabs", None) is not None
-        and _sealer_for(synopsis) is not None
-    )
+    return synopsis.sealed_engine_slabs is not None
 
 
 def make_engine(synopsis):
-    """Build the fastest available batch engine for a released synopsis.
+    """Build the batch engine for a released synopsis.
 
-    Synopses carrying sealed engine slabs (loaded from a v2 archive, or
-    sealed by the store when it built the release) restore their engine
-    directly from the slabs — no derived-buffer rebuild, and mapped
-    buffers stay read-only views over the archive.  Slabs an older
-    precompute sealed (missing or mismatched arrays) are dropped from
-    the synopsis and the engine is rebuilt.  Otherwise, looks the
-    synopsis type (nearest registered ancestor first) up in the engine
-    registry — uniform grids register the prefix-sum
-    :class:`BatchQueryEngine`, adaptive grids the summed-area
-    :class:`FlatAdaptiveGridEngine`, spatial trees a lattice
-    :class:`BatchQueryEngine` or the level-order :class:`FlatTreeEngine`
-    — and falls back to the scalar :class:`FallbackEngine` for
-    unregistered types.  The returned object exposes
+    Resolves the synopsis through the row of its nearest declared type
+    (see :func:`repro.core.serialization.synopsis_kind`) and returns
+    ``from_slabs(synopsis, slabs)``, over the sealed slabs when the
+    synopsis carries them (loaded from a v2 archive, or sealed by the
+    store when it built the release) and over freshly computed
+    ``precompute(synopsis)`` otherwise.  Restoring from sealed slabs
+    skips the derived-buffer rebuild, and mapped buffers stay read-only
+    views over the archive.  Slabs an older precompute sealed (missing
+    or mismatched arrays) are dropped from the synopsis and the engine
+    is rebuilt.  Raises ``TypeError`` for an undeclared synopsis type.
+
+    Uniform grids get the prefix-sum :class:`BatchQueryEngine`, adaptive
+    grids the summed-area :class:`FlatAdaptiveGridEngine`, spatial trees
+    a lattice :class:`BatchQueryEngine` or the level-order
+    :class:`FlatTreeEngine`.  The returned object exposes
     ``answer_batch(rects) -> np.ndarray`` and holds no reference to raw
     data, so it can be cached and shared across threads.
     """
-    global _fallback_count
-    slabs = getattr(synopsis, "sealed_engine_slabs", None)
+    from repro.core.serialization import synopsis_kind
+
+    row = synopsis_kind(type(synopsis))
+    slabs = synopsis.sealed_engine_slabs
     if slabs is not None:
-        sealer = _sealer_for(synopsis)
-        if sealer is not None:
-            try:
-                return sealer[1](synopsis, slabs)
-            except (KeyError, ValueError):
-                # Stale slabs: drop them, so has_sealed_engine reports
-                # the rebuild below and later calls skip the retry.
-                synopsis.seal_engine_slabs(None)
-    for cls in type(synopsis).__mro__:
-        factory = _ENGINE_FACTORIES.get(cls)
-        if factory is not None:
-            return factory(synopsis)
-    _fallback_count += 1
-    return FallbackEngine(synopsis)
+        try:
+            return row.from_slabs(synopsis, slabs)
+        except (KeyError, ValueError):
+            # Stale slabs: drop them, so has_sealed_engine reports
+            # the rebuild below and later calls skip the retry.
+            synopsis.seal_engine_slabs(None)
+    return row.from_slabs(synopsis, row.precompute(synopsis))

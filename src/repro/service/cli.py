@@ -121,14 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="dataset-size override for builds (default: registry default)",
     )
     parser.add_argument(
-        "--archive-format", choices=("v1", "v2"), default="v2",
-        help="on-disk container for newly persisted releases: v2 "
-        "(default) is page-aligned and uncompressed so worker processes "
-        "mmap-share one copy of each release; v1 is the compact "
-        "savez_compressed blob; existing archives of either format are "
-        "served regardless",
-    )
-    parser.add_argument(
         "--preload", nargs="*", default=(), metavar="SLUG",
         help="release slugs to build before accepting traffic, "
         "e.g. storage_AG_eps1.0_seed0",
@@ -292,7 +284,6 @@ def _make_store(args, catalog=None) -> SynopsisStore:
         max_entries=args.max_entries,
         max_bytes=args.max_bytes,
         n_points=args.n_points,
-        archive_format=args.archive_format,
         catalog=catalog,
     )
 

@@ -5,11 +5,12 @@ was summarised, with which method, at what privacy level, and from which
 seed.  Keys are hashable (cache keys), orderable (stable listings), and
 round-trip through a filesystem-safe slug (persistence filenames).
 
-The method registry maps the short method names the paper uses (``UG``,
-``AG``) to builder factories.  It is intentionally open: downstream code
-can :func:`register_method` any :class:`~repro.core.synopsis.
-SynopsisBuilder` whose synopsis type :mod:`repro.core.serialization`
-supports.
+The method table maps the short method names the paper uses (``UG``,
+``AG``) to builder factories.  It and the synopsis kind table of
+:mod:`repro.core.serialization` are the only two places a synopsis
+family is declared.  It is intentionally open: downstream code can
+:func:`register_method` any :class:`~repro.core.synopsis.SynopsisBuilder`
+whose synopsis type has a declared kind.
 """
 
 from __future__ import annotations
@@ -21,8 +22,16 @@ from typing import Callable
 
 import numpy as np
 
+from repro.analysis.one_dim import OneDimHistogramBuilder
+from repro.baselines.hierarchy import HierarchicalGridBuilder
+from repro.baselines.kd_tree import KDHybridBuilder, KDStandardBuilder
+from repro.baselines.privelet import PriveletBuilder
+from repro.baselines.quadtree import QuadtreeBuilder
+from repro.core.adaptive_grid import AdaptiveGridBuilder
 from repro.core.synopsis import SynopsisBuilder
+from repro.core.uniform_grid import UniformGridBuilder
 from repro.datasets.registry import DATASETS
+from repro.extensions.multidim import MultiDimGridBuilder
 from repro.service.errors import ValidationError
 
 __all__ = [
@@ -32,8 +41,22 @@ __all__ = [
     "make_builder",
 ]
 
-#: Registered servable methods: name -> zero-argument builder factory.
-_METHODS: dict[str, Callable[[], SynopsisBuilder]] = {}
+#: Servable methods: name -> zero-argument builder factory (each builder
+#: has guideline defaults).  Methods map many-to-one onto the synopsis
+#: kinds of :mod:`repro.core.serialization`: Quad, Kst and Khy all
+#: release a tree, served by the lattice or level-order tree engine.
+#: Hier1d serves the 1-D hierarchical histogram over the x-marginal.
+_METHODS: dict[str, Callable[[], SynopsisBuilder]] = {
+    "UG": UniformGridBuilder,
+    "AG": AdaptiveGridBuilder,
+    "Quad": QuadtreeBuilder,
+    "Kst": KDStandardBuilder,
+    "Khy": KDHybridBuilder,
+    "Hier": HierarchicalGridBuilder,
+    "Privelet": PriveletBuilder,
+    "UGnd": MultiDimGridBuilder,
+    "Hier1d": OneDimHistogramBuilder,
+}
 
 
 def register_method(name: str, factory: Callable[[], SynopsisBuilder]) -> None:
@@ -58,47 +81,6 @@ def make_builder(method: str) -> SynopsisBuilder:
             f"{', '.join(method_names())}"
         ) from None
     return factory()
-
-
-def _register_defaults() -> None:
-    from repro.baselines.kd_tree import KDHybridBuilder, KDStandardBuilder
-    from repro.baselines.quadtree import QuadtreeBuilder
-    from repro.core.adaptive_grid import AdaptiveGridBuilder
-    from repro.core.uniform_grid import UniformGridBuilder
-
-    register_method("UG", UniformGridBuilder)
-    register_method("AG", AdaptiveGridBuilder)
-    # The tree baselines serve like grids since the flat tree kernel:
-    # TreeArrays releases serialise, report synopsis_nbytes, and
-    # batch-answer through the tree engine (a lattice BatchQueryEngine
-    # for a quadtree that lowers onto its lattice, else FlatTreeEngine).
-    register_method("Quad", QuadtreeBuilder)
-    register_method("Kst", KDStandardBuilder)
-    register_method("Khy", KDHybridBuilder)
-    _register_longtail()
-
-
-def _register_longtail() -> None:
-    # The long-tail families: hierarchy, wavelet, and the d = 2 embedding
-    # of the ND grid.  All three have zero-argument guideline defaults,
-    # registered engines, and serialization kinds, so they serve exactly
-    # like the core families.
-    from repro.baselines.hierarchy import HierarchicalGridBuilder
-    from repro.baselines.privelet import PriveletBuilder
-    from repro.extensions.multidim import MultiDimGridBuilder
-
-    register_method("Hier", HierarchicalGridBuilder)
-    register_method("Privelet", PriveletBuilder)
-    register_method("UGnd", MultiDimGridBuilder)
-    # The 1-D analysis module's hierarchical histogram, servable over the
-    # x-marginal of a 2-D dataset — the last analysis family with no
-    # registration (see analysis/one_dim.py for the release type).
-    from repro.analysis.one_dim import OneDimHistogramBuilder
-
-    register_method("Hier1d", OneDimHistogramBuilder)
-
-
-_register_defaults()
 
 
 @dataclass(frozen=True, order=True)

@@ -39,7 +39,6 @@ import numpy as np
 from repro.core.geometry import Rect
 from repro.core.synopsis import Synopsis
 from repro.queries.engine import (
-    fallback_engine_count,
     has_sealed_engine,
     make_engine,
     rects_to_boxes,
@@ -362,7 +361,6 @@ class QueryService:
                 "engines_cached": len(self._engines),
                 "engine_cold_starts": self._engine_cold_starts,
                 "engine_sealed_loads": self._engine_sealed_loads,
-                "engine_fallbacks": fallback_engine_count(),
                 "answer_cache_hits": self._answer_hits,
                 "answer_cache_misses": self._answer_misses,
                 "answer_cache_entries": len(self._answers),

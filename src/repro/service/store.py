@@ -8,19 +8,18 @@
   by entry count and by total released-state bytes
   (:func:`~repro.core.serialization.synopsis_nbytes`);
 * **persist** — write every build through to ``store_dir`` as the same
-  checksummed artifact :mod:`repro.core.serialization` defines, so an
-  evicted release is reloaded from disk instead of being re-fit.  With
-  the default ``archive_format="v2"`` the artifact is page-aligned and
-  uncompressed: reloads memory-map it read-only, so ``--workers N``
-  processes serving the same release share one set of physical pages
-  (and the sealed engine slabs restore without a per-worker rebuild);
-  eviction simply drops the views and lets the page cache decide.  A
-  build computes the release's engine slabs once, writes them, and
-  attaches them to the in-memory release, so the first query after a
-  build or an ingest refresh restores its engine too;
-  ``archive_format="v1"`` keeps the compact ``savez_compressed`` blobs,
-  and a mixed-format directory is served transparently — the loader
-  sniffs each file;
+  checksummed artifact :mod:`repro.core.serialization` writes, so an
+  evicted release is reloaded from disk instead of being re-fit.  The
+  artifact is page-aligned and uncompressed: reloads memory-map it
+  read-only, so ``--workers N`` processes serving the same release share
+  one set of physical pages (and the sealed engine slabs restore without
+  a per-worker rebuild); eviction simply drops the views and lets the
+  page cache decide.  A build computes the release's engine slabs once,
+  writes them, and attaches them to the in-memory release, so the first
+  query after a build or an ingest refresh restores its engine too.
+  Compressed v1 archives written by older versions still load (their
+  engines are rebuilt), so a directory holding both formats is served
+  transparently;
 * **account** — charge every fit against a per-dataset-instance
   :class:`~repro.privacy.budget.PrivacyBudget` and refuse builds that
   would overdraw it (:class:`~repro.service.errors.BudgetRefused`).
@@ -67,7 +66,6 @@ except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None  # type: ignore[assignment]
 
 from repro.core.serialization import (
-    ARCHIVE_FORMATS,
     synopsis_from_path,
     synopsis_nbytes,
     synopsis_to_bytes,
@@ -221,12 +219,6 @@ class SynopsisStore:
         Optional dataset-size override applied to every build (the
         registry default otherwise).  Part of the store configuration, not
         the key, so one store always serves consistently sized data.
-    archive_format:
-        On-disk container for newly persisted releases: ``"v2"``
-        (default) writes page-aligned uncompressed slabs that reloads
-        memory-map and forked workers share; ``"v1"`` writes compact
-        ``savez_compressed`` blobs.  Reading sniffs per file, so a
-        directory holding a mix of both formats serves transparently.
     catalog:
         Optional :class:`~repro.service.catalog.Catalog`.  When set, the
         authoritative ledger moves into the catalog's SQLite tables:
@@ -247,7 +239,6 @@ class SynopsisStore:
         max_entries: int = 16,
         max_bytes: int = 512 * 1024 * 1024,
         n_points: int | None = None,
-        archive_format: str = "v2",
         catalog=None,
         tenant: str = "default",
     ):
@@ -257,12 +248,6 @@ class SynopsisStore:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         if max_bytes < 1:
             raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
-        if archive_format not in ARCHIVE_FORMATS:
-            raise ValueError(
-                f"unknown archive format {archive_format!r}; expected one "
-                f"of {ARCHIVE_FORMATS}"
-            )
-        self._archive_format = archive_format
         self._store_dir = Path(store_dir) if store_dir is not None else None
         self._dataset_budget = float(dataset_budget)
         self._max_entries = int(max_entries)
@@ -397,9 +382,8 @@ class SynopsisStore:
                 return None
             self._loading.add(key)
         try:
-            # Path-based load: v2 archives are memory-mapped (workers
-            # share pages), v1 archives stream their checksum instead of
-            # double-buffering the file in memory.
+            # Path-based load: the archive is memory-mapped (workers
+            # share pages) instead of double-buffering the file in memory.
             synopsis = synopsis_from_path(path)
         except Exception as error:
             # The archive is unreadable.  Quarantine it: rename preserves
@@ -546,9 +530,7 @@ class SynopsisStore:
             # Engine slabs are computed once: the archive writer reuses
             # them, and the first query restores its engine from them
             # instead of rebuilding it.
-            slabs = compute_engine_slabs(synopsis)
-            if slabs is not None:
-                synopsis.seal_engine_slabs(slabs)
+            synopsis.seal_engine_slabs(compute_engine_slabs(synopsis))
             self._persist(key, synopsis)
         except BaseException:
             with self._lock:
@@ -600,7 +582,6 @@ class SynopsisStore:
             max_entries=self._max_entries,
             max_bytes=self._max_bytes,
             n_points=self._n_points,
-            archive_format=self._archive_format,
             catalog=self._catalog,
             tenant=tenant,
         )
@@ -647,11 +628,6 @@ class SynopsisStore:
             return self._cached_bytes
 
     @property
-    def archive_format(self) -> str:
-        """Container format written for newly persisted releases."""
-        return self._archive_format
-
-    @property
     def tenant(self) -> str:
         """The tenant namespace this store serves."""
         return self._tenant
@@ -686,7 +662,6 @@ class SynopsisStore:
             "rss_bytes": _process_rss_bytes(),
             "mapped_bytes": sum(mapped.values()),
             "mapped": mapped,
-            "archive_format": self._archive_format,
         }
 
     def quarantined_keys(self) -> dict[ReleaseKey, str]:
@@ -718,7 +693,6 @@ class SynopsisStore:
             payload = {
                 "cached": [key.to_payload() for key in self._cache],
                 "cached_bytes": self._cached_bytes,
-                "archive_format": self._archive_format,
                 "max_entries": self._max_entries,
                 "max_bytes": self._max_bytes,
                 "dataset_budget": self._dataset_budget,
@@ -778,7 +752,7 @@ class SynopsisStore:
             return
         _atomic_write(
             path,
-            synopsis_to_bytes(synopsis, self._archive_format),
+            synopsis_to_bytes(synopsis),
             fault_prefix="archive",
         )
 

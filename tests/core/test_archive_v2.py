@@ -1,10 +1,12 @@
 """The v2 zero-copy archive container: round trips, mmap views, compat.
 
-A v1 archive is ``np.savez_compressed`` plus the SHA-1 footer; v2 is a
-page-aligned slab container with a JSON table of contents and the same
-footer.  Every servable method must round trip through both formats
-bit-identically, and a v2 archive loaded from disk must hand back
-memory-mapped views rather than heap copies.
+The library writes v2, a page-aligned slab container with a JSON table
+of contents and a SHA-1 footer; it still reads v1, ``np.savez_compressed``
+plus the same footer (written here by :mod:`tests.v1_archive`).  Every
+servable method must round trip through both formats bit-identically, a
+v2 archive loaded from disk must hand back memory-mapped views rather
+than heap copies, and an archive of either format without a valid
+footer must be rejected.
 """
 
 import mmap
@@ -15,8 +17,7 @@ import pytest
 from repro.core.dataset import GeoDataset
 from repro.core.geometry import Domain2D, Rect
 from repro.core.serialization import (
-    ARCHIVE_FORMATS,
-    load_synopsis,
+    ChecksumError,
     save_synopsis,
     synopsis_from_bytes,
     synopsis_from_path,
@@ -28,6 +29,10 @@ from repro.queries.engine import (
     make_engine,
 )
 from repro.service.keys import make_builder, method_names
+from tests.v1_archive import v1_archive_bytes
+
+#: sha1 (20) + payload length (8) + magic (8): the integrity footer.
+_FOOTER_BYTES = 36
 
 QUERIES = [
     Rect(0.0, 0.0, 1.0, 1.0),
@@ -58,13 +63,15 @@ class TestRoundTripMatrix:
     def test_formats_agree_bit_for_bit(self, dataset, method, tmp_path):
         synopsis = build(dataset, method)
         restored = {}
-        for fmt in ARCHIVE_FORMATS:
+        archives = {
+            "v1": v1_archive_bytes(synopsis),
+            "v2": synopsis_to_bytes(synopsis),
+        }
+        for fmt, blob in archives.items():
             path = tmp_path / f"{method}-{fmt}.npz"
-            save_synopsis(synopsis, path, archive_format=fmt)
+            path.write_bytes(blob)
             restored[f"{fmt}-path"] = synopsis_from_path(path)
-            restored[f"{fmt}-bytes"] = synopsis_from_bytes(
-                synopsis_to_bytes(synopsis, archive_format=fmt)
-            )
+            restored[f"{fmt}-bytes"] = synopsis_from_bytes(blob)
         reference = batch_answers(synopsis)
         for label, clone in restored.items():
             assert type(clone) is type(synopsis), label
@@ -80,7 +87,7 @@ class TestRoundTripMatrix:
         restored from them answers bit-identically to a cold rebuild."""
         synopsis = build(dataset, method)
         path = tmp_path / f"{method}.npz"
-        save_synopsis(synopsis, path, archive_format="v2")
+        save_synopsis(synopsis, path)
         mapped = synopsis_from_path(path)
         assert has_sealed_engine(mapped)
         cold = build(dataset, method)  # same seed: identical synopsis
@@ -93,8 +100,8 @@ class TestRoundTripMatrix:
         give one engine type and bit-identical answers."""
         sealed = build(dataset, method)
         sealed.seal_engine_slabs(compute_engine_slabs(sealed))
-        for fmt in ARCHIVE_FORMATS:
-            save_synopsis(sealed, tmp_path / f"{fmt}.npz", archive_format=fmt)
+        (tmp_path / "v1.npz").write_bytes(v1_archive_bytes(sealed))
+        save_synopsis(sealed, tmp_path / "v2.npz")
         engines = {
             "rebuilt": make_engine(build(dataset, method)),
             "sealed": make_engine(sealed),
@@ -110,9 +117,8 @@ class TestRoundTripMatrix:
             )
 
     def test_v1_restore_is_not_sealed(self, dataset, tmp_path):
-        synopsis = build(dataset, "UG")
         path = tmp_path / "ug.npz"
-        save_synopsis(synopsis, path, archive_format="v1")
+        path.write_bytes(v1_archive_bytes(build(dataset, "UG")))
         assert not has_sealed_engine(synopsis_from_path(path))
 
 
@@ -120,7 +126,7 @@ class TestMappedViews:
     def test_v2_arrays_are_mmap_views(self, dataset, tmp_path):
         synopsis = build(dataset, "UG")
         path = tmp_path / "ug.npz"
-        save_synopsis(synopsis, path, archive_format="v2")
+        save_synopsis(synopsis, path)
         mapped = synopsis_from_path(path)
         counts = mapped.counts
         assert not counts.flags["OWNDATA"]
@@ -134,16 +140,15 @@ class TestMappedViews:
         assert mapped.mapped_nbytes == path.stat().st_size
 
     def test_v1_restore_reports_no_mapping(self, dataset, tmp_path):
-        synopsis = build(dataset, "UG")
         path = tmp_path / "ug.npz"
-        save_synopsis(synopsis, path, archive_format="v1")
+        path.write_bytes(v1_archive_bytes(build(dataset, "UG")))
         assert synopsis_from_path(path).mapped_nbytes == 0
 
     def test_slabs_are_page_aligned(self, dataset):
         from repro.core.serialization import _V2_ALIGN, _V2_HEADER, _V2_MAGIC
         import json as _json
 
-        blob = synopsis_to_bytes(build(dataset, "AG"), archive_format="v2")
+        blob = synopsis_to_bytes(build(dataset, "AG"))
         magic, version, toc_len = _V2_HEADER.unpack_from(blob)
         assert magic == _V2_MAGIC and version == 2
         toc = _json.loads(
@@ -156,28 +161,34 @@ class TestMappedViews:
 
 
 class TestCompat:
-    def test_legacy_pre_footer_archive_loads(self, dataset, tmp_path):
-        """v1 archives written before the checksum footer still load."""
-        synopsis = build(dataset, "Hier")
-        blob = synopsis_to_bytes(synopsis, archive_format="v1")
-        legacy = blob[:-36]  # strip sha1(20) + length(8) + magic(8)
-        clone = synopsis_from_bytes(legacy)
-        np.testing.assert_array_equal(batch_answers(clone), batch_answers(synopsis))
-
-    def test_legacy_pre_footer_path_loads(self, dataset, tmp_path):
-        synopsis = build(dataset, "Hier")
-        path = tmp_path / "legacy.npz"
-        path.write_bytes(synopsis_to_bytes(synopsis, archive_format="v1")[:-36])
-        clone = load_synopsis(path)
-        np.testing.assert_array_equal(batch_answers(clone), batch_answers(synopsis))
-
-    def test_unknown_format_rejected(self, dataset):
-        with pytest.raises(ValueError, match="unknown archive format"):
-            synopsis_to_bytes(build(dataset, "UG"), archive_format="v3")
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            # The whole footer is gone: what pre-footer archives looked
+            # like, and what a cut exactly at the payload end leaves.
+            lambda blob: blob[:-_FOOTER_BYTES],
+            # A cut inside the footer.
+            lambda blob: blob[: -_FOOTER_BYTES // 2],
+            # One byte of the footer magic flipped.
+            lambda blob: blob[:-1] + bytes([blob[-1] ^ 0x01]),
+        ],
+        ids=["stripped", "cut-mid-footer", "flipped-magic"],
+    )
+    @pytest.mark.parametrize("method", method_names())
+    def test_v1_damaged_footer_is_rejected(self, dataset, method, damage, tmp_path):
+        """A v1 archive without a valid footer is rejected, never loaded
+        unverified — from bytes and from a file alike."""
+        blob = damage(v1_archive_bytes(build(dataset, method)))
+        with pytest.raises(ChecksumError, match="footer"):
+            synopsis_from_bytes(blob)
+        path = tmp_path / "damaged.npz"
+        path.write_bytes(blob)
+        with pytest.raises(ChecksumError, match="footer"):
+            synopsis_from_path(path)
 
     def test_zero_dim_arrays_survive(self, dataset):
         """0-d metadata arrays (epsilon, format_version) keep shape ()
         through the v2 container — the TOC must not promote them."""
         synopsis = build(dataset, "UG")
-        clone = synopsis_from_bytes(synopsis_to_bytes(synopsis, "v2"))
+        clone = synopsis_from_bytes(synopsis_to_bytes(synopsis))
         assert clone.epsilon == synopsis.epsilon

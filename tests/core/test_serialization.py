@@ -8,6 +8,7 @@ from repro.core.adaptive_grid import AdaptiveGridBuilder
 from repro.core.geometry import Rect
 from repro.core.serialization import load_synopsis, save_synopsis
 from repro.core.uniform_grid import UniformGridBuilder
+from tests.v1_archive import v1_archive_bytes
 
 QUERIES = [
     Rect(0.0, 0.0, 1.0, 1.0),
@@ -112,50 +113,12 @@ class TestTreeRoundtrip:
             make_engine(synopsis).answer_batch(QUERIES),
         )
 
-    def test_legacy_preorder_archive_loads(self, small_skewed, rng, tmp_path):
-        """Archives written before the flat kernel (pre-order rects +
-        child_counts, no measurements) must still restore."""
-        synopsis = KDHybridBuilder(depth=4).fit(small_skewed, 1.0, rng)
-
-        # Re-create the legacy payload from the object graph.
-        rects, counts, child_counts, depths = [], [], [], []
-
-        def visit(node):
-            rects.append(node.rect.as_tuple())
-            counts.append(node.count)
-            child_counts.append(len(node.children))
-            depths.append(node.depth)
-            for child in node.children:
-                visit(child)
-
-        visit(synopsis.root)
-        path = tmp_path / "legacy.npz"
-        np.savez_compressed(
-            path,
-            format_version=np.array(1),
-            kind=np.array("tree"),
-            domain=np.array(synopsis.domain.bounds.as_tuple()),
-            epsilon=np.array(synopsis.epsilon),
-            rects=np.array(rects),
-            counts=np.array(counts),
-            child_counts=np.array(child_counts, dtype=np.int64),
-            depths=np.array(depths, dtype=np.int64),
-        )
-        restored = load_synopsis(path)
-        assert restored.node_count() == synopsis.node_count()
-        assert restored.height() == synopsis.height()
-        assert_same_answers(synopsis, restored)
-
     def test_corrupt_offsets_rejected(self, small_skewed, rng, tmp_path):
         synopsis = KDHybridBuilder(depth=4).fit(small_skewed, 1.0, rng)
-        path = tmp_path / "tree.npz"
-        save_synopsis(synopsis, path)
-        with np.load(path) as archive:
-            data = {key: archive[key] for key in archive.files}
-        offsets = data["child_offsets"].copy()
+        offsets = synopsis.arrays.child_offsets.copy()
         offsets[0] = 5  # children must start at node 1
-        data["child_offsets"] = offsets
-        np.savez_compressed(path, **data)
+        path = tmp_path / "tree.npz"
+        path.write_bytes(v1_archive_bytes(synopsis, child_offsets=offsets))
         with pytest.raises(ValueError, match="corrupt tree archive"):
             load_synopsis(path)
 
@@ -168,10 +131,8 @@ class TestErrors:
     def test_wrong_version_rejected(self, small_skewed, rng, tmp_path):
         synopsis = UniformGridBuilder(grid_size=4).fit(small_skewed, 1.0, rng)
         path = tmp_path / "ug.npz"
-        save_synopsis(synopsis, path)
-        with np.load(path) as archive:
-            data = {key: archive[key] for key in archive.files}
-        data["format_version"] = np.array(99)
-        np.savez_compressed(path, **data)
+        path.write_bytes(
+            v1_archive_bytes(synopsis, format_version=np.array(99))
+        )
         with pytest.raises(ValueError, match="version"):
             load_synopsis(path)

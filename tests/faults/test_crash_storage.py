@@ -24,10 +24,7 @@ _FOOTER_BYTES = 36
 
 
 def _store(tmp_path, **kwargs):
-    # Pinned to v1: the legacy-truncation degradation asserted below (a cut
-    # that only damages the footer still parses) is a v1-only property.  The
-    # v2 container is covered by test_v2_corruption.py.
-    options = {"n_points": N_POINTS, "dataset_budget": 8.0, "archive_format": "v1"}
+    options = {"n_points": N_POINTS, "dataset_budget": 8.0}
     options.update(kwargs)
     return SynopsisStore(store_dir=tmp_path, **options)
 
@@ -67,19 +64,16 @@ class TestChecksumFooter:
         pristine = path.read_bytes()
         payload_len = len(pristine) - _FOOTER_BYTES
         rng = np.random.default_rng(13)
-        # Any cut that loses payload bytes must fail to parse.  (Cuts
-        # that keep the full payload and only damage the footer degrade
-        # to the pre-checksum legacy format — with the data provably
-        # intact, since the payload bytes are all there.)
+        # Any cut that loses payload bytes must fail to parse.
         cuts = {0, 1, payload_len - 1}
         cuts.update(int(c) for c in rng.integers(0, payload_len, size=12))
         for cut in sorted(cuts):
             with pytest.raises(Exception):
                 synopsis_from_bytes(pristine[:cut])
-        legacy = synopsis_from_bytes(pristine[:payload_len])
-        assert legacy.total() == pytest.approx(
-            synopsis_from_bytes(pristine).total()
-        )
+        # So must a cut that keeps the whole payload but loses the footer:
+        # without it the payload cannot be verified.
+        with pytest.raises(ChecksumError):
+            synopsis_from_bytes(pristine[:payload_len])
 
 
 class TestQuarantine:

@@ -3,9 +3,8 @@
 Mirrors ``test_crash_storage.py`` for the zero-copy container: cuts and
 bit flips at every structural boundary — header, TOC, each slab start,
 footer — must never parse, and the store must quarantine the corpse to
-``*.corrupt`` and answer 503 exactly as it does for v1.  Unlike v1,
-a v2 archive has no legacy pre-footer degradation: any truncation is a
-hard failure.
+``*.corrupt`` and answer 503 exactly as it does for v1.  The footer is
+mandatory, so any truncation is a checksum failure.
 """
 
 import json
@@ -29,11 +28,7 @@ _FOOTER_BYTES = 36
 
 
 def _store(tmp_path, **kwargs):
-    options = {
-        "n_points": N_POINTS,
-        "dataset_budget": 8.0,
-        "archive_format": "v2",
-    }
+    options = {"n_points": N_POINTS, "dataset_budget": 8.0}
     options.update(kwargs)
     return SynopsisStore(store_dir=tmp_path, **options)
 
@@ -70,10 +65,7 @@ class TestDetection:
         _, path = persisted
         pristine = path.read_bytes()
         for cut in _boundaries(pristine):
-            # Cuts below the 8-byte magic degrade to the legacy loader,
-            # which fails with numpy's own errors — any exception is a
-            # refusal to parse; none may return a synopsis.
-            with pytest.raises(Exception):
+            with pytest.raises(ChecksumError):
                 synopsis_from_bytes(pristine[:cut])
 
     def test_bit_flip_at_every_boundary_fails(self, persisted):
@@ -86,8 +78,8 @@ class TestDetection:
                 synopsis_from_bytes(bytes(flipped))
 
     def test_footer_is_mandatory(self, persisted):
-        """v2 has no legacy degradation: an archive that keeps its whole
-        payload but loses the footer is rejected, not trusted."""
+        """An archive that keeps its whole payload but loses the footer
+        is rejected, not trusted."""
         _, path = persisted
         pristine = path.read_bytes()
         with pytest.raises(ChecksumError, match="footer"):

@@ -486,33 +486,6 @@ class TestMakeEngine:
             synopsis.answer(rect), rel=1e-9
         )
 
-    def test_unregistered_synopses_get_fallback(self, unit_domain):
-        from repro.core.synopsis import Synopsis
-
-        class FortyTwoSynopsis(Synopsis):
-            def answer(self, rect):
-                return 42.0
-
-        engine = make_engine(FortyTwoSynopsis(unit_domain, 1.0))
-        assert isinstance(engine, FallbackEngine)
-        assert engine.answer_batch([Rect(0.1, 0.1, 0.6, 0.6)])[0] == 42.0
-
-    def test_fallback_hits_are_counted(self, unit_domain, small_skewed, rng):
-        from repro.core.synopsis import Synopsis
-        from repro.queries.engine import fallback_engine_count
-
-        class UnregisteredSynopsis(Synopsis):
-            def answer(self, rect):
-                return 0.0
-
-        before = fallback_engine_count()
-        make_engine(UnregisteredSynopsis(unit_domain, 1.0))
-        make_engine(UnregisteredSynopsis(unit_domain, 1.0))
-        assert fallback_engine_count() == before + 2
-        # Registered types never touch the counter.
-        make_engine(UniformGridBuilder(grid_size=4).fit(small_skewed, 1.0, rng))
-        assert fallback_engine_count() == before + 2
-
 
 class TestDefaultAnswerMany:
     """The inherited ``Synopsis.answer_many`` routes through the shared
@@ -552,28 +525,33 @@ class TestDefaultAnswerMany:
         np.testing.assert_array_equal(out, [0.0, 7.0])
         assert type(synopsis).calls == 1  # only the valid row
 
-    def test_registry_prefers_nearest_ancestor(self, unit_domain):
-        from repro.core.synopsis import Synopsis
-        from repro.queries.engine import register_engine
+    def test_registry_prefers_nearest_ancestor(self, small_skewed, rng):
+        """A subclass of a declared type resolves to its nearest declared
+        row: it is served by that row's engine and archived as its kind."""
+        from repro.baselines.privelet import PriveletSynopsis
+        from repro.core.serialization import (
+            synopsis_from_bytes,
+            synopsis_kind,
+            synopsis_to_bytes,
+        )
+        from repro.core.uniform_grid import UniformGridSynopsis
 
-        class BaseSynopsis(Synopsis):
-            def answer(self, rect):
-                return 1.0
-
-        class DerivedSynopsis(BaseSynopsis):
+        class DerivedGrid(UniformGridSynopsis):
             pass
 
-        sentinel = object()
-        try:
-            register_engine(BaseSynopsis, lambda synopsis: sentinel)
-            # Subclasses inherit the nearest registered ancestor's factory.
-            assert make_engine(DerivedSynopsis(unit_domain, 1.0)) is sentinel
-            override = object()
-            register_engine(DerivedSynopsis, lambda synopsis: override)
-            assert make_engine(DerivedSynopsis(unit_domain, 1.0)) is override
-            assert make_engine(BaseSynopsis(unit_domain, 1.0)) is sentinel
-        finally:
-            from repro.queries.engine import _ENGINE_FACTORIES
+        class DerivedWavelet(PriveletSynopsis):
+            pass
 
-            _ENGINE_FACTORIES.pop(BaseSynopsis, None)
-            _ENGINE_FACTORIES.pop(DerivedSynopsis, None)
+        assert synopsis_kind(DerivedGrid).kind == "uniform_grid"
+        # Privelet's own row is nearer than its grid base's.
+        assert synopsis_kind(DerivedWavelet).kind == "wavelet"
+        grid = UniformGridBuilder(grid_size=4).fit(small_skewed, 1.0, rng)
+        derived = DerivedGrid(grid.domain, grid.epsilon, grid.layout, grid.counts)
+        engine = make_engine(derived)
+        assert isinstance(engine, BatchQueryEngine)
+        rects = [Rect(0.1, 0.1, 0.6, 0.6), Rect(0.0, 0.0, 1.0, 1.0)]
+        np.testing.assert_array_equal(
+            engine.answer_batch(rects), make_engine(grid).answer_batch(rects)
+        )
+        clone = synopsis_from_bytes(synopsis_to_bytes(derived))
+        assert type(clone) is UniformGridSynopsis

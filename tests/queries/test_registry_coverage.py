@@ -1,11 +1,12 @@
-"""Every concrete synopsis in the library resolves a real batch engine.
+"""Every concrete synopsis in the library is declared, archived and served.
 
-The engine registry is the contract that keeps the service tier fast: an
-unregistered synopsis type silently degrades to :class:`FallbackEngine`
-(a scalar loop) and bumps ``fallback_engine_count()``.  This walk makes
-forgetting a registration a test failure instead of a performance bug —
-any new concrete :class:`Synopsis` subclass under ``repro.`` must be
-buildable by a servable method and must resolve a non-fallback engine.
+The kind table of :mod:`repro.core.serialization` is the contract that
+keeps the service tier fast: a synopsis type without a declared row (or
+a declared ancestor) can be neither archived nor served, and raises
+``TypeError`` instead of degrading to a scalar loop.  This walk makes
+forgetting a row a test failure — any new concrete :class:`Synopsis`
+subclass under ``repro.`` must be buildable by a servable method, must
+resolve to a row, and must round trip to its own type.
 """
 
 import inspect
@@ -13,26 +14,24 @@ import inspect
 import numpy as np
 import pytest
 
+from repro.core.serialization import (
+    synopsis_from_bytes,
+    synopsis_kind,
+    synopsis_nbytes,
+    synopsis_to_bytes,
+)
 from repro.core.synopsis import Synopsis
 from repro.datasets.registry import get_spec
-from repro.queries.engine import (
-    FallbackEngine,
-    fallback_engine_count,
-    make_engine,
-)
+from repro.queries.engine import FallbackEngine, make_engine
 from repro.service.keys import make_builder, method_names
-
-# Importing the serialization module pulls in every synopsis-defining
-# module in the library, so the subclass walk below sees all of them.
-import repro.core.serialization  # noqa: F401
 
 
 def _concrete_repro_synopses() -> list[type]:
     """All concrete Synopsis subclasses defined inside the library.
 
-    Test modules define throwaway subclasses (opaque stand-ins, fallback
-    probes); filtering on the defining module keeps the walk about the
-    library's own types.
+    Test modules define throwaway subclasses (opaque stand-ins, probes);
+    filtering on the defining module keeps the walk about the library's
+    own types.
     """
     found: list[type] = []
     stack = list(Synopsis.__subclasses__())
@@ -65,24 +64,44 @@ def test_every_concrete_synopsis_is_servable(built_synopses):
     ]
     assert not missing, (
         f"concrete Synopsis subclasses with no servable method: {missing}; "
-        "register a builder in repro.service.keys (and a serialization "
-        "kind) or make the type abstract"
+        "register a builder in repro.service.keys (and declare a kind in "
+        "repro.core.serialization) or make the type abstract"
     )
 
 
-def test_every_servable_synopsis_resolves_without_fallback(built_synopses):
-    """make_engine never degrades a servable release to the scalar loop."""
+def test_every_concrete_synopsis_has_a_row_and_round_trips(built_synopses):
+    """Each library synopsis type resolves to a declared row, and its
+    archive restores to its own type, not to a declared ancestor."""
+    for cls in _concrete_repro_synopses():
+        synopsis_kind(cls)  # raises TypeError for an undeclared type
     for method, synopsis in built_synopses.items():
-        before = fallback_engine_count()
+        clone = synopsis_from_bytes(synopsis_to_bytes(synopsis))
+        assert type(clone) is type(synopsis), method
+
+
+def test_every_servable_synopsis_resolves_without_fallback(built_synopses):
+    """make_engine serves every release through its declared row's
+    engine, never the scalar loop."""
+    for method, synopsis in built_synopses.items():
         engine = make_engine(synopsis)
-        assert fallback_engine_count() == before, (
-            f"{method} ({type(synopsis).__qualname__}) incremented the "
-            "fallback counter"
-        )
         assert not isinstance(engine, FallbackEngine), (
             f"{method} ({type(synopsis).__qualname__}) resolved the "
             "scalar FallbackEngine"
         )
+
+
+def test_undeclared_synopsis_is_rejected(unit_domain):
+    """A synopsis type with no declared row can be neither archived,
+    sized, nor served: each entry point raises ``TypeError``."""
+
+    class UndeclaredSynopsis(Synopsis):
+        def answer(self, rect):
+            return 42.0
+
+    synopsis = UndeclaredSynopsis(unit_domain, 1.0)
+    for entry_point in (synopsis_to_bytes, synopsis_nbytes, make_engine):
+        with pytest.raises(TypeError, match="UndeclaredSynopsis"):
+            entry_point(synopsis)
 
 
 def test_resolved_engines_answer_like_the_synopsis(built_synopses):

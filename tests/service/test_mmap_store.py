@@ -1,10 +1,11 @@
 """The zero-copy store path: mapped loads, mixed formats, fork sharing.
 
 These tests exercise the service-level contract of the v2 archive work:
-a store pointed at a directory of archives serves v1 and v2 files side
-by side, reports mapped bytes through ``memory_payload``, restores
-engines from sealed slabs without a cold start, and — on POSIX — shares
-mapped pages across forked workers instead of duplicating them.
+a store writes v2, serves the v1 archives an older store left in its
+directory side by side with v2 ones, reports mapped bytes through
+``memory_payload``, restores engines from sealed slabs without a cold
+start, and — on POSIX — shares mapped pages across forked workers
+instead of duplicating them.
 """
 
 import os
@@ -17,6 +18,7 @@ from repro.queries.engine import has_sealed_engine
 from repro.service.keys import ReleaseKey
 from repro.service.query_service import QueryService
 from repro.service.store import SynopsisStore
+from tests.v1_archive import v1_archive_bytes
 
 N_POINTS = 2_000
 BOXES = np.array([[-110.0, 30.0, -80.0, 45.0], [-100.0, 25.0, -90.0, 40.0]])
@@ -32,23 +34,25 @@ def _store(tmp_path, **kwargs):
     return SynopsisStore(store_dir=tmp_path, **options)
 
 
-class TestArchiveFormatOption:
-    def test_default_is_v2(self, tmp_path):
-        assert _store(tmp_path).archive_format == "v2"
+def _v1_release(tmp_path, k):
+    """Build ``k`` into ``tmp_path`` and rewrite its archive as v1, as a
+    store from before v2 left it."""
+    synopsis, _ = _store(tmp_path).build(k)
+    (tmp_path / f"{k.slug()}.npz").write_bytes(v1_archive_bytes(synopsis))
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown archive format"):
-            _store(tmp_path, archive_format="v7")
+
+class TestArchiveFormatOption:
+    """What a store reloads from each archive format it may find."""
 
     def test_v2_store_maps_reloaded_releases(self, tmp_path):
-        _store(tmp_path, archive_format="v2").build(key())
+        _store(tmp_path).build(key())
         fresh = _store(tmp_path)  # fresh process: load from disk
         synopsis = fresh.get(key())
         assert synopsis.mapped_nbytes > 0
         assert has_sealed_engine(synopsis)
 
     def test_v1_store_loads_into_heap(self, tmp_path):
-        _store(tmp_path, archive_format="v1").build(key())
+        _v1_release(tmp_path, key())
         synopsis = _store(tmp_path).get(key())
         assert synopsis.mapped_nbytes == 0
         assert not has_sealed_engine(synopsis)
@@ -59,8 +63,8 @@ class TestMixedFormats:
         """A store dir holding v1 and v2 archives side by side serves
         both; the loader sniffs the format per file."""
         k1, k2 = key(seed=1), key(seed=2)
-        _store(tmp_path, archive_format="v1").build(k1)
-        _store(tmp_path, archive_format="v2").build(k2)
+        _v1_release(tmp_path, k1)
+        _store(tmp_path).build(k2)
         store = _store(tmp_path)
         s1, s2 = store.get(k1), store.get(k2)
         assert s1.mapped_nbytes == 0
@@ -75,8 +79,8 @@ class TestMixedFormats:
 
     def test_rewriting_v1_release_as_v2_is_bit_identical(self, tmp_path):
         v1_dir, v2_dir = tmp_path / "v1", tmp_path / "v2"
-        _store(v1_dir, archive_format="v1").build(key())
-        _store(v2_dir, archive_format="v2").build(key())
+        _v1_release(v1_dir, key())
+        _store(v2_dir).build(key())
         a = QueryService(_store(v1_dir)).answer(key(), BOXES).estimates
         b = QueryService(_store(v2_dir)).answer(key(), BOXES).estimates
         np.testing.assert_array_equal(a, b)
@@ -84,11 +88,10 @@ class TestMixedFormats:
 
 class TestMemoryPayload:
     def test_health_memory_fields(self, tmp_path):
-        _store(tmp_path, archive_format="v2").build(key())
+        _store(tmp_path).build(key())
         store = _store(tmp_path)
         store.get(key())
         payload = store.memory_payload()
-        assert payload["archive_format"] == "v2"
         assert payload["mapped_bytes"] > 0
         assert payload["mapped"] == {
             key().slug(): payload["mapped_bytes"]
@@ -97,7 +100,7 @@ class TestMemoryPayload:
             assert payload["rss_bytes"] > 0
 
     def test_eviction_drops_the_mapping(self, tmp_path):
-        _store(tmp_path, archive_format="v2").build(key())
+        _store(tmp_path).build(key())
         store = _store(tmp_path)
         store.get(key())
         assert store.memory_payload()["mapped_bytes"] > 0
@@ -120,7 +123,6 @@ class TestMemoryPayload:
             with urllib.request.urlopen(server.url + "/health", timeout=30) as r:
                 body = _json.loads(r.read())
             assert "memory" in body
-            assert body["memory"]["archive_format"] == "v2"
             assert body["memory"]["mapped_bytes"] >= 0
         finally:
             server.shutdown()
@@ -130,7 +132,7 @@ class TestMemoryPayload:
 
 class TestSealedEngineLoads:
     def test_warm_v2_release_skips_cold_start(self, tmp_path):
-        _store(tmp_path, archive_format="v2").build(key())
+        _store(tmp_path).build(key())
         service = QueryService(_store(tmp_path))
         service.answer(key(), BOXES)
         stats = service.stats()
@@ -171,7 +173,7 @@ class TestSealedEngineLoads:
             stale = FlatTreeEngine.precompute(synopsis)
         synopsis.seal_engine_slabs(stale)
         (tmp_path / f"{k.slug()}.npz").write_bytes(
-            synopsis_to_bytes(synopsis, archive_format="v2")
+            synopsis_to_bytes(synopsis)
         )
         service = QueryService(_store(tmp_path, **options))
         estimates = service.answer(k, BOXES).estimates
@@ -183,7 +185,7 @@ class TestSealedEngineLoads:
         assert stats["engine_sealed_loads"] == 0
 
     def test_v1_release_still_cold_starts(self, tmp_path):
-        _store(tmp_path, archive_format="v1").build(key())
+        _v1_release(tmp_path, key())
         service = QueryService(_store(tmp_path))
         service.answer(key(), BOXES)
         stats = service.stats()
@@ -218,7 +220,7 @@ class TestForkSharing:
             pytest.skip("smaps_rollup not available")
         # A deliberately chunky release so the mapped payload dominates
         # allocator noise.
-        big = _store(tmp_path, archive_format="v2", n_points=1_000_000)
+        big = _store(tmp_path, n_points=1_000_000)
         big.build(key())
         parent_store = _store(tmp_path, n_points=1_000_000)
         synopsis = parent_store.get(key())  # parent maps the pages

@@ -18,26 +18,32 @@ def key(method="AG", epsilon=1.0, seed=0, dataset="storage"):
 
 
 class TestBuildSealsEngine:
-    @pytest.mark.parametrize("archive_format", [None, "v1", "v2"])
+    @pytest.mark.parametrize("prior_archive", [None, "v1", "v2"])
     @pytest.mark.parametrize("method", ["UG", "AG", "Quad"])
     def test_first_query_after_build_is_sealed_load(
-        self, tmp_path, archive_format, method
+        self, tmp_path, prior_archive, method
     ):
         """A build computes the engine slabs once and attaches them, so
         the first query restores the engine instead of rebuilding it —
-        in memory and whatever archive format the store writes."""
+        in memory, and when a forced build replaces a release an earlier
+        store archived in either format (rewriting it as v2)."""
+        from repro.core.serialization import _V2_MAGIC
         from repro.queries.engine import has_sealed_engine
         from repro.service.query_service import QueryService
+        from tests.v1_archive import v1_archive_bytes
 
-        if archive_format is None:
+        if prior_archive is None:
             store = SynopsisStore(n_points=N_POINTS)
         else:
-            store = SynopsisStore(
-                store_dir=tmp_path, n_points=N_POINTS,
-                archive_format=archive_format,
-            )
-        synopsis, built = store.build(key(method=method))
+            store = SynopsisStore(store_dir=tmp_path, n_points=N_POINTS)
+            earlier, _ = store.build(key(method=method))
+            path = tmp_path / f"{key(method=method).slug()}.npz"
+            if prior_archive == "v1":
+                path.write_bytes(v1_archive_bytes(earlier))
+        synopsis, built = store.build(key(method=method), force=True)
         assert built and has_sealed_engine(synopsis)
+        if prior_archive is not None:
+            assert path.read_bytes().startswith(_V2_MAGIC)
         service = QueryService(store)
         bounds = synopsis.domain.bounds
         result = service.answer(key(method=method), [bounds])
