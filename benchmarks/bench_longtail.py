@@ -1,13 +1,13 @@
 """Performance benchmark: the long-tail flat kernels.
 
 Not a paper figure — an engineering benchmark for the library itself,
-covering the three families ISSUE 6 flattened onto the CSR + registry
+covering the three long-tail families flattened onto the CSR + registry
 pattern, at figure-3 scale (150k points, 6 sizes x 200 queries):
 
 * **Privelet**: vectorised Haar build vs the retained per-lane
   ``fit_reference`` (releases asserted bit-identical), and the
-  coefficient-space :class:`WaveletRangeEngine` vs the scalar
-  reconstructed-grid loop.
+  prefix-sum :class:`BatchQueryEngine` over the reconstructed grid vs
+  the scalar reconstructed-grid loop.
 * **Hierarchy**: array-stack build vs ``fit_reference`` (bit-identical),
   and the inherited prefix-sum batch engine vs the scalar grid loop.
 * **ND grid**: the d = 2 servable embedding build vs the raw reference
@@ -41,8 +41,8 @@ from repro.extensions.multidim import (
     NDUniformGridBuilder,
 )
 from repro.queries.engine import (
+    BatchQueryEngine,
     NDPrefixSumEngine,
-    WaveletRangeEngine,
     make_engine,
     scalar_answer_batch,
 )
@@ -97,7 +97,7 @@ def test_longtail_kernels_vs_reference():
     rounds = 2 if QUICK else 3
 
     families = [
-        ("Privelet", PriveletBuilder(), WaveletRangeEngine),
+        ("Privelet", PriveletBuilder(), BatchQueryEngine),
         ("Hier", HierarchicalGridBuilder(), None),  # inherits the grid engine
         ("UGnd", MultiDimGridBuilder(), NDPrefixSumEngine),
     ]
@@ -140,7 +140,7 @@ def test_longtail_kernels_vs_reference():
         else:
             np.testing.assert_array_equal(engine_answers, scalar_flat)
         # Both match the reference release's scalar grid loop to float
-        # rounding (the wavelet engine evaluates in coefficient space).
+        # rounding (the prefix sums re-associate the grid's sums).
         scalar_answers = _scalar_loop(reference, rects)
         scale = max(1.0, float(np.abs(scalar_answers).max()))
         np.testing.assert_allclose(

@@ -180,14 +180,15 @@ class PriveletSynopsis(UniformGridSynopsis):
     """The released state of Privelet: noisy Haar coefficients plus the
     reconstructed grid.
 
-    The reconstructed ``m x m`` counts (held by the
-    :class:`UniformGridSynopsis` base) keep every grid consumer working —
-    synthetic points, post-hoc analysis, serialization of the coarse
-    view.  The ``p x p`` coefficient matrix is the *primary* release: the
-    declared :class:`~repro.queries.engine.WaveletRangeEngine` answers
-    ranges straight from it in ``O(log^2 p)`` gathers per query, and the
-    scalar :meth:`answer` routes through a single-row engine call so the
-    scalar and batch paths are bit-identical by construction.
+    The ``p x p`` coefficient matrix is the *primary* release (what the
+    archive stores); the reconstructed ``m x m`` counts (held by the
+    :class:`UniformGridSynopsis` base, rebuilt on load) are the same
+    estimator in the cell basis.  Every range estimate is the bilinear
+    form of the cropped reconstruction, so the declared engine is the
+    grid's own prefix-sum :class:`~repro.queries.engine.BatchQueryEngine`
+    — four corner gathers per query — and the scalar :meth:`answer`
+    routes through a single-row engine call, so the scalar and batch
+    paths are bit-identical by construction.
     """
 
     def __init__(
@@ -226,9 +227,9 @@ class PriveletSynopsis(UniformGridSynopsis):
         return int(self._coefficients.shape[0])
 
     def answer(self, rect) -> float:
-        # One-row batch through the declared wavelet engine: the
-        # scalar path and answer_many are then bit-identical (numpy's
-        # elementwise ops do not depend on batch size).
+        # One-row batch through the declared engine: the scalar path
+        # and answer_many are then bit-identical (numpy's elementwise
+        # ops do not depend on batch size).
         return float(self._batch_engine().answer_batch([rect])[0])
 
 

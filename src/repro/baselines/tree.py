@@ -26,8 +26,9 @@ leaves lie on the ``2^h x 2^h`` lattice of its domain and whose
 internal counts equal their children's sums is lowered onto that
 lattice (a uniform-grid
 :class:`~repro.queries.engine.BatchQueryEngine`) when its prefix is no
-larger than the tree's own buffers, any other tree goes through the
-frontier-descent :class:`~repro.queries.engine.FlatTreeEngine`.
+larger than the tree's own node vectors, any other tree goes through the
+frontier-descent :class:`~repro.queries.engine.FlatTreeEngine` and its
+edge tables.
 
 BFS level order, concretely: node 0 is the root, children of node ``v``
 are the contiguous index range ``child_offsets[v]:child_offsets[v + 1]``,
@@ -521,7 +522,7 @@ def _lattice_leaves(synopsis: TreeSynopsis):
     ``side = 2^h`` for tree height ``h``; ``lo`` / ``hi`` are each leaf's
     lattice index bounds as ``(x, y)`` rows.  ``None`` unless the release
     lowers exactly onto the lattice: its prefix is no larger than the
-    :class:`~repro.queries.engine.FlatTreeEngine` buffers (checked first,
+    :class:`~repro.queries.engine.FlatTreeEngine` node vectors (checked first,
     so a pruned deep tree never sizes a huge lattice), every internal
     count equals its children's sum, and every leaf spans whole lattice
     cells of the domain.
@@ -587,7 +588,8 @@ def _lattice_release(synopsis: TreeSynopsis):
 
 def tree_engine_precompute(synopsis: TreeSynopsis) -> dict[str, np.ndarray]:
     """Engine buffers of a tree release: its lattice prefix when it
-    lowers onto its lattice, else the frontier-descent node vectors."""
+    lowers onto its lattice, else the frontier-descent node vectors and
+    edge tables."""
     from repro.queries.engine import BatchQueryEngine, FlatTreeEngine
 
     lattice = _lattice_release(synopsis)

@@ -64,7 +64,6 @@ from repro.queries.engine import (
     BatchQueryEngine,
     FlatAdaptiveGridEngine,
     NDPrefixSumEngine,
-    WaveletRangeEngine,
 )
 
 __all__ = [
@@ -95,9 +94,9 @@ _V2_HEADER = struct.Struct(f"<{len(_V2_MAGIC)}sII")
 _V2_ALIGN = 4096
 
 #: Sealed engine buffers ride in the same archive under a reserved name
-#: prefix; the marker key distinguishes "sealed with no derived buffers"
-#: (e.g. Privelet, whose coefficients are the prepared state) from "not
-#: sealed at all" (a v1 archive).
+#: prefix; the marker key distinguishes "sealed, with whatever buffers
+#: the row's precompute returned (possibly none)" from "not sealed at
+#: all" (a v1 archive).
 _ENGINE_SLAB_PREFIX = "engine/"
 _SEALED_MARKER = "engine/__sealed__"
 
@@ -160,15 +159,17 @@ def _pack(synopsis: Synopsis) -> dict[str, np.ndarray]:
     return {"kind": np.array(row.kind), **row.pack(synopsis)}
 
 
-def synopsis_to_bytes(synopsis: Synopsis) -> bytes:
+def synopsis_to_bytes(synopsis: Synopsis) -> bytearray:
     """Serialise a released synopsis to checksummed archive bytes.
 
     Writes the page-aligned layout :func:`synopsis_from_path`
     memory-maps, with the engine buffers sealed beside the released
     arrays — the slabs already attached to the synopsis, if any, else
     its row's ``precompute`` — and the SHA-1 footer (see
-    ``_CHECKSUM_MAGIC``).  Raises ``TypeError`` for an undeclared
-    synopsis type.
+    ``_CHECKSUM_MAGIC``).  The archive is filled into one preallocated
+    buffer, which is returned: writing it costs one archive's worth of
+    memory, not a copy per array and per step.  Raises ``TypeError`` for
+    an undeclared synopsis type.
     """
     payload = _pack(synopsis)
     payload["format_version"] = np.array(_FORMAT_VERSION)
@@ -178,11 +179,7 @@ def synopsis_to_bytes(synopsis: Synopsis) -> bytes:
         slabs = synopsis_kind(type(synopsis)).precompute(synopsis)
     for name, array in slabs.items():
         payload[_ENGINE_SLAB_PREFIX + name] = array
-    blob = _pack_v2_payload(payload)
-    footer = _CHECKSUM_FOOTER.pack(
-        hashlib.sha1(blob).digest(), len(blob), _CHECKSUM_MAGIC
-    )
-    return blob + footer
+    return _write_v2(payload)
 
 
 def _align(offset: int) -> int:
@@ -190,8 +187,8 @@ def _align(offset: int) -> int:
     return -(-offset // _V2_ALIGN) * _V2_ALIGN
 
 
-def _pack_v2_payload(payload: dict[str, np.ndarray]) -> bytes:
-    """Lay a named-array dict out as a v2 payload (header + TOC + slabs)."""
+def _write_v2(payload: dict[str, np.ndarray]) -> bytearray:
+    """A named-array dict as a v2 archive: header, TOC, slabs, footer."""
     # np.ascontiguousarray would promote 0-d scalars to shape (1,), so
     # only reach for it when the array actually needs a contiguous copy.
     arrays = {}
@@ -216,13 +213,18 @@ def _pack_v2_payload(payload: dict[str, np.ndarray]) -> bytes:
         rel += array.nbytes
     toc = json.dumps({"arrays": entries}, separators=(",", ":")).encode("utf-8")
     data_start = _align(_V2_HEADER.size + len(toc))
-    out = bytearray(data_start + rel)
-    out[: _V2_HEADER.size] = _V2_HEADER.pack(_V2_MAGIC, _V2_VERSION, len(toc))
+    size = data_start + rel
+    out = bytearray(size + _CHECKSUM_FOOTER.size)
+    _V2_HEADER.pack_into(out, 0, _V2_MAGIC, _V2_VERSION, len(toc))
     out[_V2_HEADER.size : _V2_HEADER.size + len(toc)] = toc
     for entry, array in zip(entries, arrays.values()):
-        start = data_start + entry["offset"]
-        out[start : start + array.nbytes] = array.tobytes()
-    return bytes(out)
+        if array.nbytes:
+            np.frombuffer(
+                out, np.uint8, array.nbytes, data_start + entry["offset"]
+            )[:] = array.reshape(-1).view(np.uint8)
+    digest = hashlib.sha1(memoryview(out)[:size]).digest()
+    _CHECKSUM_FOOTER.pack_into(out, size, digest, size, _CHECKSUM_MAGIC)
+    return out
 
 
 def _parse_v2(buf) -> dict[str, np.ndarray]:
@@ -662,9 +664,10 @@ def _grid_from_slabs(
 
 #: One row per declared synopsis type.  Privelet and hierarchy releases
 #: *are* ``UniformGridSynopsis`` instances but carry state the grid row
-#: would drop, so each has its own row (the hierarchy still answers from
-#: its inferred leaf grid).  A subclass of a declared type resolves to
-#: its nearest declared ancestor's row (see :func:`synopsis_kind`).
+#: would drop, so each has its own row; both still answer from their
+#: grid (Privelet's reconstructed counts, the hierarchy's inferred
+#: leaves).  A subclass of a declared type resolves to its nearest
+#: declared ancestor's row (see :func:`synopsis_kind`).
 KINDS: tuple[SynopsisKind, ...] = (
     SynopsisKind(
         "uniform_grid", UniformGridSynopsis, _pack_uniform, _unpack_uniform,
@@ -676,10 +679,7 @@ KINDS: tuple[SynopsisKind, ...] = (
     ),
     SynopsisKind(
         "wavelet", PriveletSynopsis, _pack_wavelet, _unpack_wavelet,
-        lambda s: WaveletRangeEngine.precompute(s.layout, s.coefficients),
-        lambda s, slabs: WaveletRangeEngine.from_slabs(
-            s.layout, s.coefficients, slabs
-        ),
+        _grid_precompute, _grid_from_slabs,
     ),
     SynopsisKind(
         "adaptive_grid", AdaptiveGridSynopsis, _pack_adaptive,

@@ -44,7 +44,7 @@ Spatial trees (quadtree, KD-standard, KD-hybrid) release the flat
 level-order :class:`~repro.baselines.tree.TreeArrays`.  A tree whose
 leaves lie on the ``2^h x 2^h`` lattice of its domain, whose internal
 counts equal their children's sums, and whose lattice prefix is no larger
-than its :class:`FlatTreeEngine` buffers is the piecewise-constant
+than its :class:`FlatTreeEngine` node vectors is the piecewise-constant
 density of a uniform grid: its declared engine pair lowers it onto that
 lattice and answers with :class:`BatchQueryEngine` itself (a default
 quadtree once the data fills it).  Every other tree keeps
@@ -53,7 +53,15 @@ frontier descent: every live (query, node) pair is classified as
 contained / disjoint / partial in one vectorised pass per tree level,
 contained nodes contribute their counts through one ``bincount`` gather,
 partial leaves resolve the uniformity estimate in the same fused pass,
-and only partial internal pairs expand to the next level's frontier.
+a pair the query covers along one axis and cuts once along the other
+reads the node's edge table along that axis (the descent's exact
+answers at every coordinate below the node, interpolated by its leaves'
+ramp), and only the pairs that hold a query corner or are crossed by
+two parallel query edges expand to the next level's frontier.
+
+Privelet and hierarchy releases are grids too: both answer from their
+released (reconstructed or inferred) cell counts through
+:class:`BatchQueryEngine`.
 
 :func:`make_engine` builds the engine of any declared synopsis type
 through its row of :data:`repro.core.serialization.KINDS`, the one table
@@ -75,7 +83,6 @@ __all__ = [
     "FlatAdaptiveGridEngine",
     "FlatTreeEngine",
     "AdaptiveGridEngine",
-    "WaveletRangeEngine",
     "NDPrefixSumEngine",
     "FallbackEngine",
     "compute_engine_slabs",
@@ -632,10 +639,11 @@ class FlatTreeEngine:
 
     Preprocessing copies the released :class:`~repro.baselines.tree.
     TreeArrays` state into per-coordinate node vectors (rect bounds,
-    counts, CSR child offsets, leaf areas).  A batch is answered by
-    level-synchronous frontier descent: the frontier starts as one
-    (query, root) pair per valid query, and each round classifies every
-    frontier pair in one vectorised pass —
+    counts, CSR child offsets, leaf areas) and builds per-node *edge
+    tables* (below).  A batch is answered by level-synchronous frontier
+    descent: the frontier starts as one (query, root) pair per valid
+    query, and each round classifies every frontier pair in one
+    vectorised pass —
 
     * **disjoint** pairs (node rect and closed query share no point)
       are dropped;
@@ -644,15 +652,44 @@ class FlatTreeEngine:
     * **partial leaves** contribute ``count * overlap_fraction`` — the
       same uniformity estimate the scalar descent computes, with
       zero-area leaves counted fully when touched;
-    * **partial internal** pairs expand to their children via
+    * **single-cut** pairs — the query covers the node along one axis
+      and crosses it at exactly one coordinate ``a`` along the other —
+      read the node's edge table along that axis, one lookup instead of
+      a descent of the subtree;
+    * every other partial internal pair (it holds a query corner, or two
+      parallel query edges cross it) expands to its children via
       ``repeat``/``arange`` arithmetic on the CSR offsets.
+
+    A node's table along an axis lists ``E``, the distinct coordinates
+    of every node below it along that axis, with the scalar descent's
+    exact answers for the half-planes ``<= E[k]`` and ``>= E[k]``
+    (``TL``, ``TR``, the query covering the node along the other axis)
+    and the ramp integral ``F[k]`` of its positive-area leaves (each
+    leaf's count times the fraction of it left of ``E[k]``).  The
+    descent's answer jumps only at ``E`` (an uninferred internal count,
+    a zero-area leaf) and changes only by ``F`` between edges, so with
+    ``k`` the last index with ``E[k] <= a`` and ``t = (a - E[k]) /
+    (E[k+1] - E[k])`` an upper query edge reads ``TL[k] + t (F[k+1] -
+    F[k])``, and a lower one reads ``TR[k]`` when ``a == E[k]``, else
+    ``TR[k+1] + (1 - t) (F[k+1] - F[k])``.  That holds for uninferred
+    and inferred trees alike.  A node keeps its table along an axis
+    only if every child spans the node's full extent on that axis —
+    where expanding would turn one single-cut pair into one per child;
+    elsewhere a single-cut pair expands and one child inherits the cut.
+
+    Tables are built bottom-up, one level at a time in bounded chunks:
+    a node's table merges, at each of its edges, the steps of the nodes
+    between it and its nearest tabled descendants and those
+    descendants' own table reads.  Each axis's tables are concatenated
+    in node order and searched with one ``searchsorted`` over an
+    ``int64`` key ``node * len(coords) + rank(edge)``.
 
     Contributions accumulate per query with ``np.bincount``; the loop
     runs at most ``height + 1`` times regardless of batch size.  Answers
     equal ``TreeSynopsis.answer`` up to floating-point rounding: the
     per-pair classification and estimates evaluate the same expressions,
-    but contributions are summed level by level instead of in the scalar
-    path's depth-first order, so the additions associate differently.
+    but contributions are summed in another order than the scalar
+    path's depth-first one.
     """
 
     def __init__(self, synopsis, *, _slabs: dict[str, np.ndarray] | None = None):
@@ -685,7 +722,8 @@ class FlatTreeEngine:
         self._child_offsets = np.asarray(arrays.child_offsets, dtype=np.int64)
         self._fan_out = fan_out
         self._is_leaf = is_leaf
-        self._n_levels = arrays.n_levels
+        self._x_tables = _EdgeTables.from_slabs(slabs, "x", n)
+        self._y_tables = _EdgeTables.from_slabs(slabs, "y", n)
 
     @staticmethod
     def precompute(synopsis) -> dict[str, np.ndarray]:
@@ -693,10 +731,11 @@ class FlatTreeEngine:
 
         The per-coordinate node vectors are strided copies out of the
         released ``rects`` matrix plus derived areas and CSR fan-outs;
-        sealing them keeps each forked worker's private footprint at
-        zero instead of one copy per process.  ``counts`` and
-        ``child_offsets`` are the synopsis's own (already mapped)
-        arrays and are referenced directly, not duplicated.
+        ``counts`` and ``child_offsets`` are the synopsis's own (already
+        mapped) arrays and are referenced directly, not duplicated.  The
+        edge tables of each axis ride beside them as six ``<axis>_*``
+        slabs; sealing it all keeps each forked worker's private
+        footprint at zero instead of one copy per process.
         """
         arrays = synopsis.arrays
         rects = np.asarray(arrays.rects, dtype=float)
@@ -706,23 +745,36 @@ class FlatTreeEngine:
         y_hi = np.ascontiguousarray(rects[:, 3])
         child_offsets = np.asarray(arrays.child_offsets, dtype=np.int64)
         fan_out = child_offsets[1:] - child_offsets[:-1]
-        return {
+        areas = (x_hi - x_lo) * (y_hi - y_lo)
+        slabs = {
             "x_lo": x_lo,
             "y_lo": y_lo,
             "x_hi": x_hi,
             "y_hi": y_hi,
-            "areas": (x_hi - x_lo) * (y_hi - y_lo),
+            "areas": areas,
             "fan_out": fan_out,
             "is_leaf": fan_out == 0,
         }
+        counts = np.asarray(arrays.counts, dtype=float)
+        for axis, lo, hi, height in (
+            ("x", x_lo, x_hi, y_hi - y_lo),
+            ("y", y_lo, y_hi, x_hi - x_lo),
+        ):
+            tables = _build_edge_tables(
+                lo, hi, height, areas, counts, child_offsets,
+                np.asarray(arrays.level_offsets, dtype=np.int64),
+            )
+            slabs.update(tables.slabs(axis))
+        return slabs
 
     @classmethod
     def from_slabs(cls, synopsis, slabs: dict[str, np.ndarray]) -> "FlatTreeEngine":
         """Restore an engine from sealed slabs without rebuilding.
 
-        The slabs may be read-only mmap views; the frontier descent only
-        gathers from them, so restored engines share the archive's
-        physical pages across forked workers.
+        The slabs may be read-only mmap views; the descent only gathers
+        from them, so restored engines share the archive's physical
+        pages across forked workers.  Slabs sealed without edge tables
+        raise ``KeyError``, and :func:`make_engine` then rebuilds.
         """
         return cls(synopsis, _slabs=slabs)
 
@@ -732,10 +784,16 @@ class FlatTreeEngine:
 
     @staticmethod
     def buffer_nbytes(n_nodes: int) -> int:
-        """:attr:`nbytes` of the engine for a tree of ``n_nodes`` nodes,
-        without building it: seven 8-byte vectors per node (bounds,
-        areas, counts, fan-outs), ``n + 1`` child offsets, the leaf mask."""
+        """Bytes of the node vectors of a tree of ``n_nodes`` nodes,
+        without building the engine: seven 8-byte vectors per node
+        (bounds, areas, counts, fan-outs), ``n + 1`` child offsets, the
+        leaf mask.  :attr:`nbytes` adds :attr:`table_nbytes`."""
         return 8 * (8 * n_nodes + 1) + n_nodes
+
+    @property
+    def table_nbytes(self) -> int:
+        """Bytes of the edge tables of both axes."""
+        return self._x_tables.nbytes + self._y_tables.nbytes
 
     @property
     def nbytes(self) -> int:
@@ -744,7 +802,7 @@ class FlatTreeEngine:
             self._x_lo, self._y_lo, self._x_hi, self._y_hi, self._areas,
             self._counts, self._child_offsets, self._fan_out, self._is_leaf,
         )
-        return sum(a.nbytes for a in arrays)
+        return sum(a.nbytes for a in arrays) + self.table_nbytes
 
     def answer_batch(self, rects: list[Rect] | np.ndarray) -> np.ndarray:
         """Uniformity estimates for every rectangle in the batch."""
@@ -758,12 +816,10 @@ class FlatTreeEngine:
         valid = (boxes[:, 2] >= boxes[:, 0]) & (boxes[:, 3] >= boxes[:, 1])
         frontier_q = np.flatnonzero(valid)
         frontier_v = np.zeros(frontier_q.size, dtype=np.int64)
-        qx_lo = boxes[frontier_q, 0]
-        qy_lo = boxes[frontier_q, 1]
-        qx_hi = boxes[frontier_q, 2]
-        qy_hi = boxes[frontier_q, 3]
+        query = boxes[frontier_q]  # one (x_lo, y_lo, x_hi, y_hi) row per pair
 
         while frontier_q.size:
+            qx_lo, qy_lo, qx_hi, qy_hi = query.T
             nx_lo = self._x_lo[frontier_v]
             ny_lo = self._y_lo[frontier_v]
             nx_hi = self._x_hi[frontier_v]
@@ -774,16 +830,21 @@ class FlatTreeEngine:
                 (nx_lo <= qx_hi) & (qx_lo <= nx_hi)
                 & (ny_lo <= qy_hi) & (qy_lo <= ny_hi)
             )
-            contained = (
-                (qx_lo <= nx_lo) & (nx_hi <= qx_hi)
-                & (qy_lo <= ny_lo) & (ny_hi <= qy_hi)
-            )
+            left = qx_lo <= nx_lo
+            right = nx_hi <= qx_hi
+            bottom = qy_lo <= ny_lo
+            top = ny_hi <= qy_hi
+            x_covered = left & right
+            y_covered = bottom & top
+            contained = x_covered & y_covered
             leaf = self._is_leaf[frontier_v]
-            partial_leaf = intersects & ~contained & leaf
+            partial = intersects & ~contained
+            inner = partial & ~leaf
 
-            scores = np.zeros(frontier_q.size)
-            scores[contained] = self._counts[frontier_v[contained]]
-            if partial_leaf.any():
+            pairs = [np.flatnonzero(contained)]
+            scores = [self._counts[frontier_v[pairs[0]]]]
+            partial_leaf = np.flatnonzero(partial & leaf)
+            if partial_leaf.size:
                 pv = frontier_v[partial_leaf]
                 # interval_overlap per axis, then the overlap fraction —
                 # expression for expression what Rect.overlap_fraction
@@ -799,175 +860,343 @@ class FlatTreeEngine:
                 degenerate = areas == 0.0
                 fraction = overlap / np.where(degenerate, 1.0, areas)
                 fraction[degenerate] = 1.0
-                scores[partial_leaf] = self._counts[pv] * fraction
-            contributes = contained | partial_leaf
-            if contributes.any():
+                pairs.append(partial_leaf)
+                scores.append(self._counts[pv] * fraction)
+
+            # Single-cut pairs: covered along one axis, crossed by exactly
+            # one query edge along the other.  A node tabled along that
+            # axis answers with one lookup; the upper edge cuts when the
+            # lower one covers.
+            for tables, covered, low, high, q_lo, q_hi in (
+                (self._x_tables, y_covered, left, right, qx_lo, qx_hi),
+                (self._y_tables, x_covered, bottom, top, qy_lo, qy_hi),
+            ):
+                cut = np.flatnonzero(inner & covered & (low != high))
+                cut = cut[tables.tabled[frontier_v[cut]]]
+                if cut.size:
+                    upper = low[cut]
+                    below, above, _ = tables.lookup(
+                        frontier_v[cut], np.where(upper, q_hi[cut], q_lo[cut])
+                    )
+                    pairs.append(cut)
+                    scores.append(np.where(upper, below, above))
+                    inner[cut] = False
+            pairs = np.concatenate(pairs)
+            if pairs.size:
                 out += np.bincount(
-                    frontier_q[contributes], weights=scores[contributes],
-                    minlength=n,
+                    frontier_q[pairs], weights=np.concatenate(scores), minlength=n
                 )
 
-            # Expand partial internal pairs to (query, child) pairs.
-            expand = intersects & ~contained & ~leaf
-            if not expand.any():
+            # Expand the remaining partial internal pairs to their children.
+            expand = np.flatnonzero(inner)
+            if not expand.size:
                 break
             parents = frontier_v[expand]
             fan_out = self._fan_out[parents]
-            total = int(fan_out.sum())
-            starts = np.cumsum(fan_out) - fan_out
-            local = np.arange(total, dtype=np.int64) - np.repeat(starts, fan_out)
-            frontier_v = np.repeat(self._child_offsets[parents], fan_out) + local
-            frontier_q = np.repeat(frontier_q[expand], fan_out)
-            qx_lo = np.repeat(qx_lo[expand], fan_out)
-            qy_lo = np.repeat(qy_lo[expand], fan_out)
-            qx_hi = np.repeat(qx_hi[expand], fan_out)
-            qy_hi = np.repeat(qy_hi[expand], fan_out)
+            frontier_v = _children(self._child_offsets, parents, fan_out)
+            expand = np.repeat(expand, fan_out)
+            frontier_q = frontier_q[expand]
+            query = query[expand]
         return out
 
 
-class WaveletRangeEngine:
-    """Vectorised Haar range-sum engine for Privelet releases.
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The index ranges ``starts[i] .. starts[i] + lengths[i] - 1``,
+    concatenated in order."""
+    offsets = np.cumsum(lengths) - lengths
+    local = np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(offsets, lengths)
+    return np.repeat(starts, lengths) + local
 
-    The released state is the noisy coefficient matrix ``A`` of the 2-D
-    standard Haar decomposition (padded to ``p x p``, ``p`` a power of
-    two).  A range estimate is the bilinear form ``fx^T R fy`` over the
-    reconstructed counts ``R``, but reconstructing ``R`` is never
-    necessary: writing the form in the coefficient basis gives
 
-    ``fx^T R fy = u(x)^T A v(y)``
+def _children(
+    child_offsets: np.ndarray, nodes: np.ndarray, fan_out: np.ndarray
+) -> np.ndarray:
+    """The children of every node in ``nodes``, concatenated in order."""
+    return _ranges(child_offsets[nodes], fan_out)
 
-    where ``u(x)[k]`` is the integral of basis function ``k`` against the
-    cumulative coverage of ``[0, x]``.  For the unnormalised Haar basis
-    only ``h + 1`` entries of ``u`` are non-zero per endpoint — the base
-    coefficient (weight ``x``, in cell units) and, per level, the single
-    detail coefficient whose support straddles ``x`` (weight
-    ``clip(x - a, 0, s/2) - clip(x - a - s/2, 0, s/2)`` for support
-    ``[a, a + s)``).  A batch is answered with ``4 (h + 1)^2`` vectorised
-    coefficient gathers — ``O(log^2 p)`` terms per query instead of the
-    ``O(p^2)`` cells a reconstruction-based prefix engine pays to
-    prepare.
 
-    The four-corner inclusion-exclusion is evaluated in the nested form
-    ``wy1 (wx1 A[kx1, ky1] - wx0 A[kx0, ky1]) - wy0 (...)`` so both
-    zero-width and zero-height queries cancel term by term; degenerate,
-    inverted, and NaN rows additionally answer exactly 0 through the
-    same mask :class:`BatchQueryEngine` applies.  Padding columns never
-    contribute: clipped endpoints satisfy ``x <= m <= p``, so the
-    cumulative coverage of every padding cell is 0.
+#: Tabled nodes merged per construction pass, which bounds the
+#: transient arrays of one pass on a wide tree level.
+_TABLE_CHUNK = 4096
+
+
+class _EdgeTables:
+    """One axis's edge tables (see :class:`FlatTreeEngine`).
+
+    ``coords`` are the tree's distinct coordinates along the axis;
+    entry ``i`` of the concatenated tables belongs to node ``keys[i] //
+    len(coords)`` at edge ``coords[keys[i] % len(coords)]`` and carries
+    ``below`` (``TL``), ``above`` (``TR``) and ``ramp`` (``F``);
+    ``tabled`` marks the nodes that keep a table.
     """
 
-    def __init__(self, layout: GridLayout, coefficients: np.ndarray):
-        coefficients = np.asarray(coefficients, dtype=float)
-        if (
-            coefficients.ndim != 2
-            or coefficients.shape[0] != coefficients.shape[1]
-        ):
-            raise ValueError(
-                f"coefficients must be square, got {coefficients.shape}"
-            )
-        p = coefficients.shape[0]
-        if p < 1 or (p & (p - 1)):
-            raise ValueError(f"coefficient size must be a power of two, got {p}")
-        if p < max(layout.shape):
-            raise ValueError(
-                f"coefficient size {p} smaller than grid {layout.shape}"
-            )
-        self._layout = layout
-        self._coefficients = coefficients
-        self._p = p
-        self._h = p.bit_length() - 1
+    FIELDS = ("coords", "keys", "below", "above", "ramp", "tabled")
 
-    @staticmethod
-    def precompute(layout: GridLayout, coefficients: np.ndarray) -> dict[str, np.ndarray]:
-        """Derived buffers to seal into a v2 archive at release time.
-
-        Empty by design: the released coefficient matrix *is* the
-        prepared state (no prefix sums or level stacks are derived), so
-        a restored engine is already zero-copy over the mapped archive.
-        The empty dict still marks the archive as sealed, which is what
-        lets the serving layer count the restore as a warm load.
-        """
-        return {}
+    def __init__(self, coords, keys, below, above, ramp, tabled):
+        self.coords = coords
+        self.keys = keys
+        self.below = below
+        self.above = above
+        self.ramp = ramp
+        self.tabled = tabled
 
     @classmethod
-    def from_slabs(
-        cls,
-        layout: GridLayout,
-        coefficients: np.ndarray,
-        slabs: dict[str, np.ndarray],
-    ) -> "WaveletRangeEngine":
-        """Restore an engine over the (possibly mapped) coefficients."""
-        del slabs  # nothing derived to restore; see precompute
-        return cls(layout, coefficients)
+    def from_slabs(cls, slabs: dict[str, np.ndarray], axis: str, n_nodes: int):
+        coords, keys, below, above, ramp, tabled = (
+            np.asarray(slabs[f"{axis}_{name}"]) for name in cls.FIELDS
+        )
+        m = keys.shape
+        if (
+            coords.ndim != 1
+            or coords.size == 0
+            or keys.ndim != 1
+            or below.shape != m
+            or above.shape != m
+            or ramp.shape != m
+            or tabled.shape != (n_nodes,)
+        ):
+            raise ValueError(
+                f"sealed {axis} edge tables do not match a tree of "
+                f"{n_nodes} nodes"
+            )
+        return cls(
+            coords.astype(float, copy=False), keys.astype(np.int64, copy=False),
+            below.astype(float, copy=False), above.astype(float, copy=False),
+            ramp.astype(float, copy=False), tabled.astype(bool, copy=False),
+        )
 
-    @property
-    def layout(self) -> GridLayout:
-        return self._layout
+    def slabs(self, axis: str) -> dict[str, np.ndarray]:
+        return {f"{axis}_{name}": getattr(self, name) for name in self.FIELDS}
 
     @property
     def nbytes(self) -> int:
-        """In-memory footprint of the prepared buffers."""
-        return self._coefficients.nbytes
+        return sum(getattr(self, name).nbytes for name in self.FIELDS)
 
-    def _endpoint_terms(self, xs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-level ``(coefficient index, weight)`` pairs for endpoints.
+    def lookup(
+        self, nodes: np.ndarray, a: np.ndarray, rank: np.ndarray | None = None
+    ):
+        """``(TL, TR, F)`` of each node's table read at coordinate ``a``:
+        the upper-edge rule, the lower-edge rule and the ramp integral
+        (``a`` lies within the node's extent; ``rank``, when given, is
+        the index of the last coordinate ``<= a``)."""
+        size = self.coords.size
+        base = nodes * size
+        if rank is None:
+            rank = np.searchsorted(self.coords, a, side="right") - 1
+        k = np.searchsorted(self.keys, base + rank, side="right") - 1
+        k1 = np.minimum(k + 1, self.keys.size - 1)
+        e0 = self.coords[self.keys[k] - base]
+        # k + 1 leaves the node's table only for a lower edge on its far
+        # boundary, which reads TR[k] alone.
+        e1 = self.coords[np.clip(self.keys[k1] - base, 0, size - 1)]
+        at_edge = a == e0
+        t = np.where(at_edge, 0.0, (a - e0) / np.where(at_edge, 1.0, e1 - e0))
+        rise = self.ramp[k1] - self.ramp[k]
+        below = self.below[k] + t * rise
+        above = np.where(at_edge, self.above[k], self.above[k1] + (1.0 - t) * rise)
+        return below, above, self.ramp[k] + t * rise
 
-        ``xs`` holds positions in cell units (0 .. m <= p).  Entry 0 is
-        the base coefficient (index 0, weight ``x``); entry ``l + 1`` is
-        level ``l``'s straddling detail coefficient.
-        """
-        terms = [(np.zeros(xs.size, dtype=np.int64), xs)]
-        for level in range(self._h):
-            support = self._p >> level  # s = p / 2^l, >= 2
-            half = support // 2
-            t = np.minimum(
-                (xs // support).astype(np.int64), (1 << level) - 1
+
+def _build_edge_tables(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    height: np.ndarray,
+    areas: np.ndarray,
+    counts: np.ndarray,
+    child_offsets: np.ndarray,
+    level_offsets: np.ndarray,
+) -> _EdgeTables:
+    """One axis's edge tables, built bottom-up (see :class:`FlatTreeEngine`).
+
+    ``lo``/``hi`` are the nodes' bounds along the axis, ``height`` their
+    extents along the other one.  Each pass merges a chunk of one
+    level's tabled nodes from the *items* below them: the nodes reached
+    from their children through untabled internal nodes, stopping at
+    tabled nodes and leaves.  Along the half-plane ``<= a`` an item
+    counts fully on ``[hi, parent's hi)`` (contained while its parent is
+    cut; from ``lo`` for a zero-area leaf), and while cut a tabled item
+    reads its own table and a positive-area leaf its uniformity
+    fraction; ``>= a`` mirrors it.  Steps are summed by one segmented
+    scan per table, cut items are evaluated at the table's edges.
+    """
+    n = lo.size
+    fan_out = child_offsets[1:] - child_offsets[:-1]
+    leaf = fan_out == 0
+    flat = leaf & (areas == 0.0)
+    coords = np.unique(np.concatenate([lo, hi]))
+    size = coords.size
+    rank_lo = np.searchsorted(coords, lo)
+    rank_hi = np.searchsorted(coords, hi)
+    # The span rule: keep a table only where every child spans the node.
+    parent = np.repeat(np.arange(n), fan_out)  # of nodes 1 .. n - 1
+    narrower = (lo[1:] != lo[parent]) | (hi[1:] != hi[parent])
+    tabled = ~leaf & (np.bincount(parent, weights=narrower, minlength=n) == 0)
+    tables = _EdgeTables(
+        coords, np.empty(0, dtype=np.int64), np.empty(0), np.empty(0),
+        np.empty(0), tabled,
+    )
+    # Where each built table sits: tables are prepended level by level,
+    # so a table's first entry is fixed counted back from the end.
+    from_end = np.zeros(n, dtype=np.int64)
+    length = np.zeros(n, dtype=np.int64)
+
+    def merge(nodes: np.ndarray):
+        # Items, each with its owning table and its parent item (-1: the
+        # table's own node).
+        owner = np.repeat(np.arange(nodes.size), fan_out[nodes])
+        item = _children(child_offsets, nodes, fan_out[nodes])
+        up = np.full(item.size, -1)
+        owners, items, ups = [owner], [item], [up]
+        done = 0
+        while True:
+            walk = np.flatnonzero(~leaf[item] & ~tabled[item])
+            if not walk.size:
+                break
+            fan = fan_out[item[walk]]
+            owner = np.repeat(owner[walk], fan)
+            up = np.repeat(done + walk, fan)
+            done += item.size
+            item = _children(child_offsets, item[walk], fan)
+            owners.append(owner)
+            items.append(item)
+            ups.append(up)
+        owner = np.concatenate(owners)
+        item = np.concatenate(items)
+        up = np.concatenate(ups)
+
+        # The table's edges: every item's own and a tabled item's edges.
+        sub = tabled[item]
+        t_first = tables.keys.size - from_end[item[sub]]
+        t_count = length[item[sub]]
+        t_entry = _ranges(t_first, t_count)
+        local, where = np.unique(
+            np.concatenate([
+                owner * size + rank_lo[item],
+                owner * size + rank_hi[item],
+                np.repeat(owner[sub], t_count) * size + tables.keys[t_entry] % size,
+            ]),
+            return_inverse=True,
+        )
+        m = local.size
+        j_lo, j_hi = where[: item.size], where[item.size : 2 * item.size]
+        first = np.searchsorted(local, np.arange(nodes.size) * size)
+        last = np.append(first[1:], m) - 1
+        # A child of the table's node has the table's first and last
+        # edges as its parent's bounds.
+        up_lo = np.where(up >= 0, j_lo[up], first[owner])
+        up_hi = np.where(up >= 0, j_hi[up], last[owner])
+        c = counts[item]
+        zero = flat[item]
+        # Ramp totals: a positive-area leaf's count, a tabled item's F
+        # at its far edge.
+        full = np.where(leaf[item] & ~zero, c, 0.0)
+        full[sub] = tables.ramp[t_first + t_count - 1]
+        below = _scan(
+            np.bincount(
+                np.concatenate([np.where(zero, j_lo, j_hi), up_hi]),
+                weights=np.concatenate([c, -c]), minlength=m,
+            ),
+            first, last,
+        )
+        above = _scan(
+            np.bincount(
+                np.concatenate([np.where(zero, j_hi, j_lo), up_lo]),
+                weights=np.concatenate([c, -c]), minlength=m,
+            ),
+            first, last, reverse=True,
+        )
+        ramp = _scan(
+            np.bincount(
+                np.concatenate([j_hi, last[owner]]),
+                weights=np.concatenate([full, -full]), minlength=m,
+            ),
+            first, last,
+        )
+
+        # Cut items: every table edge within a tabled item or a
+        # positive-area leaf, read from its table or its fraction.
+        cut = sub | (leaf[item] & ~zero)
+        span = j_hi[cut] - j_lo[cut] + 1
+        entry = _ranges(j_lo[cut], span)
+        node = np.repeat(item[cut], span)
+        rank = local[entry] % size
+        e = coords[rank]
+        b = np.empty(e.size)
+        a = np.empty(e.size)
+        f = np.empty(e.size)
+        in_table = tabled[node]
+        if in_table.any():
+            b[in_table], a[in_table], f[in_table] = tables.lookup(
+                node[in_table], e[in_table], rank[in_table]
             )
-            start = t * support
-            weight = np.clip(xs - start, 0.0, half) - np.clip(
-                xs - start - half, 0.0, half
-            )
-            terms.append(((1 << level) + t, weight))
-        return terms
+        in_leaf = ~in_table
+        lv = node[in_leaf]
+        w = counts[lv]
+        left = ((e[in_leaf] - lo[lv]) * height[lv]) / areas[lv]
+        b[in_leaf] = f[in_leaf] = w * left
+        a[in_leaf] = w * (((hi[lv] - e[in_leaf]) * height[lv]) / areas[lv])
+        lower = e < hi[node]
+        higher = e > lo[node]
+        inside = lower & higher
+        below += np.bincount(entry[lower], weights=b[lower], minlength=m)
+        above += np.bincount(entry[higher], weights=a[higher], minlength=m)
+        ramp += np.bincount(entry[inside], weights=f[inside], minlength=m)
+        ramp[last] = np.bincount(owner, weights=full, minlength=nodes.size)
+        keys = nodes[local // size] * size + local % size
+        return keys, below, above, ramp, first
 
-    def answer_batch(self, rects: list[Rect] | np.ndarray) -> np.ndarray:
-        """Uniformity estimates for every rectangle in the batch."""
-        boxes = rects_to_boxes(rects)
-        n = boxes.shape[0]
-        if n == 0:
-            return np.zeros(0)
-        bounds = self._layout.domain.bounds
-        mx, my = self._layout.shape
-        x_lo = (boxes[:, 0] - bounds.x_lo) / self._layout.cell_width
-        y_lo = (boxes[:, 1] - bounds.y_lo) / self._layout.cell_height
-        x_hi = (boxes[:, 2] - bounds.x_lo) / self._layout.cell_width
-        y_hi = (boxes[:, 3] - bounds.y_lo) / self._layout.cell_height
-        x_lo = np.clip(x_lo, 0.0, mx)
-        x_hi = np.clip(x_hi, 0.0, mx)
-        y_lo = np.clip(y_lo, 0.0, my)
-        y_hi = np.clip(y_hi, 0.0, my)
-        # Same contract as BatchQueryEngine: degenerate, inverted, and
-        # NaN rows answer exactly 0 (NaN would poison the index cast).
-        empty = ~((x_hi > x_lo) & (y_hi > y_lo))
-        if empty.any():
-            x_lo = np.where(empty, 0.0, x_lo)
-            x_hi = np.where(empty, 0.0, x_hi)
-            y_lo = np.where(empty, 0.0, y_lo)
-            y_hi = np.where(empty, 0.0, y_hi)
+    for level in range(level_offsets.size - 2, -1, -1):
+        start, stop = level_offsets[level], level_offsets[level + 1]
+        nodes = np.flatnonzero(tabled[start:stop]) + start
+        if not nodes.size:
+            continue
+        parts = [
+            merge(nodes[i : i + _TABLE_CHUNK])
+            for i in range(0, nodes.size, _TABLE_CHUNK)
+        ]
+        sizes = [part[0].size for part in parts]
+        firsts = np.concatenate([
+            part[4] + offset
+            for part, offset in zip(parts, np.cumsum(sizes) - sizes)
+        ])
+        added = int(sum(sizes))
+        # Deeper levels hold larger node indices: prepending keeps the
+        # concatenated keys sorted.
+        tables = _EdgeTables(
+            coords,
+            *(
+                np.concatenate([*(part[i] for part in parts), old])
+                for i, old in enumerate(
+                    (tables.keys, tables.below, tables.above, tables.ramp)
+                )
+            ),
+            tabled,
+        )
+        from_end[nodes] = tables.keys.size - firsts
+        length[nodes] = np.diff(np.append(firsts, added))
+    return tables
 
-        a = self._coefficients
-        terms_x0 = self._endpoint_terms(x_lo)
-        terms_x1 = self._endpoint_terms(x_hi)
-        terms_y0 = self._endpoint_terms(y_lo)
-        terms_y1 = self._endpoint_terms(y_hi)
-        estimate = np.zeros(n)
-        for (kx0, wx0), (kx1, wx1) in zip(terms_x0, terms_x1):
-            for (ky0, wy0), (ky1, wy1) in zip(terms_y0, terms_y1):
-                estimate += wy1 * (
-                    wx1 * a[kx1, ky1] - wx0 * a[kx0, ky1]
-                ) - wy0 * (wx1 * a[kx1, ky0] - wx0 * a[kx0, ky0])
-        estimate[empty] = 0.0
-        return estimate
+
+def _scan(
+    deltas: np.ndarray, first: np.ndarray, last: np.ndarray, reverse: bool = False
+) -> np.ndarray:
+    """Running sums of ``deltas`` restarted at each table (``first`` ..
+    ``last``), from the left or, with ``reverse``, from the right.
+
+    One global ``cumsum``, less its value before each table.  Every
+    table's steps sum to zero (``F``'s total is taken back at its last
+    entry and written there afterwards), so the running total stays at
+    the size of one table's values and no table inherits another's
+    rounding scale.
+    """
+    lengths = last - first + 1
+    if reverse:
+        running = np.cumsum(deltas[::-1])[::-1]
+        base = np.append(running, 0.0)[last + 1]
+    else:
+        running = np.cumsum(deltas)
+        base = np.concatenate([[0.0], running])[first]
+    return running - np.repeat(base, lengths)
 
 
 class NDPrefixSumEngine:

@@ -30,6 +30,7 @@ from repro.queries.engine import (
 )
 from repro.service.keys import make_builder, method_names
 from tests.v1_archive import v1_archive_bytes
+from tests.v2_reference import v2_reference_bytes
 
 #: sha1 (20) + payload length (8) + magic (8): the integrity footer.
 _FOOTER_BYTES = 36
@@ -58,6 +59,15 @@ def batch_answers(synopsis):
 
 class TestRoundTripMatrix:
     """v1 and v2 restores are bit-identical for every servable method."""
+
+    @pytest.mark.parametrize("method", method_names())
+    def test_one_buffer_writer_matches_reference(self, dataset, method):
+        """Filling one preallocated buffer writes exactly the bytes of
+        the step-by-step reference layout."""
+        synopsis = build(dataset, method)
+        archive = synopsis_to_bytes(synopsis)
+        assert isinstance(archive, bytearray)
+        assert archive == v2_reference_bytes(synopsis)
 
     @pytest.mark.parametrize("method", method_names())
     def test_formats_agree_bit_for_bit(self, dataset, method, tmp_path):

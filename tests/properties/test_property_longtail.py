@@ -35,8 +35,8 @@ from repro.extensions.multidim import (
     NDUniformGridBuilder,
 )
 from repro.queries.engine import (
+    BatchQueryEngine,
     NDPrefixSumEngine,
-    WaveletRangeEngine,
     make_engine,
     scalar_answer_batch,
 )
@@ -110,7 +110,7 @@ def test_wavelet_engine_matches_scalar_bitwise(domain, m, seed):
         dataset, 1.0, np.random.default_rng(seed)
     )
     engine = make_engine(synopsis)
-    assert isinstance(engine, WaveletRangeEngine)
+    assert isinstance(engine, BatchQueryEngine)
     boxes = query_mix(domain, seed)
     np.testing.assert_array_equal(
         engine.answer_batch(boxes), scalar_answer_batch(synopsis, boxes)
@@ -121,7 +121,7 @@ def test_wavelet_engine_matches_scalar_bitwise(domain, m, seed):
 @settings(max_examples=20, deadline=None)
 @given(domains(), grid_sizes, seeds)
 def test_wavelet_engine_matches_grid_estimate(domain, m, seed):
-    """The coefficient-space evaluation equals the reconstructed-grid form."""
+    """The served engine equals the reconstructed-grid form."""
     dataset = make_gaussian_mixture(400, n_clusters=3, rng=seed, domain=domain)
     synopsis = PriveletBuilder(grid_size=m).fit(
         dataset, 1.0, np.random.default_rng(seed)

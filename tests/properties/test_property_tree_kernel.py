@@ -6,10 +6,14 @@ Two equivalences pin the kernel to its recursive references:
   **bit-identical** to ``infer_tree`` over the equivalent ``CountNode``
   graph — including unbalanced trees, single-node trees, unmeasured
   internals, and variance-infinity roots.
-* ``FlatTreeEngine`` (level-synchronous frontier descent) must match
-  ``TreeSynopsis.answer``'s recursive descent up to floating-point
-  rounding on adversarial query mixes: boundary-aligned, duplicated,
-  degenerate, inverted, and out-of-domain rectangles.
+* ``FlatTreeEngine`` (level-synchronous frontier descent with edge
+  tables) must match ``TreeSynopsis.answer``'s recursive descent up to
+  floating-point rounding on adversarial query mixes: boundary-aligned,
+  duplicated, degenerate, inverted, and out-of-domain rectangles, and
+  single-cut rectangles whose one crossing edge lies strictly inside a
+  node, on a node edge or on a leaf edge — over uninferred and inferred
+  trees whose splits may produce zero-width children and zero-area
+  leaves.
 """
 
 import math
@@ -31,10 +35,15 @@ from repro.queries.engine import FlatTreeEngine, scalar_answer_batch
 counts = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 variances = st.floats(min_value=0.01, max_value=100.0, allow_nan=False)
 fractions = st.floats(min_value=0.1, max_value=0.9)
+#: Split fractions that include 0 and 1: a zero-width child, and so
+#: zero-area leaves, which the descent counts fully when touched.
+edge_fractions = st.one_of(st.sampled_from([0.0, 1.0]), fractions)
 
 
 @st.composite
-def random_spatial_trees(draw, max_depth: int = 4) -> SpatialNode:
+def random_spatial_trees(
+    draw, max_depth: int = 4, split_fractions=fractions
+) -> SpatialNode:
     """A random measured spatial tree whose children partition parents.
 
     Shapes are deliberately ragged: each internal node draws its own
@@ -56,8 +65,8 @@ def random_spatial_trees(draw, max_depth: int = 4) -> SpatialNode:
                 depth=level,
             )
         if draw(st.booleans()):  # quadrant split
-            fx = rect.x_lo + draw(fractions) * rect.width
-            fy = rect.y_lo + draw(fractions) * rect.height
+            fx = rect.x_lo + draw(split_fractions) * rect.width
+            fy = rect.y_lo + draw(split_fractions) * rect.height
             child_rects = [
                 Rect(rect.x_lo, rect.y_lo, fx, fy),
                 Rect(fx, rect.y_lo, rect.x_hi, fy),
@@ -67,13 +76,13 @@ def random_spatial_trees(draw, max_depth: int = 4) -> SpatialNode:
         else:  # axis split
             axis = draw(st.integers(min_value=0, max_value=1))
             if axis == 0:
-                split = rect.x_lo + draw(fractions) * rect.width
+                split = rect.x_lo + draw(split_fractions) * rect.width
                 child_rects = [
                     Rect(rect.x_lo, rect.y_lo, split, rect.y_hi),
                     Rect(split, rect.y_lo, rect.x_hi, rect.y_hi),
                 ]
             else:
-                split = rect.y_lo + draw(fractions) * rect.height
+                split = rect.y_lo + draw(split_fractions) * rect.height
                 child_rects = [
                     Rect(rect.x_lo, rect.y_lo, rect.x_hi, split),
                     Rect(rect.x_lo, split, rect.x_hi, rect.y_hi),
@@ -210,6 +219,81 @@ def test_flat_tree_engine_matches_scalar_answer(root, rects):
     flat = engine.answer_batch(rects)
     scalar = np.array([synopsis.answer(rect) for rect in rects])
     np.testing.assert_allclose(flat, scalar, rtol=1e-9, atol=1e-9)
+
+
+@st.composite
+def releases_with_single_cuts(draw, max_queries: int = 16):
+    """A tree release and rectangles that each cover one node along one
+    axis and cross it at one coordinate along the other.
+
+    The tree's splits may sit at fraction 0 or 1.  Half the releases are
+    uninferred (every node its own count, as KD-standard releases) and
+    half inferred (internals equal their children's sums, as KD-hybrid
+    releases).  The crossing coordinate lies strictly inside the node,
+    on some node's edge or on some leaf's edge; the covered axis is
+    matched exactly or overshot, and the far query edge likewise.
+    """
+    root = draw(random_spatial_trees(split_fractions=edge_fractions))
+    arrays = TreeArrays.from_root(root)
+    if draw(st.booleans()):
+        apply_tree_inference_arrays(arrays)
+    else:
+        arrays.counts[:] = draw(
+            st.lists(counts, min_size=arrays.n_nodes, max_size=arrays.n_nodes)
+        )
+    rects = arrays.rects
+    leaves = np.flatnonzero(arrays.leaf_mask)
+    pads = st.sampled_from([0.0, 0.25])
+    boxes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_queries))):
+        node = draw(st.integers(min_value=0, max_value=arrays.n_nodes - 1))
+        axis = draw(st.integers(min_value=0, max_value=1))
+        lo, hi = rects[node, axis], rects[node, axis + 2]
+        where = draw(st.sampled_from(["inside", "node edge", "leaf edge"]))
+        if where == "inside":
+            a = lo + draw(
+                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+            ) * (hi - lo)
+        else:
+            pool = leaves if where == "leaf edge" else np.arange(arrays.n_nodes)
+            other = pool[draw(st.integers(min_value=0, max_value=pool.size - 1))]
+            a = rects[other, axis + 2 * draw(st.integers(min_value=0, max_value=1))]
+        if draw(st.booleans()):
+            cut_lo, cut_hi = lo - draw(pads), a  # the upper edge crosses
+        else:
+            cut_lo, cut_hi = a, hi + draw(pads)  # the lower edge crosses
+        cover_lo = rects[node, 1 - axis] - draw(pads)
+        cover_hi = rects[node, 3 - axis] + draw(pads)
+        if axis == 0:
+            boxes.append([cut_lo, cover_lo, cut_hi, cover_hi])
+        else:
+            boxes.append([cover_lo, cut_lo, cover_hi, cut_hi])
+    return TreeSynopsis(Domain2D.unit(), 1.0, arrays), np.array(boxes)
+
+
+@settings(max_examples=150)
+@given(releases_with_single_cuts())
+def test_edge_tables_match_scalar_on_single_cuts(release):
+    synopsis, boxes = release
+    engine = FlatTreeEngine(synopsis)
+    scalar = scalar_answer_batch(synopsis, boxes)
+    scale = max(1.0, float(np.abs(scalar).max()))
+    np.testing.assert_allclose(
+        engine.answer_batch(boxes), scalar, rtol=1e-9, atol=1e-9 * scale
+    )
+
+
+@settings(max_examples=60)
+@given(releases_with_single_cuts(), query_batches())
+def test_edge_tables_match_scalar_on_mixed_batches(release, rects):
+    """Zero-area leaves and uninferred counts under the general query mix."""
+    synopsis, _ = release
+    engine = FlatTreeEngine(synopsis)
+    scalar = scalar_answer_batch(synopsis, rects)
+    scale = max(1.0, float(np.abs(scalar).max()))
+    np.testing.assert_allclose(
+        engine.answer_batch(rects), scalar, rtol=1e-9, atol=1e-9 * scale
+    )
 
 
 @settings(max_examples=40)

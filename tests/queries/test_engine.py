@@ -464,8 +464,42 @@ class TestMakeEngine:
         synopsis = builder.fit(small_skewed, 1.0, rng)
         engine = make_engine(synopsis)
         assert isinstance(engine, FlatTreeEngine)
-        # The size rule's estimate is the engine's real footprint.
-        assert engine.nbytes == FlatTreeEngine.buffer_nbytes(synopsis.node_count())
+        # The size rule's estimate is the engine's node vectors; its
+        # edge tables come on top.
+        assert engine.nbytes == (
+            FlatTreeEngine.buffer_nbytes(synopsis.node_count())
+            + engine.table_nbytes
+        )
+
+    @pytest.mark.parametrize("method", ["Kst", "Khy"])
+    def test_kd_trees_match_scalar_on_query_ladder(
+        self, small_skewed, small_workload, rng, method
+    ):
+        """The edge-table kernel equals the scalar descent on clustered
+        KD-standard (uninferred) and KD-hybrid (inferred) releases: the
+        q1-q6 ladder plus out-of-domain, inverted and NaN rows."""
+        from repro.baselines.kd_tree import KDHybridBuilder, KDStandardBuilder
+        from repro.core.geometry import rects_to_boxes
+        from repro.queries.engine import FlatTreeEngine
+
+        builder = {"Kst": KDStandardBuilder, "Khy": KDHybridBuilder}[method]()
+        synopsis = builder.fit(small_skewed, 1.0, rng)
+        engine = make_engine(synopsis)
+        assert isinstance(engine, FlatTreeEngine)
+        extra = np.array([
+            [-0.5, -0.5, 1.5, 1.5],  # covers the domain
+            [1.2, 1.2, 1.5, 1.5],  # outside it
+            [-0.3, 0.2, 0.4, 1.6],  # crosses its boundary
+            [0.7, 0.2, 0.3, 0.6],  # inverted
+            [np.nan, 0.1, 0.9, 0.9],
+            [0.1, 0.1, 0.9, np.nan],
+        ])
+        boxes = np.vstack([rects_to_boxes(small_workload.all_rects()), extra])
+        scalar = scalar_answer_batch(synopsis, boxes)
+        scale = max(1.0, float(np.abs(scalar).max()))
+        np.testing.assert_allclose(
+            engine.answer_batch(boxes), scalar, rtol=1e-9, atol=1e-9 * scale
+        )
 
     def test_pruned_deep_quadtree_keeps_frontier_kernel(self, rng):
         """One tight cluster: a depth-12 quadtree splits only along its

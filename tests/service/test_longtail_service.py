@@ -18,11 +18,7 @@ import pytest
 from repro.baselines.hierarchy import HierarchicalGridSynopsis
 from repro.baselines.privelet import PriveletSynopsis
 from repro.extensions.multidim import MultiDimGridSynopsis
-from repro.queries.engine import (
-    BatchQueryEngine,
-    NDPrefixSumEngine,
-    WaveletRangeEngine,
-)
+from repro.queries.engine import BatchQueryEngine, NDPrefixSumEngine
 from repro.service import protocol
 from repro.service.errors import BudgetRefused
 from repro.service.keys import ReleaseKey
@@ -44,7 +40,7 @@ EXPECTED_TYPE = {
 
 EXPECTED_ENGINE = {
     "Hier": BatchQueryEngine,
-    "Privelet": WaveletRangeEngine,
+    "Privelet": BatchQueryEngine,
     "UGnd": NDPrefixSumEngine,
 }
 

@@ -139,12 +139,14 @@ class TestSealedEngineLoads:
         assert stats["engine_sealed_loads"] == 1
         assert stats["engine_cold_starts"] == 0
 
-    @pytest.mark.parametrize("method", ["AG", "Quad"])
+    @pytest.mark.parametrize("method", ["AG", "Quad", "Kst", "Privelet"])
     def test_stale_sealed_slabs_count_as_cold_start(self, tmp_path, method):
         """A v2 archive sealed by the previous kernels (AG's CSR prefix
-        and totals prefix alone; a quadtree's frontier-descent vectors)
-        cannot restore today's engine: it is rebuilt, answers match the
-        scalar oracle, and the rebuild counts as a cold start."""
+        and totals prefix alone; a quadtree's frontier-descent vectors;
+        a KD-standard tree's seven node vectors without edge tables;
+        Privelet's empty coefficient-space sealing) cannot restore
+        today's engine: it is rebuilt, answers match the scalar oracle,
+        and the rebuild counts as a cold start."""
         from repro.core.serialization import synopsis_to_bytes
         from repro.queries.engine import (
             BatchQueryEngine,
@@ -153,24 +155,35 @@ class TestSealedEngineLoads:
             scalar_answer_batch,
         )
 
-        if method == "AG":
-            k, options = key(method=method), {}
-        else:
+        if method == "Quad":
             # Enough points that the default quadtree lowers onto its
             # lattice, as at full scale; small trees keep the frontier.
             k, options = key(method=method, dataset="landmark"), {
                 "n_points": 100_000
             }
+        else:
+            k, options = key(method=method), {}
         synopsis, _ = _store(tmp_path, **options).build(k)
+        slabs = synopsis.sealed_engine_slabs
         if method == "AG":
-            slabs = synopsis.sealed_engine_slabs
             stale = {
                 name: slabs[name]
                 for name in ("prefix", "prefix_offsets", "totals_prefix")
             }
-        else:
+        elif method == "Quad":
             assert isinstance(make_engine(synopsis), BatchQueryEngine)
             stale = FlatTreeEngine.precompute(synopsis)
+        elif method == "Kst":
+            assert isinstance(make_engine(synopsis), FlatTreeEngine)
+            stale = {
+                name: slabs[name]
+                for name in (
+                    "x_lo", "y_lo", "x_hi", "y_hi", "areas", "fan_out",
+                    "is_leaf",
+                )
+            }
+        else:
+            stale = {}
         synopsis.seal_engine_slabs(stale)
         (tmp_path / f"{k.slug()}.npz").write_bytes(
             synopsis_to_bytes(synopsis)
