@@ -35,7 +35,7 @@ test-faults:
 	$(PYTHON) -m pytest tests/faults -q
 
 test-ingest:
-	$(PYTHON) -m pytest tests/faults/test_wal.py tests/faults/test_ingest_crash.py tests/faults/test_ledger_lock.py tests/service/test_ingest.py tests/service/test_ingest_http.py -q
+	$(PYTHON) -m pytest tests/faults/test_wal.py tests/faults/test_ingest_crash.py tests/tenant/test_catalog_lock.py tests/service/test_ingest.py tests/service/test_ingest_http.py -q
 
 test-tenant:
 	$(PYTHON) -m pytest tests/tenant -q

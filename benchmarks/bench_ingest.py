@@ -26,7 +26,6 @@ JSON untouched.
 """
 
 import hashlib
-import json
 import os
 import shutil
 import tempfile
@@ -241,7 +240,7 @@ def test_replay_bit_identity():
         else:
             manager.ingest("storage", 0, "batch-1", batch)
         archive = (store_dir / f"{KEY.slug()}.npz").read_bytes()
-        ledger = json.loads((store_dir / "budgets.json").read_text())
+        ledger = store.catalog.load_budgets("default")
         manager.close()
         return hashlib.sha256(archive).hexdigest(), ledger
 

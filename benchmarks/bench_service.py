@@ -383,7 +383,6 @@ def test_service_auth_overhead_on_warm_binary_path(tmp_path):
             "127.0.0.1",
             0,
             authenticator=ApiKeyAuthenticator(catalog),
-            catalog=catalog,
         ),
     }
     threads = []

@@ -77,12 +77,10 @@ class ApiKeyAuthenticator(Authenticator):
         return self._catalog.resolve_api_key(token)
 
 
-def make_authenticator(mode: str, catalog: Catalog | None) -> Authenticator:
+def make_authenticator(mode: str, catalog: Catalog) -> Authenticator:
     """Build the authenticator for an ``--auth`` mode string."""
     if mode == "off":
         return NullAuthenticator()
     if mode == "require":
-        if catalog is None:
-            raise ValueError("--auth require needs a metadata catalog")
         return ApiKeyAuthenticator(catalog)
     raise ValueError(f"unknown auth mode {mode!r} (use 'off' or 'require')")

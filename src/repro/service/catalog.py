@@ -12,27 +12,28 @@ One :class:`Catalog` file holds everything the serving layer knows
 * **dataset registrations** — the tenant-scoped CRUD objects behind
   ``POST/GET/DELETE /datasets``, listed with stable rowid cursors.
 * **release metadata** — which release slugs each tenant has built.
-* **the per-tenant privacy ledger** — every epsilon spend, in spend
-  order, with the per-dataset-instance totals.  This is the catalog's
-  load-bearing table: check-then-spend runs inside one ``BEGIN
-  IMMEDIATE`` transaction (:meth:`Catalog.exclusive`), so two server
-  processes sharing the file can never interleave a double spend — the
-  SQLite-native equivalent of the ``budgets.json`` flock protocol.
+* **the privacy ledger** — the service's only record of epsilon spent:
+  per tenant and dataset instance, the budget total and every spend in
+  spend order.  A spend appends one row inside a ``BEGIN IMMEDIATE``
+  transaction (:meth:`Catalog.exclusive`) that also re-reads the rows it
+  checks against, so two threads or server processes sharing the file
+  can never interleave a double spend.
 
-**Migration.**  :meth:`Catalog.import_budgets_json` imports an existing
-``budgets.json`` spend history *bit-for-bit* — same totals, same
-``[epsilon, label]`` rows in the same order (SQLite ``REAL`` is the same
-IEEE-754 double the JSON parser produced, so nothing is re-rounded).
-The import is one-shot and idempotent: a marker row in ``meta`` records
-that the file was consumed, and re-opening the store never imports it
-twice (double-importing would double the recorded privacy loss).  The
-store keeps writing the flock'd JSON ledger alongside the catalog as a
-fallback format, so the history stays greppable and a catalog-less
-reader still sees the truth.
+**Migration.**  :meth:`Catalog.import_budgets_json` imports a
+``budgets.json`` spend history — the ledger format of versions before
+the catalog — *bit-for-bit*: same totals, same ``[epsilon, label]`` rows
+in the same order (SQLite ``REAL`` is the same IEEE-754 double the JSON
+parser produced, so nothing is re-rounded).  The import is one-shot and
+idempotent: a marker row in ``meta`` records that the file was
+consumed, and re-opening the store never imports it twice
+(double-importing would double the recorded privacy loss).
 
 The catalog is stdlib-only (``sqlite3``), WAL-journaled for concurrent
 readers, and safe to share across threads (connections are per-thread)
-and across processes (transactions serialise writers).
+and across processes (transactions serialise writers).  A catalog
+opened without a path lives in a private temporary directory that is
+removed once the :class:`Catalog` object is garbage-collected; every
+store sharing the object keeps it alive.
 """
 
 from __future__ import annotations
@@ -41,9 +42,12 @@ import hashlib
 import hmac
 import json
 import secrets
+import shutil
 import sqlite3
+import tempfile
 import threading
 import time
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -160,7 +164,11 @@ class Catalog:
     #: (see ``_generation``); 0 re-validates on every resolve.
     auth_cache_ttl_s = 0.1
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path | None = None):
+        if path is None:
+            directory = tempfile.mkdtemp(prefix="repro-catalog-")
+            weakref.finalize(self, shutil.rmtree, directory, ignore_errors=True)
+            path = Path(directory) / CATALOG_FILE
         self._path = Path(path)
         self._path.parent.mkdir(parents=True, exist_ok=True)
         self._local = threading.local()
@@ -169,33 +177,87 @@ class Catalog:
         # every hit, so an in-process revocation takes effect on the
         # very next resolve with no SQLite round trip on the hot path.
         self._generation = 0
-        # Autocommit statements: executescript would implicitly COMMIT an
-        # open transaction, and IF NOT EXISTS / OR IGNORE make concurrent
-        # first-opens race-safe on their own.
-        conn = self._conn()
-        conn.executescript(_SCHEMA)
-        conn.execute(
-            "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
-            ("schema_version", str(_SCHEMA_VERSION)),
-        )
-        conn.execute(
-            "INSERT OR IGNORE INTO tenants (id, created_at) VALUES (?, ?)",
-            (DEFAULT_TENANT, time.time()),
-        )
+        self._local.conn = self._create_schema()
+
+    def _create_schema(self) -> sqlite3.Connection:
+        """Create (or check) the schema; returns this thread's connection.
+
+        The schema commits in one ``BEGIN IMMEDIATE`` transaction
+        *before* the switch to WAL mode, so a catalog file that is not
+        empty always holds the ``schema_version`` row — concurrent first
+        opens serialise on the write lock and the later ones find the
+        schema in place.  A non-empty file without that row is
+        therefore damaged (SQLite reads a 1-byte file as an empty
+        database), and opening it raises ``sqlite3.DatabaseError``
+        instead of laying a fresh, empty ledger over the lost spends.
+        A 0-byte file is still created over: that is also what a fresh
+        file looks like to a concurrent first open, between its
+        ``connect`` and its schema commit.
+        """
+        existing = self._path.exists() and self._path.stat().st_size > 0
+        conn = sqlite3.connect(self._path, timeout=30.0, isolation_level=None)
+        try:
+            conn.execute("BEGIN IMMEDIATE")
+            if existing and not self._has_schema(conn):
+                raise sqlite3.DatabaseError(
+                    f"{self._path} is not empty but holds no catalog schema; "
+                    "refusing to create an empty ledger over it"
+                )
+            for statement in filter(str.strip, _SCHEMA.split(";")):
+                conn.execute(statement)
+            conn.execute(
+                "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
+                ("schema_version", str(_SCHEMA_VERSION)),
+            )
+            conn.execute(
+                "INSERT OR IGNORE INTO tenants (id, created_at) VALUES (?, ?)",
+                (DEFAULT_TENANT, time.time()),
+            )
+            conn.execute("COMMIT")
+            return self._configure(conn)
+        except BaseException:
+            conn.close()  # rolls back an open transaction
+            raise
+
+    @staticmethod
+    def _has_schema(conn: sqlite3.Connection) -> bool:
+        try:
+            row = conn.execute(
+                "SELECT 1 FROM meta WHERE key = 'schema_version'"
+            ).fetchone()
+        except sqlite3.OperationalError:  # no meta table at all
+            return False
+        return row is not None
 
     @property
     def path(self) -> Path:
         return self._path
 
+    @staticmethod
+    def _configure(conn: sqlite3.Connection) -> sqlite3.Connection:
+        # Switching a file into WAL mode needs an exclusive lock, and
+        # SQLite answers "database is locked" at once, not after the busy
+        # timeout, while another first open holds any lock: retry.
+        give_up = time.monotonic() + 30.0
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as error:
+                if "locked" not in str(error) or time.monotonic() > give_up:
+                    raise
+                time.sleep(0.005)
+        conn.execute("PRAGMA synchronous=FULL")
+        return conn
+
     def _conn(self) -> sqlite3.Connection:
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            conn = sqlite3.connect(self._path, timeout=30.0)
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=FULL")
             # Transactions are managed explicitly (BEGIN IMMEDIATE in
             # exclusive()); autocommit otherwise.
-            conn.isolation_level = None
+            conn = self._configure(
+                sqlite3.connect(self._path, timeout=30.0, isolation_level=None)
+            )
             self._local.conn = conn
         return conn
 
@@ -204,9 +266,8 @@ class Catalog:
         """One cross-process write transaction (``BEGIN IMMEDIATE``).
 
         The write lock is taken *up front*, so a check-then-spend that
-        runs inside this block is atomic against every other process
-        sharing the catalog file — the reload-under-flock protocol of
-        the JSON ledger, expressed natively.  Nests safely within one
+        runs inside this block is atomic against every other thread and
+        process sharing the catalog file.  Nests safely within one
         thread (inner blocks join the outer transaction).
         """
         conn = self._conn()
@@ -483,58 +544,66 @@ class Catalog:
         return [row[0] for row in rows]
 
     # ------------------------------------------------------------------
-    # The per-tenant privacy ledger
+    # The privacy ledger
     # ------------------------------------------------------------------
 
-    def load_budgets(self, tenant: str) -> dict[str, dict]:
-        """The tenant's ledger in ``budgets.json`` payload shape.
+    def load_budgets(
+        self, tenant: str, data_id: str | None = None
+    ) -> dict[str, dict]:
+        """The tenant's ledger, or one dataset instance's, in spend order.
 
-        ``{data_id: {"total": float, "ledger": [[epsilon, label], ...]}}``
-        with ledger rows in spend order — byte-compatible with the JSON
-        format version 1 document the store writes.
+        ``{data_id: {"total": float, "ledger": [[epsilon, label], ...]}}``.
+        Rows are read before totals: a spend writes its total no later
+        than its row and nothing deletes totals, so every row read here
+        finds its total even when a spend commits between the two reads.
         """
+        where, args = "WHERE tenant_id = ?", (tenant,)
+        if data_id is not None:
+            where, args = where + " AND data_id = ?", (tenant, data_id)
         conn = self._conn()
         budgets: dict[str, dict] = {}
-        for data_id, total in conn.execute(
-            "SELECT data_id, total FROM budget_totals WHERE tenant_id = ?"
-            " ORDER BY data_id",
-            (tenant,),
-        ):
-            budgets[data_id] = {"total": total, "ledger": []}
-        for data_id, epsilon, label in conn.execute(
-            "SELECT data_id, epsilon, label FROM ledger WHERE tenant_id = ?"
+        for found, epsilon, label in conn.execute(
+            f"SELECT data_id, epsilon, label FROM ledger {where}"
             " ORDER BY data_id, seq",
-            (tenant,),
+            args,
         ):
-            budgets.setdefault(data_id, {"total": 0.0, "ledger": []})[
+            budgets.setdefault(found, {"total": 0.0, "ledger": []})[
                 "ledger"
             ].append([epsilon, label])
+        for found, total in conn.execute(
+            f"SELECT data_id, total FROM budget_totals {where}", args
+        ):
+            budgets.setdefault(found, {"total": 0.0, "ledger": []})["total"] = total
         return budgets
 
-    def replace_budgets(self, tenant: str, budgets: dict[str, dict]) -> None:
-        """Overwrite the tenant's ledger rows (call inside ``exclusive``).
+    def record_spend(
+        self, tenant: str, data_id: str, total: float, epsilon: float, label: str
+    ) -> None:
+        """Append one spend to a dataset instance's ledger.
 
-        ``budgets`` is the payload shape :meth:`load_budgets` returns.
-        Delete-and-reinsert keeps row order exactly the in-memory spend
-        order, which is what makes the JSON mirror bit-for-bit
-        reproducible.
+        Call inside :meth:`exclusive`, after checking the spend against
+        :meth:`load_budgets` in the same transaction.  ``total`` is
+        recorded with the instance's first spend; later spends keep the
+        recorded total, so a restart with a laxer budget cannot weaken
+        the guarantee already promised.
         """
+        faultinject.fire("catalog.spend", tenant=tenant, data_id=data_id)
+        self._append(tenant, data_id, total, [(epsilon, label)])
+
+    def _append(self, tenant: str, data_id: str, total: float, rows) -> None:
         conn = self._conn()
-        faultinject.fire("catalog.replace", tenant=tenant)
-        conn.execute("DELETE FROM budget_totals WHERE tenant_id = ?", (tenant,))
-        conn.execute("DELETE FROM ledger WHERE tenant_id = ?", (tenant,))
-        for data_id, state in budgets.items():
+        conn.execute(
+            "INSERT OR IGNORE INTO budget_totals (tenant_id, data_id, total)"
+            " VALUES (?, ?, ?)",
+            (tenant, data_id, float(total)),
+        )
+        for epsilon, label in rows:
             conn.execute(
-                "INSERT INTO budget_totals (tenant_id, data_id, total)"
-                " VALUES (?, ?, ?)",
-                (tenant, data_id, float(state["total"])),
+                "INSERT INTO ledger (tenant_id, data_id, seq, epsilon, label)"
+                " SELECT ?, ?, COALESCE(MAX(seq) + 1, 0), ?, ? FROM ledger"
+                " WHERE tenant_id = ? AND data_id = ?",
+                (tenant, data_id, float(epsilon), str(label), tenant, data_id),
             )
-            for seq, (epsilon, label) in enumerate(state["ledger"]):
-                conn.execute(
-                    "INSERT INTO ledger (tenant_id, data_id, seq, epsilon,"
-                    " label) VALUES (?, ?, ?, ?, ?)",
-                    (tenant, data_id, seq, float(epsilon), str(label)),
-                )
 
     def import_budgets_json(self, tenant: str, path: str | Path) -> bool:
         """One-shot idempotent import of a ``budgets.json`` spend history.
@@ -548,6 +617,7 @@ class Catalog:
         corrupt history must never be silently dropped.
         """
         path = Path(path)
+        found = path.exists()
         marker = f"imported_budgets_json:{tenant}"
         with self.exclusive() as conn:
             done = conn.execute(
@@ -555,35 +625,20 @@ class Catalog:
             ).fetchone()
             if done is not None:
                 return False
-            if not path.exists():
-                # No pre-catalog history: the tenant is catalog-native
-                # from day one.  Set the marker anyway — a ledger mirror
-                # written to this path later (which may over-count after
-                # a crash between mirror write and COMMIT) must never be
-                # mistaken for importable history.
-                conn.execute(
-                    "INSERT INTO meta (key, value) VALUES (?, ?)",
-                    (marker, str(path)),
-                )
-                return False
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            if payload.get("version") != 1:
-                raise ValueError(
-                    f"unsupported budget ledger version {payload.get('version')!r}"
-                )
-            budgets = {
-                data_id: {
-                    "total": float(state["total"]),
-                    "ledger": [
-                        [float(epsilon), str(label)]
-                        for epsilon, label in state["ledger"]
-                    ],
-                }
-                for data_id, state in payload["budgets"].items()
-            }
-            self.replace_budgets(tenant, budgets)
+            if found:
+                payload = json.loads(path.read_text(encoding="utf-8"))
+                if payload.get("version") != 1:
+                    raise ValueError(
+                        "unsupported budget ledger version "
+                        f"{payload.get('version')!r}"
+                    )
+                for data_id, state in payload["budgets"].items():
+                    self._append(tenant, data_id, state["total"], state["ledger"])
+            # Set even when there is no file: the tenant is catalog-native
+            # from day one, and a budgets.json that appears later (copied
+            # in from an old deployment) is never mistaken for history.
             conn.execute(
                 "INSERT INTO meta (key, value) VALUES (?, ?)",
                 (marker, str(path)),
             )
-        return True
+        return found

@@ -42,15 +42,11 @@ owns an independent :class:`~repro.service.store.SynopsisStore` handle
 over the shared ``--store-dir``: releases preloaded (or built) by one
 worker are persisted as ``.npz`` artifacts every other worker reloads on
 demand, and builds are bit-deterministic per key, so all workers answer
-identically.  Budget accounting across workers depends on the ledger
-backend: with the default catalog (``--store-dir`` deployments share
-``<store-dir>/catalog.sqlite``) every spend runs in a ``BEGIN
-IMMEDIATE`` SQLite transaction, so the budget is strictly enforced
-across processes.  With ``--catalog off`` the JSON ledger is loaded per
-process — each worker enforces the budget against its own view and
-last-writer-wins on ``budgets.json``; preload every release before
-traffic (``--preload``) or direct builds at a single worker when strict
-accounting matters there.
+identically.  The budget ledger is the SQLite catalog every worker
+opens (``<store-dir>/catalog.sqlite``, or ``--catalog PATH``): each
+spend re-reads the dataset instance's rows and appends one inside a
+``BEGIN IMMEDIATE`` transaction, so the budget is strictly enforced
+across workers and across separate server processes sharing the file.
 """
 
 from __future__ import annotations
@@ -65,8 +61,11 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 from repro.service import faultinject
+from repro.service.auth import make_authenticator
+from repro.service.catalog import CATALOG_FILE, Catalog
 from repro.service.keys import ReleaseKey, method_names
 from repro.service.query_service import DEFAULT_ANSWER_CACHE_BYTES, QueryService
 from repro.service.server import serve
@@ -75,6 +74,14 @@ from repro.service.store import SynopsisStore
 __all__ = ["build_parser", "main", "resolve_workers"]
 
 DEFAULT_PORT = 8731
+
+
+def _catalog_path(value: str) -> str:
+    if value == "off":
+        raise argparse.ArgumentTypeError(
+            "the catalog is the only budget ledger and cannot be turned off"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,11 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
         "the metadata catalog (/health stays open for probes)",
     )
     parser.add_argument(
-        "--catalog", default=None, metavar="PATH",
+        "--catalog", default=None, metavar="PATH", type=_catalog_path,
         help="SQLite metadata catalog (tenants, API keys, dataset "
-        "registrations, per-tenant privacy ledgers); defaults to "
-        "<store-dir>/catalog.sqlite when --store-dir is set, 'off' "
-        "disables it and keeps the flock'd JSON ledger",
+        "registrations, the privacy ledger); defaults to "
+        "<store-dir>/catalog.sqlite, or to a private temporary file "
+        "without --store-dir",
     )
     parser.add_argument(
         "--create-tenant", default=None, metavar="TENANT",
@@ -237,37 +244,9 @@ def resolve_workers(
     return requested, None
 
 
-def _resolve_catalog(args):
-    """Open the metadata catalog the flags ask for (or ``None``).
-
-    ``--catalog off`` disables it; an explicit path wins; otherwise a
-    ``--store-dir`` deployment gets ``<store-dir>/catalog.sqlite`` so
-    multi-worker and multi-process setups share one serialised ledger
-    by default.  In-memory servers without an explicit path run
-    catalog-less (single implicit tenant, JSON-ledger semantics).
-    """
-    if args.catalog == "off":
-        return None
-    if args.catalog is not None:
-        path = args.catalog
-    elif args.store_dir is not None:
-        path = os.path.join(args.store_dir, "catalog.sqlite")
-    else:
-        return None
-    from repro.service.catalog import Catalog
-
-    return Catalog(path)
-
-
-def _admin(args, catalog) -> int:
+def _admin(args) -> int:
     """Run the ``--create-tenant`` / ``--create-api-key`` one-shots."""
-    if catalog is None:
-        print(
-            "--create-tenant/--create-api-key need a catalog: pass "
-            "--catalog PATH or --store-dir",
-            file=sys.stderr,
-        )
-        return 2
+    catalog = Catalog(args.catalog or Path(args.store_dir) / CATALOG_FILE)
     if args.create_tenant is not None:
         catalog.ensure_tenant(args.create_tenant)
         print(f"tenant {args.create_tenant!r} ready in {catalog.path}")
@@ -277,14 +256,16 @@ def _admin(args, catalog) -> int:
     return 0
 
 
-def _make_store(args, catalog=None) -> SynopsisStore:
+def _make_store(args) -> SynopsisStore:
+    """The server's store; it opens the catalog ``--catalog`` names, or
+    its own default one (see :class:`SynopsisStore`)."""
     return SynopsisStore(
         store_dir=args.store_dir,
         dataset_budget=args.dataset_budget,
         max_entries=args.max_entries,
         max_bytes=args.max_bytes,
         n_points=args.n_points,
-        catalog=catalog,
+        catalog=Catalog(args.catalog) if args.catalog is not None else None,
     )
 
 
@@ -322,8 +303,20 @@ def main(argv: list[str] | None = None) -> int:
     # Fault-injection hooks for the crash-safety test harness; inert
     # unless REPRO_FAULTS is set (see repro.service.faultinject).
     faultinject.install_from_env()
-    if args.create_tenant is not None or args.create_api_key is not None:
-        return _admin(args, _resolve_catalog(args))
+    admin = args.create_tenant is not None or args.create_api_key is not None
+    if (admin or args.auth == "require") and (
+        args.store_dir is None and args.catalog is None
+    ):
+        # A private temporary catalog would hold no API keys and vanish
+        # on exit: minting into it, or requiring keys from it, is moot.
+        print(
+            "--create-tenant, --create-api-key and --auth require need a "
+            "persistent catalog: pass --catalog PATH or --store-dir",
+            file=sys.stderr,
+        )
+        return 2
+    if admin:
+        return _admin(args)
     if args.smoke:
         # Small and fast by default; an explicit --n-points or
         # --dataset-budget is honoured (the self-test adapts to the
@@ -338,15 +331,8 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    catalog = _resolve_catalog(args)
-    try:
-        from repro.service.auth import make_authenticator
-
-        authenticator = make_authenticator(args.auth, catalog)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    store = _make_store(args, catalog)
+    store = _make_store(args)
+    authenticator = make_authenticator(args.auth, store.catalog)
     service = QueryService(store, answer_cache_bytes=args.answer_cache_bytes)
     manager = None
     if args.ingest:
@@ -386,7 +372,6 @@ def main(argv: list[str] | None = None) -> int:
         args.port,
         ingest=manager,
         authenticator=authenticator,
-        catalog=catalog,
         **_fault_options(args),
     )
     _install_graceful_shutdown(server)
@@ -432,15 +417,11 @@ def _worker_main(args, host: str, port: int) -> int:
     """Body of one forked worker: own store handle, shared listen port.
 
     Each worker opens its own catalog handle over the shared SQLite
-    file; spends serialise through ``BEGIN IMMEDIATE``, so with a
-    catalog the budget ledger is strictly consistent across workers
-    (unlike the per-process JSON view).
+    file; spends serialise through ``BEGIN IMMEDIATE``, so the budget
+    ledger is strictly consistent across workers.
     """
-    from repro.service.auth import make_authenticator
-
-    catalog = _resolve_catalog(args)
-    authenticator = make_authenticator(args.auth, catalog)
-    store = _make_store(args, catalog)
+    store = _make_store(args)
+    authenticator = make_authenticator(args.auth, store.catalog)
     service = QueryService(store, answer_cache_bytes=args.answer_cache_bytes)
     server = serve(
         service,
@@ -448,7 +429,6 @@ def _worker_main(args, host: str, port: int) -> int:
         port,
         reuse_port=True,
         authenticator=authenticator,
-        catalog=catalog,
         **_fault_options(args),
     )
     # Graceful drain on SIGTERM: stop accepting, finish what's in

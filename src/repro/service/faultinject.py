@@ -1,6 +1,6 @@
 """Deterministic fault injection for the service tier.
 
-The fault harness turns "what if the disk fills up mid-ledger-write?"
+The fault harness turns "what if the disk fills up mid-budget-spend?"
 from a shrug into a regression test.  Production code calls
 :func:`fire` at named fault points; by default that is a dictionary miss
 and costs nothing.  Tests (``tests/faults/``) install hooks that raise
@@ -13,9 +13,9 @@ Registered fault points
 =================== ====================================================
 Point               Fired
 =================== ====================================================
-``ledger.write``    before the budget ledger's temp file is written
-``ledger.fsync``    before the ledger temp file is fsync'd
-``ledger.replace``  before the ledger temp file replaces the live file
+``catalog.spend``   inside a build's ledger transaction, before the
+                    spend row is written
+``catalog.commit``  before any catalog write transaction commits
 ``archive.write``   before a release archive's temp file is written
 ``archive.fsync``   before the archive temp file is fsync'd
 ``archive.replace`` before the archive temp file replaces the live file

@@ -30,9 +30,9 @@ metadata catalog; missing credentials answer ``401`` +
 exempt from both authentication *and* admission control — probes must
 work precisely when the service is locked down or saturated.  Each
 non-default tenant lazily gets its own
-:class:`~repro.service.store.SynopsisStore` partition (archives and
-ledger under ``<store_dir>/tenants/<tenant>``, budget rows scoped in the
-shared catalog), its own :class:`QueryService`, and — when ingestion is
+:class:`~repro.service.store.SynopsisStore` partition (archives under
+``<store_dir>/tenants/<tenant>``, budget rows scoped in the shared
+catalog), its own :class:`QueryService`, and — when ingestion is
 enabled — its own :class:`~repro.service.ingest.IngestManager` with
 per-tenant WALs, so one tenant exhausting its privacy budget (409s)
 never perturbs another tenant's builds, queries, or ingestion.
@@ -178,10 +178,6 @@ class SynopsisHTTPServer(ThreadingHTTPServer):
         Resolves request headers to a tenant id; defaults to
         :class:`~repro.service.auth.NullAuthenticator` (everyone is the
         ``default`` tenant).
-    catalog:
-        Optional :class:`~repro.service.catalog.Catalog`.  Required for
-        dataset registration endpoints and for serving any tenant other
-        than ``default``.
     tenant_factory:
         Test hook: ``tenant_factory(tenant) -> _TenantContext`` replaces
         the default per-tenant store/service/ingest construction.
@@ -202,7 +198,6 @@ class SynopsisHTTPServer(ThreadingHTTPServer):
         max_header_bytes: int = 32 * 1024,
         ingest=None,
         authenticator: Authenticator | None = None,
-        catalog: Catalog | None = None,
         tenant_factory=None,
     ):
         if reuse_port and not hasattr(socket, "SO_REUSEPORT"):
@@ -221,7 +216,6 @@ class SynopsisHTTPServer(ThreadingHTTPServer):
         self.authenticator = (
             authenticator if authenticator is not None else NullAuthenticator()
         )
-        self.catalog = catalog
         self.tenant_factory = tenant_factory
         self._tenants: dict[str, _TenantContext] = {
             DEFAULT_TENANT: _TenantContext(service=service, ingest=ingest)
@@ -242,6 +236,12 @@ class SynopsisHTTPServer(ThreadingHTTPServer):
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
+
+    @property
+    def catalog(self) -> Catalog:
+        """The metadata catalog: the one the default store keeps its
+        ledger in (tenant stores share it)."""
+        return self.service.store.catalog
 
     # ------------------------------------------------------------------
     # Tenancy
@@ -269,12 +269,6 @@ class SynopsisHTTPServer(ThreadingHTTPServer):
     def _make_context(self, tenant: str) -> _TenantContext:
         if self.tenant_factory is not None:
             return self.tenant_factory(tenant)
-        if self.catalog is None:
-            raise ServiceError(
-                "multi-tenant serving requires a metadata catalog; "
-                "start the server with --catalog",
-                status=503,
-            )
         store = self.service.store.for_tenant(tenant)
         service = self.service.for_store(store)
         ingest = None
@@ -701,28 +695,16 @@ class _Handler(BaseHTTPRequestHandler):
         # refused release and why.
         self._send_json(409 if report["refused"] else 200, report)
 
-    def _require_catalog(self) -> Catalog:
-        catalog = self.server.catalog
-        if catalog is None:
-            raise ServiceError(
-                "dataset registration requires a metadata catalog; "
-                "start the server with --catalog",
-                status=503,
-            )
-        return catalog
-
     def _post_datasets(self) -> None:
-        catalog = self._require_catalog()
         request = parse_dataset_request(self._read_json())
-        payload = catalog.register_dataset(
+        payload = self.server.catalog.register_dataset(
             self._tenant, request.name, request.spec, request.description
         )
         self._send_json(201, {"dataset": payload})
 
     def _get_datasets(self) -> None:
-        catalog = self._require_catalog()
         limit, cursor = parse_dataset_list_query(self._query_params)
-        rows, next_cursor = catalog.list_datasets(
+        rows, next_cursor = self.server.catalog.list_datasets(
             self._tenant, limit=limit, cursor=cursor
         )
         self._send_json(
@@ -736,12 +718,12 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _get_dataset(self, name: str) -> None:
-        catalog = self._require_catalog()
-        self._send_json(200, {"dataset": catalog.get_dataset(self._tenant, name)})
+        self._send_json(
+            200, {"dataset": self.server.catalog.get_dataset(self._tenant, name)}
+        )
 
     def _delete_dataset(self, name: str) -> None:
-        catalog = self._require_catalog()
-        catalog.delete_dataset(self._tenant, name)
+        self.server.catalog.delete_dataset(self._tenant, name)
         self._send_json(200, {"deleted": name})
 
     # ------------------------------------------------------------------
@@ -896,7 +878,7 @@ def serve(
     processes can share one listening address.  ``fault_options`` are
     forwarded to :class:`SynopsisHTTPServer` (``max_inflight``,
     ``queue_depth``, ``request_deadline_ms``, ``read_timeout``,
-    ``max_header_bytes``, ``ingest``, ``authenticator``, ``catalog``).
+    ``max_header_bytes``, ``ingest``, ``authenticator``).
     """
     return SynopsisHTTPServer(
         (host, port), service, reuse_port=reuse_port, **fault_options

@@ -27,13 +27,13 @@
 The privacy model: fitting a synopsis *reads the sensitive data* and costs
 its epsilon under sequential composition; serving, caching, persisting and
 reloading are post-processing of already-released state and cost nothing.
-The ledger is persisted alongside the artifacts so budget exhaustion
-survives process restarts — a store pointed at the same directory cannot
-launder budget by restarting.  Spends additionally serialise across
-*processes*: each spend takes an ``fcntl.flock`` on a ledger lock file
-and re-reads the on-disk ledger before charging, so ``--workers N``
-stores sharing one directory cannot interleave read-modify-write cycles
-into a double-spend.
+The ledger is the :class:`~repro.service.catalog.Catalog`'s: a store
+with a ``store_dir`` keeps it in ``<store_dir>/catalog.sqlite``, so
+budget exhaustion survives restarts — a store pointed at the same
+directory cannot launder budget by restarting.  Every spend is one
+``BEGIN IMMEDIATE`` transaction that replays the dataset instance's rows
+and appends one, so threads and ``--workers N`` processes sharing the
+catalog cannot interleave a check-then-spend into a double spend.
 
 When a :class:`~repro.service.ingest.IngestManager` is attached
 (:meth:`SynopsisStore.set_ingest`), builds incorporate the durably
@@ -53,17 +53,12 @@ so reads never wait longer than a cache lookup even during a slow build.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
+import sqlite3
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-
-try:  # POSIX only; on other platforms spends fall back to in-process locking
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX
-    fcntl = None  # type: ignore[assignment]
 
 from repro.core.serialization import (
     synopsis_from_path,
@@ -75,6 +70,7 @@ from repro.datasets.registry import get_spec
 from repro.queries.engine import compute_engine_slabs
 from repro.privacy.budget import BudgetExceededError, PrivacyBudget
 from repro.service import faultinject
+from repro.service.catalog import CATALOG_FILE, Catalog, validate_tenant_id
 from repro.service.errors import (
     BudgetRefused,
     ReleaseNotFound,
@@ -84,15 +80,6 @@ from repro.service.keys import ReleaseKey, make_builder
 from repro.service.telemetry import Deadline
 
 __all__ = ["StoreStats", "SynopsisStore"]
-
-_BUDGET_FILE = "budgets.json"
-_BUDGET_FORMAT_VERSION = 1
-
-#: Cross-process mutual exclusion for ledger spends.  The lock file is
-#: separate from the ledger itself because the ledger is replaced by
-#: rename on every write — a flock on the replaced inode would guard
-#: nothing.
-_LEDGER_LOCK_FILE = "budgets.json.lock"
 
 #: Suffix appended to unreadable files when they are quarantined.  The
 #: bytes are preserved for forensics; the name no longer matches any
@@ -109,27 +96,26 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
-def _atomic_write(path: Path, data: bytes, fault_prefix: str) -> None:
-    """Crash-safe file write: temp file + fsync + rename + dir fsync.
+def _atomic_write(path: Path, data: bytes) -> None:
+    """Crash-safe archive write: temp file + fsync + rename + dir fsync.
 
     After a crash (``kill -9``, power loss) at *any* byte boundary the
     path holds either the complete previous contents or the complete new
-    ones — never a torn mix.  ``fault_prefix`` names the injection
-    points (``{prefix}.write`` / ``.fsync`` / ``.replace``) the fault
-    harness uses to simulate disk-full, short writes, and crashes at
-    each stage.  On ordinary I/O errors the temp file is removed;
-    :class:`~repro.service.faultinject.SimulatedCrash` deliberately
-    leaves the debris a real crash would.
+    ones — never a torn mix.  The ``archive.write`` / ``.fsync`` /
+    ``.replace`` fault points let the harness simulate disk-full, short
+    writes, and crashes at each stage.  On ordinary I/O errors the temp
+    file is removed; :class:`~repro.service.faultinject.SimulatedCrash`
+    deliberately leaves the debris a real crash would.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
-        faultinject.fire(f"{fault_prefix}.write", path=str(tmp), data=data)
+        faultinject.fire("archive.write", path=str(tmp), data=data)
         with open(tmp, "wb") as handle:
             handle.write(data)
             handle.flush()
-            faultinject.fire(f"{fault_prefix}.fsync", path=str(tmp))
+            faultinject.fire("archive.fsync", path=str(tmp))
             os.fsync(handle.fileno())
-        faultinject.fire(f"{fault_prefix}.replace", path=str(path))
+        faultinject.fire("archive.replace", path=str(path))
         os.replace(tmp, path)
     except OSError:
         try:
@@ -198,10 +184,11 @@ class SynopsisStore:
     Parameters
     ----------
     store_dir:
-        Directory for persisted releases and the budget ledger.  ``None``
-        keeps everything in memory (evicted releases must be re-fit, which
-        still charges budget — persistent stores are strictly better for
-        production use).
+        Directory for persisted releases and, unless ``catalog`` is
+        given, the catalog holding the budget ledger.  ``None`` keeps the
+        releases in memory (evicted releases must be re-fit, which still
+        charges budget — persistent stores are strictly better for
+        production use) and the ledger in a private temporary catalog.
     dataset_budget:
         Total epsilon each dataset instance ``(dataset, seed)`` may spend
         across *all* builds, ever (sequential composition).
@@ -220,12 +207,11 @@ class SynopsisStore:
         registry default otherwise).  Part of the store configuration, not
         the key, so one store always serves consistently sized data.
     catalog:
-        Optional :class:`~repro.service.catalog.Catalog`.  When set, the
-        authoritative ledger moves into the catalog's SQLite tables:
-        check-then-spend runs inside one ``BEGIN IMMEDIATE`` transaction
-        (replacing the flock protocol), an existing ``budgets.json`` is
-        imported bit-for-bit exactly once, and every spend still mirrors
-        back out to ``budgets.json`` as a fallback format.
+        The :class:`~repro.service.catalog.Catalog` that holds the
+        ledger.  By default the store opens ``<store_dir>/catalog.sqlite``,
+        or a private temporary catalog when ``store_dir`` is ``None``.
+        With a ``store_dir``, a ``budgets.json`` spend history left by
+        an older version is imported bit-for-bit, exactly once.
     tenant:
         The tenant namespace this store serves (ledger scope in the
         catalog, stamp applied to every key).  The default keeps
@@ -255,7 +241,6 @@ class SynopsisStore:
         self._n_points = n_points
         self._cache: OrderedDict[ReleaseKey, _Entry] = OrderedDict()
         self._cached_bytes = 0
-        self._budgets: dict[str, PrivacyBudget] = {}
         self._lock = threading.RLock()
         self._building: set[ReleaseKey] = set()
         self._loading: set[ReleaseKey] = set()
@@ -264,25 +249,29 @@ class SynopsisStore:
         self._quarantined: dict[ReleaseKey, str] = {}
         self._ledger_corrupt: str | None = None
         self._ingest = None  # attached via set_ingest()
-        self._catalog = catalog
-        from repro.service.catalog import validate_tenant_id
-
         self._tenant = validate_tenant_id(tenant)
-        if catalog is not None:
-            catalog.ensure_tenant(self._tenant)
-            if self._store_dir is not None:
-                # One-shot, idempotent: a pre-catalog budgets.json spend
-                # history becomes catalog rows bit-for-bit; the marker in
-                # the catalog's meta table stops a second import from
-                # doubling the recorded privacy loss.
-                catalog.import_budgets_json(
-                    self._tenant, self._store_dir / _BUDGET_FILE
-                )
         if self._store_dir is not None:
             self._store_dir.mkdir(parents=True, exist_ok=True)
             self._sweep_crash_debris()
-        if self._store_dir is not None or catalog is not None:
-            self._load_budgets()
+        if catalog is None:
+            catalog = Catalog(
+                self._store_dir / CATALOG_FILE
+                if self._store_dir is not None
+                else None
+            )
+        self._catalog = catalog
+        catalog.ensure_tenant(self._tenant)
+        if self._store_dir is not None:
+            # One-shot, idempotent: a pre-catalog budgets.json spend
+            # history becomes catalog rows bit-for-bit; the marker in
+            # the catalog's meta table stops a second import from
+            # doubling the recorded privacy loss.
+            catalog.import_budgets_json(
+                self._tenant, self._store_dir / "budgets.json"
+            )
+        # Replay every row once up front, so a ledger that cannot be
+        # replayed refuses builds (and shows on /health) from the start.
+        self._replay()
 
     def _sweep_crash_debris(self) -> None:
         """Remove temp files a crash mid-write left behind.
@@ -475,21 +464,21 @@ class SynopsisStore:
                 # so same-key loads and builds never interleave.
                 self._wait_inflight(deadline)
             spend_label = context.spend_label if context is not None else key.slug()
-            with self._ledger_lock():
-                # Another process sharing this store_dir may have spent
-                # since our last read; the flock plus a fresh read makes
-                # check-then-spend atomic across processes.
-                self._reload_budgets()
+            with self._catalog.exclusive():
+                # The write lock is held from here to commit, so the rows
+                # replayed below are the ones the new row lands after —
+                # check-then-spend is atomic across threads and processes.
+                budget = self._replay(key.data_id).get(
+                    key.data_id, PrivacyBudget(self._dataset_budget)
+                )
                 if self._ledger_corrupt is not None:
                     self.stats.refusals += 1
                     raise BudgetRefused(
-                        f"the budget ledger was corrupt and has been "
-                        f"quarantined ({self._ledger_corrupt}); the spending "
-                        "history cannot be proven, so all builds are refused — "
-                        "restore the ledger or point the store at a fresh "
-                        "directory"
+                        f"the budget ledger is corrupt ({self._ledger_corrupt}); "
+                        "the spending history cannot be proven, so all builds "
+                        "are refused — restore the catalog or point the store "
+                        "at a fresh directory"
                     )
-                budget = self._budget_for(key.data_id)
                 already_charged = (
                     context is not None
                     and context.salt > 0
@@ -511,8 +500,13 @@ class SynopsisStore:
                         )
                     if deadline is not None:
                         deadline.check("reserving budget for the build")
-                    budget.spend(key.epsilon, label=spend_label)
-                    self._save_budgets()
+                    self._catalog.record_spend(
+                        self._tenant,
+                        key.data_id,
+                        budget.total,
+                        key.epsilon,
+                        spend_label,
+                    )
             self._building.add(key)
         try:
             faultinject.fire("store.fit", key=key)
@@ -555,21 +549,20 @@ class SynopsisStore:
             # into a free, bit-identical re-release (the epoch label is
             # already charged), after it into a clean no-op.
             ingest.note_released(key, context)
-        if self._catalog is not None:
-            # Best-effort metadata: the release itself (archive + spend)
-            # is already durable, so a catalog hiccup here must not turn
-            # a successful build into an error.
-            with contextlib.suppress(Exception):
-                self._catalog.note_release(self._tenant, key)
+        # Best-effort metadata: the release itself (archive + spend) is
+        # already durable, so a catalog hiccup here must not turn a
+        # successful build into an error.
+        with contextlib.suppress(Exception):
+            self._catalog.note_release(self._tenant, key)
         return synopsis, True
 
     def for_tenant(self, tenant: str) -> "SynopsisStore":
         """A sibling store serving ``tenant`` with this store's config.
 
-        Archives and the mirrored JSON ledger partition under
-        ``<store_dir>/tenants/<tenant>``; the catalog (shared) scopes the
-        authoritative ledger rows by tenant id.  Call on the *default*
-        store — its directory is the partition root.
+        Archives partition under ``<store_dir>/tenants/<tenant>``; the
+        catalog (shared, so siblings of an in-memory store keep its
+        temporary file alive) scopes the ledger rows by tenant id.  Call
+        on the *default* store — its directory is the partition root.
         """
         if tenant == self._tenant:
             return self
@@ -638,8 +631,8 @@ class SynopsisStore:
         return self._store_dir
 
     @property
-    def catalog(self):
-        """The attached metadata catalog (``None`` in JSON-ledger mode)."""
+    def catalog(self) -> Catalog:
+        """The metadata catalog holding this store's budget ledger."""
         return self._catalog
 
     def memory_payload(self) -> dict:
@@ -675,17 +668,17 @@ class SynopsisStore:
         return self._ledger_corrupt
 
     def budget_state(self) -> dict[str, dict]:
-        """Per-dataset-instance budget summary (for ``GET /releases``)."""
-        with self._lock:
-            return {
-                data_id: {
-                    "total": budget.total,
-                    "spent": budget.spent,
-                    "remaining": budget.remaining,
-                    "releases": [entry.label for entry in budget.ledger],
-                }
-                for data_id, budget in sorted(self._budgets.items())
+        """Per-dataset-instance budget summary, read from the catalog
+        (for ``GET /releases``); empty when the ledger is corrupt."""
+        return {
+            data_id: {
+                "total": budget.total,
+                "spent": budget.spent,
+                "remaining": budget.remaining,
+                "releases": [entry.label for entry in budget.ledger],
             }
+            for data_id, budget in sorted(self._replay().items())
+        }
 
     def to_payload(self) -> dict:
         """Full JSON-friendly store state."""
@@ -696,7 +689,6 @@ class SynopsisStore:
                 "max_entries": self._max_entries,
                 "max_bytes": self._max_bytes,
                 "dataset_budget": self._dataset_budget,
-                "budgets": self.budget_state(),
                 "stats": self.stats.to_payload(),
                 "quarantined": {
                     key.slug(): reason
@@ -704,10 +696,11 @@ class SynopsisStore:
                         self._quarantined.items(), key=lambda item: item[0].slug()
                     )
                 },
-                "ledger_corrupt": self._ledger_corrupt,
             }
-        # The directory scan does disk I/O; run it outside the lock so a
-        # slow listing never stalls cache hits.
+        # The ledger read and the directory scan do disk I/O; run them
+        # outside the lock so a slow read never stalls cache hits.
+        payload["budgets"] = self.budget_state()
+        payload["ledger_corrupt"] = self._ledger_corrupt
         payload["persisted"] = [key.to_payload() for key in self.persisted_keys()]
         return payload
 
@@ -750,11 +743,7 @@ class SynopsisStore:
         path = self._release_path(key)
         if path is None:
             return
-        _atomic_write(
-            path,
-            synopsis_to_bytes(synopsis),
-            fault_prefix="archive",
-        )
+        _atomic_write(path, synopsis_to_bytes(synopsis))
 
     def _quarantine_archive(
         self, path: Path, key: ReleaseKey, error: Exception
@@ -771,188 +760,28 @@ class SynopsisStore:
             self.stats.quarantined += 1
             self._quarantined[key] = reason
 
-    def _budget_for(self, data_id: str) -> PrivacyBudget:
-        budget = self._budgets.get(data_id)
-        if budget is None:
-            budget = PrivacyBudget(self._dataset_budget)
-            self._budgets[data_id] = budget
-        return budget
+    def _replay(self, data_id: str | None = None) -> dict[str, PrivacyBudget]:
+        """Replay the tenant's ledger rows (one dataset instance's, or all).
 
-    @contextlib.contextmanager
-    def _ledger_lock(self):
-        """Cross-process exclusion around ledger check-then-spend.
-
-        An ``fcntl.flock`` on a dedicated lock file (the ledger itself
-        is replaced by rename on every write, so its inode cannot carry
-        a lock).  In-memory stores, and platforms without ``fcntl``,
-        fall back to the in-process lock already held by the caller.
-        The lock orders strictly after the store's thread lock — every
-        caller already holds ``self._lock`` — so there is no
-        lock-ordering cycle.
+        Rows that cannot be read or replayed — non-numeric values, or
+        spends that overdraw their own total — set :attr:`ledger_corrupt`
+        and replay as an empty mapping.  The flag makes *all* builds
+        refuse, so that mapping is never taken for an empty ledger,
+        which would let every past spend be repeated; serving persisted
+        releases is post-processing and stays available.
         """
-        if self._catalog is not None:
-            # Catalog mode: the SQLite transaction *is* the cross-process
-            # exclusion — BEGIN IMMEDIATE takes the write lock up front,
-            # so reload + check + spend commit atomically against every
-            # process sharing the catalog file.
-            with self._catalog.exclusive():
-                yield
-            return
-        if self._store_dir is None or fcntl is None:
-            yield
-            return
-        fd = os.open(
-            self._store_dir / _LEDGER_LOCK_FILE, os.O_CREAT | os.O_RDWR, 0o644
-        )
         try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            try:
-                fcntl.flock(fd, fcntl.LOCK_UN)
-            finally:
-                os.close(fd)
-
-    def _reload_budgets(self) -> None:
-        """Refresh in-memory budgets from disk (call under the flock).
-
-        Re-reading immediately before check-then-spend is what makes the
-        flock effective: without it, a spend by another process between
-        our init-time load and now would be invisible and the check
-        would approve an overdraw.
-        """
-        if self._ledger_corrupt is not None:
-            return
-        if self._store_dir is None and self._catalog is None:
-            return
-        self._load_budgets()
-
-    def _budgets_from_payload(self, raw: dict) -> dict[str, PrivacyBudget]:
-        """Replay a ``{data_id: {total, ledger}}`` payload into budgets.
-
-        Raises the same family of errors for malformed state as the JSON
-        parser does, so both ledger backends share one corruption path.
-        """
-        budgets: dict[str, PrivacyBudget] = {}
-        for data_id, state in raw.items():
-            # Keep the persisted total: weakening it would break the
-            # guarantee already promised to the data's owners.
-            budget = PrivacyBudget(float(state["total"]))
-            for epsilon, label in state["ledger"]:
-                budget.spend(float(epsilon), str(label))
-            budgets[data_id] = budget
-        return budgets
-
-    def _load_budgets_catalog(self) -> None:
-        """Load the tenant's ledger from the catalog.
-
-        A catalog that cannot be read or replayed puts the store into
-        the same refuse-all-builds mode as a corrupt JSON ledger — the
-        spending history is unprovable either way.
-        """
-        import sqlite3
-
-        try:
-            raw = self._catalog.load_budgets(self._tenant)
-            budgets = self._budgets_from_payload(raw)
-        except (
-            sqlite3.Error,
-            ValueError,
-            KeyError,
-            TypeError,
-            AttributeError,
-            BudgetExceededError,
-        ) as error:
-            self._ledger_corrupt = f"{type(error).__name__}: {error}"
-            return
-        self._budgets.update(budgets)
-
-    def _load_budgets(self) -> None:
-        """Load the ledger; quarantine it and refuse builds when corrupt.
-
-        The ledger is written atomically, so after any crash it is a
-        complete old or new file — but on-disk bit-rot or manual edits
-        can still corrupt it.  A corrupt ledger must never be silently
-        reset: an empty ledger would let every past spend be repeated,
-        doubling the real privacy loss.  Instead the file is renamed to
-        ``budgets.json.corrupt`` and the store enters a conservative
-        mode where *all* builds are refused (serving persisted releases
-        is post-processing and remains safe).
-
-        In catalog mode the SQLite tables are authoritative and this
-        loads from them instead; the JSON file on disk is then only the
-        mirrored fallback copy and is never parsed for truth.
-        """
-        if self._catalog is not None:
-            self._load_budgets_catalog()
-            return
-        path = self._store_dir / _BUDGET_FILE
-        if not path.exists():
-            return
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            if payload.get("version") != _BUDGET_FORMAT_VERSION:
-                raise ValueError(
-                    f"unsupported budget ledger version {payload.get('version')!r}"
-                )
-            budgets: dict[str, PrivacyBudget] = {}
-            for data_id, state in payload["budgets"].items():
+            budgets = {}
+            for found, state in self._catalog.load_budgets(
+                self._tenant, data_id
+            ).items():
                 # Keep the persisted total: weakening it would break the
                 # guarantee already promised to the data's owners.
                 budget = PrivacyBudget(float(state["total"]))
                 for epsilon, label in state["ledger"]:
                     budget.spend(float(epsilon), str(label))
-                budgets[data_id] = budget
-        except (
-            ValueError,  # bad JSON, bad version, bad floats
-            KeyError,
-            TypeError,
-            AttributeError,
-            BudgetExceededError,  # ledger entries overdraw their own total
-        ) as error:
-            reason = f"{type(error).__name__}: {error}"
-            try:
-                os.replace(path, path.with_name(path.name + _QUARANTINE_SUFFIX))
-            except OSError:
-                pass
-            self._ledger_corrupt = reason
-            return
-        self._budgets.update(budgets)
-
-    def _save_budgets(self) -> None:
-        """Durably persist the ledger (atomic temp + fsync + rename).
-
-        Called with the spend already applied in memory, *before* the
-        fit touches sensitive data — so after a crash at any byte
-        boundary the on-disk ledger is either the complete pre-spend or
-        the complete post-spend state, and restart can only ever
-        over-count (conservative), never under-count, the epsilon spent.
-
-        In catalog mode the spend lands as catalog rows *inside* the
-        surrounding ``BEGIN IMMEDIATE`` transaction (authoritative), and
-        the JSON file is then rewritten as a mirror.  A crash between
-        mirror write and commit leaves the JSON over-counting — the
-        conservative direction, identical to the JSON-only protocol —
-        and the next committed spend rewrites the mirror from truth.
-        """
-        if self._store_dir is None and self._catalog is None:
-            return
-        state = {
-            data_id: {
-                "total": budget.total,
-                "ledger": [
-                    [entry.epsilon, entry.label] for entry in budget.ledger
-                ],
-            }
-            for data_id, budget in self._budgets.items()
-        }
-        if self._catalog is not None:
-            self._catalog.replace_budgets(self._tenant, state)
-        if self._store_dir is None:
-            return
-        payload = {"version": _BUDGET_FORMAT_VERSION, "budgets": state}
-        _atomic_write(
-            self._store_dir / _BUDGET_FILE,
-            json.dumps(payload, indent=2).encode("utf-8"),
-            fault_prefix="ledger",
-        )
+                budgets[found] = budget
+        except (sqlite3.Error, ValueError, TypeError, BudgetExceededError) as error:
+            self._ledger_corrupt = f"{type(error).__name__}: {error}"
+            return {}
+        return budgets

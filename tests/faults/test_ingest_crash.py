@@ -1,7 +1,7 @@
 """Crash-safety of streaming ingestion: every fault point converges.
 
 The acceptance bar for the ingest subsystem: ``kill -9`` at *any* of the
-WAL / refresh / archive / ledger fault points must leave a directory
+WAL / refresh / catalog / archive fault points must leave a directory
 that, after restart (replay) plus the client's natural retry of the
 unacknowledged batch, is **bit-identical** to a run that never crashed —
 same release archive bytes, same ledger, zero double-spend.
@@ -16,7 +16,6 @@ field and byte by byte against the no-crash baseline.
 """
 
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -66,7 +65,7 @@ def _end_state(store_dir, store):
     """Everything that must match the no-crash run, bit for bit."""
     key = release_key()
     archive = (store_dir / f"{key.slug()}.npz").read_bytes()
-    ledger = json.loads((store_dir / "budgets.json").read_text())
+    ledger = store.catalog.load_budgets("default")
     synopsis = store.get(key)
     return {
         "archive_sha": hashlib.sha256(archive).hexdigest(),
@@ -98,9 +97,8 @@ CRASH_POINTS = [
     ("wal.fsync", "data"),
     ("ingest.refresh", None),
     ("store.fit", None),
-    ("ledger.write", None),
-    ("ledger.fsync", None),
-    ("ledger.replace", None),
+    ("catalog.spend", None),
+    ("catalog.commit", None),
     ("archive.write", None),
     ("archive.fsync", None),
     ("archive.replace", None),
@@ -144,7 +142,7 @@ def test_crash_then_restart_and_retry_is_bit_identical(
         "ledger must match the no-crash run exactly (zero double-spend)"
     )
     assert state["total"] == baseline["total"]
-    labels = state["ledger"]["budgets"]["storage|0"]["ledger"]
+    labels = state["ledger"]["storage|0"]["ledger"]
     assert len({label for _, label in labels}) == len(labels), (
         "no spend label may ever be charged twice"
     )

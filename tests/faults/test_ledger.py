@@ -1,30 +1,35 @@
 """Budget-ledger durability: no crash tears it, no corruption resets it.
 
-The ledger is the service's privacy guarantee made durable.  Two
+The ledger is the service's privacy guarantee made durable: the rows of
+the catalog's SQLite file (``<store_dir>/catalog.sqlite``).  Two
 invariants under fault:
 
-* **Atomicity** — after a crash (or disk-full) at *any* stage of a
-  ledger write, the on-disk file is the complete previous state or the
-  complete new state, never a torn mix, and restart never *under*-counts
-  spent epsilon.
-* **No silent reset** — a ledger that fails to parse is quarantined and
-  all further builds are refused; an empty fresh ledger would let every
-  historic spend be repeated (double-spending the real privacy loss).
+* **Atomicity** — a disk-full error or a crash at the spend point
+  (``catalog.spend``, before the spend row is written) or the commit
+  point (``catalog.commit``), or a crash that tears the commit's write
+  to the log, rolls the spend back: a restart sees exactly the
+  pre-spend ledger, and the next build succeeds and is charged once.
+* **No silent reset** — a catalog that cannot be read or replayed either
+  refuses to open or refuses all further builds; it never opens as an
+  empty ledger, which would let every historic spend be repeated
+  (double-spending the real privacy loss).
 """
 
-import json
+import errno
+import sqlite3
 
 import numpy as np
 import pytest
 from faultutil import N_POINTS, release_key
 
 from repro.service import faultinject
-from repro.service.errors import BudgetRefused, ReleaseQuarantined
+from repro.service.catalog import CATALOG_FILE, DEFAULT_TENANT, Catalog
+from repro.service.errors import BudgetRefused
 from repro.service.faultinject import SimulatedCrash
 from repro.service.keys import ReleaseKey
 from repro.service.store import SynopsisStore
 
-LEDGER = "budgets.json"
+SPEND_POINTS = ["catalog.spend", "catalog.commit"]
 
 
 def _store(tmp_path, **kwargs):
@@ -37,150 +42,155 @@ def _second_key() -> ReleaseKey:
     return ReleaseKey("storage", "UG", epsilon=0.25, seed=0)
 
 
-def _spent(tmp_path) -> float:
-    payload = json.loads((tmp_path / LEDGER).read_text())
-    return sum(
-        epsilon
-        for state in payload["budgets"].values()
-        for epsilon, _label in state["ledger"]
-    )
+def _ledger(tmp_path) -> dict:
+    """The ledger as a fresh process would read it."""
+    return Catalog(tmp_path / CATALOG_FILE).load_budgets(DEFAULT_TENANT)
+
+
+def _raising(error):
+    def hook(**_context):
+        raise error
+
+    return hook
 
 
 class TestAtomicity:
     def test_disk_full_fails_cleanly_and_keeps_ledger(self, tmp_path):
         store = _store(tmp_path)
         store.build(release_key())
-        before = _spent(tmp_path)
-        with faultinject.injected(
-            "ledger.write",
-            lambda **_: (_ for _ in ()).throw(OSError(28, "injected disk full")),
-        ):
-            with pytest.raises(OSError):
-                store.build(_second_key())
-        assert _spent(tmp_path) == before  # ledger untouched
-        assert list(tmp_path.glob("*.tmp")) == []  # temp removed on error
-        # The store keeps serving and can build again once space returns.
-        assert _store(tmp_path).build(_second_key())[1] is True
+        before = _ledger(tmp_path)
+        for point in SPEND_POINTS:
+            disk_full = OSError(errno.ENOSPC, "injected disk full")
+            with faultinject.injected(point, _raising(disk_full)):
+                with pytest.raises(OSError):
+                    store.build(_second_key())
+            assert _ledger(tmp_path) == before  # rolled back
+        # The same store builds again once space returns, charged once.
+        assert store.build(_second_key())[1] is True
+        spends = _ledger(tmp_path)["storage|0"]["ledger"]
+        assert spends == before["storage|0"]["ledger"] + [
+            [0.25, _second_key().slug()]
+        ]
 
-    @pytest.mark.parametrize(
-        "point", ["ledger.write", "ledger.fsync", "ledger.replace"]
-    )
+    @pytest.mark.parametrize("point", SPEND_POINTS)
     def test_crash_at_any_stage_never_tears_the_ledger(self, tmp_path, point):
         store = _store(tmp_path)
         store.build(release_key())
-        before = _spent(tmp_path)
-        with faultinject.injected(
-            point, lambda **_: (_ for _ in ()).throw(SimulatedCrash(point))
-        ):
+        before = _ledger(tmp_path)
+        with faultinject.injected(point, _raising(SimulatedCrash(point))):
             with pytest.raises(SimulatedCrash):
                 store.build(_second_key())
-        # "Restart": a fresh store parses a complete ledger and sweeps
-        # any temp debris the crash left behind.
+        # "Restart": a fresh store over the same directory sees the
+        # complete pre-spend ledger.
         survivor = _store(tmp_path)
         assert survivor.ledger_corrupt is None
-        assert list(tmp_path.glob("*.tmp")) == []
-        assert _spent(tmp_path) == before
+        assert survivor.catalog.load_budgets(DEFAULT_TENANT) == before
+        # The interrupted spend was never recorded, so the budget check
+        # still enforces the true remaining epsilon.
+        assert survivor.build(_second_key())[1] is True
+        assert survivor.budget_state()["storage|0"]["spent"] == pytest.approx(
+            0.5 + 0.25
+        )
 
     def test_short_write_then_crash_leaves_consistent_state(self, tmp_path):
-        """A torn temp file (half the bytes, then kill -9) is harmless."""
-        store = _store(tmp_path)
+        """A torn WAL append (half a spend's frames, then kill -9) is harmless.
+
+        The crash is modelled by copying the catalog while the spend's
+        transaction sits in the write-ahead log, keeping only the first
+        half of the log: the commit frame is gone, so a restart must see
+        the pre-spend ledger and charge the build exactly once.
+        """
+        live, crashed = tmp_path / "live", tmp_path / "crashed"
+        store = _store(live)
         store.build(release_key())
-        before = _spent(tmp_path)
-
-        def torn_write(path, data, **_context):
-            with open(path, "wb") as handle:
-                handle.write(data[: len(data) // 2])
-            raise SimulatedCrash("power loss mid-write")
-
-        with faultinject.injected("ledger.write", torn_write):
-            with pytest.raises(SimulatedCrash):
-                store.build(_second_key())
-        assert (tmp_path / (LEDGER + ".tmp")).exists()  # real crash debris
-        survivor = _store(tmp_path)
+        before = store.catalog.load_budgets(DEFAULT_TENANT)
+        # Closing the only connection checkpoints the log, so the spend
+        # below is the log's only transaction.
+        store.catalog.close()
+        with store.catalog.exclusive():
+            store.catalog.record_spend(
+                DEFAULT_TENANT, "storage|0", 2.0, 0.25, "torn-spend"
+            )
+        wal = (live / CATALOG_FILE).with_name(CATALOG_FILE + "-wal")
+        torn = wal.read_bytes()
+        crashed.mkdir()
+        (crashed / CATALOG_FILE).write_bytes((live / CATALOG_FILE).read_bytes())
+        (crashed / wal.name).write_bytes(torn[: len(torn) // 2])
+        survivor = _store(crashed)
         assert survivor.ledger_corrupt is None
-        assert _spent(tmp_path) == before
-        assert list(tmp_path.glob("*.tmp")) == []
-        # The interrupted spend was never recorded on disk, so the
-        # budget check still enforces the true remaining epsilon.
-        survivor.build(_second_key())
-        assert _spent(tmp_path) == pytest.approx(before + 0.25)
+        assert survivor.catalog.load_budgets(DEFAULT_TENANT) == before
+        assert survivor.build(_second_key())[1] is True
+        assert survivor.budget_state()["storage|0"]["spent"] == pytest.approx(
+            0.5 + 0.25
+        )
 
 
 class TestCorruptLedger:
     def test_truncated_ledger_refuses_all_builds(self, tmp_path):
+        """A cut catalog never opens as a healthy, emptier ledger.
+
+        Each cut either fails to open (``sqlite3.DatabaseError``), opens
+        with ``ledger_corrupt`` set — every build refused, persisted
+        releases still served — or still holds the whole ledger.
+        """
         store = _store(tmp_path)
         store.build(release_key())
-        pristine = (tmp_path / LEDGER).read_bytes()
+        expected = store.budget_state()
+        # Closing the only connection checkpoints the WAL: the file alone
+        # now holds the ledger.
+        store.catalog.close()
+        del store
+        path = tmp_path / CATALOG_FILE
+        pristine = path.read_bytes()
         rng = np.random.default_rng(19)
         cuts = {1, len(pristine) - 1}
-        cuts.update(int(c) for c in rng.integers(1, len(pristine), size=8))
+        cuts.update(int(c) for c in rng.integers(2, len(pristine) - 1, size=8))
+        unopenable = set()
         for cut in sorted(cuts):
-            (tmp_path / LEDGER).write_bytes(pristine[:cut])
-            survivor = _store(tmp_path)  # never crashes
-            assert survivor.ledger_corrupt is not None
-            corpse = tmp_path / (LEDGER + ".corrupt")
-            assert corpse.exists()
-            # Anything that would spend epsilon is refused ...
-            with pytest.raises(BudgetRefused, match="ledger"):
-                survivor.build(_second_key())
-            with pytest.raises(BudgetRefused):
-                survivor.build(release_key(), force=True)
-            assert survivor.stats.refusals == 2
-            # ... but serving the already-persisted release is
-            # post-processing and stays available, via get and via the
-            # spend-free build path alike.
-            assert survivor.get(release_key()) is not None
-            assert survivor.build(release_key())[1] is False
-            corpse.unlink()
-
-    def test_bit_flipped_ledger_never_crashes_or_overdraws(self, tmp_path):
-        store = _store(tmp_path)
-        store.build(release_key())
-        pristine = (tmp_path / LEDGER).read_bytes()
-        rng = np.random.default_rng(23)
-        for _ in range(24):
-            flipped = bytearray(pristine)
-            offset = int(rng.integers(0, len(pristine)))
-            flipped[offset] ^= 1 << int(rng.integers(0, 8))
-            (tmp_path / LEDGER).write_bytes(bytes(flipped))
-            survivor = _store(tmp_path)  # must never raise
+            for leftover in ("-wal", "-shm"):
+                path.with_name(path.name + leftover).unlink(missing_ok=True)
+            path.write_bytes(pristine[:cut])
+            try:
+                survivor = _store(tmp_path)  # never opens an empty ledger
+            except sqlite3.DatabaseError:
+                unopenable.add(cut)
+                continue
+            state = survivor.budget_state()
             if survivor.ledger_corrupt is None:
-                # The flip happened to keep the ledger parseable (e.g.
-                # inside a label string); structural invariants must
-                # still hold and budgets can never exceed their totals.
-                for state in survivor.budget_state().values():
-                    assert state["spent"] <= state["total"] + 1e-9
-                    assert state["remaining"] >= 0
+                assert state == expected, f"cut at {cut} lost spends"
             else:
-                with pytest.raises(BudgetRefused):
+                # Anything that would spend epsilon is refused ...
+                with pytest.raises(BudgetRefused, match="ledger"):
                     survivor.build(_second_key())
-            (tmp_path / (LEDGER + ".corrupt")).unlink(missing_ok=True)
+                with pytest.raises(BudgetRefused):
+                    survivor.build(release_key(), force=True)
+                # ... but serving the already-persisted release is
+                # post-processing and stays available.
+                assert survivor.get(release_key()) is not None
+                assert survivor.build(release_key())[1] is False
+            survivor.catalog.close()
+        # SQLite reads a 1-byte file as an empty database; the catalog
+        # must not lay a fresh schema over it.
+        assert 1 in unopenable
 
     def test_semantic_corruption_is_caught(self, tmp_path):
         """Entries that overdraw their own total are corruption too."""
         store = _store(tmp_path)
         store.build(release_key())
-        payload = json.loads((tmp_path / LEDGER).read_text())
-        state = payload["budgets"]["storage|0"]
-        state["ledger"] = [[state["total"] + 1.0, "impossible_spend"]]
-        (tmp_path / LEDGER).write_text(json.dumps(payload))
+        with store.catalog.exclusive() as conn:
+            conn.execute("UPDATE ledger SET epsilon = 3.0")  # total is 2.0
         survivor = _store(tmp_path)
         assert survivor.ledger_corrupt is not None
         with pytest.raises(BudgetRefused, match="ledger"):
             survivor.build(_second_key())
-
-    def test_unsupported_version_is_quarantined(self, tmp_path):
-        (tmp_path / LEDGER).write_text(json.dumps({"version": 99, "budgets": {}}))
-        survivor = _store(tmp_path)
-        assert survivor.ledger_corrupt is not None
-        assert (tmp_path / (LEDGER + ".corrupt")).exists()
 
     def test_http_surface_reports_corrupt_ledger(
         self, tmp_path, make_service, start_server, call
     ):
         store = _store(tmp_path)
         store.build(release_key())
-        (tmp_path / LEDGER).write_bytes(b'{"version": 1, "budgets": ')
+        with store.catalog.exclusive() as conn:
+            conn.execute("UPDATE ledger SET epsilon = 'garbage'")
         service = make_service(store_dir=tmp_path)
         server = start_server(service)
         status, body, _ = call(server, "/health")

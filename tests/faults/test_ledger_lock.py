@@ -1,13 +1,14 @@
-"""Cross-process budget-ledger safety: flock + reload-before-spend.
+"""Cross-process budget-ledger safety for stores sharing one ``--store-dir``.
 
-Two server processes sharing a ``--store-dir`` share one privacy budget,
-but each holds its own in-memory view of the ledger.  Without an
-exclusive lock around the check-then-spend and a reload from disk while
-holding it, two processes could both read "1.0 remaining" and both
+Two server processes sharing a ``--store-dir`` share one privacy budget:
+each opens its own handle on the directory's catalog file.  Without a
+write transaction around the check-then-spend that re-reads the rows
+while holding it, two processes could both read "1.0 remaining" and both
 spend, overdrawing the dataset's epsilon — a real privacy violation, not
 just an accounting bug.  These tests model the second process as a
-second :class:`SynopsisStore` instance over the same directory (the
-in-memory views are exactly as independent as two processes' would be).
+second :class:`SynopsisStore` instance over the same directory, each
+opening the catalog itself (the handles are exactly as independent as
+two processes' would be).
 """
 
 import threading
@@ -31,19 +32,20 @@ def _store(store_dir, budget):
 
 
 def test_stale_store_sees_the_other_process_spend(tmp_path):
-    """B's in-memory ledger predates A's spend; B must still refuse.
+    """B was opened before A's spend; B must still refuse.
 
-    B is constructed (and reads the empty ledger) *before* A spends.
-    If B trusted its cached view it would see 1.0 remaining and allow a
-    0.6 build; the reload under the flock must surface A's 0.5 spend.
+    B is constructed (and replays the empty ledger) *before* A spends.
+    If B trusted what it read at startup it would see 1.0 remaining and
+    allow a 0.6 build; the re-read inside the spend transaction must
+    surface A's 0.5 spend.
     """
     store_a = _store(tmp_path, budget=1.0)
-    store_b = _store(tmp_path, budget=1.0)  # stale: loaded an empty ledger
+    store_b = _store(tmp_path, budget=1.0)  # stale: replayed an empty ledger
     store_a.build(_key(0.5))
     with pytest.raises(BudgetRefused):
         store_b.build(_key(0.6))
-    # The refusal updated B's view; a fitting request still goes through,
-    # and A in turn sees B's spend.
+    # A fitting request still goes through, and A in turn sees B's
+    # spend.
     store_b.build(_key(0.4))
     with pytest.raises(BudgetRefused):
         store_a.build(_key(0.2, seed=0, method="AG"))
@@ -94,21 +96,9 @@ def test_concurrent_stores_never_overdraw(tmp_path):
     built = sum(eps for outcome, eps in outcomes if outcome == "built")
     assert built <= budget + 1e-9, "the winners overdrew the budget"
     assert any(outcome == "refused" for outcome, _ in outcomes)
-    # Both stores agree on the final on-disk truth after a reload, and
-    # the durable ledger charges exactly the winners.
+    # Both stores agree on the on-disk truth, and the durable ledger
+    # charges exactly the winners.
     for store in stores:
         state = store.budget_state()["storage|0"]
         assert state["spent"] == pytest.approx(built)
         assert state["spent"] <= budget + 1e-9
-
-
-def test_lock_file_does_not_leak_into_budget_accounting(tmp_path):
-    """The lock file must not be mistaken for a release or corrupt the
-    store directory's contents on restart."""
-    store = _store(tmp_path, budget=1.0)
-    store.build(_key(0.5))
-    assert (tmp_path / "budgets.json.lock").exists()
-    reopened = _store(tmp_path, budget=1.0)
-    state = reopened.budget_state()["storage|0"]
-    assert state["spent"] == pytest.approx(0.5)
-    assert len(state["releases"]) == 1

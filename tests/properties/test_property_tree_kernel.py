@@ -64,9 +64,11 @@ def random_spatial_trees(
                 variance=draw(variances),
                 depth=level,
             )
+        # Splits are clamped to the far edge: lo + 1.0 * (hi - lo) can
+        # round one ulp past hi, which no rectangle may span.
         if draw(st.booleans()):  # quadrant split
-            fx = rect.x_lo + draw(split_fractions) * rect.width
-            fy = rect.y_lo + draw(split_fractions) * rect.height
+            fx = min(rect.x_lo + draw(split_fractions) * rect.width, rect.x_hi)
+            fy = min(rect.y_lo + draw(split_fractions) * rect.height, rect.y_hi)
             child_rects = [
                 Rect(rect.x_lo, rect.y_lo, fx, fy),
                 Rect(fx, rect.y_lo, rect.x_hi, fy),
@@ -76,13 +78,17 @@ def random_spatial_trees(
         else:  # axis split
             axis = draw(st.integers(min_value=0, max_value=1))
             if axis == 0:
-                split = rect.x_lo + draw(split_fractions) * rect.width
+                split = min(
+                    rect.x_lo + draw(split_fractions) * rect.width, rect.x_hi
+                )
                 child_rects = [
                     Rect(rect.x_lo, rect.y_lo, split, rect.y_hi),
                     Rect(split, rect.y_lo, rect.x_hi, rect.y_hi),
                 ]
             else:
-                split = rect.y_lo + draw(split_fractions) * rect.height
+                split = min(
+                    rect.y_lo + draw(split_fractions) * rect.height, rect.y_hi
+                )
                 child_rects = [
                     Rect(rect.x_lo, rect.y_lo, rect.x_hi, split),
                     Rect(rect.x_lo, split, rect.x_hi, rect.y_hi),

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.cli import main as repro_main
+from repro.service.catalog import Catalog
 from repro.service.cli import build_parser, main as serve_main, resolve_workers
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -149,6 +150,31 @@ class TestIngestFlags:
     def test_ingest_requires_store_dir(self, capsys):
         assert serve_main(["--ingest", "--port", "0"]) == 2
         assert "--store-dir" in capsys.readouterr().err
+
+
+class TestCatalogFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [["--auth", "require"], ["--create-api-key", "acme"]],
+        ids=["auth-require", "create-api-key"],
+    )
+    def test_api_keys_need_a_persistent_catalog(self, capsys, argv):
+        """Keys minted into, or required from, a temporary catalog are moot."""
+        assert serve_main([*argv, "--port", "0"]) == 2
+        assert "--store-dir" in capsys.readouterr().err
+
+    def test_catalog_cannot_be_turned_off(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["--catalog", "off"])
+        assert excinfo.value.code == 2
+        assert "only budget ledger" in capsys.readouterr().err
+
+    def test_create_api_key_lands_in_the_store_catalog(self, tmp_path, capsys):
+        argv = ["--store-dir", str(tmp_path), "--create-api-key", "acme"]
+        assert serve_main(argv) == 0
+        token = capsys.readouterr().out.strip()
+        catalog = Catalog(tmp_path / "catalog.sqlite")
+        assert catalog.resolve_api_key(token) == "acme"
 
 
 @pytest.mark.skipif(

@@ -46,7 +46,6 @@ def stack(tmp_path, start_server):
         QueryService(store),
         ingest=manager,
         authenticator=ApiKeyAuthenticator(catalog),
-        catalog=catalog,
     )
     return server, tokens
 
@@ -119,7 +118,6 @@ class TestHealthExemptions:
         server = start_server(
             QueryService(store),
             authenticator=ApiKeyAuthenticator(catalog),
-            catalog=catalog,
             max_inflight=1,
             queue_depth=0,
             request_deadline_ms=500,
@@ -243,6 +241,17 @@ class TestDatasetCrud:
         )
         assert status == 400
         assert "cursor" in body["detail"]
+
+    def test_in_memory_server_serves_datasets(self, start_server, call):
+        """Without a store directory the store's private catalog serves."""
+        server = start_server(QueryService(SynopsisStore(n_points=N_POINTS)))
+        status, body, _ = call(
+            server, "/datasets", {"name": "geo", "spec": "storage"}
+        )
+        assert status == 201 and body["dataset"]["name"] == "geo"
+        status, body, _ = call(server, "/datasets")
+        assert status == 200
+        assert [row["name"] for row in body["datasets"]] == ["geo"]
 
     def test_registrations_are_tenant_scoped(self, stack, call):
         server, tokens = stack

@@ -1,12 +1,16 @@
-"""Catalog unit tests: migration fidelity, pagination, tenant ids."""
+"""Catalog unit tests: the catalog file, migration fidelity, pagination,
+tenant ids."""
 
+import gc
 import json
+import threading
 
 import pytest
 
 from repro.service.catalog import DEFAULT_TENANT, Catalog, validate_tenant_id
 from repro.service.errors import (
     AuthForbidden,
+    BudgetRefused,
     DatasetExists,
     DatasetNotFound,
     ValidationError,
@@ -17,30 +21,96 @@ from repro.service.store import SynopsisStore
 N_POINTS = 1_000
 LEDGER = "budgets.json"
 
+#: A spend history in the pre-catalog ``budgets.json`` format: doubles
+#: that do not round-trip through a shorter decimal, a total with no
+#: spends, and labels in an order the import must keep.
+LEGACY_BUDGETS = {
+    "storage|0": {
+        "total": 4.0,
+        "ledger": [
+            [0.1 + 0.2, "storage_UG_eps0.30000000000000004_seed0"],
+            [0.25, "storage_AG_eps0.25_seed0"],
+            [1 / 3, "storage_Hier_eps0.3333333333333333_seed0"],
+        ],
+    },
+    "storage|1": {"total": 2.5, "ledger": [[0.75, "storage_UG_eps0.75_seed1"]]},
+    "landmark|0": {"total": 1.0, "ledger": []},
+}
+
 
 def _key(epsilon, method="UG", seed=0):
     return ReleaseKey("storage", method, epsilon, seed)
 
 
+def _write_legacy_ledger(store_dir):
+    """What a version before the catalog left in its store directory."""
+    path = store_dir / LEDGER
+    path.write_text(json.dumps({"version": 1, "budgets": LEGACY_BUDGETS}, indent=2))
+    return path.read_bytes()
+
+
+class TestCatalogFile:
+    def test_concurrent_first_opens_all_succeed(self, tmp_path):
+        """Racing first opens of one new file never read it as damaged.
+
+        The schema commits before the file switches to WAL mode, so
+        whichever open wins the write lock, the others find a complete
+        schema — never a non-empty file without one.
+        """
+        path = tmp_path / "catalog.sqlite"
+        start = threading.Barrier(6)
+        errors = []
+
+        def open_catalog():
+            start.wait()
+            try:
+                Catalog(path).ensure_tenant("acme")
+            except Exception as error:
+                errors.append(error)
+
+        threads = [threading.Thread(target=open_catalog) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert Catalog(path).tenant_ids() == ["acme", DEFAULT_TENANT]
+
+    def test_empty_file_opens_as_a_fresh_catalog(self, tmp_path):
+        """0 bytes is what a concurrent first open sees mid-creation."""
+        path = tmp_path / "catalog.sqlite"
+        path.write_bytes(b"")
+        assert Catalog(path).load_budgets(DEFAULT_TENANT) == {}
+
+    def test_private_catalog_lives_as_long_as_its_stores(self):
+        """An in-memory store's temporary catalog outlives the store that
+        opened it while a ``for_tenant`` sibling still holds it."""
+        root = SynopsisStore(dataset_budget=1.0, n_points=N_POINTS)
+        sibling = root.for_tenant("acme")
+        directory = root.catalog.path.parent
+        del root
+        gc.collect()
+        assert sibling.build(_key(0.5))[1] is True
+        assert directory.is_dir()
+        del sibling
+        gc.collect()
+        assert not directory.exists()
+
+
 class TestBudgetsJsonMigration:
     def test_import_is_bit_for_bit(self, tmp_path):
         """Every total, epsilon, label, and their order survive import."""
-        json_store = SynopsisStore(
+        _write_legacy_ledger(tmp_path)
+        before = json.loads((tmp_path / LEDGER).read_text())["budgets"]
+        store = SynopsisStore(
             store_dir=tmp_path, dataset_budget=4.0, n_points=N_POINTS
         )
-        json_store.build(_key(0.5))
-        json_store.build(_key(0.25, method="AG"))
-        json_store.build(_key(0.75, seed=1))
-        before = json.loads((tmp_path / LEDGER).read_text())["budgets"]
-
-        catalog = Catalog(tmp_path / "catalog.sqlite")
-        SynopsisStore(
-            store_dir=tmp_path,
-            dataset_budget=4.0,
-            n_points=N_POINTS,
-            catalog=catalog,
-        )
-        assert catalog.load_budgets(DEFAULT_TENANT) == before
+        assert store.catalog.load_budgets(DEFAULT_TENANT) == before
+        # The imported history binds: storage|1 has 1.75 of its own
+        # 2.5 total left, whatever the store's configured budget.
+        with pytest.raises(BudgetRefused):
+            store.build(_key(2.0, seed=1))
 
     def test_import_is_one_shot(self, tmp_path):
         """Edits to the JSON file after import never re-enter the catalog.
@@ -49,27 +119,17 @@ class TestBudgetsJsonMigration:
         on every open would resurrect rows the catalog has since moved
         past (and double-import on a crash loop).
         """
-        store = SynopsisStore(
-            store_dir=tmp_path, dataset_budget=4.0, n_points=N_POINTS
-        )
-        store.build(_key(0.5))
-        catalog = Catalog(tmp_path / "catalog.sqlite")
+        _write_legacy_ledger(tmp_path)
 
         def reopen():
             return SynopsisStore(
-                store_dir=tmp_path,
-                dataset_budget=4.0,
-                n_points=N_POINTS,
-                catalog=catalog,
+                store_dir=tmp_path, dataset_budget=4.0, n_points=N_POINTS
             )
 
-        reopen()
-        imported = catalog.load_budgets(DEFAULT_TENANT)
-        # Tamper with the JSON as a crashed mirror write might have.
+        imported = reopen().catalog.load_budgets(DEFAULT_TENANT)
         doctored = {"version": 1, "budgets": {}}
         (tmp_path / LEDGER).write_text(json.dumps(doctored))
-        reopen()
-        assert catalog.load_budgets(DEFAULT_TENANT) == imported
+        assert reopen().catalog.load_budgets(DEFAULT_TENANT) == imported
 
     def test_import_rejects_unknown_ledger_version(self, tmp_path):
         (tmp_path / LEDGER).write_text(json.dumps({"version": 99, "budgets": {}}))
@@ -77,19 +137,25 @@ class TestBudgetsJsonMigration:
         with pytest.raises(ValueError, match="version"):
             catalog.import_budgets_json(DEFAULT_TENANT, tmp_path / LEDGER)
 
-    def test_json_mirror_tracks_catalog_spends(self, tmp_path):
-        """Catalog mode keeps rewriting budgets.json in the v1 format."""
-        catalog = Catalog(tmp_path / "catalog.sqlite")
+    def test_spends_never_write_budgets_json(self, tmp_path):
+        """The catalog is the only ledger: nothing writes the JSON file."""
+        fresh = tmp_path / "fresh"
+        SynopsisStore(
+            store_dir=fresh, dataset_budget=4.0, n_points=N_POINTS
+        ).build(_key(0.5))
+        assert not (fresh / LEDGER).exists()
+        legacy = tmp_path / "legacy"
+        legacy.mkdir()
+        original = _write_legacy_ledger(legacy)
         store = SynopsisStore(
-            store_dir=tmp_path,
-            dataset_budget=4.0,
-            n_points=N_POINTS,
-            catalog=catalog,
+            store_dir=legacy, dataset_budget=4.0, n_points=N_POINTS
         )
         store.build(_key(0.5))
-        mirror = json.loads((tmp_path / LEDGER).read_text())
-        assert mirror["version"] == 1
-        assert mirror["budgets"] == catalog.load_budgets(DEFAULT_TENANT)
+        assert (legacy / LEDGER).read_bytes() == original
+        spends = store.catalog.load_budgets(DEFAULT_TENANT)["storage|0"]["ledger"]
+        assert spends == LEGACY_BUDGETS["storage|0"]["ledger"] + [
+            [0.5, "storage_UG_eps0.5_seed0"]
+        ]
 
 
 class TestTenantIds:
