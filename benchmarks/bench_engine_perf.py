@@ -27,7 +27,8 @@ def test_batch_engine_speed_and_exactness(benchmark):
         dataset, 40.0, 20.0, rng=1, queries_per_size=500
     )
     rects = workload.all_rects()
-    engine = BatchQueryEngine(synopsis.layout, synopsis.counts)
+    domain = synopsis.layout.domain
+    engine = BatchQueryEngine(domain.lows, domain.highs, synopsis.counts)
 
     def run_batch():
         return engine.answer_batch(rects)

@@ -6,16 +6,18 @@ pattern, at figure-3 scale (150k points, 6 sizes x 200 queries):
 
 * **Privelet**: vectorised Haar build vs the retained per-lane
   ``fit_reference`` (releases asserted bit-identical), and the
-  prefix-sum :class:`BatchQueryEngine` over the reconstructed grid vs
-  the scalar reconstructed-grid loop.
+  prefix-sum grid engine over the reconstructed grid vs the scalar
+  reconstructed-grid loop.
 * **Hierarchy**: array-stack build vs ``fit_reference`` (bit-identical),
-  and the inherited prefix-sum batch engine vs the scalar grid loop.
+  and the grid engine over the inferred leaves vs the scalar grid loop.
 * **ND grid**: the d = 2 servable embedding build vs the raw reference
-  (bit-identical) with :class:`NDPrefixSumEngine` vs the scalar
-  tensordot loop, plus a d = 3 sweep on the hyper-rectangle workload.
+  (bit-identical) with the grid engine vs the scalar tensordot loop,
+  plus a d = 3 sweep on the hyper-rectangle workload.
 
-Bit-identity is asserted in *every* mode; ``make_engine`` resolves all
-three engines through their declared rows (an undeclared type raises).
+All three families answer through the one d-dimensional
+:class:`BatchQueryEngine`.  Bit-identity is asserted in *every* mode;
+``make_engine`` resolves each engine through its declared row (an
+undeclared type raises).
 Results land in ``BENCH_longtail.json`` at the repo root so the perf
 trajectory is tracked in-tree.
 
@@ -42,7 +44,6 @@ from repro.extensions.multidim import (
 )
 from repro.queries.engine import (
     BatchQueryEngine,
-    NDPrefixSumEngine,
     make_engine,
     scalar_answer_batch,
 )
@@ -97,14 +98,14 @@ def test_longtail_kernels_vs_reference():
     rounds = 2 if QUICK else 3
 
     families = [
-        ("Privelet", PriveletBuilder(), BatchQueryEngine),
-        ("Hier", HierarchicalGridBuilder(), None),  # inherits the grid engine
-        ("UGnd", MultiDimGridBuilder(), NDPrefixSumEngine),
+        ("Privelet", PriveletBuilder()),
+        ("Hier", HierarchicalGridBuilder()),
+        ("UGnd", MultiDimGridBuilder()),
     ]
 
     rows = []
     results = {}
-    for label, builder, engine_type in families:
+    for label, builder in families:
         flat = builder.fit(dataset, EPSILON, np.random.default_rng(29))
         reference = builder.fit_reference(
             dataset, EPSILON, np.random.default_rng(29)
@@ -123,8 +124,7 @@ def test_longtail_kernels_vs_reference():
         )
 
         engine = make_engine(flat)
-        if engine_type is not None:
-            assert isinstance(engine, engine_type)
+        assert isinstance(engine, BatchQueryEngine)
         engine_answers = engine.answer_batch(rects)
         # Privelet and the ND embedding route their scalar `answer`
         # through a one-row engine call, so batch and scalar agree bit
@@ -176,7 +176,7 @@ def test_longtail_kernels_vs_reference():
             ]
         )
 
-    # d = 3: the prefix-sum engine beyond what the 2-D service can reach.
+    # d = 3: the grid engine beyond what the 2-D service can reach.
     rng = np.random.default_rng(5)
     box = NDBox(np.zeros(3), np.ones(3))
     points = rng.uniform(box.lows, box.highs, size=(ND_POINTS, 3))
@@ -187,7 +187,7 @@ def test_longtail_kernels_vs_reference():
         points, box, np.random.default_rng(11), n_queries=ND_QUERIES
     )
     engine = nd.batch_engine()
-    assert isinstance(engine, NDPrefixSumEngine)
+    assert isinstance(engine, BatchQueryEngine)
     engine_answers = engine.answer_batch(boxes)
     scalar_answers = np.array(
         [nd.answer(NDBox(row[:3], row[3:])) for row in boxes]

@@ -13,8 +13,8 @@ paper's 6-sizes x 200-queries workload shape):
   included, as ``apply_tree_inference`` pays it), asserted bit-identical.
 * **batch query**: the engine production serves, ``make_engine``'s
   (a lattice ``BatchQueryEngine`` for a quadtree that lowers, else the
-  edge-table ``FlatTreeEngine``), vs the scalar ``FallbackEngine`` loop
-  on the full workload, asserted equal to float rounding; its class,
+  edge-table ``FlatTreeEngine``), vs the scalar ``scalar_answer_batch``
+  loop on the full workload, asserted equal to float rounding; its class,
   ``precompute`` seconds and ``nbytes`` are recorded beside it.
 
 Results are written to ``BENCH_tree_kernel.json`` at the repo root so
@@ -52,7 +52,7 @@ from repro.core.serialization import (
     synopsis_kind,
     synopsis_to_bytes,
 )
-from repro.queries.engine import FallbackEngine, make_engine
+from repro.queries.engine import make_engine, scalar_answer_batch
 from repro.queries.workload import QueryWorkload
 
 QUICK = os.environ.get("BENCH_TREE_QUICK", "") not in ("", "0")
@@ -171,9 +171,8 @@ def test_tree_kernel_vs_object_graph():
         row = synopsis_kind(type(flat))
         precompute_s = _best_seconds(lambda: row.precompute(flat), rounds=rounds)
         flat_engine = make_engine(flat)
-        scalar_engine = FallbackEngine(reference)
         flat_answers = flat_engine.answer_batch(rects)
-        scalar_answers = scalar_engine.answer_batch(rects)
+        scalar_answers = scalar_answer_batch(reference, rects)
         np.testing.assert_allclose(
             flat_answers, scalar_answers, rtol=1e-9, atol=1e-9
         )
@@ -192,7 +191,7 @@ def test_tree_kernel_vs_object_graph():
                 )
         query_flat_s = _best_seconds(lambda: flat_engine.answer_batch(rects))
         query_scalar_s = _best_seconds(
-            lambda: scalar_engine.answer_batch(rects),
+            lambda: scalar_answer_batch(reference, rects),
             rounds=1 if QUICK else 2,
         )
 

@@ -21,8 +21,10 @@ rectangle queries as (interval estimate) x (fractional y-coverage of the
 domain) — the uniformity assumption applied on the unmodelled axis.  It
 is declared in both service tables: method ``Hier1d`` in
 :mod:`repro.service.keys`, and kind ``one_dim`` in
-:mod:`repro.core.serialization`, whose row serves it through
-:class:`OneDimIntervalEngine`.
+:mod:`repro.core.serialization`, whose row serves batches through the
+grid kernel :class:`~repro.queries.engine.BatchQueryEngine` over the
+release as an ``m x 1`` grid of the domain: one cell spans the whole
+y-extent, so a query's y-coverage fraction is that cell's overlap.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from repro.baselines.hierarchy import hierarchy_inference
 from repro.core.dataset import GeoDataset
-from repro.core.geometry import Domain2D, Rect, interval_overlap, rects_to_boxes
+from repro.core.geometry import Domain2D, Rect, interval_overlap
 from repro.core.synopsis import Synopsis, SynopsisBuilder
 from repro.privacy.budget import PrivacyBudget
 from repro.privacy.mechanisms import ensure_rng, laplace_scale
@@ -47,7 +49,6 @@ __all__ = [
     "compare_methods",
     "OneDimHistogramSynopsis",
     "OneDimHistogramBuilder",
-    "OneDimIntervalEngine",
 ]
 
 
@@ -284,7 +285,7 @@ class OneDimHistogramSynopsis(Synopsis):
                 f"bucket count must be a power of two, got {released.size}"
             )
         self._released = released
-        self._engine = None  # lazy OneDimIntervalEngine for answer_many
+        self._engine = None  # lazy BatchQueryEngine for answer_many
 
     @property
     def released(self) -> np.ndarray:
@@ -322,75 +323,6 @@ class OneDimHistogramSynopsis(Synopsis):
 
             self._engine = make_engine(self)
         return self._engine.answer_batch(rects)
-
-
-class OneDimIntervalEngine:
-    """Prefix-sum batch engine for :class:`OneDimHistogramSynopsis`.
-
-    ``S(t)``, the released mass in buckets ``[0, t)`` for fractional
-    ``t``, is a single prefix-sum lookup plus a partial-bucket term;
-    an interval answers ``S(hi) - S(lo)``, identical (to rounding) to
-    the scalar :func:`range_query` formula.  O(m) build, O(1) per query.
-    """
-
-    def __init__(self, synopsis: OneDimHistogramSynopsis, slabs: dict):
-        self._domain = synopsis.domain.bounds.as_tuple()
-        self._released = synopsis.released
-        self._prefix = slabs["prefix"]
-
-    @staticmethod
-    def precompute(released: np.ndarray) -> dict[str, np.ndarray]:
-        """Derived buffers to seal into a v2 archive at release time."""
-        prefix = np.zeros(released.size + 1)
-        np.cumsum(released, out=prefix[1:])
-        return {"prefix": prefix}
-
-    @classmethod
-    def from_slabs(
-        cls, synopsis: OneDimHistogramSynopsis, slabs: dict
-    ) -> "OneDimIntervalEngine":
-        """Restore from sealed (possibly read-only mmap) slabs."""
-        return cls(synopsis, slabs)
-
-    def _mass_below(self, positions: np.ndarray) -> np.ndarray:
-        """Vector of ``S(t)`` for fractional bucket positions ``t``."""
-        m = self._released.size
-        whole = np.minimum(positions.astype(int), m - 1)
-        return self._prefix[whole] + self._released[whole] * (positions - whole)
-
-    def answer_batch(self, rects: "list[Rect] | np.ndarray") -> np.ndarray:
-        boxes = rects_to_boxes(rects)
-        out = np.zeros(boxes.shape[0])
-        if boxes.shape[0] == 0:
-            return out
-        x_lo, y_lo, x_hi, y_hi = self._domain
-        width, height = x_hi - x_lo, y_hi - y_lo
-        if width <= 0 or height <= 0:
-            return out
-        m = self._released.size
-        with np.errstate(invalid="ignore"):
-            valid = (boxes[:, 2] >= boxes[:, 0]) & (boxes[:, 3] >= boxes[:, 1])
-            scale = m / width
-            # Invalid rows (inverted or NaN bounds) answer 0; zero their
-            # positions before indexing so NaNs never reach astype(int).
-            lo = np.where(
-                valid, np.clip((boxes[:, 0] - x_lo) * scale, 0.0, m), 0.0
-            )
-            hi = np.where(
-                valid, np.clip((boxes[:, 2] - x_lo) * scale, 0.0, m), 0.0
-            )
-            y_fraction = np.where(
-                valid,
-                (
-                    np.clip(boxes[:, 3], y_lo, y_hi)
-                    - np.clip(boxes[:, 1], y_lo, y_hi)
-                )
-                / height,
-                0.0,
-            )
-        estimates = (self._mass_below(hi) - self._mass_below(lo)) * y_fraction
-        out[valid] = estimates[valid]
-        return out
 
 
 class OneDimHistogramBuilder(SynopsisBuilder):

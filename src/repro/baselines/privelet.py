@@ -185,10 +185,10 @@ class PriveletSynopsis(UniformGridSynopsis):
     :class:`UniformGridSynopsis` base, rebuilt on load) are the same
     estimator in the cell basis.  Every range estimate is the bilinear
     form of the cropped reconstruction, so the declared engine is the
-    grid's own prefix-sum :class:`~repro.queries.engine.BatchQueryEngine`
-    — four corner gathers per query — and the scalar :meth:`answer`
-    routes through a single-row engine call, so the scalar and batch
-    paths are bit-identical by construction.
+    one grid kernel, :class:`~repro.queries.engine.BatchQueryEngine`,
+    over the reconstructed grid — four corner gathers per query — and
+    the scalar :meth:`answer` routes through a single-row engine call,
+    so the scalar and batch paths are bit-identical by construction.
     """
 
     def __init__(

@@ -24,9 +24,10 @@ the uniformity assumption (Section II-B of the paper).  Its scalar
 this module chooses (:func:`tree_engine_precompute`): a tree whose
 leaves lie on the ``2^h x 2^h`` lattice of its domain and whose
 internal counts equal their children's sums is lowered onto that
-lattice (a uniform-grid
-:class:`~repro.queries.engine.BatchQueryEngine`) when its prefix is no
-larger than the tree's own node vectors, any other tree goes through the
+lattice (the grid kernel
+:class:`~repro.queries.engine.BatchQueryEngine` over the domain's
+``2^h x 2^h`` counts) when its prefix is no larger than the tree's own
+node vectors, any other tree goes through the
 frontier-descent :class:`~repro.queries.engine.FlatTreeEngine` and its
 edge tables.
 
@@ -51,7 +52,6 @@ from repro.baselines.constrained_inference import (
     infer_tree,
 )
 from repro.core.geometry import Domain2D, Rect
-from repro.core.grid import GridLayout
 from repro.core.synopsis import Synopsis
 
 __all__ = [
@@ -562,7 +562,7 @@ def _lattice_leaves(synopsis: TreeSynopsis):
 
 
 def _lattice_release(synopsis: TreeSynopsis):
-    """``(layout, counts)`` of the release spread over its lattice, or ``None``.
+    """The release's counts spread over its lattice, or ``None``.
 
     Each leaf's count is spread evenly over the lattice cells it covers,
     which is the uniformity estimate the tree applies inside the leaf, so
@@ -583,7 +583,7 @@ def _lattice_release(synopsis: TreeSynopsis):
         members = shape_id == shape
         block = (np.arange(width)[:, None] * side + np.arange(height)).reshape(-1)
         grid[corner[members][:, None] + block] = density[members][:, None]
-    return GridLayout(synopsis.domain, side, side), grid.reshape(side, side)
+    return grid.reshape(side, side)
 
 
 def tree_engine_precompute(synopsis: TreeSynopsis) -> dict[str, np.ndarray]:
@@ -595,7 +595,8 @@ def tree_engine_precompute(synopsis: TreeSynopsis) -> dict[str, np.ndarray]:
     lattice = _lattice_release(synopsis)
     if lattice is None:
         return FlatTreeEngine.precompute(synopsis)
-    return BatchQueryEngine.precompute(*lattice)
+    domain = synopsis.domain
+    return BatchQueryEngine.precompute(domain.lows, domain.highs, lattice)
 
 
 def tree_engine_from_slabs(synopsis: TreeSynopsis, slabs: dict[str, np.ndarray]):
@@ -608,6 +609,5 @@ def tree_engine_from_slabs(synopsis: TreeSynopsis, slabs: dict[str, np.ndarray])
     if lowered is None:
         return FlatTreeEngine.from_slabs(synopsis, slabs)
     side = lowered[0]
-    return BatchQueryEngine.from_slabs(
-        GridLayout(synopsis.domain, side, side), slabs
-    )
+    domain = synopsis.domain
+    return BatchQueryEngine.from_slabs(domain.lows, domain.highs, (side, side), slabs)

@@ -185,6 +185,8 @@ class Domain2D:
     """
 
     def __init__(self, x_lo: float, y_lo: float, x_hi: float, y_hi: float):
+        if not all(math.isfinite(v) for v in (x_lo, y_lo, x_hi, y_hi)):
+            raise ValueError("Domain2D bounds must be finite")
         if x_hi <= x_lo or y_hi <= y_lo:
             raise ValueError("Domain2D must have strictly positive extent")
         self._bounds = Rect(x_lo, y_lo, x_hi, y_hi)
@@ -213,6 +215,16 @@ class Domain2D:
     @property
     def area(self) -> float:
         return self._bounds.area
+
+    @property
+    def lows(self) -> np.ndarray:
+        """``(x_lo, y_lo)``, the lower corner (as :class:`NDBox` names it)."""
+        return np.array([self._bounds.x_lo, self._bounds.y_lo])
+
+    @property
+    def highs(self) -> np.ndarray:
+        """``(x_hi, y_hi)``, the upper corner."""
+        return np.array([self._bounds.x_hi, self._bounds.y_hi])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Domain2D):

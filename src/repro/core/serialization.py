@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.analysis.one_dim import OneDimHistogramSynopsis, OneDimIntervalEngine
+from repro.analysis.one_dim import OneDimHistogramSynopsis
 from repro.baselines.hierarchy import HierarchicalGridSynopsis
 from repro.baselines.privelet import PriveletSynopsis, reconstruct_counts
 from repro.baselines.tree import (
@@ -60,11 +60,7 @@ from repro.extensions.multidim import (
     NDGridLayout,
     NDUniformGridSynopsis,
 )
-from repro.queries.engine import (
-    BatchQueryEngine,
-    FlatAdaptiveGridEngine,
-    NDPrefixSumEngine,
-)
+from repro.queries.engine import BatchQueryEngine, FlatAdaptiveGridEngine
 
 __all__ = [
     "KINDS",
@@ -652,34 +648,46 @@ def _unpack_tree(data: dict[str, np.ndarray]) -> TreeSynopsis:
 # ----------------------------------------------------------------------
 
 
-def _grid_precompute(synopsis: UniformGridSynopsis) -> dict[str, np.ndarray]:
-    return BatchQueryEngine.precompute(synopsis.layout, synopsis.counts)
+def _grid_kind(kind: str, synopsis_type: type, pack, unpack, grid) -> SynopsisKind:
+    """A row served by :class:`BatchQueryEngine` over the release's grid,
+    which ``grid(synopsis)`` returns as ``(lows, highs, counts)``."""
+
+    def from_slabs(synopsis, slabs: dict[str, np.ndarray]) -> BatchQueryEngine:
+        lows, highs, counts = grid(synopsis)
+        return BatchQueryEngine.from_slabs(lows, highs, counts.shape, slabs)
+
+    return SynopsisKind(
+        kind, synopsis_type, pack, unpack,
+        lambda synopsis: BatchQueryEngine.precompute(*grid(synopsis)),
+        from_slabs,
+    )
 
 
-def _grid_from_slabs(
-    synopsis: UniformGridSynopsis, slabs: dict[str, np.ndarray]
-) -> BatchQueryEngine:
-    return BatchQueryEngine.from_slabs(synopsis.layout, slabs)
+def _plane_grid(synopsis: UniformGridSynopsis):
+    domain = synopsis.layout.domain
+    return domain.lows, domain.highs, synopsis.counts
 
 
 #: One row per declared synopsis type.  Privelet and hierarchy releases
 #: *are* ``UniformGridSynopsis`` instances but carry state the grid row
 #: would drop, so each has its own row; both still answer from their
 #: grid (Privelet's reconstructed counts, the hierarchy's inferred
-#: leaves).  A subclass of a declared type resolves to its nearest
-#: declared ancestor's row (see :func:`synopsis_kind`).
+#: leaves).  The five grid-shaped rows share the one grid engine; the
+#: 1-D histogram is its ``m x 1`` grid.  A subclass of a declared type
+#: resolves to its nearest declared ancestor's row (see
+#: :func:`synopsis_kind`).
 KINDS: tuple[SynopsisKind, ...] = (
-    SynopsisKind(
+    _grid_kind(
         "uniform_grid", UniformGridSynopsis, _pack_uniform, _unpack_uniform,
-        _grid_precompute, _grid_from_slabs,
+        _plane_grid,
     ),
-    SynopsisKind(
+    _grid_kind(
         "hierarchy", HierarchicalGridSynopsis, _pack_hierarchy,
-        _unpack_hierarchy, _grid_precompute, _grid_from_slabs,
+        _unpack_hierarchy, _plane_grid,
     ),
-    SynopsisKind(
+    _grid_kind(
         "wavelet", PriveletSynopsis, _pack_wavelet, _unpack_wavelet,
-        _grid_precompute, _grid_from_slabs,
+        _plane_grid,
     ),
     SynopsisKind(
         "adaptive_grid", AdaptiveGridSynopsis, _pack_adaptive,
@@ -690,15 +698,13 @@ KINDS: tuple[SynopsisKind, ...] = (
         "tree", TreeSynopsis, _pack_tree, _unpack_tree,
         tree_engine_precompute, tree_engine_from_slabs,
     ),
-    SynopsisKind(
+    _grid_kind(
         "ndgrid", MultiDimGridSynopsis, _pack_ndgrid, _unpack_ndgrid,
-        lambda s: NDPrefixSumEngine.precompute(s.layout, s.counts),
-        lambda s, slabs: NDPrefixSumEngine.from_slabs(s.layout, slabs),
+        lambda s: (s.layout.box.lows, s.layout.box.highs, s.counts),
     ),
-    SynopsisKind(
+    _grid_kind(
         "one_dim", OneDimHistogramSynopsis, _pack_onedim, _unpack_onedim,
-        lambda s: OneDimIntervalEngine.precompute(s.released),
-        OneDimIntervalEngine.from_slabs,
+        lambda s: (s.domain.lows, s.domain.highs, s.released[:, None]),
     ),
 )
 

@@ -7,7 +7,9 @@ that generalisation concrete:
 
 * :class:`NDGridLayout` — an equi-width grid over a d-dimensional box;
 * :class:`NDUniformGridBuilder` / :class:`NDUniformGridSynopsis` — UG in
-  d dimensions;
+  d dimensions, whose batches of ``(n, 2d)`` boxes go through the one
+  grid kernel, :class:`~repro.queries.engine.BatchQueryEngine`, which
+  serves every grid-shaped release at any dimension;
 * :func:`guideline1_nd_grid_size` — the d-dimensional analogue of
   Guideline 1.
 
@@ -83,6 +85,8 @@ class NDBox:
         highs = np.asarray(highs, dtype=float)
         if lows.shape != highs.shape or lows.ndim != 1 or lows.size == 0:
             raise ValueError("lows and highs must be matching 1-D arrays")
+        if not np.all(np.isfinite(lows) & np.isfinite(highs)):
+            raise ValueError("box bounds must be finite")
         if np.any(highs < lows):
             raise ValueError("box extents must be non-negative")
         self.lows = lows
@@ -195,7 +199,7 @@ class NDUniformGridSynopsis:
         self.layout = layout
         self.counts = counts
         self.epsilon = epsilon
-        self._engine = None  # lazy NDPrefixSumEngine for answer_many
+        self._engine = None  # lazy BatchQueryEngine for answer_many
 
     @property
     def dimension(self) -> int:
@@ -207,17 +211,19 @@ class NDUniformGridSynopsis:
     def batch_engine(self):
         """The lazily built d-dimensional prefix-sum engine."""
         if self._engine is None:
-            from repro.queries.engine import NDPrefixSumEngine
+            from repro.queries.engine import BatchQueryEngine
 
-            self._engine = NDPrefixSumEngine(self.layout, self.counts)
+            box = self.layout.box
+            self._engine = BatchQueryEngine(box.lows, box.highs, self.counts)
         return self._engine
 
     def answer_many(self, boxes: np.ndarray) -> np.ndarray:
         """Vectorised estimates for ``(n, 2d)`` lows-then-highs rows.
 
-        Routed through :class:`~repro.queries.engine.NDPrefixSumEngine`;
-        the engine contract applies (inverted/NaN rows answer 0,
-        degenerate axes answer exactly 0).
+        Routed through :class:`~repro.queries.engine.BatchQueryEngine`;
+        the engine contract applies (a batch of another shape raises
+        ``ValueError``, inverted/NaN rows answer 0, degenerate axes
+        answer exactly 0).
         """
         return self.batch_engine().answer_batch(boxes)
 
@@ -286,11 +292,11 @@ class MultiDimGridSynopsis(Synopsis):
     """The d = 2 embedding of the ND grid into the 2-D serving tier.
 
     Wraps an :class:`NDUniformGridSynopsis` of dimension 2 so the
-    generalised machinery — ND layout, ND prefix-sum engine — plugs into
-    everything typed against :class:`~repro.core.synopsis.Synopsis`:
+    generalised machinery — ND layout, d-dimensional grid engine — plugs
+    into everything typed against :class:`~repro.core.synopsis.Synopsis`:
     the kind table, serialization, the synopsis store, and both
     HTTP transports.  A :class:`~repro.core.geometry.Rect` row
-    ``(x_lo, y_lo, x_hi, y_hi)`` *is* the ND engine's lows-then-highs
+    ``(x_lo, y_lo, x_hi, y_hi)`` *is* the engine's lows-then-highs
     layout at d = 2, so queries pass through unchanged; the scalar
     :meth:`answer` routes through a single-row engine call, making the
     scalar and batch paths bit-identical by construction.

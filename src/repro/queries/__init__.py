@@ -3,7 +3,6 @@
 from repro.queries.engine import (
     AdaptiveGridEngine,
     BatchQueryEngine,
-    FallbackEngine,
     FlatAdaptiveGridEngine,
     FlatTreeEngine,
     make_engine,
@@ -27,7 +26,6 @@ __all__ = [
     "AdaptiveGridEngine",
     "BatchQueryEngine",
     "ErrorProfile",
-    "FallbackEngine",
     "FlatAdaptiveGridEngine",
     "FlatTreeEngine",
     "make_engine",

@@ -1,27 +1,24 @@
-"""Vectorised batch query answering for grid synopses.
+"""Vectorised batch query answering for released synopses.
 
-Experiments ask thousands of rectangle queries of the same released grid;
+Experiments ask thousands of rectangle queries of the same release;
 answering them one at a time costs a Python-level loop per query.  This
-module evaluates a whole batch against a
-:class:`~repro.core.grid.GridLayout` with numpy throughout:
+module evaluates a whole batch with numpy throughout.
 
-The uniformity estimate for rectangle ``r`` is ``fx(r) @ C @ fy(r)`` —
-a bilinear form in per-axis coverage vectors.  For a batch, we build the
-coverage vectors through *prefix sums*: let ``S`` be the 2-D prefix-sum
-matrix of ``C``, extended continuously by linear interpolation inside
-cells.  Then the estimate of ``[x0, x1] x [y0, y1]`` is exactly the
-four-corner inclusion-exclusion::
+Every grid-shaped release answers through one kernel,
+:class:`BatchQueryEngine`: UG, the hierarchy's inferred leaves,
+Privelet's reconstructed grid, a quadtree lowered onto its lattice, the
+d-dimensional grid, and the 1-D histogram as an ``m x 1`` grid.  The
+uniformity estimate of a box (Section II-B: cells inside count whole,
+border cells by their overlap fraction) is the integral of the grid's
+piecewise-constant density over it.  Let ``S`` be the zero-bordered
+prefix-sum tensor of the counts, extended continuously by multilinear
+interpolation inside cells.  Then the estimate is the ``2^d``-corner
+inclusion-exclusion over ``S``; at d = 2, for ``[x0, x1] x [y0, y1]``::
 
     est = S(x1, y1) - S(x0, y1) - S(x1, y0) + S(x0, y0)
 
-where ``S(x, y)`` bilinearly interpolates the prefix sums at fractional
-cell coordinates.  This is algebraically identical to the per-query
-bilinear form (both are integrals of the piecewise-constant density), but
-evaluates a whole batch as one stacked pass over all ``4n`` corners — a
-summed-area table lookup (Crow, SIGGRAPH 1984).
-
-:class:`BatchQueryEngine` wraps this; ``UniformGridSynopsis.answer_many``
-delegates to it automatically for large batches.
+This is a summed-area table lookup (Crow, SIGGRAPH 1984): a whole batch
+is one stacked pass over all ``2^d n`` corners, ``2^d`` gathers each.
 
 Adaptive grids answer the same way.  A corner ``(x, y)`` in first-level
 cell ``(i, j)`` splits ``[X0, x] x [Y0, y]`` at the cell's lower-left
@@ -59,10 +56,6 @@ answers at every coordinate below the node, interpolated by its leaves'
 ramp), and only the pairs that hold a query corner or are crossed by
 two parallel query edges expand to the next level's frontier.
 
-Privelet and hierarchy releases are grids too: both answer from their
-released (reconstructed or inferred) cell counts through
-:class:`BatchQueryEngine`.
-
 :func:`make_engine` builds the engine of any declared synopsis type
 through its row of :data:`repro.core.serialization.KINDS`, the one table
 that says how each type is archived and which engine serves it, so
@@ -76,15 +69,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.geometry import Rect, rects_to_boxes
-from repro.core.grid import GridLayout
 
 __all__ = [
     "BatchQueryEngine",
     "FlatAdaptiveGridEngine",
     "FlatTreeEngine",
     "AdaptiveGridEngine",
-    "NDPrefixSumEngine",
-    "FallbackEngine",
     "compute_engine_slabs",
     "has_sealed_engine",
     "make_engine",
@@ -101,9 +91,9 @@ def scalar_answer_batch(synopsis, rects: "list[Rect] | np.ndarray") -> np.ndarra
     synopsis; inverted rows (``x_hi < x_lo`` or ``y_hi < y_lo``, which
     includes NaN bounds) answer 0 instead of raising from the
     :class:`Rect` constructor; degenerate zero-area rows are answered
-    exactly like the equivalent edge/point :class:`Rect` query.  Used by
-    :class:`FallbackEngine` and by ``AdaptiveGridSynopsis.answer_many``'s
-    small-batch branch.
+    exactly like the equivalent edge/point :class:`Rect` query.  The
+    scalar second opinion in engine equivalence tests and benchmarks,
+    and ``AdaptiveGridSynopsis.answer_many``'s small-batch branch.
     """
     boxes = rects_to_boxes(rects)
     out = np.zeros(boxes.shape[0])
@@ -116,134 +106,168 @@ def scalar_answer_batch(synopsis, rects: "list[Rect] | np.ndarray") -> np.ndarra
 
 
 class BatchQueryEngine:
-    """Answers batches of rectangle queries over fixed grid counts.
+    """Answers batches of box queries over an equi-width grid of any dimension.
 
-    Build once per released grid (O(cells) preprocessing), then call
-    :meth:`answer_batch` any number of times (O(1) per query).
+    The grid spans the box ``[lows, highs]`` with ``counts`` of shape
+    ``(m_1, ..., m_d)``.  Build once per released grid (O(cells)
+    preprocessing: one zero-bordered prefix tensor of shape ``(m_1 + 1,
+    ..., m_d + 1)``), then call :meth:`answer_batch` any number of times
+    (``2^d`` corners per query, each a ``2^d``-vertex multilinear
+    interpolation).  Query rows are lows-then-highs, ``2d`` columns; at
+    d = 2 a :class:`Rect` row ``(x_lo, y_lo, x_hi, y_hi)`` is already in
+    that order.
     """
 
-    def __init__(self, layout: GridLayout, counts: np.ndarray):
+    def __init__(self, lows, highs, counts: np.ndarray):
         counts = np.asarray(counts, dtype=float)
-        if counts.shape != layout.shape:
+        # Prefix sums with a zero border: P[i, j, ...] = sum(counts[:i, :j, ...]).
+        prefix = np.zeros(tuple(m + 1 for m in counts.shape))
+        inner = prefix[(slice(1, None),) * counts.ndim]
+        inner[...] = counts
+        for axis in range(counts.ndim):
+            np.cumsum(inner, axis=axis, out=inner)
+        self._bind(lows, highs, prefix)
+
+    def _bind(self, lows, highs, prefix: np.ndarray) -> None:
+        lows = np.asarray(lows, dtype=float)
+        highs = np.asarray(highs, dtype=float)
+        d = prefix.ndim
+        if lows.shape != (d,) or highs.shape != (d,) or not np.all(highs > lows):
             raise ValueError(
-                f"counts shape {counts.shape} does not match grid {layout.shape}"
+                f"grid box [{lows}, {highs}] does not span a {d}-dimensional grid"
             )
-        self._layout = layout
-        # Prefix sums with a zero border: P[i, j] = sum(counts[:i, :j]).
-        prefix = np.zeros((layout.mx + 1, layout.my + 1))
-        np.cumsum(np.cumsum(counts, axis=0), axis=1, out=prefix[1:, 1:])
+        shape = [m - 1 for m in prefix.shape]
         self._prefix = prefix
+        # Per axis: origin, cell width and cell count, as Python scalars
+        # (numpy's per-call overhead dominates at batch sizes).
+        self._axes = [
+            (float(lo), float(width), m)
+            for lo, width, m in zip(lows, (highs - lows) / shape, shape)
+        ]
+        # Vertex v of a cell sits at offset 1 along axis a when bit a of v
+        # is set.  Along a one-cell axis every corner lies in cell 0, so a
+        # vertex at offset 0 there reads the zero border: skip it.
+        strides = np.cumprod([1, *prefix.shape[:0:-1]])[::-1]
+        ones = sum(1 << axis for axis in range(d) if shape[axis] == 1)
+        self._vertices = [
+            (v, int(sum(strides[a] for a in range(d) if v >> a & 1)))
+            for v in range(1 << d)
+            if v & ones == ones
+        ]
 
     @staticmethod
-    def precompute(layout: GridLayout, counts: np.ndarray) -> dict[str, np.ndarray]:
+    def precompute(lows, highs, counts: np.ndarray) -> dict[str, np.ndarray]:
         """Derived buffers to seal into a v2 archive at release time.
 
         Runs the exact constructor preprocessing, so an engine restored
         via :meth:`from_slabs` is bit-identical to one built in-process.
         """
-        return {"prefix": BatchQueryEngine(layout, counts)._prefix}
+        return {"prefix": BatchQueryEngine(lows, highs, counts)._prefix}
 
     @classmethod
     def from_slabs(
-        cls, layout: GridLayout, slabs: dict[str, np.ndarray]
+        cls, lows, highs, shape: tuple[int, ...], slabs: dict[str, np.ndarray]
     ) -> "BatchQueryEngine":
-        """Restore an engine from sealed slabs without rebuilding.
+        """Restore an engine over a grid of ``shape`` from sealed slabs.
 
         The slabs may be read-only mmap views; the engine never writes
         into its prefix buffer after construction, so restored engines
-        share the archive's physical pages across forked workers.
+        share the archive's physical pages across forked workers.  A
+        prefix of another shape (sealed by an older kernel) raises
+        ``ValueError``.
         """
         prefix = np.asarray(slabs["prefix"], dtype=float)
-        if prefix.shape != (layout.mx + 1, layout.my + 1):
+        if prefix.shape != tuple(m + 1 for m in shape):
             raise ValueError(
                 f"sealed prefix shape {prefix.shape} does not match grid "
-                f"{layout.shape}"
+                f"{tuple(shape)}"
             )
         engine = cls.__new__(cls)
-        engine._layout = layout
-        engine._prefix = prefix
+        engine._bind(lows, highs, prefix)
         return engine
 
     @property
-    def layout(self) -> GridLayout:
-        return self._layout
+    def shape(self) -> tuple[int, ...]:
+        """The grid's cells per axis."""
+        return tuple(m for _, _, m in self._axes)
 
     @property
     def nbytes(self) -> int:
         """In-memory footprint of the prepared buffers."""
         return self._prefix.nbytes
 
-    def _continuous_prefix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Bilinear interpolation of the prefix sums at cell coordinates.
-
-        ``xs`` / ``ys`` are fractional positions in cell units (0 .. m).
-        """
-        mx, my = self._layout.shape
-        xs = np.clip(xs, 0.0, mx)
-        ys = np.clip(ys, 0.0, my)
-        x0 = np.minimum(xs.astype(np.int64), mx - 1)
-        y0 = np.minimum(ys.astype(np.int64), my - 1)
-        tx = xs - x0
-        ty = ys - y0
-        # Flat gathers over the row-major (mx+1, my+1) prefix: the same
-        # four values as 2-D indexing, without its per-call overhead.
+    def _continuous_prefix(self, coords: list[np.ndarray]) -> np.ndarray:
+        """Multilinear interpolation of the prefix at cell coordinates
+        (fractional positions ``0 .. m``, one array per axis)."""
+        index = None
+        upper, lower = [], []
+        for (_, _, m), c in zip(self._axes, coords):
+            base = np.minimum(c.astype(np.int64), m - 1)
+            # Row-major flat index into the (m_1 + 1, ..., m_d + 1) prefix.
+            index = base if index is None else index * (m + 1) + base
+            t = c - base
+            upper.append(t)
+            lower.append(1 - t)
         p = self._prefix.reshape(-1)
-        base = x0 * (my + 1) + y0
-        p00 = p[base]
-        p10 = p[base + (my + 1)]
-        p01 = p[base + 1]
-        p11 = p[base + (my + 2)]
-        return (
-            (1 - tx) * (1 - ty) * p00
-            + tx * (1 - ty) * p10
-            + (1 - tx) * ty * p01
-            + tx * ty * p11
-        )
+        total = None
+        for vertex, offset in self._vertices:
+            weight = None
+            for axis in range(len(coords)):
+                factor = upper[axis] if vertex >> axis & 1 else lower[axis]
+                weight = factor if weight is None else weight * factor
+            term = weight * p[index + offset]
+            total = term if total is None else total + term
+        return total
 
     def answer_batch(self, rects: list[Rect] | np.ndarray) -> np.ndarray:
-        """Uniformity estimates for every rectangle in the batch.
+        """Uniformity estimates for every box in the batch.
 
-        Accepts a list of :class:`Rect` or an ``(n, 4)`` array of
-        ``(x_lo, y_lo, x_hi, y_hi)`` rows.  Rectangles are clipped to the
-        domain.
+        Accepts an ``(n, 2d)`` array of lows-then-highs rows; at d = 2
+        also a list of :class:`Rect` or 4-number rows.  Any other shape
+        raises ``ValueError``.  Boxes are clipped to the grid; degenerate,
+        inverted and NaN rows answer 0.
         """
-        boxes = rects_to_boxes(rects)
-        if boxes.size == 0:
+        d = len(self._axes)
+        boxes = rects_to_boxes(rects) if d == 2 else np.asarray(rects, dtype=float)
+        if boxes.ndim != 2 or boxes.shape[1] != 2 * d:
+            raise ValueError(
+                f"expected an (n, {2 * d}) batch of lows-then-highs rows, "
+                f"got shape {boxes.shape}"
+            )
+        n = boxes.shape[0]
+        if n == 0:
             return np.empty(0)
-        bounds = self._layout.domain.bounds
-        mx, my = self._layout.shape
-        # Convert to cell units.
-        x_lo = (boxes[:, 0] - bounds.x_lo) / self._layout.cell_width
-        y_lo = (boxes[:, 1] - bounds.y_lo) / self._layout.cell_height
-        x_hi = (boxes[:, 2] - bounds.x_lo) / self._layout.cell_width
-        y_hi = (boxes[:, 3] - bounds.y_lo) / self._layout.cell_height
-        x_lo = np.clip(x_lo, 0.0, mx)
-        x_hi = np.clip(x_hi, 0.0, mx)
-        y_lo = np.clip(y_lo, 0.0, my)
-        y_hi = np.clip(y_hi, 0.0, my)
+        # Convert to cell units, clipped to the grid.
+        lows, highs = [], []
+        for axis, (origin, width, m) in enumerate(self._axes):
+            lows.append(np.clip((boxes[:, axis] - origin) / width, 0.0, m))
+            highs.append(np.clip((boxes[:, d + axis] - origin) / width, 0.0, m))
         # Degenerate, inverted, and NaN rows all answer 0, matching
         # scalar_answer_batch.  NaN survives np.clip and would poison the
         # int64 cast inside the interpolation (undefined conversion, then
         # an out-of-bounds gather), so zero those coordinates out before
         # evaluating; the mask overwrites the result afterwards.
-        empty = ~((x_hi > x_lo) & (y_hi > y_lo))
+        empty = ~(highs[0] > lows[0])
+        for lo, hi in zip(lows[1:], highs[1:]):
+            empty |= ~(hi > lo)
         if empty.any():
-            x_lo = np.where(empty, 0.0, x_lo)
-            x_hi = np.where(empty, 0.0, x_hi)
-            y_lo = np.where(empty, 0.0, y_lo)
-            y_hi = np.where(empty, 0.0, y_hi)
+            lows = [np.where(empty, 0.0, c) for c in lows]
+            highs = [np.where(empty, 0.0, c) for c in highs]
 
-        # All 4n corners in one stacked pass; every corner is computed
-        # with the same expressions as one call per corner would use.
-        n = boxes.shape[0]
-        corners = self._continuous_prefix(
-            np.concatenate([x_hi, x_lo, x_hi, x_lo]),
-            np.concatenate([y_hi, y_hi, y_lo, y_lo]),
-        )
-        estimate = (
-            corners[:n] - corners[n : 2 * n] - corners[2 * n : 3 * n]
-            + corners[3 * n :]
-        )
+        # All 2^d n corners in one stacked pass: corner k takes the low
+        # bound along axis a when bit a of k is set, and enters the
+        # inclusion-exclusion with sign (-1)^(set bits of k).
+        corners = range(1 << d)
+        values = self._continuous_prefix([
+            np.concatenate([lows[a] if k >> a & 1 else highs[a] for k in corners])
+            for a in range(d)
+        ])
+        estimate = values[:n] - values[n : 2 * n]
+        for k in corners[2:]:
+            if bin(k).count("1") % 2:
+                estimate -= values[k * n : (k + 1) * n]
+            else:
+                estimate += values[k * n : (k + 1) * n]
         estimate[empty] = 0.0
         return estimate
 
@@ -570,11 +594,13 @@ class AdaptiveGridEngine:
         m1x, m1y = synopsis.first_level_size
         self._domain = synopsis.domain
         self._shape = (m1x, m1y)
-        self._engines = [
-            BatchQueryEngine(synopsis.cell_layout(i, j), synopsis.cell_counts(i, j))
-            for i in range(m1x)
-            for j in range(m1y)
-        ]
+        self._engines = []
+        for i in range(m1x):
+            for j in range(m1y):
+                cell = synopsis.cell_layout(i, j).domain
+                self._engines.append(
+                    BatchQueryEngine(cell.lows, cell.highs, synopsis.cell_counts(i, j))
+                )
 
     @property
     def n_cell_engines(self) -> int:
@@ -1199,152 +1225,6 @@ def _scan(
     return running - np.repeat(base, lengths)
 
 
-class NDPrefixSumEngine:
-    """Prefix-sum batch engine over a d-dimensional equi-width grid.
-
-    Generalises :class:`BatchQueryEngine` beyond 2-D: one zero-bordered
-    cumulative-sum tensor of shape ``(m + 1)^d`` is prepared once, and a
-    batch row (a ``2d``-column hyper-rectangle, lows then highs) is
-    answered by ``2^d``-corner inclusion-exclusion over the continuous
-    prefix, each corner a ``2^d``-point multilinear interpolation —
-    ``4^d`` vectorised gathers per batch regardless of grid size.  The
-    layout is duck-typed (``dimension``, ``m``, ``box``) so this module
-    stays free of extension imports; d = 2 accepts :class:`~repro.core.
-    geometry.Rect` rows too, whose ``(x_lo, y_lo, x_hi, y_hi)`` order is
-    exactly lows-then-highs.
-
-    A degenerate axis (``lo == hi`` after clipping) makes the hi and lo
-    prefix evaluations gather identical corners, so the difference is
-    exactly 0.0 — no tolerance involved; inverted and NaN rows answer
-    exactly 0 through the same mask the 2-D engines apply.
-    """
-
-    def __init__(self, layout, counts: np.ndarray, *, _flat_prefix=None):
-        d = int(layout.dimension)
-        m = int(layout.m)
-        if _flat_prefix is None:
-            counts = np.asarray(counts, dtype=float)
-            if counts.shape != layout.shape:
-                raise ValueError(
-                    f"counts shape {counts.shape} does not match grid "
-                    f"{layout.shape}"
-                )
-            prefix = np.zeros((m + 1,) * d)
-            prefix[(slice(1, None),) * d] = counts
-            for axis in range(d):
-                np.cumsum(prefix, axis=axis, out=prefix)
-            flat_prefix = prefix.ravel()
-        else:
-            flat_prefix = np.asarray(_flat_prefix, dtype=float)
-            if flat_prefix.shape != ((m + 1) ** d,):
-                raise ValueError(
-                    f"sealed prefix holds {flat_prefix.size} values, grid "
-                    f"requires {(m + 1) ** d}"
-                )
-        self._layout = layout
-        self._d = d
-        self._m = m
-        self._flat_prefix = flat_prefix
-        # C-order index strides of the (m + 1)^d tensor, per axis.
-        self._strides = (m + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
-
-    @staticmethod
-    def precompute(layout, counts: np.ndarray) -> dict[str, np.ndarray]:
-        """Derived buffers to seal into a v2 archive at release time.
-
-        Runs the exact constructor preprocessing, so an engine restored
-        via :meth:`from_slabs` is bit-identical to one built in-process.
-        """
-        return {"flat_prefix": NDPrefixSumEngine(layout, counts)._flat_prefix}
-
-    @classmethod
-    def from_slabs(cls, layout, slabs: dict[str, np.ndarray]) -> "NDPrefixSumEngine":
-        """Restore an engine from sealed slabs without rebuilding.
-
-        The slab may be a read-only mmap view; the interpolation only
-        gathers from it, so restored engines share the archive's
-        physical pages across forked workers.
-        """
-        return cls(layout, None, _flat_prefix=slabs["flat_prefix"])
-
-    @property
-    def layout(self):
-        return self._layout
-
-    @property
-    def dimension(self) -> int:
-        return self._d
-
-    @property
-    def nbytes(self) -> int:
-        """In-memory footprint of the prepared buffers."""
-        return self._flat_prefix.nbytes + self._strides.nbytes
-
-    def _continuous_prefix(self, coords: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation of the prefix tensor at ``(n, d)`` coords."""
-        base = np.minimum(coords.astype(np.int64), self._m - 1)
-        frac = coords - base
-        result = np.zeros(coords.shape[0])
-        for corner in range(1 << self._d):
-            offsets = (corner >> np.arange(self._d - 1, -1, -1)) & 1
-            flat = (base + offsets) @ self._strides
-            weight = np.prod(
-                np.where(offsets.astype(bool), frac, 1.0 - frac), axis=1
-            )
-            result += weight * self._flat_prefix[flat]
-        return result
-
-    def answer_batch(self, rects: "list | np.ndarray") -> np.ndarray:
-        """Uniformity estimates for a batch of hyper-rectangles.
-
-        Accepts an ``(n, 2d)`` array of lows-then-highs rows; when
-        ``d == 2`` also a list of :class:`~repro.core.geometry.Rect` or
-        4-number rows (the 2-D engines' shared input contract).
-        """
-        if self._d == 2:
-            boxes = rects_to_boxes(rects)
-        else:
-            boxes = np.asarray(rects, dtype=float).reshape(-1, 2 * self._d)
-        n = boxes.shape[0]
-        if n == 0:
-            return np.zeros(0)
-        box = self._layout.box
-        cell_widths = box.widths / self._m
-        lows = np.clip((boxes[:, : self._d] - box.lows) / cell_widths, 0.0, self._m)
-        highs = np.clip((boxes[:, self._d :] - box.lows) / cell_widths, 0.0, self._m)
-        # NaN compares false, so NaN rows land in `empty` alongside the
-        # inverted and degenerate ones; zero their coordinates so the
-        # int64 cast inside the interpolation stays defined.
-        empty = ~(highs > lows).all(axis=1)
-        if empty.any():
-            lows = np.where(empty[:, None], 0.0, lows)
-            highs = np.where(empty[:, None], 0.0, highs)
-
-        estimate = np.zeros(n)
-        for signs in range(1 << self._d):
-            pick_high = (signs >> np.arange(self._d - 1, -1, -1)) & 1
-            coords = np.where(pick_high.astype(bool), highs, lows)
-            parity = 1.0 if (self._d - int(pick_high.sum())) % 2 == 0 else -1.0
-            estimate += parity * self._continuous_prefix(coords)
-        estimate[empty] = 0.0
-        return estimate
-
-
-class FallbackEngine:
-    """Adapter giving any :class:`~repro.core.synopsis.Synopsis` the
-    ``answer_batch`` interface, via its scalar ``answer`` loop.
-
-    The scalar second opinion in engine equivalence tests and
-    benchmarks; :func:`make_engine` never returns it.
-    """
-
-    def __init__(self, synopsis):
-        self._synopsis = synopsis
-
-    def answer_batch(self, rects: list[Rect] | np.ndarray) -> np.ndarray:
-        return scalar_answer_batch(self._synopsis, rects)
-
-
 def compute_engine_slabs(synopsis) -> dict[str, np.ndarray]:
     """Derived engine buffers to seal alongside a release.
 
@@ -1383,9 +1263,9 @@ def make_engine(synopsis):
     or mismatched arrays) are dropped from the synopsis and the engine
     is rebuilt.  Raises ``TypeError`` for an undeclared synopsis type.
 
-    Uniform grids get the prefix-sum :class:`BatchQueryEngine`, adaptive
-    grids the summed-area :class:`FlatAdaptiveGridEngine`, spatial trees
-    a lattice :class:`BatchQueryEngine` or the level-order
+    Grid-shaped releases get the prefix-sum :class:`BatchQueryEngine`,
+    adaptive grids the summed-area :class:`FlatAdaptiveGridEngine`,
+    spatial trees a lattice :class:`BatchQueryEngine` or the level-order
     :class:`FlatTreeEngine`.  The returned object exposes
     ``answer_batch(rects) -> np.ndarray`` and holds no reference to raw
     data, so it can be cached and shared across threads.

@@ -3,9 +3,11 @@
 :class:`QueryService` is the read path of the serving layer.  It keeps one
 prepared batch engine per release (built by
 :func:`~repro.queries.engine.make_engine`, prefix sums precomputed:
-:class:`~repro.queries.engine.BatchQueryEngine` for uniform grids and
-lattice-aligned trees, the summed-area :class:`~repro.queries.engine.
-FlatAdaptiveGridEngine` for adaptive grids, the level-order
+the d-dimensional grid kernel :class:`~repro.queries.engine.
+BatchQueryEngine` for every grid-shaped release (UG, Hier, Privelet,
+UGnd, and Hier1d as an ``m x 1`` grid) and lattice-aligned trees, the
+summed-area :class:`~repro.queries.engine.FlatAdaptiveGridEngine` for
+adaptive grids, the level-order
 :class:`~repro.queries.engine.FlatTreeEngine` for the other tree
 baselines) and routes each incoming batch to
 the engine of the requested key.  Engines are pure functions of released

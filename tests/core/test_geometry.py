@@ -147,8 +147,16 @@ class TestRectTransforms:
 
 class TestDomain2D:
     def test_requires_positive_extent(self):
-        with pytest.raises(ValueError):
-            Domain2D(0.0, 0.0, 0.0, 1.0)
+        nan, inf = float("nan"), float("inf")
+        for bounds in (
+            (0.0, 0.0, 0.0, 1.0),
+            (nan, 0.0, 1.0, 1.0),
+            (0.0, 0.0, 1.0, nan),
+            (-inf, 0.0, inf, 1.0),
+            (0.0, 0.0, 1.0, inf),
+        ):
+            with pytest.raises(ValueError):
+                Domain2D(*bounds)
 
     def test_unit(self):
         domain = Domain2D.unit()

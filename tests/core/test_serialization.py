@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.kd_tree import KDHybridBuilder
+from repro.core import serialization
 from repro.core.adaptive_grid import AdaptiveGridBuilder
 from repro.core.geometry import Rect
 from repro.core.serialization import load_synopsis, save_synopsis
 from repro.core.uniform_grid import UniformGridBuilder
+from repro.extensions.multidim import MultiDimGridBuilder
 from tests.v1_archive import v1_archive_bytes
 
 QUERIES = [
@@ -136,3 +138,24 @@ class TestErrors:
         )
         with pytest.raises(ValueError, match="version"):
             load_synopsis(path)
+
+
+@pytest.mark.parametrize(
+    "builder, corrupt",
+    [
+        (UniformGridBuilder(grid_size=4), {"domain": [np.nan, 0.0, 1.0, 1.0]}),
+        (MultiDimGridBuilder(per_axis_size=4), {"lows": [np.nan, 0.0]}),
+    ],
+    ids=["UG", "UGnd"],
+)
+def test_non_finite_domain_rejected(builder, corrupt, small_skewed, rng, tmp_path):
+    """A v2 archive with a valid footer around a NaN domain bound must not
+    load (it would answer 0 to every query): the loader raises
+    ``ValueError``, which the store turns into a quarantine."""
+    payload = serialization._pack(builder.fit(small_skewed, 1.0, rng))
+    payload["format_version"] = np.array(serialization._FORMAT_VERSION)
+    payload.update({name: np.array(value) for name, value in corrupt.items()})
+    path = tmp_path / "release.npz"
+    path.write_bytes(serialization._write_v2(payload))
+    with pytest.raises(ValueError, match="finite"):
+        load_synopsis(path)

@@ -51,10 +51,16 @@ class TestNDBox:
         assert box.contains(points).tolist() == [True, False]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            NDBox([0.0], [0.0, 1.0])
-        with pytest.raises(ValueError):
-            NDBox([1.0], [0.0])
+        for lows, highs in (
+            ([0.0], [0.0, 1.0]),
+            ([1.0], [0.0]),
+            ([np.nan], [1.0]),
+            ([0.0], [np.nan]),
+            ([-np.inf], [1.0]),
+            ([0.0], [np.inf]),
+        ):
+            with pytest.raises(ValueError):
+                NDBox(lows, highs)
 
 
 class TestNDGridLayout:
@@ -134,6 +140,17 @@ class TestNDBuilder:
             NDUniformGridBuilder(per_axis_size=4).fit(
                 rng.random((10, 2)), NDBox.unit(3), 1.0, rng
             )
+
+    def test_answer_many_rejects_wrong_width_batches(self, rng):
+        """A d = 3 batch is ``(n, 6)``: a ``(3, 4)`` array or a flat
+        ``(6,)`` vector raises instead of being reshaped into rows."""
+        synopsis = NDUniformGridBuilder(per_axis_size=4).fit(
+            rng.random((100, 3)), NDBox.unit(3), 1.0, rng
+        )
+        assert synopsis.answer_many(np.zeros((2, 6))).shape == (2,)
+        for bad in (np.zeros((3, 4)), np.zeros(6)):
+            with pytest.raises(ValueError, match=r"\(n, 6\)"):
+                synopsis.answer_many(bad)
 
     def test_noise_error_grows_with_dimension(self):
         """The paper's IV-C prediction, measured: at fixed N, eps and

@@ -29,7 +29,7 @@ def test_engine_matches_reference(mx, my, rect, seed):
     rng = np.random.default_rng(seed)
     layout = GridLayout(Domain2D.unit(), mx, my)
     counts = rng.normal(0.0, 5.0, size=(mx, my))
-    engine = BatchQueryEngine(layout, counts)
+    engine = BatchQueryEngine(layout.domain.lows, layout.domain.highs, counts)
     batch = engine.answer_batch([rect])[0]
     reference = layout.estimate(counts, rect)
     assert batch == pytest.approx(reference, rel=1e-9, abs=1e-7)
@@ -41,7 +41,7 @@ def test_engine_batch_matches_singles(m, seed, n_queries):
     rng = np.random.default_rng(seed)
     layout = GridLayout(Domain2D.unit(), m)
     counts = rng.normal(10.0, 3.0, size=(m, m))
-    engine = BatchQueryEngine(layout, counts)
+    engine = BatchQueryEngine(layout.domain.lows, layout.domain.highs, counts)
     rects = []
     for _ in range(n_queries):
         x = np.sort(rng.random(2))

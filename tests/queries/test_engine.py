@@ -10,7 +10,6 @@ from repro.core.uniform_grid import UniformGridBuilder
 from repro.queries.engine import (
     AdaptiveGridEngine,
     BatchQueryEngine,
-    FallbackEngine,
     FlatAdaptiveGridEngine,
     make_engine,
     scalar_answer_batch,
@@ -30,7 +29,7 @@ def counts(layout, rng) -> np.ndarray:
 class TestExactness:
     def test_matches_per_query_estimate(self, layout, counts, rng):
         """The prefix-sum path agrees with the bilinear-form path exactly."""
-        engine = BatchQueryEngine(layout, counts)
+        engine = BatchQueryEngine(layout.domain.lows, layout.domain.highs, counts)
         bounds = layout.domain.bounds
         rects = []
         for _ in range(300):
@@ -42,62 +41,65 @@ class TestExactness:
         np.testing.assert_allclose(batch, singles, rtol=1e-9, atol=1e-9)
 
     def test_full_domain(self, layout, counts):
-        engine = BatchQueryEngine(layout, counts)
+        engine = BatchQueryEngine(layout.domain.lows, layout.domain.highs, counts)
         result = engine.answer_batch([layout.domain.bounds])
         assert result[0] == pytest.approx(counts.sum())
 
     def test_cell_aligned(self, layout, counts):
-        engine = BatchQueryEngine(layout, counts)
+        engine = BatchQueryEngine(layout.domain.lows, layout.domain.highs, counts)
         cell = layout.cell_rect(2, 3)
         assert engine.answer_batch([cell])[0] == pytest.approx(counts[2, 3])
 
     def test_out_of_domain_clipped(self, layout, counts):
-        engine = BatchQueryEngine(layout, counts)
+        engine = BatchQueryEngine(layout.domain.lows, layout.domain.highs, counts)
         huge = Rect(-100.0, -100.0, 100.0, 100.0)
         assert engine.answer_batch([huge])[0] == pytest.approx(counts.sum())
 
     def test_disjoint_is_zero(self, layout, counts):
-        engine = BatchQueryEngine(layout, counts)
+        engine = BatchQueryEngine(layout.domain.lows, layout.domain.highs, counts)
         outside = Rect(100.0, 100.0, 101.0, 101.0)
         assert engine.answer_batch([outside])[0] == 0.0
 
     def test_degenerate_is_zero(self, layout, counts):
-        engine = BatchQueryEngine(layout, counts)
+        engine = BatchQueryEngine(layout.domain.lows, layout.domain.highs, counts)
         line = Rect(0.0, 2.0, 0.0, 4.0)
         assert engine.answer_batch([line])[0] == 0.0
 
 
 class TestInputs:
     def test_array_input(self, layout, counts):
-        engine = BatchQueryEngine(layout, counts)
+        engine = BatchQueryEngine(layout.domain.lows, layout.domain.highs, counts)
         boxes = np.array([[0.0, 2.0, 1.0, 3.0], [-2.0, 1.0, 6.0, 5.0]])
         result = engine.answer_batch(boxes)
         assert result.shape == (2,)
         assert result[1] == pytest.approx(counts.sum())
 
     def test_empty_batch(self, layout, counts):
-        engine = BatchQueryEngine(layout, counts)
+        engine = BatchQueryEngine(layout.domain.lows, layout.domain.highs, counts)
         assert engine.answer_batch([]).shape == (0,)
 
     def test_generator_input(self, layout, counts):
-        engine = BatchQueryEngine(layout, counts)
+        engine = BatchQueryEngine(layout.domain.lows, layout.domain.highs, counts)
         rects = [Rect(0.0, 2.0, 1.0, 3.0), layout.domain.bounds]
         result = engine.answer_batch(rect for rect in rects)
         np.testing.assert_array_equal(result, engine.answer_batch(rects))
 
     def test_plain_list_rows_input(self, layout, counts):
-        engine = BatchQueryEngine(layout, counts)
+        engine = BatchQueryEngine(layout.domain.lows, layout.domain.highs, counts)
         result = engine.answer_batch([[-2.0, 1.0, 6.0, 5.0]])
         assert result[0] == pytest.approx(counts.sum())
 
     def test_bad_array_shape(self, layout, counts):
-        engine = BatchQueryEngine(layout, counts)
-        with pytest.raises(ValueError):
-            engine.answer_batch(np.zeros((3, 3)))
+        engine = BatchQueryEngine(layout.domain.lows, layout.domain.highs, counts)
+        for bad in (np.zeros((3, 3)), np.zeros(4), np.zeros((2, 4, 1))):
+            with pytest.raises(ValueError):
+                engine.answer_batch(bad)
 
     def test_counts_shape_checked(self, layout):
         with pytest.raises(ValueError):
-            BatchQueryEngine(layout, np.zeros((2, 2)))
+            BatchQueryEngine(
+                layout.domain.lows, layout.domain.highs, np.zeros((2, 2, 2))
+            )
 
 
 class TestSynopsisIntegration:
@@ -290,7 +292,6 @@ class TestScalarAnswerBatch:
 
         synopsis = ExplodingSynopsis(unit_domain, 1.0)
         assert scalar_answer_batch(synopsis, []).shape == (0,)
-        assert FallbackEngine(synopsis).answer_batch([]).shape == (0,)
 
     def test_degenerate_rows_answer_exact_edge(self, small_skewed, rng):
         """Zero-area rows evaluate the equivalent edge/point Rect query."""
@@ -313,16 +314,6 @@ class TestScalarAnswerBatch:
             np.array([[np.nan, 0.1, 0.5, 0.5], [0.1, 0.1, 0.5, np.nan]]),
         )
         np.testing.assert_array_equal(out, [0.0, 0.0])
-
-    def test_fallback_engine_routes_through_helper(self, small_skewed, rng):
-        from repro.baselines.kd_tree import KDStandardBuilder
-
-        synopsis = KDStandardBuilder(depth=3).fit(small_skewed, 1.0, rng)
-        boxes = np.array([[0.1, 0.1, 0.6, 0.6]])
-        np.testing.assert_array_equal(
-            FallbackEngine(synopsis).answer_batch(boxes),
-            scalar_answer_batch(synopsis, boxes),
-        )
 
 
 class TestDegenerateIntervalRows:
@@ -437,7 +428,7 @@ class TestMakeEngine:
         engine = make_engine(synopsis)
         assert isinstance(engine, BatchQueryEngine)
         side = 2 ** synopsis.height()
-        assert engine.layout.shape == (side, side)
+        assert engine.shape == (side, side)
         assert engine.nbytes <= FlatTreeEngine.buffer_nbytes(synopsis.node_count())
         rects = [Rect(0.1, 0.2, 0.7, 0.45), Rect(0.0, 0.0, 0.5, 0.5)]
         np.testing.assert_allclose(

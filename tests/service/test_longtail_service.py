@@ -18,7 +18,7 @@ import pytest
 from repro.baselines.hierarchy import HierarchicalGridSynopsis
 from repro.baselines.privelet import PriveletSynopsis
 from repro.extensions.multidim import MultiDimGridSynopsis
-from repro.queries.engine import BatchQueryEngine, NDPrefixSumEngine
+from repro.queries.engine import BatchQueryEngine
 from repro.service import protocol
 from repro.service.errors import BudgetRefused
 from repro.service.keys import ReleaseKey
@@ -41,7 +41,7 @@ EXPECTED_TYPE = {
 EXPECTED_ENGINE = {
     "Hier": BatchQueryEngine,
     "Privelet": BatchQueryEngine,
-    "UGnd": NDPrefixSumEngine,
+    "UGnd": BatchQueryEngine,
 }
 
 

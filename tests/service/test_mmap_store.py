@@ -139,14 +139,17 @@ class TestSealedEngineLoads:
         assert stats["engine_sealed_loads"] == 1
         assert stats["engine_cold_starts"] == 0
 
-    @pytest.mark.parametrize("method", ["AG", "Quad", "Kst", "Privelet"])
+    @pytest.mark.parametrize(
+        "method", ["AG", "Quad", "Kst", "Privelet", "UGnd", "Hier1d"]
+    )
     def test_stale_sealed_slabs_count_as_cold_start(self, tmp_path, method):
         """A v2 archive sealed by the previous kernels (AG's CSR prefix
         and totals prefix alone; a quadtree's frontier-descent vectors;
         a KD-standard tree's seven node vectors without edge tables;
-        Privelet's empty coefficient-space sealing) cannot restore
-        today's engine: it is rebuilt, answers match the scalar oracle,
-        and the rebuild counts as a cold start."""
+        Privelet's empty coefficient-space sealing; the d-dimensional
+        grid's raveled ``flat_prefix``; the 1-D histogram's ``(m + 1,)``
+        prefix) cannot restore today's engine: it is rebuilt, answers
+        match the scalar oracle, and the rebuild counts as a cold start."""
         from repro.core.serialization import synopsis_to_bytes
         from repro.queries.engine import (
             BatchQueryEngine,
@@ -182,6 +185,10 @@ class TestSealedEngineLoads:
                     "is_leaf",
                 )
             }
+        elif method == "UGnd":
+            stale = {"flat_prefix": np.ravel(slabs["prefix"])}
+        elif method == "Hier1d":
+            stale = {"prefix": np.concatenate([[0.0], np.cumsum(synopsis.released)])}
         else:
             stale = {}
         synopsis.seal_engine_slabs(stale)
