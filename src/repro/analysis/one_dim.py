@@ -84,14 +84,10 @@ def hierarchical_histogram(
     The bucket count must be a power of two.  The budget is split evenly
     across the ``log2(m) + 1`` levels; each level is a disjoint partition
     (one parallel-composition spend per level).  After inference the tree
-    is consistent, so releasing the leaf vector loses nothing.
-
-    Implementation note: the 2-D array inference engine is reused by
-    viewing the histogram as an ``m x 1`` grid would break the branching
-    arithmetic, so levels are built as ``(m / 2^l,)`` vectors and fed to
-    :func:`~repro.baselines.hierarchy.hierarchy_inference` reshaped as
-    ``(k, 1)`` matrices with branching applied on the first axis only via
-    pairwise sums.
+    is consistent, so releasing the leaf vector loses nothing.  Inference
+    is :func:`~repro.baselines.hierarchy.hierarchy_inference`, the one
+    used by the 2-D grid hierarchy, over ``(m / 2^l,)`` level vectors
+    with two children per node.
     """
     counts = _check_counts(counts)
     m = counts.size
@@ -116,11 +112,7 @@ def hierarchical_histogram(
         noisy_levels.append(level + rng.laplace(0.0, scale, size=level.shape))
         variances.append(2.0 * scale**2)
 
-    # Reuse the 2-D inference engine on (k, 1)-shaped matrices with a
-    # synthetic second axis: branching b=2 on axis 0 requires square
-    # blocks, so instead run the generic scalar-weight recursion here.
-    inferred = _infer_1d(noisy_levels, variances)
-    return inferred[-1]
+    return hierarchy_inference(noisy_levels, variances, branching=2)[-1]
 
 
 def wavelet_histogram(
@@ -155,35 +147,6 @@ def wavelet_histogram(
     scales = generalised_sensitivity(m) / (epsilon * weights)
     noisy = coefficients + rng.laplace(0.0, 1.0, size=m) * scales
     return haar_inverse(noisy)
-
-
-def _infer_1d(
-    noisy_levels: list[np.ndarray], variances: list[float]
-) -> list[np.ndarray]:
-    """Two-pass WLS inference for a binary 1-D hierarchy (coarsest first)."""
-    depth = len(noisy_levels)
-    z_levels: list[np.ndarray] = [None] * depth  # type: ignore[list-item]
-    z_variances = [0.0] * depth
-    z_levels[-1] = noisy_levels[-1]
-    z_variances[-1] = variances[-1]
-    for level in range(depth - 2, -1, -1):
-        below = z_levels[level + 1]
-        child_sum = below[0::2] + below[1::2]
-        child_variance = 2.0 * z_variances[level + 1]
-        own = variances[level]
-        weight_own = child_variance / (own + child_variance)
-        z_levels[level] = weight_own * noisy_levels[level] + (
-            1.0 - weight_own
-        ) * child_sum
-        z_variances[level] = own * child_variance / (own + child_variance)
-
-    inferred: list[np.ndarray] = [None] * depth  # type: ignore[list-item]
-    inferred[0] = z_levels[0]
-    for level in range(1, depth):
-        z = z_levels[level]
-        parent_residual = inferred[level - 1] - (z[0::2] + z[1::2])
-        inferred[level] = z + np.repeat(parent_residual, 2) / 2.0
-    return inferred
 
 
 def range_query(released: np.ndarray, lo: float, hi: float) -> float:
@@ -285,7 +248,6 @@ class OneDimHistogramSynopsis(Synopsis):
                 f"bucket count must be a power of two, got {released.size}"
             )
         self._released = released
-        self._engine = None  # lazy BatchQueryEngine for answer_many
 
     @property
     def released(self) -> np.ndarray:
@@ -315,14 +277,6 @@ class OneDimHistogramSynopsis(Synopsis):
         if y_fraction == 0.0:
             return 0.0
         return range_query(self._released, lo, hi) * y_fraction
-
-    def answer_many(self, rects: "list[Rect] | np.ndarray") -> np.ndarray:
-        """Vectorised batch answering via the declared engine."""
-        if self._engine is None:
-            from repro.queries.engine import make_engine
-
-            self._engine = make_engine(self)
-        return self._engine.answer_batch(rects)
 
 
 class OneDimHistogramBuilder(SynopsisBuilder):

@@ -13,8 +13,11 @@ count); the leaf grid is shared with UG's query machinery.
 
 This implementation is array-based rather than node-based: with uniform
 branching and one measurement per node at every level, the two inference
-passes reduce to per-level scalar-weight updates on count matrices, which
-is orders of magnitude faster than a million-node object tree.
+passes reduce to per-level scalar-weight updates on count arrays, which
+is orders of magnitude faster than a million-node object tree.  The
+block operations and :func:`hierarchy_inference` take levels of any
+rank, so the 1-D binary hierarchy of :mod:`repro.analysis.one_dim` runs
+the same inference.
 """
 
 from __future__ import annotations
@@ -41,25 +44,27 @@ __all__ = [
 
 
 def block_sum(matrix: np.ndarray, factor: int) -> np.ndarray:
-    """Sum non-overlapping ``factor x factor`` blocks of a 2-D array.
+    """Sum non-overlapping blocks of ``factor`` cells along every axis.
 
-    The array's dimensions must be divisible by ``factor``.
+    Works at any rank: ``factor x factor`` blocks of a 2-D grid, runs of
+    ``factor`` buckets of a 1-D histogram.  Every dimension must be
+    divisible by ``factor``.
     """
     matrix = np.asarray(matrix, dtype=float)
-    rows, cols = matrix.shape
-    if rows % factor or cols % factor:
+    if any(size % factor for size in matrix.shape):
         raise ValueError(
             f"shape {matrix.shape} not divisible by block factor {factor}"
         )
-    return (
-        matrix.reshape(rows // factor, factor, cols // factor, factor)
-        .sum(axis=(1, 3))
-    )
+    split = [n for size in matrix.shape for n in (size // factor, factor)]
+    return matrix.reshape(split).sum(axis=tuple(range(1, 2 * matrix.ndim, 2)))
 
 
 def block_repeat(matrix: np.ndarray, factor: int) -> np.ndarray:
-    """Expand each entry into a ``factor x factor`` block (inverse shape of block_sum)."""
-    return np.repeat(np.repeat(matrix, factor, axis=0), factor, axis=1)
+    """Expand each entry into a block of ``factor`` cells along every axis
+    (inverse shape of block_sum)."""
+    for axis in range(np.ndim(matrix)):
+        matrix = np.repeat(matrix, factor, axis=axis)
+    return matrix
 
 
 def hierarchy_inference(
@@ -70,18 +75,19 @@ def hierarchy_inference(
     """Constrained inference over a stack of nested grid histograms.
 
     ``noisy_levels[0]`` is the coarsest grid, each subsequent level refines
-    by ``branching`` per axis.  ``variances[l]`` is the per-cell noise
-    variance at level ``l``.  Returns the consistent weighted-least-squares
-    estimates level by level (the array form of Hay et al.'s two passes;
-    weights are scalar per level because every node at a level shares the
-    same variance).
+    by ``branching`` along every axis, so a node has ``branching ** rank``
+    children: 4 for a binary 2-D hierarchy, 2 for a binary 1-D one.
+    ``variances[l]`` is the per-cell noise variance at level ``l``.
+    Returns the consistent weighted-least-squares estimates level by level
+    (the array form of Hay et al.'s two passes; weights are scalar per
+    level because every node at a level shares the same variance).
     """
     if len(noisy_levels) != len(variances):
         raise ValueError("one variance per level required")
     depth = len(noisy_levels)
     if depth == 0:
         raise ValueError("at least one level required")
-    k = branching * branching  # children per node
+    k = branching ** np.ndim(noisy_levels[0])  # children per node
 
     # Upward pass: z[l] = best estimate from level l's own measurement and
     # the (already combined) levels below it.
@@ -121,9 +127,7 @@ class HierarchicalGridSynopsis(UniformGridSynopsis):
     leaves lose nothing.  The release additionally keeps the *raw* level
     stack in CSR form — per-level sizes, one flat measurement array with
     level offsets, one variance per level — so the measurements survive
-    serialization, inference is re-runnable (:meth:`infer_leaf_counts`),
-    and the stack can be lowered onto the generic tree kernel
-    (:meth:`to_tree_arrays`) where its uniform fan-out tree fits.
+    serialization and inference is re-runnable (:meth:`infer_leaf_counts`).
     """
 
     def __init__(
@@ -218,84 +222,6 @@ class HierarchicalGridSynopsis(UniformGridSynopsis):
             noisy_levels, [float(v) for v in self._level_variances], self._branching
         )
         return inferred[-1]
-
-    def tree_level_orders(self) -> list[np.ndarray]:
-        """Per-level record orders used by :meth:`to_tree_arrays`.
-
-        The tree layout requires siblings contiguous under their parent,
-        so each level is emitted in hierarchical order: children grouped
-        by their parent's record position, each ``b x b`` block row-major
-        inside its group.  ``orders[l][q]`` is the row-major flat grid
-        index (``row * size + col``) of the cell at record position ``q``
-        within level ``l`` — so a per-level tree slab maps back to the
-        grid with ``grid.ravel()[orders[l]] = slab``.
-        """
-        b = self._branching
-        orders = [np.arange(self._level_sizes[0] ** 2, dtype=np.int64)]
-        block = np.arange(b * b, dtype=np.int64)
-        d_row, d_col = block // b, block % b
-        for level in range(1, self.depth):
-            coarser = self._level_sizes[level - 1]
-            size = self._level_sizes[level]
-            parent_row = orders[level - 1] // coarser
-            parent_col = orders[level - 1] % coarser
-            row = (parent_row[:, None] * b + d_row[None, :]).ravel()
-            col = (parent_col[:, None] * b + d_col[None, :]).ravel()
-            orders.append(row * size + col)
-        return orders
-
-    def to_tree_arrays(self):
-        """Lower the level stack onto the generic flat tree kernel.
-
-        Returns a :class:`~repro.baselines.tree.TreeArrays` whose root is
-        a *virtual* unmeasured node (NaN measurement, infinite variance)
-        covering the domain, with the coarsest grid as its children and
-        each finer cell a child of the cell it refines.  Within a level,
-        nodes follow :meth:`tree_level_orders` (siblings contiguous).
-        Running :func:`~repro.baselines.tree.apply_tree_inference_arrays`
-        on it reproduces :func:`hierarchy_inference` (up to float
-        association: the tree kernel gathers child sums sequentially
-        while ``block_sum`` reduces with pairwise axis sums).
-        """
-        from repro.baselines.tree import TreeArrays
-
-        bounds = self.domain.bounds
-        b = self._branching
-        orders = self.tree_level_orders()
-        total = 1 + int(self._level_offsets[-1])
-        rects = np.empty((total, 4))
-        depths = np.empty(total, dtype=np.int64)
-        parents = np.empty(total, dtype=np.int64)
-        noisy = np.empty(total)
-        variances = np.empty(total)
-        rects[0] = (bounds.x_lo, bounds.y_lo, bounds.x_hi, bounds.y_hi)
-        depths[0], parents[0] = 0, -1
-        noisy[0], variances[0] = np.nan, np.inf
-
-        for level, size in enumerate(self._level_sizes):
-            lo = 1 + int(self._level_offsets[level])
-            hi = 1 + int(self._level_offsets[level + 1])
-            order = orders[level]
-            row, col = order // size, order % size
-            # Cell (row, col) spans row-major axis-0 = x, axis-1 = y,
-            # matching GridLayout's histogram orientation.
-            rects[lo:hi, 0] = bounds.x_lo + self.domain.width * row / size
-            rects[lo:hi, 2] = bounds.x_lo + self.domain.width * (row + 1) / size
-            rects[lo:hi, 1] = bounds.y_lo + self.domain.height * col / size
-            rects[lo:hi, 3] = bounds.y_lo + self.domain.height * (col + 1) / size
-            depths[lo:hi] = level + 1
-            noisy[lo:hi] = self._measurements[lo - 1 : hi - 1][order]
-            variances[lo:hi] = self._level_variances[level]
-            if level == 0:
-                parents[lo:hi] = 0
-            else:
-                # Hierarchical order means children of the parent at
-                # record position q fill positions q*b^2 .. (q+1)*b^2 - 1.
-                n_parents = self._level_sizes[level - 1] ** 2
-                parents[lo:hi] = 1 + int(self._level_offsets[level - 1]) + (
-                    np.repeat(np.arange(n_parents, dtype=np.int64), b * b)
-                )
-        return TreeArrays.from_records(rects, depths, parents, noisy, variances)
 
 
 class HierarchicalGridBuilder(SynopsisBuilder):
@@ -418,7 +344,7 @@ class HierarchicalGridBuilder(SynopsisBuilder):
 
         # Consistency means leaf sums reproduce every interior estimate,
         # so queries run off the leaf grid alone; the raw stack rides
-        # along for serialization and the tree-kernel bridge.
+        # along for serialization.
         return HierarchicalGridSynopsis(
             dataset.domain,
             epsilon,

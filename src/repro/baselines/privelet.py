@@ -230,7 +230,7 @@ class PriveletSynopsis(UniformGridSynopsis):
         # One-row batch through the declared engine: the scalar path
         # and answer_many are then bit-identical (numpy's elementwise
         # ops do not depend on batch size).
-        return float(self._batch_engine().answer_batch([rect])[0])
+        return float(self.answer_many([rect])[0])
 
 
 class PriveletBuilder(SynopsisBuilder):

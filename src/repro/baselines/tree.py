@@ -420,7 +420,6 @@ class TreeSynopsis(Synopsis):
             raise TypeError(
                 f"tree must be TreeArrays or SpatialNode, got {type(tree).__name__}"
             )
-        self._engine = None  # lazy make_engine result for answer_many
 
     @property
     def arrays(self) -> TreeArrays:
@@ -463,18 +462,6 @@ class TreeSynopsis(Synopsis):
         for child in node.children:
             total += self._answer_node(child, rect)
         return total
-
-    def answer_many(self, rects: "list[Rect] | np.ndarray") -> np.ndarray:
-        """Batch answering via the declared tree engine (a lattice
-        :class:`~repro.queries.engine.BatchQueryEngine` or the level-order
-        :class:`~repro.queries.engine.FlatTreeEngine`); equal to the
-        scalar descent up to floating-point rounding.  Accepts a list of
-        :class:`Rect`, a list of 4-number rows, or an ``(n, 4)`` array."""
-        if self._engine is None:
-            from repro.queries.engine import make_engine
-
-            self._engine = make_engine(self)
-        return self._engine.answer_batch(rects)
 
     def drift_cells(self, max_cells: int = 1024) -> np.ndarray:
         """The leaf rectangles — the tree's finest released partition.

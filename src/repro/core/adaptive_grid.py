@@ -202,7 +202,6 @@ class AdaptiveGridSynopsis(Synopsis):
         self._cell_totals = cell_totals
         self._leaf_counts = leaf_counts
         self._leaf_offsets = offsets
-        self._engine = None  # lazy FlatAdaptiveGridEngine for answer_many
         self._layouts: dict[tuple[int, int], GridLayout] = {}  # cell_layout cache
 
     # ------------------------------------------------------------------
@@ -297,36 +296,6 @@ class AdaptiveGridSynopsis(Synopsis):
             return super().drift_cells(max_cells)
         x_lo, y_lo, width, height = self._level1.flat_cell_geometry()
         return np.column_stack([x_lo, y_lo, x_lo + width, y_lo + height])
-
-    #: Batches at least this large are routed through the vectorised flat
-    #: CSR engine; smaller ones use the scalar path, whose per-query cost
-    #: only visits the overlapping first-level cells.
-    _BATCH_ENGINE_THRESHOLD = 16
-
-    def answer_many(self, rects: list[Rect] | np.ndarray) -> np.ndarray:
-        """Batch answering via the summed-area engine (see
-        :class:`~repro.queries.engine.FlatAdaptiveGridEngine`); equal to
-        the scalar path up to floating-point rounding.  Accepts a list of
-        :class:`Rect`, a list of 4-number rows, or an ``(n, 4)`` array."""
-        if not isinstance(rects, (list, np.ndarray)):
-            rects = list(rects)
-        n = rects.shape[0] if isinstance(rects, np.ndarray) else len(rects)
-        if n < self._BATCH_ENGINE_THRESHOLD and self._engine is None:
-            if isinstance(rects, list) and all(
-                isinstance(rect, Rect) for rect in rects
-            ):
-                return super().answer_many(rects)
-            # Match the engine path's semantics for bare bounds rows:
-            # inverted bounds contribute 0 instead of raising, so
-            # behaviour does not depend on batch size or input kind.
-            from repro.queries.engine import scalar_answer_batch
-
-            return scalar_answer_batch(self, rects)
-        if self._engine is None:
-            from repro.queries.engine import make_engine
-
-            self._engine = make_engine(self)
-        return self._engine.answer_batch(rects)
 
     def answer(self, rect: Rect) -> float:
         # Only first-level cells overlapping the query contribute.  Fully

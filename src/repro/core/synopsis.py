@@ -7,7 +7,10 @@ count queries using only its released state — it never looks at the raw
 data again, which is what makes the release safe to publish.
 
 Concrete synopses (UG, AG, KD trees, hierarchies, Privelet, ...) subclass
-:class:`Synopsis` and implement :meth:`Synopsis.answer`.
+:class:`Synopsis` and implement :meth:`Synopsis.answer`.  Batches need no
+code of their own: :meth:`Synopsis.answer_many` answers them through the
+batch engine of the type's declared row (see
+:mod:`repro.core.serialization`), built once per release object.
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ class Synopsis(abc.ABC):
     #: buffer rebuild.  ``None`` when the synopsis was fitted directly or
     #: loaded from a v1 archive.
     _sealed_engine_slabs: "dict[str, np.ndarray] | None" = None
+
+    #: The batch engine :meth:`answer_many` answers through, built on
+    #: first use.  The released state never changes, so one engine per
+    #: release object serves every later batch.
+    _engine = None
 
     #: Size in bytes of the read-only file mapping backing this
     #: synopsis's arrays (archive format v2); 0 when the synopsis owns
@@ -77,16 +85,26 @@ class Synopsis(abc.ABC):
     def answer_many(self, rects: "list[Rect] | np.ndarray") -> np.ndarray:
         """Vector of estimates for a batch of query rectangles.
 
-        The default routes through :func:`~repro.queries.engine.
-        scalar_answer_batch` — still a per-rect Python loop, but with the
-        engines' shared batch contract (empty batches return ``(0,)``,
-        inverted/NaN rows answer 0, ``(n, 4)`` arrays accepted).
-        Subclasses override this with a vectorised path through their
-        declared batch engine (see :mod:`repro.core.serialization`).
+        Accepts a list of :class:`Rect`, a list of 4-number rows, or an
+        ``(n, 4)`` array.  A declared type answers through the engine
+        :func:`~repro.queries.engine.make_engine` builds from its row of
+        :data:`~repro.core.serialization.KINDS`, over the sealed engine
+        slabs when the release carries them; the engine is built on the
+        first batch and kept.  An undeclared type has no engine and
+        answers through :func:`~repro.queries.engine.scalar_answer_batch`,
+        a per-rect loop under the same batch contract (empty batches
+        return ``(0,)``, inverted/NaN rows answer 0).
         """
-        from repro.queries.engine import scalar_answer_batch
+        if self._engine is None:
+            from repro.core.serialization import synopsis_kind
+            from repro.queries.engine import make_engine, scalar_answer_batch
 
-        return scalar_answer_batch(self, rects)
+            try:
+                synopsis_kind(type(self))
+            except TypeError:
+                return scalar_answer_batch(self, rects)
+            self._engine = make_engine(self)
+        return self._engine.answer_batch(rects)
 
     def total(self) -> float:
         """Estimated total number of points (query over the whole domain)."""

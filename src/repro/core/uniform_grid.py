@@ -49,7 +49,6 @@ class UniformGridSynopsis(Synopsis):
             )
         self._layout = layout
         self._counts = counts
-        self._engine = None  # lazy BatchQueryEngine for answer_many
 
     @property
     def layout(self) -> GridLayout:
@@ -66,24 +65,6 @@ class UniformGridSynopsis(Synopsis):
 
     def answer(self, rect: Rect) -> float:
         return self._layout.estimate(self._counts, rect)
-
-    def _batch_engine(self):
-        """The declared batch engine for this synopsis, built lazily.
-
-        Routing through :func:`~repro.queries.engine.make_engine` (rather
-        than hard-coding ``BatchQueryEngine``) lets subclasses that carry
-        richer released state — wavelet coefficients, hierarchy levels —
-        answer batches through their own declared engines.
-        """
-        if self._engine is None:
-            from repro.queries.engine import make_engine
-
-            self._engine = make_engine(self)
-        return self._engine
-
-    def answer_many(self, rects: list[Rect]) -> np.ndarray:
-        """Vectorised batch answering via the declared engine."""
-        return self._batch_engine().answer_batch(rects)
 
     def synthetic_points(self, rng: np.random.Generator) -> np.ndarray:
         return self._layout.sample_points(self._counts, ensure_rng(rng))

@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from repro.core.dataset import GeoDataset
-from repro.core.geometry import Domain2D, Rect, rects_to_boxes
+from repro.core.geometry import Domain2D, Rect
 from repro.core.guidelines import DEFAULT_C
 from repro.core.synopsis import Synopsis, SynopsisBuilder
 from repro.privacy.budget import PrivacyBudget
@@ -297,9 +297,11 @@ class MultiDimGridSynopsis(Synopsis):
     the kind table, serialization, the synopsis store, and both
     HTTP transports.  A :class:`~repro.core.geometry.Rect` row
     ``(x_lo, y_lo, x_hi, y_hi)`` *is* the engine's lows-then-highs
-    layout at d = 2, so queries pass through unchanged; the scalar
-    :meth:`answer` routes through a single-row engine call, making the
-    scalar and batch paths bit-identical by construction.
+    layout at d = 2, so queries pass through unchanged.  Batches go
+    through the ``ndgrid`` row's engine, over the sealed ``prefix``
+    slab when the release carries one; the scalar :meth:`answer` is a
+    single-row batch, making the scalar and batch paths bit-identical
+    by construction.
     """
 
     def __init__(self, nd: NDUniformGridSynopsis):
@@ -330,10 +332,7 @@ class MultiDimGridSynopsis(Synopsis):
         return (self._nd.layout.m, self._nd.layout.m)
 
     def answer(self, rect: Rect) -> float:
-        return float(self._nd.answer_many(rects_to_boxes([rect]))[0])
-
-    def answer_many(self, rects: "list[Rect] | np.ndarray") -> np.ndarray:
-        return self._nd.answer_many(rects_to_boxes(rects))
+        return float(self.answer_many([rect])[0])
 
 
 class MultiDimGridBuilder(SynopsisBuilder):

@@ -93,7 +93,8 @@ def scalar_answer_batch(synopsis, rects: "list[Rect] | np.ndarray") -> np.ndarra
     :class:`Rect` constructor; degenerate zero-area rows are answered
     exactly like the equivalent edge/point :class:`Rect` query.  The
     scalar second opinion in engine equivalence tests and benchmarks,
-    and ``AdaptiveGridSynopsis.answer_many``'s small-batch branch.
+    and how :meth:`~repro.core.synopsis.Synopsis.answer_many` answers
+    for a synopsis type with no declared engine.
     """
     boxes = rects_to_boxes(rects)
     out = np.zeros(boxes.shape[0])

@@ -1,7 +1,8 @@
 """Routing batched rectangle queries to cached synopses.
 
-:class:`QueryService` is the read path of the serving layer.  It keeps one
-prepared batch engine per release (built by
+:class:`QueryService` is the read path of the serving layer.  Each
+request fetches its release from the store once and answers the batch
+with that release's prepared batch engine (built by
 :func:`~repro.queries.engine.make_engine`, prefix sums precomputed:
 the d-dimensional grid kernel :class:`~repro.queries.engine.
 BatchQueryEngine` for every grid-shaped release (UG, Hier, Privelet,
@@ -9,22 +10,23 @@ UGnd, and Hier1d as an ``m x 1`` grid) and lattice-aligned trees, the
 summed-area :class:`~repro.queries.engine.FlatAdaptiveGridEngine` for
 adaptive grids, the level-order
 :class:`~repro.queries.engine.FlatTreeEngine` for the other tree
-baselines) and routes each incoming batch to
-the engine of the requested key.  Engines are pure functions of released
-state, so concurrent batches against the same release run without locking
-— only the engine-cache bookkeeping is guarded.
+baselines).  Engines are pure functions of released state, so
+concurrent batches against the same release run without locking — only
+the engine map and the answer cache are guarded.
 
-On top of the engine cache sits an **answer cache**: released synopses
-are immutable, so the estimate vector for a given ``(release, batch,
-clamp)`` triple never changes while that release object lives.  Repeat
-batches — the dominant pattern behind dashboards and monitoring — are
-served from a byte-bounded LRU keyed by ``(ReleaseKey,
-sha1(boxes.tobytes()), clamp)`` without touching an engine.  Entries are
-invalidated by *generation*: whenever a key's engine is rebuilt (the
-store handed back a different synopsis object after a forced rebuild or
-an evict-and-reload) or pruned, the key's generation is bumped and its
-cached answers dropped, so a stale answer can never outlive the release
-state that produced it.
+A released synopsis is immutable, so its engine and every answer
+computed from it are pure functions of the *release object* the store
+hands back.  Both are tied to that object, not to its key: engines live
+in a map weakly keyed by the release, built once per release object and
+gone with it; on top sits an **answer cache**, a byte-bounded LRU keyed
+by ``(ReleaseKey, sha1(boxes.tobytes()), clamp)`` whose entries remember
+(weakly) the release they were computed from.  Repeat batches — the
+dominant pattern behind dashboards and monitoring — are served from it
+without touching an engine, but only to a request whose release is that
+same object.  A forced rebuild or an evict-and-reload hands back a new
+object, so a stale answer is never served, and eviction, reloads and
+tenant stamping need no bookkeeping here.  A new engine build drops the
+key's older answers and those of releases that have died.
 
 Answering queries is post-processing of a released synopsis: it spends no
 privacy budget, and the service never sees raw data at all.
@@ -35,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
+import weakref
 
 import numpy as np
 
@@ -103,11 +106,10 @@ class QueryResult:
 class QueryService:
     """Answers rectangle-query batches from a :class:`SynopsisStore`.
 
-    The engine cache is keyed by release key and invalidated by identity:
-    when the store hands back a different synopsis object (rebuilt, or
-    reloaded after eviction), the engine is rebuilt from it.  Whenever an
-    engine is (re)built, entries for keys the store no longer holds are
-    dropped, so the store's LRU bounds govern total memory.
+    Engines are keyed by release object: one is built the first time a
+    release the store hands back is queried, and it is dropped when that
+    object dies (the store evicted it and no request still holds it), so
+    the store's LRU bounds govern total memory.
 
     ``answer_cache_bytes`` bounds the answer cache (estimate-vector bytes;
     0 disables caching entirely).
@@ -123,21 +125,22 @@ class QueryService:
                 f"answer_cache_bytes must be >= 0, got {answer_cache_bytes}"
             )
         self._store = store
-        self._engines: dict[ReleaseKey, tuple[Synopsis, object]] = {}
+        self._engines: weakref.WeakKeyDictionary[Synopsis, object] = (
+            weakref.WeakKeyDictionary()
+        )
         self._lock = threading.Lock()
-        self._engine_building: set[ReleaseKey] = set()
+        self._engine_building: set[Synopsis] = set()
         self._engine_done = threading.Condition(self._lock)
         self._queries_answered = 0
         self._batches_answered = 0
         self._engine_cold_starts = 0
         self._engine_sealed_loads = 0
-        # Answer cache: (key, digest, clamp) -> (generation, estimates).
-        # Plain dict + move-to-end semantics via re-insertion is not
-        # enough for LRU order; use insertion-ordered dict explicitly.
+        # Answer cache: (key, digest, clamp) -> (weakref to the release,
+        # estimates), in LRU order (dicts keep insertion order; a hit
+        # re-inserts, eviction pops the oldest).
         self._answer_cache_bytes = int(answer_cache_bytes)
-        self._answers: dict[tuple, tuple[int, np.ndarray]] = {}
+        self._answers: dict[tuple, tuple[weakref.ref, np.ndarray]] = {}
         self._answers_nbytes = 0
-        self._answer_gen: dict[ReleaseKey, int] = {}
         self._answer_hits = 0
         self._answer_misses = 0
 
@@ -159,14 +162,14 @@ class QueryService:
         return QueryService(store, answer_cache_bytes=self._answer_cache_bytes)
 
     def tenant_stats(self) -> dict:
-        """Compact per-tenant counter block for ``/health``'s tenant map."""
+        """Compact per-tenant counter block for ``/health``'s tenant map
+        (the server adds the store's ``releases_cached`` beside it)."""
         store = self._store
         with self._lock:
             queries = self._queries_answered
             batches = self._batches_answered
             engines = len(self._engines)
         return {
-            "releases_cached": len(store.cached_keys()),
             "queries_answered": queries,
             "batches_answered": batches,
             "engines_cached": engines,
@@ -175,98 +178,68 @@ class QueryService:
         }
 
     def engine_for(self, key: ReleaseKey):
-        """The cached batch engine for ``key``, (re)built as needed.
+        """The batch engine for the store's current release of ``key``.
 
         Raises :class:`~repro.service.errors.ReleaseNotFound` when the
         store has no release for the key.
         """
-        return self._engine_for(key.with_tenant(self._store.tenant))[0]
+        key = key.with_tenant(self._store.tenant)
+        return self._engine_for(key, self._store.get(key))
 
-    def _engine_for(self, key: ReleaseKey, deadline: Deadline | None = None):
-        """``(engine, answer_generation)`` for ``key``.
+    def _engine_for(
+        self, key: ReleaseKey, release: Synopsis, deadline: Deadline | None = None
+    ):
+        """The engine of ``release``, the store's release for ``key``.
 
-        ``key`` must carry the store's tenant: engines and answers are
-        indexed by the keys ``store.cached_keys()`` returns, so an
-        unstamped key would be swept as stale on every lookup.  The
-        generation is read in the same critical section that validated
-        (or installed) the engine, so an answer computed with the
-        returned engine may be cached under that generation: any later
-        rebuild bumps it first, which vetoes the insert.
+        Built once per release object: concurrent first requests wait
+        for one build instead of each preparing a duplicate.
         """
-        synopsis = self._store.get(key, deadline)
-        # Engines pin their synopsis; on every lookup keep only keys the
-        # store still holds, so the store's LRU bounds govern total
-        # memory (``key`` itself is always retained: get() just cached it).
-        retained = set(self._store.cached_keys())
         with self._lock:
             while True:
-                for stale in [k for k in self._engines if k not in retained]:
-                    del self._engines[stale]
-                    self._invalidate_answers(stale)
-                cached = self._engines.get(key)
-                if cached is not None and cached[0] is synopsis:
-                    return cached[1], self._answer_gen.get(key, 0)
-                if key not in self._engine_building:
+                engine = self._engines.get(release)
+                if engine is not None:
+                    return engine
+                if release not in self._engine_building:
                     break
-                # Another thread is preparing this key's engine: one
-                # cold-start stampede must not build N duplicates.
                 if deadline is None:
                     self._engine_done.wait()
                 else:
                     deadline.check("waiting for an in-flight engine build")
                     self._engine_done.wait(deadline.remaining())
-            if cached is not None:
-                # The store handed back a different synopsis object
-                # (forced rebuild, or evict + reload): every answer
-                # computed against the old object is stale.  Bump the
-                # generation *before* building so in-flight misses from
-                # the old engine can no longer insert.
-                self._invalidate_answers(key)
-            self._engine_building.add(key)
+            self._engine_building.add(release)
         # Build outside the lock: prefix-sum preparation can take a few
         # milliseconds for large releases and must not stall other keys.
         try:
             if deadline is not None:
                 deadline.check("preparing the query engine")
-            engine = make_engine(synopsis)
+            engine = make_engine(release)
         except BaseException:
             with self._lock:
-                self._engine_building.discard(key)
+                self._engine_building.discard(release)
                 self._engine_done.notify_all()
             raise
-        # Re-snapshot at insert time: concurrent builds may have evicted
-        # this key while the engine was being prepared, and inserting an
-        # engine for an evicted key would pin its synopsis outside the
-        # store's byte bound.  (A residual race can still leave one stale
-        # entry; the sweep above clears it on the next lookup.)
-        still_cached = key in set(self._store.cached_keys())
         with self._lock:
             # Slabs sealed at build time or into a v2 archive restore the
             # engine without a derived-buffer rebuild: a warm load.
             # make_engine drops stale slabs before rebuilding, so only
             # genuine rebuilds count as cold starts.
-            if has_sealed_engine(synopsis):
+            if has_sealed_engine(release):
                 self._engine_sealed_loads += 1
             else:
                 self._engine_cold_starts += 1
-            try:
-                if still_cached:
-                    self._engines[key] = (synopsis, engine)
-                    generation = self._answer_gen.get(key, 0)
-                else:
-                    # The key was evicted while the engine was being
-                    # prepared and the engine was NOT installed.  Answers
-                    # computed with it must not enter the cache: the
-                    # key's next incarnation may be a different release
-                    # under the *same* generation (no engine entry exists
-                    # for the sweep or the replacement check to bump), so
-                    # a cached vector would never be invalidated.  -1 can
-                    # never equal a real generation, vetoing the insert.
-                    generation = -1
-            finally:
-                self._engine_building.discard(key)
-                self._engine_done.notify_all()
-        return engine, generation
+            self._engines[release] = engine
+            self._engine_building.discard(release)
+            self._engine_done.notify_all()
+            # No answer comes from this release yet, so the key's cached
+            # answers came from other release objects; drop them, and
+            # the answers of releases that have died.
+            for entry in [
+                cache_key
+                for cache_key, (source, _) in self._answers.items()
+                if cache_key[0] == key or source() is None
+            ]:
+                self._answers_nbytes -= self._answers.pop(entry)[1].nbytes
+        return engine
 
     def answer(
         self,
@@ -282,8 +255,8 @@ class QueryService:
         ``deadline`` bounds the slow steps (store waits, engine
         preparation, the batch itself); expiry raises
         :class:`~repro.service.errors.DeadlineExpired`.  The result
-        reports ``key`` as given; engines and cached answers are indexed
-        by the key stamped with the store's tenant.
+        reports ``key`` as given; cached answers are indexed by the key
+        stamped with the store's tenant.
         """
         request_key = key
         key = key.with_tenant(self._store.tenant)
@@ -292,25 +265,15 @@ class QueryService:
         if self._answer_cache_bytes > 0:
             digest = hashlib.sha1(boxes.tobytes()).digest()
             cache_key = (key, digest, clamp)
-            start = time.perf_counter()
-            # A cached answer is only as fresh as the release it was
-            # computed from: re-fetch the store's current synopsis (an
-            # LRU dict lookup; raises ReleaseNotFound if the release is
-            # gone) and serve the hit only when the cached engine still
-            # matches it.  A forced rebuild or evict-and-reload hands
-            # back a different object and falls through to the miss
-            # path, where engine_for bumps the generation.
-            synopsis = self._store.get(key, deadline)
+        start = time.perf_counter()
+        # Raises ReleaseNotFound if the release is gone.
+        release = self._store.get(key, deadline)
+        if cache_key is not None:
             with self._lock:
-                generation = self._answer_gen.get(key, 0)
-                engine_entry = self._engines.get(key)
                 cached = self._answers.get(cache_key)
-                if (
-                    cached is not None
-                    and cached[0] == generation
-                    and engine_entry is not None
-                    and engine_entry[0] is synopsis
-                ):
+                # A cached answer is served only for the release object it
+                # was computed from.
+                if cached is not None and cached[0]() is release:
                     # Re-insert to refresh LRU position (dicts preserve
                     # insertion order; eviction pops the oldest key).
                     del self._answers[cache_key]
@@ -324,8 +287,7 @@ class QueryService:
                         answer_ms=answer_ms, cached=True,
                     )
 
-        build_start = time.perf_counter()
-        engine, generation = self._engine_for(key, deadline)
+        engine = self._engine_for(key, release, deadline)
         # Fault point for deadline/overload tests: an injected stall here
         # models a slow batch without touching any real kernel.
         faultinject.fire("service.answer", key=key)
@@ -339,18 +301,15 @@ class QueryService:
         # consumer can corrupt another's answer.
         estimates.setflags(write=False)
         answered = time.perf_counter()
-        build_ms = (answer_start - build_start) * 1e3
+        build_ms = (answer_start - start) * 1e3
         answer_ms = (answered - answer_start) * 1e3
         with self._lock:
             self._queries_answered += int(boxes.shape[0])
             self._batches_answered += 1
             if cache_key is not None:
                 self._answer_misses += 1
-                if (
-                    self._answer_gen.get(key, 0) == generation
-                    and estimates.nbytes <= self._answer_cache_bytes
-                ):
-                    self._cache_insert(cache_key, generation, estimates)
+                if estimates.nbytes <= self._answer_cache_bytes:
+                    self._cache_insert(cache_key, weakref.ref(release), estimates)
         return QueryResult(
             request_key, estimates, build_ms=build_ms, answer_ms=answer_ms
         )
@@ -370,27 +329,17 @@ class QueryService:
                 "answer_cache_max_bytes": self._answer_cache_bytes,
             }
 
-    # ------------------------------------------------------------------
-    # Answer-cache internals (callers hold self._lock)
-    # ------------------------------------------------------------------
-
     def _cache_insert(
-        self, cache_key: tuple, generation: int, estimates: np.ndarray
+        self, cache_key: tuple, source: weakref.ref, estimates: np.ndarray
     ) -> None:
+        """Insert one answer, evicting LRU entries past the byte bound
+        (caller holds ``self._lock``)."""
         previous = self._answers.pop(cache_key, None)
         if previous is not None:
             self._answers_nbytes -= previous[1].nbytes
-        self._answers[cache_key] = (generation, estimates)
+        self._answers[cache_key] = (source, estimates)
         self._answers_nbytes += estimates.nbytes
         while self._answers_nbytes > self._answer_cache_bytes:
             oldest = next(iter(self._answers))
             _, evicted = self._answers.pop(oldest)
             self._answers_nbytes -= evicted.nbytes
-
-    def _invalidate_answers(self, key: ReleaseKey) -> None:
-        """Bump ``key``'s generation and drop its cached answers."""
-        self._answer_gen[key] = self._answer_gen.get(key, 0) + 1
-        stale = [entry for entry in self._answers if entry[0] == key]
-        for entry in stale:
-            _, estimates = self._answers.pop(entry)
-            self._answers_nbytes -= estimates.nbytes

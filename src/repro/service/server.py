@@ -280,7 +280,13 @@ class SynopsisHTTPServer(ThreadingHTTPServer):
         """Per-tenant serving counters for ``/health``."""
         with self._tenant_lock:
             items = sorted(self._tenants.items())
-        return {tenant: context.service.tenant_stats() for tenant, context in items}
+        return {
+            tenant: {
+                "releases_cached": len(context.service.store.cached_keys()),
+                **context.service.tenant_stats(),
+            }
+            for tenant, context in items
+        }
 
     # ------------------------------------------------------------------
     # Fault accounting (handler threads call these)

@@ -200,8 +200,10 @@ class SynopsisStore:
         recently used release is always retained even when it alone
         exceeds the bound.  Prepared query engines are not counted here:
         budget for them separately (they are roughly the size of the
-        released state again, and :class:`~repro.service.query_service.
-        QueryService` bounds them to the store's cached keys).
+        released state again, and a :class:`~repro.service.
+        query_service.QueryService` engine lives only as long as its
+        release object, so it goes once the store evicts the release
+        and no request still holds it).
     n_points:
         Optional dataset-size override applied to every build (the
         registry default otherwise).  Part of the store configuration, not

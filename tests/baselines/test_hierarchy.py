@@ -19,6 +19,8 @@ class TestBlockOps:
         summed = block_sum(matrix, 2)
         assert summed.shape == (2, 2)
         assert summed[0, 0] == 0 + 1 + 4 + 5
+        # A 1-D histogram sums runs of buckets.
+        np.testing.assert_array_equal(block_sum(matrix[0], 2), [1.0, 5.0])
 
     def test_block_sum_identity(self):
         matrix = np.ones((3, 3))
@@ -37,16 +39,20 @@ class TestBlockOps:
         expanded = block_repeat(matrix, 4)
         assert expanded.shape == (12, 12)
         np.testing.assert_allclose(block_sum(expanded, 4), matrix * 16)
+        np.testing.assert_array_equal(
+            block_repeat(matrix[0], 2), np.repeat(matrix[0], 2)
+        )
 
 
 class TestHierarchyInference:
     def test_consistency(self, rng):
-        leaf = rng.random((8, 8)) * 100
-        levels = [block_sum(leaf, 4), block_sum(leaf, 2), leaf]
-        noisy = [level + rng.normal(0, 3, size=level.shape) for level in levels]
-        inferred = hierarchy_inference(noisy, [18.0, 18.0, 18.0], branching=2)
-        for upper, lower in zip(inferred, inferred[1:]):
-            np.testing.assert_allclose(block_sum(lower, 2), upper, rtol=1e-9)
+        for shape in [(8, 8), (8,)]:  # a 2-D grid stack, a 1-D binary one
+            leaf = rng.random(shape) * 100
+            levels = [block_sum(leaf, 4), block_sum(leaf, 2), leaf]
+            noisy = [level + rng.normal(0, 3, size=level.shape) for level in levels]
+            inferred = hierarchy_inference(noisy, [18.0, 18.0, 18.0], branching=2)
+            for upper, lower in zip(inferred, inferred[1:]):
+                np.testing.assert_allclose(block_sum(lower, 2), upper, rtol=1e-9)
 
     def test_single_level_identity(self, rng):
         noisy = rng.random((4, 4))

@@ -102,13 +102,15 @@ def test_two_level_inference_between_estimates(parent, leaves, alpha):
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=2, max_value=3),
     st.integers(min_value=2, max_value=3),
+    st.sampled_from([1, 2]),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_hierarchy_inference_consistency(levels_below, branching, base, seed):
-    """Array inference keeps every adjacent level pair consistent."""
+def test_hierarchy_inference_consistency(levels_below, branching, base, rank, seed):
+    """Array inference keeps every adjacent level pair consistent, for
+    1-D histogram stacks and 2-D grid stacks alike."""
     rng = np.random.default_rng(seed)
     leaf_size = base * branching**levels_below
-    leaf = rng.random((leaf_size, leaf_size)) * 20
+    leaf = rng.random((leaf_size,) * rank) * 20
     noisy_levels = []
     for level in range(levels_below + 1):
         factor = branching ** (levels_below - level)

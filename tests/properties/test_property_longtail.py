@@ -21,12 +21,13 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
+from repro.baselines.constrained_inference import CountNode, infer_tree
 from repro.baselines.hierarchy import (
     HierarchicalGridBuilder,
+    block_sum,
     hierarchy_inference,
 )
 from repro.baselines.privelet import PriveletBuilder
-from repro.baselines.tree import apply_tree_inference_arrays
 from repro.core.geometry import Domain2D
 from repro.datasets.synthetic import make_gaussian_mixture
 from repro.extensions.multidim import (
@@ -167,38 +168,70 @@ def test_hierarchy_flat_build_matches_reference(domain, b, d, k, seed):
     np.testing.assert_array_equal(flat.infer_leaf_counts(), flat.counts)
 
 
-@settings(max_examples=15, deadline=None)
-@given(branchings, st.integers(min_value=2, max_value=3), leaf_multiples, seeds)
-def test_hierarchy_tree_bridge_matches_inference(b, d, k, seed):
-    """Lowering the stack onto TreeArrays reproduces hierarchy_inference.
+def infer_level_stack_as_tree(levels, variances, branching):
+    """Run :func:`infer_tree` over a level stack and read it back by level.
 
-    The generic level-order kernel gathers child sums sequentially while
+    Every cell becomes a :class:`CountNode` under the cell it refines; the
+    coarsest level hangs off an unmeasured root covering the domain.
+    """
+    root = CountNode(None)
+    grids, parents = [], None
+    for values, variance in zip(levels, variances):
+        grid = np.empty(values.shape, dtype=object)
+        for index in np.ndindex(values.shape):
+            grid[index] = CountNode(float(values[index]), variance)
+            parent = root if parents is None else parents[
+                tuple(i // branching for i in index)
+            ]
+            parent.children.append(grid[index])
+        grids.append(grid)
+        parents = grid
+    infer_tree(root)
+    return [
+        np.vectorize(lambda node: node.inferred_count, otypes=[float])(grid)
+        for grid in grids
+    ]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    branchings,
+    st.integers(min_value=2, max_value=3),
+    leaf_multiples,
+    st.sampled_from([1, 2]),
+    seeds,
+)
+def test_hierarchy_tree_bridge_matches_inference(b, d, k, rank, seed):
+    """hierarchy_inference == the recursive tree inference, level by level.
+
+    Inputs are a fitted 2-D ``H_{b,d}`` stack and a 1-D binary stack (the
+    Hier1d shape).  :func:`infer_tree` adds child sums sequentially while
     ``block_sum`` uses pairwise axis reductions, so agreement is pinned
     at 1e-9 relative, not bit-identical.
     """
-    dataset = make_gaussian_mixture(400, n_clusters=3, rng=seed)
-    builder = HierarchicalGridBuilder(
-        leaf_grid_size=k * b ** (d - 1), branching=b, depth=d
-    )
-    synopsis = builder.fit(dataset, 1.0, np.random.default_rng(seed))
-    tree = synopsis.to_tree_arrays()
-    tree.validate()
-    apply_tree_inference_arrays(tree)
-    inferred = hierarchy_inference(
-        [synopsis.level_measurements(level) for level in range(d)],
-        [float(v) for v in synopsis.level_variances],
-        b,
-    )
-    orders = synopsis.tree_level_orders()
+    if rank == 2:
+        dataset = make_gaussian_mixture(400, n_clusters=3, rng=seed)
+        builder = HierarchicalGridBuilder(
+            leaf_grid_size=k * b ** (d - 1), branching=b, depth=d
+        )
+        synopsis = builder.fit(dataset, 1.0, np.random.default_rng(seed))
+        levels = [synopsis.level_measurements(level) for level in range(d)]
+        variances = [float(v) for v in synopsis.level_variances]
+    else:
+        b = 2
+        rng = np.random.default_rng(seed)
+        leaf = rng.integers(0, 50, size=k * b ** (d - 1)).astype(float)
+        levels = []
+        for level in range(d):
+            exact = block_sum(leaf, b ** (d - 1 - level))
+            levels.append(exact + rng.laplace(0.0, 2.0, size=exact.shape))
+        variances = [8.0] * d
+    inferred = hierarchy_inference(levels, variances, b)
+    tree = infer_level_stack_as_tree(levels, variances, b)
     for level in range(d):
-        lo, hi = tree.level_offsets[level + 1], tree.level_offsets[level + 2]
-        size = synopsis.level_sizes[level]
-        grid = np.empty(size * size)
-        grid[orders[level]] = tree.counts[lo:hi]
         scale = max(1.0, float(np.abs(inferred[level]).max()))
         np.testing.assert_allclose(
-            grid.reshape(size, size), inferred[level],
-            rtol=1e-9, atol=1e-9 * scale,
+            tree[level], inferred[level], rtol=1e-9, atol=1e-9 * scale
         )
 
 

@@ -348,7 +348,7 @@ class TestAnswerCacheInvalidation:
         assert status == 201
         status, body = call(server, "/query", {**RELEASE, "rects": rects})
         assert status == 200
-        assert body["cached"] is False  # generation bumped, not served stale
+        assert body["cached"] is False  # a new release object: not served stale
         stats = service.stats()
         # One engine per build, each restored from its build's slabs.
         assert stats["engine_sealed_loads"] == 2
@@ -384,8 +384,8 @@ class TestAnswerCacheInvalidation:
 
     def test_evict_and_reload_from_disk_refreshes_cache(self, tmp_path):
         # With persistence the evicted release is reloaded as a *new*
-        # object; the answer cache must start a fresh generation for it
-        # (and then serve hits again).
+        # object; the old object's answers must not be served for it
+        # (and it then serves hits of its own).
         store = SynopsisStore(
             store_dir=tmp_path, n_points=N_POINTS, dataset_budget=4.0,
             max_entries=1,
@@ -402,7 +402,7 @@ class TestAnswerCacheInvalidation:
             call(http_server, "/releases", k2)  # evicts k1 (still on disk)
             status, body = call(http_server, "/query", {**k1, "rects": rects})
             assert status == 200
-            assert body["cached"] is False  # reloaded object, new generation
+            assert body["cached"] is False  # reloaded object: a miss
             assert body["estimates"] == first["estimates"]  # deterministic
             assert call(http_server, "/query", {**k1, "rects": rects})[1]["cached"]
         finally:

@@ -116,6 +116,16 @@ class TestStoreLifecycle:
         )
 
 
+def test_ugnd_answer_many_reads_the_sealed_prefix():
+    """A store-built UGnd release answers batches over its sealed prefix
+    slab, not over a second prefix tensor computed from its counts."""
+    synopsis, _ = SynopsisStore(n_points=N_POINTS).build(key("UGnd"))
+    synopsis.answer_many(rects())
+    assert np.shares_memory(
+        synopsis._engine._prefix, synopsis.sealed_engine_slabs["prefix"]
+    )
+
+
 @pytest.mark.parametrize("method", METHODS)
 class TestHTTPTransportParity:
     def release(self, method):
@@ -149,8 +159,8 @@ class TestHTTPTransportParity:
         assert second["cached"] is True
         np.testing.assert_array_equal(second["estimates"], first["estimates"])
         # A forced rebuild replays the same key-derived noise stream, but
-        # the answer cache must still drop its generation — it can't know
-        # the rebuild was a no-op.
+        # the answer cache must still miss — it can't know the rebuild
+        # was a no-op.
         status, _ = call(server, "/releases", {**release, "force": True})
         assert status == 201
         third = call(server, "/query", {**release, "rects": rects()})[1]

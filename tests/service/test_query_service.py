@@ -1,5 +1,7 @@
 """Unit tests for the query service: routing, engines, concurrency."""
 
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -116,6 +118,53 @@ class TestEngineCache:
             engines = list(pool.map(lambda _: service.engine_for(key), range(8)))
         assert len({id(engine) for engine in engines}) == 1
 
+    def test_one_engine_per_release_under_concurrent_rebuilds(
+        self, monkeypatch, rng
+    ):
+        """Readers racing forced rebuilds: each release object gets one
+        make_engine call, however the threads interleave."""
+        from repro.service import query_service as qs
+
+        store = SynopsisStore(n_points=N_POINTS, dataset_budget=100.0)
+        service = QueryService(store)
+        key = ReleaseKey("storage", "UG", epsilon=1.0, seed=0)
+        store.build(key)
+        prepared = []  # keeps every release alive, so ids stay unique
+        real_make_engine = qs.make_engine
+
+        def recording_make_engine(synopsis):
+            prepared.append(synopsis)
+            return real_make_engine(synopsis)
+
+        monkeypatch.setattr(qs, "make_engine", recording_make_engine)
+        rects = storage_rects(8, rng)
+        rebuilding = threading.Event()
+
+        def read(_):
+            while not rebuilding.is_set():
+                service.answer(key, rects)
+
+        def rebuild():
+            try:
+                for _ in range(20):
+                    store.build(key, force=True)
+                    service.answer(key, rects)
+            finally:
+                rebuilding.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=7) as pool:
+                futures = [pool.submit(read, i) for i in range(6)]
+                futures.append(pool.submit(rebuild))
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(prepared) == len({id(synopsis) for synopsis in prepared})
+        assert len(prepared) >= 20  # every rebuilt release was queried
+
     def test_engines_for_evicted_keys_are_pruned(self):
         store = SynopsisStore(n_points=N_POINTS, max_entries=1, dataset_budget=10.0)
         service = QueryService(store)
@@ -123,8 +172,8 @@ class TestEngineCache:
         k2 = ReleaseKey("storage", "UG", epsilon=1.0, seed=2)
         store.build(k1)
         service.engine_for(k1)
-        store.build(k2)  # evicts k1 from the store
-        service.engine_for(k2)  # lookup prunes k1's engine too
+        store.build(k2)  # evicts k1: its release dies, and its engine too
+        service.engine_for(k2)
         assert service.stats()["engines_cached"] == 1
 
 
@@ -226,10 +275,9 @@ class TestAnswerCache:
         self, monkeypatch, rng
     ):
         # If the key is evicted while its engine is being prepared, the
-        # engine is not installed — and the answer must not be cached
-        # either: the key's next incarnation would share generation 0
-        # with no engine entry left to trigger an invalidation, so the
-        # stale vector would never be dropped.
+        # answer computed from the evicted release belongs to that
+        # release object alone: the key's next incarnation is a new
+        # object, and the vector must never be served for it.
         from repro.service import query_service as qs
 
         store = SynopsisStore(n_points=N_POINTS, dataset_budget=10.0)
@@ -239,7 +287,7 @@ class TestAnswerCache:
         real_make_engine = qs.make_engine
 
         def evicting_make_engine(synopsis):
-            store.evict(key)  # lands mid-build, before the re-snapshot
+            store.evict(key)  # lands mid-build
             return real_make_engine(synopsis)
 
         monkeypatch.setattr(qs, "make_engine", evicting_make_engine)
@@ -247,9 +295,25 @@ class TestAnswerCache:
         result = service.answer(key, rects)
         assert result.cached is False
         assert result.estimates.shape == (4,)
-        stats = service.stats()
-        assert stats["answer_cache_entries"] == 0
-        assert stats["engines_cached"] == 0
+        # The evicted release died with the request, and its engine too.
+        assert service.stats()["engines_cached"] == 0
+
+        monkeypatch.setattr(qs, "make_engine", real_make_engine)
+        store.build(key)  # the key's next incarnation
+        rebuilt = service.answer(key, rects)
+        assert rebuilt.cached is False
+        assert rebuilt.estimates is not result.estimates
+        assert service.answer(key, rects).estimates is rebuilt.estimates
+
+    def test_miss_fetches_the_release_once(self, service, rng):
+        key = ReleaseKey("storage", "UG", epsilon=1.0, seed=0)
+        service.store.build(key)
+        rects = storage_rects(4, rng)
+        hits = service.store.stats.hits
+        assert service.answer(key, rects).cached is False
+        assert service.store.stats.hits == hits + 1
+        assert service.answer(key, rects).cached is True
+        assert service.store.stats.hits == hits + 2
 
     def test_concurrent_repeats_converge_to_one_entry(self, service, rng):
         key = ReleaseKey("storage", "AG", epsilon=1.0, seed=0)
@@ -285,8 +349,8 @@ class TestTenantKeys:
     def test_tenant_engine_prepared_once_and_repeat_is_cached(self, rng):
         """Requests arrive with unstamped keys (the binary slug and JSON
         bodies carry no tenant); a tenant's store caches stamped keys.
-        The service must index by the stamped key, or it sweeps and
-        rebuilds the engine on every request and never hits its cache."""
+        The tenant's engine is still prepared once, and a repeat batch is
+        still a cache hit."""
         store = SynopsisStore(n_points=N_POINTS, tenant="acme")
         service = QueryService(store)
         key = ReleaseKey("storage", "AG", epsilon=1.0, seed=0)
