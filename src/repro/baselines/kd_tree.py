@@ -4,10 +4,10 @@ The paper compares against two recursive-partitioning methods:
 
 * **KD-standard** (``Kst``) — a KD-tree of fixed height.  At every internal
   node the split coordinate is a noisy median of the node's points along
-  the splitting dimension (alternating x / y), chosen with the exponential
-  mechanism; a share of the budget pays for the medians and the rest is
-  split uniformly across levels for noisy counts.  No constrained
-  inference.
+  the splitting dimension (alternating x / y), drawn with the exponential
+  mechanism over the node's extent; a share of the budget pays for the
+  medians and the rest is split uniformly across levels for noisy counts.
+  No constrained inference.
 * **KD-hybrid** (``Khy``) — Cormode et al.'s best configuration: the first
   few levels split at region midpoints like a quadtree (free: no data-
   dependent choice), deeper levels use noisy medians; count budget is
@@ -19,6 +19,29 @@ Both release a :class:`~repro.baselines.tree.TreeSynopsis`.
 Budget accounting: nodes at one tree level have disjoint regions, so both
 the per-level count histograms and the per-level median selections fall
 under parallel composition and are charged once per level.
+
+The private median is Cormode et al.'s: the exponential mechanism with
+the rank-distance utility ``-|rank - n/2|`` (sensitivity 1) over the
+node's whole extent, not over its points.  Each interval between
+consecutive coordinates is weighted by its length and the split is drawn
+uniformly inside the chosen one, so a split is never a data coordinate
+and an empty node is uniform over its extent.
+
+Build: :meth:`KDTreeBuilder.fit` fits one tree level per vectorised pass
+and writes the release straight in BFS level order.  Per level it draws,
+in this order, one Laplace vector for the counts of all the level's
+nodes, then the split draws of the nodes that split: one standard
+exponential per median interval of every splitting node (its negative log
+is the Gumbel noise of a Gumbel-max pick) followed by one uniform per node
+(``"median"``), or one ``(m, 32)`` Gumbel matrix (``"uniformity"``);
+midpoint levels draw nothing.  Quadrant levels keep one node id per
+point.  kd levels keep one int32 point order per axis, in which each
+node is a contiguous segment (Wald & Havran, "On building fast kd-trees
+for ray tracing, and on doing that in O(N log N)", 2006): a split along
+one axis leaves each child's order on that axis a prefix or suffix of
+its parent's, and the other axis's order is stably partitioned by a
+cumulative sum.  ``tests/oracles/trees.py`` holds the per-node
+reference build that the equivalence tests pin ``fit`` to, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,24 +51,15 @@ import math
 import numpy as np
 
 from repro.baselines.tree import (
-    SpatialNode,
     TreeArrays,
     TreeSynopsis,
-    apply_tree_inference,
     apply_tree_inference_arrays,
 )
 from repro.core.dataset import GeoDataset
-from repro.core.geometry import Rect
 from repro.core.synopsis import SynopsisBuilder
 from repro.privacy.budget import PrivacyBudget
 from repro.privacy.composition import geometric_allocation, uniform_allocation
-from repro.privacy.mechanisms import (
-    ensure_rng,
-    exponential_mechanism,
-    laplace_noise,
-    laplace_scale,
-    noisy_median_index,
-)
+from repro.privacy.mechanisms import ensure_rng, laplace_noise, laplace_scale
 
 __all__ = ["KDTreeBuilder", "KDStandardBuilder", "KDHybridBuilder", "default_tree_depth"]
 
@@ -92,8 +106,12 @@ class KDTreeBuilder(SynopsisBuilder):
         ``"median"`` (Cormode et al.: exponential-mechanism noisy median)
         or ``"uniformity"`` (after Xiao et al., VLDB SDM 2010: prefer the
         split whose halves are closest to internally uniform, selected
-        with the exponential mechanism over candidate positions using the
-        mass-vs-area balance utility, sensitivity 2).
+        with the exponential mechanism over 32 equi-width candidate
+        positions using the mass balance utility
+        ``-(|c1 - c2| + |c3 - c4|)``, where ``c1, c2`` are the lower
+        half's two quarter-counts and ``c3, c4`` the upper half's.
+        Adding or removing one tuple changes one quarter-count by one, so
+        the utility's sensitivity is 1).
     """
 
     name = "KD-tree"
@@ -143,9 +161,7 @@ class KDTreeBuilder(SynopsisBuilder):
     ) -> tuple[int, list[float], list[float]]:
         """Resolve the tree depth and spend the per-level budgets.
 
-        Shared by :meth:`fit` and :meth:`fit_reference` so the two build
-        paths charge identical ledgers.  Returns ``(depth,
-        count_epsilons, median_epsilons)``.
+        Returns ``(depth, count_epsilons, median_epsilons)``.
         """
         depth = (
             self.depth
@@ -184,245 +200,275 @@ class KDTreeBuilder(SynopsisBuilder):
         rng: np.random.Generator,
         budget: PrivacyBudget | None = None,
     ) -> TreeSynopsis:
-        """Build the release straight into flat level-order arrays.
+        """Build the release one tree level per vectorised pass.
 
-        The recursion mirrors :meth:`fit_reference`'s ``_build_node``
-        call for call — same splits, same point filtering, same rng draw
-        order — but records each node into flat DFS lists instead of
-        allocating a :class:`~repro.baselines.tree.SpatialNode` per
-        region; a stable sort by depth then yields the BFS level order
-        of :class:`~repro.baselines.tree.TreeArrays`, and constrained
-        inference runs as the level-wise array kernel.  The release is
-        bit-identical to :meth:`fit_reference` given the same rng state
-        (pinned by the equivalence tests).
+        Each level draws one Laplace vector for all its nodes; a node
+        splits while ``level < depth`` and its noisy count is at least
+        ``min_split_count``.  The children of every splitting node are
+        computed as arrays and appended as the next level, so the release
+        is written straight in BFS level order.  A point on a shared child
+        edge goes to the first child whose closed rect holds it: the lower
+        child of an axis split, and quadrant ``(x > cx) + 2 * (y > cy)``
+        of a midpoint split.  See the module docstring for the per-level
+        draw order.
         """
         rng = ensure_rng(rng)
         budget = self._budget(epsilon, budget)
         depth, count_epsilons, median_epsilons = self._allocate_budgets(
             dataset, epsilon, budget
         )
+        points = dataset.points
+        coords = (points[:, 0].copy(), points[:, 1].copy())
+        # Quadrant levels track each point's node; from the first kd level
+        # on, one point order per axis holds each node as a segment.
+        node = np.zeros(points.shape[0], dtype=np.intp)
+        orders: list[np.ndarray] | None = None
+        rects = np.array([dataset.domain.bounds.as_tuple()])
+        counts = np.array([points.shape[0]])
+        level_rects, level_noisy, level_variances, level_fan_out = [], [], [], []
+        for level in range(depth + 1):
+            scale = laplace_scale(1.0, count_epsilons[level])
+            noisy = counts + laplace_noise(scale, rng, size=counts.size)
+            splits = (noisy >= self.min_split_count) & (level < depth)
+            fan_out = 4 if level < self.quadtree_levels else 2
+            level_rects.append(rects)
+            level_noisy.append(noisy)
+            level_variances.append(2.0 * scale**2)
+            level_fan_out.append(np.where(splits, fan_out, 0))
+            if not splits.any():
+                break
+            if orders is None:
+                keep = splits[node]
+                coords = (coords[0][keep], coords[1][keep])
+                node = (np.cumsum(splits) - 1)[node[keep]]
+            else:
+                keep = np.repeat(splits, counts)
+                orders = [order[keep] for order in orders]
+            parents, counts = rects[splits], counts[splits]
+            if level < self.quadtree_levels:
+                rects, node = _quadrant_level(parents, coords, node)
+                counts = np.bincount(node, minlength=rects.shape[0])
+                continue
+            if orders is None:
+                orders = [
+                    _presort(values, node, counts.size) for values in coords
+                ]
+                node = None
+            rects, counts = self._kd_level(
+                parents, counts, coords, orders, level % 2,
+                median_epsilons[level], rng,
+            )
 
-        rect_rows: list[tuple[float, float, float, float]] = []
-        noisy_list: list[float] = []
-        variance_list: list[float] = []
-        depth_list: list[int] = []
-        parent_list: list[int] = []
-
-        def build(rect: Rect, points: np.ndarray, level: int, parent: int) -> None:
-            count_eps = count_epsilons[level]
-            scale = laplace_scale(1.0, count_eps)
-            noisy = float(points.shape[0] + laplace_noise(scale, rng))
-            index = len(noisy_list)
-            rect_rows.append(rect.as_tuple())
-            noisy_list.append(noisy)
-            variance_list.append(2.0 * scale**2)
-            depth_list.append(level)
-            parent_list.append(parent)
-            if level >= depth or noisy < self.min_split_count:
-                return
-            child_rects = self._split_rects(rect, points, level, median_epsilons, rng)
-            for child_rect in child_rects:
-                mask = child_rect.mask(points[:, 0], points[:, 1])
-                # Points on shared edges must go to exactly one child; keep
-                # the first claimant by removing them from the residual pool.
-                child_points = points[mask]
-                points = points[~mask]
-                build(child_rect, child_points, level + 1, index)
-
-        build(dataset.domain.bounds, dataset.points, 0, -1)
-        arrays = TreeArrays.from_records(
-            np.asarray(rect_rows),
-            np.asarray(depth_list, dtype=np.int64),
-            np.asarray(parent_list, dtype=np.int64),
-            np.asarray(noisy_list),
-            np.asarray(variance_list),
+        sizes = [block.shape[0] for block in level_rects]
+        fan_out = np.concatenate(level_fan_out)
+        noisy_counts = np.concatenate(level_noisy)
+        arrays = TreeArrays(
+            rects=np.concatenate(level_rects),
+            depths=np.repeat(np.arange(len(sizes)), sizes),
+            child_offsets=np.concatenate([[1], 1 + np.cumsum(fan_out)]),
+            noisy_counts=noisy_counts,
+            variances=np.repeat(level_variances, sizes),
+            counts=noisy_counts.copy(),
+            level_offsets=np.concatenate([[0], np.cumsum(sizes)]),
         )
         if self.constrained_inference:
             apply_tree_inference_arrays(arrays)
         return TreeSynopsis(dataset.domain, epsilon, arrays)
 
-    def fit_reference(
+    def _kd_level(
         self,
-        dataset: GeoDataset,
-        epsilon: float,
-        rng: np.random.Generator,
-        budget: PrivacyBudget | None = None,
-    ) -> TreeSynopsis:
-        """The historical object-graph build, retained as the reference.
-
-        One :class:`~repro.baselines.tree.SpatialNode` per region and the
-        recursive :func:`~repro.baselines.tree.apply_tree_inference`.
-        Produces a bit-identical release to :meth:`fit` given the same
-        rng state; used by the equivalence tests and by
-        ``benchmarks/bench_tree_kernel.py`` to measure the flat kernel's
-        speedup.  Not intended for production use.
-        """
-        rng = ensure_rng(rng)
-        budget = self._budget(epsilon, budget)
-        depth, count_epsilons, median_epsilons = self._allocate_budgets(
-            dataset, epsilon, budget
-        )
-        root = self._build_node(
-            rect=dataset.domain.bounds,
-            points=dataset.points,
-            level=0,
-            max_depth=depth,
-            count_epsilons=count_epsilons,
-            median_epsilons=median_epsilons,
-            rng=rng,
-        )
-        if self.constrained_inference:
-            apply_tree_inference(root)
-        return TreeSynopsis(dataset.domain, epsilon, root)
-
-    # ------------------------------------------------------------------
-
-    def _split_rects(
-        self,
-        rect: Rect,
-        points: np.ndarray,
-        level: int,
-        median_epsilons: list[float],
-        rng: np.random.Generator,
-    ) -> list[Rect]:
-        """The child regions of one internal node (both build paths)."""
-        if level < self.quadtree_levels:
-            return _quadrant_split(rect)
-        axis = level % 2
-        if self.split_strategy == "uniformity":
-            split = self._uniformity_split(
-                rect, points, axis, median_epsilons[level], rng
-            )
-        else:
-            split = self._noisy_median_split(
-                rect, points, axis, median_epsilons[level], rng
-            )
-        return _axis_split(rect, axis, split)
-
-    def _build_node(
-        self,
-        rect: Rect,
-        points: np.ndarray,
-        level: int,
-        max_depth: int,
-        count_epsilons: list[float],
-        median_epsilons: list[float],
-        rng: np.random.Generator,
-    ) -> SpatialNode:
-        count_eps = count_epsilons[level]
-        scale = laplace_scale(1.0, count_eps)
-        noisy = float(points.shape[0] + laplace_noise(scale, rng))
-        node = SpatialNode(
-            rect=rect,
-            noisy_count=noisy,
-            variance=2.0 * scale**2,
-            count=noisy,
-            depth=level,
-        )
-        if level >= max_depth or noisy < self.min_split_count:
-            return node
-
-        child_rects = self._split_rects(rect, points, level, median_epsilons, rng)
-        for child_rect in child_rects:
-            mask = child_rect.mask(points[:, 0], points[:, 1])
-            # Points on shared edges must go to exactly one child; keep the
-            # first claimant by removing them from the residual pool.
-            child_points = points[mask]
-            points = points[~mask]
-            node.children.append(
-                self._build_node(
-                    child_rect,
-                    child_points,
-                    level + 1,
-                    max_depth,
-                    count_epsilons,
-                    median_epsilons,
-                    rng,
-                )
-            )
-        return node
-
-    def _noisy_median_split(
-        self,
-        rect: Rect,
-        points: np.ndarray,
-        axis: int,
-        median_epsilon: float,
-        rng: np.random.Generator,
-    ) -> float:
-        lo = rect.x_lo if axis == 0 else rect.y_lo
-        hi = rect.x_hi if axis == 0 else rect.y_hi
-        if points.shape[0] == 0 or median_epsilon <= 0.0:
-            return (lo + hi) / 2.0
-        values = np.sort(points[:, axis])
-        index = noisy_median_index(values, median_epsilon, rng)
-        split = float(values[index])
-        # Keep both children non-degenerate.
-        if not lo < split < hi:
-            return (lo + hi) / 2.0
-        return split
-
-    def _uniformity_split(
-        self,
-        rect: Rect,
-        points: np.ndarray,
+        parents: np.ndarray,
+        counts: np.ndarray,
+        coords: tuple[np.ndarray, np.ndarray],
+        orders: list[np.ndarray],
         axis: int,
         split_epsilon: float,
         rng: np.random.Generator,
-    ) -> float:
-        """Xiao-et-al-style split: halves as close to uniform as possible.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Split every node of a kd level along ``axis``.
 
-        Candidate splits are an equi-width grid of positions; a
-        candidate's utility is how internally uniform each resulting half
-        would be, measured by the mass balance around each half's own
-        midpoint: ``-(|c1 - c2| + |c3 - c4|)`` where ``c1, c2`` are the
-        left half's two quarter-counts and ``c3, c4`` the right half's.
-        Adding or removing one tuple changes exactly one quarter-count by
-        one, so the utility's sensitivity is 1.
+        ``orders[axis]`` stays as it is: each child's segment is a prefix
+        or suffix of its parent's.  ``orders[1 - axis]`` is stably
+        partitioned in place in the list.  Returns the children's rects
+        and point counts, two per parent.
         """
-        lo = rect.x_lo if axis == 0 else rect.y_lo
-        hi = rect.x_hi if axis == 0 else rect.y_hi
-        if points.shape[0] == 0 or split_epsilon <= 0.0:
-            return (lo + hi) / 2.0
-        candidates = np.linspace(lo, hi, self._UNIFORMITY_CANDIDATES + 2)[1:-1]
-        coordinates = np.sort(points[:, axis])
-        left_mid = (lo + candidates) / 2.0
-        right_mid = (candidates + hi) / 2.0
-        c1 = np.searchsorted(coordinates, left_mid)
-        c12 = np.searchsorted(coordinates, candidates)
-        c123 = np.searchsorted(coordinates, right_mid)
-        total = coordinates.size
-        utilities = -(
-            np.abs(c1 - (c12 - c1)) + np.abs((c123 - c12) - (total - c123))
-        )
-        index = exponential_mechanism(
-            utilities.astype(float), split_epsilon, rng, sensitivity=1.0
-        )
-        return float(candidates[index])
+        lo, hi = parents[:, axis], parents[:, axis + 2]
+        if split_epsilon <= 0.0:
+            split = (lo + hi) / 2.0
+        else:
+            values = coords[axis][orders[axis]]
+            if self.split_strategy == "uniformity":
+                split = _uniformity_splits(
+                    values, counts, lo, hi, split_epsilon, rng,
+                    self._UNIFORMITY_CANDIDATES,
+                )
+            else:
+                split = _median_splits(values, counts, lo, hi, split_epsilon, rng)
+        other = orders[1 - axis]
+        upper = coords[axis][other] > np.repeat(split, counts)
+        orders[1 - axis], n_upper = _stable_partition(other, counts, upper)
+        rects = np.repeat(parents, 2, axis=0)
+        rects[0::2, axis + 2] = split
+        rects[1::2, axis] = split
+        return rects, np.column_stack([counts - n_upper, n_upper]).ravel()
 
 
-def _axis_split(rect: Rect, axis: int, split: float) -> list[Rect]:
-    """Split a rectangle into two along the given axis at ``split``."""
-    if axis == 0:
-        return [
-            Rect(rect.x_lo, rect.y_lo, split, rect.y_hi),
-            Rect(split, rect.y_lo, rect.x_hi, rect.y_hi),
-        ]
-    return [
-        Rect(rect.x_lo, rect.y_lo, rect.x_hi, split),
-        Rect(rect.x_lo, split, rect.x_hi, rect.y_hi),
-    ]
+def _quadrant_level(
+    parents: np.ndarray,
+    coords: tuple[np.ndarray, np.ndarray],
+    node: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint quadrants of every parent, and each point's child.
+
+    Children are ordered lower-left, lower-right, upper-left,
+    upper-right; the midpoint is :attr:`Rect.center`'s ``(lo + hi) / 2``.
+    """
+    cx = (parents[:, 0] + parents[:, 2]) / 2.0
+    cy = (parents[:, 1] + parents[:, 3]) / 2.0
+    rects = np.repeat(parents, 4, axis=0)
+    rects[0::4, 2] = rects[2::4, 2] = cx
+    rects[1::4, 0] = rects[3::4, 0] = cx
+    rects[0::4, 3] = rects[1::4, 3] = cy
+    rects[2::4, 1] = rects[3::4, 1] = cy
+    child = 4 * node + (coords[0] > cx[node]) + 2 * (coords[1] > cy[node])
+    return rects, child
 
 
-def _quadrant_split(rect: Rect) -> list[Rect]:
-    """Split a rectangle into its four midpoint quadrants."""
-    cx, cy = rect.center
-    return [
-        Rect(rect.x_lo, rect.y_lo, cx, cy),
-        Rect(cx, rect.y_lo, rect.x_hi, cy),
-        Rect(rect.x_lo, cy, cx, rect.y_hi),
-        Rect(cx, cy, rect.x_hi, rect.y_hi),
-    ]
+def _presort(values: np.ndarray, node: np.ndarray, n_nodes: int) -> np.ndarray:
+    """The int32 point order by ``(node, value)``: one sorted segment per node.
+
+    Tied values may land in any order: a release reads only the sorted
+    values and the segment counts, never which of two tied points is first.
+    """
+    order = np.argsort(values)
+    # A stable sort of small unsigned keys is a radix sort.
+    key = node[order].astype(np.min_scalar_type(n_nodes - 1))
+    return order[np.argsort(key, kind="stable")].astype(np.int32)
+
+
+def _stable_partition(
+    order: np.ndarray, counts: np.ndarray, upper: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Move each segment's ``upper`` entries after the rest, stably.
+
+    ``order`` holds one contiguous segment per node, ``counts`` long.  A
+    cumulative sum of ``upper`` gives every entry its rank among its
+    segment's upper (or lower) entries, so no sort is needed.  Returns the
+    partitioned order and each segment's number of upper entries.
+    """
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    ones = np.zeros(order.size + 1, dtype=np.int32)
+    np.cumsum(upper, out=ones[1:])
+    n_upper = ones[ends] - ones[starts]
+    # Upper entries before each entry, within its segment.
+    within = ones[:-1] - np.repeat(ones[starts], counts)
+    target = np.where(
+        upper,
+        np.repeat(ends - n_upper, counts) + within,
+        np.arange(order.size, dtype=np.int32) - within,
+    )
+    partitioned = np.empty_like(order)
+    partitioned[target] = order
+    return partitioned, n_upper
+
+
+def _median_splits(
+    values: np.ndarray,
+    counts: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    epsilon: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Noisy medians of a level's nodes, as one segmented draw.
+
+    Node ``i`` holds the sorted ``values`` segment of ``counts[i]`` and
+    spans ``[lo[i], hi[i]]`` on the split axis.  Its ``n + 1`` intervals
+    lie between consecutive values, with its edges closing the two ends,
+    and interval ``j`` has weight ``length * exp(-(epsilon / 2) *
+    |j - n / 2|)``.  One vector of Gumbel noise over all intervals picks
+    each node's interval (Gumbel-max: the argmax of log-weight plus Gumbel
+    noise), then one uniform per node places the split inside it.  That is
+    the distribution of :func:`~repro.privacy.mechanisms.noisy_median`:
+    zero-length intervals are never picked, an empty node is uniform over
+    its extent, and a draw exactly on an edge falls back to the midpoint.
+    """
+    sizes = counts + 1
+    first = np.cumsum(sizes) - sizes
+    # Intervals end at each node's values and then at its upper edge, and
+    # start where the previous one ends, or at the node's lower edge.
+    right = np.insert(values, np.cumsum(counts), hi)
+    left = np.empty_like(right)
+    left[1:] = right[:-1]
+    left[first] = lo
+    # log(length) plus Gumbel noise, drawn as -log of a standard
+    # exponential, is log(length / exponential).
+    scores = rng.standard_exponential(left.size)
+    np.divide(right - left, scores, out=scores)
+    with np.errstate(divide="ignore"):
+        np.log(scores, out=scores)
+    # |j - n/2| is exact in float64 whichever way it is formed.
+    distance = np.arange(scores.size, dtype=float)
+    distance -= np.repeat(first + counts / 2.0, sizes)
+    np.abs(distance, out=distance)
+    distance *= epsilon / 2.0
+    scores -= distance
+    del distance
+    pick = _segment_argmax(scores, first, sizes)
+    split = left[pick] + rng.random(counts.size) * (right[pick] - left[pick])
+    on_edge = ~((lo < split) & (split < hi))
+    split[on_edge] = (lo[on_edge] + hi[on_edge]) / 2.0
+    return split
+
+
+def _segment_argmax(
+    scores: np.ndarray, first: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """Index of each non-empty segment's first maximum."""
+    best = np.maximum.reduceat(scores, first)
+    hits = np.flatnonzero(scores == np.repeat(best, sizes))
+    return hits[np.searchsorted(hits, first)]
+
+
+def _uniformity_splits(
+    values: np.ndarray,
+    counts: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    epsilon: float,
+    rng: np.random.Generator,
+    n_candidates: int,
+) -> np.ndarray:
+    """Uniformity splits of a level's nodes (see :class:`KDTreeBuilder`).
+
+    Gumbel-max over the ``(m, n_candidates)`` utility matrix, which has
+    :func:`~repro.privacy.mechanisms.exponential_mechanism`'s
+    distribution row by row.
+    """
+    m = counts.size
+    candidates = np.linspace(lo, hi, n_candidates + 2, axis=1)[:, 1:-1]
+    thresholds = np.stack([
+        (lo[:, None] + candidates) / 2.0,
+        candidates,
+        (candidates + hi[:, None]) / 2.0,
+    ])
+    # Complex numbers compare lexicographically, so ``node + 1j * value``
+    # keys are sorted across segments and one searchsorted counts each
+    # node's values below each of its thresholds exactly.
+    keys = np.empty(values.size, dtype=complex)
+    keys.real = np.repeat(np.arange(m), counts)
+    keys.imag = values
+    queries = np.empty(thresholds.shape, dtype=complex)
+    queries.real = np.arange(m)[:, None]
+    queries.imag = thresholds
+    starts = np.cumsum(counts) - counts
+    c1, c12, c123 = np.searchsorted(keys, queries) - starts[:, None]
+    utilities = -(
+        np.abs(c1 - (c12 - c1)) + np.abs((c123 - c12) - (counts[:, None] - c123))
+    )
+    scores = (epsilon / 2.0) * utilities + rng.gumbel(size=(m, n_candidates))
+    return candidates[np.arange(m), scores.argmax(axis=1)]
 
 
 class KDStandardBuilder(KDTreeBuilder):

@@ -10,18 +10,16 @@ each ingredient.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.baselines.kd_tree import KDTreeBuilder
-from repro.baselines.tree import TreeSynopsis
-from repro.core.dataset import GeoDataset
-from repro.privacy.budget import PrivacyBudget
 
 __all__ = ["QuadtreeBuilder"]
 
 
 class QuadtreeBuilder(KDTreeBuilder):
     """A pure quadtree: every level splits at region midpoints.
+
+    ``quadtree_levels == depth``, so the inherited level builder never
+    sorts and never spends median budget.
 
     Parameters
     ----------
@@ -55,14 +53,3 @@ class QuadtreeBuilder(KDTreeBuilder):
 
     def label(self) -> str:
         return f"Quad{self.depth}"
-
-    def fit(
-        self,
-        dataset: GeoDataset,
-        epsilon: float,
-        rng: np.random.Generator,
-        budget: PrivacyBudget | None = None,
-    ) -> TreeSynopsis:
-        # All levels are quadrant splits; delegate to the KD machinery with
-        # quadtree_levels == depth, which never spends median budget.
-        return super().fit(dataset, epsilon, rng, budget=budget)

@@ -12,9 +12,9 @@ shared substrate in two layouts:
   constrained inference, the batch query engine, serialization — operates
   on these arrays without materialising a node object anywhere.
 * :class:`SpatialNode` — the recursive reference layout, one object per
-  region.  Kept for the scalar reference paths (``fit_reference``,
-  ``TreeSynopsis.answer``) that the equivalence tests pin the flat
-  kernels against, and for exploratory code that wants to walk a tree.
+  region.  Kept for the scalar reference path (``TreeSynopsis.answer``)
+  that the equivalence tests pin the flat kernels against, and for
+  exploratory code that wants to walk a tree.
 
 :class:`TreeSynopsis` answers rectangle queries by descending the tree:
 regions fully inside the query contribute their whole count, disjoint
@@ -46,11 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.constrained_inference import (
-    CountNode,
-    infer_level_order,
-    infer_tree,
-)
+from repro.baselines.constrained_inference import infer_level_order
 from repro.core.geometry import Domain2D, Rect
 from repro.core.synopsis import Synopsis
 
@@ -58,7 +54,6 @@ __all__ = [
     "SpatialNode",
     "TreeArrays",
     "TreeSynopsis",
-    "apply_tree_inference",
     "apply_tree_inference_arrays",
     "tree_engine_from_slabs",
     "tree_engine_precompute",
@@ -173,55 +168,6 @@ class TreeArrays:
             depths, np.arange(n_levels + 1), side="left"
         ).astype(np.int64)
         return child_offsets, level_offsets
-
-    @classmethod
-    def from_records(
-        cls,
-        rects: np.ndarray,
-        depths: np.ndarray,
-        parents: np.ndarray,
-        noisy_counts: np.ndarray,
-        variances: np.ndarray,
-        counts: np.ndarray | None = None,
-    ) -> "TreeArrays":
-        """Assemble level-order arrays from parent-pointer records.
-
-        The records may arrive in any order in which every node's parent
-        precedes it and siblings appear in split order (DFS pre-order and
-        BFS both qualify); ``parents[v]`` is the record index of ``v``'s
-        parent (-1 for the root).  A stable sort by depth produces BFS
-        level order — within one level, two nodes compare like their
-        parents, so children of consecutive parents land contiguously.
-        """
-        rects = np.asarray(rects, dtype=float).reshape(-1, 4)
-        depths = np.asarray(depths, dtype=np.int64)
-        parents = np.asarray(parents, dtype=np.int64)
-        noisy_counts = np.asarray(noisy_counts, dtype=float)
-        variances = np.asarray(variances, dtype=float)
-        n = depths.size
-        if n == 0:
-            raise ValueError("tree must have at least one node")
-        order = np.argsort(depths, kind="stable")
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
-        new_depths = depths[order]
-        new_parents = np.where(parents[order] >= 0, rank[parents[order]], -1)
-        fan_out = np.bincount(new_parents[1:], minlength=n) if n > 1 else (
-            np.zeros(n, dtype=np.int64)
-        )
-        child_offsets, level_offsets = cls._assemble_offsets(new_depths, fan_out)
-        counts_in = (
-            noisy_counts if counts is None else np.asarray(counts, dtype=float)
-        )
-        return cls(
-            rects=np.ascontiguousarray(rects[order]),
-            depths=new_depths,
-            child_offsets=child_offsets,
-            noisy_counts=noisy_counts[order].copy(),
-            variances=variances[order].copy(),
-            counts=counts_in[order].copy(),
-            level_offsets=level_offsets,
-        )
 
     @classmethod
     def from_root(cls, root: SpatialNode) -> "TreeArrays":
@@ -349,40 +295,12 @@ class TreeArrays:
             raise ValueError("children must be exactly one level below parents")
 
 
-def apply_tree_inference(root: SpatialNode) -> None:
-    """Run Hay-et-al constrained inference over a spatial tree in place.
-
-    The recursive reference: builds the parallel :class:`~repro.baselines.
-    constrained_inference.CountNode` structure, solves it, and writes the
-    consistent estimates back into each node's ``count``.  The production
-    path is :func:`apply_tree_inference_arrays`.
-    """
-    mapping: dict[int, SpatialNode] = {}
-
-    def convert(node: SpatialNode) -> CountNode:
-        count_node = CountNode(
-            noisy_count=node.noisy_count,
-            variance=node.variance,
-            children=[convert(child) for child in node.children],
-        )
-        mapping[id(count_node)] = node
-        return count_node
-
-    count_root = convert(root)
-    infer_tree(count_root)
-
-    stack = [count_root]
-    while stack:
-        count_node = stack.pop()
-        mapping[id(count_node)].count = count_node.inferred_count
-        stack.extend(count_node.children)
-
-
 def apply_tree_inference_arrays(tree: TreeArrays) -> None:
     """Run constrained inference in place on a flat level-order tree.
 
     Writes the consistent estimates into ``tree.counts``; bit-identical
-    to :func:`apply_tree_inference` on the equivalent object graph (see
+    to the recursive :func:`~repro.baselines.constrained_inference.infer_tree`
+    on the equivalent object graph (see
     :func:`~repro.baselines.constrained_inference.infer_level_order`).
     The write updates the existing ``counts`` buffer rather than
     rebinding it.  Build engines after inference: whether a tree lowers

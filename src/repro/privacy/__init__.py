@@ -20,7 +20,7 @@ from repro.privacy.mechanisms import (
     laplace_scale,
     noisy_count,
     noisy_histogram,
-    noisy_median_index,
+    noisy_median,
 )
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
     "laplace_scale",
     "noisy_count",
     "noisy_histogram",
-    "noisy_median_index",
+    "noisy_median",
     "parallel_epsilon",
     "sequential_epsilon",
     "uniform_allocation",

@@ -10,7 +10,7 @@ The paper uses:
 * the **Laplace mechanism** for all count queries (sensitivity 1 for a
   histogram over disjoint cells, by parallel composition), and
 * the **exponential mechanism** inside the KD-tree baselines to select
-  noisy medians (Cormode et al., ICDE 2012).
+  noisy medians over a node's extent (Cormode et al., ICDE 2012).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ __all__ = [
     "noisy_count",
     "noisy_histogram",
     "exponential_mechanism",
-    "noisy_median_index",
+    "noisy_median",
 ]
 
 
@@ -158,33 +158,56 @@ def exponential_mechanism(
     return int(rng.choice(utilities.size, p=probabilities))
 
 
-def noisy_median_index(
+def noisy_median(
     sorted_values: np.ndarray,
+    lo: float,
+    hi: float,
     epsilon: float,
     rng: np.random.Generator,
     budget: PrivacyBudget | None = None,
-) -> int:
-    """Differentially private median selection over sorted values.
+) -> float:
+    """A differentially private median over the extent ``[lo, hi]``.
 
-    Implements the exponential mechanism with the rank-distance utility
-    ``u(i) = -|i - n/2|`` whose sensitivity is 1 (adding or removing one
-    tuple shifts every rank by at most one).  Returns an *index* into
-    ``sorted_values``; the caller uses ``sorted_values[index]`` as the split
-    coordinate.  This is the noisy-median primitive of the KD-tree baselines.
+    The exponential mechanism over the whole extent, as Cormode et al.
+    (ICDE 2012) define the private median.  The ``n + 1`` intervals lie
+    between consecutive sorted values, with ``lo`` and ``hi`` closing the
+    two ends; interval ``j`` has weight
+    ``length * exp(-(epsilon / 2) * |j - n / 2|)``, the rank-distance
+    utility with sensitivity 1.  The output is uniform inside the chosen
+    interval, so it is never a data value: zero-length intervals (ties)
+    are never chosen, and an empty input gives a uniform draw over the
+    extent.  A draw that lands exactly on ``lo`` or ``hi`` returns the
+    midpoint ``(lo + hi) / 2``.  This is the split primitive of the
+    KD-tree baselines, whose level builder draws from the same
+    distribution for every node of a level at once.
     """
     sorted_values = np.asarray(sorted_values, dtype=float)
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if sorted_values.ndim != 1 or (
+        sorted_values.size
+        and (
+            sorted_values[0] < lo
+            or sorted_values[-1] > hi
+            or np.any(np.diff(sorted_values) < 0)
+        )
+    ):
+        raise ValueError("sorted_values must be a sorted 1-D array within [lo, hi]")
+    if budget is not None:
+        budget.spend(epsilon, "median")
     n = sorted_values.size
-    if n == 0:
-        raise ValueError("cannot take the median of an empty array")
-    if n == 1:
-        if budget is not None:
-            budget.spend(epsilon, "median")
-        return 0
-    ranks = np.arange(n, dtype=float)
-    utilities = -np.abs(ranks - (n - 1) / 2.0)
-    return exponential_mechanism(
-        utilities, epsilon, rng, sensitivity=1.0, budget=budget, label="median"
-    )
+    lower = np.concatenate([[lo], sorted_values])
+    lengths = np.concatenate([sorted_values, [hi]]) - lower
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(lengths) - (epsilon / 2.0) * np.abs(
+            np.arange(n + 1) - n / 2.0
+        )
+    weights = np.exp(log_weights - log_weights.max())
+    index = int(rng.choice(n + 1, p=weights / weights.sum()))
+    split = float(lower[index] + rng.random() * lengths[index])
+    return split if lo < split < hi else (lo + hi) / 2.0
 
 
 def laplace_variance(epsilon: float, sensitivity: float = 1.0) -> float:

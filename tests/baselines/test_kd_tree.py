@@ -7,10 +7,13 @@ from repro.baselines.kd_tree import (
     KDHybridBuilder,
     KDStandardBuilder,
     KDTreeBuilder,
+    _median_splits,
     default_tree_depth,
 )
+from repro.baselines.quadtree import QuadtreeBuilder
 from repro.core.geometry import Rect
 from repro.privacy.budget import PrivacyBudget
+from tests.oracles.trees import fit_level_oracle
 
 
 class TestDefaultDepth:
@@ -209,8 +212,16 @@ class TestUniformitySplitStrategy:
         assert budget.spent == pytest.approx(1.0)
 
 
+def _assert_same_arrays(a, b):
+    for name in (
+        "rects", "depths", "child_offsets", "noisy_counts", "variances",
+        "counts", "level_offsets",
+    ):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), name)
+
+
 class TestFlatBuildEquivalence:
-    """fit (flat TreeArrays emission) == fit_reference (object graph)."""
+    """fit (level loop) == the per-node level-order oracle, bit for bit."""
 
     @pytest.mark.parametrize(
         "make_builder",
@@ -227,36 +238,54 @@ class TestFlatBuildEquivalence:
     )
     def test_release_bit_identical(self, small_skewed, make_builder):
         flat = make_builder().fit(small_skewed, 1.0, np.random.default_rng(17))
-        reference = make_builder().fit_reference(
-            small_skewed, 1.0, np.random.default_rng(17)
+        oracle = fit_level_oracle(
+            make_builder(), small_skewed, 1.0, np.random.default_rng(17)
         )
-        a, b = flat.arrays, reference.arrays
-        a.validate()
-        b.validate()
-        np.testing.assert_array_equal(a.rects, b.rects)
-        np.testing.assert_array_equal(a.depths, b.depths)
-        np.testing.assert_array_equal(a.child_offsets, b.child_offsets)
-        np.testing.assert_array_equal(a.noisy_counts, b.noisy_counts)
-        np.testing.assert_array_equal(a.variances, b.variances)
-        np.testing.assert_array_equal(a.counts, b.counts)
-        np.testing.assert_array_equal(a.level_offsets, b.level_offsets)
+        flat.arrays.validate()
+        oracle.arrays.validate()
+        _assert_same_arrays(flat.arrays, oracle.arrays)
 
     def test_budget_ledgers_match(self, small_skewed):
-        from repro.privacy.budget import PrivacyBudget
-
-        flat_budget = PrivacyBudget(1.0)
-        KDHybridBuilder(depth=6).fit(
-            small_skewed, 1.0, np.random.default_rng(3), budget=flat_budget
-        )
-        reference_budget = PrivacyBudget(1.0)
-        KDHybridBuilder(depth=6).fit_reference(
-            small_skewed, 1.0, np.random.default_rng(3), budget=reference_budget
-        )
-        assert [
-            (entry.epsilon, entry.label) for entry in flat_budget.ledger
-        ] == [
-            (entry.epsilon, entry.label) for entry in reference_budget.ledger
+        """Each preset keeps the recursive builder's per-level split and labels."""
+        presets = [
+            (
+                QuadtreeBuilder(depth=5),
+                [
+                    (0.08664034996495772, "counts level 0"),
+                    (0.10916000069110876, "counts level 1"),
+                    (0.13753298267726685, "counts level 2"),
+                    (0.17328069992991543, "counts level 3"),
+                    (0.21832000138221752, "counts level 4"),
+                    (0.2750659653545337, "counts level 5"),
+                ],
+            ),
+            (
+                KDStandardBuilder(depth=6),
+                [(0.75 / 7, f"counts level {level}") for level in range(7)]
+                + [(0.25 / 6, f"medians level {level}") for level in range(6)],
+            ),
+            (
+                KDHybridBuilder(depth=6),
+                [
+                    (0.05469063458812943, "counts level 0"),
+                    (0.0689058817496929, "counts level 1"),
+                    (0.08681597087800506, "counts level 2"),
+                    (0.10938126917625886, "counts level 3"),
+                    (0.1378117634993858, "counts level 4"),
+                    (0.17363194175601013, "counts level 5"),
+                    (0.21876253835251777, "counts level 6"),
+                    (0.075, "medians level 4"),
+                    (0.075, "medians level 5"),
+                ],
+            ),
         ]
+        for builder, expected in presets:
+            budget = PrivacyBudget(1.0)
+            builder.fit(small_skewed, 1.0, np.random.default_rng(3), budget=budget)
+            assert [(entry.epsilon, entry.label) for entry in budget.ledger] == [
+                (epsilon, f"{label} (parallel over nodes)")
+                for epsilon, label in expected
+            ], builder.label()
 
     def test_answer_many_matches_scalar_descent(self, small_skewed, rng):
         synopsis = KDHybridBuilder(depth=6).fit(small_skewed, 1.0, rng)
@@ -268,3 +297,62 @@ class TestFlatBuildEquivalence:
         many = synopsis.answer_many(rects)
         singles = np.array([synopsis.answer(rect) for rect in rects])
         np.testing.assert_allclose(many, singles, rtol=1e-9, atol=1e-9)
+
+
+class TestPrivateMedian:
+    """Splits come from the node's extent, never from its points."""
+
+    @pytest.mark.parametrize(
+        "builder",
+        [KDStandardBuilder(depth=8), KDHybridBuilder(depth=8)],
+        ids=["kst", "khy"],
+    )
+    def test_no_kd_split_is_a_data_coordinate(self, small_skewed, builder):
+        synopsis = builder.fit(small_skewed, 1.0, np.random.default_rng(5))
+        arrays = synopsis.arrays
+        kd_levels = 0
+        for level in range(builder.quadtree_levels, arrays.n_levels - 1):
+            axis = level % 2
+            lo, hi = arrays.level_offsets[level], arrays.level_offsets[level + 1]
+            parents = np.arange(lo, hi)
+            fan_out = arrays.child_offsets[parents + 1] - arrays.child_offsets[parents]
+            parents = parents[fan_out > 0]
+            # The split is the lower child's upper edge on the level's axis.
+            splits = arrays.rects[arrays.child_offsets[parents], axis + 2]
+            assert not np.isin(splits, small_skewed.points[:, axis]).any(), level
+            kd_levels += 1
+        assert kd_levels >= 3
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.array([0.2, 0.2, 0.2, 0.5, 0.9]), np.empty(0)],
+        ids=["ties", "empty"],
+    )
+    def test_level_draw_matches_interval_probabilities(self, values):
+        """The segmented per-level draw has noisy_median's distribution."""
+        lo, hi, epsilon, m = 0.0, 1.0, 1.0, 40_000
+        split = _median_splits(
+            np.tile(values, m),
+            np.full(m, values.size),
+            np.full(m, lo),
+            np.full(m, hi),
+            epsilon,
+            np.random.default_rng(11),
+        )
+        assert np.all((lo < split) & (split < hi))
+        assert not np.isin(split, values).any()
+        observed, expected = _interval_frequencies(split, values, lo, hi, epsilon)
+        np.testing.assert_allclose(observed, expected, atol=0.01)
+
+
+def _interval_frequencies(draws, values, lo, hi, epsilon):
+    """Observed and exact probabilities of each of the n + 1 intervals."""
+    n = values.size
+    edges = np.concatenate([[lo], values, [hi]])
+    weights = np.diff(edges) * np.exp(
+        -(epsilon / 2.0) * np.abs(np.arange(n + 1) - n / 2.0)
+    )
+    # A draw strictly inside a positive-length interval lands in exactly one.
+    index = np.searchsorted(edges, draws, side="right") - 1
+    observed = np.bincount(index, minlength=n + 1) / draws.size
+    return observed, weights / weights.sum()

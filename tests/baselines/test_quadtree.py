@@ -1,10 +1,12 @@
 """Unit tests for the quadtree baseline."""
 
+import numpy as np
 import pytest
 
 from repro.baselines.quadtree import QuadtreeBuilder
 from repro.core.geometry import Rect
 from repro.privacy.budget import PrivacyBudget
+from tests.oracles.trees import fit_level_oracle
 
 
 class TestStructure:
@@ -12,8 +14,10 @@ class TestStructure:
         assert QuadtreeBuilder(depth=5).label() == "Quad5"
 
     def test_full_tree_leaf_grid(self, small_skewed, rng):
+        # A noisy count below 0 stops an empty region at min_split_count=0,
+        # so only -inf splits every node whatever the noise.
         synopsis = QuadtreeBuilder(
-            depth=3, min_split_count=0.0, constrained_inference=False
+            depth=3, min_split_count=-np.inf, constrained_inference=False
         ).fit(small_skewed, 1.0, rng)
         assert synopsis.leaf_count() == 4**3
         assert synopsis.height() == 3
@@ -61,17 +65,37 @@ class TestAccuracy:
 
 class TestFlatBuildEquivalence:
     def test_release_bit_identical(self, small_skewed):
-        import numpy as np
-
+        """fit (level loop) == the per-node level-order oracle, bit for bit."""
         flat = QuadtreeBuilder(depth=5).fit(
             small_skewed, 1.0, np.random.default_rng(23)
         )
-        reference = QuadtreeBuilder(depth=5).fit_reference(
-            small_skewed, 1.0, np.random.default_rng(23)
+        oracle = fit_level_oracle(
+            QuadtreeBuilder(depth=5), small_skewed, 1.0, np.random.default_rng(23)
         )
-        a, b = flat.arrays, reference.arrays
+        a, b = flat.arrays, oracle.arrays
         a.validate()
-        np.testing.assert_array_equal(a.rects, b.rects)
-        np.testing.assert_array_equal(a.noisy_counts, b.noisy_counts)
-        np.testing.assert_array_equal(a.counts, b.counts)
-        np.testing.assert_array_equal(a.child_offsets, b.child_offsets)
+        for name in (
+            "rects", "depths", "child_offsets", "noisy_counts", "variances",
+            "counts", "level_offsets",
+        ):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name), name)
+
+    def test_points_on_midlines_go_to_the_first_claimant(self):
+        """Quadrant ``(x > cx) + 2 * (y > cy)``: ties go low, like Rect.mask."""
+        from repro.core.dataset import GeoDataset
+        from repro.core.geometry import Domain2D
+
+        points = np.array([[0.5, 0.5], [0.5, 0.75], [0.75, 0.5], [0.25, 0.5]] * 50)
+        dataset = GeoDataset(points, Domain2D.unit())
+        builder = QuadtreeBuilder(
+            depth=1, min_split_count=0.0, constrained_inference=False
+        )
+        flat = builder.fit(dataset, 1e6, np.random.default_rng(1))
+        oracle = fit_level_oracle(builder, dataset, 1e6, np.random.default_rng(1))
+        np.testing.assert_array_equal(
+            flat.arrays.noisy_counts, oracle.arrays.noisy_counts
+        )
+        # Children 0..3 hold 100, 50 (x = 0.75 > cx, y = 0.5), 50 (y = 0.75), 0.
+        np.testing.assert_allclose(
+            flat.arrays.noisy_counts[1:], [100, 50, 50, 0], atol=0.01
+        )

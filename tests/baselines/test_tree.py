@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.baselines.tree import (
-    SpatialNode,
-    TreeArrays,
-    TreeSynopsis,
-    apply_tree_inference,
-)
+from repro.baselines.tree import SpatialNode, TreeArrays, TreeSynopsis
 from repro.core.geometry import Domain2D, Rect
+from tests.oracles.trees import apply_tree_inference
 
 
 def two_level_tree() -> SpatialNode:
@@ -162,10 +158,7 @@ class TestTreeArrays:
         assert isinstance(synopsis._engine, BatchQueryEngine)
 
     def test_flat_inference_matches_object_graph_path(self):
-        from repro.baselines.tree import (
-            apply_tree_inference,
-            apply_tree_inference_arrays,
-        )
+        from repro.baselines.tree import apply_tree_inference_arrays
 
         root = two_level_tree()
         root.noisy_count = 120.0

@@ -16,7 +16,7 @@ from repro.privacy.mechanisms import (
     laplace_variance,
     noisy_count,
     noisy_histogram,
-    noisy_median_index,
+    noisy_median,
 )
 
 
@@ -136,17 +136,65 @@ class TestExponentialMechanism:
 
 
 class TestNoisyMedian:
+    """The exponential mechanism over the extent ``[lo, hi]``."""
+
     def test_concentrates_near_median(self, rng):
         values = np.sort(rng.random(1_001))
-        indices = [
-            noisy_median_index(values, epsilon=50.0, rng=rng) for _ in range(100)
-        ]
-        # With a huge budget the picked rank should hug the middle.
-        assert np.all(np.abs(np.array(indices) - 500) < 50)
+        draws = np.array(
+            [noisy_median(values, 0.0, 1.0, epsilon=50.0, rng=rng) for _ in range(100)]
+        )
+        # With a huge budget the draw hugs the middle ranks.
+        assert np.all((draws > values[450]) & (draws < values[550]))
 
     def test_single_value(self, rng):
-        assert noisy_median_index(np.array([3.0]), 1.0, rng) == 0
+        """A single value never comes back as itself."""
+        draws = [
+            noisy_median(np.array([0.3]), 0.0, 1.0, 1.0, rng) for _ in range(2_000)
+        ]
+        assert 0.3 not in draws
+        assert all(0.0 < draw < 1.0 for draw in draws)
 
-    def test_empty_rejected(self, rng):
+    def test_empty_is_uniform_over_extent(self, rng):
+        draws = np.array(
+            [noisy_median(np.empty(0), 2.0, 5.0, 1.0, rng) for _ in range(4_000)]
+        )
+        assert np.all((draws > 2.0) & (draws < 5.0))
+        counts, _ = np.histogram(draws, bins=3, range=(2.0, 5.0))
+        np.testing.assert_allclose(counts / draws.size, 1 / 3, atol=0.03)
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.array([0.2, 0.2, 0.2, 0.5, 0.9]), np.empty(0)],
+        ids=["ties", "empty"],
+    )
+    def test_matches_interval_probabilities(self, values):
+        lo, hi, epsilon = 0.0, 1.0, 1.0
+        rng = np.random.default_rng(11)
+        draws = np.array(
+            [noisy_median(values, lo, hi, epsilon, rng) for _ in range(20_000)]
+        )
+        assert not np.isin(draws, values).any()
+        edges = np.concatenate([[lo], values, [hi]])
+        n = values.size
+        weights = np.diff(edges) * np.exp(
+            -(epsilon / 2.0) * np.abs(np.arange(n + 1) - n / 2.0)
+        )
+        index = np.searchsorted(edges, draws, side="right") - 1
+        observed = np.bincount(index, minlength=n + 1) / draws.size
+        np.testing.assert_allclose(observed, weights / weights.sum(), atol=0.015)
+
+    def test_validation(self, rng):
         with pytest.raises(ValueError):
-            noisy_median_index(np.empty(0), 1.0, rng)
+            noisy_median(np.array([0.5]), 1.0, 1.0, 1.0, rng)
+        with pytest.raises(ValueError):
+            noisy_median(np.array([0.5]), 0.0, 1.0, 0.0, rng)
+        with pytest.raises(ValueError):
+            noisy_median(np.array([0.6, 0.5]), 0.0, 1.0, 1.0, rng)
+        with pytest.raises(ValueError):
+            noisy_median(np.array([1.5]), 0.0, 1.0, 1.0, rng)
+
+    def test_budget_charged(self, rng):
+        budget = PrivacyBudget(1.0)
+        noisy_median(np.array([0.1, 0.4]), 0.0, 1.0, 0.25, rng, budget=budget)
+        assert budget.spent == pytest.approx(0.25)
+        assert budget.ledger[-1].label == "median"
