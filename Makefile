@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: help test test-faults test-ingest test-tenant bench-quick bench-engine bench-experiments bench-tree bench-tree-quick bench-service bench-service-quick bench-longtail bench-longtail-quick bench-ingest bench-ingest-quick bench-mmap bench-mmap-quick serve serve-smoke quickstart
+.PHONY: help test test-faults test-ingest test-tenant bench-quick bench-engine bench-flat-quick bench-experiments bench-tree bench-tree-quick bench-service bench-service-quick bench-longtail bench-longtail-quick bench-ingest bench-ingest-quick bench-mmap bench-mmap-quick serve serve-smoke quickstart
 
 help:
 	@echo "make test                run the full unit/property test suite (tier-1)"
@@ -13,6 +13,7 @@ help:
 	@echo "make test-tenant         multi-tenant suite: router, API-key auth, catalog ledger safety"
 	@echo "make bench-quick         every paper experiment at quick scale, one report"
 	@echo "make bench-engine        engine perf benches only; refreshes BENCH_*.json"
+	@echo "make bench-flat-quick    AG flat kernel vs per-cell oracle smoke (small scale, no JSON)"
 	@echo "make bench-experiments   evaluation fast-path benches; refreshes BENCH_experiments.json"
 	@echo "make bench-tree          flat tree kernel benches; refreshes BENCH_tree_kernel.json"
 	@echo "make bench-tree-quick    tree kernel equivalence smoke (small scale, no JSON)"
@@ -45,6 +46,9 @@ bench-quick:
 
 bench-engine:
 	$(PYTHON) -m pytest benchmarks/bench_engine_perf.py benchmarks/bench_flat_kernel.py -q
+
+bench-flat-quick:
+	BENCH_FLAT_QUICK=1 $(PYTHON) -m pytest benchmarks/bench_flat_kernel.py -q
 
 bench-experiments:
 	$(PYTHON) -m pytest benchmarks/bench_ground_truth.py -q

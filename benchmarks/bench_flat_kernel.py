@@ -5,13 +5,14 @@ covering both sides of the release boundary:
 
 * **build**: ``AdaptiveGridBuilder.fit`` (vectorised CSR kernel: one leaf
   assignment pass, one Laplace draw, one segment-sum inference pass) vs
-  ``fit_percell_reference`` (the pre-flat-kernel m1 x m1 Python loop),
-  at several first-level sizes.  The releases must be bit-identical —
-  the speedup is free of any change in what is released.
+  the ``fit_percell`` oracle in ``tests/oracles/adaptive_grid.py`` (the
+  pre-flat-kernel m1 x m1 Python loop), at several first-level sizes.
+  The releases must be bit-identical — the speedup is free of any change
+  in what is released.
 * **query**: ``FlatAdaptiveGridEngine`` (four-corner inclusion-exclusion
   over the summed-area function ``S = F + G - TP + P_cell``) vs the
-  per-cell composite ``AdaptiveGridEngine`` on a large mixed q1-q6
-  batch, with answers matching to ``rtol=1e-9``.
+  oracle's per-cell composite ``AdaptiveGridEngine`` on a large mixed
+  q1-q6 batch, with answers matching to ``rtol=1e-9``.
 
 Results are written to ``BENCH_flat_kernel.json`` at the repo root so the
 perf trajectory is tracked in-tree.  The hard targets asserted here:
@@ -19,8 +20,14 @@ perf trajectory is tracked in-tree.  The hard targets asserted here:
 rule picks m1 ~ 28 for this dataset and epsilon, so m1 = 32 is the
 relevant regime; m1 = 16 is also recorded) and >= 3x on a >= 1k-query
 mixed batch.
+
+``BENCH_FLAT_QUICK=1`` (the CI smoke mode, ``make bench-flat-quick``)
+shrinks the dataset and times each path once.  It keeps every
+equivalence assertion, but skips the speedup floors and leaves the
+tracked JSON untouched.
 """
 
+import os
 import time
 
 import numpy as np
@@ -29,20 +36,21 @@ from conftest import BENCH_N, write_json_report, write_report
 from repro.core.adaptive_grid import AdaptiveGridBuilder
 from repro.datasets.synthetic import make_landmark
 from repro.experiments.report import format_table
-from repro.queries.engine import (
-    AdaptiveGridEngine,
-    FlatAdaptiveGridEngine,
-    rects_to_boxes,
-)
+from repro.queries.engine import FlatAdaptiveGridEngine, rects_to_boxes
 from repro.queries.workload import QueryWorkload
+from tests.oracles.adaptive_grid import AdaptiveGridEngine, fit_percell
 
+QUICK = os.environ.get("BENCH_FLAT_QUICK", "") not in ("", "0")
+
+N_POINTS = 20_000 if QUICK else BENCH_N["landmark"]
 EPSILON = 1.0
 BUILD_M1 = (16, 32, 64)
 #: The acceptance assertion runs at the paper-realistic first-level size.
 ASSERT_M1 = 32
+ROUNDS = 1 if QUICK else 5
 
 
-def _best_seconds(fn, rounds: int = 5) -> float:
+def _best_seconds(fn, rounds: int = ROUNDS) -> float:
     times = []
     for _ in range(rounds):
         start = time.perf_counter()
@@ -52,15 +60,15 @@ def _best_seconds(fn, rounds: int = 5) -> float:
 
 
 def test_flat_kernel_build_and_query_speedups():
-    dataset = make_landmark(BENCH_N["landmark"], rng=3)
+    dataset = make_landmark(N_POINTS, rng=3)
 
     build_rows = []
     build_results = {}
     for m1 in BUILD_M1:
         builder = AdaptiveGridBuilder(first_level_size=m1)
         flat = builder.fit(dataset, EPSILON, np.random.default_rng(5))
-        reference = builder.fit_percell_reference(
-            dataset, EPSILON, np.random.default_rng(5)
+        reference = fit_percell(
+            builder, dataset, EPSILON, np.random.default_rng(5)
         )
         # The kernel must not change the release: bit-identical state.
         np.testing.assert_array_equal(flat.cell_sizes, reference.cell_sizes)
@@ -68,9 +76,7 @@ def test_flat_kernel_build_and_query_speedups():
         np.testing.assert_array_equal(flat.leaf_counts, reference.leaf_counts)
 
         percell_s = _best_seconds(
-            lambda: builder.fit_percell_reference(
-                dataset, EPSILON, np.random.default_rng(5)
-            )
+            lambda: fit_percell(builder, dataset, EPSILON, np.random.default_rng(5))
         )
         flat_s = _best_seconds(
             lambda: builder.fit(dataset, EPSILON, np.random.default_rng(5))
@@ -127,7 +133,7 @@ def test_flat_kernel_build_and_query_speedups():
             build_rows,
             title=(
                 f"Flat AG kernel vs per-cell loop "
-                f"(landmark n={BENCH_N['landmark']}, eps={EPSILON})"
+                f"(landmark n={N_POINTS}, eps={EPSILON})"
             ),
         )
         + "\n"
@@ -141,12 +147,15 @@ def test_flat_kernel_build_and_query_speedups():
             title=f"Batch query engines (m1={ASSERT_M1})",
         ),
     )
+    if QUICK:
+        return  # smoke mode: equivalence checked, perf history untouched
+
     write_json_report(
         "flat_kernel",
         {
             "workload": {
                 "dataset": "landmark",
-                "n_points": int(BENCH_N["landmark"]),
+                "n_points": int(N_POINTS),
                 "epsilon": EPSILON,
                 "n_queries": int(boxes.shape[0]),
                 "query_mix": "q1-q6 sized rects, 500 per size",

@@ -4,18 +4,20 @@ Not a paper figure — an engineering benchmark for the library itself,
 covering the three long-tail families flattened onto the CSR + registry
 pattern, at figure-3 scale (150k points, 6 sizes x 200 queries):
 
-* **Privelet**: vectorised Haar build vs the retained per-lane
-  ``fit_reference`` (releases asserted bit-identical), and the
-  prefix-sum grid engine over the reconstructed grid vs the scalar
-  reconstructed-grid loop.
-* **Hierarchy**: array-stack build vs ``fit_reference`` (bit-identical),
-  and the grid engine over the inferred leaves vs the scalar grid loop.
-* **ND grid**: the d = 2 servable embedding build vs the raw reference
-  (bit-identical) with the grid engine vs the scalar tensordot loop,
-  plus a d = 3 sweep on the hyper-rectangle workload.
+* **Privelet**: vectorised Haar build vs the per-lane ``fit_per_lane``
+  oracle in ``tests/oracles/privelet.py`` (releases asserted
+  bit-identical), and the prefix-sum grid engine over the reconstructed
+  grid vs the scalar reconstructed-grid loop.
+* **Hierarchy**: the array-stack build time, and the grid engine over the
+  inferred leaves vs the scalar grid loop.
+* **ND grid**: the d = 2 servable embedding's build time and its grid
+  engine vs the scalar tensordot loop, plus a d = 3 sweep on the
+  hyper-rectangle workload.
 
 All three families answer through the one d-dimensional
-:class:`BatchQueryEngine`.  Bit-identity is asserted in *every* mode;
+:class:`BatchQueryEngine`, and each one's scalar ``answer`` is an
+independent grid estimate the engine must match to 1e-9 relative.
+Privelet's build bit-identity is asserted in *every* mode;
 ``make_engine`` resolves each engine through its declared row (an
 undeclared type raises).
 Results land in ``BENCH_longtail.json`` at the repo root so the perf
@@ -48,6 +50,7 @@ from repro.queries.engine import (
     scalar_answer_batch,
 )
 from repro.queries.workload import QueryWorkload, nd_hyperrectangle_workload
+from tests.oracles.privelet import fit_per_lane
 
 QUICK = os.environ.get("BENCH_LONGTAIL_QUICK", "") not in ("", "0")
 
@@ -71,23 +74,6 @@ def _best_seconds(fn, rounds: int = 3) -> float:
     return min(times)
 
 
-def _scalar_loop(synopsis, rects):
-    """The pre-engine path: one scalar grid estimate per rectangle.
-
-    The raw ND reference answers :class:`NDBox` queries, not rectangles.
-    """
-    if hasattr(synopsis, "dimension"):
-        return np.array(
-            [
-                synopsis.answer(
-                    NDBox(np.array([r.x_lo, r.y_lo]), np.array([r.x_hi, r.y_hi]))
-                )
-                for r in rects
-            ]
-        )
-    return np.array([synopsis.answer(rect) for rect in rects])
-
-
 def test_longtail_kernels_vs_reference():
     dataset = make_checkin(BENCH_N, rng=3)
     workload = QueryWorkload.generate(
@@ -107,41 +93,39 @@ def test_longtail_kernels_vs_reference():
     results = {}
     for label, builder in families:
         flat = builder.fit(dataset, EPSILON, np.random.default_rng(29))
-        reference = builder.fit_reference(
-            dataset, EPSILON, np.random.default_rng(29)
-        )
-        np.testing.assert_array_equal(flat.counts, reference.counts)
-
         build_flat_s = _best_seconds(
             lambda: builder.fit(dataset, EPSILON, np.random.default_rng(29)),
             rounds=rounds,
         )
-        build_reference_s = _best_seconds(
-            lambda: builder.fit_reference(
-                dataset, EPSILON, np.random.default_rng(29)
-            ),
-            rounds=rounds,
-        )
+        entry = {
+            "n_points": BENCH_N,
+            "n_queries": len(rects),
+            "grid_size": flat.layout.shape[0],
+            "build_flat_s": build_flat_s,
+        }
+        if label == "Privelet":
+            reference = fit_per_lane(
+                builder, dataset, EPSILON, np.random.default_rng(29)
+            )
+            np.testing.assert_array_equal(flat.counts, reference.counts)
+            build_reference_s = _best_seconds(
+                lambda: fit_per_lane(
+                    builder, dataset, EPSILON, np.random.default_rng(29)
+                ),
+                rounds=rounds,
+            )
+            entry.update(
+                build_reference_s=build_reference_s,
+                build_speedup=build_reference_s / max(build_flat_s, 1e-9),
+                bit_identical_release=True,
+            )
 
         engine = make_engine(flat)
         assert isinstance(engine, BatchQueryEngine)
         engine_answers = engine.answer_batch(rects)
-        # Privelet and the ND embedding route their scalar `answer`
-        # through a one-row engine call, so batch and scalar agree bit
-        # for bit; the hierarchy's scalar path is the direct grid
-        # estimate, which re-associates sums — float rounding only.
-        scalar_flat = scalar_answer_batch(flat, rects)
-        if label == "Hier":
-            hier_scale = max(1.0, float(np.abs(scalar_flat).max()))
-            np.testing.assert_allclose(
-                engine_answers, scalar_flat,
-                rtol=1e-9, atol=1e-9 * hier_scale,
-            )
-        else:
-            np.testing.assert_array_equal(engine_answers, scalar_flat)
-        # Both match the reference release's scalar grid loop to float
-        # rounding (the prefix sums re-associate the grid's sums).
-        scalar_answers = _scalar_loop(reference, rects)
+        # The scalar paths are direct grid estimates, which re-associate
+        # the prefix sums' additions: float rounding only.
+        scalar_answers = scalar_answer_batch(flat, rects)
         scale = max(1.0, float(np.abs(scalar_answers).max()))
         np.testing.assert_allclose(
             engine_answers, scalar_answers, rtol=1e-9, atol=1e-9 * scale
@@ -149,28 +133,27 @@ def test_longtail_kernels_vs_reference():
 
         query_engine_s = _best_seconds(lambda: engine.answer_batch(rects))
         query_scalar_s = _best_seconds(
-            lambda: _scalar_loop(reference, rects), rounds=1 if QUICK else 2
+            lambda: scalar_answer_batch(flat, rects), rounds=1 if QUICK else 2
         )
-
-        build_speedup = build_reference_s / max(build_flat_s, 1e-9)
         query_speedup = query_scalar_s / max(query_engine_s, 1e-9)
-        results[label] = {
-            "n_points": BENCH_N,
-            "n_queries": len(rects),
-            "grid_size": flat.layout.shape[0],
-            "build_reference_s": build_reference_s,
-            "build_flat_s": build_flat_s,
-            "build_speedup": build_speedup,
-            "query_scalar_s": query_scalar_s,
-            "query_engine_s": query_engine_s,
-            "query_speedup": query_speedup,
-            "bit_identical_release": True,
-        }
+        entry.update(
+            query_scalar_s=query_scalar_s,
+            query_engine_s=query_engine_s,
+            query_speedup=query_speedup,
+        )
+        results[label] = entry
+        build = (
+            [
+                f"{entry['build_reference_s'] * 1e3:.0f}",
+                f"{build_flat_s * 1e3:.0f}",
+                f"{entry['build_speedup']:.1f}x",
+            ]
+            if "build_reference_s" in entry
+            else ["-", f"{build_flat_s * 1e3:.0f}", "-"]
+        )
         rows.append(
             [
-                label, f"{flat.layout.shape[0]}",
-                f"{build_reference_s * 1e3:.0f}", f"{build_flat_s * 1e3:.0f}",
-                f"{build_speedup:.1f}x",
+                label, f"{flat.layout.shape[0]}", *build,
                 f"{query_scalar_s * 1e3:.0f}", f"{query_engine_s * 1e3:.1f}",
                 f"{query_speedup:.1f}x",
             ]

@@ -11,13 +11,16 @@ paper's 6-sizes x 200-queries workload shape):
   (``SpatialNode`` per region, ``Rect.mask`` per child, recursive
   inference), with the releases asserted bit-identical in both modes.
 * **inference**: ``infer_level_order`` over the released arrays vs
-  ``infer_tree`` over the equivalent ``CountNode`` graph (conversion
-  included, as ``apply_tree_inference`` pays it), asserted bit-identical.
+  the recursive ``infer_tree`` oracle over the equivalent ``CountNode``
+  graph (conversion included, as ``apply_tree_inference`` pays it),
+  asserted bit-identical.
 * **batch query**: the engine production serves, ``make_engine``'s
   (a lattice ``BatchQueryEngine`` for a quadtree that lowers, else the
   edge-table ``FlatTreeEngine``), vs the scalar ``scalar_answer_batch``
-  loop on the full workload, asserted equal to float rounding; its class,
-  ``precompute`` seconds and ``nbytes`` are recorded beside it.
+  loop (``TreeSynopsis.answer``, one recursion per visited node over the
+  released arrays) on the full workload, asserted equal to float
+  rounding; its class, ``precompute`` seconds and ``nbytes`` are
+  recorded beside it.
 
 Results are written to ``BENCH_tree_kernel.json`` at the repo root so
 the perf trajectory is tracked in-tree; ``cpu_count`` is recorded
@@ -43,10 +46,9 @@ from pathlib import Path
 import numpy as np
 from conftest import write_json_report, write_report
 
-from repro.baselines.constrained_inference import infer_level_order, infer_tree
+from repro.baselines.constrained_inference import infer_level_order
 from repro.baselines.kd_tree import KDHybridBuilder, KDStandardBuilder
 from repro.baselines.quadtree import QuadtreeBuilder
-from repro.baselines.tree import TreeArrays
 from repro.datasets.synthetic import make_checkin
 from repro.experiments.report import format_table
 from repro.core.serialization import (
@@ -56,7 +58,8 @@ from repro.core.serialization import (
 )
 from repro.queries.engine import make_engine, scalar_answer_batch
 from repro.queries.workload import QueryWorkload
-from tests.oracles.trees import fit_level_oracle
+from tests.oracles.inference import CountNode, infer_tree
+from tests.oracles.trees import fit_level_oracle, to_root
 
 QUICK = os.environ.get("BENCH_TREE_QUICK", "") not in ("", "0")
 
@@ -98,8 +101,6 @@ def _assert_same_release(flat, oracle):
 
 
 def _to_count_node(node):
-    from repro.baselines.constrained_inference import CountNode
-
     return CountNode(
         noisy_count=node.noisy_count,
         variance=node.variance,
@@ -137,7 +138,7 @@ def test_tree_kernel_vs_object_graph():
 
         # Inference alone, flat vs recursive (conversion included for the
         # recursive side, exactly what apply_tree_inference pays).
-        root = oracle.root
+        root = to_root(oracle.arrays)
         infer_flat_s = _best_seconds(
             lambda: infer_level_order(
                 arrays.noisy_counts, arrays.variances,

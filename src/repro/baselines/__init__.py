@@ -1,19 +1,14 @@
 """Baselines: the methods the paper compares UG/AG against."""
 
-from repro.baselines.constrained_inference import (
-    CountNode,
-    infer_level_order,
-    infer_tree,
-)
+from repro.baselines.constrained_inference import infer_level_order
 from repro.baselines.flat import ExactGridBuilder, NoisyTotalBuilder
 from repro.baselines.hierarchy import HierarchicalGridBuilder
 from repro.baselines.kd_tree import KDHybridBuilder, KDStandardBuilder, KDTreeBuilder
 from repro.baselines.privelet import PriveletBuilder
 from repro.baselines.quadtree import QuadtreeBuilder
-from repro.baselines.tree import SpatialNode, TreeArrays, TreeSynopsis
+from repro.baselines.tree import TreeArrays, TreeSynopsis
 
 __all__ = [
-    "CountNode",
     "ExactGridBuilder",
     "HierarchicalGridBuilder",
     "KDHybridBuilder",
@@ -22,9 +17,7 @@ __all__ = [
     "NoisyTotalBuilder",
     "PriveletBuilder",
     "QuadtreeBuilder",
-    "SpatialNode",
     "TreeArrays",
     "TreeSynopsis",
     "infer_level_order",
-    "infer_tree",
 ]

@@ -21,166 +21,23 @@ budget geometrically across levels, so each level has a different variance):
 Nodes without a measurement of their own (``variance = inf``) are handled
 naturally: their ``z`` is just the children's sum.
 
-Two implementations share those passes:
-
-* :func:`infer_tree` — the recursive reference over a
-  :class:`CountNode` object graph, one Python call per node.
-* :func:`infer_level_order` — the production array kernel over the flat
-  BFS-level-order layout of :class:`~repro.baselines.tree.TreeArrays`
-  (noisy counts, variances, CSR child offsets, level offsets).  Each pass
-  walks the *levels*, not the nodes: children sums are gathered per
-  parent with ``child_offsets[v] + arange(k)`` arithmetic grouped by
-  child count, so one level costs a fixed number of numpy calls.  The
-  per-parent gather sums use the same sequential left-to-right addition
-  as the reference's Python ``sum`` (numpy only switches to pairwise
-  blocking above 128 addends; fan-outs here are 2 or 4), so the result
-  is bit-identical to :func:`infer_tree` on the same tree.
+:func:`infer_level_order` runs those passes over the flat
+BFS-level-order layout of :class:`~repro.baselines.tree.TreeArrays`
+(noisy counts, variances, CSR child offsets, level offsets).  Each pass
+walks the *levels*, not the nodes: children sums are gathered per parent
+with ``child_offsets[v] + arange(k)`` arithmetic grouped by child count,
+so one level costs a fixed number of numpy calls.  The per-parent gather
+sums use sequential left-to-right addition, like a Python ``sum`` (numpy
+only switches to pairwise blocking above 128 addends; fan-outs here are
+2 or 4), so the result is bit-identical to the recursive one-call-per-node
+reference in ``tests/oracles/inference.py``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
-__all__ = ["CountNode", "infer_tree", "infer_level_order"]
-
-
-@dataclass
-class CountNode:
-    """A node in a hierarchy of noisy counts.
-
-    Attributes
-    ----------
-    noisy_count:
-        The node's own Laplace-noised measurement, or ``None`` when this
-        node was not measured (e.g. internal KD nodes whose budget was spent
-        elsewhere).
-    variance:
-        Variance of ``noisy_count`` (``2 / eps_v^2`` for the Laplace
-        mechanism).  Ignored when ``noisy_count`` is ``None``.
-    children:
-        Sub-nodes whose true counts sum to this node's true count.
-    inferred_count:
-        Output slot: the consistent least-squares estimate, populated by
-        :func:`infer_tree`.
-    """
-
-    noisy_count: float | None
-    variance: float = math.inf
-    children: list["CountNode"] = field(default_factory=list)
-    inferred_count: float = 0.0
-
-    # Internal two-pass state.
-    _z: float = field(default=0.0, repr=False)
-    _z_variance: float = field(default=math.inf, repr=False)
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    def subtree_size(self) -> int:
-        """Number of nodes in the subtree rooted here."""
-        return 1 + sum(child.subtree_size() for child in self.children)
-
-    def leaves(self) -> list["CountNode"]:
-        """All leaf nodes, in left-to-right order."""
-        if self.is_leaf:
-            return [self]
-        collected: list[CountNode] = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                collected.append(node)
-            else:
-                stack.extend(reversed(node.children))
-        return collected
-
-
-def _combine(
-    own_count: float | None,
-    own_variance: float,
-    children_sum: float,
-    children_variance: float,
-) -> tuple[float, float]:
-    """Inverse-variance combination of a node's two count estimates."""
-    has_own = own_count is not None and math.isfinite(own_variance)
-    has_children = math.isfinite(children_variance)
-    if has_own and has_children:
-        weight_own = children_variance / (own_variance + children_variance)
-        combined = weight_own * own_count + (1.0 - weight_own) * children_sum
-        variance = own_variance * children_variance / (own_variance + children_variance)
-        return combined, variance
-    if has_own:
-        return float(own_count), own_variance
-    if has_children:
-        return children_sum, children_variance
-    raise ValueError(
-        "node has neither a measurement nor measured descendants; "
-        "its count is unidentifiable"
-    )
-
-
-def _upward(node: CountNode) -> None:
-    """Post-order pass computing subtree-only estimates z and their variances."""
-    stack: list[tuple[CountNode, bool]] = [(node, False)]
-    while stack:
-        current, expanded = stack.pop()
-        if current.is_leaf:
-            if current.noisy_count is None or not math.isfinite(current.variance):
-                raise ValueError("leaf nodes must carry a measurement")
-            current._z = float(current.noisy_count)
-            current._z_variance = current.variance
-            continue
-        if not expanded:
-            stack.append((current, True))
-            for child in current.children:
-                stack.append((child, False))
-            continue
-        children_sum = sum(child._z for child in current.children)
-        children_variance = sum(child._z_variance for child in current.children)
-        current._z, current._z_variance = _combine(
-            current.noisy_count, current.variance, children_sum, children_variance
-        )
-
-
-def _downward(root: CountNode) -> None:
-    """Pre-order pass distributing residuals from parents to children."""
-    root.inferred_count = root._z
-    stack = [root]
-    while stack:
-        parent = stack.pop()
-        if parent.is_leaf:
-            continue
-        children = parent.children
-        z_sum = sum(child._z for child in children)
-        variance_sum = sum(child._z_variance for child in children)
-        residual = parent.inferred_count - z_sum
-        for child in children:
-            share = child._z_variance / variance_sum if variance_sum > 0 else (
-                1.0 / len(children)
-            )
-            child.inferred_count = child._z + share * residual
-            stack.append(child)
-
-
-def infer_tree(root: CountNode) -> None:
-    """Run constrained inference in place on the tree rooted at ``root``.
-
-    After the call every node's :attr:`CountNode.inferred_count` holds the
-    consistent weighted-least-squares estimate: each parent's inferred count
-    equals the sum of its children's, and leaves have no more variance than
-    their raw measurements.
-    """
-    _upward(root)
-    _downward(root)
-
-
-# ----------------------------------------------------------------------
-# Flat level-order kernel
-# ----------------------------------------------------------------------
+__all__ = ["infer_level_order"]
 
 
 def _children_sums(
@@ -218,15 +75,15 @@ def infer_level_order(
 ) -> np.ndarray:
     """Constrained inference over a flat BFS-level-order tree.
 
-    Array counterpart of :func:`infer_tree`: ``noisy_counts[v]`` is node
-    ``v``'s measurement (``NaN`` when unmeasured), ``variances[v]`` its
-    noise variance (``inf`` treated as unmeasured, like the reference),
+    ``noisy_counts[v]`` is node ``v``'s measurement (``NaN`` when
+    unmeasured), ``variances[v]`` its noise variance (``inf`` treated as
+    unmeasured),
     ``child_offsets`` the CSR child ranges (children of ``v`` are nodes
     ``child_offsets[v]:child_offsets[v + 1]``), and ``level_offsets`` the
     per-level slab bounds (level ``l`` is ``level_offsets[l]:
     level_offsets[l + 1]``; node 0 is the root).  Returns the consistent
-    weighted-least-squares estimate per node, bit-identical to running
-    :func:`infer_tree` on the equivalent :class:`CountNode` graph.
+    weighted-least-squares estimate per node, bit-identical to the
+    recursive reference on the equivalent object graph.
     """
     noisy_counts = np.asarray(noisy_counts, dtype=float)
     variances = np.asarray(variances, dtype=float)
@@ -254,8 +111,8 @@ def infer_level_order(
     ]
 
     # Upward pass, deepest internal level first: combine each parent's own
-    # measurement with its children's z by inverse-variance weighting —
-    # the same three-way case split as the reference's _combine.  The
+    # measurement with its children's z by inverse-variance weighting
+    # (both measured, own only, or children only, as the reference).  The
     # per-level children sums are kept: the downward pass distributes
     # residuals against exactly these values (z is not modified between
     # the passes), so it never re-gathers them.

@@ -290,37 +290,6 @@ class HierarchicalGridBuilder(SynopsisBuilder):
             for level in range(self.depth)
         ]
 
-    def _measure_levels(
-        self,
-        dataset: GeoDataset,
-        epsilon: float,
-        rng: np.random.Generator,
-        budget: PrivacyBudget,
-        leaf_grid_size: int,
-    ) -> tuple[GridLayout, list[np.ndarray], list[float]]:
-        """The shared measurement stage: one noisy histogram per level.
-
-        ``fit`` and ``fit_reference`` both run exactly this sequence, so
-        they consume the same noise stream and release bit-identical
-        counts.
-        """
-        leaf_layout = GridLayout(dataset.domain, leaf_grid_size)
-        exact_leaf = leaf_layout.histogram(dataset.points)
-
-        level_epsilons = uniform_allocation(epsilon, self.depth)
-        sizes = self.level_sizes(leaf_grid_size)
-
-        noisy_levels: list[np.ndarray] = []
-        variances: list[float] = []
-        for level, (size, level_eps) in enumerate(zip(sizes, level_epsilons)):
-            budget.spend(level_eps, f"level {level} counts (size {size})")
-            factor = leaf_grid_size // size
-            exact = block_sum(exact_leaf, factor) if factor > 1 else exact_leaf
-            scale = laplace_scale(1.0, level_eps)
-            noisy_levels.append(exact + rng.laplace(0.0, scale, size=exact.shape))
-            variances.append(2.0 * scale**2)
-        return leaf_layout, noisy_levels, variances
-
     def fit(
         self,
         dataset: GeoDataset,
@@ -332,9 +301,20 @@ class HierarchicalGridBuilder(SynopsisBuilder):
         budget = self._budget(epsilon, budget)
         leaf_grid_size = self._resolve_leaf_size(dataset, epsilon)
 
-        leaf_layout, noisy_levels, variances = self._measure_levels(
-            dataset, epsilon, rng, budget, leaf_grid_size
-        )
+        # One noisy histogram per level, coarsest first.
+        leaf_layout = GridLayout(dataset.domain, leaf_grid_size)
+        exact_leaf = leaf_layout.histogram(dataset.points)
+        level_epsilons = uniform_allocation(epsilon, self.depth)
+        sizes = self.level_sizes(leaf_grid_size)
+        noisy_levels: list[np.ndarray] = []
+        variances: list[float] = []
+        for level, (size, level_eps) in enumerate(zip(sizes, level_epsilons)):
+            budget.spend(level_eps, f"level {level} counts (size {size})")
+            factor = leaf_grid_size // size
+            exact = block_sum(exact_leaf, factor) if factor > 1 else exact_leaf
+            scale = laplace_scale(1.0, level_eps)
+            noisy_levels.append(exact + rng.laplace(0.0, scale, size=exact.shape))
+            variances.append(2.0 * scale**2)
 
         if self.depth == 1:
             leaf_counts = noisy_levels[0]
@@ -351,37 +331,7 @@ class HierarchicalGridBuilder(SynopsisBuilder):
             leaf_layout,
             leaf_counts,
             self.branching,
-            self.level_sizes(leaf_grid_size),
+            sizes,
             np.concatenate([level.ravel() for level in noisy_levels]),
             np.asarray(variances),
         )
-
-    def fit_reference(
-        self,
-        dataset: GeoDataset,
-        epsilon: float,
-        rng: np.random.Generator,
-        budget: PrivacyBudget | None = None,
-    ) -> UniformGridSynopsis:
-        """The retained leaf-grid-only reference build.
-
-        Identical measurement and inference sequence as :meth:`fit`, but
-        releases only the inferred leaf grid as a plain
-        :class:`UniformGridSynopsis`; the property suite pins
-        :meth:`fit`'s counts bit-identical to these.
-        """
-        rng = ensure_rng(rng)
-        budget = self._budget(epsilon, budget)
-        leaf_grid_size = self._resolve_leaf_size(dataset, epsilon)
-
-        leaf_layout, noisy_levels, variances = self._measure_levels(
-            dataset, epsilon, rng, budget, leaf_grid_size
-        )
-
-        if self.depth == 1:
-            leaf_counts = noisy_levels[0]
-        else:
-            inferred = hierarchy_inference(noisy_levels, variances, self.branching)
-            leaf_counts = inferred[-1]
-
-        return UniformGridSynopsis(dataset.domain, epsilon, leaf_layout, leaf_counts)

@@ -187,8 +187,8 @@ class PriveletSynopsis(UniformGridSynopsis):
     form of the cropped reconstruction, so the declared engine is the
     one grid kernel, :class:`~repro.queries.engine.BatchQueryEngine`,
     over the reconstructed grid — four corner gathers per query — and
-    the scalar :meth:`answer` routes through a single-row engine call,
-    so the scalar and batch paths are bit-identical by construction.
+    the scalar :meth:`answer` is UG's direct grid estimate over the same
+    counts, an independent path the engine is checked against.
     """
 
     def __init__(
@@ -225,12 +225,6 @@ class PriveletSynopsis(UniformGridSynopsis):
     def padded_size(self) -> int:
         """``p``: the power-of-two side of the padded coefficient grid."""
         return int(self._coefficients.shape[0])
-
-    def answer(self, rect) -> float:
-        # One-row batch through the declared engine: the scalar path
-        # and answer_many are then bit-identical (numpy's elementwise
-        # ops do not depend on batch size).
-        return float(self.answer_many([rect])[0])
 
 
 class PriveletBuilder(SynopsisBuilder):
@@ -279,9 +273,9 @@ class PriveletBuilder(SynopsisBuilder):
         matrix[:m, :m] = exact
 
         # Standard decomposition: rows then columns.  The vectorised
-        # transforms are bit-identical per lane to the apply_along_axis
-        # reference (see fit_reference), so the noise stream consumes
-        # the same draws against the same coefficients.
+        # transforms are bit-identical per lane to apply_along_axis over
+        # the 1-D haar_forward, so the noise stream consumes the same
+        # draws against the same coefficients.
         coefficients = haar_forward_matrix(matrix, 1)
         coefficients = haar_forward_matrix(coefficients, 0)
 
@@ -295,47 +289,3 @@ class PriveletBuilder(SynopsisBuilder):
 
         counts = reconstruct_counts(noisy, m)
         return PriveletSynopsis(dataset.domain, epsilon, layout, counts, noisy)
-
-    def fit_reference(
-        self,
-        dataset: GeoDataset,
-        epsilon: float,
-        rng: np.random.Generator,
-        budget: PrivacyBudget | None = None,
-    ) -> UniformGridSynopsis:
-        """The retained per-lane reference build.
-
-        Transforms with ``np.apply_along_axis`` over the 1-D routines and
-        releases a plain grid synopsis; :meth:`fit` must release
-        bit-identical counts (pinned by the property suite).
-        """
-        rng = ensure_rng(rng)
-        budget = self._budget(epsilon, budget)
-
-        m = self.grid_size
-        if m is None:
-            m = guideline1_grid_size(dataset.size, epsilon, self.c)
-
-        layout = GridLayout(dataset.domain, m, m)
-        exact = layout.histogram(dataset.points)
-
-        padded = _next_power_of_two(m)
-        matrix = np.zeros((padded, padded))
-        matrix[:m, :m] = exact
-
-        coefficients = np.apply_along_axis(haar_forward, 1, matrix)
-        coefficients = np.apply_along_axis(haar_forward, 0, coefficients)
-
-        weights_1d = coefficient_weights(padded)
-        weight_matrix = np.outer(weights_1d, weights_1d)
-        sensitivity_2d = generalised_sensitivity(padded) ** 2
-
-        budget.spend(epsilon, "wavelet coefficients")
-        scales = sensitivity_2d / (epsilon * weight_matrix)
-        noisy = coefficients + rng.laplace(0.0, 1.0, size=coefficients.shape) * scales
-
-        reconstructed = np.apply_along_axis(haar_inverse, 0, noisy)
-        reconstructed = np.apply_along_axis(haar_inverse, 1, reconstructed)
-        counts = reconstructed[:m, :m]
-
-        return UniformGridSynopsis(dataset.domain, epsilon, layout, counts)

@@ -3,33 +3,26 @@
 The KD-tree and quadtree baselines all release the same kind of object: a
 tree of rectangular regions with a (noisy) count attached to each node,
 where children partition their parent's region.  This module provides that
-shared substrate in two layouts:
-
-* :class:`TreeArrays` — the flat production layout: per-node rect
-  coordinates, depths, CSR child offsets, noisy counts, variances, and
-  post-inference counts, stored in **BFS level order** so each tree level
-  is a contiguous slab (``level_offsets``).  Everything hot — builders,
-  constrained inference, the batch query engine, serialization — operates
-  on these arrays without materialising a node object anywhere.
-* :class:`SpatialNode` — the recursive reference layout, one object per
-  region.  Kept for the scalar reference path (``TreeSynopsis.answer``)
-  that the equivalence tests pin the flat kernels against, and for
-  exploratory code that wants to walk a tree.
+shared substrate as one flat layout, :class:`TreeArrays`: per-node rect
+coordinates, depths, CSR child offsets, noisy counts, variances, and
+post-inference counts, stored in **BFS level order** so each tree level
+is a contiguous slab (``level_offsets``).  Builders, constrained
+inference, the batch query engines and serialization all operate on
+these arrays; no node object exists anywhere.
 
 :class:`TreeSynopsis` answers rectangle queries by descending the tree:
 regions fully inside the query contribute their whole count, disjoint
 regions contribute nothing, and partially covered *leaves* fall back to
 the uniformity assumption (Section II-B of the paper).  Its scalar
-``answer`` is the recursive reference; batches go through the engine
-this module chooses (:func:`tree_engine_precompute`): a tree whose
-leaves lie on the ``2^h x 2^h`` lattice of its domain and whose
-internal counts equal their children's sums is lowered onto that
-lattice (the grid kernel
+``answer`` is that descent, one recursion per visited node over the
+arrays; batches go through the engine this module chooses
+(:func:`tree_engine_precompute`): a tree whose leaves lie on the
+``2^h x 2^h`` lattice of its domain and whose internal counts equal
+their children's sums is lowered onto that lattice (the grid kernel
 :class:`~repro.queries.engine.BatchQueryEngine` over the domain's
 ``2^h x 2^h`` counts) when its prefix is no larger than the tree's own
-node vectors, any other tree goes through the
-frontier-descent :class:`~repro.queries.engine.FlatTreeEngine` and its
-edge tables.
+node vectors, any other tree goes through the frontier-descent
+:class:`~repro.queries.engine.FlatTreeEngine` and its edge tables.
 
 BFS level order, concretely: node 0 is the root, children of node ``v``
 are the contiguous index range ``child_offsets[v]:child_offsets[v + 1]``,
@@ -42,7 +35,7 @@ constrained inference and the query engine walk whole levels with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,64 +44,12 @@ from repro.core.geometry import Domain2D, Rect
 from repro.core.synopsis import Synopsis
 
 __all__ = [
-    "SpatialNode",
     "TreeArrays",
     "TreeSynopsis",
     "apply_tree_inference_arrays",
     "tree_engine_from_slabs",
     "tree_engine_precompute",
 ]
-
-
-@dataclass
-class SpatialNode:
-    """A node of a spatial decomposition: a region plus released counts.
-
-    ``count`` is the estimate used at query time (after constrained
-    inference when the method applies it); ``noisy_count`` / ``variance``
-    keep the raw measurement so inference can be (re-)run.
-    """
-
-    rect: Rect
-    noisy_count: float | None = None
-    variance: float = float("inf")
-    count: float = 0.0
-    depth: int = 0
-    children: list["SpatialNode"] = field(default_factory=list)
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    def node_count(self) -> int:
-        """Number of nodes in this subtree."""
-        return 1 + sum(child.node_count() for child in self.children)
-
-    def leaf_count(self) -> int:
-        """Number of leaves in this subtree."""
-        if self.is_leaf:
-            return 1
-        return sum(child.leaf_count() for child in self.children)
-
-    def height(self) -> int:
-        """Length of the longest root-to-leaf path (leaf = 0)."""
-        if self.is_leaf:
-            return 0
-        return 1 + max(child.height() for child in self.children)
-
-    def iter_nodes(self):
-        """Yield all nodes in the subtree, pre-order."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-    def iter_leaves(self):
-        """Yield all leaves in the subtree."""
-        for node in self.iter_nodes():
-            if node.is_leaf:
-                yield node
 
 
 @dataclass
@@ -143,84 +84,6 @@ class TreeArrays:
     variances: np.ndarray
     counts: np.ndarray
     level_offsets: np.ndarray
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _assemble_offsets(
-        depths: np.ndarray, fan_out: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """CSR child offsets + level slab bounds from level-order metadata.
-
-        In BFS level order the children of nodes 0..n-1 fill indices
-        1..n-1 consecutively, so node ``v``'s children start at ``1 +
-        sum(fan_out[:v])``; level slabs fall out of the sorted depths.
-        """
-        n = depths.size
-        child_offsets = np.empty(n + 1, dtype=np.int64)
-        child_offsets[0] = 1
-        np.cumsum(fan_out, out=child_offsets[1:])
-        child_offsets[1:] += 1
-        n_levels = int(depths[-1]) + 1
-        level_offsets = np.searchsorted(
-            depths, np.arange(n_levels + 1), side="left"
-        ).astype(np.int64)
-        return child_offsets, level_offsets
-
-    @classmethod
-    def from_root(cls, root: SpatialNode) -> "TreeArrays":
-        """Flatten a :class:`SpatialNode` graph (BFS, siblings in order)."""
-        nodes: list[SpatialNode] = [root]
-        depths: list[int] = [0]
-        index = 0
-        while index < len(nodes):  # the list grows while iterating: a BFS queue
-            for child in nodes[index].children:
-                nodes.append(child)
-                depths.append(depths[index] + 1)
-            index += 1
-        rects = np.array([node.rect.as_tuple() for node in nodes], dtype=float)
-        noisy = np.array(
-            [
-                np.nan if node.noisy_count is None else float(node.noisy_count)
-                for node in nodes
-            ]
-        )
-        variances = np.array([float(node.variance) for node in nodes])
-        counts = np.array([float(node.count) for node in nodes])
-        depths_arr = np.asarray(depths, dtype=np.int64)
-        fan_out = np.array([len(node.children) for node in nodes], dtype=np.int64)
-        child_offsets, level_offsets = cls._assemble_offsets(depths_arr, fan_out)
-        return cls(
-            rects=rects,
-            depths=depths_arr,
-            child_offsets=child_offsets,
-            noisy_counts=noisy,
-            variances=variances,
-            counts=counts,
-            level_offsets=level_offsets,
-        )
-
-    def to_root(self) -> SpatialNode:
-        """Materialise the equivalent :class:`SpatialNode` object graph."""
-        nodes = [
-            SpatialNode(
-                rect=Rect(*self.rects[v]),
-                noisy_count=(
-                    None if np.isnan(self.noisy_counts[v])
-                    else float(self.noisy_counts[v])
-                ),
-                variance=float(self.variances[v]),
-                count=float(self.counts[v]),
-                depth=int(self.depths[v]),
-            )
-            for v in range(self.n_nodes)
-        ]
-        for v, node in enumerate(nodes):
-            lo, hi = self.child_offsets[v], self.child_offsets[v + 1]
-            node.children = nodes[lo:hi]
-        return nodes[0]
 
     # ------------------------------------------------------------------
     # Structure queries
@@ -298,9 +161,7 @@ class TreeArrays:
 def apply_tree_inference_arrays(tree: TreeArrays) -> None:
     """Run constrained inference in place on a flat level-order tree.
 
-    Writes the consistent estimates into ``tree.counts``; bit-identical
-    to the recursive :func:`~repro.baselines.constrained_inference.infer_tree`
-    on the equivalent object graph (see
+    Writes the consistent estimates into ``tree.counts`` (see
     :func:`~repro.baselines.constrained_inference.infer_level_order`).
     The write updates the existing ``counts`` buffer rather than
     rebinding it.  Build engines after inference: whether a tree lowers
@@ -315,46 +176,19 @@ def apply_tree_inference_arrays(tree: TreeArrays) -> None:
 class TreeSynopsis(Synopsis):
     """A released spatial decomposition answering queries top-down.
 
-    The released state is a :class:`TreeArrays`; a :class:`SpatialNode`
-    root is also accepted and converted.  The object graph is only
-    materialised on demand (:attr:`root`) for the scalar reference path
-    and tree-walking callers — batches never touch it.
+    The released state is a :class:`TreeArrays`.
     """
 
-    def __init__(
-        self,
-        domain: Domain2D,
-        epsilon: float,
-        tree: "TreeArrays | SpatialNode",
-    ):
+    def __init__(self, domain: Domain2D, epsilon: float, tree: TreeArrays):
         super().__init__(domain, epsilon)
-        if isinstance(tree, TreeArrays):
-            self._arrays = tree
-            self._root: SpatialNode | None = None
-        elif isinstance(tree, SpatialNode):
-            self._arrays = TreeArrays.from_root(tree)
-            self._root = tree
-        else:
-            raise TypeError(
-                f"tree must be TreeArrays or SpatialNode, got {type(tree).__name__}"
-            )
+        if not isinstance(tree, TreeArrays):
+            raise TypeError(f"tree must be TreeArrays, got {type(tree).__name__}")
+        self._arrays = tree
 
     @property
     def arrays(self) -> TreeArrays:
         """The flat released state (what engines and serialisation read)."""
         return self._arrays
-
-    @property
-    def root(self) -> SpatialNode:
-        """The object-graph view, materialised from the arrays on demand.
-
-        A read-only snapshot: the arrays are the released state, and
-        mutating the returned nodes does not write back to them (nor to
-        engines, serialization, or ``answer_many``).
-        """
-        if self._root is None:
-            self._root = self._arrays.to_root()
-        return self._root
 
     def node_count(self) -> int:
         return self._arrays.node_count()
@@ -366,18 +200,21 @@ class TreeSynopsis(Synopsis):
         return self._arrays.height()
 
     def answer(self, rect: Rect) -> float:
-        return self._answer_node(self.root, rect)
+        return self._answer_node(0, rect)
 
-    def _answer_node(self, node: SpatialNode, rect: Rect) -> float:
-        region = node.rect
+    def _answer_node(self, node: int, rect: Rect) -> float:
+        arrays = self._arrays
+        region = Rect(*arrays.rects[node].tolist())
         if not region.intersects(rect):
             return 0.0
+        count = float(arrays.counts[node])
         if rect.contains_rect(region):
-            return node.count
-        if node.is_leaf:
-            return node.count * region.overlap_fraction(rect)
+            return count
+        first, stop = arrays.child_offsets[node : node + 2].tolist()
+        if first == stop:
+            return count * region.overlap_fraction(rect)
         total = 0.0
-        for child in node.children:
+        for child in range(first, stop):
             total += self._answer_node(child, rect)
         return total
 

@@ -42,8 +42,8 @@ call over the concatenated leaf vector.  Because numpy's Laplace sampler
 consumes exactly one uniform variate per output element, this is
 bit-identical to the historical per-cell loop that drew one ``(m2, m2)``
 block per cell in row-major first-level order — the release distribution
-is unchanged, draw for draw.  :meth:`AdaptiveGridBuilder.fit_percell_reference`
-retains the pre-flat-kernel loop so tests can pin this invariant down.
+is unchanged, draw for draw.  The per-cell loop lives on as a test
+oracle (``tests/oracles/adaptive_grid.py``) that pins this invariant down.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from repro.core.guidelines import (
     DEFAULT_C,
     DEFAULT_C2,
     adaptive_first_level_size,
-    guideline2_cell_grid_size,
 )
 from repro.core.synopsis import Synopsis, SynopsisBuilder
 from repro.privacy.budget import PrivacyBudget
@@ -67,45 +66,8 @@ from repro.privacy.mechanisms import ensure_rng, noisy_histogram
 __all__ = [
     "AdaptiveGridSynopsis",
     "AdaptiveGridBuilder",
-    "two_level_inference",
     "two_level_inference_flat",
 ]
-
-
-def two_level_inference(
-    parent_count: float,
-    leaf_counts: np.ndarray,
-    alpha: float,
-) -> tuple[float, np.ndarray]:
-    """Constrained inference for one AG first-level cell.
-
-    Combines the parent's noisy count (budget ``alpha * eps``) with its
-    ``m2 x m2`` noisy leaf counts (budget ``(1 - alpha) * eps``) into a
-    consistent, lower-variance pair ``(v', u')`` with
-    ``sum(u') == v'``.
-
-    The weights are the inverse-variance optimum from the paper: with
-    ``Var(v) = 2 / (alpha eps)^2`` and ``Var(sum u) = m2^2 * 2 /
-    ((1-alpha) eps)^2``, the best linear combination of the two estimates
-    of the cell total is::
-
-        v' = (a^2 m2^2) / ((1-a)^2 + a^2 m2^2) * v
-           + (1-a)^2   / ((1-a)^2 + a^2 m2^2) * sum(u)
-
-    and mean-consistency distributes the residual equally over leaves.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    leaf_counts = np.asarray(leaf_counts, dtype=float)
-    n_leaves = leaf_counts.size
-    if n_leaves == 0:
-        raise ValueError("leaf_counts must be non-empty")
-    leaf_sum = float(leaf_counts.sum())
-    a2m2 = alpha**2 * n_leaves
-    b2 = (1.0 - alpha) ** 2
-    combined = (a2m2 * parent_count + b2 * leaf_sum) / (b2 + a2m2)
-    adjusted = leaf_counts + (combined - leaf_sum) / n_leaves
-    return combined, adjusted
 
 
 def _segment_sums(
@@ -137,12 +99,22 @@ def two_level_inference_flat(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Constrained inference for *all* first-level cells at once.
 
-    Vectorised equivalent of calling :func:`two_level_inference` per cell:
+    Each first-level cell combines its parent's noisy count ``v`` (budget
+    ``alpha * eps``) with its ``m2 x m2`` noisy leaves ``u`` (budget
+    ``(1 - alpha) * eps``) by the paper's inverse-variance optimum: with
+    ``Var(v) = 2 / (alpha eps)^2`` and ``Var(sum u) = m2^2 * 2 /
+    ((1-alpha) eps)^2``, the best linear combination of the two estimates
+    of the cell total is::
+
+        v' = (a^2 m2^2) / ((1-a)^2 + a^2 m2^2) * v
+           + (1-a)^2   / ((1-a)^2 + a^2 m2^2) * sum(u)
+
+    and mean-consistency distributes the residual equally over leaves.
     ``parent_counts`` is the flat vector of noisy level-1 counts,
     ``leaf_counts`` the concatenated noisy leaf vector with CSR
     ``leaf_offsets``, and ``cell_sizes`` each cell's ``m2``.  Returns
     ``(combined_totals, adjusted_leaves)`` in the same flat layout,
-    bit-identical to the scalar loop (see :func:`_segment_sums`).
+    bit-identical to a per-cell loop (see :func:`_segment_sums`).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -396,10 +368,10 @@ class AdaptiveGridBuilder(SynopsisBuilder):
     ) -> tuple[np.ndarray, float]:
         """Noisy level-1 counts plus the alpha-split budget accounting.
 
-        The single place both build paths spend the budget: ``alpha *
-        epsilon`` on the level-1 histogram, then ``(1 - alpha) * epsilon``
-        for level 2 — one histogram release per *disjoint* first-level
-        cell, so parallel composition prices all of level 2 at one spend.
+        Where the build spends the budget: ``alpha * epsilon`` on the
+        level-1 histogram, then ``(1 - alpha) * epsilon`` for level 2 —
+        one histogram release per *disjoint* first-level cell, so
+        parallel composition prices all of level 2 at one spend.
         """
         level2_epsilon = (1.0 - self.alpha) * epsilon
         noisy_level1 = noisy_histogram(
@@ -414,7 +386,8 @@ class AdaptiveGridBuilder(SynopsisBuilder):
     ) -> np.ndarray:
         """Guideline 2 for every first-level cell at once.
 
-        Element-wise identical to :func:`guideline2_cell_grid_size` capped
+        Element-wise identical to
+        :func:`~repro.core.guidelines.guideline2_cell_grid_size` capped
         at ``max_cell_grid_size`` (same expression order, so the same IEEE
         roundings).
         """
@@ -432,8 +405,8 @@ class AdaptiveGridBuilder(SynopsisBuilder):
     ) -> AdaptiveGridSynopsis:
         """Build the release with single vectorised passes over all cells.
 
-        Noise-stream order (documented invariant, tested against
-        :meth:`fit_percell_reference`): level-1 noise first, then one
+        Noise-stream order (documented invariant, tested against the
+        per-cell oracle): level-1 noise first, then one
         ``rng.laplace`` draw covering every leaf of every cell in
         row-major first-level order — bit-identical to the historical
         per-cell loop, which drew one ``(m2, m2)`` block at a time.
@@ -521,75 +494,4 @@ class AdaptiveGridBuilder(SynopsisBuilder):
             sizes_flat.reshape(m1x, m1y),
             totals_flat.reshape(m1x, m1y),
             leaves,
-        )
-
-    def fit_percell_reference(
-        self,
-        dataset: GeoDataset,
-        epsilon: float,
-        rng: np.random.Generator,
-        budget: PrivacyBudget | None = None,
-    ) -> AdaptiveGridSynopsis:
-        """The pre-flat-kernel per-cell build loop, retained as reference.
-
-        Produces a bit-identical release to :meth:`fit` given the same
-        ``rng`` state: one histogram, one ``(m2, m2)`` Laplace draw, and
-        one :func:`two_level_inference` call per first-level cell, in
-        row-major order.  Used by the equivalence tests and by
-        ``benchmarks/bench_flat_kernel.py`` to measure the flat kernel's
-        speedup; not intended for production use.
-        """
-        rng = ensure_rng(rng)
-        budget = self._budget(epsilon, budget)
-        level1 = self._level1_layout(dataset, epsilon)
-        m1x, m1y = level1.shape
-        noisy_level1, level2_epsilon = self._release_level1(
-            level1.histogram(dataset.points), epsilon, rng, budget
-        )
-
-        # Pre-bucket the points by first-level cell so the second pass over
-        # the data is a single group-by rather than m1^2 rectangle scans.
-        ix, iy = level1.cell_indices(dataset.points)
-        order = np.argsort(ix * m1y + iy, kind="stable")
-        sorted_points = dataset.points[order]
-        flat_cells = (ix * m1y + iy)[order]
-        boundaries = np.searchsorted(flat_cells, np.arange(m1x * m1y + 1))
-
-        sizes = np.empty((m1x, m1y), dtype=np.int64)
-        totals = np.empty((m1x, m1y))
-        leaf_chunks: list[np.ndarray] = []
-        scale = 1.0 / level2_epsilon
-        for i in range(m1x):
-            for j in range(m1y):
-                flat = i * m1y + j
-                cell_points = sorted_points[boundaries[flat] : boundaries[flat + 1]]
-                noisy_parent = float(noisy_level1[i, j])
-                m2 = guideline2_cell_grid_size(
-                    noisy_parent, level2_epsilon, self.c2
-                )
-                m2 = min(m2, self.max_cell_grid_size)
-                rect = level1.cell_rect(i, j)
-                layout = GridLayout(
-                    Domain2D(rect.x_lo, rect.y_lo, rect.x_hi, rect.y_hi), m2, m2
-                )
-                exact = layout.histogram(cell_points)
-                noisy = exact + rng.laplace(0.0, scale, size=exact.shape)
-                if self.constrained_inference:
-                    inferred_total, adjusted = two_level_inference(
-                        noisy_parent, noisy.reshape(-1), self.alpha
-                    )
-                else:
-                    inferred_total = float(noisy.sum())
-                    adjusted = noisy.reshape(-1)
-                sizes[i, j] = m2
-                totals[i, j] = inferred_total
-                leaf_chunks.append(np.asarray(adjusted, dtype=float))
-
-        return AdaptiveGridSynopsis(
-            dataset.domain,
-            epsilon,
-            level1,
-            sizes,
-            totals,
-            np.concatenate(leaf_chunks),
         )

@@ -107,8 +107,13 @@ class Synopsis(abc.ABC):
         return self._engine.answer_batch(rects)
 
     def total(self) -> float:
-        """Estimated total number of points (query over the whole domain)."""
-        return self.answer(self._domain.bounds)
+        """Estimated total number of points (query over the whole domain).
+
+        A batch of one through :meth:`answer_many`, so the whole-domain
+        estimate is bit-identical to the served answer for the same rect
+        (and an undeclared type falls back to its own :meth:`answer`).
+        """
+        return float(self.answer_many([self._domain.bounds])[0])
 
     def drift_cells(self, max_cells: int = 1024) -> np.ndarray:
         """Partition cells used to compare the release against new data.

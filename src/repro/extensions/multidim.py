@@ -299,9 +299,10 @@ class MultiDimGridSynopsis(Synopsis):
     ``(x_lo, y_lo, x_hi, y_hi)`` *is* the engine's lows-then-highs
     layout at d = 2, so queries pass through unchanged.  Batches go
     through the ``ndgrid`` row's engine, over the sealed ``prefix``
-    slab when the release carries one; the scalar :meth:`answer` is a
-    single-row batch, making the scalar and batch paths bit-identical
-    by construction.
+    slab when the release carries one; the scalar :meth:`answer` is the
+    wrapped release's tensordot estimate
+    (:meth:`NDGridLayout.estimate`), an independent path the engine is
+    checked against.
     """
 
     def __init__(self, nd: NDUniformGridSynopsis):
@@ -332,7 +333,9 @@ class MultiDimGridSynopsis(Synopsis):
         return (self._nd.layout.m, self._nd.layout.m)
 
     def answer(self, rect: Rect) -> float:
-        return float(self.answer_many([rect])[0])
+        return self._nd.answer(
+            NDBox(np.array([rect.x_lo, rect.y_lo]), np.array([rect.x_hi, rect.y_hi]))
+        )
 
 
 class MultiDimGridBuilder(SynopsisBuilder):
@@ -340,9 +343,7 @@ class MultiDimGridBuilder(SynopsisBuilder):
 
     Delegates the entire build to :class:`NDUniformGridBuilder` at
     ``d = 2`` — same guideline, same noise stream — and wraps the result
-    for the serving tier.  ``fit_reference`` returns the raw
-    :class:`NDUniformGridSynopsis`, which the property suite pins
-    bit-identical to the wrapped release.
+    for the serving tier.
     """
 
     name = "UGnd"
@@ -385,16 +386,3 @@ class MultiDimGridBuilder(SynopsisBuilder):
             dataset.points, self._nd_box(dataset), epsilon, rng, budget=budget
         )
         return MultiDimGridSynopsis(nd)
-
-    def fit_reference(
-        self,
-        dataset: GeoDataset,
-        epsilon: float,
-        rng: np.random.Generator,
-        budget: PrivacyBudget | None = None,
-    ) -> NDUniformGridSynopsis:
-        """The retained raw ND build (identical noise stream as fit)."""
-        budget = self._budget(epsilon, budget)
-        return self._nd_builder.fit(
-            dataset.points, self._nd_box(dataset), epsilon, rng, budget=budget
-        )

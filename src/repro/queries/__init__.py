@@ -1,7 +1,6 @@
 """Query workloads and error metrics (Section V-A methodology)."""
 
 from repro.queries.engine import (
-    AdaptiveGridEngine,
     BatchQueryEngine,
     FlatAdaptiveGridEngine,
     FlatTreeEngine,
@@ -23,7 +22,6 @@ from repro.queries.workload import (
 )
 
 __all__ = [
-    "AdaptiveGridEngine",
     "BatchQueryEngine",
     "ErrorProfile",
     "FlatAdaptiveGridEngine",

@@ -33,9 +33,7 @@ prefix.  ``F`` is linear in ``x`` between consecutive distinct sub-cell
 x-edges (and ``G`` likewise in ``y``), so :class:`FlatAdaptiveGridEngine`
 tabulates both at those edges once; every corner then costs one
 ``searchsorted`` and two gathers per table plus the cell's four-gather
-bilinear prefix.  :class:`AdaptiveGridEngine`, the historical
-one-``BatchQueryEngine``-per-cell composite, is retained as the
-reference implementation for equivalence tests and benchmarks.
+bilinear prefix.
 
 Spatial trees (quadtree, KD-standard, KD-hybrid) release the flat
 level-order :class:`~repro.baselines.tree.TreeArrays`.  A tree whose
@@ -74,7 +72,6 @@ __all__ = [
     "BatchQueryEngine",
     "FlatAdaptiveGridEngine",
     "FlatTreeEngine",
-    "AdaptiveGridEngine",
     "compute_engine_slabs",
     "has_sealed_engine",
     "make_engine",
@@ -572,93 +569,6 @@ def _edge_lerp(
     flat = table.reshape(-1)
     below = flat[index]
     return below + t * (flat[index + width] - below)
-
-
-class AdaptiveGridEngine:
-    """Per-cell composite engine for ``AdaptiveGridSynopsis`` (reference).
-
-    One :class:`BatchQueryEngine` is prepared per first-level cell; a batch
-    is answered by summing each cell engine's (domain-clipped) estimates.
-    This was the production AG engine before the flat CSR kernel
-    (:class:`FlatAdaptiveGridEngine`) replaced it; it is retained because
-    its per-cell structure mirrors the scalar definition directly, which
-    makes it the natural second opinion in equivalence tests and the
-    baseline in ``benchmarks/bench_flat_kernel.py``.
-
-    Preprocessing is O(total leaf cells); each batch then costs one
-    vectorised pass per *touched* first-level cell (dispatch via a 2-D
-    difference array), which is a Python-level loop the flat engine
-    eliminates.
-    """
-
-    def __init__(self, synopsis):
-        m1x, m1y = synopsis.first_level_size
-        self._domain = synopsis.domain
-        self._shape = (m1x, m1y)
-        self._engines = []
-        for i in range(m1x):
-            for j in range(m1y):
-                cell = synopsis.cell_layout(i, j).domain
-                self._engines.append(
-                    BatchQueryEngine(cell.lows, cell.highs, synopsis.cell_counts(i, j))
-                )
-
-    @property
-    def n_cell_engines(self) -> int:
-        return len(self._engines)
-
-    def answer_batch(self, rects: list[Rect] | np.ndarray) -> np.ndarray:
-        """Uniformity estimates for every rectangle in the batch.
-
-        Each query is dispatched only to the first-level cells it
-        overlaps: the per-query cell-index ranges are computed in one
-        vectorised pass, and each overlapped cell engine evaluates just
-        its own sub-batch — total work scales with cells *touched*, not
-        with ``m1^2 * n``.
-        """
-        boxes = rects_to_boxes(rects)
-        if boxes.size == 0:
-            return np.empty(0)
-        # Pre-clip to the domain once so every cell engine sees the same
-        # effective query the scalar path evaluates.
-        bounds = self._domain.bounds
-        clipped = np.empty_like(boxes)
-        clipped[:, 0] = np.clip(boxes[:, 0], bounds.x_lo, bounds.x_hi)
-        clipped[:, 1] = np.clip(boxes[:, 1], bounds.y_lo, bounds.y_hi)
-        clipped[:, 2] = np.clip(boxes[:, 2], bounds.x_lo, bounds.x_hi)
-        clipped[:, 3] = np.clip(boxes[:, 3], bounds.y_lo, bounds.y_hi)
-
-        # First-level index ranges per query.  Edge-exact bounds may
-        # over-include a neighbouring cell, which then contributes a
-        # zero-width (zero) estimate — harmless.
-        mx, my = self._shape
-        cell_w = self._domain.width / mx
-        cell_h = self._domain.height / my
-        i_lo = np.clip(((clipped[:, 0] - bounds.x_lo) / cell_w).astype(np.int64), 0, mx - 1)
-        i_hi = np.clip(((clipped[:, 2] - bounds.x_lo) / cell_w).astype(np.int64), 0, mx - 1)
-        j_lo = np.clip(((clipped[:, 1] - bounds.y_lo) / cell_h).astype(np.int64), 0, my - 1)
-        j_hi = np.clip(((clipped[:, 3] - bounds.y_lo) / cell_h).astype(np.int64), 0, my - 1)
-
-        # Inverted rows (x_hi < x_lo or y_hi < y_lo) answer 0 but must be
-        # excluded from the dispatch bookkeeping: their reversed index
-        # ranges would write negative bands into the difference array and
-        # cancel *other* queries' contributions.
-        valid = (clipped[:, 2] >= clipped[:, 0]) & (clipped[:, 3] >= clipped[:, 1])
-
-        # 2-D difference array -> how many queries touch each cell; only
-        # touched cells get an engine pass.
-        touched = np.zeros((mx + 1, my + 1), dtype=np.int64)
-        np.add.at(touched, (i_lo[valid], j_lo[valid]), 1)
-        np.add.at(touched, (i_hi[valid] + 1, j_lo[valid]), -1)
-        np.add.at(touched, (i_lo[valid], j_hi[valid] + 1), -1)
-        np.add.at(touched, (i_hi[valid] + 1, j_hi[valid] + 1), 1)
-        counts = touched.cumsum(axis=0).cumsum(axis=1)[:mx, :my]
-
-        total = np.zeros(boxes.shape[0])
-        for i, j in np.argwhere(counts > 0):
-            mask = valid & (i_lo <= i) & (i <= i_hi) & (j_lo <= j) & (j <= j_hi)
-            total[mask] += self._engines[i * my + j].answer_batch(clipped[mask])
-        return total
 
 
 class FlatTreeEngine:

@@ -11,7 +11,6 @@ One :class:`Catalog` file holds everything the serving layer knows
   :func:`hmac.compare_digest` (see :mod:`repro.service.auth`).
 * **dataset registrations** — the tenant-scoped CRUD objects behind
   ``POST/GET/DELETE /datasets``, listed with stable rowid cursors.
-* **release metadata** — which release slugs each tenant has built.
 * **the privacy ledger** — the service's only record of epsilon spent:
   per tenant and dataset instance, the budget total and every spend in
   spend order.  A spend appends one row inside a ``BEGIN IMMEDIATE``
@@ -98,16 +97,6 @@ CREATE TABLE IF NOT EXISTS datasets (
     created_at  REAL NOT NULL,
     PRIMARY KEY (tenant_id, name)
 );
-CREATE TABLE IF NOT EXISTS releases (
-    tenant_id TEXT NOT NULL REFERENCES tenants(id),
-    slug      TEXT NOT NULL,
-    dataset   TEXT NOT NULL,
-    method    TEXT NOT NULL,
-    epsilon   REAL NOT NULL,
-    seed      INTEGER NOT NULL,
-    built_at  REAL NOT NULL,
-    PRIMARY KEY (tenant_id, slug)
-);
 CREATE TABLE IF NOT EXISTS budget_totals (
     tenant_id TEXT NOT NULL,
     data_id   TEXT NOT NULL,
@@ -190,9 +179,12 @@ class Catalog:
         therefore damaged (SQLite reads a 1-byte file as an empty
         database), and opening it raises ``sqlite3.DatabaseError``
         instead of laying a fresh, empty ledger over the lost spends.
-        A 0-byte file is still created over: that is also what a fresh
-        file looks like to a concurrent first open, between its
-        ``connect`` and its schema commit.
+        A file that fails SQLite's ``quick_check`` raises too: a
+        truncation can cut an index page so that reads of the ledger
+        return no rows and no error, which would replay as a healthy,
+        emptier ledger.  A 0-byte file is still created over: that is
+        also what a fresh file looks like to a concurrent first open,
+        between its ``connect`` and its schema commit.
         """
         existing = self._path.exists() and self._path.stat().st_size > 0
         conn = sqlite3.connect(self._path, timeout=30.0, isolation_level=None)
@@ -203,6 +195,14 @@ class Catalog:
                     f"{self._path} is not empty but holds no catalog schema; "
                     "refusing to create an empty ledger over it"
                 )
+            if existing:
+                problems = conn.execute("PRAGMA quick_check").fetchall()
+                if problems != [("ok",)]:
+                    raise sqlite3.DatabaseError(
+                        f"{self._path} fails its integrity check "
+                        f"({problems[0][0]}); refusing to open a ledger "
+                        "that may have lost spends"
+                    )
             for statement in filter(str.strip, _SCHEMA.split(";")):
                 conn.execute(statement)
             conn.execute(
@@ -514,34 +514,6 @@ class Catalog:
             "created_at": created_at,
             "id": int(rowid),
         }
-
-    # ------------------------------------------------------------------
-    # Release metadata
-    # ------------------------------------------------------------------
-
-    def note_release(self, tenant: str, key) -> None:
-        """Record (idempotently) that a release was built for a tenant."""
-        with self.exclusive() as conn:
-            conn.execute(
-                "INSERT OR REPLACE INTO releases (tenant_id, slug, dataset,"
-                " method, epsilon, seed, built_at) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (
-                    tenant,
-                    key.slug(),
-                    key.dataset,
-                    key.method,
-                    float(key.epsilon),
-                    int(key.seed),
-                    time.time(),
-                ),
-            )
-
-    def release_slugs(self, tenant: str) -> list[str]:
-        rows = self._conn().execute(
-            "SELECT slug FROM releases WHERE tenant_id = ? ORDER BY slug",
-            (tenant,),
-        ).fetchall()
-        return [row[0] for row in rows]
 
     # ------------------------------------------------------------------
     # The privacy ledger

@@ -15,7 +15,10 @@ Its contract, end to end:
   Synopsis.drift_cells`) and compares the fill distribution against the
   distribution the release itself predicts for the same cells — the
   build-vs-fill comparison of Dasu et al.'s kdq-tree change detector,
-  with total-variation distance as the scalar drift signal.
+  with total-variation distance as the scalar drift signal.  The fill
+  side is an exact histogram of the staged points, so the drift value
+  is a statistic of private data: it only gates refreshes and appears
+  in no payload (ack, ``/health`` or ``/query``).
 
 * **Refresh policy.**  A release is re-fit through the normal
   :class:`~repro.service.store.SynopsisStore` path (budget ledger and
@@ -362,7 +365,7 @@ class IngestManager:
         """Durably stage one batch and apply the refresh policy.
 
         Returns the ingest report (the HTTP payload): staging outcome,
-        per-release pending/drift state, and which releases were
+        per-release pending points, and which releases were
         refreshed or refused.  Raises nothing on a *refused* refresh —
         refusal is an expected budget outcome, reported in-band — but
         lets WAL I/O errors and simulated crashes propagate (the batch
@@ -586,7 +589,6 @@ class IngestManager:
                 "pending_points": int(pending),
                 "released_epoch": int(released),
                 "staged_points": int(log.total_points),
-                "drift": tracker.drift() if tracker is not None else None,
                 "oldest_pending_ms": (
                     tracker.oldest_age_ms(now) if tracker is not None else None
                 ),
@@ -608,13 +610,11 @@ class IngestManager:
         log = self._logs[data_id]
         releases = []
         for key in self._released_keys(data_id):
-            tracker = self._trackers.get(key)
             entry = {
                 "key": key.to_payload(),
                 "pending_points": int(
                     log.total_points - log.markers.get(key.slug(), 0)
                 ),
-                "drift": tracker.drift() if tracker is not None else None,
             }
             slug = key.slug()
             if slug in refused:

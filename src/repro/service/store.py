@@ -52,7 +52,6 @@ so reads never wait longer than a cache lookup even during a slow build.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import sqlite3
 import threading
@@ -551,11 +550,6 @@ class SynopsisStore:
             # into a free, bit-identical re-release (the epoch label is
             # already charged), after it into a clean no-op.
             ingest.note_released(key, context)
-        # Best-effort metadata: the release itself (archive + spend) is
-        # already durable, so a catalog hiccup here must not turn a
-        # successful build into an error.
-        with contextlib.suppress(Exception):
-            self._catalog.note_release(self._tenant, key)
         return synopsis, True
 
     def for_tenant(self, tenant: str) -> "SynopsisStore":

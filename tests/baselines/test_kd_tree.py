@@ -13,7 +13,7 @@ from repro.baselines.kd_tree import (
 from repro.baselines.quadtree import QuadtreeBuilder
 from repro.core.geometry import Rect
 from repro.privacy.budget import PrivacyBudget
-from tests.oracles.trees import fit_level_oracle
+from tests.oracles.trees import fit_level_oracle, to_root
 
 
 class TestDefaultDepth:
@@ -67,7 +67,7 @@ class TestTreeShape:
             depth=1, quadtree_levels=1, min_split_count=0.0, median_fraction=0.0
         )
         synopsis = builder.fit(small_skewed, 1.0, rng)
-        root = synopsis.root
+        root = to_root(synopsis.arrays)
         assert len(root.children) == 4
         # Quadrants split at the midpoint.
         assert root.children[0].rect.x_hi == pytest.approx(0.5)
@@ -75,7 +75,7 @@ class TestTreeShape:
     def test_kd_levels_make_binary_splits(self, small_skewed, rng):
         builder = KDTreeBuilder(depth=1, min_split_count=0.0, median_fraction=0.2)
         synopsis = builder.fit(small_skewed, 1.0, rng)
-        assert len(synopsis.root.children) == 2
+        assert len(to_root(synopsis.arrays).children) == 2
 
     def test_min_split_count_prunes(self, small_uniform, rng):
         eager = KDTreeBuilder(depth=8, min_split_count=0.0, median_fraction=0.2)
@@ -88,7 +88,7 @@ class TestTreeShape:
     def test_children_partition_parent(self, small_skewed, rng):
         builder = KDTreeBuilder(depth=6, median_fraction=0.2)
         synopsis = builder.fit(small_skewed, 1.0, rng)
-        for node in synopsis.root.iter_nodes():
+        for node in to_root(synopsis.arrays).iter_nodes():
             if node.is_leaf:
                 continue
             child_area = sum(child.rect.area for child in node.children)
@@ -107,7 +107,7 @@ class TestTreeShape:
         dataset = GeoDataset(np.column_stack([xs, ys]), Domain2D.unit())
         builder = KDTreeBuilder(depth=1, median_fraction=0.5, min_split_count=0.0)
         synopsis = builder.fit(dataset, 100.0, rng)
-        split_x = synopsis.root.children[0].rect.x_hi
+        split_x = to_root(synopsis.arrays).children[0].rect.x_hi
         assert split_x < 0.2  # near the true median (~0.05), not 0.5
 
 
@@ -140,7 +140,7 @@ class TestAccuracy:
 
     def test_hybrid_consistent_after_inference(self, small_skewed, rng):
         synopsis = KDHybridBuilder(depth=5).fit(small_skewed, 1.0, rng)
-        for node in synopsis.root.iter_nodes():
+        for node in to_root(synopsis.arrays).iter_nodes():
             if node.is_leaf:
                 continue
             child_sum = sum(child.count for child in node.children)
@@ -201,7 +201,7 @@ class TestUniformitySplitStrategy:
             min_split_count=0.0,
         )
         synopsis = builder.fit(dataset, 50.0, rng)
-        split_x = synopsis.root.children[0].rect.x_hi
+        split_x = to_root(synopsis.arrays).children[0].rect.x_hi
         assert 0.15 < split_x < 0.35
 
     def test_budget_still_exact(self, small_skewed, rng):

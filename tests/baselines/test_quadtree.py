@@ -6,7 +6,7 @@ import pytest
 from repro.baselines.quadtree import QuadtreeBuilder
 from repro.core.geometry import Rect
 from repro.privacy.budget import PrivacyBudget
-from tests.oracles.trees import fit_level_oracle
+from tests.oracles.trees import fit_level_oracle, to_root
 
 
 class TestStructure:
@@ -26,7 +26,7 @@ class TestStructure:
         synopsis = QuadtreeBuilder(depth=2, min_split_count=0.0).fit(
             small_skewed, 1.0, rng
         )
-        for node in synopsis.root.iter_nodes():
+        for node in to_root(synopsis.arrays).iter_nodes():
             if not node.is_leaf:
                 assert len(node.children) == 4
 

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.baselines.tree import SpatialNode, TreeArrays, TreeSynopsis
+from repro.baselines.tree import TreeSynopsis
 from repro.core.geometry import Domain2D, Rect
-from tests.oracles.trees import apply_tree_inference
+from tests.oracles.trees import (
+    SpatialNode,
+    apply_tree_inference,
+    graph_answer,
+    to_root,
+    tree_arrays,
+)
 
 
 def two_level_tree() -> SpatialNode:
@@ -39,7 +45,7 @@ class TestStructureQueries:
 class TestQueryAnswering:
     @pytest.fixture
     def synopsis(self) -> TreeSynopsis:
-        return TreeSynopsis(Domain2D.unit(), 1.0, two_level_tree())
+        return TreeSynopsis(Domain2D.unit(), 1.0, tree_arrays(two_level_tree()))
 
     def test_full_domain_uses_root(self, synopsis):
         assert synopsis.answer(Rect(0.0, 0.0, 1.0, 1.0)) == 100.0
@@ -84,7 +90,7 @@ class TestTreeInference:
 
 class TestTreeArrays:
     def test_from_root_level_order(self):
-        arrays = TreeArrays.from_root(two_level_tree())
+        arrays = tree_arrays(two_level_tree())
         arrays.validate()
         assert arrays.n_nodes == 3
         assert arrays.n_levels == 2
@@ -97,7 +103,7 @@ class TestTreeArrays:
 
     def test_structure_queries_match_object_graph(self):
         root = two_level_tree()
-        arrays = TreeArrays.from_root(root)
+        arrays = tree_arrays(root)
         assert arrays.node_count() == root.node_count()
         assert arrays.leaf_count() == root.leaf_count()
         assert arrays.height() == root.height()
@@ -106,9 +112,9 @@ class TestTreeArrays:
         root = two_level_tree()
         root.noisy_count = None
         root.variance = float("inf")
-        arrays = TreeArrays.from_root(root)
+        arrays = tree_arrays(root)
         assert np.isnan(arrays.noisy_counts[0])
-        rebuilt = arrays.to_root()
+        rebuilt = to_root(arrays)
         assert rebuilt.noisy_count is None
         assert rebuilt.variance == float("inf")
         assert rebuilt.children[0].noisy_count == 70.0
@@ -118,27 +124,27 @@ class TestTreeArrays:
             rect=Rect(0.0, 0.0, 1.0, 1.0), noisy_count=5.0, variance=1.0,
             count=5.0,
         )
-        arrays = TreeArrays.from_root(leaf)
+        arrays = tree_arrays(leaf)
         arrays.validate()
         assert arrays.n_nodes == 1
         assert arrays.height() == 0
         assert arrays.leaf_count() == 1
 
     def test_nbytes_positive(self):
-        assert TreeArrays.from_root(two_level_tree()).nbytes > 0
+        assert tree_arrays(two_level_tree()).nbytes > 0
 
     def test_validate_rejects_shuffled_depths(self):
-        arrays = TreeArrays.from_root(two_level_tree())
+        arrays = tree_arrays(two_level_tree())
         arrays.depths = arrays.depths[::-1].copy()
         with pytest.raises(ValueError):
             arrays.validate()
 
     def test_synopsis_accepts_arrays_and_materialises_root(self):
-        arrays = TreeArrays.from_root(two_level_tree())
+        arrays = tree_arrays(two_level_tree())
         synopsis = TreeSynopsis(Domain2D.unit(), 1.0, arrays)
         assert synopsis.arrays is arrays
         assert synopsis.node_count() == 3
-        assert synopsis.root.children[0].count == 70.0
+        assert to_root(synopsis.arrays).children[0].count == 70.0
         assert synopsis.answer(Rect(0.0, 0.0, 0.5, 1.0)) == 70.0
 
     def test_synopsis_rejects_other_types(self):
@@ -148,7 +154,7 @@ class TestTreeArrays:
     def test_answer_many_routes_through_flat_engine(self):
         from repro.queries.engine import BatchQueryEngine
 
-        synopsis = TreeSynopsis(Domain2D.unit(), 1.0, two_level_tree())
+        synopsis = TreeSynopsis(Domain2D.unit(), 1.0, tree_arrays(two_level_tree()))
         rects = [Rect(0.0, 0.0, 0.25, 1.0), Rect(0.0, 0.0, 1.0, 1.0)]
         np.testing.assert_allclose(
             synopsis.answer_many(rects), [35.0, 100.0], rtol=1e-12
@@ -162,10 +168,29 @@ class TestTreeArrays:
 
         root = two_level_tree()
         root.noisy_count = 120.0
-        arrays = TreeArrays.from_root(root)
+        arrays = tree_arrays(root)
         apply_tree_inference_arrays(arrays)
         apply_tree_inference(root)
         np.testing.assert_array_equal(
             arrays.counts,
             [root.count, root.children[0].count, root.children[1].count],
         )
+
+
+@pytest.mark.parametrize("method", ["Quad", "Kst", "Khy"])
+def test_array_descent_matches_graph_descent_on_landmark(method):
+    """The scalar answer over the arrays is bit-identical to the graph
+    descent on the served tree baselines, over a q1-q6 workload."""
+    from repro.datasets.registry import get_spec
+    from repro.queries.workload import QueryWorkload
+    from repro.service.keys import make_builder
+
+    dataset = get_spec("landmark").make(20_000, np.random.default_rng(0))
+    synopsis = make_builder(method).fit(dataset, 1.0, np.random.default_rng(0))
+    workload = QueryWorkload.generate(
+        dataset, 40.0, 20.0, np.random.default_rng(1), queries_per_size=50
+    )
+    root = to_root(synopsis.arrays)
+    for rect in workload.all_rects():
+        got, want = synopsis.answer(rect), graph_answer(root, rect)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), rect

@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.adaptive_grid import (
-    AdaptiveGridBuilder,
-    two_level_inference,
-)
+from repro.core.adaptive_grid import AdaptiveGridBuilder
 from repro.core.geometry import Rect
 from repro.core.guidelines import guideline2_cell_grid_size
 from repro.core.uniform_grid import UniformGridBuilder
 from repro.privacy.budget import PrivacyBudget
+from tests.oracles.adaptive_grid import fit_percell, two_level_inference
 
 
 class TestTwoLevelInference:
@@ -201,8 +199,8 @@ class TestFlatKernel:
             first_level_size=8, constrained_inference=constrained_inference
         )
         flat = builder.fit(small_skewed, 1.0, np.random.default_rng(seed))
-        reference = builder.fit_percell_reference(
-            small_skewed, 1.0, np.random.default_rng(seed)
+        reference = fit_percell(
+            builder, small_skewed, 1.0, np.random.default_rng(seed)
         )
         np.testing.assert_array_equal(flat.cell_sizes, reference.cell_sizes)
         np.testing.assert_array_equal(flat.cell_totals, reference.cell_totals)

@@ -173,6 +173,29 @@ class TestCorruptLedger:
         # must not lay a fresh schema over it.
         assert 1 in unopenable
 
+    def test_cut_inside_the_ledger_index_refuses_to_open(self, tmp_path):
+        """A cut just past the header of the ledger's index page reads
+        back as an empty ledger with no SQLite error; the catalog's
+        integrity check refuses to open it instead."""
+        store = _store(tmp_path)
+        store.build(release_key())
+        store.catalog.close()
+        del store
+        path = tmp_path / CATALOG_FILE
+        conn = sqlite3.connect(path)
+        page_size = conn.execute("PRAGMA page_size").fetchone()[0]
+        (root,) = conn.execute(
+            "SELECT rootpage FROM sqlite_master"
+            " WHERE name = 'sqlite_autoindex_ledger_1'"
+        ).fetchone()
+        conn.close()
+        pristine = path.read_bytes()
+        for leftover in ("-wal", "-shm"):
+            path.with_name(path.name + leftover).unlink(missing_ok=True)
+        path.write_bytes(pristine[: (root - 1) * page_size + 147])
+        with pytest.raises(sqlite3.DatabaseError, match="integrity"):
+            _store(tmp_path)
+
     def test_semantic_corruption_is_caught(self, tmp_path):
         """Entries that overdraw their own total are corruption too."""
         store = _store(tmp_path)

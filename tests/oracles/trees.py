@@ -1,9 +1,17 @@
 """Reference oracles for the tree baselines.
 
+* :class:`SpatialNode` — the recursive object-graph layout of a spatial
+  count tree, one object per region; :func:`tree_arrays` flattens a
+  hand-built graph into the released
+  :class:`~repro.baselines.tree.TreeArrays` (BFS, siblings in order) and
+  :func:`to_root` materialises the arrays back into a graph.
+* :func:`graph_answer` — the recursive descent over a ``SpatialNode``
+  graph that :meth:`~repro.baselines.tree.TreeSynopsis.answer`, a
+  recursion over the arrays, must reproduce bit for bit.
 * :func:`fit_level_oracle` — the per-node build that
   :meth:`~repro.baselines.kd_tree.KDTreeBuilder.fit` must reproduce bit
   for bit.  It is a plain loop over each level's nodes in BFS order: one
-  :class:`~repro.baselines.tree.SpatialNode` per region, children's
+  :class:`SpatialNode` per region, children's
   points taken by ``Rect.mask`` with residual removal (the first child
   whose closed rect holds a point claims it), ``np.sort`` per node and a
   per-node pick.  It draws the same per-level vectors in the same order
@@ -19,17 +27,172 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from repro.baselines.constrained_inference import CountNode, infer_tree
 from repro.baselines.kd_tree import KDTreeBuilder
-from repro.baselines.tree import SpatialNode, TreeSynopsis
+from repro.baselines.tree import TreeArrays, TreeSynopsis
 from repro.core.dataset import GeoDataset
 from repro.core.geometry import Rect
 from repro.privacy.budget import PrivacyBudget
 from repro.privacy.mechanisms import ensure_rng, laplace_noise, laplace_scale
+from tests.oracles.inference import CountNode, infer_tree
 
-__all__ = ["apply_tree_inference", "fit_level_oracle"]
+__all__ = [
+    "SpatialNode",
+    "apply_tree_inference",
+    "fit_level_oracle",
+    "graph_answer",
+    "to_root",
+    "tree_arrays",
+]
+
+
+@dataclass
+class SpatialNode:
+    """A node of a spatial decomposition: a region plus released counts.
+
+    ``count`` is the estimate used at query time (after constrained
+    inference when the method applies it); ``noisy_count`` / ``variance``
+    keep the raw measurement so inference can be (re-)run.
+    """
+
+    rect: Rect
+    noisy_count: float | None = None
+    variance: float = float("inf")
+    count: float = 0.0
+    depth: int = 0
+    children: list["SpatialNode"] = field(default_factory=list)
+
+    @property
+    def is_leaf(self) -> bool:
+        return not self.children
+
+    def node_count(self) -> int:
+        """Number of nodes in this subtree."""
+        return 1 + sum(child.node_count() for child in self.children)
+
+    def leaf_count(self) -> int:
+        """Number of leaves in this subtree."""
+        if self.is_leaf:
+            return 1
+        return sum(child.leaf_count() for child in self.children)
+
+    def height(self) -> int:
+        """Length of the longest root-to-leaf path (leaf = 0)."""
+        if self.is_leaf:
+            return 0
+        return 1 + max(child.height() for child in self.children)
+
+    def iter_nodes(self):
+        """Yield all nodes in the subtree, pre-order."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
+
+    def iter_leaves(self):
+        """Yield all leaves in the subtree."""
+        for node in self.iter_nodes():
+            if node.is_leaf:
+                yield node
+
+
+def _assemble_offsets(
+    depths: np.ndarray, fan_out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR child offsets + level slab bounds from level-order metadata.
+
+    In BFS level order the children of nodes 0..n-1 fill indices
+    1..n-1 consecutively, so node ``v``'s children start at ``1 +
+    sum(fan_out[:v])``; level slabs fall out of the sorted depths.
+    """
+    n = depths.size
+    child_offsets = np.empty(n + 1, dtype=np.int64)
+    child_offsets[0] = 1
+    np.cumsum(fan_out, out=child_offsets[1:])
+    child_offsets[1:] += 1
+    n_levels = int(depths[-1]) + 1
+    level_offsets = np.searchsorted(
+        depths, np.arange(n_levels + 1), side="left"
+    ).astype(np.int64)
+    return child_offsets, level_offsets
+
+
+def tree_arrays(root: SpatialNode) -> TreeArrays:
+    """Flatten a :class:`SpatialNode` graph (BFS, siblings in order)."""
+    nodes: list[SpatialNode] = [root]
+    depths: list[int] = [0]
+    index = 0
+    while index < len(nodes):  # the list grows while iterating: a BFS queue
+        for child in nodes[index].children:
+            nodes.append(child)
+            depths.append(depths[index] + 1)
+        index += 1
+    rects = np.array([node.rect.as_tuple() for node in nodes], dtype=float)
+    noisy = np.array(
+        [
+            np.nan if node.noisy_count is None else float(node.noisy_count)
+            for node in nodes
+        ]
+    )
+    variances = np.array([float(node.variance) for node in nodes])
+    counts = np.array([float(node.count) for node in nodes])
+    depths_arr = np.asarray(depths, dtype=np.int64)
+    fan_out = np.array([len(node.children) for node in nodes], dtype=np.int64)
+    child_offsets, level_offsets = _assemble_offsets(depths_arr, fan_out)
+    return TreeArrays(
+        rects=rects,
+        depths=depths_arr,
+        child_offsets=child_offsets,
+        noisy_counts=noisy,
+        variances=variances,
+        counts=counts,
+        level_offsets=level_offsets,
+    )
+
+
+def to_root(arrays: TreeArrays) -> SpatialNode:
+    """Materialise the equivalent :class:`SpatialNode` object graph."""
+    nodes = [
+        SpatialNode(
+            rect=Rect(*arrays.rects[v]),
+            noisy_count=(
+                None if np.isnan(arrays.noisy_counts[v])
+                else float(arrays.noisy_counts[v])
+            ),
+            variance=float(arrays.variances[v]),
+            count=float(arrays.counts[v]),
+            depth=int(arrays.depths[v]),
+        )
+        for v in range(arrays.n_nodes)
+    ]
+    for v, node in enumerate(nodes):
+        lo, hi = arrays.child_offsets[v], arrays.child_offsets[v + 1]
+        node.children = nodes[lo:hi]
+    return nodes[0]
+
+
+def graph_answer(node: SpatialNode, rect: Rect) -> float:
+    """The uniformity estimate of ``rect`` by recursive graph descent.
+
+    Regions disjoint from the query count nothing, regions inside it
+    count whole, partially covered leaves count their overlap fraction,
+    and partially covered internal nodes sum their children in order.
+    """
+    region = node.rect
+    if not region.intersects(rect):
+        return 0.0
+    if rect.contains_rect(region):
+        return node.count
+    if node.is_leaf:
+        return node.count * region.overlap_fraction(rect)
+    total = 0.0
+    for child in node.children:
+        total += graph_answer(child, rect)
+    return total
 
 
 def fit_level_oracle(
@@ -80,7 +243,7 @@ def fit_level_oracle(
                 points = points[~mask]
     if builder.constrained_inference:
         apply_tree_inference(root)
-    return TreeSynopsis(dataset.domain, epsilon, root)
+    return TreeSynopsis(dataset.domain, epsilon, tree_arrays(root))
 
 
 def _extent(rect: Rect, axis: int) -> tuple[float, float]:

@@ -15,11 +15,8 @@ from hypothesis import given, settings
 from repro.core.adaptive_grid import AdaptiveGridBuilder
 from repro.core.geometry import Domain2D
 from repro.datasets.synthetic import make_gaussian_mixture
-from repro.queries.engine import (
-    AdaptiveGridEngine,
-    FlatAdaptiveGridEngine,
-    scalar_answer_batch,
-)
+from repro.queries.engine import FlatAdaptiveGridEngine, scalar_answer_batch
+from tests.oracles.adaptive_grid import AdaptiveGridEngine, fit_percell
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 m1_sizes = st.integers(min_value=1, max_value=7)
@@ -97,8 +94,8 @@ def test_flat_build_matches_percell_build(m1, seed, inference):
         first_level_size=m1, constrained_inference=inference
     )
     flat = builder.fit(dataset, 1.0, np.random.default_rng(seed))
-    reference = builder.fit_percell_reference(
-        dataset, 1.0, np.random.default_rng(seed)
+    reference = fit_percell(
+        builder, dataset, 1.0, np.random.default_rng(seed)
     )
     np.testing.assert_array_equal(flat.cell_sizes, reference.cell_sizes)
     np.testing.assert_array_equal(flat.cell_totals, reference.cell_totals)

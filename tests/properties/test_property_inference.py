@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.baselines.constrained_inference import CountNode, infer_tree
 from repro.baselines.hierarchy import block_sum, hierarchy_inference
-from repro.core.adaptive_grid import two_level_inference
+from tests.oracles.adaptive_grid import two_level_inference
+from tests.oracles.inference import CountNode, infer_tree
 
 counts = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 variances = st.floats(min_value=0.01, max_value=100.0, allow_nan=False)

@@ -4,24 +4,23 @@ Three families got flat array releases with registered batch engines:
 Privelet (noisy Haar coefficients + vectorised range-sum engine), the
 grid hierarchy (CSR level stack + inferred leaf grid), and the
 d-dimensional grid (the grid engine's prefix tensor).  These properties pin the
-two claims the refactor rests on, over random domains, sizes, and seeds:
+claims the refactor rests on, over random domains, sizes, and seeds:
 
-* **build bit-identity** — each vectorised ``fit`` releases state
-  bit-identical to its retained ``fit_reference`` (same noise stream,
-  consumed in the same order: the generators are interchangeable after
-  the build);
-* **answer bit-identity** — each synopsis's scalar ``answer`` path and
-  its registered engine agree *exactly* (the scalar path routes through
-  a single-row engine call), on the full batch-contract query mix:
-  boundary, duplicate, degenerate, inverted, NaN, and out-of-domain
-  rows, plus the empty batch.
+* **build bit-identity** — Privelet's vectorised ``fit`` releases state
+  bit-identical to the per-lane oracle in ``tests/oracles/privelet.py``
+  (same noise stream, consumed in the same order: the generators are
+  interchangeable after the build), and the hierarchy's released leaves
+  are exactly what inference over its released stack gives;
+* **answer agreement** — each synopsis's registered engine agrees with
+  its independent scalar ``answer`` path to 1e-9 relative, on the full
+  batch-contract query mix: boundary, duplicate, degenerate, inverted,
+  NaN, and out-of-domain rows, plus the empty batch.
 """
 
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
-from repro.baselines.constrained_inference import CountNode, infer_tree
 from repro.baselines.hierarchy import (
     HierarchicalGridBuilder,
     block_sum,
@@ -40,6 +39,8 @@ from repro.queries.engine import (
     make_engine,
     scalar_answer_batch,
 )
+from tests.oracles.inference import CountNode, infer_tree
+from tests.oracles.privelet import fit_per_lane
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -94,7 +95,7 @@ def test_privelet_flat_build_matches_reference(domain, m, seed):
     rng_flat = np.random.default_rng(seed)
     rng_ref = np.random.default_rng(seed)
     flat = builder.fit(dataset, 1.0, rng_flat)
-    reference = builder.fit_reference(dataset, 1.0, rng_ref)
+    reference = fit_per_lane(builder, dataset, 1.0, rng_ref)
     np.testing.assert_array_equal(flat.counts, reference.counts)
     # Same number of draws consumed, in the same order: the generators
     # are interchangeable after the build.
@@ -103,8 +104,8 @@ def test_privelet_flat_build_matches_reference(domain, m, seed):
 
 @settings(max_examples=20, deadline=None)
 @given(domains(), grid_sizes, seeds)
-def test_wavelet_engine_matches_scalar_bitwise(domain, m, seed):
-    """Engine == the scalar `answer` loop, bit for bit, on the full mix."""
+def test_wavelet_engine_matches_scalar(domain, m, seed):
+    """Engine == the scalar grid-estimate loop to 1e-9, on the full mix."""
     dataset = make_gaussian_mixture(400, n_clusters=3, rng=seed, domain=domain)
     synopsis = PriveletBuilder(grid_size=m).fit(
         dataset, 1.0, np.random.default_rng(seed)
@@ -112,8 +113,10 @@ def test_wavelet_engine_matches_scalar_bitwise(domain, m, seed):
     engine = make_engine(synopsis)
     assert isinstance(engine, BatchQueryEngine)
     boxes = query_mix(domain, seed)
-    np.testing.assert_array_equal(
-        engine.answer_batch(boxes), scalar_answer_batch(synopsis, boxes)
+    scalar = scalar_answer_batch(synopsis, boxes)
+    scale = max(1.0, float(np.abs(scalar).max()))
+    np.testing.assert_allclose(
+        engine.answer_batch(boxes), scalar, rtol=1e-9, atol=1e-9 * scale
     )
     assert engine.answer_batch(np.empty((0, 4))).shape == (0,)
 
@@ -153,18 +156,12 @@ leaf_multiples = st.integers(min_value=1, max_value=3)
 @settings(max_examples=20, deadline=None)
 @given(domains(), branchings, hierarchy_depths, leaf_multiples, seeds)
 def test_hierarchy_flat_build_matches_reference(domain, b, d, k, seed):
-    """The stack-keeping fit == the leaf-only reference, same noise stream."""
+    """Inference over the released stack reproduces the released leaves."""
     dataset = make_gaussian_mixture(400, n_clusters=3, rng=seed, domain=domain)
     builder = HierarchicalGridBuilder(
         leaf_grid_size=k * b ** (d - 1), branching=b, depth=d
     )
-    rng_flat = np.random.default_rng(seed)
-    rng_ref = np.random.default_rng(seed)
-    flat = builder.fit(dataset, 1.0, rng_flat)
-    reference = builder.fit_reference(dataset, 1.0, rng_ref)
-    np.testing.assert_array_equal(flat.counts, reference.counts)
-    assert rng_flat.uniform() == rng_ref.uniform()
-    # Inference over the released stack reproduces the released leaves.
+    flat = builder.fit(dataset, 1.0, np.random.default_rng(seed))
     np.testing.assert_array_equal(flat.infer_leaf_counts(), flat.counts)
 
 
@@ -311,19 +308,8 @@ def test_nd_engine_matches_scalar_estimate(d, m, seed):
 
 @settings(max_examples=20, deadline=None)
 @given(domains(), nd_sizes, seeds)
-def test_multidim_build_matches_reference(domain, m, seed):
-    """The servable wrapper releases exactly the raw ND build's state."""
-    dataset = make_gaussian_mixture(400, n_clusters=3, rng=seed, domain=domain)
-    builder = MultiDimGridBuilder(per_axis_size=m)
-    flat = builder.fit(dataset, 1.0, np.random.default_rng(seed))
-    reference = builder.fit_reference(dataset, 1.0, np.random.default_rng(seed))
-    np.testing.assert_array_equal(flat.counts, reference.counts)
-
-
-@settings(max_examples=20, deadline=None)
-@given(domains(), nd_sizes, seeds)
-def test_multidim_engine_matches_scalar_bitwise(domain, m, seed):
-    """At d = 2 the scalar path routes the engine: equality is bitwise."""
+def test_multidim_engine_matches_scalar(domain, m, seed):
+    """At d = 2 the engine == the wrapped tensordot estimate to 1e-9."""
     dataset = make_gaussian_mixture(400, n_clusters=3, rng=seed, domain=domain)
     synopsis = MultiDimGridBuilder(per_axis_size=m).fit(
         dataset, 1.0, np.random.default_rng(seed)
@@ -331,6 +317,8 @@ def test_multidim_engine_matches_scalar_bitwise(domain, m, seed):
     engine = make_engine(synopsis)
     assert isinstance(engine, BatchQueryEngine)
     boxes = query_mix(domain, seed)
-    np.testing.assert_array_equal(
-        engine.answer_batch(boxes), scalar_answer_batch(synopsis, boxes)
+    scalar = scalar_answer_batch(synopsis, boxes)
+    scale = max(1.0, float(np.abs(scalar).max()))
+    np.testing.assert_allclose(
+        engine.answer_batch(boxes), scalar, rtol=1e-9, atol=1e-9 * scale
     )

@@ -1,6 +1,6 @@
 """Property tests for the flat tree kernel.
 
-Two equivalences pin the kernel to its recursive references:
+Three equivalences pin the kernel to its recursive references:
 
 * ``infer_level_order`` (flat level-wise array inference) must be
   **bit-identical** to ``infer_tree`` over the equivalent ``CountNode``
@@ -14,6 +14,9 @@ Two equivalences pin the kernel to its recursive references:
   node, on a node edge or on a leaf edge — over uninferred and inferred
   trees whose splits may produce zero-width children and zero-area
   leaves.
+* ``TreeSynopsis.answer`` (a recursion over the released arrays) must be
+  **bit-identical** to the recursive descent over the equivalent
+  ``SpatialNode`` graph, on the same query mixes.
 """
 
 import math
@@ -22,15 +25,11 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
-from repro.baselines.constrained_inference import CountNode, infer_tree
-from repro.baselines.tree import (
-    SpatialNode,
-    TreeArrays,
-    TreeSynopsis,
-    apply_tree_inference_arrays,
-)
-from repro.core.geometry import Domain2D, Rect
+from repro.baselines.tree import TreeSynopsis, apply_tree_inference_arrays
+from repro.core.geometry import Domain2D, Rect, rects_to_boxes
 from repro.queries.engine import FlatTreeEngine, scalar_answer_batch
+from tests.oracles.inference import CountNode, infer_tree
+from tests.oracles.trees import SpatialNode, graph_answer, to_root, tree_arrays
 
 counts = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 variances = st.floats(min_value=0.01, max_value=100.0, allow_nan=False)
@@ -136,7 +135,7 @@ def test_flat_inference_bit_identical_to_recursive(root: SpatialNode):
     infer_tree(count_root)
     reference = np.array(_bfs_inferred(count_root))
 
-    arrays = TreeArrays.from_root(root)
+    arrays = tree_arrays(root)
     arrays.validate()
     apply_tree_inference_arrays(arrays)
     np.testing.assert_array_equal(arrays.counts, reference)
@@ -146,7 +145,7 @@ def test_flat_inference_bit_identical_to_recursive(root: SpatialNode):
 @given(random_spatial_trees())
 def test_flat_inference_consistent(root: SpatialNode):
     """Every parent's inferred count equals the sum of its children's."""
-    arrays = TreeArrays.from_root(root)
+    arrays = tree_arrays(root)
     apply_tree_inference_arrays(arrays)
     offsets = arrays.child_offsets
     for v in range(arrays.n_nodes):
@@ -162,7 +161,7 @@ def test_single_node_tree_inference():
     leaf = SpatialNode(
         rect=Rect(0.0, 0.0, 1.0, 1.0), noisy_count=7.5, variance=2.0
     )
-    arrays = TreeArrays.from_root(leaf)
+    arrays = tree_arrays(leaf)
     apply_tree_inference_arrays(arrays)
     np.testing.assert_array_equal(arrays.counts, [7.5])
 
@@ -183,7 +182,7 @@ def test_variance_infinity_root_takes_children_sum():
     )
     count_root = _to_count_node(root)
     infer_tree(count_root)
-    arrays = TreeArrays.from_root(root)
+    arrays = tree_arrays(root)
     apply_tree_inference_arrays(arrays)
     np.testing.assert_array_equal(arrays.counts, _bfs_inferred(count_root))
     assert arrays.counts[0] == 30.0
@@ -220,7 +219,7 @@ def query_batches(draw, max_queries: int = 12) -> list[Rect]:
 @settings(max_examples=100)
 @given(random_spatial_trees(), query_batches())
 def test_flat_tree_engine_matches_scalar_answer(root, rects):
-    synopsis = TreeSynopsis(Domain2D.unit(), 1.0, TreeArrays.from_root(root))
+    synopsis = TreeSynopsis(Domain2D.unit(), 1.0, tree_arrays(root))
     engine = FlatTreeEngine(synopsis)
     flat = engine.answer_batch(rects)
     scalar = np.array([synopsis.answer(rect) for rect in rects])
@@ -240,7 +239,7 @@ def releases_with_single_cuts(draw, max_queries: int = 16):
     matched exactly or overshot, and the far query edge likewise.
     """
     root = draw(random_spatial_trees(split_fractions=edge_fractions))
-    arrays = TreeArrays.from_root(root)
+    arrays = tree_arrays(root)
     if draw(st.booleans()):
         apply_tree_inference_arrays(arrays)
     else:
@@ -305,7 +304,7 @@ def test_edge_tables_match_scalar_on_mixed_batches(release, rects):
 @settings(max_examples=40)
 @given(random_spatial_trees())
 def test_flat_tree_engine_empty_and_inverted_batches(root):
-    synopsis = TreeSynopsis(Domain2D.unit(), 1.0, TreeArrays.from_root(root))
+    synopsis = TreeSynopsis(Domain2D.unit(), 1.0, tree_arrays(root))
     engine = FlatTreeEngine(synopsis)
     assert engine.answer_batch([]).shape == (0,)
     assert engine.answer_batch(np.empty((0, 4))).shape == (0,)
@@ -320,9 +319,9 @@ def test_flat_tree_engine_empty_and_inverted_batches(root):
 @settings(max_examples=60)
 @given(random_spatial_trees())
 def test_tree_arrays_object_graph_round_trip(root):
-    """from_root -> to_root -> from_root is a fixed point of the arrays."""
-    arrays = TreeArrays.from_root(root)
-    rebuilt = TreeArrays.from_root(arrays.to_root())
+    """tree_arrays -> to_root -> tree_arrays is a fixed point of the arrays."""
+    arrays = tree_arrays(root)
+    rebuilt = tree_arrays(to_root(arrays))
     np.testing.assert_array_equal(arrays.rects, rebuilt.rects)
     np.testing.assert_array_equal(arrays.depths, rebuilt.depths)
     np.testing.assert_array_equal(arrays.child_offsets, rebuilt.child_offsets)
@@ -330,3 +329,26 @@ def test_tree_arrays_object_graph_round_trip(root):
     np.testing.assert_array_equal(arrays.variances, rebuilt.variances)
     np.testing.assert_array_equal(arrays.counts, rebuilt.counts)
     np.testing.assert_array_equal(arrays.level_offsets, rebuilt.level_offsets)
+
+
+def _graph_answer_batch(root: SpatialNode, rects) -> np.ndarray:
+    """The graph descent under ``scalar_answer_batch``'s batch contract."""
+    boxes = rects_to_boxes(rects)
+    out = np.zeros(boxes.shape[0])
+    for i, row in enumerate(boxes):
+        if row[2] >= row[0] and row[3] >= row[1]:
+            out[i] = graph_answer(root, Rect(*row))
+    return out
+
+
+@settings(max_examples=50)
+@given(releases_with_single_cuts(), query_batches())
+def test_array_descent_bit_identical_to_graph_descent(release, rects):
+    """The scalar answer over the arrays == the object-graph descent, to
+    the bit, on uninferred and inferred trees and both query mixes."""
+    synopsis, boxes = release
+    root = to_root(synopsis.arrays)
+    for batch in (boxes, rects):
+        got = scalar_answer_batch(synopsis, batch)
+        want = _graph_answer_batch(root, batch)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

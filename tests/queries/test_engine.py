@@ -8,12 +8,12 @@ from repro.core.geometry import Domain2D, Rect
 from repro.core.grid import GridLayout
 from repro.core.uniform_grid import UniformGridBuilder
 from repro.queries.engine import (
-    AdaptiveGridEngine,
     BatchQueryEngine,
     FlatAdaptiveGridEngine,
     make_engine,
     scalar_answer_batch,
 )
+from tests.oracles.adaptive_grid import AdaptiveGridEngine
 
 
 @pytest.fixture

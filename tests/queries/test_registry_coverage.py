@@ -122,6 +122,37 @@ def test_undeclared_synopsis_is_rejected(unit_domain):
             entry_point(synopsis)
 
 
+def test_scalar_answers_never_use_an_engine(monkeypatch):
+    """``scalar_answer_batch`` is an independent second opinion for all
+    nine methods: on fresh releases it answers with ``make_engine``
+    broken, and agrees with the engines once they are back."""
+    import repro.queries.engine as engine_module
+
+    dataset = get_spec("storage").make(2_000, np.random.default_rng(7))
+    fresh = {
+        method: make_builder(method).fit(dataset, 1.0, np.random.default_rng(11))
+        for method in method_names()
+    }
+    boxes = query_mix(dataset.domain, seed=5, n=40)
+
+    def no_engine(synopsis):
+        raise AssertionError(f"{type(synopsis).__name__} built an engine")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(engine_module, "make_engine", no_engine)
+        scalar = {
+            method: scalar_answer_batch(synopsis, boxes)
+            for method, synopsis in fresh.items()
+        }
+    for method, synopsis in fresh.items():
+        want = scalar[method]
+        scale = max(1.0, float(np.abs(want).max()))
+        np.testing.assert_allclose(
+            make_engine(synopsis).answer_batch(boxes), want,
+            rtol=1e-9, atol=1e-9 * scale, err_msg=method,
+        )
+
+
 def test_resolved_engines_answer_like_the_synopsis(built_synopses):
     """Each resolved engine answers the batch contract's rows (boundary,
     duplicate, degenerate, inverted, NaN, outside) as the synopsis's

@@ -113,6 +113,25 @@ class TestRoundTrip:
         assert body["stats"]["builds"] == 1
 
 
+    def test_total_estimate_is_the_served_whole_domain_answer(self, server):
+        """For every servable method, a release's ``total_estimate`` is
+        bit for bit the ``/query`` estimate of the whole domain."""
+        from repro.datasets.registry import get_spec
+        from repro.service.keys import method_names
+
+        bounds = get_spec("storage").make(n=10, rng=0).domain.bounds
+        # Distinct seeds keep the builds on separate budget ledgers.
+        for seed, method in enumerate(method_names()):
+            release = {**RELEASE, "method": method, "seed": seed}
+            status, built = call(server, "/releases", release)
+            assert status == 201, method
+            status, body = call(
+                server, "/query", {**release, "rects": [list(bounds.as_tuple())]}
+            )
+            assert status == 200, method
+            assert body["estimates"] == [built["total_estimate"]], method
+
+
 class TestErrors:
     def test_unknown_route_404(self, server):
         status, body = call(server, "/nope")

@@ -41,8 +41,7 @@ def corner_points(n=400, rng_seed=7):
     ).tolist()
 
 
-@pytest.fixture
-def stack(tmp_path):
+def serve_stack(tmp_path, drift_threshold):
     """Store + ingest manager + live server over one store directory."""
     store = SynopsisStore(
         store_dir=tmp_path, dataset_budget=2.0, n_points=N_POINTS
@@ -50,7 +49,7 @@ def stack(tmp_path):
     manager = IngestManager(
         store,
         tmp_path,
-        drift_threshold=0.05,
+        drift_threshold=drift_threshold,
         epoch_budget_fraction=0.3,  # cap 0.6: exactly one eps-0.5 refresh
     )
     http_server = serve(QueryService(store), "127.0.0.1", 0, ingest=manager)
@@ -61,6 +60,17 @@ def stack(tmp_path):
     http_server.server_close()
     thread.join(timeout=5)
     manager.close()
+
+
+@pytest.fixture
+def stack(tmp_path):
+    yield from serve_stack(tmp_path, drift_threshold=0.05)
+
+
+@pytest.fixture
+def quiet_stack(tmp_path):
+    """A stack whose drift gate only opens at total variation 1."""
+    yield from serve_stack(tmp_path, drift_threshold=1.0)
 
 
 @pytest.fixture
@@ -224,6 +234,28 @@ class TestStalenessSurface:
         stale = ingest["stale"][release_key().slug()]
         assert stale["pending_points"] == 500
         assert ingest["stats"]["refresh_refusals"] == 1
+
+    def test_no_payload_publishes_drift(self, quiet_stack):
+        """Drift is a statistic of the exact staged points: it gates
+        refreshes but no ack, ``/health`` or ``/query`` carries it."""
+        server, store, *_ = quiet_stack
+        call(server, "/releases", RELEASE)
+        # One point at the centre of the cell the release holds most mass
+        # in: its drift (1 - that mass share) stays below the gate.
+        synopsis = store.get(release_key())
+        cells = synopsis.drift_cells()
+        densest = cells[np.argmax(synopsis.answer_many(cells))]
+        point = [(densest[0] + densest[2]) / 2, (densest[1] + densest[3]) / 2]
+        status, ack, _ = call(server, "/ingest", ingest_payload(points=[point]))
+        assert status == 200
+        assert ack["refreshed"] == []
+        assert [entry["pending_points"] for entry in ack["releases"]] == [1]
+        status, health, _ = call(server, "/health")
+        assert health["ingest"]["stale"][release_key().slug()]["pending_points"] == 1
+        status, query, _ = call(server, "/query", {**RELEASE, "rects": RECTS})
+        assert query["staleness"]["pending_points"] == 1
+        for payload in (ack, health, query):
+            assert '"drift"' not in json.dumps(payload)
 
     def test_health_without_manager_reports_disabled(self, server_no_ingest):
         status, body, _ = call(server_no_ingest, "/health")

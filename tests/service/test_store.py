@@ -168,6 +168,25 @@ class TestBudget:
         assert store.budget_state()["storage|0"]["spent"] == pytest.approx(1.0)
 
 
+    def test_build_writes_the_catalog_once_for_the_spend(self, monkeypatch):
+        """One build opens one catalog write transaction: the spend's."""
+        from repro.service.catalog import Catalog
+
+        store = SynopsisStore(n_points=N_POINTS, dataset_budget=1.0)
+        outermost = []
+        exclusive = Catalog.exclusive
+
+        def counting(catalog):
+            if getattr(catalog._local, "txn_depth", 0) == 0:
+                outermost.append(True)
+            return exclusive(catalog)
+
+        monkeypatch.setattr(Catalog, "exclusive", counting)
+        store.build(key())
+        assert len(outermost) == 1
+        assert store.budget_state()["storage|0"]["spent"] == pytest.approx(1.0)
+
+
 class TestPersistence:
     def test_artifact_written_and_reloaded_after_eviction(self, tmp_path):
         store = SynopsisStore(
