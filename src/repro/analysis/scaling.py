@@ -16,7 +16,6 @@ measures the full curves:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,18 +116,3 @@ def size_sweep(
         )
         result.add(n, evaluation.mean_relative())
     return result
-
-
-def predicted_ug_epsilon_slope() -> float:
-    """The model's prediction for UG's log-log slope in epsilon.
-
-    At the guideline size ``m ~ sqrt(N eps)``, both error terms scale as
-    ``1 / m ~ (N eps)^(-1/2)`` relative to the data mass, so mean relative
-    error should fall with slope about ``-1/2`` in epsilon.
-    """
-    return -0.5
-
-
-def predicted_ug_size_slope() -> float:
-    """The model's prediction for UG's log-log slope in N (also ``-1/2``)."""
-    return -0.5

@@ -221,11 +221,6 @@ class PriveletSynopsis(UniformGridSynopsis):
         """The ``p x p`` noisy Haar coefficient matrix (padded grid)."""
         return self._coefficients
 
-    @property
-    def padded_size(self) -> int:
-        """``p``: the power-of-two side of the padded coefficient grid."""
-        return int(self._coefficients.shape[0])
-
 
 class PriveletBuilder(SynopsisBuilder):
     """Builds the ``W_m`` baseline: Privelet over an ``m x m`` grid.

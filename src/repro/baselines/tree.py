@@ -338,7 +338,7 @@ def tree_engine_precompute(synopsis: TreeSynopsis) -> dict[str, np.ndarray]:
     if lattice is None:
         return FlatTreeEngine.precompute(synopsis)
     domain = synopsis.domain
-    return BatchQueryEngine.precompute(domain.lows, domain.highs, lattice)
+    return BatchQueryEngine(domain.lows, domain.highs, lattice).slabs
 
 
 def tree_engine_from_slabs(synopsis: TreeSynopsis, slabs: dict[str, np.ndarray]):
@@ -349,7 +349,7 @@ def tree_engine_from_slabs(synopsis: TreeSynopsis, slabs: dict[str, np.ndarray])
 
     lowered = _lattice_leaves(synopsis)
     if lowered is None:
-        return FlatTreeEngine.from_slabs(synopsis, slabs)
+        return FlatTreeEngine(synopsis, slabs)
     side = lowered[0]
     domain = synopsis.domain
     return BatchQueryEngine.from_slabs(domain.lows, domain.highs, (side, side), slabs)

@@ -192,10 +192,6 @@ class Domain2D:
         self._bounds = Rect(x_lo, y_lo, x_hi, y_hi)
 
     @classmethod
-    def from_rect(cls, rect: Rect) -> "Domain2D":
-        return cls(rect.x_lo, rect.y_lo, rect.x_hi, rect.y_hi)
-
-    @classmethod
     def unit(cls) -> "Domain2D":
         """The unit square ``[0, 1] x [0, 1]``."""
         return cls(0.0, 0.0, 1.0, 1.0)
@@ -289,7 +285,3 @@ class Domain2D:
     def fraction(self, rect: Rect) -> float:
         """What fraction of the domain area ``rect`` covers (after clipping)."""
         return self._bounds.overlap_area(rect) / self.area
-
-
-def _isclose(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)

@@ -210,10 +210,6 @@ class GridLayout:
         x_slice, y_slice, fx, fy = self.coverage(rect)
         return fx.size * fy.size
 
-    def total_area_fractions(self) -> np.ndarray:
-        """Fraction of the domain area in each cell (uniform: all equal)."""
-        return np.full(self.shape, 1.0 / self.n_cells)
-
     def sample_points(
         self, counts: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:

@@ -17,14 +17,14 @@ ancestor and an undeclared type raises ``TypeError`` everywhere.
 Archives are written in one format (v2): a small binary header and JSON
 table of contents (per-array name/dtype/shape/offset/length), then
 *page-aligned* (4096 B) uncompressed array slabs — the released arrays
-and the engine buffers sealed beside them — then a SHA-1 integrity
-footer.  :func:`synopsis_from_path` memory-maps it and hands out
-read-only ``np.frombuffer`` views, so N forked workers serving the same
-release share one set of physical pages and restore their engines
-without a rebuild.  The loaders still read the older compressed
-``np.savez_compressed`` archives (v1), whose engines are rebuilt on
-load.  An archive of either format without a valid footer is rejected
-with :class:`ChecksumError`.
+and the release's engine buffers (its ``slabs``) sealed beside them —
+then a SHA-1 integrity footer.  :func:`synopsis_from_path` memory-maps
+it and hands out read-only ``np.frombuffer`` views, so N forked workers
+serving the same release share one set of physical pages, and the
+loader restores the release's engine over them without a rebuild.  The
+loaders still read the older compressed ``np.savez_compressed`` archives
+(v1), whose engines are built on first use.  An archive of either
+format without a valid footer is rejected with :class:`ChecksumError`.
 """
 
 from __future__ import annotations
@@ -60,7 +60,11 @@ from repro.extensions.multidim import (
     NDGridLayout,
     NDUniformGridSynopsis,
 )
-from repro.queries.engine import BatchQueryEngine, FlatAdaptiveGridEngine
+from repro.queries.engine import (
+    BatchQueryEngine,
+    FlatAdaptiveGridEngine,
+    make_engine,
+)
 
 __all__ = [
     "KINDS",
@@ -91,8 +95,8 @@ _V2_ALIGN = 4096
 
 #: Sealed engine buffers ride in the same archive under a reserved name
 #: prefix; the marker key distinguishes "sealed, with whatever buffers
-#: the row's precompute returned (possibly none)" from "not sealed at
-#: all" (a v1 archive).
+#: the engine answers from (possibly none)" from "not sealed at all" (a
+#: v1 archive).
 _ENGINE_SLAB_PREFIX = "engine/"
 _SEALED_MARKER = "engine/__sealed__"
 
@@ -159,21 +163,18 @@ def synopsis_to_bytes(synopsis: Synopsis) -> bytearray:
     """Serialise a released synopsis to checksummed archive bytes.
 
     Writes the page-aligned layout :func:`synopsis_from_path`
-    memory-maps, with the engine buffers sealed beside the released
-    arrays — the slabs already attached to the synopsis, if any, else
-    its row's ``precompute`` — and the SHA-1 footer (see
-    ``_CHECKSUM_MAGIC``).  The archive is filled into one preallocated
-    buffer, which is returned: writing it costs one archive's worth of
-    memory, not a copy per array and per step.  Raises ``TypeError`` for
-    an undeclared synopsis type.
+    memory-maps, with the buffers of the release's engine
+    (:func:`~repro.queries.engine.make_engine`'s ``slabs``) sealed beside
+    the released arrays, and the SHA-1 footer (see ``_CHECKSUM_MAGIC``).
+    The archive is filled into one preallocated buffer, which is
+    returned: writing it costs one archive's worth of memory, not a copy
+    per array and per step.  Raises ``TypeError`` for an undeclared
+    synopsis type.
     """
     payload = _pack(synopsis)
     payload["format_version"] = np.array(_FORMAT_VERSION)
     payload[_SEALED_MARKER] = np.array(1, dtype=np.int64)
-    slabs = synopsis.sealed_engine_slabs
-    if slabs is None:
-        slabs = synopsis_kind(type(synopsis)).precompute(synopsis)
-    for name, array in slabs.items():
+    for name, array in make_engine(synopsis).slabs.items():
         payload[_ENGINE_SLAB_PREFIX + name] = array
     return _write_v2(payload)
 
@@ -344,14 +345,14 @@ def synopsis_from_path(path: str | Path) -> Synopsis:
     """Restore a synopsis from an archive file, zero-copy where possible.
 
     The file is verified and parsed over a read-only ``mmap``.  For a v2
-    archive the returned synopsis's arrays (and its sealed engine slabs)
-    are views into the mapping, so forked workers loading the same file
-    share physical pages and ``synopsis.mapped_nbytes`` reports the
-    mapping size.  The mapping outlives this call: numpy views hold it
-    through the buffer protocol, and its pages are released when the
-    last view is garbage-collected (store eviction drops the synopsis,
-    the views die, the kernel reclaims the pages).  A v1 archive is
-    decompressed into private arrays.
+    archive the returned synopsis's arrays (and its restored engine's
+    buffers) are views into the mapping, so forked workers loading the
+    same file share physical pages and ``synopsis.mapped_nbytes``
+    reports the mapping size.  The mapping outlives this call: numpy
+    views hold it through the buffer protocol, and its pages are
+    released when the last view is garbage-collected (store eviction
+    drops the synopsis, the views die, the kernel reclaims the pages).
+    A v1 archive is decompressed into private arrays.
     """
     with open(path, "rb") as handle:
         try:
@@ -387,20 +388,19 @@ def _restore(payload: memoryview) -> Synopsis:
 def _assemble(data: dict[str, np.ndarray]) -> Synopsis:
     """Restore a parsed payload dict through the row of its kind.
 
-    Sealed engine slabs (v2) are split off their reserved prefix and
-    attached to the synopsis so
-    :func:`~repro.queries.engine.make_engine` restores the engine
-    without rebuilding.
+    Sealed engine slabs (v2) are split off their reserved prefix and the
+    release's engine is restored over them through the row's
+    ``from_slabs``.  Slabs sealed by an older kernel (``KeyError`` or
+    ``ValueError`` there) leave the release without an engine, and
+    :func:`~repro.queries.engine.make_engine` builds it on first use.
     """
     data = dict(data)
     sealed = data.pop(_SEALED_MARKER, None) is not None
     engine_slabs = {
-        name[len(_ENGINE_SLAB_PREFIX) :]: value
-        for name, value in data.items()
+        name[len(_ENGINE_SLAB_PREFIX) :]: data.pop(name)
+        for name in list(data)
         if name.startswith(_ENGINE_SLAB_PREFIX)
     }
-    for name in engine_slabs:
-        del data[_ENGINE_SLAB_PREFIX + name]
     version = int(data.pop("format_version"))
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported synopsis format version {version}")
@@ -410,7 +410,10 @@ def _assemble(data: dict[str, np.ndarray]) -> Synopsis:
         raise ValueError(f"unknown synopsis kind {kind!r}")
     synopsis = row.unpack(data)
     if sealed:
-        synopsis.seal_engine_slabs(engine_slabs)
+        try:
+            synopsis.engine = row.from_slabs(synopsis, engine_slabs)
+        except (KeyError, ValueError):
+            pass  # sealed by an older kernel: built on first use
     return synopsis
 
 
@@ -658,7 +661,7 @@ def _grid_kind(kind: str, synopsis_type: type, pack, unpack, grid) -> SynopsisKi
 
     return SynopsisKind(
         kind, synopsis_type, pack, unpack,
-        lambda synopsis: BatchQueryEngine.precompute(*grid(synopsis)),
+        lambda synopsis: BatchQueryEngine(*grid(synopsis)).slabs,
         from_slabs,
     )
 
@@ -692,7 +695,7 @@ KINDS: tuple[SynopsisKind, ...] = (
     SynopsisKind(
         "adaptive_grid", AdaptiveGridSynopsis, _pack_adaptive,
         _unpack_adaptive, FlatAdaptiveGridEngine.precompute,
-        FlatAdaptiveGridEngine.from_slabs,
+        FlatAdaptiveGridEngine,
     ),
     SynopsisKind(
         "tree", TreeSynopsis, _pack_tree, _unpack_tree,

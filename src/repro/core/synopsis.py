@@ -9,8 +9,8 @@ data again, which is what makes the release safe to publish.
 Concrete synopses (UG, AG, KD trees, hierarchies, Privelet, ...) subclass
 :class:`Synopsis` and implement :meth:`Synopsis.answer`.  Batches need no
 code of their own: :meth:`Synopsis.answer_many` answers them through the
-batch engine of the type's declared row (see
-:mod:`repro.core.serialization`), built once per release object.
+release's one batch engine (:attr:`Synopsis.engine`), the engine of the
+type's declared row (see :mod:`repro.core.serialization`).
 """
 
 from __future__ import annotations
@@ -33,17 +33,13 @@ class Synopsis(abc.ABC):
     ``domain`` and ``epsilon``.
     """
 
-    #: Precomputed engine slabs, attached by the v2 loader (sealed into
-    #: the archive) or by the store's build (computed once, then written)
-    #: so :func:`~repro.queries.engine.make_engine` can skip the derived-
-    #: buffer rebuild.  ``None`` when the synopsis was fitted directly or
-    #: loaded from a v1 archive.
-    _sealed_engine_slabs: "dict[str, np.ndarray] | None" = None
-
-    #: The batch engine :meth:`answer_many` answers through, built on
-    #: first use.  The released state never changes, so one engine per
-    #: release object serves every later batch.
-    _engine = None
+    #: The batch engine this release answers through: restored by the
+    #: archive loader from the buffers sealed in a v2 archive, prepared
+    #: by the store's build, or else built on first use by
+    #: :func:`~repro.queries.engine.make_engine`, which every caller goes
+    #: through; ``None`` until then.  The released state never changes,
+    #: so one engine per release object serves every batch.
+    engine = None
 
     #: Size in bytes of the read-only file mapping backing this
     #: synopsis's arrays (archive format v2); 0 when the synopsis owns
@@ -58,15 +54,6 @@ class Synopsis(abc.ABC):
     @property
     def domain(self) -> Domain2D:
         return self._domain
-
-    @property
-    def sealed_engine_slabs(self) -> "dict[str, np.ndarray] | None":
-        """Precomputed engine buffers attached to this release."""
-        return self._sealed_engine_slabs
-
-    def seal_engine_slabs(self, slabs: "dict[str, np.ndarray] | None") -> None:
-        """Attach precomputed engine buffers; ``None`` drops them."""
-        self._sealed_engine_slabs = None if slabs is None else dict(slabs)
 
     @property
     def epsilon(self) -> float:
@@ -86,25 +73,22 @@ class Synopsis(abc.ABC):
         """Vector of estimates for a batch of query rectangles.
 
         Accepts a list of :class:`Rect`, a list of 4-number rows, or an
-        ``(n, 4)`` array.  A declared type answers through the engine
-        :func:`~repro.queries.engine.make_engine` builds from its row of
-        :data:`~repro.core.serialization.KINDS`, over the sealed engine
-        slabs when the release carries them; the engine is built on the
-        first batch and kept.  An undeclared type has no engine and
-        answers through :func:`~repro.queries.engine.scalar_answer_batch`,
-        a per-rect loop under the same batch contract (empty batches
-        return ``(0,)``, inverted/NaN rows answer 0).
+        ``(n, 4)`` array.  A declared type answers through the release's
+        one engine, :func:`~repro.queries.engine.make_engine`'s.  An
+        undeclared type has no engine and answers through
+        :func:`~repro.queries.engine.scalar_answer_batch`, a per-rect
+        loop under the same batch contract (empty batches return
+        ``(0,)``, inverted/NaN rows answer 0).
         """
-        if self._engine is None:
-            from repro.core.serialization import synopsis_kind
-            from repro.queries.engine import make_engine, scalar_answer_batch
+        from repro.core.serialization import synopsis_kind
+        from repro.queries.engine import make_engine, scalar_answer_batch
 
+        if self.engine is None:
             try:
                 synopsis_kind(type(self))
             except TypeError:
                 return scalar_answer_batch(self, rects)
-            self._engine = make_engine(self)
-        return self._engine.answer_batch(rects)
+        return make_engine(self).answer_batch(rects)
 
     def total(self) -> float:
         """Estimated total number of points (query over the whole domain).

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.datasets.registry import dataset_names
 from repro.experiments import figure1, figure2, figure3, figure4, figure5, figure6, table2
 from repro.experiments.base import ExperimentReport
 
@@ -126,8 +125,3 @@ def run_suite(scale: SuiteScale = QUICK_SCALE) -> ExperimentReport:
                 )
             )
     return combined
-
-
-def available_suite_datasets() -> list[str]:
-    """All dataset names a :class:`SuiteScale` may reference."""
-    return dataset_names()

@@ -32,8 +32,6 @@ paper exactly.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core.dataset import GeoDataset
@@ -298,9 +296,9 @@ class MultiDimGridSynopsis(Synopsis):
     HTTP transports.  A :class:`~repro.core.geometry.Rect` row
     ``(x_lo, y_lo, x_hi, y_hi)`` *is* the engine's lows-then-highs
     layout at d = 2, so queries pass through unchanged.  Batches go
-    through the ``ndgrid`` row's engine, over the sealed ``prefix``
-    slab when the release carries one; the scalar :meth:`answer` is the
-    wrapped release's tensordot estimate
+    through the release's engine, the ``ndgrid`` row's, restored over
+    its sealed ``prefix`` slab when it was loaded from an archive; the
+    scalar :meth:`answer` is the wrapped release's tensordot estimate
     (:meth:`NDGridLayout.estimate`), an independent path the engine is
     checked against.
     """

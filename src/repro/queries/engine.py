@@ -54,15 +54,20 @@ answers at every coordinate below the node, interpolated by its leaves'
 ramp), and only the pairs that hold a query corner or are crossed by
 two parallel query edges expand to the next level's frontier.
 
-:func:`make_engine` builds the engine of any declared synopsis type
-through its row of :data:`repro.core.serialization.KINDS`, the one table
-that says how each type is archived and which engine serves it, so
-adding a synopsis type never edits this module.  That is how the
-serving layer (:mod:`repro.service`) reuses one prepared engine across
-many incoming query batches for every synopsis family.
+:func:`make_engine` returns the one engine a release keeps, building
+it on first use through the synopsis type's row of
+:data:`repro.core.serialization.KINDS`, the one table that says how each
+type is archived and which engine serves it, so adding a synopsis type
+never edits this module.  Every engine exposes ``slabs``, the buffers it
+answers from, which the archive writer seals beside the release and the
+loader restores the engine from.  That is how the serving layer
+(:mod:`repro.service`) reuses one prepared engine across many incoming
+query batches for every synopsis family.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -72,8 +77,6 @@ __all__ = [
     "BatchQueryEngine",
     "FlatAdaptiveGridEngine",
     "FlatTreeEngine",
-    "compute_engine_slabs",
-    "has_sealed_engine",
     "make_engine",
     "rects_to_boxes",  # canonical home: repro.core.geometry
     "scalar_answer_batch",
@@ -153,20 +156,12 @@ class BatchQueryEngine:
             if v & ones == ones
         ]
 
-    @staticmethod
-    def precompute(lows, highs, counts: np.ndarray) -> dict[str, np.ndarray]:
-        """Derived buffers to seal into a v2 archive at release time.
-
-        Runs the exact constructor preprocessing, so an engine restored
-        via :meth:`from_slabs` is bit-identical to one built in-process.
-        """
-        return {"prefix": BatchQueryEngine(lows, highs, counts)._prefix}
-
     @classmethod
     def from_slabs(
         cls, lows, highs, shape: tuple[int, ...], slabs: dict[str, np.ndarray]
     ) -> "BatchQueryEngine":
-        """Restore an engine over a grid of ``shape`` from sealed slabs.
+        """Restore an engine over a grid of ``shape`` from the ``slabs``
+        of an engine built over it, bit-identical to that engine.
 
         The slabs may be read-only mmap views; the engine never writes
         into its prefix buffer after construction, so restored engines
@@ -183,6 +178,11 @@ class BatchQueryEngine:
         engine = cls.__new__(cls)
         engine._bind(lows, highs, prefix)
         return engine
+
+    @property
+    def slabs(self) -> dict[str, np.ndarray]:
+        """The buffers this engine answers from: its prefix tensor."""
+        return {"prefix": self._prefix}
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -304,10 +304,15 @@ class FlatAdaptiveGridEngine:
     scalar two-level path up to floating-point rounding.
     """
 
-    def __init__(self, synopsis, *, _slabs: dict[str, np.ndarray] | None = None):
+    def __init__(self, synopsis, slabs: dict[str, np.ndarray] | None = None):
+        """The engine of ``synopsis`` over ``slabs`` (by default
+        :meth:`precompute`'s).  Sealed slabs may be read-only mmap views,
+        which answers only read; slabs an older precompute sealed raise
+        ``KeyError`` (missing) or ``ValueError`` (mismatched)."""
         m1x, m1y = synopsis.first_level_size
         sizes = synopsis.cell_sizes.reshape(-1)
-        slabs = self.precompute(synopsis) if _slabs is None else _slabs
+        if slabs is None:
+            slabs = self.precompute(synopsis)
         prefix = np.asarray(slabs["prefix"], dtype=float)
         prefix_offsets = np.asarray(slabs["prefix_offsets"], dtype=np.int64)
         totals_prefix = np.asarray(slabs["totals_prefix"], dtype=float)
@@ -415,19 +420,18 @@ class FlatAdaptiveGridEngine:
             "g_table": g_table,
         }
 
-    @classmethod
-    def from_slabs(
-        cls, synopsis, slabs: dict[str, np.ndarray]
-    ) -> "FlatAdaptiveGridEngine":
-        """Restore an engine from sealed slabs without rebuilding.
-
-        The slabs may be read-only mmap views; ``answer_batch`` never
-        writes into them, so restored engines share the archive's
-        physical pages across forked workers.  Slabs sealed by an older
-        precompute raise ``KeyError`` (missing) or ``ValueError``
-        (mismatched), and :func:`make_engine` then rebuilds.
-        """
-        return cls(synopsis, _slabs=slabs)
+    @property
+    def slabs(self) -> dict[str, np.ndarray]:
+        """The buffers this engine answers from (see :meth:`precompute`)."""
+        return {
+            "prefix": self._prefix,
+            "prefix_offsets": self._prefix_offsets,
+            "totals_prefix": self._totals_prefix,
+            "x_edges": self._x_edges,
+            "y_edges": self._y_edges,
+            "f_table": self._f_table,
+            "g_table": self._g_table,
+        }
 
     @property
     def n_cells(self) -> int:
@@ -437,12 +441,7 @@ class FlatAdaptiveGridEngine:
     @property
     def nbytes(self) -> int:
         """In-memory footprint of the prepared buffers."""
-        arrays = (
-            self._sizes, self._prefix, self._prefix_offsets,
-            self._totals_prefix, self._x_edges, self._y_edges,
-            self._f_table, self._g_table,
-        )
-        return sum(a.nbytes for a in arrays)
+        return self._sizes.nbytes + sum(a.nbytes for a in self.slabs.values())
 
     def _summed_area(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
         """``S`` at corners given in first-level cell units (clipped)."""
@@ -629,9 +628,14 @@ class FlatTreeEngine:
     path's depth-first one.
     """
 
-    def __init__(self, synopsis, *, _slabs: dict[str, np.ndarray] | None = None):
+    def __init__(self, synopsis, slabs: dict[str, np.ndarray] | None = None):
+        """The engine of ``synopsis`` over ``slabs`` (by default
+        :meth:`precompute`'s).  Sealed slabs may be read-only mmap views,
+        which the descent only gathers from; slabs sealed without edge
+        tables raise ``KeyError``."""
         arrays = synopsis.arrays
-        slabs = self.precompute(synopsis) if _slabs is None else _slabs
+        if slabs is None:
+            slabs = self.precompute(synopsis)
         counts = np.asarray(arrays.counts, dtype=float)
         n = counts.size
         x_lo = np.asarray(slabs["x_lo"], dtype=float)
@@ -704,16 +708,20 @@ class FlatTreeEngine:
             slabs.update(tables.slabs(axis))
         return slabs
 
-    @classmethod
-    def from_slabs(cls, synopsis, slabs: dict[str, np.ndarray]) -> "FlatTreeEngine":
-        """Restore an engine from sealed slabs without rebuilding.
-
-        The slabs may be read-only mmap views; the descent only gathers
-        from them, so restored engines share the archive's physical
-        pages across forked workers.  Slabs sealed without edge tables
-        raise ``KeyError``, and :func:`make_engine` then rebuilds.
-        """
-        return cls(synopsis, _slabs=slabs)
+    @property
+    def slabs(self) -> dict[str, np.ndarray]:
+        """The buffers this engine answers from (see :meth:`precompute`)."""
+        return {
+            "x_lo": self._x_lo,
+            "y_lo": self._y_lo,
+            "x_hi": self._x_hi,
+            "y_hi": self._y_hi,
+            "areas": self._areas,
+            "fan_out": self._fan_out,
+            "is_leaf": self._is_leaf,
+            **self._x_tables.slabs("x"),
+            **self._y_tables.slabs("y"),
+        }
 
     @property
     def n_nodes(self) -> int:
@@ -735,11 +743,8 @@ class FlatTreeEngine:
     @property
     def nbytes(self) -> int:
         """In-memory footprint of the prepared buffers."""
-        arrays = (
-            self._x_lo, self._y_lo, self._x_hi, self._y_hi, self._areas,
-            self._counts, self._child_offsets, self._fan_out, self._is_leaf,
-        )
-        return sum(a.nbytes for a in arrays) + self.table_nbytes
+        arrays = (self._counts, self._child_offsets, *self.slabs.values())
+        return sum(a.nbytes for a in arrays)
 
     def answer_batch(self, rects: list[Rect] | np.ndarray) -> np.ndarray:
         """Uniformity estimates for every rectangle in the batch."""
@@ -1136,60 +1141,38 @@ def _scan(
     return running - np.repeat(base, lengths)
 
 
-def compute_engine_slabs(synopsis) -> dict[str, np.ndarray]:
-    """Derived engine buffers to seal alongside a release.
-
-    The ``precompute`` of the synopsis's declared row; an empty dict is
-    a valid sealing (the engine's prepared state is the released arrays
-    themselves).  Raises ``TypeError`` for an undeclared synopsis type.
-    """
-    from repro.core.serialization import synopsis_kind
-
-    return dict(synopsis_kind(type(synopsis)).precompute(synopsis))
-
-
-def has_sealed_engine(synopsis) -> bool:
-    """Whether the synopsis carries sealed engine slabs.
-
-    Slabs are attached only through a declared row: by the archive
-    loader, by the store's build, or from :func:`compute_engine_slabs`.
-    After :func:`make_engine` this also says how the engine was made:
-    slabs that turn out stale are dropped there, so a ``True`` here
-    afterwards means the engine was restored, not rebuilt.
-    """
-    return synopsis.sealed_engine_slabs is not None
+#: Guards the publication of a release's first finished engine build.
+_PUBLISH = threading.Lock()
 
 
 def make_engine(synopsis):
-    """Build the batch engine for a released synopsis.
+    """The batch engine a released synopsis keeps, built on first use.
 
-    Resolves the synopsis through the row of its nearest declared type
-    (see :func:`repro.core.serialization.synopsis_kind`) and returns
-    ``from_slabs(synopsis, slabs)``, over the sealed slabs when the
-    synopsis carries them (loaded from a v2 archive, or sealed by the
-    store when it built the release) and over freshly computed
-    ``precompute(synopsis)`` otherwise.  Restoring from sealed slabs
-    skips the derived-buffer rebuild, and mapped buffers stay read-only
-    views over the archive.  Slabs an older precompute sealed (missing
-    or mismatched arrays) are dropped from the synopsis and the engine
-    is rebuilt.  Raises ``TypeError`` for an undeclared synopsis type.
+    Returns :attr:`~repro.core.synopsis.Synopsis.engine` when the
+    release holds it, else builds it through the row of the synopsis's
+    nearest declared type (see
+    :func:`repro.core.serialization.synopsis_kind`) as
+    ``from_slabs(synopsis, precompute(synopsis))`` and keeps it.  The
+    build runs outside any lock and the first finished one is published
+    under a short lock (a losing concurrent build is discarded), so
+    every caller gets the release's one engine.  Raises ``TypeError``
+    for an undeclared synopsis type.
 
     Grid-shaped releases get the prefix-sum :class:`BatchQueryEngine`,
     adaptive grids the summed-area :class:`FlatAdaptiveGridEngine`,
     spatial trees a lattice :class:`BatchQueryEngine` or the level-order
     :class:`FlatTreeEngine`.  The returned object exposes
-    ``answer_batch(rects) -> np.ndarray`` and holds no reference to raw
-    data, so it can be cached and shared across threads.
+    ``answer_batch(rects) -> np.ndarray`` and ``slabs``, and holds no
+    reference to raw data, so it can be shared across threads.
     """
-    from repro.core.serialization import synopsis_kind
+    engine = synopsis.engine
+    if engine is None:
+        from repro.core.serialization import synopsis_kind
 
-    row = synopsis_kind(type(synopsis))
-    slabs = synopsis.sealed_engine_slabs
-    if slabs is not None:
-        try:
-            return row.from_slabs(synopsis, slabs)
-        except (KeyError, ValueError):
-            # Stale slabs: drop them, so has_sealed_engine reports
-            # the rebuild below and later calls skip the retry.
-            synopsis.seal_engine_slabs(None)
-    return row.from_slabs(synopsis, row.precompute(synopsis))
+        row = synopsis_kind(type(synopsis))
+        engine = row.from_slabs(synopsis, row.precompute(synopsis))
+        with _PUBLISH:
+            if synopsis.engine is None:
+                synopsis.engine = engine
+            engine = synopsis.engine
+    return engine

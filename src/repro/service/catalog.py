@@ -317,12 +317,6 @@ class Catalog:
                 (tenant, time.time()),
             )
 
-    def tenant_exists(self, tenant: str) -> bool:
-        row = self._conn().execute(
-            "SELECT 1 FROM tenants WHERE id = ?", (tenant,)
-        ).fetchone()
-        return row is not None
-
     def tenant_ids(self) -> list[str]:
         rows = self._conn().execute(
             "SELECT id FROM tenants ORDER BY id"

@@ -2,8 +2,8 @@
 
 :class:`QueryService` is the read path of the serving layer.  Each
 request fetches its release from the store once and answers the batch
-with that release's prepared batch engine (built by
-:func:`~repro.queries.engine.make_engine`, prefix sums precomputed:
+with that release's one prepared batch engine (the one
+:func:`~repro.queries.engine.make_engine` returns, prefix sums precomputed:
 the d-dimensional grid kernel :class:`~repro.queries.engine.
 BatchQueryEngine` for every grid-shaped release (UG, Hier, Privelet,
 UGnd, and Hier1d as an ``m x 1`` grid) and lattice-aligned trees, the
@@ -16,17 +16,18 @@ the engine map and the answer cache are guarded.
 
 A released synopsis is immutable, so its engine and every answer
 computed from it are pure functions of the *release object* the store
-hands back.  Both are tied to that object, not to its key: engines live
-in a map weakly keyed by the release, built once per release object and
-gone with it; on top sits an **answer cache**, a byte-bounded LRU keyed
+hands back.  Both are tied to that object, not to its key: the release
+keeps its one engine, which the service records in a map weakly keyed
+by the release; on top sits an **answer cache**, a byte-bounded LRU keyed
 by ``(ReleaseKey, sha1(boxes.tobytes()), clamp)`` whose entries remember
 (weakly) the release they were computed from.  Repeat batches — the
 dominant pattern behind dashboards and monitoring — are served from it
 without touching an engine, but only to a request whose release is that
 same object.  A forced rebuild or an evict-and-reload hands back a new
 object, so a stale answer is never served, and eviction, reloads and
-tenant stamping need no bookkeeping here.  A new engine build drops the
-key's older answers and those of releases that have died.
+tenant stamping need no bookkeeping here.  The first request for a
+release object drops the key's older answers and those of releases that
+have died.
 
 Answering queries is post-processing of a released synopsis: it spends no
 privacy budget, and the service never sees raw data at all.
@@ -43,11 +44,7 @@ import numpy as np
 
 from repro.core.geometry import Rect
 from repro.core.synopsis import Synopsis
-from repro.queries.engine import (
-    has_sealed_engine,
-    make_engine,
-    rects_to_boxes,
-)
+from repro.queries.engine import make_engine, rects_to_boxes
 from repro.service import faultinject
 from repro.service.keys import ReleaseKey
 from repro.service.store import SynopsisStore
@@ -63,7 +60,7 @@ class QueryResult:
     """Estimates for one batch, with the metadata responses report.
 
     ``build_ms`` is time spent obtaining the engine (store lookup, plus
-    prefix-sum preparation on a cold start); ``answer_ms`` is the batch
+    the engine's build on a cold start); ``answer_ms`` is the batch
     evaluation itself (or the cache lookup, for a hit).  Billing them
     separately keeps a cold engine build from masquerading as a slow
     query — the first request after an eviction pays ``build_ms``, not a
@@ -106,10 +103,11 @@ class QueryResult:
 class QueryService:
     """Answers rectangle-query batches from a :class:`SynopsisStore`.
 
-    Engines are keyed by release object: one is built the first time a
-    release the store hands back is queried, and it is dropped when that
-    object dies (the store evicted it and no request still holds it), so
-    the store's LRU bounds govern total memory.
+    Engines are keyed by release object: the release's own engine is
+    recorded the first time a release the store hands back is queried,
+    and it is dropped with that object (the store evicted it and no
+    request still holds it), so the store's LRU bounds govern total
+    memory.
 
     ``answer_cache_bytes`` bounds the answer cache (estimate-vector bytes;
     0 disables caching entirely).
@@ -128,9 +126,10 @@ class QueryService:
         self._engines: weakref.WeakKeyDictionary[Synopsis, object] = (
             weakref.WeakKeyDictionary()
         )
+        # Release objects a request has arrived for: the first arrival
+        # counts how the release's engine came (see _engine_for).
+        self._arrived: weakref.WeakSet[Synopsis] = weakref.WeakSet()
         self._lock = threading.Lock()
-        self._engine_building: set[Synopsis] = set()
-        self._engine_done = threading.Condition(self._lock)
         self._queries_answered = 0
         self._batches_answered = 0
         self._engine_cold_starts = 0
@@ -189,57 +188,40 @@ class QueryService:
     def _engine_for(
         self, key: ReleaseKey, release: Synopsis, deadline: Deadline | None = None
     ):
-        """The engine of ``release``, the store's release for ``key``.
+        """The engine of ``release``, the store's release for ``key``:
+        the one ``make_engine`` returns, which the release keeps.
 
-        Built once per release object: concurrent first requests wait
-        for one build instead of each preparing a duplicate.
+        The first request for a release object counts how its engine
+        came: a sealed load when the release arrived holding it
+        (restored from its archive, or prepared by the store's build), a
+        cold start when that query builds it.  A concurrent first
+        request calls ``make_engine`` too and gets the same engine.
         """
         with self._lock:
-            while True:
-                engine = self._engines.get(release)
-                if engine is not None:
-                    return engine
-                if release not in self._engine_building:
-                    break
-                if deadline is None:
-                    self._engine_done.wait()
+            engine = self._engines.get(release)
+            if engine is not None:
+                return engine
+            if release not in self._arrived:
+                self._arrived.add(release)
+                if release.engine is None:
+                    self._engine_cold_starts += 1
                 else:
-                    deadline.check("waiting for an in-flight engine build")
-                    self._engine_done.wait(deadline.remaining())
-            self._engine_building.add(release)
-        # Build outside the lock: prefix-sum preparation can take a few
-        # milliseconds for large releases and must not stall other keys.
-        try:
-            if deadline is not None:
-                deadline.check("preparing the query engine")
-            engine = make_engine(release)
-        except BaseException:
-            with self._lock:
-                self._engine_building.discard(release)
-                self._engine_done.notify_all()
-            raise
+                    self._engine_sealed_loads += 1
+                # No answer comes from this release yet, so the key's
+                # cached answers came from other release objects; drop
+                # them, and the answers of releases that have died.
+                for entry in [
+                    cache_key
+                    for cache_key, (source, _) in self._answers.items()
+                    if cache_key[0] == key or source() is None
+                ]:
+                    self._answers_nbytes -= self._answers.pop(entry)[1].nbytes
+        # A cold start builds outside the lock, not stalling other keys.
+        if deadline is not None:
+            deadline.check("preparing the query engine")
+        engine = make_engine(release)
         with self._lock:
-            # Slabs sealed at build time or into a v2 archive restore the
-            # engine without a derived-buffer rebuild: a warm load.
-            # make_engine drops stale slabs before rebuilding, so only
-            # genuine rebuilds count as cold starts.
-            if has_sealed_engine(release):
-                self._engine_sealed_loads += 1
-            else:
-                self._engine_cold_starts += 1
-            self._engines[release] = engine
-            self._engine_building.discard(release)
-            self._engine_done.notify_all()
-            # No answer comes from this release yet, so the key's cached
-            # answers came from other release objects; drop them, and
-            # the answers of releases that have died.
-            for entry in [
-                cache_key
-                for cache_key, (source, _) in self._answers.items()
-                if cache_key[0] == key or source() is None
-            ]:
-                self._answers_nbytes -= self._answers.pop(entry)[1].nbytes
-        return engine
+            return self._engines.setdefault(release, engine)
 
     def answer(
         self,

@@ -178,9 +178,6 @@ class SynopsisHTTPServer(ThreadingHTTPServer):
         Resolves request headers to a tenant id; defaults to
         :class:`~repro.service.auth.NullAuthenticator` (everyone is the
         ``default`` tenant).
-    tenant_factory:
-        Test hook: ``tenant_factory(tenant) -> _TenantContext`` replaces
-        the default per-tenant store/service/ingest construction.
     """
 
     daemon_threads = True
@@ -198,7 +195,6 @@ class SynopsisHTTPServer(ThreadingHTTPServer):
         max_header_bytes: int = 32 * 1024,
         ingest=None,
         authenticator: Authenticator | None = None,
-        tenant_factory=None,
     ):
         if reuse_port and not hasattr(socket, "SO_REUSEPORT"):
             raise OSError("SO_REUSEPORT is not supported on this platform")
@@ -216,7 +212,6 @@ class SynopsisHTTPServer(ThreadingHTTPServer):
         self.authenticator = (
             authenticator if authenticator is not None else NullAuthenticator()
         )
-        self.tenant_factory = tenant_factory
         self._tenants: dict[str, _TenantContext] = {
             DEFAULT_TENANT: _TenantContext(service=service, ingest=ingest)
         }
@@ -267,8 +262,6 @@ class SynopsisHTTPServer(ThreadingHTTPServer):
             return context
 
     def _make_context(self, tenant: str) -> _TenantContext:
-        if self.tenant_factory is not None:
-            return self.tenant_factory(tenant)
         store = self.service.store.for_tenant(tenant)
         service = self.service.for_store(store)
         ingest = None

@@ -12,14 +12,14 @@
   evicted release is reloaded from disk instead of being re-fit.  The
   artifact is page-aligned and uncompressed: reloads memory-map it
   read-only, so ``--workers N`` processes serving the same release share
-  one set of physical pages (and the sealed engine slabs restore without
-  a per-worker rebuild); eviction simply drops the views and lets the
-  page cache decide.  A build computes the release's engine slabs once,
-  writes them, and attaches them to the in-memory release, so the first
-  query after a build or an ingest refresh restores its engine too.
+  one set of physical pages (and the release's engine is restored over
+  its sealed buffers without a per-worker rebuild); eviction simply
+  drops the views and lets the page cache decide.  A build prepares the
+  release's engine once and seals its buffers into the archive, so the
+  first query after a build or an ingest refresh finds it ready too.
   Compressed v1 archives written by older versions still load (their
-  engines are rebuilt), so a directory holding both formats is served
-  transparently;
+  engines are built on first use), so a directory holding both formats
+  is served transparently;
 * **account** — charge every fit against a per-dataset-instance
   :class:`~repro.privacy.budget.PrivacyBudget` and refuse builds that
   would overdraw it (:class:`~repro.service.errors.BudgetRefused`).
@@ -66,7 +66,7 @@ from repro.core.serialization import (
 )
 from repro.core.synopsis import Synopsis
 from repro.datasets.registry import get_spec
-from repro.queries.engine import compute_engine_slabs
+from repro.queries.engine import make_engine
 from repro.privacy.budget import BudgetExceededError, PrivacyBudget
 from repro.service import faultinject
 from repro.service.catalog import CATALOG_FILE, Catalog, validate_tenant_id
@@ -199,10 +199,9 @@ class SynopsisStore:
         recently used release is always retained even when it alone
         exceeds the bound.  Prepared query engines are not counted here:
         budget for them separately (they are roughly the size of the
-        released state again, and a :class:`~repro.service.
-        query_service.QueryService` engine lives only as long as its
-        release object, so it goes once the store evicts the release
-        and no request still holds it).
+        released state again, and a release's engine lives only as long
+        as its release object, so it goes once the store evicts the
+        release and no request still holds it).
     n_points:
         Optional dataset-size override applied to every build (the
         registry default otherwise).  Part of the store configuration, not
@@ -522,10 +521,9 @@ class SynopsisStore:
                     dataset = dataset.extend(context.points)
             builder = make_builder(key.method)
             synopsis = builder.fit(dataset, key.epsilon, key.build_rng(salt))
-            # Engine slabs are computed once: the archive writer reuses
-            # them, and the first query restores its engine from them
-            # instead of rebuilding it.
-            synopsis.seal_engine_slabs(compute_engine_slabs(synopsis))
+            # The release's one engine, prepared once: the archive writer
+            # seals its buffers, and every later answer reads it.
+            make_engine(synopsis)
             self._persist(key, synopsis)
         except BaseException:
             with self._lock:

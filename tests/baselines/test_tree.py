@@ -161,7 +161,7 @@ class TestTreeArrays:
         )
         # Batches go through make_engine's pick, which for this consistent
         # (100 = 70 + 30), lattice-aligned tree is its 2 x 2 lattice.
-        assert isinstance(synopsis._engine, BatchQueryEngine)
+        assert isinstance(synopsis.engine, BatchQueryEngine)
 
     def test_flat_inference_matches_object_graph_path(self):
         from repro.baselines.tree import apply_tree_inference_arrays

@@ -23,11 +23,7 @@ from repro.core.serialization import (
     synopsis_from_path,
     synopsis_to_bytes,
 )
-from repro.queries.engine import (
-    compute_engine_slabs,
-    has_sealed_engine,
-    make_engine,
-)
+from repro.queries.engine import make_engine
 from repro.service.keys import make_builder, method_names
 from tests.v1_archive import v1_archive_bytes
 from tests.v2_reference import v2_reference_bytes
@@ -93,23 +89,24 @@ class TestRoundTripMatrix:
 
     @pytest.mark.parametrize("method", method_names())
     def test_sealed_engine_matches_rebuilt(self, dataset, method, tmp_path):
-        """A v2 restore carries sealed engine slabs, and the engine
-        restored from them answers bit-identically to a cold rebuild."""
+        """A v2 restore holds its engine, restored from the sealed slabs,
+        and it answers bit-identically to a cold rebuild."""
         synopsis = build(dataset, method)
         path = tmp_path / f"{method}.npz"
         save_synopsis(synopsis, path)
         mapped = synopsis_from_path(path)
-        assert has_sealed_engine(mapped)
+        assert mapped.engine is not None
         cold = build(dataset, method)  # same seed: identical synopsis
         np.testing.assert_array_equal(batch_answers(mapped), batch_answers(cold))
 
     @pytest.mark.parametrize("method", method_names())
     def test_build_sealed_engine_matches_rebuilt(self, dataset, method, tmp_path):
-        """Slabs sealed at build time (as the store seals them), the same
-        slabs restored from v2, and a rebuild (unsealed, or a v1 load)
-        give one engine type and bit-identical answers."""
+        """An engine prepared at build time (as the store prepares it),
+        the engine restored from its slabs in v2, and a rebuild (a fresh
+        fit, or a v1 load) give one engine type and bit-identical
+        answers."""
         sealed = build(dataset, method)
-        sealed.seal_engine_slabs(compute_engine_slabs(sealed))
+        prepared = make_engine(sealed)
         (tmp_path / "v1.npz").write_bytes(v1_archive_bytes(sealed))
         save_synopsis(sealed, tmp_path / "v2.npz")
         engines = {
@@ -118,7 +115,7 @@ class TestRoundTripMatrix:
             "v1": make_engine(synopsis_from_path(tmp_path / "v1.npz")),
             "v2": make_engine(synopsis_from_path(tmp_path / "v2.npz")),
         }
-        assert has_sealed_engine(sealed)
+        assert engines["sealed"] is prepared
         reference = engines["rebuilt"].answer_batch(QUERIES)
         for label, engine in engines.items():
             assert type(engine) is type(engines["rebuilt"]), label
@@ -129,7 +126,7 @@ class TestRoundTripMatrix:
     def test_v1_restore_is_not_sealed(self, dataset, tmp_path):
         path = tmp_path / "ug.npz"
         path.write_bytes(v1_archive_bytes(build(dataset, "UG")))
-        assert not has_sealed_engine(synopsis_from_path(path))
+        assert synopsis_from_path(path).engine is None
 
 
 class TestMappedViews:

@@ -18,7 +18,6 @@ invariants under fault:
 import errno
 import sqlite3
 
-import numpy as np
 import pytest
 from faultutil import N_POINTS, release_key
 
@@ -129,9 +128,12 @@ class TestCorruptLedger:
     def test_truncated_ledger_refuses_all_builds(self, tmp_path):
         """A cut catalog never opens as a healthy, emptier ledger.
 
-        Each cut either fails to open (``sqlite3.DatabaseError``), opens
-        with ``ledger_corrupt`` set — every build refused, persisted
-        releases still served — or still holds the whole ledger.
+        The file is cut in every page — at its first byte, the next one,
+        its middle and its last byte — so no page of the schema's layout
+        goes untested.  Each cut either fails to open
+        (``sqlite3.DatabaseError``), opens with ``ledger_corrupt`` set —
+        every build refused, persisted releases still served — or still
+        holds the whole ledger.
         """
         store = _store(tmp_path)
         store.build(release_key())
@@ -142,11 +144,19 @@ class TestCorruptLedger:
         del store
         path = tmp_path / CATALOG_FILE
         pristine = path.read_bytes()
-        rng = np.random.default_rng(19)
-        cuts = {1, len(pristine) - 1}
-        cuts.update(int(c) for c in rng.integers(2, len(pristine) - 1, size=8))
+        # The header's big-endian page size; 1 encodes 65536.
+        page_size = int.from_bytes(pristine[16:18], "big")
+        page_size = 65536 if page_size == 1 else page_size
+        # Offset 0 leaves an empty file, which reads as a fresh catalog
+        # by design (Catalog._create_schema).
+        cuts = [
+            start + offset
+            for start in range(0, len(pristine), page_size)
+            for offset in (0, 1, page_size // 2, page_size - 1)
+            if start + offset > 0
+        ]
         unopenable = set()
-        for cut in sorted(cuts):
+        for cut in cuts:
             for leftover in ("-wal", "-shm"):
                 path.with_name(path.name + leftover).unlink(missing_ok=True)
             path.write_bytes(pristine[:cut])

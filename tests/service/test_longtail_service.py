@@ -116,14 +116,22 @@ class TestStoreLifecycle:
         )
 
 
-def test_ugnd_answer_many_reads_the_sealed_prefix():
-    """A store-built UGnd release answers batches over its sealed prefix
-    slab, not over a second prefix tensor computed from its counts."""
-    synopsis, _ = SynopsisStore(n_points=N_POINTS).build(key("UGnd"))
+def test_ugnd_answer_many_reads_the_sealed_prefix(tmp_path):
+    """A store-built UGnd release answers batches over the prefix its
+    build prepared and its archive seals, not over a second prefix
+    tensor computed from its counts; a reload answers over the mapped,
+    read-only slab itself."""
+    from repro.core.serialization import synopsis_from_path
+
+    store = SynopsisStore(store_dir=tmp_path, n_points=N_POINTS)
+    synopsis, _ = store.build(key("UGnd"))
+    prepared = synopsis.engine
     synopsis.answer_many(rects())
-    assert np.shares_memory(
-        synopsis._engine._prefix, synopsis.sealed_engine_slabs["prefix"]
-    )
+    assert synopsis.engine is prepared
+    loaded = synopsis_from_path(tmp_path / f"{key('UGnd').slug()}.npz")
+    loaded.answer_many(rects())
+    assert loaded.mapped_nbytes > 0
+    assert not loaded.engine.slabs["prefix"].flags.writeable
 
 
 @pytest.mark.parametrize("method", METHODS)

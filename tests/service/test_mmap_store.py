@@ -14,11 +14,11 @@ import sys
 import numpy as np
 import pytest
 
-from repro.queries.engine import has_sealed_engine
 from repro.service.keys import ReleaseKey
 from repro.service.query_service import QueryService
 from repro.service.store import SynopsisStore
 from tests.v1_archive import v1_archive_bytes
+from tests.v2_reference import v2_reference_bytes
 
 N_POINTS = 2_000
 BOXES = np.array([[-110.0, 30.0, -80.0, 45.0], [-100.0, 25.0, -90.0, 40.0]])
@@ -49,13 +49,13 @@ class TestArchiveFormatOption:
         fresh = _store(tmp_path)  # fresh process: load from disk
         synopsis = fresh.get(key())
         assert synopsis.mapped_nbytes > 0
-        assert has_sealed_engine(synopsis)
+        assert synopsis.engine is not None
 
     def test_v1_store_loads_into_heap(self, tmp_path):
         _v1_release(tmp_path, key())
         synopsis = _store(tmp_path).get(key())
         assert synopsis.mapped_nbytes == 0
-        assert not has_sealed_engine(synopsis)
+        assert synopsis.engine is None
 
 
 class TestMixedFormats:
@@ -150,7 +150,6 @@ class TestSealedEngineLoads:
         grid's raveled ``flat_prefix``; the 1-D histogram's ``(m + 1,)``
         prefix) cannot restore today's engine: it is rebuilt, answers
         match the scalar oracle, and the rebuild counts as a cold start."""
-        from repro.core.serialization import synopsis_to_bytes
         from repro.queries.engine import (
             BatchQueryEngine,
             FlatTreeEngine,
@@ -167,7 +166,7 @@ class TestSealedEngineLoads:
         else:
             k, options = key(method=method), {}
         synopsis, _ = _store(tmp_path, **options).build(k)
-        slabs = synopsis.sealed_engine_slabs
+        slabs = make_engine(synopsis).slabs
         if method == "AG":
             stale = {
                 name: slabs[name]
@@ -191,9 +190,8 @@ class TestSealedEngineLoads:
             stale = {"prefix": np.concatenate([[0.0], np.cumsum(synopsis.released)])}
         else:
             stale = {}
-        synopsis.seal_engine_slabs(stale)
         (tmp_path / f"{k.slug()}.npz").write_bytes(
-            synopsis_to_bytes(synopsis)
+            v2_reference_bytes(synopsis, slabs=stale)
         )
         service = QueryService(_store(tmp_path, **options))
         estimates = service.answer(k, BOXES).estimates

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.geometry import Rect
 from repro.service.errors import ReleaseNotFound
-from repro.service.keys import ReleaseKey
+from repro.service.keys import ReleaseKey, method_names
 from repro.service.query_service import QueryService
 from repro.service.store import SynopsisStore
 
@@ -121,22 +121,34 @@ class TestEngineCache:
     def test_one_engine_per_release_under_concurrent_rebuilds(
         self, monkeypatch, rng
     ):
-        """Readers racing forced rebuilds: each release object gets one
-        make_engine call, however the threads interleave."""
+        """Readers racing forced rebuilds: every answer for a release
+        object comes from one engine object, the release's own, however
+        the threads interleave."""
+        from repro.queries.engine import BatchQueryEngine
         from repro.service import query_service as qs
 
         store = SynopsisStore(n_points=N_POINTS, dataset_budget=100.0)
         service = QueryService(store)
         key = ReleaseKey("storage", "UG", epsilon=1.0, seed=0)
         store.build(key)
-        prepared = []  # keeps every release alive, so ids stay unique
+        # (release, engine) per make_engine call; keeps every release
+        # alive, so ids stay unique.
+        served = []
+        answered = []  # the engine object of every batch
         real_make_engine = qs.make_engine
+        real_answer_batch = BatchQueryEngine.answer_batch
 
         def recording_make_engine(synopsis):
-            prepared.append(synopsis)
-            return real_make_engine(synopsis)
+            engine = real_make_engine(synopsis)
+            served.append((synopsis, engine))
+            return engine
+
+        def recording_answer_batch(engine, rects):
+            answered.append(engine)
+            return real_answer_batch(engine, rects)
 
         monkeypatch.setattr(qs, "make_engine", recording_make_engine)
+        monkeypatch.setattr(BatchQueryEngine, "answer_batch", recording_answer_batch)
         rects = storage_rects(8, rng)
         rebuilding = threading.Event()
 
@@ -162,8 +174,13 @@ class TestEngineCache:
                     future.result(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-        assert len(prepared) == len({id(synopsis) for synopsis in prepared})
-        assert len(prepared) >= 20  # every rebuilt release was queried
+        owner = {}
+        for release, engine in served:
+            assert engine is release.engine
+            assert owner.setdefault(id(engine), release) is release
+        assert answered and {id(engine) for engine in answered} <= owner.keys()
+        # Every rebuilt release was queried.
+        assert len({id(release) for release, _ in served}) >= 20
 
     def test_engines_for_evicted_keys_are_pruned(self):
         store = SynopsisStore(n_points=N_POINTS, max_entries=1, dataset_budget=10.0)
@@ -175,6 +192,129 @@ class TestEngineCache:
         store.build(k2)  # evicts k1: its release dies, and its engine too
         service.engine_for(k2)
         assert service.stats()["engines_cached"] == 1
+
+
+class TestOneEnginePerRelease:
+    """A release owns one engine: every path that answers from it or
+    seals it uses the object ``make_engine`` returns."""
+
+    @pytest.mark.parametrize("method", method_names())
+    def test_every_path_uses_the_releases_engine(self, monkeypatch, method):
+        from repro.core.serialization import synopsis_to_bytes
+        from repro.queries.engine import make_engine
+        from repro.service.ingest import _DriftTracker
+
+        store = SynopsisStore(n_points=N_POINTS)
+        key = ReleaseKey("storage", method, epsilon=1.0, seed=0)
+        release, _ = store.build(key)
+        engine = make_engine(release)
+        kernel = type(engine)
+        real_answer_batch = kernel.answer_batch
+        real_slabs = kernel.slabs
+        used = []
+
+        def answer_batch(self, rects):
+            used.append(self)
+            return real_answer_batch(self, rects)
+
+        def slabs(self):
+            used.append(self)
+            return real_slabs.fget(self)
+
+        monkeypatch.setattr(kernel, "answer_batch", answer_batch)
+        monkeypatch.setattr(kernel, "slabs", property(slabs))
+        bounds = [release.domain.bounds]
+        paths = {
+            "total": release.total,
+            "answer_many": lambda: release.answer_many(bounds),
+            "drift tracker": lambda: _DriftTracker(key, release),
+            "service": lambda: QueryService(store).answer(key, bounds),
+            "archive writer": lambda: synopsis_to_bytes(release),
+        }
+        for label, path in paths.items():
+            used.clear()
+            path()
+            assert used, label
+            assert all(user is engine for user in used), label
+        assert make_engine(release) is engine
+
+    def test_concurrent_first_queries_share_one_engine(self, tmp_path, rng):
+        """Eight threads make the first query on a v1-loaded release at
+        once: one engine object results, the release's own, and the
+        service counts one cold start."""
+        from repro.queries.engine import FlatTreeEngine, make_engine
+        from tests.v1_archive import v1_archive_bytes
+
+        key = ReleaseKey("landmark", "Kst", epsilon=1.0, seed=0)
+        built, _ = SynopsisStore(store_dir=tmp_path, n_points=N_POINTS).build(key)
+        (tmp_path / f"{key.slug()}.npz").write_bytes(v1_archive_bytes(built))
+        store = SynopsisStore(store_dir=tmp_path, n_points=N_POINTS)
+        release = store.get(key)
+        assert release.engine is None
+        service = QueryService(store, answer_cache_bytes=0)
+        domain = release.domain
+        rects = [
+            domain.random_rect(domain.width / 8, domain.height / 8, rng)
+            for _ in range(8)
+        ]
+        barrier = threading.Barrier(8)
+
+        def first_query(_):
+            barrier.wait(timeout=30)
+            service.answer(key, rects)
+            return service.engine_for(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                engines = list(pool.map(first_query, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert isinstance(release.engine, FlatTreeEngine)
+        assert all(engine is release.engine for engine in engines)
+        assert make_engine(release) is release.engine
+        stats = service.stats()
+        assert stats["engine_cold_starts"] == 1
+        assert stats["engine_sealed_loads"] == 0
+        assert stats["engines_cached"] == 1
+
+    def test_the_first_arrival_counts_the_cold_start(
+        self, monkeypatch, tmp_path, rng
+    ):
+        """A second request that arrives after the first one published
+        the release's engine, but before it recorded it, finds the
+        engine on the release; the release still counts one cold start,
+        not a sealed load."""
+        from repro.service import query_service as qs
+        from tests.v1_archive import v1_archive_bytes
+
+        key = ReleaseKey("storage", "UG", epsilon=1.0, seed=0)
+        built, _ = SynopsisStore(store_dir=tmp_path, n_points=N_POINTS).build(key)
+        (tmp_path / f"{key.slug()}.npz").write_bytes(v1_archive_bytes(built))
+        service = QueryService(SynopsisStore(store_dir=tmp_path, n_points=N_POINTS))
+        real_make_engine = qs.make_engine
+        published = threading.Event()
+        second_answered = threading.Event()
+
+        def make_engine(synopsis):
+            engine = real_make_engine(synopsis)
+            if not published.is_set():
+                published.set()
+                assert second_answered.wait(timeout=30)
+            return engine
+
+        monkeypatch.setattr(qs, "make_engine", make_engine)
+        rects = storage_rects(4, rng)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            first = pool.submit(service.answer, key, rects)
+            assert published.wait(timeout=30)
+            service.answer(key, rects)
+            second_answered.set()
+            first.result(timeout=30)
+        stats = service.stats()
+        assert stats["engine_cold_starts"] == 1
+        assert stats["engine_sealed_loads"] == 0
 
 
 class TestAnswerCache:

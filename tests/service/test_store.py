@@ -23,12 +23,11 @@ class TestBuildSealsEngine:
     def test_first_query_after_build_is_sealed_load(
         self, tmp_path, prior_archive, method
     ):
-        """A build computes the engine slabs once and attaches them, so
-        the first query restores the engine instead of rebuilding it —
-        in memory, and when a forced build replaces a release an earlier
-        store archived in either format (rewriting it as v2)."""
+        """A build prepares the release's engine once, so the first
+        query finds it instead of rebuilding it — in memory, and when a
+        forced build replaces a release an earlier store archived in
+        either format (rewriting it as v2)."""
         from repro.core.serialization import _V2_MAGIC
-        from repro.queries.engine import has_sealed_engine
         from repro.service.query_service import QueryService
         from tests.v1_archive import v1_archive_bytes
 
@@ -41,7 +40,7 @@ class TestBuildSealsEngine:
             if prior_archive == "v1":
                 path.write_bytes(v1_archive_bytes(earlier))
         synopsis, built = store.build(key(method=method), force=True)
-        assert built and has_sealed_engine(synopsis)
+        assert built and synopsis.engine is not None
         if prior_archive is not None:
             assert path.read_bytes().startswith(_V2_MAGIC)
         service = QueryService(store)

@@ -15,12 +15,13 @@ import numpy as np
 from repro.core import serialization as ser
 
 
-def v2_reference_bytes(synopsis) -> bytes:
-    """The v2 archive bytes of ``synopsis``, built step by step."""
+def v2_reference_bytes(synopsis, slabs=None) -> bytes:
+    """The v2 archive bytes of ``synopsis``, built step by step, with
+    ``slabs`` sealed as its engine buffers (by default the buffers its
+    row's ``precompute`` derives afresh)."""
     payload = ser._pack(synopsis)
     payload["format_version"] = np.array(ser._FORMAT_VERSION)
     payload[ser._SEALED_MARKER] = np.array(1, dtype=np.int64)
-    slabs = synopsis.sealed_engine_slabs
     if slabs is None:
         slabs = ser.synopsis_kind(type(synopsis)).precompute(synopsis)
     for name, array in slabs.items():
