@@ -4,13 +4,14 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: help test test-faults test-ingest test-tenant bench-quick bench-engine bench-flat-quick bench-experiments bench-tree bench-tree-quick bench-service bench-service-quick bench-longtail bench-longtail-quick bench-ingest bench-ingest-quick bench-mmap bench-mmap-quick serve serve-smoke quickstart
+.PHONY: help test test-faults test-ingest test-tenant paper-claims bench-quick bench-engine bench-flat-quick bench-experiments bench-tree bench-tree-quick bench-service bench-service-quick bench-longtail bench-longtail-quick bench-ingest bench-ingest-quick bench-mmap bench-mmap-quick serve serve-smoke quickstart
 
 help:
 	@echo "make test                run the full unit/property test suite (tier-1)"
 	@echo "make test-faults         fault-injection suite: shedding, deadlines, crash-safe storage"
 	@echo "make test-ingest         streaming-ingest suite: WAL properties, crash replay, drift policy"
 	@echo "make test-tenant         multi-tenant suite: router, API-key auth, catalog ledger safety"
+	@echo "make paper-claims        assert the paper's findings (Figures 1-6, Table II, ablations, scaling, dimensionality)"
 	@echo "make bench-quick         every paper experiment at quick scale, one report"
 	@echo "make bench-engine        engine perf benches only; refreshes BENCH_*.json"
 	@echo "make bench-flat-quick    AG flat kernel vs per-cell oracle smoke (small scale, no JSON)"
@@ -40,6 +41,17 @@ test-ingest:
 
 test-tenant:
 	$(PYTHON) -m pytest tests/tenant -q
+
+# The benches that assert the paper's claims, run as tests only
+# (timing off): every assertion and margin as the bench files state it.
+PAPER_CLAIMS = benchmarks/bench_fig1_datasets.py benchmarks/bench_fig2_kd_vs_ug.py \
+	benchmarks/bench_fig3_hierarchies.py benchmarks/bench_fig4_ag_params.py \
+	benchmarks/bench_fig5_final_relative.py benchmarks/bench_fig6_final_absolute.py \
+	benchmarks/bench_table2_grid_sizes.py benchmarks/bench_ablations.py \
+	benchmarks/bench_scaling.py benchmarks/bench_dimensionality.py
+
+paper-claims:
+	$(PYTHON) -m pytest $(PAPER_CLAIMS) --benchmark-disable -q
 
 bench-quick:
 	$(PYTHON) -m repro suite

@@ -19,7 +19,8 @@ paper's 6-sizes x 200-queries workload shape):
   edge-table ``FlatTreeEngine``), vs the scalar ``scalar_answer_batch``
   loop (``TreeSynopsis.answer``, one recursion per visited node over the
   released arrays) on the full workload, asserted equal to float
-  rounding; its class, ``precompute`` seconds and ``nbytes`` are
+  rounding; its class, the seconds its row's ``engine`` constructor
+  takes to build it (``engine_precompute_s``) and ``nbytes`` are
   recorded beside it.
 
 Results are written to ``BENCH_tree_kernel.json`` at the repo root so
@@ -33,7 +34,7 @@ shrinks the dataset and workload and keeps every equivalence assertion,
 but skips the speedup floors and leaves the tracked JSON untouched —
 a smoke run on a loaded CI box must not rewrite the repo's perf history.
 It also restores every engine from its sealed buffers, both as
-``from_slabs(synopsis, precompute(synopsis))`` and through an archive
+``engine(synopsis, engine(synopsis).slabs)`` and through an archive
 round trip, and asserts bit-identical answers, so a buffer layout that
 breaks sealed restore fails CI.
 """
@@ -172,7 +173,7 @@ def test_tree_kernel_vs_object_graph():
         np.testing.assert_array_equal(flat_inferred, recursive_inferred)
 
         row = synopsis_kind(type(flat))
-        precompute_s = _best_seconds(lambda: row.precompute(flat), rounds=rounds)
+        precompute_s = _best_seconds(lambda: row.engine(flat), rounds=rounds)
         flat_engine = make_engine(flat)
         flat_answers = flat_engine.answer_batch(rects)
         scalar_answers = scalar_answer_batch(oracle, rects)
@@ -181,7 +182,7 @@ def test_tree_kernel_vs_object_graph():
         )
         if QUICK:
             restored = {
-                "from_slabs": row.from_slabs(flat, row.precompute(flat)),
+                "slabs": row.engine(flat, row.engine(flat).slabs),
                 "archive": make_engine(
                     synopsis_from_bytes(synopsis_to_bytes(flat))
                 ),

@@ -254,10 +254,6 @@ class OneDimHistogramSynopsis(Synopsis):
         """The inferred leaf counts (may contain negative values)."""
         return self._released
 
-    @property
-    def n_buckets(self) -> int:
-        return self._released.size
-
     def _fractions(self, rect: Rect) -> tuple[float, float, float]:
         """Map a rect to (x bucket interval, y coverage fraction)."""
         bounds = self._domain.bounds

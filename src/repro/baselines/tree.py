@@ -16,7 +16,7 @@ regions contribute nothing, and partially covered *leaves* fall back to
 the uniformity assumption (Section II-B of the paper).  Its scalar
 ``answer`` is that descent, one recursion per visited node over the
 arrays; batches go through the engine this module chooses
-(:func:`tree_engine_precompute`): a tree whose leaves lie on the
+(:func:`tree_engine`): a tree whose leaves lie on the
 ``2^h x 2^h`` lattice of its domain and whose internal counts equal
 their children's sums is lowered onto that lattice (the grid kernel
 :class:`~repro.queries.engine.BatchQueryEngine` over the domain's
@@ -47,8 +47,7 @@ __all__ = [
     "TreeArrays",
     "TreeSynopsis",
     "apply_tree_inference_arrays",
-    "tree_engine_from_slabs",
-    "tree_engine_precompute",
+    "tree_engine",
 ]
 
 
@@ -303,17 +302,13 @@ def _lattice_leaves(synopsis: TreeSynopsis):
     return side, lo, hi, counts[leaves]
 
 
-def _lattice_release(synopsis: TreeSynopsis):
-    """The release's counts spread over its lattice, or ``None``.
+def _lattice_grid(side: int, lo, hi, leaf_counts) -> np.ndarray:
+    """The ``side x side`` lattice counts of :func:`_lattice_leaves`' leaves.
 
     Each leaf's count is spread evenly over the lattice cells it covers,
     which is the uniformity estimate the tree applies inside the leaf, so
     the lattice's uniform-grid answers equal the tree's.
     """
-    lowered = _lattice_leaves(synopsis)
-    if lowered is None:
-        return None
-    side, lo, hi, leaf_counts = lowered
     extent = hi - lo
     density = leaf_counts / (extent[:, 0] * extent[:, 1])
     grid = np.zeros(side * side)
@@ -328,28 +323,23 @@ def _lattice_release(synopsis: TreeSynopsis):
     return grid.reshape(side, side)
 
 
-def tree_engine_precompute(synopsis: TreeSynopsis) -> dict[str, np.ndarray]:
-    """Engine buffers of a tree release: its lattice prefix when it
-    lowers onto its lattice, else the frontier-descent node vectors and
-    edge tables."""
-    from repro.queries.engine import BatchQueryEngine, FlatTreeEngine
+def tree_engine(synopsis: TreeSynopsis, slabs: dict[str, np.ndarray] | None = None):
+    """The batch engine of a tree release, over ``slabs`` when given.
 
-    lattice = _lattice_release(synopsis)
-    if lattice is None:
-        return FlatTreeEngine.precompute(synopsis)
-    domain = synopsis.domain
-    return BatchQueryEngine(domain.lows, domain.highs, lattice).slabs
-
-
-def tree_engine_from_slabs(synopsis: TreeSynopsis, slabs: dict[str, np.ndarray]):
-    """The engine :func:`tree_engine_precompute` chose, over ``slabs``."""
-    # The kernel follows the release, not the slabs: slabs sealed for the
-    # other kernel (e.g. before lowering existed) raise KeyError here.
+    One lattice check decides the kernel: a release that lowers onto its
+    lattice gets :class:`~repro.queries.engine.BatchQueryEngine` over its
+    lattice counts, any other the frontier-descent
+    :class:`~repro.queries.engine.FlatTreeEngine`.  The kernel follows
+    the release, not the slabs: slabs sealed for the other kernel (e.g.
+    before lowering existed) raise ``KeyError`` or ``ValueError``.
+    """
     from repro.queries.engine import BatchQueryEngine, FlatTreeEngine
 
     lowered = _lattice_leaves(synopsis)
     if lowered is None:
         return FlatTreeEngine(synopsis, slabs)
-    side = lowered[0]
     domain = synopsis.domain
+    if slabs is None:
+        return BatchQueryEngine(domain.lows, domain.highs, _lattice_grid(*lowered))
+    side = lowered[0]
     return BatchQueryEngine.from_slabs(domain.lows, domain.highs, (side, side), slabs)

@@ -8,8 +8,8 @@ file; consumers answer queries without ever seeing the raw points.
 
 Every synopsis type is declared in one row of :data:`KINDS`: its archive
 kind tag, its class, the ``pack``/``unpack`` pair mapping it to named
-arrays and back, and its query engine's ``precompute``/``from_slabs``
-pair.  The archive writer and reader, and
+arrays and back, and its query engine's constructor ``engine``.  The
+archive writer and reader, and
 :func:`~repro.queries.engine.make_engine`, resolve a synopsis through the
 row of its nearest declared type, so a subclass serves like its declared
 ancestor and an undeclared type raises ``TypeError`` everywhere.
@@ -43,12 +43,7 @@ import numpy as np
 from repro.analysis.one_dim import OneDimHistogramSynopsis
 from repro.baselines.hierarchy import HierarchicalGridSynopsis
 from repro.baselines.privelet import PriveletSynopsis, reconstruct_counts
-from repro.baselines.tree import (
-    TreeArrays,
-    TreeSynopsis,
-    tree_engine_from_slabs,
-    tree_engine_precompute,
-)
+from repro.baselines.tree import TreeArrays, TreeSynopsis, tree_engine
 from repro.core.adaptive_grid import AdaptiveGridSynopsis
 from repro.core.geometry import Domain2D
 from repro.core.grid import GridLayout
@@ -123,18 +118,18 @@ class SynopsisKind:
 
     ``pack`` maps a synopsis to its named released arrays and ``unpack``
     restores it from them (raising ``ValueError`` for arrays that break
-    an invariant).  ``precompute`` returns its engine's derived buffers
-    and ``from_slabs(synopsis, slabs)`` the engine over them; every
-    engine is built as ``from_slabs(s, precompute(s))``, so an engine
-    restored from sealed buffers is the one a rebuild gives.
+    an invariant).  ``engine(synopsis)`` builds its query engine, and
+    ``engine(synopsis, slabs)`` restores that engine over the ``slabs``
+    of one built for the same release, so an engine restored from
+    sealed buffers is the one a rebuild gives; slabs another kernel
+    sealed raise ``KeyError`` or ``ValueError``.
     """
 
     kind: str
     type: type
     pack: Callable[[Synopsis], dict[str, np.ndarray]]
     unpack: Callable[[dict[str, np.ndarray]], Synopsis]
-    precompute: Callable[[Synopsis], dict[str, np.ndarray]]
-    from_slabs: Callable[[Synopsis, dict[str, np.ndarray]], object]
+    engine: Callable[..., object]
 
 
 def synopsis_kind(synopsis_type: type) -> SynopsisKind:
@@ -390,7 +385,7 @@ def _assemble(data: dict[str, np.ndarray]) -> Synopsis:
 
     Sealed engine slabs (v2) are split off their reserved prefix and the
     release's engine is restored over them through the row's
-    ``from_slabs``.  Slabs sealed by an older kernel (``KeyError`` or
+    ``engine``.  Slabs sealed by an older kernel (``KeyError`` or
     ``ValueError`` there) leave the release without an engine, and
     :func:`~repro.queries.engine.make_engine` builds it on first use.
     """
@@ -411,7 +406,7 @@ def _assemble(data: dict[str, np.ndarray]) -> Synopsis:
     synopsis = row.unpack(data)
     if sealed:
         try:
-            synopsis.engine = row.from_slabs(synopsis, engine_slabs)
+            synopsis.engine = row.engine(synopsis, engine_slabs)
         except (KeyError, ValueError):
             pass  # sealed by an older kernel: built on first use
     return synopsis
@@ -655,15 +650,13 @@ def _grid_kind(kind: str, synopsis_type: type, pack, unpack, grid) -> SynopsisKi
     """A row served by :class:`BatchQueryEngine` over the release's grid,
     which ``grid(synopsis)`` returns as ``(lows, highs, counts)``."""
 
-    def from_slabs(synopsis, slabs: dict[str, np.ndarray]) -> BatchQueryEngine:
+    def engine(synopsis, slabs: dict[str, np.ndarray] | None = None):
         lows, highs, counts = grid(synopsis)
+        if slabs is None:
+            return BatchQueryEngine(lows, highs, counts)
         return BatchQueryEngine.from_slabs(lows, highs, counts.shape, slabs)
 
-    return SynopsisKind(
-        kind, synopsis_type, pack, unpack,
-        lambda synopsis: BatchQueryEngine(*grid(synopsis)).slabs,
-        from_slabs,
-    )
+    return SynopsisKind(kind, synopsis_type, pack, unpack, engine)
 
 
 def _plane_grid(synopsis: UniformGridSynopsis):
@@ -694,13 +687,9 @@ KINDS: tuple[SynopsisKind, ...] = (
     ),
     SynopsisKind(
         "adaptive_grid", AdaptiveGridSynopsis, _pack_adaptive,
-        _unpack_adaptive, FlatAdaptiveGridEngine.precompute,
-        FlatAdaptiveGridEngine,
+        _unpack_adaptive, FlatAdaptiveGridEngine,
     ),
-    SynopsisKind(
-        "tree", TreeSynopsis, _pack_tree, _unpack_tree,
-        tree_engine_precompute, tree_engine_from_slabs,
-    ),
+    SynopsisKind("tree", TreeSynopsis, _pack_tree, _unpack_tree, tree_engine),
     _grid_kind(
         "ndgrid", MultiDimGridSynopsis, _pack_ndgrid, _unpack_ndgrid,
         lambda s: (s.layout.box.lows, s.layout.box.highs, s.counts),

@@ -36,7 +36,6 @@ __all__ = [
     "ExperimentReport",
     "ExperimentSetup",
     "standard_setup",
-    "clear_setup_cache",
 ]
 
 
@@ -77,11 +76,6 @@ _SETUP_CACHE: dict[tuple, ExperimentSetup] = {}
 #: Safety valve so a long-lived process sweeping many scales cannot pin
 #: an unbounded number of million-point datasets.
 _SETUP_CACHE_MAX = 16
-
-
-def clear_setup_cache() -> None:
-    """Drop all memoised :func:`standard_setup` results."""
-    _SETUP_CACHE.clear()
 
 
 def standard_setup(

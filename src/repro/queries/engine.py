@@ -40,9 +40,9 @@ level-order :class:`~repro.baselines.tree.TreeArrays`.  A tree whose
 leaves lie on the ``2^h x 2^h`` lattice of its domain, whose internal
 counts equal their children's sums, and whose lattice prefix is no larger
 than its :class:`FlatTreeEngine` node vectors is the piecewise-constant
-density of a uniform grid: its declared engine pair lowers it onto that
-lattice and answers with :class:`BatchQueryEngine` itself (a default
-quadtree once the data fills it).  Every other tree keeps
+density of a uniform grid: its declared engine constructor lowers it
+onto that lattice and answers with :class:`BatchQueryEngine` itself (a
+default quadtree once the data fills it).  Every other tree keeps
 :class:`FlatTreeEngine`, which answers a whole batch by level-synchronous
 frontier descent: every live (query, node) pair is classified as
 contained / disjoint / partial in one vectorised pass per tree level,
@@ -1149,10 +1149,9 @@ def make_engine(synopsis):
     """The batch engine a released synopsis keeps, built on first use.
 
     Returns :attr:`~repro.core.synopsis.Synopsis.engine` when the
-    release holds it, else builds it through the row of the synopsis's
-    nearest declared type (see
-    :func:`repro.core.serialization.synopsis_kind`) as
-    ``from_slabs(synopsis, precompute(synopsis))`` and keeps it.  The
+    release holds it, else builds it with the ``engine`` constructor of
+    the row of the synopsis's nearest declared type (see
+    :func:`repro.core.serialization.synopsis_kind`) and keeps it.  The
     build runs outside any lock and the first finished one is published
     under a short lock (a losing concurrent build is discarded), so
     every caller gets the release's one engine.  Raises ``TypeError``
@@ -1169,8 +1168,7 @@ def make_engine(synopsis):
     if engine is None:
         from repro.core.serialization import synopsis_kind
 
-        row = synopsis_kind(type(synopsis))
-        engine = row.from_slabs(synopsis, row.precompute(synopsis))
+        engine = synopsis_kind(type(synopsis)).engine(synopsis)
         with _PUBLISH:
             if synopsis.engine is None:
                 synopsis.engine = engine

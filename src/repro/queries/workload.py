@@ -25,7 +25,6 @@ __all__ = [
     "SizedQuerySet",
     "QueryWorkload",
     "paper_query_sizes",
-    "interval_workload",
     "nd_hyperrectangle_workload",
 ]
 
@@ -169,41 +168,6 @@ class QueryWorkload:
         return np.concatenate(
             [query_set.true_answers for query_set in self._query_sets]
         )
-
-
-def interval_workload(
-    dataset: GeoDataset,
-    rng: np.random.Generator | int | None,
-    n_queries: int = DEFAULT_QUERIES_PER_SIZE,
-    axis: str = "x",
-) -> tuple[list[Rect], np.ndarray]:
-    """1-D interval queries over a 2-D dataset, with exact answers.
-
-    Each query is a random interval on one axis crossed with the full
-    extent of the other — the query class the wavelet baseline (and any
-    1-D hierarchy) is designed for, where range length drives the noise
-    cancellation.  Returns ``(rects, true_answers)``; answers come from
-    the dataset's ground-truth index in one batch.
-    """
-    rng = ensure_rng(rng)
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    if n_queries < 1:
-        raise ValueError(f"n_queries must be >= 1, got {n_queries}")
-    bounds = dataset.domain.bounds
-    if axis == "x":
-        edges = rng.uniform(bounds.x_lo, bounds.x_hi, size=(n_queries, 2))
-        rects = [
-            Rect(lo, bounds.y_lo, hi, bounds.y_hi)
-            for lo, hi in zip(edges.min(axis=1), edges.max(axis=1))
-        ]
-    else:
-        edges = rng.uniform(bounds.y_lo, bounds.y_hi, size=(n_queries, 2))
-        rects = [
-            Rect(bounds.x_lo, lo, bounds.x_hi, hi)
-            for lo, hi in zip(edges.min(axis=1), edges.max(axis=1))
-        ]
-    return rects, dataset.count_many(rects)
 
 
 def nd_hyperrectangle_workload(

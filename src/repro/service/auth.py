@@ -37,11 +37,6 @@ __all__ = [
 class Authenticator:
     """Resolve a request's headers to a tenant id (or raise 401/403)."""
 
-    #: Whether this authenticator ever rejects a request.  The HTTP
-    #: adapter uses it to decide if auth-exempt routes need special
-    #: handling at all.
-    enforces = False
-
     def authenticate(self, headers) -> str:
         raise NotImplementedError
 
@@ -49,16 +44,12 @@ class Authenticator:
 class NullAuthenticator(Authenticator):
     """``--auth off``: every request is the implicit default tenant."""
 
-    enforces = False
-
     def authenticate(self, headers) -> str:
         return DEFAULT_TENANT
 
 
 class ApiKeyAuthenticator(Authenticator):
     """``--auth require``: Bearer API keys resolved via the catalog."""
-
-    enforces = True
 
     def __init__(self, catalog: Catalog):
         self._catalog = catalog

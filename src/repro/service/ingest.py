@@ -31,15 +31,16 @@ Its contract, end to end:
   good release keeps serving (marked stale), and the refusal is reported
   to the client (HTTP 409) and on ``/health``.
 
-* **Crash-safe exactly-once accounting.**  A refresh charges the ledger
-  under the epoch label ``slug@e{count}`` and, after the new archive is
-  durable, commits a marker record to the WAL.  Replay compares ledger
-  epochs against WAL markers: a charge with no marker means the crash
-  hit between spend and commit, and the release is deterministically
-  re-fit — the store skips the already-present label, the epoch-salted
-  noise stream reproduces bit-identical state, and the marker finally
-  lands.  Every crash point therefore converges to the no-crash state
-  with zero double-spend.
+* **Crash-safe exactly-once accounting.**  A refresh reads one epoch,
+  the staged count when it starts, charges the ledger under the label
+  ``slug@e{epoch}`` and, after the new archive is durable, commits that
+  epoch as a WAL marker.  Replay compares ledger epochs against WAL
+  markers: a charge with no marker means the crash hit between spend
+  and commit, and the release is deterministically re-fit at the
+  charged epoch — the store skips the already-present label, the
+  epoch-salted noise stream reproduces bit-identical state, and the
+  marker finally lands.  Every crash point therefore converges to the
+  no-crash state with zero double-spend.
 
 Fault points: ``ingest.refresh`` fires at the start of each refresh
 attempt; ``wal.append`` / ``wal.fsync`` instrument the log writes.
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,19 +74,33 @@ _HISTOGRAM_CHUNK = 4096
 
 @dataclass(frozen=True)
 class BuildContext:
-    """What the store needs to fold staged points into one build.
+    """The data state one build reads: the first ``epoch`` staged points.
 
-    ``salt`` separates the noise stream per data state (see
-    :meth:`~repro.service.keys.ReleaseKey.build_rng`); ``spend_label``
-    is the idempotent ledger label; ``points`` is the log-ordered
-    snapshot to :meth:`~repro.core.dataset.GeoDataset.extend` with;
-    ``released_count`` is what the post-release WAL marker records.
+    ``epoch`` salts the noise stream (see
+    :meth:`~repro.service.keys.ReleaseKey.build_rng`), names the ledger
+    charge (:meth:`spend_label`) and is what the post-release WAL marker
+    records; ``points`` is that log-ordered prefix, to
+    :meth:`~repro.core.dataset.GeoDataset.extend` the base data with.
     """
 
-    salt: int
-    spend_label: str
-    points: np.ndarray | None
-    released_count: int
+    epoch: int
+    points: np.ndarray
+
+    def spend_label(self, key: ReleaseKey) -> str:
+        """The idempotent ledger label of this build's charge."""
+        return f"{key.slug()}@e{self.epoch}"
+
+
+def _epoch_charge(label: str) -> tuple[ReleaseKey, int] | None:
+    """The key and epoch a ledger label :meth:`BuildContext.spend_label`
+    wrote, or ``None`` for any other label (a first build's bare slug)."""
+    slug, sep, epoch = label.rpartition("@e")
+    if not sep:
+        return None
+    try:
+        return ReleaseKey.from_slug(slug), int(epoch)
+    except (ServiceError, ValueError):
+        return None
 
 
 @dataclass
@@ -103,17 +118,7 @@ class IngestStats:
     truncated_bytes: int = 0
 
     def to_payload(self) -> dict:
-        return {
-            "batches": self.batches,
-            "duplicate_batches": self.duplicate_batches,
-            "points": self.points,
-            "refreshes": self.refreshes,
-            "refresh_refusals": self.refresh_refusals,
-            "replayed_batches": self.replayed_batches,
-            "replayed_markers": self.replayed_markers,
-            "recovered_releases": self.recovered_releases,
-            "truncated_bytes": self.truncated_bytes,
-        }
+        return asdict(self)
 
 
 def _histogram(points: np.ndarray, boxes: np.ndarray) -> np.ndarray:
@@ -190,35 +195,37 @@ class _DatasetLog:
         self.total_points = 0
         #: slug -> points incorporated by that slug's latest release.
         self.markers: dict[str, int] = {}
+        #: slug -> epoch charged in the ledger but never committed by a
+        #: marker (a crash between the two), found at replay.
+        self.charged: dict[str, int] = {}
 
     def absorb(self, record: DataRecord) -> None:
         self.batches.append(record)
         self.batch_ids.add(record.batch_id)
         self.total_points += len(record.points)
 
-    def pending_after(
-        self, released: int
-    ) -> tuple[np.ndarray, float | None]:
-        """Points past the released prefix, with the oldest timestamp."""
+    def epoch(self, slug: str) -> int:
+        """How many staged points the next build of ``slug`` reads: the
+        charged epoch its crashed refresh left, else all of them."""
+        return self.charged.get(slug, self.total_points)
+
+    def read(self, start: int, stop: int) -> tuple[np.ndarray, float | None]:
+        """Staged points ``[start, stop)`` in log order, with the oldest
+        timestamp of the batches they come from."""
         chunks: list[np.ndarray] = []
         oldest: float | None = None
         offset = 0
         for record in self.batches:
             n = len(record.points)
-            if offset + n > released:
-                start = max(0, released - offset)
-                chunks.append(np.asarray(record.points)[start:])
+            lo, hi = max(start - offset, 0), min(stop - offset, n)
+            if lo < hi:
+                chunks.append(np.asarray(record.points)[lo:hi])
                 if oldest is None or record.timestamp < oldest:
                     oldest = record.timestamp
             offset += n
         if not chunks:
             return np.empty((0, 2)), None
         return np.concatenate(chunks), oldest
-
-    def all_points(self) -> np.ndarray | None:
-        if not self.batches:
-            return None
-        return np.concatenate([np.asarray(r.points) for r in self.batches])
 
 
 class IngestManager:
@@ -317,38 +324,28 @@ class IngestManager:
 
         A ledger epoch label ``slug@e{n}`` with no WAL marker at ``n`` or
         beyond means epsilon was charged but the release was never
-        committed.  Re-running the build is free (the store skips the
-        present label) and deterministic (same staged prefix, same
-        salt), so recovery converges to the exact state a crash-free run
-        would have produced.
+        committed.  Re-running the build at epoch ``n``, not at the
+        whole log, is free (the store skips the present label) and
+        deterministic (same staged prefix, same salt), so recovery
+        converges to the exact state a crash-free run would have
+        produced.
         """
         budget_state = self._store.budget_state()
         for data_id, log in self._logs.items():
             state = budget_state.get(data_id)
             if state is None:
                 continue
-            ledger_epochs: dict[str, int] = {}
             for label in state["releases"]:
-                slug, sep, epoch_text = label.rpartition("@e")
-                if not sep:
+                charge = _epoch_charge(label)
+                if charge is None or charge[0].data_id != data_id:
                     continue
-                try:
-                    epoch = int(epoch_text)
-                except ValueError:
-                    continue
-                ledger_epochs[slug] = max(ledger_epochs.get(slug, 0), epoch)
-            for slug, epoch in sorted(ledger_epochs.items()):
-                if log.markers.get(slug, 0) >= epoch:
-                    continue
-                try:
-                    key = ReleaseKey.from_slug(slug)
-                except ServiceError:
-                    continue
-                if key.data_id != data_id:
-                    continue
+                slug, epoch = charge[0].slug(), charge[1]
+                if epoch > max(log.markers.get(slug, 0), log.charged.get(slug, 0)):
+                    log.charged[slug] = epoch
+            for slug in sorted(log.charged):
                 # Free by construction; bypass the epoch-budget policy so
                 # an already-paid-for release is never left uncommitted.
-                self._store.build(key, force=True)
+                self._store.build(ReleaseKey.from_slug(slug), force=True)
                 self.stats.recovered_releases += 1
 
     # ------------------------------------------------------------------
@@ -450,7 +447,7 @@ class IngestManager:
         except ServiceError:
             return None
         tracker = _DriftTracker(key, synopsis)
-        pending, oldest = log.pending_after(log.markers.get(key.slug(), 0))
+        pending, oldest = log.read(log.markers.get(key.slug(), 0), log.total_points)
         if len(pending):
             tracker.add(pending, oldest if oldest is not None else self._clock())
         self._trackers[key] = tracker
@@ -507,19 +504,16 @@ class IngestManager:
             return None
         with self._lock:
             log = self._logs.get(key.data_id)
-            count = log.total_points if log is not None else 0
-        candidate = f"{key.slug()}@e{count}"
+            epoch = log.epoch(key.slug()) if log is not None else 0
         epoch_spent = 0.0
         for label in state["releases"]:
-            if label == candidate:
+            charge = _epoch_charge(label)
+            if charge is None:
+                continue
+            charged_key, charged_epoch = charge
+            if charged_key.slug() == key.slug() and charged_epoch == epoch:
                 return None  # already charged: replaying it is free
-            slug, sep, _ = label.rpartition("@e")
-            if not sep:
-                continue
-            try:
-                epoch_spent += ReleaseKey.from_slug(slug).epsilon
-            except ServiceError:
-                continue
+            epoch_spent += charged_key.epsilon
         cap = self.epoch_budget_fraction * float(state["total"])
         if epoch_spent + key.epsilon > cap + 1e-12:
             return (
@@ -537,18 +531,14 @@ class IngestManager:
     # ------------------------------------------------------------------
 
     def build_context(self, key: ReleaseKey) -> BuildContext | None:
-        """Snapshot of the staged points the next build must incorporate."""
+        """The epoch the next build of ``key`` reads (see
+        :meth:`_DatasetLog.epoch`); ``None`` before any point is staged."""
         with self._lock:
             log = self._logs.get(key.data_id)
-            if log is None or log.total_points == 0:
+            epoch = log.epoch(key.slug()) if log is not None else 0
+            if epoch == 0:
                 return None
-            count = log.total_points
-            return BuildContext(
-                salt=count,
-                spend_label=f"{key.slug()}@e{count}",
-                points=log.all_points(),
-                released_count=count,
-            )
+            return BuildContext(epoch, log.read(0, epoch)[0])
 
     def note_released(self, key: ReleaseKey, context: BuildContext) -> None:
         """Commit a release to the WAL (called after archive + ledger are
@@ -557,12 +547,11 @@ class IngestManager:
             log = self._logs.get(key.data_id)
             if log is None:
                 return
-            previous = log.markers.get(key.slug(), 0)
-            if previous < context.released_count:
-                log.wal.append(
-                    MarkerRecord(key.slug(), context.released_count)
-                )
-                log.markers[key.slug()] = context.released_count
+            slug = key.slug()
+            if log.markers.get(slug, 0) < context.epoch:
+                log.wal.append(MarkerRecord(slug, context.epoch))
+                log.markers[slug] = context.epoch
+            log.charged.pop(slug, None)
             # The tracker's reference belongs to the superseded release;
             # drop it so the next batch rebuilds against the new one.
             self._trackers.pop(key, None)

@@ -36,14 +36,14 @@ and appends one, so threads and ``--workers N`` processes sharing the
 catalog cannot interleave a check-then-spend into a double spend.
 
 When a :class:`~repro.service.ingest.IngestManager` is attached
-(:meth:`SynopsisStore.set_ingest`), builds incorporate the durably
-staged streamed points for the key's dataset instance, draw noise from
-an epoch-salted stream (see :meth:`~repro.service.keys.ReleaseKey.
-build_rng`), and charge the ledger under an epoch label
-(``slug@e{count}``).  Epoch labels make crash replay *free*: a restart
-that re-runs a refresh whose spend already reached the ledger skips the
-charge and deterministically refits the identical release — zero double
-spend, bit-identical archives.
+(:meth:`SynopsisStore.set_ingest`), a build reads the manager's epoch
+for the key: the first ``epoch`` durably staged points of its dataset
+instance, which it incorporates, salts its noise stream with (see
+:meth:`~repro.service.keys.ReleaseKey.build_rng`) and charges the
+ledger under (``slug@e{epoch}``).  Epoch labels make crash replay
+*free*: a restart that re-runs a refresh whose spend already reached
+the ledger skips the charge and deterministically refits the identical
+release — zero double spend, bit-identical archives.
 
 All public methods are thread-safe: one re-entrant lock guards the
 bookkeeping, while fits run outside it under a per-key in-flight guard,
@@ -56,7 +56,7 @@ import os
 import sqlite3
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.core.serialization import (
@@ -138,15 +138,7 @@ class StoreStats:
     quarantined: int = 0
 
     def to_payload(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "builds": self.builds,
-            "loads": self.loads,
-            "evictions": self.evictions,
-            "refusals": self.refusals,
-            "quarantined": self.quarantined,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -290,12 +282,12 @@ class SynopsisStore:
     def set_ingest(self, ingest) -> None:
         """Attach a streaming-ingestion manager.
 
-        The manager supplies a build context per key — the durably
-        staged points to incorporate, the epoch salt for the noise
-        stream, and the epoch spend label — and is notified after each
-        successful release so it can commit a WAL marker.  Duck-typed
-        (``build_context(key)`` / ``note_released(key, context)``) to
-        keep the store importable without the ingest subsystem.
+        The manager supplies a build context per key — the epoch, the
+        durably staged points it covers, and its spend label — and is
+        notified after each successful release so it can commit a WAL
+        marker.  Duck-typed (``build_context(key)`` /
+        ``note_released(key, context)``) to keep the store importable
+        without the ingest subsystem.
         """
         with self._lock:
             self._ingest = ingest
@@ -463,7 +455,9 @@ class SynopsisStore:
                 # Another thread is fitting or reloading this key; wait
                 # so same-key loads and builds never interleave.
                 self._wait_inflight(deadline)
-            spend_label = context.spend_label if context is not None else key.slug()
+            spend_label = (
+                context.spend_label(key) if context is not None else key.slug()
+            )
             with self._catalog.exclusive():
                 # The write lock is held from here to commit, so the rows
                 # replayed below are the ones the new row lands after —
@@ -479,12 +473,8 @@ class SynopsisStore:
                         "are refused — restore the catalog or point the store "
                         "at a fresh directory"
                     )
-                already_charged = (
-                    context is not None
-                    and context.salt > 0
-                    and any(
-                        entry.label == spend_label for entry in budget.ledger
-                    )
+                already_charged = context is not None and any(
+                    entry.label == spend_label for entry in budget.ledger
                 )
                 if not already_charged:
                     if not budget.can_spend(key.epsilon):
@@ -514,13 +504,12 @@ class SynopsisStore:
                 deadline.check("fitting the release")
             spec = get_spec(key.dataset)
             dataset = spec.make(n=self._n_points, rng=key.seed)
-            salt = 0
+            epoch = 0
             if context is not None:
-                salt = context.salt
-                if context.points is not None and len(context.points):
-                    dataset = dataset.extend(context.points)
+                epoch = context.epoch
+                dataset = dataset.extend(context.points)
             builder = make_builder(key.method)
-            synopsis = builder.fit(dataset, key.epsilon, key.build_rng(salt))
+            synopsis = builder.fit(dataset, key.epsilon, key.build_rng(epoch))
             # The release's one engine, prepared once: the archive writer
             # seals its buffers, and every later answer reads it.
             make_engine(synopsis)

@@ -16,6 +16,7 @@ field and byte by byte against the no-crash baseline.
 """
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def _skewed_batch(n=400):
     )
 
 
-def _boot(store_dir):
+def _boot(store_dir, drift_threshold=DRIFT_THRESHOLD, clock=time.time):
     """What one server process constructs over a store directory."""
     store = SynopsisStore(
         store_dir=store_dir, dataset_budget=4.0, n_points=N_POINTS
@@ -55,8 +56,9 @@ def _boot(store_dir):
     manager = IngestManager(
         store,
         store_dir,
-        drift_threshold=DRIFT_THRESHOLD,
+        drift_threshold=drift_threshold,
         epoch_budget_fraction=EPOCH_FRACTION,
+        clock=clock,
     )
     return store, manager
 
@@ -204,3 +206,102 @@ def test_torn_data_append_is_invisible_after_restart(tmp_path):
     assert payload["datasets"]["storage|0"]["staged_points"] in (0, 400)
     assert _end_state(tmp_path, store)["archive_sha"] == before["archive_sha"]
     manager.close()
+
+
+#: The batch-during-fit case's drift threshold: the skewed batch trips
+#: it, a batch resampled from the base data does not.
+DURING_FIT_THRESHOLD = 0.5
+
+
+def _resampled_batch(n=3_000):
+    """Points drawn from the base data itself: no drift to speak of."""
+    points = get_spec("storage").make(n=N_POINTS, rng=0).points
+    rng = np.random.default_rng(11)
+    return points[rng.integers(0, len(points), n)]
+
+
+def _far_corner_batch(n=6_000):
+    """Points packed into the corner opposite the skewed batch's."""
+    bounds = get_spec("storage").make(n=10, rng=0).domain.bounds
+    rng = np.random.default_rng(13)
+    return np.column_stack(
+        [
+            rng.uniform(
+                bounds.x_hi - 0.1 * (bounds.x_hi - bounds.x_lo), bounds.x_hi, n
+            ),
+            rng.uniform(
+                bounds.y_hi - 0.1 * (bounds.y_hi - bounds.y_lo), bounds.y_hi, n
+            ),
+        ]
+    )
+
+
+def _batch_during_fit(store_dir, crash):
+    """Batch A's refresh charges its epoch, then batch B is staged at the
+    refresh's ``store.fit`` fault point; with ``crash`` the process dies
+    there and restarts.  Either way the client then (re)sends A and B,
+    and then sends batch C, which trips the drift gate again.  Returns
+    the end states before and after C."""
+
+    def boot():
+        # A fixed clock makes the staleness reports comparable.
+        return _boot(store_dir, DURING_FIT_THRESHOLD, clock=lambda: 1_000.0)
+
+    store, manager = boot()
+    store.build(release_key())
+
+    def stage_b_mid_fit(**context):
+        faultinject.clear()
+        # B's acknowledgement stays WAL-only: its own refresh would wait
+        # on A's in-flight build, and die with the process.
+        manager.drift_threshold = 1.5
+        manager.ingest("storage", 0, "batch-B", _resampled_batch())
+        manager.drift_threshold = DURING_FIT_THRESHOLD
+        if crash:
+            raise SimulatedCrash("store.fit of batch A's refresh")
+
+    faultinject.install("store.fit", stage_b_mid_fit)
+    if crash:
+        with pytest.raises(SimulatedCrash):
+            manager.ingest("storage", 0, "batch-A", _skewed_batch())
+        manager.close()
+        store, manager = boot()
+        assert manager.stats.recovered_releases == 1
+    else:
+        report = manager.ingest("storage", 0, "batch-A", _skewed_batch())
+        assert report["refreshed"] == [release_key().slug()]
+    for batch_id, points in (
+        ("batch-A", _skewed_batch()),
+        ("batch-B", _resampled_batch()),
+    ):
+        report = manager.ingest("storage", 0, batch_id, points)
+        assert report["duplicate"] is True
+        assert report["refreshed"] == [] and report["refused"] == {}
+    states = [_end_state(store_dir, store)]
+    states[0]["staleness"] = manager.staleness(release_key())
+    report = manager.ingest("storage", 0, "batch-C", _far_corner_batch())
+    assert report["refreshed"] == [release_key().slug()]
+    states.append(_end_state(store_dir, store))
+    states[1]["staleness"] = manager.staleness(release_key())
+    manager.close()
+    return states
+
+
+def test_batch_staged_during_a_refresh_fit_survives_a_crash(tmp_path):
+    """A crash after a refresh's charge refits the charged epoch, not the
+    whole log: the batch staged while it fitted stays pending, and no
+    second epsilon is spent on it."""
+    baseline = _batch_during_fit(tmp_path / "no-crash", crash=False)
+    slug = release_key().slug()
+    labels = [
+        [label for _, label in state["ledger"]["storage|0"]["ledger"]]
+        for state in baseline
+    ]
+    assert labels == [
+        [slug, f"{slug}@e400"],
+        [slug, f"{slug}@e400", f"{slug}@e9400"],
+    ]
+    assert baseline[0]["staleness"]["pending_points"] == 3_000
+    assert baseline[1]["staleness"] is None
+
+    assert _batch_during_fit(tmp_path / "crash", crash=True) == baseline

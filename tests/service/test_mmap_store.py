@@ -210,6 +210,36 @@ class TestSealedEngineLoads:
         assert stats["engine_sealed_loads"] == 0
         assert stats["engine_cold_starts"] == 1
 
+    def test_one_lattice_check_per_tree_build_and_load(
+        self, tmp_path, monkeypatch
+    ):
+        """A tree's kernel is decided once per engine: one lattice check
+        when a store build prepares it (landmark Quad lowers, Kst does
+        not), and one when an archive load restores it."""
+        from repro.baselines import tree
+        from repro.core.serialization import synopsis_from_path
+        from repro.queries.engine import BatchQueryEngine, FlatTreeEngine
+
+        calls = []
+        lattice_leaves = tree._lattice_leaves
+
+        def counted(synopsis):
+            calls.append(synopsis)
+            return lattice_leaves(synopsis)
+
+        monkeypatch.setattr(tree, "_lattice_leaves", counted)
+        store = _store(tmp_path, n_points=100_000)
+        for method, kernel in (("Quad", BatchQueryEngine), ("Kst", FlatTreeEngine)):
+            k = key(method=method, dataset="landmark")
+            calls.clear()
+            synopsis, built = store.build(k)
+            assert built and isinstance(synopsis.engine, kernel)
+            assert len(calls) == 1, method
+            calls.clear()
+            loaded = synopsis_from_path(tmp_path / f"{k.slug()}.npz")
+            assert isinstance(loaded.engine, kernel)
+            assert len(calls) == 1, method
+
 
 @pytest.mark.skipif(
     not hasattr(os, "fork") or not sys.platform.startswith("linux"),

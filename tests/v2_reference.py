@@ -17,13 +17,13 @@ from repro.core import serialization as ser
 
 def v2_reference_bytes(synopsis, slabs=None) -> bytes:
     """The v2 archive bytes of ``synopsis``, built step by step, with
-    ``slabs`` sealed as its engine buffers (by default the buffers its
-    row's ``precompute`` derives afresh)."""
+    ``slabs`` sealed as its engine buffers (by default those of a fresh
+    engine from its row's ``engine``)."""
     payload = ser._pack(synopsis)
     payload["format_version"] = np.array(ser._FORMAT_VERSION)
     payload[ser._SEALED_MARKER] = np.array(1, dtype=np.int64)
     if slabs is None:
-        slabs = ser.synopsis_kind(type(synopsis)).precompute(synopsis)
+        slabs = ser.synopsis_kind(type(synopsis)).engine(synopsis).slabs
     for name, array in slabs.items():
         payload[ser._ENGINE_SLAB_PREFIX + name] = array
     arrays = {}
