@@ -89,7 +89,7 @@ def _boot(store_dir, **kwargs):
         store_dir=store_dir, dataset_budget=4.0, n_points=N_POINTS
     )
     kwargs.setdefault("drift_threshold", 1.0)  # gate closed by default
-    manager = IngestManager(store, store_dir, **kwargs)
+    manager = IngestManager(store, **kwargs)
     return store, manager
 
 

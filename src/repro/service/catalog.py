@@ -1,22 +1,25 @@
 """The SQLite-backed metadata catalog for the multi-tenant service tier.
 
-One :class:`Catalog` file holds everything the serving layer knows
-*about* its data — never the data itself:
+One :class:`Catalog` file holds what the serving layer reads *about*
+its data — never the data itself:
 
-* **tenants** — the namespaces requests resolve to.  The implicit
-  ``default`` tenant always exists, so a single-operator deployment
-  (``--auth off``) needs no setup.
-* **API keys** — hashed at rest (SHA-256 of the secret half; the
+* **API keys** — each resolves to a tenant id, the namespace a request
+  runs in.  Keys are hashed at rest (SHA-256 of the secret half; the
   plaintext token is shown exactly once, at creation) and verified with
-  :func:`hmac.compare_digest` (see :mod:`repro.service.auth`).
-* **dataset registrations** — the tenant-scoped CRUD objects behind
-  ``POST/GET/DELETE /datasets``, listed with stable rowid cursors.
+  :func:`hmac.compare_digest` (see :mod:`repro.service.auth`).  A
+  tenant is any valid id (:func:`validate_tenant_id`): it needs no row
+  of its own, and the implicit ``default`` tenant serves a
+  single-operator deployment (``--auth off``) with no setup.
 * **the privacy ledger** — the service's only record of epsilon spent:
   per tenant and dataset instance, the budget total and every spend in
   spend order.  A spend appends one row inside a ``BEGIN IMMEDIATE``
   transaction (:meth:`Catalog.exclusive`) that also re-reads the rows it
   checks against, so two threads or server processes sharing the file
   can never interleave a double spend.
+
+Catalog files written by older versions also hold ``tenants``,
+``datasets`` and ``releases`` tables; they open as they are, and
+nothing reads those tables.
 
 **Migration.**  :meth:`Catalog.import_budgets_json` imports a
 ``budgets.json`` spend history — the ledger format of versions before
@@ -51,12 +54,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from repro.service import faultinject
-from repro.service.errors import (
-    AuthForbidden,
-    DatasetExists,
-    DatasetNotFound,
-    ValidationError,
-)
+from repro.service.errors import AuthForbidden, ValidationError
 
 __all__ = [
     "Catalog",
@@ -77,25 +75,13 @@ CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
 );
-CREATE TABLE IF NOT EXISTS tenants (
-    id         TEXT PRIMARY KEY,
-    created_at REAL NOT NULL
-);
 CREATE TABLE IF NOT EXISTS api_keys (
     key_id      TEXT PRIMARY KEY,
-    tenant_id   TEXT NOT NULL REFERENCES tenants(id),
+    tenant_id   TEXT NOT NULL,
     secret_hash TEXT NOT NULL,
     name        TEXT NOT NULL DEFAULT '',
     created_at  REAL NOT NULL,
     revoked     INTEGER NOT NULL DEFAULT 0
-);
-CREATE TABLE IF NOT EXISTS datasets (
-    tenant_id   TEXT NOT NULL REFERENCES tenants(id),
-    name        TEXT NOT NULL,
-    spec        TEXT NOT NULL,
-    description TEXT NOT NULL DEFAULT '',
-    created_at  REAL NOT NULL,
-    PRIMARY KEY (tenant_id, name)
 );
 CREATE TABLE IF NOT EXISTS budget_totals (
     tenant_id TEXT NOT NULL,
@@ -209,10 +195,6 @@ class Catalog:
                 "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
                 ("schema_version", str(_SCHEMA_VERSION)),
             )
-            conn.execute(
-                "INSERT OR IGNORE INTO tenants (id, created_at) VALUES (?, ?)",
-                (DEFAULT_TENANT, time.time()),
-            )
             conn.execute("COMMIT")
             return self._configure(conn)
         except BaseException:
@@ -306,38 +288,20 @@ class Catalog:
             self._local.conn = None
 
     # ------------------------------------------------------------------
-    # Tenants and API keys
+    # API keys
     # ------------------------------------------------------------------
-
-    def ensure_tenant(self, tenant: str) -> None:
-        validate_tenant_id(tenant)
-        with self.exclusive() as conn:
-            conn.execute(
-                "INSERT OR IGNORE INTO tenants (id, created_at) VALUES (?, ?)",
-                (tenant, time.time()),
-            )
-
-    def tenant_ids(self) -> list[str]:
-        rows = self._conn().execute(
-            "SELECT id FROM tenants ORDER BY id"
-        ).fetchall()
-        return [row[0] for row in rows]
 
     def create_api_key(self, tenant: str, name: str = "") -> str:
         """Mint an API key for ``tenant``; returns the one-time token.
 
         The token is ``rk_<key_id>.<secret>``; only the SHA-256 of the
         secret half is stored, so a catalog leak does not leak usable
-        credentials.  The tenant is created if it does not exist.
+        credentials.
         """
         validate_tenant_id(tenant)
         key_id = secrets.token_hex(8)
         secret = secrets.token_hex(24)
         with self.exclusive() as conn:
-            conn.execute(
-                "INSERT OR IGNORE INTO tenants (id, created_at) VALUES (?, ?)",
-                (tenant, time.time()),
-            )
             conn.execute(
                 "INSERT INTO api_keys (key_id, tenant_id, secret_hash, name,"
                 " created_at) VALUES (?, ?, ?, ?, ?)",
@@ -365,13 +329,13 @@ class Catalog:
         token's digest (never the token itself), with two freshness
         guards.  Writes through *this* handle — a revocation included,
         from any thread — bump ``_generation`` and take effect on the
-        very next resolve.  Writes from *other* processes (an admin CLI
-        revoking a key) are detected by re-reading SQLite's
-        ``data_version`` pragma plus the connection's ``total_changes``,
-        amortised to at most once per ``auth_cache_ttl_s`` (default
-        100 ms, the bounded cross-process revocation-propagation delay;
-        0 re-validates every resolve).  Failures are never cached (they
-        keep their constant-cost path).
+        very next resolve.  Writes from *other* processes (one calling
+        :meth:`revoke_api_key` on its own handle) are detected by
+        re-reading SQLite's ``data_version`` pragma plus the connection's
+        ``total_changes``, amortised to at most once per
+        ``auth_cache_ttl_s`` (default 100 ms, the bounded cross-process
+        revocation-propagation delay; 0 re-validates every resolve).
+        Failures are never cached (they keep their constant-cost path).
         """
         rejection = AuthForbidden("API key is not recognised")
         if not token.startswith("rk_") or "." not in token:
@@ -428,86 +392,6 @@ class Catalog:
         if len(cache["entries"]) < 1024:  # bound a hostile token flood
             cache["entries"][digest] = tenant
         return tenant
-
-    # ------------------------------------------------------------------
-    # Dataset registrations (tenant-scoped CRUD)
-    # ------------------------------------------------------------------
-
-    def register_dataset(
-        self, tenant: str, name: str, spec: str, description: str = ""
-    ) -> dict:
-        with self.exclusive() as conn:
-            conn.execute(
-                "INSERT OR IGNORE INTO tenants (id, created_at) VALUES (?, ?)",
-                (tenant, time.time()),
-            )
-            try:
-                conn.execute(
-                    "INSERT INTO datasets (tenant_id, name, spec, description,"
-                    " created_at) VALUES (?, ?, ?, ?, ?)",
-                    (tenant, name, spec, description, time.time()),
-                )
-            except sqlite3.IntegrityError:
-                raise DatasetExists(
-                    f"dataset {name!r} is already registered for this tenant"
-                ) from None
-        return self.get_dataset(tenant, name)
-
-    def get_dataset(self, tenant: str, name: str) -> dict:
-        row = self._conn().execute(
-            "SELECT rowid, name, spec, description, created_at FROM datasets"
-            " WHERE tenant_id = ? AND name = ?",
-            (tenant, name),
-        ).fetchone()
-        if row is None:
-            raise DatasetNotFound(
-                f"no dataset {name!r} registered for this tenant"
-            )
-        return self._dataset_payload(row)
-
-    def delete_dataset(self, tenant: str, name: str) -> None:
-        with self.exclusive() as conn:
-            cursor = conn.execute(
-                "DELETE FROM datasets WHERE tenant_id = ? AND name = ?",
-                (tenant, name),
-            )
-        if cursor.rowcount == 0:
-            raise DatasetNotFound(
-                f"no dataset {name!r} registered for this tenant"
-            )
-
-    def list_datasets(
-        self, tenant: str, limit: int = 50, cursor: int | None = None
-    ) -> tuple[list[dict], int | None]:
-        """One page of the tenant's registrations, oldest first.
-
-        ``cursor`` is the opaque position a previous page returned
-        (``None`` starts from the beginning); the listing is ordered by
-        rowid, so pages are stable under concurrent inserts — rows
-        created after a cursor was minted appear on later pages, and
-        deletions never shift earlier rows.  Returns ``(rows,
-        next_cursor)`` with ``next_cursor=None`` on the last page.
-        """
-        rows = self._conn().execute(
-            "SELECT rowid, name, spec, description, created_at FROM datasets"
-            " WHERE tenant_id = ? AND rowid > ?"
-            " ORDER BY rowid LIMIT ?",
-            (tenant, cursor or 0, limit + 1),
-        ).fetchall()
-        page = rows[:limit]
-        next_cursor = int(page[-1][0]) if len(rows) > limit else None
-        return [self._dataset_payload(row) for row in page], next_cursor
-
-    @staticmethod
-    def _dataset_payload(row) -> dict:
-        rowid, name, spec, description, created_at = row
-        return {
-            "name": name,
-            "spec": spec,
-            "description": description,
-            "created_at": created_at,
-            "id": int(rowid),
-        }
 
     # ------------------------------------------------------------------
     # The privacy ledger

@@ -186,19 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--catalog", default=None, metavar="PATH", type=_catalog_path,
-        help="SQLite metadata catalog (tenants, API keys, dataset "
-        "registrations, the privacy ledger); defaults to "
-        "<store-dir>/catalog.sqlite, or to a private temporary file "
-        "without --store-dir",
-    )
-    parser.add_argument(
-        "--create-tenant", default=None, metavar="TENANT",
-        help="admin one-shot: create a tenant in the catalog and exit",
+        help="SQLite metadata catalog (API keys and the privacy ledger); "
+        "defaults to <store-dir>/catalog.sqlite, or to a private "
+        "temporary file without --store-dir",
     )
     parser.add_argument(
         "--create-api-key", default=None, metavar="TENANT",
-        help="admin one-shot: mint an API key for a tenant (created if "
-        "missing), print the one-time token, and exit",
+        help="admin one-shot: mint an API key for a tenant, print the "
+        "one-time token, and exit",
     )
     parser.add_argument(
         "--smoke", action="store_true",
@@ -242,18 +237,6 @@ def resolve_workers(
     if not hasattr(socket, "SO_REUSEPORT"):
         return 1, "this platform lacks SO_REUSEPORT; serving with 1 worker"
     return requested, None
-
-
-def _admin(args) -> int:
-    """Run the ``--create-tenant`` / ``--create-api-key`` one-shots."""
-    catalog = Catalog(args.catalog or Path(args.store_dir) / CATALOG_FILE)
-    if args.create_tenant is not None:
-        catalog.ensure_tenant(args.create_tenant)
-        print(f"tenant {args.create_tenant!r} ready in {catalog.path}")
-    if args.create_api_key is not None:
-        token = catalog.create_api_key(args.create_api_key)
-        print(token)
-    return 0
 
 
 def _make_store(args) -> SynopsisStore:
@@ -303,20 +286,21 @@ def main(argv: list[str] | None = None) -> int:
     # Fault-injection hooks for the crash-safety test harness; inert
     # unless REPRO_FAULTS is set (see repro.service.faultinject).
     faultinject.install_from_env()
-    admin = args.create_tenant is not None or args.create_api_key is not None
-    if (admin or args.auth == "require") and (
+    if (args.create_api_key is not None or args.auth == "require") and (
         args.store_dir is None and args.catalog is None
     ):
         # A private temporary catalog would hold no API keys and vanish
         # on exit: minting into it, or requiring keys from it, is moot.
         print(
-            "--create-tenant, --create-api-key and --auth require need a "
-            "persistent catalog: pass --catalog PATH or --store-dir",
+            "--create-api-key and --auth require need a persistent "
+            "catalog: pass --catalog PATH or --store-dir",
             file=sys.stderr,
         )
         return 2
-    if admin:
-        return _admin(args)
+    if args.create_api_key is not None:
+        catalog = Catalog(args.catalog or Path(args.store_dir) / CATALOG_FILE)
+        print(catalog.create_api_key(args.create_api_key))
+        return 0
     if args.smoke:
         # Small and fast by default; an explicit --n-points or
         # --dataset-budget is honoured (the self-test adapts to the
@@ -342,7 +326,6 @@ def main(argv: list[str] | None = None) -> int:
 
         manager = IngestManager(
             store,
-            args.store_dir,
             drift_threshold=args.drift_threshold,
             staleness_ms=args.staleness_ms,
             epoch_budget_fraction=args.epoch_budget_fraction,

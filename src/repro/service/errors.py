@@ -16,8 +16,6 @@ __all__ = [
     "ReleaseNotFound",
     "RouteNotFound",
     "MethodNotAllowed",
-    "DatasetNotFound",
-    "DatasetExists",
     "BudgetRefused",
     "ServerOverloaded",
     "DeadlineExpired",
@@ -79,7 +77,7 @@ class AuthForbidden(ServiceError):
 
 
 class RouteNotFound(ServiceError):
-    """No route pattern matches the request path (any method)."""
+    """No route serves the request path (any method)."""
 
     status = 404
 
@@ -97,18 +95,6 @@ class MethodNotAllowed(ServiceError):
     def __init__(self, message: str, allow: tuple[str, ...] = ()):
         super().__init__(message)
         self.allow = tuple(sorted(allow))
-
-
-class DatasetNotFound(ServiceError):
-    """No dataset registration under this tenant matches the name."""
-
-    status = 404
-
-
-class DatasetExists(ServiceError):
-    """A dataset registration with this name already exists for the tenant."""
-
-    status = 409
 
 
 class ReleaseNotFound(ServiceError):

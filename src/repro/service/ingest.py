@@ -51,7 +51,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -231,6 +230,10 @@ class _DatasetLog:
 class IngestManager:
     """Owns WALs, drift trackers, and the refresh policy for one store.
 
+    The WALs live in the store's own directory, beside the archives
+    they commit against; an in-memory store (no ``store_dir``) raises
+    ``ValueError``.
+
     Thread-safe; a single re-entrant lock guards all state, and WAL
     appends run under it (the log's single-writer contract).  Refresh
     fits run *outside* the lock — the store re-snapshots the staged
@@ -241,12 +244,13 @@ class IngestManager:
     def __init__(
         self,
         store,
-        store_dir: str | Path,
         drift_threshold: float = 0.25,
         staleness_ms: float = 0.0,
         epoch_budget_fraction: float = 0.5,
         clock=time.time,
     ):
+        if store.store_dir is None:
+            raise ValueError("ingest requires a persistent store directory")
         if not 0.0 <= drift_threshold <= 1.0:
             raise ValueError(
                 f"drift_threshold must be in [0, 1], got {drift_threshold}"
@@ -261,7 +265,6 @@ class IngestManager:
                 f"got {epoch_budget_fraction}"
             )
         self._store = store
-        self._store_dir = Path(store_dir)
         self.drift_threshold = float(drift_threshold)
         self.staleness_ms = float(staleness_ms)
         self.epoch_budget_fraction = float(epoch_budget_fraction)
@@ -281,11 +284,8 @@ class IngestManager:
         its own directory, so WALs (and replay) stay partitioned per
         tenant while the drift/staleness/budget policy is shared.
         """
-        if store.store_dir is None:
-            raise ValueError("ingest requires a persistent store directory")
         return IngestManager(
             store,
-            store.store_dir,
             drift_threshold=self.drift_threshold,
             staleness_ms=self.staleness_ms,
             epoch_budget_fraction=self.epoch_budget_fraction,
@@ -297,7 +297,7 @@ class IngestManager:
     # ------------------------------------------------------------------
 
     def _replay(self) -> None:
-        for path in sorted(self._store_dir.glob("*.wal")):
+        for path in sorted(self._store.store_dir.glob("*.wal")):
             stem = path.stem
             dataset, sep, seed_text = stem.rpartition("_seed")
             if not sep:
@@ -410,7 +410,7 @@ class IngestManager:
         log = self._logs.get(data_id)
         if log is None:
             log = _DatasetLog(
-                WriteAheadLog(wal_path(self._store_dir, dataset, seed))
+                WriteAheadLog(wal_path(self._store.store_dir, dataset, seed))
             )
             self._logs[data_id] = log
         return log

@@ -1,22 +1,20 @@
-"""Method + path-pattern routing for the HTTP service tier.
+"""Method + exact-path routing for the HTTP service tier.
 
 The server used to be one hand-rolled ``if path ==`` chain; the router
-turns it into a declarative dispatch table::
+turns it into a declarative dispatch table, ``{path: {method: Route}}``::
 
     router = Router()
     router.add("GET", "/releases", list_releases)
-    router.add("GET", "/datasets/{name}", get_dataset)
     router.add("POST", "/query", post_query, gated=True, drain_body=False)
     router.add("GET", "/health", get_health, auth_exempt=True)
 
-    route, params = router.resolve("GET", "/datasets/storage")
-    # params == {"name": "storage"}
+    route = router.resolve("GET", "/releases")
 
-Patterns are literal path segments plus ``{name}`` placeholders.  A
-placeholder matches one segment (no ``/``); ``{name:int}`` matches only
-digits and delivers the parameter as ``int``.  Resolution is exact:
+Paths match exactly (the adapter strips the query string and a trailing
+``/`` first); no route takes a path parameter.  Resolution answers
+misses precisely:
 
-* no pattern matches the path under any method → :class:`RouteNotFound`
+* the path is not in the table under any method → :class:`RouteNotFound`
   (404) whose detail lists the registered paths, so a typo'd URL is
   self-documenting;
 * the path exists but not for this method → :class:`MethodNotAllowed`
@@ -36,37 +34,12 @@ with — the router only stores and resolves.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.service.errors import MethodNotAllowed, RouteNotFound
 
 __all__ = ["Route", "Router"]
-
-_PLACEHOLDER = re.compile(r"\{([a-zA-Z_][a-zA-Z0-9_]*)(?::(int))?\}")
-
-_CONVERTERS: dict[str, tuple[str, Callable[[str], object]]] = {
-    # converter name -> (regex fragment, value parser)
-    "str": (r"[^/]+", str),
-    "int": (r"\d+", int),
-}
-
-
-def _compile(pattern: str) -> tuple[re.Pattern, dict[str, Callable]]:
-    """Compile a route pattern into a regex + per-param value parsers."""
-    parts: list[str] = []
-    parsers: dict[str, Callable] = {}
-    pos = 0
-    for match in _PLACEHOLDER.finditer(pattern):
-        parts.append(re.escape(pattern[pos : match.start()]))
-        name, converter = match.group(1), match.group(2) or "str"
-        fragment, parser = _CONVERTERS[converter]
-        parts.append(f"(?P<{name}>{fragment})")
-        parsers[name] = parser
-        pos = match.end()
-    parts.append(re.escape(pattern[pos:]))
-    return re.compile("^" + "".join(parts) + "$"), parsers
 
 
 @dataclass(frozen=True)
@@ -74,7 +47,7 @@ class Route:
     """One routable endpoint and its middleware flags."""
 
     method: str
-    pattern: str
+    path: str
     handler: Callable
     #: Skip authentication for this route (health probes, docs).
     auth_exempt: bool = False
@@ -82,82 +55,52 @@ class Route:
     gated: bool = False
     #: Read-and-discard an unconsumed request body before responding.
     drain_body: bool = True
-    regex: re.Pattern = field(compare=False, repr=False, default=None)
-    parsers: dict = field(compare=False, repr=False, default=None)
 
 
 class Router:
-    """An ordered dispatch table of :class:`Route` entries."""
+    """An exact-path dispatch table of :class:`Route` entries."""
 
     def __init__(self):
-        self._routes: list[Route] = []
+        self._routes: dict[str, dict[str, Route]] = {}
 
     def add(
         self,
         method: str,
-        pattern: str,
+        path: str,
         handler: Callable,
         *,
         auth_exempt: bool = False,
         gated: bool = False,
         drain_body: bool = True,
     ) -> Route:
-        regex, parsers = _compile(pattern)
-        route = Route(
-            method=method.upper(),
-            pattern=pattern,
-            handler=handler,
-            auth_exempt=auth_exempt,
-            gated=gated,
-            drain_body=drain_body,
-            regex=regex,
-            parsers=parsers,
-        )
-        self._routes.append(route)
+        route = Route(method.upper(), path, handler, auth_exempt, gated, drain_body)
+        self._routes.setdefault(path, {})[route.method] = route
         return route
 
     def paths(self) -> list[str]:
-        """The registered path patterns, sorted and de-duplicated."""
-        return sorted({route.pattern for route in self._routes})
+        """The registered paths, sorted."""
+        return sorted(self._routes)
 
     def methods_for(self, path: str) -> tuple[str, ...]:
         """Every method some route accepts for ``path`` (may be empty)."""
-        return tuple(
-            sorted(
-                {
-                    route.method
-                    for route in self._routes
-                    if route.regex.match(path)
-                }
-            )
-        )
+        return tuple(sorted(self._routes.get(path, ())))
 
-    def resolve(self, method: str, path: str) -> tuple[Route, dict]:
-        """Find the route for ``method path`` and parse its path params.
+    def resolve(self, method: str, path: str) -> Route:
+        """The route for ``method path``.
 
-        Raises :class:`RouteNotFound` when nothing matches the path, and
+        Raises :class:`RouteNotFound` when no route has the path, and
         :class:`MethodNotAllowed` (carrying ``allow``) when the path is
         known but not under this method.
         """
         method = method.upper()
-        path_matched = False
-        for route in self._routes:
-            match = route.regex.match(path)
-            if match is None:
-                continue
-            path_matched = True
-            if route.method != method:
-                continue
-            params = {
-                name: route.parsers[name](value)
-                for name, value in match.groupdict().items()
-            }
-            return route, params
-        if path_matched:
-            raise MethodNotAllowed(
-                f"{path} does not support {method}",
-                allow=self.methods_for(path),
+        routes = self._routes.get(path)
+        if routes is None:
+            raise RouteNotFound(
+                f"no route {method} {path}; available: {', '.join(self.paths())}"
             )
-        raise RouteNotFound(
-            f"no route {method} {path}; available: {', '.join(self.paths())}"
-        )
+        route = routes.get(method)
+        if route is None:
+            raise MethodNotAllowed(
+                f"{path} does not support {method}", allow=self.methods_for(path)
+            )
+        return route

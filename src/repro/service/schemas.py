@@ -22,15 +22,10 @@ __all__ = [
     "MAX_BATCH_SIZE",
     "MAX_INGEST_BATCH",
     "MAX_BATCH_ID_LENGTH",
-    "MAX_DATASET_NAME_LENGTH",
-    "MAX_DATASET_PAGE_SIZE",
     "BuildRequest",
-    "DatasetRequest",
     "IngestRequest",
     "QueryRequest",
     "parse_build_request",
-    "parse_dataset_request",
-    "parse_dataset_list_query",
     "parse_ingest_request",
     "parse_query_request",
     "validate_batch_size",
@@ -48,12 +43,6 @@ MAX_INGEST_BATCH = 100_000
 #: Bound on the client-chosen idempotency token's length.
 MAX_BATCH_ID_LENGTH = 200
 
-#: Bound on a dataset registration's name length.
-MAX_DATASET_NAME_LENGTH = 100
-
-#: Largest page ``GET /datasets`` will return (also the default).
-MAX_DATASET_PAGE_SIZE = 50
-
 
 @dataclass(frozen=True)
 class BuildRequest:
@@ -67,21 +56,6 @@ class BuildRequest:
     key: ReleaseKey
     force: bool = False
     deadline_ms: float | None = None
-
-
-@dataclass(frozen=True)
-class DatasetRequest:
-    """``POST /datasets`` — register a dataset under the caller's tenant.
-
-    ``name`` is the tenant-scoped handle clients use; ``spec`` names the
-    registry generator backing it (the catalog stores only metadata, so
-    a registration is a pointer, never raw data); ``description`` is
-    free-form operator text.
-    """
-
-    name: str
-    spec: str
-    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -193,71 +167,6 @@ def parse_build_request(payload) -> BuildRequest:
         force=_parse_flag(payload, "force"),
         deadline_ms=_parse_deadline_ms(payload),
     )
-
-
-def parse_dataset_request(payload) -> DatasetRequest:
-    payload = _require_mapping(payload)
-    missing = [f for f in ("name", "spec") if f not in payload]
-    if missing:
-        raise ValidationError(f"missing required field(s): {', '.join(missing)}")
-    name = payload["name"]
-    if not isinstance(name, str) or not name:
-        raise ValidationError(f"'name' must be a non-empty string, got {name!r}")
-    if len(name) > MAX_DATASET_NAME_LENGTH:
-        raise ValidationError(
-            f"'name' exceeds {MAX_DATASET_NAME_LENGTH} characters"
-        )
-    if "/" in name or "\x00" in name:
-        raise ValidationError("'name' must not contain '/' or NUL characters")
-    spec = payload["spec"]
-    if not isinstance(spec, str) or spec not in DATASETS:
-        raise ValidationError(
-            f"'spec' must name a registry dataset; available: "
-            f"{', '.join(DATASETS)}"
-        )
-    description = payload.get("description", "")
-    if not isinstance(description, str):
-        raise ValidationError(
-            f"'description' must be a string, got {description!r}"
-        )
-    return DatasetRequest(name=name, spec=spec, description=description)
-
-
-def parse_dataset_list_query(params: dict) -> tuple[int, int | None]:
-    """Validate ``GET /datasets`` pagination params -> (limit, cursor).
-
-    ``params`` maps query-string names to their (single) values.  The
-    cursor is the opaque token a previous page's ``next_cursor``
-    returned; anything else is rejected rather than silently restarting
-    pagination from the top.
-    """
-    raw_limit = params.get("limit")
-    limit = MAX_DATASET_PAGE_SIZE
-    if raw_limit is not None:
-        try:
-            limit = int(raw_limit)
-        except ValueError:
-            raise ValidationError(
-                f"'limit' must be an integer, got {raw_limit!r}"
-            ) from None
-        if not 1 <= limit <= MAX_DATASET_PAGE_SIZE:
-            raise ValidationError(
-                f"'limit' must be in [1, {MAX_DATASET_PAGE_SIZE}], got {limit}"
-            )
-    raw_cursor = params.get("cursor")
-    cursor = None
-    if raw_cursor is not None:
-        try:
-            cursor = int(raw_cursor)
-        except ValueError:
-            raise ValidationError(
-                f"'cursor' is not a cursor this listing returned: {raw_cursor!r}"
-            ) from None
-        if cursor < 0:
-            raise ValidationError(
-                f"'cursor' is not a cursor this listing returned: {raw_cursor!r}"
-            )
-    return limit, cursor
 
 
 def parse_ingest_request(payload) -> IngestRequest:

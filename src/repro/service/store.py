@@ -252,7 +252,6 @@ class SynopsisStore:
                 else None
             )
         self._catalog = catalog
-        catalog.ensure_tenant(self._tenant)
         if self._store_dir is not None:
             # One-shot, idempotent: a pre-catalog budgets.json spend
             # history becomes catalog rows bit-for-bit; the marker in
@@ -429,8 +428,6 @@ class SynopsisStore:
         deterministic reconstruction of the identical release.
         """
         key = key.with_tenant(self._tenant)
-        ingest = self._ingest
-        context = ingest.build_context(key) if ingest is not None else None
         if not force:
             # Pre-check outside the store lock: serves the common
             # repeat-build case, including a disk reload, without
@@ -438,6 +435,12 @@ class SynopsisStore:
             synopsis = self._lookup_or_load(key, deadline)
             if synopsis is not None:
                 return synopsis, False
+        # After the pre-check, so a cache hit copies no staged points;
+        # outside the store lock, because the manager holds its own lock
+        # while it calls get() (taking the two in the other order could
+        # deadlock).
+        ingest = self._ingest
+        context = ingest.build_context(key) if ingest is not None else None
         with self._lock:
             while True:
                 if not force:

@@ -26,7 +26,10 @@ from repro.datasets.registry import get_spec
 from repro.service import faultinject
 from repro.service.faultinject import SimulatedCrash
 from repro.service.ingest import IngestManager
+from repro.service.query_service import QueryService
+from repro.service.server import serve
 from repro.service.store import SynopsisStore
+from repro.service.wal import MarkerRecord, scan_records, wal_path
 
 DRIFT_THRESHOLD = 0.05
 EPOCH_FRACTION = 0.9
@@ -55,7 +58,6 @@ def _boot(store_dir, drift_threshold=DRIFT_THRESHOLD, clock=time.time):
     )
     manager = IngestManager(
         store,
-        store_dir,
         drift_threshold=drift_threshold,
         epoch_budget_fraction=EPOCH_FRACTION,
         clock=clock,
@@ -182,6 +184,44 @@ def test_recovery_rebuild_happens_before_any_retry(tmp_path, baseline):
     assert report["refreshed"] == [] and report["refused"] == {}
     assert state == _end_state(tmp_path, store)
     manager.close()
+
+
+def test_tenant_recovery_rebuild_happens_before_any_request(tmp_path, baseline):
+    """The tenant twin of the test above: a server with ingestion
+    finishes every tenant's paid-for refresh while it is constructed,
+    not inside that tenant's first request."""
+    store, manager = _boot(tmp_path)
+    tenant_store = store.for_tenant("acme")
+    tenant_manager = manager.for_store(tenant_store)
+    tenant_store.build(release_key())
+    faultinject.install(
+        "wal.append",
+        lambda **context: (_ for _ in ()).throw(SimulatedCrash("marker"))
+        if context.get("kind") == "marker"
+        else None,
+    )
+    with pytest.raises(SimulatedCrash):
+        tenant_manager.ingest("storage", 0, "batch-1", _skewed_batch())
+    faultinject.clear()
+    tenant_manager.close()
+    manager.close()
+
+    store, manager = _boot(tmp_path)
+    server = serve(QueryService(store), "127.0.0.1", 0, ingest=manager)
+    try:
+        wal = wal_path(tmp_path / "tenants" / "acme", "storage", 0)
+        markers = [
+            record
+            for record in scan_records(wal.read_bytes())[0]
+            if isinstance(record, MarkerRecord)
+        ]
+        assert markers == [MarkerRecord(release_key().slug(), 400)]
+        assert store.catalog.load_budgets("acme") == baseline["ledger"]
+        assert server.tenants_payload().keys() == {"default", "acme"}
+    finally:
+        server.server_close()
+        for tenant in ("default", "acme"):
+            server.tenant_context(tenant).ingest.close()
 
 
 def test_torn_data_append_is_invisible_after_restart(tmp_path):

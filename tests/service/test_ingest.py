@@ -46,7 +46,7 @@ def manager_over(tmp_path, **kwargs):
     )
     kwargs.setdefault("drift_threshold", 0.05)
     kwargs.setdefault("epoch_budget_fraction", 0.9)
-    return store, IngestManager(store, tmp_path, **kwargs)
+    return store, IngestManager(store, **kwargs)
 
 
 class TestDatasetExtend:
@@ -191,11 +191,17 @@ class TestManagerValidation:
     def test_threshold_ranges(self, tmp_path):
         store = SynopsisStore(store_dir=tmp_path, n_points=N_POINTS)
         with pytest.raises(ValueError, match="drift_threshold"):
-            IngestManager(store, tmp_path, drift_threshold=1.5)
+            IngestManager(store, drift_threshold=1.5)
         with pytest.raises(ValueError, match="staleness_ms"):
-            IngestManager(store, tmp_path, staleness_ms=-1)
+            IngestManager(store, staleness_ms=-1)
         with pytest.raises(ValueError, match="epoch_budget_fraction"):
-            IngestManager(store, tmp_path, epoch_budget_fraction=2.0)
+            IngestManager(store, epoch_budget_fraction=2.0)
+
+    def test_in_memory_store_is_refused(self):
+        """The WALs live in the store's directory; without one there is
+        nowhere durable to stage a batch."""
+        with pytest.raises(ValueError, match="persistent store directory"):
+            IngestManager(SynopsisStore(n_points=N_POINTS))
 
 
 class TestRefreshPolicy:
@@ -220,6 +226,25 @@ class TestRefreshPolicy:
         stale = manager.staleness(key())
         assert stale["pending_points"] == 50
         assert stale["released_epoch"] == 0
+
+    def test_cache_hit_build_reads_no_staged_points(self, tmp_path, monkeypatch):
+        """A repeat build that returns the cached release takes no build
+        context, so it copies none of the staged points."""
+        store, manager = manager_over(tmp_path, drift_threshold=0.9)
+        store.build(key())
+        manager.ingest("storage", 0, "b1", make_dataset(n=50, rng=2).points)
+        calls = []
+        build_context = manager.build_context
+        monkeypatch.setattr(
+            manager,
+            "build_context",
+            lambda k: calls.append(k) or build_context(k),
+        )
+        assert store.build(key())[1] is False
+        assert calls == []
+        # A forced rebuild still reads the staged points.
+        assert store.build(key(), force=True)[1] is True
+        assert len(calls) == 1
 
     def test_staleness_clock_triggers_refresh(self, tmp_path):
         clock = FakeClock(1000.0)

@@ -48,7 +48,6 @@ def serve_stack(tmp_path, drift_threshold):
     )
     manager = IngestManager(
         store,
-        tmp_path,
         drift_threshold=drift_threshold,
         epoch_budget_fraction=0.3,  # cap 0.6: exactly one eps-0.5 refresh
     )

@@ -176,6 +176,46 @@ class TestCatalogFlags:
         catalog = Catalog(tmp_path / "catalog.sqlite")
         assert catalog.resolve_api_key(token) == "acme"
 
+    def test_minted_key_builds_for_a_new_tenant(self, tmp_path, capsys):
+        """The key is all a new tenant needs: an ``--auth require``
+        server over the same store builds into the tenant's partition."""
+        from repro.service.auth import ApiKeyAuthenticator
+        from repro.service.query_service import QueryService
+        from repro.service.server import serve
+        from repro.service.store import SynopsisStore
+
+        argv = ["--store-dir", str(tmp_path), "--create-api-key", "acme"]
+        assert serve_main(argv) == 0
+        token = capsys.readouterr().out.strip()
+        store = SynopsisStore(store_dir=tmp_path, n_points=1_000)
+        server = serve(
+            QueryService(store),
+            "127.0.0.1",
+            0,
+            authenticator=ApiKeyAuthenticator(store.catalog),
+        )
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            request = urllib.request.Request(
+                server.url + "/releases",
+                data=json.dumps(
+                    {"dataset": "storage", "method": "UG", "epsilon": 0.5, "seed": 0}
+                ).encode(),
+                headers={"Authorization": f"Bearer {token}"},
+                method="POST",
+            )
+            with urllib.request.urlopen(request, timeout=30) as response:
+                assert response.status == 201
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert list((tmp_path / "tenants" / "acme").glob("*.npz"))
+        assert store.catalog.load_budgets("acme")["storage|0"]["ledger"] == [
+            [0.5, "storage_UG_eps0.5_seed0"]
+        ]
+
 
 @pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(socket, "SO_REUSEPORT")),

@@ -169,21 +169,35 @@ class TestBudget:
 
     def test_build_writes_the_catalog_once_for_the_spend(self, monkeypatch):
         """One build opens one catalog write transaction: the spend's."""
-        from repro.service.catalog import Catalog
-
         store = SynopsisStore(n_points=N_POINTS, dataset_budget=1.0)
-        outermost = []
-        exclusive = Catalog.exclusive
-
-        def counting(catalog):
-            if getattr(catalog._local, "txn_depth", 0) == 0:
-                outermost.append(True)
-            return exclusive(catalog)
-
-        monkeypatch.setattr(Catalog, "exclusive", counting)
+        outermost = _count_catalog_writes(monkeypatch)
         store.build(key())
         assert len(outermost) == 1
         assert store.budget_state()["storage|0"]["spent"] == pytest.approx(1.0)
+
+    def test_opening_a_store_writes_nothing(self, monkeypatch):
+        """A store, or a tenant's sibling store, opens without a catalog
+        write transaction: a tenant needs no row of its own."""
+        outermost = _count_catalog_writes(monkeypatch)
+        SynopsisStore(n_points=N_POINTS).for_tenant("acme")
+        assert outermost == []
+
+
+def _count_catalog_writes(monkeypatch) -> list:
+    """Patch :meth:`Catalog.exclusive` to record each outermost write
+    transaction; returns the list it appends to."""
+    from repro.service.catalog import Catalog
+
+    outermost = []
+    exclusive = Catalog.exclusive
+
+    def counting(catalog):
+        if getattr(catalog._local, "txn_depth", 0) == 0:
+            outermost.append(True)
+        return exclusive(catalog)
+
+    monkeypatch.setattr(Catalog, "exclusive", counting)
+    return outermost
 
 
 class TestPersistence:

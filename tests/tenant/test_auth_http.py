@@ -38,7 +38,7 @@ def stack(tmp_path, start_server):
         n_points=N_POINTS,
         catalog=catalog,
     )
-    manager = IngestManager(store, store_dir)
+    manager = IngestManager(store)
     tokens = {
         tenant: catalog.create_api_key(tenant) for tenant in ("alpha", "beta")
     }
@@ -83,7 +83,7 @@ class TestAuth:
     def test_revoked_key_answers_403(self, stack, call):
         server, tokens = stack
         key_id = tokens["alpha"][3:].split(".", 1)[0]
-        assert server.catalog.revoke_api_key(key_id)
+        assert server.service.store.catalog.revoke_api_key(key_id)
         status, body, _ = call(
             server, "/releases", headers=_auth(tokens, "alpha")
         )
@@ -171,102 +171,42 @@ class TestRoutingMisses:
         assert body["error"] == "MethodNotAllowed"
         assert set(headers["Allow"].split(", ")) == {"GET", "POST"}
 
-
-class TestDatasetCrud:
-    def test_register_get_delete_round_trip(self, stack, call):
+    @pytest.mark.parametrize(
+        "method,path",
+        [("GET", "/datasets"), ("POST", "/datasets"), ("DELETE", "/datasets/x")],
+    )
+    def test_dataset_registrations_are_not_routes(self, stack, call, method, path):
+        """The registration API is gone: its paths are plain 404s that
+        list the routes there are."""
         server, tokens = stack
-        auth = _auth(tokens, "alpha")
         status, body, _ = call(
             server,
-            "/datasets",
-            {"name": "geo", "spec": "storage", "description": "demo"},
-            headers=auth,
-        )
-        assert status == 201
-        assert body["dataset"]["name"] == "geo"
-        assert body["dataset"]["spec"] == "storage"
-
-        status, body, _ = call(server, "/datasets/geo", headers=auth)
-        assert status == 200 and body["dataset"]["description"] == "demo"
-
-        status, body, _ = call(
-            server, "/datasets/geo", method="DELETE", headers=auth
-        )
-        assert status == 200 and body["deleted"] == "geo"
-
-        status, body, _ = call(server, "/datasets/geo", headers=auth)
-        assert status == 404 and body["error"] == "DatasetNotFound"
-
-    def test_duplicate_registration_is_409(self, stack, call):
-        server, tokens = stack
-        auth = _auth(tokens, "alpha")
-        payload = {"name": "dup", "spec": "storage"}
-        assert call(server, "/datasets", payload, headers=auth)[0] == 201
-        status, body, _ = call(server, "/datasets", payload, headers=auth)
-        assert status == 409
-        assert body["error"] == "DatasetExists"
-
-    def test_listing_paginates_with_stable_cursors(self, stack, call):
-        server, tokens = stack
-        auth = _auth(tokens, "alpha")
-        names = [f"d{i}" for i in range(5)]
-        for name in names:
-            assert (
-                call(
-                    server,
-                    "/datasets",
-                    {"name": name, "spec": "storage"},
-                    headers=auth,
-                )[0]
-                == 201
-            )
-        seen, cursor = [], None
-        for _ in range(10):
-            path = "/datasets?limit=2" + (
-                f"&cursor={cursor}" if cursor is not None else ""
-            )
-            status, body, _ = call(server, path, headers=auth)
-            assert status == 200
-            assert len(body["datasets"]) <= 2
-            seen.extend(row["name"] for row in body["datasets"])
-            cursor = body["next_cursor"]
-            if cursor is None:
-                break
-        assert seen == names  # ordered, complete, no duplicates
-
-    def test_bad_cursor_is_rejected(self, stack, call):
-        server, tokens = stack
-        status, body, _ = call(
-            server, "/datasets?cursor=bogus", headers=_auth(tokens, "alpha")
-        )
-        assert status == 400
-        assert "cursor" in body["detail"]
-
-    def test_in_memory_server_serves_datasets(self, start_server, call):
-        """Without a store directory the store's private catalog serves."""
-        server = start_server(QueryService(SynopsisStore(n_points=N_POINTS)))
-        status, body, _ = call(
-            server, "/datasets", {"name": "geo", "spec": "storage"}
-        )
-        assert status == 201 and body["dataset"]["name"] == "geo"
-        status, body, _ = call(server, "/datasets")
-        assert status == 200
-        assert [row["name"] for row in body["datasets"]] == ["geo"]
-
-    def test_registrations_are_tenant_scoped(self, stack, call):
-        server, tokens = stack
-        call(
-            server,
-            "/datasets",
-            {"name": "mine", "spec": "storage"},
+            path,
+            payload={"name": "geo", "spec": "storage"} if method == "POST" else None,
+            method=method,
             headers=_auth(tokens, "alpha"),
         )
-        status, body, _ = call(
-            server, "/datasets/mine", headers=_auth(tokens, "beta")
-        )
         assert status == 404
-        status, body, _ = call(server, "/datasets", headers=_auth(tokens, "beta"))
-        assert status == 200 and body["datasets"] == []
+        assert body["error"] == "RouteNotFound"
+        assert body["detail"].endswith(
+            "available: /health, /ingest, /query, /releases"
+        )
+
+    def test_query_string_and_trailing_slash_are_ignored(self, stack, call):
+        server, tokens = stack
+        status, body, _ = call(
+            server, "/releases/?verbose=1", headers=_auth(tokens, "alpha")
+        )
+        assert status == 200 and "budgets" in body
+
+    def test_delete_on_a_known_path_is_405(self, stack, call):
+        server, tokens = stack
+        status, body, headers = call(
+            server, "/releases", method="DELETE", headers=_auth(tokens, "alpha")
+        )
+        assert status == 405
+        assert body["error"] == "MethodNotAllowed"
+        assert headers["Allow"] == "GET, POST"
 
 
 class TestTenantIsolation:
@@ -321,6 +261,19 @@ class TestTenantIsolation:
         assert status == 200
         assert set(body["tenants"]) >= {"default", "alpha"}
         assert body["tenants"]["alpha"]["builds"] == 1
+
+    def test_ingest_server_opens_tenant_partitions_at_start(
+        self, tmp_path, start_server
+    ):
+        """Every tenant directory on disk gets its context (and so its
+        WAL replay) when the server is built; other entries are skipped."""
+        store = SynopsisStore(store_dir=tmp_path, n_points=N_POINTS)
+        store.for_tenant("alpha")
+        (tmp_path / "tenants" / "Not_A_Tenant").mkdir()
+        (tmp_path / "tenants" / "notes.txt").write_text("not a partition")
+        server = start_server(QueryService(store), ingest=IngestManager(store))
+        assert server.tenants_payload().keys() == {"default", "alpha"}
+        assert server.tenant_context("alpha").ingest is not None
 
     def test_tenant_stores_partition_on_disk(self, stack, call):
         server, tokens = stack

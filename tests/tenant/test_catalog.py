@@ -1,20 +1,16 @@
-"""Catalog unit tests: the catalog file, migration fidelity, pagination,
-tenant ids."""
+"""Catalog unit tests: the catalog file, old catalog files, migration
+fidelity, tenant ids, API keys."""
 
 import gc
 import json
+import sqlite3
 import threading
+from contextlib import closing
 
 import pytest
 
 from repro.service.catalog import DEFAULT_TENANT, Catalog, validate_tenant_id
-from repro.service.errors import (
-    AuthForbidden,
-    BudgetRefused,
-    DatasetExists,
-    DatasetNotFound,
-    ValidationError,
-)
+from repro.service.errors import AuthForbidden, BudgetRefused, ValidationError
 from repro.service.keys import ReleaseKey
 from repro.service.store import SynopsisStore
 
@@ -38,6 +34,60 @@ LEGACY_BUDGETS = {
 }
 
 
+#: The schema of catalog files written before the registration API and
+#: the ``tenants`` table were removed (schema version 1 all the same).
+OLD_SCHEMA = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE tenants (id TEXT PRIMARY KEY, created_at REAL NOT NULL);
+CREATE TABLE api_keys (
+    key_id      TEXT PRIMARY KEY,
+    tenant_id   TEXT NOT NULL REFERENCES tenants(id),
+    secret_hash TEXT NOT NULL,
+    name        TEXT NOT NULL DEFAULT '',
+    created_at  REAL NOT NULL,
+    revoked     INTEGER NOT NULL DEFAULT 0
+);
+CREATE TABLE datasets (
+    tenant_id   TEXT NOT NULL REFERENCES tenants(id),
+    name        TEXT NOT NULL,
+    spec        TEXT NOT NULL,
+    description TEXT NOT NULL DEFAULT '',
+    created_at  REAL NOT NULL,
+    PRIMARY KEY (tenant_id, name)
+);
+CREATE TABLE budget_totals (
+    tenant_id TEXT NOT NULL,
+    data_id   TEXT NOT NULL,
+    total     REAL NOT NULL,
+    PRIMARY KEY (tenant_id, data_id)
+);
+CREATE TABLE ledger (
+    tenant_id TEXT NOT NULL,
+    data_id   TEXT NOT NULL,
+    seq       INTEGER NOT NULL,
+    epsilon   REAL NOT NULL,
+    label     TEXT NOT NULL,
+    PRIMARY KEY (tenant_id, data_id, seq)
+);
+INSERT INTO meta VALUES ('schema_version', '1');
+INSERT INTO tenants VALUES ('default', 1.0);
+INSERT INTO tenants VALUES ('acme', 2.0);
+INSERT INTO datasets VALUES ('acme', 'geo', 'storage', 'demo', 3.0);
+INSERT INTO budget_totals VALUES ('acme', 'storage|0', 4.0);
+INSERT INTO ledger VALUES ('acme', 'storage|0', 0, 0.5, 'storage_UG_eps0.5_seed0');
+"""
+
+
+def _tables(path):
+    with closing(sqlite3.connect(path)) as conn:
+        return {
+            name: conn.execute(f"SELECT * FROM {name} ORDER BY 1, 2").fetchall()
+            for (name,) in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+
+
 def _key(epsilon, method="UG", seed=0):
     return ReleaseKey("storage", method, epsilon, seed)
 
@@ -59,12 +109,12 @@ class TestCatalogFile:
         """
         path = tmp_path / "catalog.sqlite"
         start = threading.Barrier(6)
-        errors = []
+        errors, tokens = [], []
 
         def open_catalog():
             start.wait()
             try:
-                Catalog(path).ensure_tenant("acme")
+                tokens.append(Catalog(path).create_api_key("acme"))
             except Exception as error:
                 errors.append(error)
 
@@ -75,7 +125,8 @@ class TestCatalogFile:
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert Catalog(path).tenant_ids() == ["acme", DEFAULT_TENANT]
+        catalog = Catalog(path)
+        assert [catalog.resolve_api_key(token) for token in tokens] == ["acme"] * 6
 
     def test_empty_file_opens_as_a_fresh_catalog(self, tmp_path):
         """0 bytes is what a concurrent first open sees mid-creation."""
@@ -96,6 +147,45 @@ class TestCatalogFile:
         del sibling
         gc.collect()
         assert not directory.exists()
+
+
+class TestOldCatalogs:
+    def test_old_catalog_opens_and_keeps_its_rows(self, tmp_path):
+        """A catalog file with the ``tenants`` and ``datasets`` tables
+        opens, mints keys for tenants it has no row for, spends and
+        replays — and never touches the rows nothing reads any more."""
+        path = tmp_path / "catalog.sqlite"
+        with closing(sqlite3.connect(path)) as conn:
+            conn.executescript(OLD_SCHEMA)
+        before = _tables(path)
+
+        catalog = Catalog(path)
+        with closing(sqlite3.connect(path)) as conn:
+            assert conn.execute("PRAGMA quick_check").fetchall() == [("ok",)]
+        token = catalog.create_api_key("globex")
+        assert catalog.resolve_api_key(token) == "globex"
+        store = SynopsisStore(
+            store_dir=tmp_path, dataset_budget=4.0, n_points=N_POINTS,
+            catalog=catalog,
+        ).for_tenant("acme")
+        assert store.build(_key(1.0))[1] is True
+        replayed = Catalog(path).load_budgets("acme")["storage|0"]
+        assert replayed == {
+            "total": 4.0,
+            "ledger": [
+                [0.5, "storage_UG_eps0.5_seed0"],
+                [1.0, "storage_UG_eps1.0_seed0"],
+            ],
+        }
+        after = _tables(path)
+        assert after["tenants"] == before["tenants"]
+        assert after["datasets"] == before["datasets"]
+
+    def test_fresh_catalog_holds_only_what_is_read(self, tmp_path):
+        Catalog(tmp_path / "catalog.sqlite")
+        assert set(_tables(tmp_path / "catalog.sqlite")) == {
+            "meta", "api_keys", "budget_totals", "ledger",
+        }
 
 
 class TestBudgetsJsonMigration:
@@ -223,37 +313,9 @@ class TestApiKeys:
         for _ in range(3):
             assert catalog.resolve_api_key(other) == "acme"
         # Revoke through an independent handle: a different connection,
-        # exactly what an admin CLI in another process would hold.
+        # exactly what another process revoking the key would hold.
         Catalog(tmp_path / "catalog.sqlite").revoke_api_key(
             other[3:].split(".", 1)[0]
         )
         with pytest.raises(AuthForbidden):
             catalog.resolve_api_key(other)
-
-
-class TestDatasetPagination:
-    def test_cursors_are_stable_under_deletes_and_inserts(self, tmp_path):
-        """Rows deleted or created mid-pagination never shift a page."""
-        catalog = Catalog(tmp_path / "catalog.sqlite")
-        for i in range(4):
-            catalog.register_dataset("acme", f"d{i}", "storage")
-        page1, cursor = catalog.list_datasets("acme", limit=2)
-        assert [row["name"] for row in page1] == ["d0", "d1"]
-        # A delete behind the cursor and an insert ahead of it.
-        catalog.delete_dataset("acme", "d0")
-        catalog.register_dataset("acme", "d4", "storage")
-        page2, cursor = catalog.list_datasets("acme", limit=2, cursor=cursor)
-        assert [row["name"] for row in page2] == ["d2", "d3"]
-        page3, cursor = catalog.list_datasets("acme", limit=2, cursor=cursor)
-        assert [row["name"] for row in page3] == ["d4"]
-        assert cursor is None
-
-    def test_duplicate_and_missing_names(self, tmp_path):
-        catalog = Catalog(tmp_path / "catalog.sqlite")
-        catalog.register_dataset("acme", "geo", "storage")
-        with pytest.raises(DatasetExists):
-            catalog.register_dataset("acme", "geo", "storage")
-        with pytest.raises(DatasetNotFound):
-            catalog.get_dataset("acme", "nope")
-        with pytest.raises(DatasetNotFound):
-            catalog.delete_dataset("acme", "nope")

@@ -1,4 +1,4 @@
-"""Unit tests for the method + path-pattern router."""
+"""Unit tests for the method + exact-path router."""
 
 import pytest
 
@@ -14,49 +14,34 @@ def _handler(*args, **kwargs):  # routes only store it
 def router():
     r = Router()
     r.add("GET", "/health", _handler, auth_exempt=True)
-    r.add("GET", "/datasets", _handler)
-    r.add("POST", "/datasets", _handler, gated=True, drain_body=False)
-    r.add("GET", "/datasets/{name}", _handler)
-    r.add("DELETE", "/datasets/{name}", _handler, gated=True)
-    r.add("GET", "/releases/{index:int}", _handler)
+    r.add("GET", "/releases", _handler)
+    r.add("POST", "/releases", _handler, gated=True, drain_body=False)
+    r.add("POST", "/query", _handler, gated=True, drain_body=False)
     return r
 
 
 class TestResolve:
     def test_literal_match(self, router):
-        route, params = router.resolve("GET", "/health")
-        assert route.pattern == "/health"
+        route = router.resolve("GET", "/health")
+        assert route.path == "/health"
         assert route.auth_exempt is True
-        assert params == {}
 
     def test_method_is_case_insensitive(self, router):
-        route, _ = router.resolve("get", "/health")
+        route = router.resolve("get", "/health")
         assert route.method == "GET"
 
-    def test_path_param_is_extracted(self, router):
-        route, params = router.resolve("GET", "/datasets/geo-2024")
-        assert route.pattern == "/datasets/{name}"
-        assert params == {"name": "geo-2024"}
-
     def test_same_path_different_methods_resolve_independently(self, router):
-        get_route, _ = router.resolve("GET", "/datasets")
-        post_route, _ = router.resolve("POST", "/datasets")
+        get_route = router.resolve("GET", "/releases")
+        post_route = router.resolve("POST", "/releases")
         assert get_route is not post_route
         assert post_route.gated and not post_route.drain_body
         assert not get_route.gated and get_route.drain_body
 
-    def test_int_converter_delivers_int(self, router):
-        _, params = router.resolve("GET", "/releases/42")
-        assert params == {"index": 42}
-        assert isinstance(params["index"], int)
-
-    def test_int_converter_rejects_non_digits(self, router):
-        with pytest.raises(RouteNotFound):
-            router.resolve("GET", "/releases/fortytwo")
-
-    def test_param_never_spans_segments(self, router):
-        with pytest.raises(RouteNotFound):
-            router.resolve("GET", "/datasets/a/b")
+    def test_paths_match_exactly(self, router):
+        """No prefix, extension or extra segment of a path matches it."""
+        for path in ("/releases/0", "/release", "/query/x/y"):
+            with pytest.raises(RouteNotFound):
+                router.resolve("GET", path)
 
 
 class TestMisses:
@@ -64,20 +49,14 @@ class TestMisses:
         with pytest.raises(RouteNotFound) as excinfo:
             router.resolve("GET", "/nope")
         assert excinfo.value.status == 404
-        assert "/health" in str(excinfo.value)
-        assert "/datasets" in str(excinfo.value)
+        assert "/health, /query, /releases" in str(excinfo.value)
 
     def test_known_path_wrong_method_carries_allow(self, router):
         with pytest.raises(MethodNotAllowed) as excinfo:
-            router.resolve("PUT", "/datasets")
+            router.resolve("PUT", "/releases")
         error = excinfo.value
         assert error.status == 405
         assert error.allow == ("GET", "POST")
-
-    def test_allow_reflects_param_routes(self, router):
-        with pytest.raises(MethodNotAllowed) as excinfo:
-            router.resolve("POST", "/datasets/geo")
-        assert excinfo.value.allow == ("DELETE", "GET")
 
     def test_methods_for_unknown_path_is_empty(self, router):
         assert router.methods_for("/nope") == ()
@@ -85,4 +64,4 @@ class TestMisses:
     def test_paths_sorted_and_deduplicated(self, router):
         paths = router.paths()
         assert paths == sorted(set(paths))
-        assert paths.count("/datasets") == 1
+        assert paths.count("/releases") == 1
