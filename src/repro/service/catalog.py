@@ -28,7 +28,8 @@ in the same order (SQLite ``REAL`` is the same IEEE-754 double the JSON
 parser produced, so nothing is re-rounded).  The import is one-shot and
 idempotent: a marker row in ``meta`` records that the file was
 consumed, and re-opening the store never imports it twice
-(double-importing would double the recorded privacy loss).
+(double-importing would double the recorded privacy loss) and only
+reads the marker, with no write transaction.
 
 The catalog is stdlib-only (``sqlite3``), WAL-journaled for concurrent
 readers, and safe to share across threads (connections are per-thread)
@@ -469,11 +470,18 @@ class Catalog:
         path = Path(path)
         found = path.exists()
         marker = f"imported_budgets_json:{tenant}"
+
+        def imported(conn) -> bool:
+            query = "SELECT 1 FROM meta WHERE key = ?"
+            return conn.execute(query, (marker,)).fetchone() is not None
+
+        # Every open after the first finds the marker without taking the
+        # write lock; the check under the lock decides a race between
+        # first opens.
+        if imported(self._conn()):
+            return False
         with self.exclusive() as conn:
-            done = conn.execute(
-                "SELECT 1 FROM meta WHERE key = ?", (marker,)
-            ).fetchone()
-            if done is not None:
+            if imported(conn):
                 return False
             if found:
                 payload = json.loads(path.read_text(encoding="utf-8"))

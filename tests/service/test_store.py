@@ -175,11 +175,17 @@ class TestBudget:
         assert len(outermost) == 1
         assert store.budget_state()["storage|0"]["spent"] == pytest.approx(1.0)
 
-    def test_opening_a_store_writes_nothing(self, monkeypatch):
+    def test_opening_a_store_writes_nothing(self, tmp_path, monkeypatch):
         """A store, or a tenant's sibling store, opens without a catalog
-        write transaction: a tenant needs no row of its own."""
+        write transaction: a tenant needs no row of its own, and a store
+        directory's one-shot ``budgets.json`` marker is read, not
+        written, once it is there."""
+        SynopsisStore(store_dir=tmp_path, n_points=N_POINTS).for_tenant("acme")
         outermost = _count_catalog_writes(monkeypatch)
         SynopsisStore(n_points=N_POINTS).for_tenant("acme")
+        reopened = SynopsisStore(store_dir=tmp_path, n_points=N_POINTS)
+        reopened.for_tenant("acme")
+        reopened.for_tenant("acme")
         assert outermost == []
 
 
@@ -198,6 +204,140 @@ def _count_catalog_writes(monkeypatch) -> list:
 
     monkeypatch.setattr(Catalog, "exclusive", counting)
     return outermost
+
+
+def _count_reads(monkeypatch, failures: int = 0) -> list:
+    """Patch the ``storage`` registry generator to record each read (the
+    instance it returns); the first ``failures`` reads raise instead.
+    Returns the list it appends to."""
+    from dataclasses import replace
+
+    from repro.datasets.registry import DATASETS
+
+    spec = DATASETS["storage"]
+    reads = []
+    failed = []
+
+    def counting(n, rng):
+        if len(failed) < failures:
+            failed.append(rng)
+            raise OSError("the data source is unavailable")
+        reads.append(spec.generator(n, rng))
+        return reads[-1]
+
+    monkeypatch.setitem(DATASETS, "storage", replace(spec, generator=counting))
+    return reads
+
+
+class TestInstanceCache:
+    """A store and its tenant siblings read each data instance once."""
+
+    def test_methods_rebuilds_and_tenants_read_an_instance_once(
+        self, monkeypatch
+    ):
+        from repro.service.keys import method_names
+
+        reads = _count_reads(monkeypatch)
+        store = SynopsisStore(n_points=N_POINTS, dataset_budget=20.0)
+        for method in method_names():
+            assert store.build(key(method=method))[1]
+        assert store.build(key(), force=True)[1]
+        assert store.for_tenant("acme").build(key(method="UG"))[1]
+        assert len(reads) == 1
+        assert reads[0].size == N_POINTS
+
+    def test_warm_archives_match_a_cold_stores(self, tmp_path):
+        from repro.service.keys import method_names
+
+        warm = SynopsisStore(
+            store_dir=tmp_path / "warm", n_points=N_POINTS, dataset_budget=20.0
+        )
+        for method in method_names():
+            warm.build(key(method=method))
+            # A fresh store per method reads the instance cold every time.
+            SynopsisStore(
+                store_dir=tmp_path / "cold", n_points=N_POINTS, dataset_budget=20.0
+            ).build(key(method=method))
+            name = f"{key(method=method).slug()}.npz"
+            assert (tmp_path / "warm" / name).read_bytes() == (
+                tmp_path / "cold" / name
+            ).read_bytes()
+
+    def test_one_instance_past_the_bound_evicts_the_least_recent(
+        self, monkeypatch
+    ):
+        from repro.service.store import _INSTANCE_ENTRIES
+
+        reads = _count_reads(monkeypatch)
+        store = SynopsisStore(n_points=N_POINTS, dataset_budget=10.0)
+        for seed in range(_INSTANCE_ENTRIES):
+            store.build(key(seed=seed))
+        store.build(key(seed=0), force=True)  # seed 1 is now least recent
+        store.build(key(seed=_INSTANCE_ENTRIES))
+        store.build(key(seed=0), force=True)
+        assert len(reads) == _INSTANCE_ENTRIES + 1
+        store.build(key(seed=1), force=True)
+        assert len(reads) == _INSTANCE_ENTRIES + 2
+
+    def test_a_failed_read_caches_nothing(self, monkeypatch):
+        reads = _count_reads(monkeypatch, failures=1)
+        store = SynopsisStore(n_points=N_POINTS, dataset_budget=2.0)
+        with pytest.raises(OSError, match="unavailable"):
+            store.build(key())
+        assert reads == []
+        assert store.build(key())[1]
+        assert len(reads) == 1
+        # The read still follows the spend: the failed build stays charged.
+        assert store.budget_state()["storage|0"]["spent"] == pytest.approx(2.0)
+
+    def test_an_ingest_refresh_leaves_the_cached_points_unchanged(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service.ingest import IngestManager
+
+        reads = _count_reads(monkeypatch)
+        store = SynopsisStore(store_dir=tmp_path, n_points=N_POINTS)
+        manager = IngestManager(store, drift_threshold=0.05)
+        store.build(key(method="UG"))
+        points = reads[0].points.copy()
+        bounds = reads[0].domain.bounds
+        corner = np.full((400, 2), [bounds.x_lo, bounds.y_lo])
+        report = manager.ingest("storage", 0, "b1", corner)
+        assert report["refreshed"] == [key(method="UG").slug()]
+        assert store.get(key(method="UG")).total() > N_POINTS + 200
+        assert len(reads) == 1
+        np.testing.assert_array_equal(reads[0].points, points)
+
+    def test_concurrent_first_builds_read_the_instance_once(self, monkeypatch):
+        import sys
+        import threading
+
+        from repro.service.keys import method_names
+
+        reads = _count_reads(monkeypatch)
+        store = SynopsisStore(n_points=N_POINTS, dataset_budget=10.0)
+        built = []
+        threads = [
+            threading.Thread(
+                target=lambda method=method: built.append(
+                    store.build(key(method=method))[1]
+                ),
+                daemon=True,
+            )
+            for method in method_names()[:8]
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert built == [True] * 8
+        assert len(reads) == 1
 
 
 class TestPersistence:
