@@ -15,10 +15,12 @@ forks the workers and collects, per child, the *private* memory growth
 around the load (``Private_Clean + Private_Dirty`` from
 ``/proc/self/smaps_rollup`` — RSS alone counts shared pages and would
 flatter nobody), the engine cold-start/sealed-load counters, and the
-clock stamps around the child's timed batches.  A round's throughput is
-all its workers' batches over the span from the first start to the last
-end.  Bit-identity of v1 and v2 answers is asserted always, in both
-modes.
+clock stamps around the child's timed batches.  Every child loads its
+release and answers a check batch first, then waits at a start barrier
+until all children of the round are ready, so the timed batches measure
+serving, not fork and load stagger.  A round's throughput is all its
+workers' batches over the span from the first start to the last end.
+Bit-identity of v1 and v2 answers is asserted always, in both modes.
 
 Results land under ``mmap_scaling`` in ``BENCH_service.json``.  The
 acceptance criterion asserted in full mode is memory, not speed (so it
@@ -101,8 +103,10 @@ def _worker_batches():
     return batches
 
 
-def _child(write_fd, store):
-    """Post-fork worker body: load, prepare, answer, report, exit."""
+def _child(write_fd, start_fd, store):
+    """Post-fork worker body: load, prepare, answer the check batch,
+    report ready, wait for the start signal, answer the timed batches,
+    report, exit."""
     status = 1
     try:
         private_before, _, _ = _private_bytes()
@@ -113,6 +117,8 @@ def _child(write_fd, store):
             ).tobytes()
         ).hexdigest()
         batches = _worker_batches()
+        os.write(write_fd, b"R")
+        os.read(start_fd, 1)  # the start barrier
         # perf_counter is the system-wide monotonic clock on Linux, so
         # the stamps of forked workers compare across processes.
         start = time.perf_counter()
@@ -140,19 +146,33 @@ def _child(write_fd, store):
 
 
 def _fork_round(store, n_workers):
-    """Fork ``n_workers`` children over one (unloaded) store; collect."""
+    """Fork ``n_workers`` children over one (unloaded) store; collect.
+
+    Each child reports ready (one byte) once its release answers; the
+    parent then writes one start byte per child to a shared pipe, so
+    every child starts its timed batches at once.
+    """
+    start_read, start_write = os.pipe()
     pipes, pids = [], []
     for _ in range(n_workers):
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:
             os.close(read_fd)
+            os.close(start_write)
             for other_read, _ in pipes:
                 os.close(other_read)
-            _child(write_fd, store)  # never returns
+            _child(write_fd, start_read, store)  # never returns
         os.close(write_fd)
         pipes.append((read_fd, pid))
         pids.append(pid)
+    os.close(start_read)
+    try:
+        for read_fd, _ in pipes:
+            os.read(read_fd, 1)  # b"" if the child died; its exit code says
+    finally:
+        os.write(start_write, b"S" * n_workers)
+        os.close(start_write)
     reports = []
     for read_fd, pid in pipes:
         raw = b""

@@ -73,29 +73,19 @@ class Synopsis(abc.ABC):
         """Vector of estimates for a batch of query rectangles.
 
         Accepts a list of :class:`Rect`, a list of 4-number rows, or an
-        ``(n, 4)`` array.  A declared type answers through the release's
-        one engine, :func:`~repro.queries.engine.make_engine`'s.  An
-        undeclared type has no engine and answers through
-        :func:`~repro.queries.engine.scalar_answer_batch`, a per-rect
-        loop under the same batch contract (empty batches return
-        ``(0,)``, inverted/NaN rows answer 0).
+        ``(n, 4)`` array, and answers through the release's one engine,
+        :func:`~repro.queries.engine.make_engine`'s, which raises
+        ``TypeError`` for a type with no declared kind.
         """
-        from repro.core.serialization import synopsis_kind
-        from repro.queries.engine import make_engine, scalar_answer_batch
+        from repro.queries.engine import make_engine
 
-        if self.engine is None:
-            try:
-                synopsis_kind(type(self))
-            except TypeError:
-                return scalar_answer_batch(self, rects)
         return make_engine(self).answer_batch(rects)
 
     def total(self) -> float:
         """Estimated total number of points (query over the whole domain).
 
         A batch of one through :meth:`answer_many`, so the whole-domain
-        estimate is bit-identical to the served answer for the same rect
-        (and an undeclared type falls back to its own :meth:`answer`).
+        estimate is bit-identical to the served answer for the same rect.
         """
         return float(self.answer_many([self._domain.bounds])[0])
 

@@ -86,15 +86,13 @@ __all__ = [
 def scalar_answer_batch(synopsis, rects: "list[Rect] | np.ndarray") -> np.ndarray:
     """Answer a batch through a synopsis's scalar ``answer`` loop.
 
-    The shared fallback path: same contract as the vectorised engines.
-    An empty batch returns an empty ``(0,)`` vector without touching the
-    synopsis; inverted rows (``x_hi < x_lo`` or ``y_hi < y_lo``, which
-    includes NaN bounds) answer 0 instead of raising from the
-    :class:`Rect` constructor; degenerate zero-area rows are answered
-    exactly like the equivalent edge/point :class:`Rect` query.  The
-    scalar second opinion in engine equivalence tests and benchmarks,
-    and how :meth:`~repro.core.synopsis.Synopsis.answer_many` answers
-    for a synopsis type with no declared engine.
+    Same contract as the vectorised engines: an empty batch returns an
+    empty ``(0,)`` vector without touching the synopsis; inverted rows
+    (``x_hi < x_lo`` or ``y_hi < y_lo``, which includes NaN bounds)
+    answer 0 instead of raising from the :class:`Rect` constructor;
+    degenerate zero-area rows are answered exactly like the equivalent
+    edge/point :class:`Rect` query.  The scalar second opinion in
+    engine equivalence tests and benchmarks.
     """
     boxes = rects_to_boxes(rects)
     out = np.zeros(boxes.shape[0])

@@ -4,12 +4,14 @@ Everything below :mod:`repro.core` treats a synopsis as the output of one
 experiment run.  This package turns releases into long-lived, addressable
 artifacts behind a query API:
 
-* :class:`~repro.service.keys.ReleaseKey` — identity of one release:
-  ``(dataset, method, epsilon, seed)``;
+* :class:`~repro.service.keys.ReleaseKey` — identity of one release
+  within a store: ``(dataset, method, epsilon, seed)``;
 * :class:`~repro.service.store.SynopsisStore` — builds releases, caches
   them under an LRU bounded by entries and bytes, persists them via
   :mod:`repro.core.serialization`, and charges every build against a
-  per-dataset privacy budget, refusing overdrafts;
+  per-dataset privacy budget, refusing overdrafts; it serves one tenant
+  (:meth:`~repro.service.store.SynopsisStore.for_tenant` opens another's
+  partition) and carries its ingest manager, if any;
 * :class:`~repro.service.query_service.QueryService` — routes batched
   rectangle queries to a prepared per-release engine
   (:func:`~repro.queries.engine.make_engine`), with a byte-bounded LRU
@@ -40,7 +42,7 @@ from repro.service.errors import (
     ServiceError,
     ValidationError,
 )
-from repro.service.keys import ReleaseKey, make_builder, method_names, register_method
+from repro.service.keys import ReleaseKey, make_builder, method_names
 from repro.service.query_service import QueryResult, QueryService
 from repro.service.store import StoreStats, SynopsisStore
 from repro.service.telemetry import AdmissionController, Deadline, LatencyHistogram
@@ -63,5 +65,4 @@ __all__ = [
     "ValidationError",
     "make_builder",
     "method_names",
-    "register_method",
 ]

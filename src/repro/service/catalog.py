@@ -158,30 +158,40 @@ class Catalog:
     def _create_schema(self) -> sqlite3.Connection:
         """Create (or check) the schema; returns this thread's connection.
 
-        The schema commits in one ``BEGIN IMMEDIATE`` transaction
-        *before* the switch to WAL mode, so a catalog file that is not
-        empty always holds the ``schema_version`` row — concurrent first
-        opens serialise on the write lock and the later ones find the
-        schema in place.  A non-empty file without that row is
-        therefore damaged (SQLite reads a 1-byte file as an empty
-        database), and opening it raises ``sqlite3.DatabaseError``
-        instead of laying a fresh, empty ledger over the lost spends.
-        A file that fails SQLite's ``quick_check`` raises too: a
-        truncation can cut an index page so that reads of the ledger
-        return no rows and no error, which would replay as a healthy,
-        emptier ledger.  A 0-byte file is still created over: that is
-        also what a fresh file looks like to a concurrent first open,
-        between its ``connect`` and its schema commit.
+        A file that holds its ``schema_version`` row opens with plain
+        reads, taking no write lock.  Only a file without the row takes
+        one: under ``BEGIN IMMEDIATE`` it checks again and commits the
+        schema *before* the switch to WAL mode, so a catalog file that
+        is not empty always holds the row — concurrent first opens
+        serialise on the write lock and the later ones find the schema
+        in place.  A non-empty file without that row is therefore
+        damaged (SQLite reads a 1-byte file as an empty database), and
+        opening it raises ``sqlite3.DatabaseError`` instead of laying a
+        fresh, empty ledger over the lost spends.  A non-empty file that
+        fails SQLite's ``quick_check`` raises too: a truncation can cut
+        an index page so that reads of the ledger return no rows and no
+        error, which would replay as a healthy, emptier ledger.  A
+        0-byte file is still created over: that is also what a fresh
+        file looks like to a concurrent first open, between its
+        ``connect`` and its schema commit.
         """
         existing = self._path.exists() and self._path.stat().st_size > 0
         conn = sqlite3.connect(self._path, timeout=30.0, isolation_level=None)
         try:
-            conn.execute("BEGIN IMMEDIATE")
-            if existing and not self._has_schema(conn):
-                raise sqlite3.DatabaseError(
-                    f"{self._path} is not empty but holds no catalog schema; "
-                    "refusing to create an empty ledger over it"
+            if not self._has_schema(conn):
+                conn.execute("BEGIN IMMEDIATE")
+                if existing and not self._has_schema(conn):
+                    raise sqlite3.DatabaseError(
+                        f"{self._path} is not empty but holds no catalog "
+                        "schema; refusing to create an empty ledger over it"
+                    )
+                for statement in filter(str.strip, _SCHEMA.split(";")):
+                    conn.execute(statement)
+                conn.execute(
+                    "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
+                    ("schema_version", str(_SCHEMA_VERSION)),
                 )
+                conn.execute("COMMIT")
             if existing:
                 problems = conn.execute("PRAGMA quick_check").fetchall()
                 if problems != [("ok",)]:
@@ -190,13 +200,6 @@ class Catalog:
                         f"({problems[0][0]}); refusing to open a ledger "
                         "that may have lost spends"
                     )
-            for statement in filter(str.strip, _SCHEMA.split(";")):
-                conn.execute(statement)
-            conn.execute(
-                "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
-                ("schema_version", str(_SCHEMA_VERSION)),
-            )
-            conn.execute("COMMIT")
             return self._configure(conn)
         except BaseException:
             conn.close()  # rolls back an open transaction

@@ -318,13 +318,13 @@ def main(argv: list[str] | None = None) -> int:
     store = _make_store(args)
     authenticator = make_authenticator(args.auth, store.catalog)
     service = QueryService(store, answer_cache_bytes=args.answer_cache_bytes)
-    manager = None
     if args.ingest:
         # Replays the WAL (truncating any torn tail) and finishes
-        # interrupted refreshes before the server accepts traffic.
+        # interrupted refreshes before the server accepts traffic; the
+        # manager attaches itself to the store, where the server reads it.
         from repro.service.ingest import IngestManager
 
-        manager = IngestManager(
+        IngestManager(
             store,
             drift_threshold=args.drift_threshold,
             staleness_ms=args.staleness_ms,
@@ -353,7 +353,6 @@ def main(argv: list[str] | None = None) -> int:
         service,
         args.host,
         args.port,
-        ingest=manager,
         authenticator=authenticator,
         **_fault_options(args),
     )

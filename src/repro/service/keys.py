@@ -1,16 +1,18 @@
-"""Release keys and the servable-method registry.
+"""Release keys and the servable-method table.
 
-A *release key* identifies one published synopsis: which dataset instance
-was summarised, with which method, at what privacy level, and from which
-seed.  Keys are hashable (cache keys), orderable (stable listings), and
-round-trip through a filesystem-safe slug (persistence filenames).
+A *release key* names one published synopsis within a store: which
+dataset instance was summarised, with which method, at what privacy
+level, and from which seed.  Keys are hashable (cache keys), orderable
+(stable listings), and round-trip through a filesystem-safe slug
+(persistence filenames).  Which tenant a release belongs to is the
+store's business, not the key's: each tenant's
+:class:`~repro.service.store.SynopsisStore` keeps its releases in its
+own directory and salts their noise (see :meth:`ReleaseKey.build_rng`).
 
 The method table maps the short method names the paper uses (``UG``,
 ``AG``) to builder factories.  It and the synopsis kind table of
 :mod:`repro.core.serialization` are the only two places a synopsis
-family is declared.  It is intentionally open: downstream code can
-:func:`register_method` any :class:`~repro.core.synopsis.SynopsisBuilder`
-whose synopsis type has a declared kind.
+family is declared.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from repro.service.errors import ValidationError
 
 __all__ = [
     "ReleaseKey",
-    "register_method",
     "method_names",
     "make_builder",
 ]
@@ -59,20 +60,13 @@ _METHODS: dict[str, Callable[[], SynopsisBuilder]] = {
 }
 
 
-def register_method(name: str, factory: Callable[[], SynopsisBuilder]) -> None:
-    """Register (or replace) a servable synopsis method."""
-    if not name or any(ch in name for ch in "_|/\\ "):
-        raise ValueError(f"invalid method name {name!r}")
-    _METHODS[name] = factory
-
-
 def method_names() -> list[str]:
     """Names of the servable methods, sorted."""
     return sorted(_METHODS)
 
 
 def make_builder(method: str) -> SynopsisBuilder:
-    """Instantiate the builder for a registered method name."""
+    """Instantiate the builder for a servable method name."""
     try:
         factory = _METHODS[method]
     except KeyError:
@@ -91,30 +85,17 @@ class ReleaseKey:
     (the registry generator seeded with ``seed``); ``method`` and
     ``epsilon`` describe the release built from it.  Budget accounting
     therefore groups keys by ``(dataset, seed)`` — see
-    :class:`~repro.service.store.SynopsisStore`.
-
-    ``tenant`` namespaces the key: two tenants building the same
-    ``(dataset, method, epsilon, seed)`` own *distinct* releases with
-    independent noise, caches, and ledgers.  The default value keeps
-    every pre-tenancy construction site and wire payload working — a
-    key with ``tenant="default"`` behaves (slug, payload, ordering
-    among defaults) exactly as before the field existed.  The slug
-    deliberately omits the tenant: archives are partitioned into
-    per-tenant directories by the store, and the binary protocol's
-    slug framing stays unchanged (the server stamps the authenticated
-    tenant onto decoded keys).
+    :class:`~repro.service.store.SynopsisStore`.  A key names a release
+    within one store; two tenants' stores building the same key own
+    distinct releases.
     """
 
     dataset: str
     method: str
     epsilon: float
     seed: int
-    tenant: str = "default"
 
     def __post_init__(self) -> None:
-        from repro.service.catalog import validate_tenant_id
-
-        validate_tenant_id(self.tenant)
         if self.dataset not in DATASETS:
             raise ValidationError(
                 f"unknown dataset {self.dataset!r}; available: "
@@ -168,35 +149,15 @@ class ReleaseKey:
         return cls(dataset=parts[0], method=parts[1], epsilon=epsilon, seed=seed)
 
     def to_payload(self) -> dict:
-        """JSON-friendly representation used in HTTP responses.
-
-        The tenant appears only when it is not the implicit default, so
-        single-tenant deployments see payloads byte-identical to the
-        pre-tenancy format.
-        """
-        payload = {
+        """JSON-friendly representation used in HTTP responses."""
+        return {
             "dataset": self.dataset,
             "method": self.method,
             "epsilon": self.epsilon,
             "seed": self.seed,
         }
-        if self.tenant != "default":
-            payload["tenant"] = self.tenant
-        return payload
 
-    def with_tenant(self, tenant: str) -> "ReleaseKey":
-        """This key stamped into a tenant namespace."""
-        if tenant == self.tenant:
-            return self
-        return ReleaseKey(
-            dataset=self.dataset,
-            method=self.method,
-            epsilon=self.epsilon,
-            seed=self.seed,
-            tenant=tenant,
-        )
-
-    def build_rng(self, salt: int = 0) -> np.random.Generator:
+    def build_rng(self, *salts: int) -> np.random.Generator:
         """Deterministic RNG for building this release.
 
         Streams are separated per key (dataset seed, method, epsilon) so
@@ -208,30 +169,19 @@ class ReleaseKey:
         and correlated noise at different scales cancels — an attacker
         could recover the exact sensitive counts from the pair.
 
-        ``salt`` separates noise streams *across ingest epochs* of the
-        same key: a re-release that incorporates streamed points fits
-        different data, and reusing the epoch-0 noise stream on it would
-        let release pairs be differenced into the exact counts of the
-        newly ingested points.  Ingestion passes the number of
-        incorporated points as the salt — deterministic under crash
-        replay (same incorporated prefix, same stream) yet distinct for
-        every distinct data state.  ``salt=0`` (every non-streaming
-        build) leaves the entropy, and hence every existing release,
-        bit-identical to before.
+        ``salts`` are appended to the entropy as given, so each distinct
+        salt sequence draws its own stream.
+        :meth:`~repro.service.store.SynopsisStore.build` passes the
+        ingest epoch of a build that incorporates streamed points (a
+        release over different data must not reuse the noise of the
+        release before it, or the pair could be differenced into the
+        exact counts of the new points), then the ``crc32`` of a
+        non-default tenant; a default tenant's first build passes none.
         """
         entropy = (
             self.seed,
             zlib.crc32(self.method.encode()),
             struct.unpack("<Q", struct.pack("<d", float(self.epsilon)))[0],
+            *(int(salt) for salt in salts),
         )
-        if salt:
-            entropy = entropy + (int(salt),)
-        if self.tenant != "default":
-            # Non-default tenants draw independent noise streams: if two
-            # tenants' copies of a dataset instance ever diverge (e.g.
-            # per-tenant ingest), shared streams across their releases
-            # could be differenced into exact counts.  The default tenant
-            # contributes no entropy, keeping every pre-tenancy release
-            # bit-identical.
-            entropy = entropy + (zlib.crc32(self.tenant.encode()),)
         return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -12,22 +12,22 @@ adaptive grids, the level-order
 :class:`~repro.queries.engine.FlatTreeEngine` for the other tree
 baselines).  Engines are pure functions of released state, so
 concurrent batches against the same release run without locking — only
-the engine map and the answer cache are guarded.
+the answer cache and the counters are guarded.
 
 A released synopsis is immutable, so its engine and every answer
 computed from it are pure functions of the *release object* the store
 hands back.  Both are tied to that object, not to its key: the release
-keeps its one engine, which the service records in a map weakly keyed
-by the release; on top sits an **answer cache**, a byte-bounded LRU keyed
-by ``(ReleaseKey, sha1(boxes.tobytes()), clamp)`` whose entries remember
+keeps its one engine, which every request asks ``make_engine`` for; on
+top sits an **answer cache**, a byte-bounded LRU keyed by
+``(ReleaseKey, sha1(boxes.tobytes()), clamp)`` whose entries remember
 (weakly) the release they were computed from.  Repeat batches — the
 dominant pattern behind dashboards and monitoring — are served from it
 without touching an engine, but only to a request whose release is that
 same object.  A forced rebuild or an evict-and-reload hands back a new
-object, so a stale answer is never served, and eviction, reloads and
-tenant stamping need no bookkeeping here.  The first request for a
-release object drops the key's older answers and those of releases that
-have died.
+object, so a stale answer is never served, and eviction and reloads
+need no bookkeeping here.  The first request for a release object drops
+the key's older answers and those of releases that have died.  A
+service answers for its store's one tenant, so keys need no tenant.
 
 Answering queries is post-processing of a released synopsis: it spends no
 privacy budget, and the service never sees raw data at all.
@@ -103,11 +103,9 @@ class QueryResult:
 class QueryService:
     """Answers rectangle-query batches from a :class:`SynopsisStore`.
 
-    Engines are keyed by release object: the release's own engine is
-    recorded the first time a release the store hands back is queried,
-    and it is dropped with that object (the store evicted it and no
-    request still holds it), so the store's LRU bounds govern total
-    memory.
+    Each release object keeps its own engine, which goes with the object
+    (the store evicted it and no request still holds it), so the store's
+    LRU bounds govern total memory.
 
     ``answer_cache_bytes`` bounds the answer cache (estimate-vector bytes;
     0 disables caching entirely).
@@ -123,9 +121,6 @@ class QueryService:
                 f"answer_cache_bytes must be >= 0, got {answer_cache_bytes}"
             )
         self._store = store
-        self._engines: weakref.WeakKeyDictionary[Synopsis, object] = (
-            weakref.WeakKeyDictionary()
-        )
         # Release objects a request has arrived for: the first arrival
         # counts how the release's engine came (see _engine_for).
         self._arrived: weakref.WeakSet[Synopsis] = weakref.WeakSet()
@@ -147,11 +142,6 @@ class QueryService:
     def store(self) -> SynopsisStore:
         return self._store
 
-    @property
-    def tenant(self) -> str:
-        """The tenant namespace this service answers for."""
-        return self._store.tenant
-
     def for_store(self, store: SynopsisStore) -> "QueryService":
         """A sibling service over ``store`` with this service's config.
 
@@ -167,7 +157,7 @@ class QueryService:
         with self._lock:
             queries = self._queries_answered
             batches = self._batches_answered
-            engines = len(self._engines)
+            engines = len(self._arrived)
         return {
             "queries_answered": queries,
             "batches_answered": batches,
@@ -182,7 +172,6 @@ class QueryService:
         Raises :class:`~repro.service.errors.ReleaseNotFound` when the
         store has no release for the key.
         """
-        key = key.with_tenant(self._store.tenant)
         return self._engine_for(key, self._store.get(key))
 
     def _engine_for(
@@ -198,9 +187,6 @@ class QueryService:
         request calls ``make_engine`` too and gets the same engine.
         """
         with self._lock:
-            engine = self._engines.get(release)
-            if engine is not None:
-                return engine
             if release not in self._arrived:
                 self._arrived.add(release)
                 if release.engine is None:
@@ -216,12 +202,10 @@ class QueryService:
                     if cache_key[0] == key or source() is None
                 ]:
                     self._answers_nbytes -= self._answers.pop(entry)[1].nbytes
-        # A cold start builds outside the lock, not stalling other keys.
-        if deadline is not None:
+        if release.engine is None and deadline is not None:
+            # A cold start builds outside the lock, not stalling other keys.
             deadline.check("preparing the query engine")
-        engine = make_engine(release)
-        with self._lock:
-            return self._engines.setdefault(release, engine)
+        return make_engine(release)
 
     def answer(
         self,
@@ -236,12 +220,8 @@ class QueryService:
         feed the counts onward usually want it, evaluation code does not).
         ``deadline`` bounds the slow steps (store waits, engine
         preparation, the batch itself); expiry raises
-        :class:`~repro.service.errors.DeadlineExpired`.  The result
-        reports ``key`` as given; cached answers are indexed by the key
-        stamped with the store's tenant.
+        :class:`~repro.service.errors.DeadlineExpired`.
         """
-        request_key = key
-        key = key.with_tenant(self._store.tenant)
         boxes = np.ascontiguousarray(rects_to_boxes(rects))
         cache_key = None
         if self._answer_cache_bytes > 0:
@@ -265,7 +245,7 @@ class QueryService:
                     self._batches_answered += 1
                     answer_ms = (time.perf_counter() - start) * 1e3
                     return QueryResult(
-                        request_key, cached[1], build_ms=0.0,
+                        key, cached[1], build_ms=0.0,
                         answer_ms=answer_ms, cached=True,
                     )
 
@@ -292,16 +272,14 @@ class QueryService:
                 self._answer_misses += 1
                 if estimates.nbytes <= self._answer_cache_bytes:
                     self._cache_insert(cache_key, weakref.ref(release), estimates)
-        return QueryResult(
-            request_key, estimates, build_ms=build_ms, answer_ms=answer_ms
-        )
+        return QueryResult(key, estimates, build_ms=build_ms, answer_ms=answer_ms)
 
     def stats(self) -> dict:
         with self._lock:
             return {
                 "queries_answered": self._queries_answered,
                 "batches_answered": self._batches_answered,
-                "engines_cached": len(self._engines),
+                "engines_cached": len(self._arrived),
                 "engine_cold_starts": self._engine_cold_starts,
                 "engine_sealed_loads": self._engine_sealed_loads,
                 "answer_cache_hits": self._answer_hits,

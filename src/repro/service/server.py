@@ -25,28 +25,32 @@ metadata catalog; missing credentials answer ``401`` +
 ``WWW-Authenticate: Bearer``, bad ones ``403``.  ``GET /health`` is
 exempt from both authentication *and* admission control — probes must
 work precisely when the service is locked down or saturated.  Each
-non-default tenant gets its own
-:class:`~repro.service.store.SynopsisStore` partition (archives under
+non-default tenant gets its own :class:`QueryService` over its own
+:class:`~repro.service.store.SynopsisStore` partition
+(:meth:`~repro.service.store.SynopsisStore.for_tenant`: archives under
 ``<store_dir>/tenants/<tenant>``, budget rows scoped in the shared
-catalog), its own :class:`QueryService`, and — when ingestion is
-enabled — its own :class:`~repro.service.ingest.IngestManager` with
-per-tenant WALs, so one tenant exhausting its privacy budget (409s)
-never perturbs another tenant's builds, queries, or ingestion.  A
-tenant's context is created on its first request, except that a server
-with ingestion creates every tenant partition already on disk at
+catalog) and — when the default store has an ingest manager — its own
+:class:`~repro.service.ingest.IngestManager` with per-tenant WALs, so
+one tenant exhausting its privacy budget (409s) never perturbs another
+tenant's builds, queries, or ingestion.  The server reads each tenant's
+ingest manager from its store
+(:attr:`~repro.service.store.SynopsisStore.ingest`).  A tenant's
+service is created on its first request, except that a server with
+ingestion creates every tenant partition already on disk at
 construction: each tenant's WAL replays, and a refresh a crash
 interrupted is finished, before the first request is accepted.
 
-``POST /ingest`` (servers started with ``--ingest``) appends the batch
-to the write-ahead log before acknowledging, applies the drift/staleness
-refresh policy, and answers 200 — or **409** when a required refresh was
-refused by the budget: the batch is still durably staged (the report
-says ``"persisted": true``) and the last good release keeps serving,
-marked stale.  Queries against a release with pending ingested points
-carry ``X-Synopsis-Stale: 1`` and ``X-Pending-Points`` headers (and a
-``staleness`` block in JSON responses); ``/health`` reports the full
-ingest state.  503 responses that a client can wait out (quarantined
-release pending rebuild, shed load) carry ``Retry-After``.
+``POST /ingest`` (a store with an ingest manager, ``--ingest``) appends
+the batch to the write-ahead log before acknowledging, applies the
+drift/staleness refresh policy, and answers 200 — or **409** when a
+required refresh was refused by the budget: the batch is still durably
+staged (the report says ``"persisted": true``) and the last good
+release keeps serving, marked stale.  Queries against a release with
+pending ingested points carry ``X-Synopsis-Stale: 1`` and
+``X-Pending-Points`` headers (and a ``staleness`` block in JSON
+responses); ``/health`` reports the full ingest state.  503 responses
+that a client can wait out (quarantined release pending rebuild, shed
+load) carry ``Retry-After``.
 
 Request/response bodies are JSON by default; see
 :mod:`repro.service.schemas` for the request fields.  ``POST /query``
@@ -98,7 +102,6 @@ import os
 import socket
 import threading
 import time
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.service import faultinject, protocol
@@ -136,14 +139,6 @@ _MAX_REQUEST_LINE = 65536
 #: Seconds a request may wait for an admission slot when deadlines are
 #: disabled; with deadlines on, the queue wait is bounded by the deadline.
 _DEFAULT_QUEUE_WAIT_S = 2.0
-
-
-@dataclass
-class _TenantContext:
-    """One tenant's serving surface: its service and optional ingest."""
-
-    service: QueryService
-    ingest: object = None
 
 
 class SynopsisHTTPServer(ThreadingHTTPServer):
@@ -190,7 +185,6 @@ class SynopsisHTTPServer(ThreadingHTTPServer):
         request_deadline_ms: float = 30_000.0,
         read_timeout: float = 30.0,
         max_header_bytes: int = 32 * 1024,
-        ingest=None,
         authenticator: Authenticator | None = None,
     ):
         if reuse_port and not hasattr(socket, "SO_REUSEPORT"):
@@ -199,8 +193,6 @@ class SynopsisHTTPServer(ThreadingHTTPServer):
         # set first.
         self.reuse_port = reuse_port
         self.service = service
-        #: Optional IngestManager; None = ingestion disabled (503s).
-        self.ingest = ingest
         self.request_deadline_ms = float(request_deadline_ms)
         self.read_timeout = float(read_timeout)
         self.max_header_bytes = int(max_header_bytes)
@@ -209,15 +201,13 @@ class SynopsisHTTPServer(ThreadingHTTPServer):
         self.authenticator = (
             authenticator if authenticator is not None else NullAuthenticator()
         )
-        self._tenants: dict[str, _TenantContext] = {
-            DEFAULT_TENANT: _TenantContext(service=service, ingest=ingest)
-        }
+        self._tenants: dict[str, QueryService] = {DEFAULT_TENANT: service}
         self._tenant_lock = threading.Lock()
         self._counter_lock = threading.Lock()
         self._deadline_expired = 0
         self._slow_clients_closed = 0
         self._auth_rejected = 0
-        if ingest is not None and service.store.store_dir is not None:
+        if service.store.ingest is not None:
             self._open_tenant_partitions(service.store.store_dir / "tenants")
         super().__init__(address, _Handler)
 
@@ -235,27 +225,26 @@ class SynopsisHTTPServer(ThreadingHTTPServer):
     # Tenancy
     # ------------------------------------------------------------------
 
-    def tenant_context(self, tenant: str) -> _TenantContext:
-        """The (lazily created) serving context for ``tenant``.
+    def tenant_service(self, tenant: str) -> QueryService:
+        """The (lazily created) query service for ``tenant``.
 
-        The default tenant's context is the service/ingest pair the
-        server was constructed with; any other tenant gets a partitioned
-        store + service (+ per-tenant ingest manager when ingestion is
-        on), created once under the lock and cached for the server's
-        lifetime.
+        The default tenant's is the service the server was constructed
+        with; any other tenant gets a service over a partitioned store
+        (with its own ingest manager when the default store has one),
+        created once under the lock and kept for the server's lifetime.
         """
-        context = self._tenants.get(tenant)
-        if context is not None:
-            return context
+        service = self._tenants.get(tenant)
+        if service is not None:
+            return service
         with self._tenant_lock:
-            context = self._tenants.get(tenant)
-            if context is None:
-                context = self._make_context(tenant)
-                self._tenants[tenant] = context
-            return context
+            service = self._tenants.get(tenant)
+            if service is None:
+                service = self._make_service(tenant)
+                self._tenants[tenant] = service
+            return service
 
     def _open_tenant_partitions(self, root) -> None:
-        """Create the context of every tenant partition under ``root``.
+        """Create the service of every tenant partition under ``root``.
 
         A tenant's ingest manager replays its WALs and finishes any
         refresh a crash interrupted between the ledger charge and the
@@ -270,15 +259,14 @@ class SynopsisHTTPServer(ThreadingHTTPServer):
             except ValidationError:
                 continue
             if path.is_dir():
-                self.tenant_context(tenant)
+                self.tenant_service(tenant)
 
-    def _make_context(self, tenant: str) -> _TenantContext:
+    def _make_service(self, tenant: str) -> QueryService:
         store = self.service.store.for_tenant(tenant)
-        service = self.service.for_store(store)
-        ingest = None
-        if self.ingest is not None and store.store_dir is not None:
-            ingest = self.ingest.for_store(store)
-        return _TenantContext(service=service, ingest=ingest)
+        ingest = self.service.store.ingest
+        if ingest is not None:
+            ingest.for_store(store)  # attaches itself to the store
+        return self.service.for_store(store)
 
     def tenants_payload(self) -> dict:
         """Per-tenant serving counters for ``/health``."""
@@ -286,10 +274,10 @@ class SynopsisHTTPServer(ThreadingHTTPServer):
             items = sorted(self._tenants.items())
         return {
             tenant: {
-                "releases_cached": len(context.service.store.cached_keys()),
-                **context.service.tenant_stats(),
+                "releases_cached": len(service.store.cached_keys()),
+                **service.tenant_stats(),
             }
-            for tenant, context in items
+            for tenant, service in items
         }
 
     # ------------------------------------------------------------------
@@ -513,17 +501,17 @@ class _Handler(BaseHTTPRequestHandler):
         start = time.perf_counter()
         path = self.path.partition("?")[0].rstrip("/") or "/"
         self._deadline = server.new_deadline()
-        self._context = None
+        self._service = None
         try:
             route = _ROUTER.resolve(self.command, path)
             # Middleware, in order: authentication resolves the tenant
             # (exempt routes stay on the default tenant), the tenant's
-            # context is materialised, gated routes pass admission, and
+            # service is materialised, gated routes pass admission, and
             # unread bodies are drained so keep-alive stays in sync.
             tenant = DEFAULT_TENANT
             if not route.auth_exempt:
                 tenant = server.authenticator.authenticate(self.headers)
-            self._context = server.tenant_context(tenant)
+            self._service = server.tenant_service(tenant)
             admitted = False
             if route.gated and server.admission.enabled:
                 wait = (
@@ -587,8 +575,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _get_health(self) -> None:
         server = self.server
-        context = self._context
-        service = context.service
+        service = self._service
+        ingest = service.store.ingest
         self._send_json(
             200,
             {
@@ -600,16 +588,14 @@ class _Handler(BaseHTTPRequestHandler):
                 "memory": service.store.memory_payload(),
                 "latency_ms": server.latency.to_payload(),
                 "ingest": (
-                    context.ingest.to_payload()
-                    if context.ingest is not None
-                    else {"enabled": False}
+                    ingest.to_payload() if ingest is not None else {"enabled": False}
                 ),
                 "tenants": server.tenants_payload(),
             },
         )
 
     def _get_releases(self) -> None:
-        self._send_json(200, self._context.service.store.to_payload())
+        self._send_json(200, self._service.store.to_payload())
 
     def _effective_deadline(self, requested_ms) -> Deadline | None:
         """The dispatch deadline, tightened by the request's own budget."""
@@ -622,7 +608,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_releases(self) -> None:
         request = parse_build_request(self._read_json())
-        synopsis, built = self._context.service.store.build(
+        synopsis, built = self._service.store.build(
             request.key,
             force=request.force,
             deadline=self._effective_deadline(request.deadline_ms),
@@ -643,7 +629,7 @@ class _Handler(BaseHTTPRequestHandler):
             request = protocol.decode_query(self._read_body())
         else:
             request = parse_query_request(self._parse_json(self._read_body()))
-        result = self._context.service.answer(
+        result = self._service.answer(
             request.key,
             request.boxes,
             clamp=request.clamp,
@@ -654,9 +640,8 @@ class _Handler(BaseHTTPRequestHandler):
         # A release with durably staged points it does not yet reflect
         # still answers — streaming must not break serving — but says so:
         # the client can decide whether stale-but-private is acceptable.
-        staleness = None
-        if self._context.ingest is not None:
-            staleness = self._context.ingest.staleness(request.key)
+        ingest = self._service.store.ingest
+        staleness = ingest.staleness(request.key) if ingest is not None else None
         stale_headers = {}
         if staleness is not None:
             stale_headers = {
@@ -683,7 +668,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, payload, extra_headers=stale_headers or None)
 
     def _post_ingest(self) -> None:
-        manager = self._context.ingest
+        manager = self._service.store.ingest
         if manager is None:
             raise IngestDisabled(
                 "streaming ingestion is not enabled on this server; "
@@ -849,7 +834,9 @@ def serve(
     processes can share one listening address.  ``fault_options`` are
     forwarded to :class:`SynopsisHTTPServer` (``max_inflight``,
     ``queue_depth``, ``request_deadline_ms``, ``read_timeout``,
-    ``max_header_bytes``, ``ingest``, ``authenticator``).
+    ``max_header_bytes``, ``authenticator``).  A store with an ingest
+    manager attached is served with ``POST /ingest`` and staleness
+    reports.
     """
     return SynopsisHTTPServer(
         (host, port), service, reuse_port=reuse_port, **fault_options

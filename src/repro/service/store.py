@@ -37,15 +37,23 @@ directory cannot launder budget by restarting.  Every spend is one
 and appends one, so threads and ``--workers N`` processes sharing the
 catalog cannot interleave a check-then-spend into a double spend.
 
+A store serves one tenant (``default`` unless it is a
+:meth:`~SynopsisStore.for_tenant` sibling), and only the store knows
+it: a :class:`~repro.service.keys.ReleaseKey` names a release within
+the store, whose archives sit in the tenant's own directory, whose
+ledger rows carry the tenant id, and whose builds salt their noise
+stream with the tenant (see
+:meth:`~repro.service.keys.ReleaseKey.build_rng`).
+
 When a :class:`~repro.service.ingest.IngestManager` is attached
-(:meth:`SynopsisStore.set_ingest`), a build reads the manager's epoch
+(:meth:`SynopsisStore.set_ingest`; the serving layer reads it back
+from :attr:`SynopsisStore.ingest`), a build reads the manager's epoch
 for the key: the first ``epoch`` durably staged points of its dataset
-instance, which it incorporates, salts its noise stream with (see
-:meth:`~repro.service.keys.ReleaseKey.build_rng`) and charges the
-ledger under (``slug@e{epoch}``).  Epoch labels make crash replay
-*free*: a restart that re-runs a refresh whose spend already reached
-the ledger skips the charge and deterministically refits the identical
-release — zero double spend, bit-identical archives.
+instance, which it incorporates, salts its noise stream with and
+charges the ledger under (``slug@e{epoch}``).  Epoch labels make crash
+replay *free*: a restart that re-runs a refresh whose spend already
+reached the ledger skips the charge and deterministically refits the
+identical release — zero double spend, bit-identical archives.
 
 All public methods are thread-safe: one re-entrant lock guards the
 bookkeeping, while fits run outside it under a per-key in-flight guard,
@@ -58,6 +66,7 @@ import functools
 import os
 import sqlite3
 import threading
+import zlib
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -73,7 +82,12 @@ from repro.datasets.registry import get_spec
 from repro.queries.engine import make_engine
 from repro.privacy.budget import BudgetExceededError, PrivacyBudget
 from repro.service import faultinject
-from repro.service.catalog import CATALOG_FILE, Catalog, validate_tenant_id
+from repro.service.catalog import (
+    CATALOG_FILE,
+    DEFAULT_TENANT,
+    Catalog,
+    validate_tenant_id,
+)
 from repro.service.errors import (
     BudgetRefused,
     ReleaseNotFound,
@@ -241,9 +255,9 @@ class SynopsisStore:
         With a ``store_dir``, a ``budgets.json`` spend history left by
         an older version is imported bit-for-bit, exactly once.
     tenant:
-        The tenant namespace this store serves (ledger scope in the
-        catalog, stamp applied to every key).  The default keeps
-        single-tenant deployments byte-identical to before tenancy.
+        The tenant this store serves: the scope of its ledger rows in
+        the catalog and a salt of its releases' noise (the default
+        tenant adds none).  See :meth:`for_tenant` for the directory.
     """
 
     def __init__(
@@ -280,6 +294,9 @@ class SynopsisStore:
         # Shared with every tenant sibling (see for_tenant).
         self._instances = _Instances()
         self._tenant = validate_tenant_id(tenant)
+        self._tenant_salt = (
+            () if tenant == DEFAULT_TENANT else (zlib.crc32(tenant.encode()),)
+        )
         if self._store_dir is not None:
             self._store_dir.mkdir(parents=True, exist_ok=True)
             self._sweep_crash_debris()
@@ -329,6 +346,11 @@ class SynopsisStore:
         with self._lock:
             self._ingest = ingest
 
+    @property
+    def ingest(self):
+        """The attached ingestion manager (``None`` without one)."""
+        return self._ingest
+
     # ------------------------------------------------------------------
     # Lookup and build
     # ------------------------------------------------------------------
@@ -344,7 +366,6 @@ class SynopsisStore:
         cache hits for other keys; a request for a key whose fit is in
         flight waits for that result, bounded by ``deadline``.
         """
-        key = key.with_tenant(self._tenant)
         synopsis = self._lookup_or_load(key, deadline)
         if synopsis is None:
             with self._lock:
@@ -465,7 +486,6 @@ class SynopsisStore:
         charge landed before the crash and the refit is a free,
         deterministic reconstruction of the identical release.
         """
-        key = key.with_tenant(self._tenant)
         if not force:
             # Pre-check outside the store lock: serves the common
             # repeat-build case, including a disk reload, without
@@ -544,12 +564,12 @@ class SynopsisStore:
             if deadline is not None:
                 deadline.check("fitting the release")
             dataset = self._instances.read(key.dataset, self._n_points, key.seed)
-            epoch = 0
+            salts = self._tenant_salt
             if context is not None:
-                epoch = context.epoch
                 dataset = dataset.extend(context.points)
+                salts = (context.epoch, *salts)
             builder = make_builder(key.method)
-            synopsis = builder.fit(dataset, key.epsilon, key.build_rng(epoch))
+            synopsis = builder.fit(dataset, key.epsilon, key.build_rng(*salts))
             # The release's one engine, prepared once: the archive writer
             # seals its buffers, and every later answer reads it.
             make_engine(synopsis)
@@ -608,7 +628,6 @@ class SynopsisStore:
 
     def evict(self, key: ReleaseKey) -> bool:
         """Drop a release from the in-memory cache (disk copy untouched)."""
-        key = key.with_tenant(self._tenant)
         with self._lock:
             entry = self._cache.pop(key, None)
             if entry is None:
@@ -633,12 +652,7 @@ class SynopsisStore:
         keys = []
         for path in sorted(self._store_dir.glob("*.npz")):
             try:
-                # Slugs never carry the tenant (archives live in the
-                # tenant's own directory); stamp it back on so persisted
-                # keys compare equal to request keys.
-                keys.append(
-                    ReleaseKey.from_slug(path.stem).with_tenant(self._tenant)
-                )
+                keys.append(ReleaseKey.from_slug(path.stem))
             except Exception:
                 continue  # unrelated file in the store directory
         return keys

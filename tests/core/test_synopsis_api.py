@@ -1,6 +1,5 @@
 """Unit tests for the Synopsis / SynopsisBuilder framework contracts."""
 
-import numpy as np
 import pytest
 
 from repro.core.dataset import GeoDataset
@@ -35,15 +34,6 @@ def toy_dataset(rng) -> GeoDataset:
 
 
 class TestSynopsisDefaults:
-    def test_answer_many_uses_answer(self, toy_dataset, rng):
-        synopsis = ConstantBuilder().fit(toy_dataset, 1.0, rng)
-        rects = [Rect(0.0, 0.0, 0.5, 0.5)] * 3
-        np.testing.assert_array_equal(synopsis.answer_many(rects), [42.0] * 3)
-
-    def test_total_queries_full_domain(self, toy_dataset, rng):
-        synopsis = ConstantBuilder().fit(toy_dataset, 1.0, rng)
-        assert synopsis.total() == 42.0
-
     def test_synthetic_points_default_raises(self, toy_dataset, rng):
         synopsis = ConstantBuilder().fit(toy_dataset, 1.0, rng)
         with pytest.raises(NotImplementedError):

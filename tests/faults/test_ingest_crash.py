@@ -206,8 +206,8 @@ def test_tenant_recovery_rebuild_happens_before_any_request(tmp_path, baseline):
     tenant_manager.close()
     manager.close()
 
-    store, manager = _boot(tmp_path)
-    server = serve(QueryService(store), "127.0.0.1", 0, ingest=manager)
+    store, _ = _boot(tmp_path)
+    server = serve(QueryService(store), "127.0.0.1", 0)
     try:
         wal = wal_path(tmp_path / "tenants" / "acme", "storage", 0)
         markers = [
@@ -221,7 +221,7 @@ def test_tenant_recovery_rebuild_happens_before_any_request(tmp_path, baseline):
     finally:
         server.server_close()
         for tenant in ("default", "acme"):
-            server.tenant_context(tenant).ingest.close()
+            server.tenant_service(tenant).store.ingest.close()
 
 
 def test_torn_data_append_is_invisible_after_restart(tmp_path):

@@ -508,42 +508,8 @@ class TestMakeEngine:
 
 
 class TestDefaultAnswerMany:
-    """The inherited ``Synopsis.answer_many`` routes through the shared
-    scalar batch helper instead of a bare per-rect loop (ISSUE 5)."""
-
-    def _synopsis(self, unit_domain):
-        from repro.core.synopsis import Synopsis
-
-        class ConstantSynopsis(Synopsis):
-            calls = 0
-
-            def answer(self, rect):
-                type(self).calls += 1
-                return 7.0
-
-        return ConstantSynopsis(unit_domain, 1.0)
-
-    def test_accepts_boxes_array_and_rect_lists(self, unit_domain):
-        synopsis = self._synopsis(unit_domain)
-        np.testing.assert_array_equal(
-            synopsis.answer_many(np.array([[0.1, 0.1, 0.5, 0.5]])), [7.0]
-        )
-        np.testing.assert_array_equal(
-            synopsis.answer_many([Rect(0.1, 0.1, 0.5, 0.5)]), [7.0]
-        )
-
-    def test_empty_batch_returns_zero_length(self, unit_domain):
-        synopsis = self._synopsis(unit_domain)
-        assert synopsis.answer_many([]).shape == (0,)
-        assert type(synopsis).calls == 0
-
-    def test_inverted_rows_answer_zero_without_calling_answer(self, unit_domain):
-        synopsis = self._synopsis(unit_domain)
-        out = synopsis.answer_many(
-            np.array([[0.9, 0.1, 0.1, 0.5], [0.1, 0.1, 0.5, 0.5]])
-        )
-        np.testing.assert_array_equal(out, [0.0, 7.0])
-        assert type(synopsis).calls == 1  # only the valid row
+    """The inherited ``Synopsis.answer_many`` answers through the engine
+    of the synopsis type's declared row."""
 
     def test_registry_prefers_nearest_ancestor(self, small_skewed, rng):
         """A subclass of a declared type resolves to its nearest declared

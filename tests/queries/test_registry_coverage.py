@@ -110,14 +110,21 @@ def test_grid_shaped_releases_share_one_engine(built_synopses):
 
 def test_undeclared_synopsis_is_rejected(unit_domain):
     """A synopsis type with no declared row can be neither archived,
-    sized, nor served: each entry point raises ``TypeError``."""
+    sized, served nor batch-answered: each entry point raises
+    ``TypeError``."""
 
     class UndeclaredSynopsis(Synopsis):
         def answer(self, rect):
             return 42.0
 
     synopsis = UndeclaredSynopsis(unit_domain, 1.0)
-    for entry_point in (synopsis_to_bytes, synopsis_nbytes, make_engine):
+    for entry_point in (
+        synopsis_to_bytes,
+        synopsis_nbytes,
+        make_engine,
+        lambda synopsis: synopsis.answer_many([synopsis.domain.bounds]),
+        lambda synopsis: synopsis.total(),
+    ):
         with pytest.raises(TypeError, match="UndeclaredSynopsis"):
             entry_point(synopsis)
 

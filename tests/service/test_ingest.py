@@ -1,5 +1,7 @@
 """Unit tests for streaming ingestion: extend, drift, policy, epochs."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -123,11 +125,36 @@ class TestDriftCells:
 
 
 class TestBuildRngSalt:
-    def test_salt_zero_matches_unsalted(self):
+    def test_store_salts_noise_with_epoch_then_tenant(self, tmp_path):
+        """A store fits with ``key.build_rng(*salts)``: no salt for the
+        default tenant's first build, the ingest epoch for a refresh,
+        then the crc32 of a non-default tenant."""
+        from repro.core.serialization import synopsis_to_bytes
+        from repro.service.keys import make_builder
+
         k = key()
-        a = k.build_rng().standard_normal(8)
-        b = k.build_rng(0).standard_normal(8)
-        np.testing.assert_array_equal(a, b)
+        base = make_dataset(n=N_POINTS, rng=k.seed)
+        points = corner_points()
+
+        def fitted(data, *salts):
+            release = make_builder(k.method).fit(
+                data, k.epsilon, k.build_rng(*salts)
+            )
+            return synopsis_to_bytes(release)
+
+        store, manager = manager_over(tmp_path)
+        acme = store.for_tenant("acme")
+        for tenant_store, tenant_manager, tenant_salt in (
+            (store, manager, ()),
+            (acme, manager.for_store(acme), (zlib.crc32(b"acme"),)),
+        ):
+            first, _ = tenant_store.build(k)
+            assert synopsis_to_bytes(first) == fitted(base, *tenant_salt)
+            report = tenant_manager.ingest("storage", 0, "b1", points)
+            assert report["refreshed"] == [k.slug()]
+            assert synopsis_to_bytes(tenant_store.get(k)) == fitted(
+                base.extend(points), len(points), *tenant_salt
+            )
 
     def test_salt_changes_the_stream(self):
         k = key()

@@ -51,7 +51,7 @@ def serve_stack(tmp_path, drift_threshold):
         drift_threshold=drift_threshold,
         epoch_budget_fraction=0.3,  # cap 0.6: exactly one eps-0.5 refresh
     )
-    http_server = serve(QueryService(store), "127.0.0.1", 0, ingest=manager)
+    http_server = serve(QueryService(store), "127.0.0.1", 0)
     thread = threading.Thread(target=http_server.serve_forever, daemon=True)
     thread.start()
     yield http_server, store, manager, tmp_path

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.uniform_grid import UniformGridBuilder
 from repro.service.errors import ValidationError
-from repro.service.keys import ReleaseKey, make_builder, method_names, register_method
+from repro.service.keys import ReleaseKey, make_builder, method_names
 
 
 class TestReleaseKey:
@@ -119,18 +119,3 @@ class TestMethodRegistry:
     def test_make_builder_unknown(self):
         with pytest.raises(ValidationError, match="unknown method"):
             make_builder("nope")
-
-    def test_register_method_rejects_slug_breaking_names(self):
-        with pytest.raises(ValueError):
-            register_method("bad_name", UniformGridBuilder)
-
-    def test_register_and_use_custom_method(self):
-        register_method("UG8", lambda: UniformGridBuilder(grid_size=8))
-        try:
-            key = ReleaseKey("storage", "UG8", epsilon=1.0, seed=0)
-            assert ReleaseKey.from_slug(key.slug()) == key
-            assert make_builder("UG8").grid_size == 8
-        finally:
-            from repro.service import keys
-
-            keys._METHODS.pop("UG8", None)

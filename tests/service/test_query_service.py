@@ -58,25 +58,23 @@ class TestAnswer:
         result = service.answer(key, [[-110.0, 30.0, -80.0, 45.0]], clamp=True)
         assert result.estimates.shape == (1,)
 
-    def test_clamp_zeroes_negative_estimates(self, service, rng):
+    def test_clamp_zeroes_negative_estimates(self, service, rng, monkeypatch):
         # A deliberately over-fine grid: most cells are empty, so small
         # queries read nearly pure Laplace noise and often go negative.
         from repro.core.uniform_grid import UniformGridBuilder
         from repro.service import keys as keys_module
-        from repro.service.keys import register_method
 
-        register_method("UG64", lambda: UniformGridBuilder(grid_size=64))
-        try:
-            key = ReleaseKey("storage", "UG64", epsilon=0.5, seed=0)
-            service.store.build(key)
-            rects = storage_rects(200, rng, scale=32)
-            raw = service.answer(key, rects).estimates
-            clamped = service.answer(key, rects, clamp=True).estimates
-            assert raw.min() < 0
-            assert clamped.min() >= 0.0
-            np.testing.assert_array_equal(clamped, np.maximum(raw, 0.0))
-        finally:
-            keys_module._METHODS.pop("UG64", None)
+        monkeypatch.setitem(
+            keys_module._METHODS, "UG64", lambda: UniformGridBuilder(grid_size=64)
+        )
+        key = ReleaseKey("storage", "UG64", epsilon=0.5, seed=0)
+        service.store.build(key)
+        rects = storage_rects(200, rng, scale=32)
+        raw = service.answer(key, rects).estimates
+        clamped = service.answer(key, rects, clamp=True).estimates
+        assert raw.min() < 0
+        assert clamped.min() >= 0.0
+        np.testing.assert_array_equal(clamped, np.maximum(raw, 0.0))
 
     def test_unreleased_key_raises(self, service):
         with pytest.raises(ReleaseNotFound):
@@ -487,10 +485,9 @@ class TestResultPayload:
 
 class TestTenantKeys:
     def test_tenant_engine_prepared_once_and_repeat_is_cached(self, rng):
-        """Requests arrive with unstamped keys (the binary slug and JSON
-        bodies carry no tenant); a tenant's store caches stamped keys.
-        The tenant's engine is still prepared once, and a repeat batch is
-        still a cache hit."""
+        """A tenant's service answers the same keys as any other (the
+        binary slug and JSON bodies carry no tenant): the tenant's engine
+        is prepared once, and a repeat batch is a cache hit."""
         store = SynopsisStore(n_points=N_POINTS, tenant="acme")
         service = QueryService(store)
         key = ReleaseKey("storage", "AG", epsilon=1.0, seed=0)

@@ -399,14 +399,13 @@ class TestPersistence:
 
 
 class TestInsertFailure:
-    def test_failed_insert_clears_inflight_marker(self):
+    def test_failed_insert_clears_inflight_marker(self, monkeypatch):
         # A builder whose synopsis type serialization cannot pack: the
         # fit succeeds but _insert (synopsis_nbytes) raises.  The key's
         # in-flight marker must be cleared or every later call deadlocks.
         from repro.core.dataset import GeoDataset  # noqa: F401 (doc import)
         from repro.core.synopsis import Synopsis, SynopsisBuilder
         from repro.service import keys as keys_module
-        from repro.service.keys import register_method
 
         class _OpaqueSynopsis(Synopsis):
             def answer(self, rect):
@@ -418,17 +417,14 @@ class TestInsertFailure:
             def fit(self, dataset, epsilon, rng, budget=None):
                 return _OpaqueSynopsis(dataset.domain, epsilon)
 
-        register_method("OPQ", _OpaqueBuilder)
-        try:
-            store = SynopsisStore(n_points=N_POINTS, dataset_budget=10.0)
-            bad = key(method="OPQ")
-            with pytest.raises(TypeError):
-                store.build(bad)
-            assert store._building == set()
-            with pytest.raises(ReleaseNotFound):  # fails fast, no hang
-                store.get(bad)
-        finally:
-            keys_module._METHODS.pop("OPQ", None)
+        monkeypatch.setitem(keys_module._METHODS, "OPQ", _OpaqueBuilder)
+        store = SynopsisStore(n_points=N_POINTS, dataset_budget=10.0)
+        bad = key(method="OPQ")
+        with pytest.raises(TypeError):
+            store.build(bad)
+        assert store._building == set()
+        with pytest.raises(ReleaseNotFound):  # fails fast, no hang
+            store.get(bad)
 
 
 class TestValidation:

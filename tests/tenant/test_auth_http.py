@@ -10,6 +10,7 @@ never perturbs another tenant's serving.
 import pytest
 from conftest import N_POINTS
 
+from repro.datasets.registry import get_spec
 from repro.service.auth import ApiKeyAuthenticator
 from repro.service.catalog import Catalog
 from repro.service.ingest import IngestManager
@@ -38,14 +39,12 @@ def stack(tmp_path, start_server):
         n_points=N_POINTS,
         catalog=catalog,
     )
-    manager = IngestManager(store)
+    IngestManager(store)
     tokens = {
         tenant: catalog.create_api_key(tenant) for tenant in ("alpha", "beta")
     }
     server = start_server(
-        QueryService(store),
-        ingest=manager,
-        authenticator=ApiKeyAuthenticator(catalog),
+        QueryService(store), authenticator=ApiKeyAuthenticator(catalog)
     )
     return server, tokens
 
@@ -265,15 +264,17 @@ class TestTenantIsolation:
     def test_ingest_server_opens_tenant_partitions_at_start(
         self, tmp_path, start_server
     ):
-        """Every tenant directory on disk gets its context (and so its
-        WAL replay) when the server is built; other entries are skipped."""
+        """Every tenant directory on disk gets its service and ingest
+        manager (and so its WAL replay) when the server is built; other
+        entries are skipped."""
         store = SynopsisStore(store_dir=tmp_path, n_points=N_POINTS)
         store.for_tenant("alpha")
         (tmp_path / "tenants" / "Not_A_Tenant").mkdir()
         (tmp_path / "tenants" / "notes.txt").write_text("not a partition")
-        server = start_server(QueryService(store), ingest=IngestManager(store))
+        IngestManager(store)
+        server = start_server(QueryService(store))
         assert server.tenants_payload().keys() == {"default", "alpha"}
-        assert server.tenant_context("alpha").ingest is not None
+        assert server.tenant_service("alpha").store.ingest is not None
 
     def test_tenant_stores_partition_on_disk(self, stack, call):
         server, tokens = stack
@@ -282,3 +283,28 @@ class TestTenantIsolation:
         tenant_dir = store_dir / "tenants" / "alpha"
         assert tenant_dir.is_dir()
         assert list(tenant_dir.glob("*.npz")), "alpha's archive not partitioned"
+
+    def test_refused_refresh_marks_tenant_queries_stale(self, stack, call):
+        """The epoch cap refuses alpha's refresh: alpha's next query says
+        so, with the age of the points its release is missing."""
+        server, tokens = stack
+        alpha = _auth(tokens, "alpha")
+        release = {**RELEASE, "epsilon": 1.5}  # past the 1.0 epoch cap
+        status, _, _ = call(server, "/releases", release, headers=alpha)
+        assert status == 201
+        bounds = get_spec("storage").make(n=10, rng=0).domain.bounds
+        batch = {
+            "dataset": "storage",
+            "seed": 0,
+            "batch_id": "b-1",
+            "points": [[bounds.x_lo, bounds.y_lo]] * 50,
+        }
+        status, body, _ = call(server, "/ingest", batch, headers=alpha)
+        assert status == 409 and body["refused"]
+        status, body, headers = call(
+            server, "/query", {**release, "rects": RECTS}, headers=alpha
+        )
+        assert status == 200 and headers["X-Pending-Points"] == "50"
+        staleness = body["staleness"]
+        assert "cap" in staleness["refresh_refused"]
+        assert isinstance(staleness["oldest_pending_ms"], float)

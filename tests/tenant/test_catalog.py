@@ -128,6 +128,26 @@ class TestCatalogFile:
         catalog = Catalog(path)
         assert [catalog.resolve_api_key(token) for token in tokens] == ["acme"] * 6
 
+    def test_reopening_takes_no_write_lock(self, tmp_path, monkeypatch):
+        """A file that holds its schema opens with plain reads (and its
+        integrity check): a reopened store directory and its tenant
+        siblings take no write lock."""
+        SynopsisStore(store_dir=tmp_path, n_points=N_POINTS).for_tenant("acme")
+        statements = []
+        connect = sqlite3.connect
+
+        def traced_connect(*args, **kwargs):
+            conn = connect(*args, **kwargs)
+            conn.set_trace_callback(statements.append)
+            return conn
+
+        monkeypatch.setattr(sqlite3, "connect", traced_connect)
+        reopened = SynopsisStore(store_dir=tmp_path, n_points=N_POINTS)
+        reopened.for_tenant("acme")
+        reopened.for_tenant("acme")
+        assert "PRAGMA quick_check" in statements
+        assert [sql for sql in statements if "BEGIN IMMEDIATE" in sql] == []
+
     def test_empty_file_opens_as_a_fresh_catalog(self, tmp_path):
         """0 bytes is what a concurrent first open sees mid-creation."""
         path = tmp_path / "catalog.sqlite"
@@ -260,14 +280,16 @@ class TestTenantIds:
         with pytest.raises(ValidationError):
             validate_tenant_id(tenant)
 
-    def test_release_key_validates_its_tenant(self):
+    def test_store_validates_its_tenant(self):
         with pytest.raises(ValidationError):
-            ReleaseKey("storage", "UG", 0.5, 0, tenant="../escape")
+            SynopsisStore(tenant="../escape")
 
     def test_default_tenant_keys_omit_tenant_from_payload(self):
-        assert "tenant" not in ReleaseKey("storage", "UG", 0.5, 0).to_payload()
-        payload = ReleaseKey("storage", "UG", 0.5, 0, tenant="acme").to_payload()
-        assert payload["tenant"] == "acme"
+        """Key payloads never name a tenant: the caller's API key does."""
+        store = SynopsisStore(n_points=N_POINTS).for_tenant("acme")
+        store.build(_key(0.5))
+        assert store.to_payload()["cached"] == [_key(0.5).to_payload()]
+        assert "tenant" not in _key(0.5).to_payload()
 
 
 class TestApiKeys:
