@@ -34,9 +34,10 @@ import numpy as np
 from conftest import BENCH_N, write_json_report, write_report
 
 from repro.core.adaptive_grid import AdaptiveGridBuilder
+from repro.core.geometry import rects_to_boxes
 from repro.datasets.synthetic import make_landmark
 from repro.experiments.report import format_table
-from repro.queries.engine import FlatAdaptiveGridEngine, rects_to_boxes
+from repro.queries.engine import FlatAdaptiveGridEngine
 from repro.queries.workload import QueryWorkload
 from tests.oracles.adaptive_grid import AdaptiveGridEngine, fit_percell
 

@@ -18,8 +18,11 @@ flatter nobody), the engine cold-start/sealed-load counters, and the
 clock stamps around the child's timed batches.  Every child loads its
 release and answers a check batch first, then waits at a start barrier
 until all children of the round are ready, so the timed batches measure
-serving, not fork and load stagger.  A round's throughput is all its
-workers' batches over the span from the first start to the last end.
+serving, not fork and load stagger.  Each child times 1,000 batches of
+256 rectangles (cycling through 16 distinct ones with its answer cache
+off), so a round's span is long against scheduler noise.  A round's
+throughput is all its workers' batches over the span from the first
+start to the last end.
 Bit-identity of v1 and v2 answers is asserted always, in both modes.
 
 Results land under ``mmap_scaling`` in ``BENCH_service.json``.  The
@@ -54,7 +57,13 @@ QUICK = os.environ.get("BENCH_MMAP_QUICK", "") not in ("", "0")
 
 N_POINTS = 100_000 if QUICK else 8_000_000
 WORKER_COUNTS = (1, 2) if QUICK else (1, 2, 4, 8)
-BATCHES_PER_WORKER = 4 if QUICK else 16
+#: Timed batches per worker: in full mode a few hundred milliseconds of
+#: serving, so a round's span is not dominated by scheduler noise.
+BATCHES_PER_WORKER = 4 if QUICK else 1_000
+#: Distinct batches a worker cycles through (its answer cache is off):
+#: the batches it holds, and so its private memory growth, do not grow
+#: with ``BATCHES_PER_WORKER``.
+DISTINCT_BATCHES = 4 if QUICK else 16
 BATCH_SIZE = 64 if QUICK else 256
 
 #: Acceptance: mapped per-worker private growth vs the v1 copy cost.
@@ -94,7 +103,7 @@ def _check_batch():
 def _worker_batches():
     rng = np.random.default_rng(7)
     batches = []
-    for _ in range(BATCHES_PER_WORKER):
+    for _ in range(DISTINCT_BATCHES):
         x = np.sort(rng.random((BATCH_SIZE, 2)), axis=1)
         y = np.sort(rng.random((BATCH_SIZE, 2)), axis=1)
         batches.append(
@@ -122,8 +131,8 @@ def _child(write_fd, start_fd, store):
         # perf_counter is the system-wide monotonic clock on Linux, so
         # the stamps of forked workers compare across processes.
         start = time.perf_counter()
-        for boxes in batches:
-            service.answer(KEY, boxes)
+        for index in range(BATCHES_PER_WORKER):
+            service.answer(KEY, batches[index % len(batches)])
         end = time.perf_counter()
         private_after, rss, pss = _private_bytes()
         stats = service.stats()
@@ -131,7 +140,7 @@ def _child(write_fd, start_fd, store):
             "private_delta_bytes": max(0, private_after - private_before),
             "rss_bytes": rss,
             "pss_bytes": pss,
-            "batches": len(batches),
+            "batches": BATCHES_PER_WORKER,
             "start_s": start,
             "end_s": end,
             "engine_cold_starts": stats["engine_cold_starts"],
@@ -306,6 +315,7 @@ def test_mmap_fork_scaling(tmp_path):
                 "n_points": N_POINTS,
                 "batch_size": BATCH_SIZE,
                 "batches_per_worker": BATCHES_PER_WORKER,
+                "distinct_batches": DISTINCT_BATCHES,
                 "archive_bytes": archive_bytes,
                 "bit_identical_v1_vs_v2": True,
                 "workers": scaling,

@@ -12,6 +12,11 @@ Qardaji, Yang, Li (ICDE 2013).  The package provides:
   persist it, and answer batched rectangle queries over HTTP
   (``python -m repro serve``) under per-dataset budget accounting.
 
+This module re-exports the paper's library API below; the serving
+layer's names are imported from :mod:`repro.service`, and importing
+``repro`` does not load it.  Every other name is imported from the
+module that defines it: the subpackages re-export nothing.
+
 Quickstart::
 
     import numpy as np
@@ -60,7 +65,6 @@ from repro.queries.engine import (
 )
 from repro.queries.metrics import ErrorProfile, absolute_errors, relative_errors
 from repro.queries.workload import QueryWorkload
-from repro.service import QueryService, ReleaseKey, SynopsisStore
 
 __version__ = "1.0.0"
 
@@ -85,13 +89,10 @@ __all__ = [
     "PrivacyBudget",
     "PriveletBuilder",
     "QuadtreeBuilder",
-    "QueryService",
     "QueryWorkload",
     "Rect",
-    "ReleaseKey",
     "Synopsis",
     "SynopsisBuilder",
-    "SynopsisStore",
     "TreeArrays",
     "TreeSynopsis",
     "UniformGridBuilder",

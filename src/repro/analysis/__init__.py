@@ -1,65 +1,1 @@
 """Analysis: the paper's error model and dimensionality arguments."""
-
-from repro.analysis.dimensionality import (
-    border_fraction,
-    border_fraction_1d,
-    border_fraction_2d,
-    hierarchy_benefit_ratio,
-    paper_example,
-)
-from repro.analysis.error_model import (
-    ErrorDecomposition,
-    measure_decomposition,
-    optimal_grid_size_numeric,
-    predicted_noise_error,
-    predicted_nonuniformity_error,
-    predicted_total_error,
-)
-from repro.analysis.one_dim import (
-    OneDimComparison,
-    compare_methods,
-    flat_histogram,
-    hierarchical_histogram,
-    range_query,
-    wavelet_histogram,
-)
-from repro.analysis.scaling import (
-    SweepResult,
-    epsilon_sweep,
-    log_log_slope,
-    size_sweep,
-)
-from repro.analysis.uniformity import (
-    UniformityProfile,
-    estimate_c,
-    nonuniformity_coefficient,
-    uniformity_profile,
-)
-
-__all__ = [
-    "ErrorDecomposition",
-    "OneDimComparison",
-    "SweepResult",
-    "UniformityProfile",
-    "epsilon_sweep",
-    "log_log_slope",
-    "size_sweep",
-    "wavelet_histogram",
-    "border_fraction",
-    "border_fraction_1d",
-    "border_fraction_2d",
-    "compare_methods",
-    "estimate_c",
-    "flat_histogram",
-    "hierarchical_histogram",
-    "hierarchy_benefit_ratio",
-    "measure_decomposition",
-    "nonuniformity_coefficient",
-    "optimal_grid_size_numeric",
-    "paper_example",
-    "predicted_noise_error",
-    "predicted_nonuniformity_error",
-    "predicted_total_error",
-    "range_query",
-    "uniformity_profile",
-]

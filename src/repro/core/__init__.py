@@ -1,34 +1,1 @@
 """Core: geometry, datasets, grids, and the UG/AG contributions."""
-
-from repro.core.adaptive_grid import AdaptiveGridBuilder, AdaptiveGridSynopsis
-from repro.core.dataset import GeoDataset
-from repro.core.geometry import Domain2D, Rect
-from repro.core.grid import GridLayout
-from repro.core.point_index import GroundTruthIndex
-from repro.core.postprocess import (
-    apply_postprocess,
-    clamp_nonnegative,
-    project_nonnegative_preserving_total,
-)
-from repro.core.serialization import load_synopsis, save_synopsis
-from repro.core.synopsis import Synopsis, SynopsisBuilder
-from repro.core.uniform_grid import UniformGridBuilder, UniformGridSynopsis
-
-__all__ = [
-    "apply_postprocess",
-    "clamp_nonnegative",
-    "load_synopsis",
-    "project_nonnegative_preserving_total",
-    "save_synopsis",
-    "AdaptiveGridBuilder",
-    "AdaptiveGridSynopsis",
-    "Domain2D",
-    "GeoDataset",
-    "GridLayout",
-    "GroundTruthIndex",
-    "Rect",
-    "Synopsis",
-    "SynopsisBuilder",
-    "UniformGridBuilder",
-    "UniformGridSynopsis",
-]

@@ -1,49 +1,1 @@
 """Datasets: synthetic analogues of the paper's four evaluation datasets."""
-
-from repro.datasets.registry import (
-    DATASETS,
-    DatasetSpec,
-    dataset_names,
-    get_spec,
-    load_dataset,
-)
-from repro.datasets.synthetic import (
-    make_checkin,
-    make_gaussian_mixture,
-    make_landmark,
-    make_road,
-    make_storage,
-    make_uniform,
-)
-from repro.datasets.transforms import (
-    crop,
-    jitter,
-    merge,
-    mirror_x,
-    normalise_to_unit,
-    rotate90,
-    split_by_line,
-    thin,
-)
-
-__all__ = [
-    "DATASETS",
-    "DatasetSpec",
-    "crop",
-    "dataset_names",
-    "get_spec",
-    "jitter",
-    "load_dataset",
-    "merge",
-    "mirror_x",
-    "normalise_to_unit",
-    "rotate90",
-    "split_by_line",
-    "thin",
-    "make_checkin",
-    "make_gaussian_mixture",
-    "make_landmark",
-    "make_road",
-    "make_storage",
-    "make_uniform",
-]

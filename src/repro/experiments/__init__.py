@@ -1,36 +1,1 @@
 """Experiments: one module per table/figure of the paper's evaluation."""
-
-from repro.experiments import (
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    table2,
-)
-from repro.experiments.base import ExperimentReport, ExperimentSetup, standard_setup
-from repro.experiments.naming import NOTATION_HELP, parse_notation
-from repro.experiments.report import format_table, mean_by_size_table, profile_table
-from repro.experiments.runner import MethodResult, evaluate_builder, evaluate_builders
-
-__all__ = [
-    "ExperimentReport",
-    "ExperimentSetup",
-    "MethodResult",
-    "NOTATION_HELP",
-    "evaluate_builder",
-    "evaluate_builders",
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
-    "format_table",
-    "mean_by_size_table",
-    "parse_notation",
-    "profile_table",
-    "standard_setup",
-    "table2",
-]

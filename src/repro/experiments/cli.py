@@ -14,6 +14,9 @@ The ``serve`` subcommand is routed to the serving layer instead
 (:mod:`repro.service.cli`)::
 
     python -m repro serve --port 8731 --store-dir releases
+
+The figure and table modules are imported only after that dispatch, so
+``python -m repro serve`` never loads the experiment runners.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import argparse
 import sys
 
 from repro.datasets.registry import dataset_names
-from repro.experiments import figure1, figure2, figure3, figure4, figure5, figure6, table2
 
 __all__ = ["main", "build_parser"]
 
@@ -96,6 +98,8 @@ def main(argv: list[str] | None = None) -> int:
         from repro.service.cli import main as serve_main
 
         return serve_main(argv[1:])
+    from repro.experiments import figure1, figure2, figure3, figure4, figure5, figure6, table2
+
     args = build_parser().parse_args(argv)
 
     if args.experiment == "list":

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from repro.experiments import figure1, figure2, figure3, figure4, figure5, figure6, table2
 from repro.experiments.base import ExperimentReport
 
-__all__ = ["SuiteScale", "run_suite", "QUICK_SCALE", "FULL_SCALE"]
+__all__ = ["SuiteScale", "run_suite", "QUICK_SCALE"]
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,6 @@ QUICK_SCALE = SuiteScale(
     n_points={"road": 40_000, "checkin": 40_000, "landmark": 40_000},
     queries_per_size=40,
     epsilons=(1.0,),
-)
-
-#: The benchmark-suite scale (see benchmarks/conftest.py).
-FULL_SCALE = SuiteScale(
-    n_points={"road": 150_000, "checkin": 150_000, "landmark": 120_000},
-    queries_per_size=100,
 )
 
 

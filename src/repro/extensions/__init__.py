@@ -1,17 +1,1 @@
 """Extensions beyond the paper's 2-D scope (its stated future work)."""
-
-from repro.extensions.multidim import (
-    NDBox,
-    NDGridLayout,
-    NDUniformGridBuilder,
-    NDUniformGridSynopsis,
-    guideline1_nd_grid_size,
-)
-
-__all__ = [
-    "NDBox",
-    "NDGridLayout",
-    "NDUniformGridBuilder",
-    "NDUniformGridSynopsis",
-    "guideline1_nd_grid_size",
-]

@@ -78,7 +78,6 @@ __all__ = [
     "FlatAdaptiveGridEngine",
     "FlatTreeEngine",
     "make_engine",
-    "rects_to_boxes",  # canonical home: repro.core.geometry
     "scalar_answer_batch",
 ]
 

@@ -253,19 +253,12 @@ class Catalog:
 
         The write lock is taken *up front*, so a check-then-spend that
         runs inside this block is atomic against every other thread and
-        process sharing the catalog file.  Nests safely within one
-        thread (inner blocks join the outer transaction).
+        process sharing the catalog file.  Blocks do not nest: SQLite
+        refuses a ``BEGIN`` inside an open transaction, which rolls the
+        outer block back.
         """
         conn = self._conn()
-        if getattr(self._local, "txn_depth", 0) > 0:
-            self._local.txn_depth += 1
-            try:
-                yield conn
-            finally:
-                self._local.txn_depth -= 1
-            return
         conn.execute("BEGIN IMMEDIATE")
-        self._local.txn_depth = 1
         try:
             yield conn
             faultinject.fire("catalog.commit", path=str(self._path))
@@ -283,7 +276,6 @@ class Catalog:
             raise
         finally:
             self._generation += 1
-            self._local.txn_depth = 0
 
     def close(self) -> None:
         conn = getattr(self._local, "conn", None)

@@ -42,9 +42,9 @@ import weakref
 
 import numpy as np
 
-from repro.core.geometry import Rect
+from repro.core.geometry import Rect, rects_to_boxes
 from repro.core.synopsis import Synopsis
-from repro.queries.engine import make_engine, rects_to_boxes
+from repro.queries.engine import make_engine
 from repro.service import faultinject
 from repro.service.keys import ReleaseKey
 from repro.service.store import SynopsisStore

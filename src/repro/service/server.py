@@ -533,20 +533,12 @@ class _Handler(BaseHTTPRequestHandler):
             finally:
                 if admitted:
                     server.admission.leave()
-        except ServerOverloaded as error:
-            self._send_json(
-                error.status,
-                error.to_payload(),
-                extra_headers={"Retry-After": str(error.retry_after)},
-            )
-        except DeadlineExpired as error:
-            server.note_deadline_expired()
-            self._send_json(error.status, error.to_payload())
         except ServiceError as error:
             headers: dict[str, str] = {}
-            retry_after = getattr(error, "retry_after", None)
-            if retry_after is not None:
-                headers["Retry-After"] = str(retry_after)
+            if error.retry_after is not None:
+                headers["Retry-After"] = str(error.retry_after)
+            if isinstance(error, DeadlineExpired):
+                server.note_deadline_expired()
             if isinstance(error, MethodNotAllowed) and error.allow:
                 headers["Allow"] = ", ".join(error.allow)
             if isinstance(error, (AuthRequired, AuthForbidden)):

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import os
+import re
 import sqlite3
 import threading
 import zlib
@@ -116,18 +117,27 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
+#: A temp file's writer: ``<archive>.<pid>-<thread id>.tmp``.
+_TEMP_WRITER = re.compile(r"\.(\d+)-\d+\.tmp$")
+
+
 def _atomic_write(path: Path, data: bytes) -> None:
     """Crash-safe archive write: temp file + fsync + rename + dir fsync.
 
     After a crash (``kill -9``, power loss) at *any* byte boundary the
     path holds either the complete previous contents or the complete new
-    ones — never a torn mix.  The ``archive.write`` / ``.fsync`` /
-    ``.replace`` fault points let the harness simulate disk-full, short
-    writes, and crashes at each stage.  On ordinary I/O errors the temp
-    file is removed; :class:`~repro.service.faultinject.SimulatedCrash`
-    deliberately leaves the debris a real crash would.
+    ones — never a torn mix.  The temp file is named for its writer,
+    ``<archive>.<pid>-<thread id>.tmp``, so two writers of one archive
+    (two threads, or two ``--workers`` processes sharing the store
+    directory) never write or rename each other's temp file: each
+    rename is whole, and the last one wins.  The ``archive.write`` /
+    ``.fsync`` / ``.replace`` fault points let the harness simulate
+    disk-full, short writes, and crashes at each stage.  On ordinary I/O
+    errors the temp file is removed;
+    :class:`~repro.service.faultinject.SimulatedCrash` deliberately
+    leaves the debris a real crash would.
     """
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
         faultinject.fire("archive.write", path=str(tmp), data=data)
         with open(tmp, "wb") as handle:
@@ -144,6 +154,17 @@ def _atomic_write(path: Path, data: bytes) -> None:
             pass
         raise
     _fsync_directory(path.parent)
+
+
+def _process_alive(pid: int) -> bool:
+    """Whether a process with this id exists (signal 0 probes only)."""
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):
+        return False
+    except PermissionError:
+        return True  # alive, owned by another user
+    return True
 
 
 @dataclass
@@ -284,8 +305,8 @@ class SynopsisStore:
         self._cache: OrderedDict[ReleaseKey, _Entry] = OrderedDict()
         self._cached_bytes = 0
         self._lock = threading.RLock()
-        self._building: set[ReleaseKey] = set()
-        self._loading: set[ReleaseKey] = set()
+        # Keys with a fit or a disk reload in flight (never both).
+        self._inflight: set[ReleaseKey] = set()
         self._inflight_done = threading.Condition(self._lock)
         self.stats = StoreStats()
         self._quarantined: dict[ReleaseKey, str] = {}
@@ -323,11 +344,25 @@ class SynopsisStore:
         """Remove temp files a crash mid-write left behind.
 
         Every durable write goes through temp + rename, so a ``*.tmp``
-        file is by construction an incomplete artifact from a dead
-        process — never live state.  Sweeping at init keeps the debris
-        from accumulating and from ever being mistaken for a release.
+        file is an incomplete artifact.  It is debris when its writer
+        is gone, and the temp name says who wrote it (see
+        :func:`_atomic_write`): the sweep removes a temp file named for
+        this process, for a process that is no longer alive, or for no
+        process at all (the ``<archive>.tmp`` names of older versions).
+        A server process opens one store per directory, so a temp file
+        of its own at open is debris of an earlier crash in it, while
+        one of another live process is that process's write in flight
+        — a sibling ``--workers`` process mid-build — and is left
+        alone; if a dead writer's pid was reused, its file goes at a
+        later open.  Sweeping at init keeps the debris from
+        accumulating and from ever being mistaken for a release.
         """
         for stale in self._store_dir.glob("*.tmp"):
+            writer = _TEMP_WRITER.search(stale.name)
+            if writer is not None:
+                pid = int(writer.group(1))
+                if pid != os.getpid() and _process_alive(pid):
+                    continue
             try:
                 stale.unlink()
             except OSError:
@@ -409,7 +444,7 @@ class SynopsisStore:
                     self._cache.move_to_end(key)
                     self.stats.hits += 1
                     return entry.synopsis
-                if key in self._loading or key in self._building:
+                if key in self._inflight:
                     # Another thread is reloading or fitting this key;
                     # its result will land in the cache.
                     self._wait_inflight(deadline)
@@ -419,7 +454,7 @@ class SynopsisStore:
             path = self._release_path(key)
             if path is None or not path.exists():
                 return None
-            self._loading.add(key)
+            self._inflight.add(key)
         try:
             # Path-based load: the archive is memory-mapped (workers
             # share pages) instead of double-buffering the file in memory.
@@ -430,12 +465,12 @@ class SynopsisStore:
             # parsed (and never crashes a request) again.
             self._quarantine_archive(path, key, error)
             with self._lock:
-                self._loading.discard(key)
+                self._inflight.discard(key)
                 self._inflight_done.notify_all()
             return None
         except BaseException:
             with self._lock:
-                self._loading.discard(key)
+                self._inflight.discard(key)
                 self._inflight_done.notify_all()
             raise
         with self._lock:
@@ -445,7 +480,7 @@ class SynopsisStore:
             finally:
                 # Always clear the in-flight marker: leaving it would
                 # deadlock every later request for this key.
-                self._loading.discard(key)
+                self._inflight.discard(key)
                 self._inflight_done.notify_all()
         return synopsis
 
@@ -511,7 +546,7 @@ class SynopsisStore:
                         self._cache.move_to_end(key)
                         self.stats.hits += 1
                         return entry.synopsis, False
-                if key not in self._building and key not in self._loading:
+                if key not in self._inflight:
                     break
                 # Another thread is fitting or reloading this key; wait
                 # so same-key loads and builds never interleave.
@@ -558,7 +593,7 @@ class SynopsisStore:
                         key.epsilon,
                         spend_label,
                     )
-            self._building.add(key)
+            self._inflight.add(key)
         try:
             faultinject.fire("store.fit", key=key)
             if deadline is not None:
@@ -576,7 +611,7 @@ class SynopsisStore:
             self._persist(key, synopsis)
         except BaseException:
             with self._lock:
-                self._building.discard(key)
+                self._inflight.discard(key)
                 self._inflight_done.notify_all()
             raise
         with self._lock:
@@ -589,7 +624,7 @@ class SynopsisStore:
             finally:
                 # Always clear the in-flight marker: leaving it would
                 # deadlock every later request for this key.
-                self._building.discard(key)
+                self._inflight.discard(key)
                 self._inflight_done.notify_all()
         if ingest is not None and context is not None:
             # Commit the release to the ingestion log *after* the archive
@@ -697,11 +732,6 @@ class SynopsisStore:
             "mapped_bytes": sum(mapped.values()),
             "mapped": mapped,
         }
-
-    def quarantined_keys(self) -> dict[ReleaseKey, str]:
-        """Keys whose archives were quarantined, with the load error."""
-        with self._lock:
-            return dict(self._quarantined)
 
     @property
     def ledger_corrupt(self) -> str | None:

@@ -205,6 +205,11 @@ class WriteAheadLog:
     are available via :attr:`replayed`.  Appends write the framed record
     and fsync before returning, so an acknowledged batch is durable.
 
+    The log holds the raw staged points, the sensitive data itself, so
+    it is readable by its owner only: it is created with mode ``0o600``,
+    and a log an older version created wider is narrowed to ``0o600``
+    when it is opened.
+
     Not safe for concurrent writers: exactly one live process may own a
     WAL file (the CLI enforces single-worker serving when ingestion is
     enabled).  Thread safety within the process is the caller's job —
@@ -216,8 +221,9 @@ class WriteAheadLog:
         self._path = Path(path)
         self.replayed: list[DataRecord | MarkerRecord] = []
         self.stats = ReplayStats()
-        self._fd = os.open(self._path, os.O_CREAT | os.O_RDWR, 0o644)
+        self._fd = os.open(self._path, os.O_CREAT | os.O_RDWR, 0o600)
         try:
+            os.fchmod(self._fd, 0o600)
             self._replay_and_truncate()
         except BaseException:
             os.close(self._fd)

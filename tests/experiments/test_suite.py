@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.experiments.suite import (
-    FULL_SCALE,
-    QUICK_SCALE,
-    SuiteScale,
-    run_suite,
-)
+from repro.experiments.suite import QUICK_SCALE, SuiteScale, run_suite
 
 TINY = SuiteScale(
     n_points={"storage": 2_000},
@@ -22,10 +17,6 @@ class TestScales:
     def test_quick_scale_defaults(self):
         assert QUICK_SCALE.epsilons == (1.0,)
         assert "road" in QUICK_SCALE.n_points
-
-    def test_full_scale_matches_bench_config(self):
-        assert FULL_SCALE.queries_per_size == 100
-        assert FULL_SCALE.epsilons == (1.0, 0.1)
 
 
 class TestRunSuite:

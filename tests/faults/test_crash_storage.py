@@ -6,6 +6,12 @@ never serves garbage, renames the corpse to ``*.corrupt``, answers 503
 for the key, and restores service on rebuild.
 """
 
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from faultutil import N_POINTS, RECTS, RELEASE, release_key
@@ -90,7 +96,7 @@ class TestQuarantine:
             corpse = path.with_name(path.name + ".corrupt")
             assert corpse.exists(), f"round {round_number}: no quarantine file"
             assert store.stats.quarantined == 1
-            assert release_key() in store.quarantined_keys()
+            assert release_key().slug() in store.to_payload()["quarantined"]
             # Quarantine is sticky and cheap: the next read does not
             # re-parse the corpse.
             with pytest.raises(ReleaseQuarantined):
@@ -106,7 +112,7 @@ class TestQuarantine:
             store.get(release_key())
         synopsis, built = store.build(release_key())
         assert built
-        assert store.quarantined_keys() == {}
+        assert store.to_payload()["quarantined"] == {}
         assert store.get(release_key()) is synopsis
         # The rebuilt archive is valid on disk for the next process.
         assert load_synopsis(path).total() == pytest.approx(synopsis.total())
@@ -160,3 +166,56 @@ class TestQuarantine:
             assert survivor.get(key).total() == pytest.approx(
                 synopsis_from_bytes(pristine).total()
             )
+
+
+class TestArchiveTempFiles:
+    def test_two_writers_of_one_archive_never_share_a_temp_file(self, persisted):
+        """Writer A pauses before its rename while writer B writes the
+        same archive whole; A's rename still finds its own temp file."""
+        from repro.service import faultinject
+
+        tmp_path, path = persisted
+        key = release_key()
+        first, second = _store(tmp_path), _store(tmp_path)
+        paused, resume = threading.Event(), threading.Event()
+
+        def pause_writer_a(**_):
+            if threading.current_thread() is not threading.main_thread():
+                paused.set()
+                assert resume.wait(30)
+
+        faultinject.install("archive.replace", pause_writer_a)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            writer_a = pool.submit(first.build, key, force=True)
+            assert paused.wait(30)
+            try:
+                synopsis, built = second.build(key, force=True)
+            finally:
+                resume.set()
+            assert built
+            assert writer_a.result(timeout=30)[1]
+        assert list(tmp_path.glob("*.tmp")) == []
+        # Same key, same noise: both writers wrote the same archive.
+        assert path.read_bytes() == synopsis_to_bytes(synopsis)
+
+    def test_sweep_spares_the_temp_files_of_live_writers(self, tmp_path):
+        """A store open removes temp files of this process, of dead
+        processes and of no process, never those of a live one."""
+        dead = subprocess.Popen([sys.executable, "-c", "pass"])
+        dead.wait()
+        live = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        try:
+            temps = {
+                "live": tmp_path / f"a.npz.{live.pid}-1.tmp",
+                "dead": tmp_path / f"b.npz.{dead.pid}-1.tmp",
+                "own": tmp_path / f"c.npz.{os.getpid()}-1.tmp",
+                "old-style": tmp_path / "d.npz.tmp",
+            }
+            for temp in temps.values():
+                temp.write_bytes(b"partial")
+            _store(tmp_path)
+            survivors = {name for name, temp in temps.items() if temp.exists()}
+            assert survivors == {"live"}
+        finally:
+            live.kill()
+            live.wait()

@@ -127,7 +127,7 @@ class TestQuarantine:
             store.get(release_key())
         synopsis, built = store.build(release_key())
         assert built
-        assert store.quarantined_keys() == {}
+        assert store.to_payload()["quarantined"] == {}
         assert store.get(release_key()) is synopsis
         # The rebuilt archive is valid (and mapped) for the next process.
         clone = synopsis_from_path(path)

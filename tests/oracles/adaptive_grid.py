@@ -22,12 +22,12 @@ import numpy as np
 
 from repro.core.adaptive_grid import AdaptiveGridBuilder, AdaptiveGridSynopsis
 from repro.core.dataset import GeoDataset
-from repro.core.geometry import Domain2D, Rect
+from repro.core.geometry import Domain2D, Rect, rects_to_boxes
 from repro.core.grid import GridLayout
 from repro.core.guidelines import guideline2_cell_grid_size
 from repro.privacy.budget import PrivacyBudget
 from repro.privacy.mechanisms import ensure_rng
-from repro.queries.engine import BatchQueryEngine, rects_to_boxes
+from repro.queries.engine import BatchQueryEngine
 
 __all__ = ["AdaptiveGridEngine", "fit_percell", "two_level_inference"]
 

@@ -1,5 +1,7 @@
 """Unit tests for streaming ingestion: extend, drift, policy, epochs."""
 
+import os
+import stat
 import zlib
 
 import numpy as np
@@ -9,6 +11,7 @@ from repro.datasets.registry import get_spec
 from repro.service.ingest import IngestManager, _DriftTracker, _histogram
 from repro.service.keys import ReleaseKey
 from repro.service.store import SynopsisStore
+from repro.service.wal import DataRecord, encode_record, wal_path
 
 #: Small builds so the whole module stays fast.
 N_POINTS = 1_000
@@ -389,3 +392,22 @@ class TestReplay:
         (tmp_path / "noseed.wal").write_bytes(b"")
         store, manager = manager_over(tmp_path)
         assert manager.to_payload()["datasets"] == {}
+
+    def test_logs_are_readable_by_their_owner_only(self, tmp_path):
+        """A log holds the raw staged points: a new log is created 0o600
+        whatever the umask, and a wider log an older version left is
+        narrowed to 0o600 when it is replayed."""
+        old = wal_path(tmp_path, "storage", 1)
+        old.write_bytes(encode_record(DataRecord("old", 1.0, corner_points(3))))
+        os.chmod(old, 0o644)
+        umask = os.umask(0o022)
+        try:
+            store, manager = manager_over(tmp_path)
+            manager.ingest("storage", 0, "b1", corner_points(5))
+            manager.close()
+        finally:
+            os.umask(umask)
+        new = wal_path(tmp_path, "storage", 0)
+        assert manager.stats.replayed_batches == 1
+        assert stat.S_IMODE(new.stat().st_mode) == 0o600
+        assert stat.S_IMODE(old.stat().st_mode) == 0o600

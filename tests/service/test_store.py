@@ -170,9 +170,9 @@ class TestBudget:
     def test_build_writes_the_catalog_once_for_the_spend(self, monkeypatch):
         """One build opens one catalog write transaction: the spend's."""
         store = SynopsisStore(n_points=N_POINTS, dataset_budget=1.0)
-        outermost = _count_catalog_writes(monkeypatch)
+        writes = _count_catalog_writes(monkeypatch)
         store.build(key())
-        assert len(outermost) == 1
+        assert len(writes) == 1
         assert store.budget_state()["storage|0"]["spent"] == pytest.approx(1.0)
 
     def test_opening_a_store_writes_nothing(self, tmp_path, monkeypatch):
@@ -181,29 +181,28 @@ class TestBudget:
         directory's one-shot ``budgets.json`` marker is read, not
         written, once it is there."""
         SynopsisStore(store_dir=tmp_path, n_points=N_POINTS).for_tenant("acme")
-        outermost = _count_catalog_writes(monkeypatch)
+        writes = _count_catalog_writes(monkeypatch)
         SynopsisStore(n_points=N_POINTS).for_tenant("acme")
         reopened = SynopsisStore(store_dir=tmp_path, n_points=N_POINTS)
         reopened.for_tenant("acme")
         reopened.for_tenant("acme")
-        assert outermost == []
+        assert writes == []
 
 
 def _count_catalog_writes(monkeypatch) -> list:
-    """Patch :meth:`Catalog.exclusive` to record each outermost write
-    transaction; returns the list it appends to."""
+    """Patch :meth:`Catalog.exclusive` to record each write transaction;
+    returns the list it appends to."""
     from repro.service.catalog import Catalog
 
-    outermost = []
+    writes = []
     exclusive = Catalog.exclusive
 
     def counting(catalog):
-        if getattr(catalog._local, "txn_depth", 0) == 0:
-            outermost.append(True)
+        writes.append(True)
         return exclusive(catalog)
 
     monkeypatch.setattr(Catalog, "exclusive", counting)
-    return outermost
+    return writes
 
 
 def _count_reads(monkeypatch, failures: int = 0) -> list:
@@ -422,7 +421,7 @@ class TestInsertFailure:
         bad = key(method="OPQ")
         with pytest.raises(TypeError):
             store.build(bad)
-        assert store._building == set()
+        assert store._inflight == set()
         with pytest.raises(ReleaseNotFound):  # fails fast, no hang
             store.get(bad)
 

@@ -148,6 +148,22 @@ class TestCatalogFile:
         assert "PRAGMA quick_check" in statements
         assert [sql for sql in statements if "BEGIN IMMEDIATE" in sql] == []
 
+    def test_nested_write_transaction_fails_and_rolls_back(self, tmp_path):
+        """``exclusive`` blocks do not nest: the inner ``BEGIN`` raises,
+        and the outer block's spend never commits."""
+        catalog = Catalog(tmp_path / "catalog.sqlite")
+        with pytest.raises(sqlite3.OperationalError, match="within a transaction"):
+            with catalog.exclusive():
+                catalog.record_spend(DEFAULT_TENANT, "storage|0", 1.0, 0.5, "outer")
+                with catalog.exclusive():
+                    pass
+        assert catalog.load_budgets(DEFAULT_TENANT) == {}
+        with catalog.exclusive():  # the connection is usable again
+            catalog.record_spend(DEFAULT_TENANT, "storage|0", 1.0, 0.5, "after")
+        assert catalog.load_budgets(DEFAULT_TENANT)["storage|0"]["ledger"] == [
+            [0.5, "after"]
+        ]
+
     def test_empty_file_opens_as_a_fresh_catalog(self, tmp_path):
         """0 bytes is what a concurrent first open sees mid-creation."""
         path = tmp_path / "catalog.sqlite"
