@@ -22,7 +22,10 @@ serving, not fork and load stagger.  Each child times 1,000 batches of
 256 rectangles (cycling through 16 distinct ones with its answer cache
 off), so a round's span is long against scheduler noise.  A round's
 throughput is all its workers' batches over the span from the first
-start to the last end.
+start to the last end.  Beside it, each worker's process CPU time over
+its timed loop gives the round's CPU milliseconds per batch: the
+store's serving cost, which does not move with how much CPU the shared
+host leaves free, as the wall-clock rate does.
 Bit-identity of v1 and v2 answers is asserted always, in both modes.
 
 Results land under ``mmap_scaling`` in ``BENCH_service.json``.  The
@@ -131,8 +134,10 @@ def _child(write_fd, start_fd, store):
         # perf_counter is the system-wide monotonic clock on Linux, so
         # the stamps of forked workers compare across processes.
         start = time.perf_counter()
+        cpu_start = time.process_time()
         for index in range(BATCHES_PER_WORKER):
             service.answer(KEY, batches[index % len(batches)])
+        cpu_s = time.process_time() - cpu_start
         end = time.perf_counter()
         private_after, rss, pss = _private_bytes()
         stats = service.stats()
@@ -143,6 +148,7 @@ def _child(write_fd, start_fd, store):
             "batches": BATCHES_PER_WORKER,
             "start_s": start,
             "end_s": end,
+            "cpu_s": cpu_s,
             "engine_cold_starts": stats["engine_cold_starts"],
             "engine_sealed_loads": stats["engine_sealed_loads"],
             "answers_sha1": digest,
@@ -196,6 +202,7 @@ def _fork_round(store, n_workers):
 
 def _aggregate(reports):
     deltas = [r["private_delta_bytes"] for r in reports]
+    batches = sum(r["batches"] for r in reports)
     return {
         "workers": len(reports),
         "mean_private_delta_bytes": int(np.mean(deltas)),
@@ -206,10 +213,13 @@ def _aggregate(reports):
         # last end: the fleet's throughput, not a sum of per-worker rates
         # that time-sliced workers each measured alone.
         "batches_per_s": round(
-            sum(r["batches"] for r in reports)
+            batches
             / (max(r["end_s"] for r in reports) - min(r["start_s"] for r in reports)),
             2,
         ),
+        # The workers' own CPU time per batch: what serving costs,
+        # whatever share of the CPUs the host gave the round.
+        "cpu_ms_per_batch": round(1e3 * sum(r["cpu_s"] for r in reports) / batches, 4),
         "engine_cold_starts": sum(r["engine_cold_starts"] for r in reports),
         "engine_sealed_loads": sum(r["engine_sealed_loads"] for r in reports),
     }
@@ -285,13 +295,17 @@ def test_mmap_fork_scaling(tmp_path):
             f"{row[fmt]['mean_private_delta_bytes'] / 1e6:.2f}",
             f"{row[fmt]['mean_rss_bytes'] / 1e6:.1f}",
             f"{row[fmt]['batches_per_s']:.0f}",
+            f"{row[fmt]['cpu_ms_per_batch']:.3f}",
             str(row[fmt]["engine_cold_starts"]),
         ]
         for workers, row in scaling.items()
         for fmt in ("v1", "v2")
     ]
     text = format_table(
-        ["workers", "fmt", "private MB/worker", "rss MB", "batches/s", "cold"],
+        [
+            "workers", "fmt", "private MB/worker", "rss MB", "batches/s",
+            "cpu ms/batch", "cold",
+        ],
         rows,
     ) + (
         f"\n\narchive bytes: v1={archive_bytes['v1']:,} "

@@ -31,6 +31,13 @@ siblings keep their split order, and level ``l`` occupies
 nodes are exactly the level-``l+1`` slab, in order — which is what lets
 constrained inference and the query engine walk whole levels with
 ``repeat``/``arange`` arithmetic instead of per-node recursion.
+
+Every internal node is split in one of the two shapes the builders
+produce (:func:`split_kinds`): two halves along one axis, lower then
+upper, or four quadrants in the order lower-left, lower-right,
+upper-left, upper-right.  A child's bounds are its parent's except at
+the split coordinate, which is what lets the query engine classify a
+child from its parent's split alone.
 """
 
 from __future__ import annotations
@@ -47,13 +54,70 @@ __all__ = [
     "TreeArrays",
     "TreeSynopsis",
     "apply_tree_inference_arrays",
+    "split_kinds",
     "tree_engine",
 ]
+
+#: Split kinds of :func:`split_kinds`: a leaf, halves along x, halves
+#: along y, quadrants.
+LEAF, X_HALVES, Y_HALVES, QUADRANTS = 0, 1, 2, 3
+
+#: Each split shape and, per child in split order, which of its
+#: ``(x_lo, y_lo, x_hi, y_hi)`` bounds is the split coordinate on that
+#: axis; every other bound is the parent's own.
+_SHAPES = (
+    (X_HALVES, ((0, 0, 1, 0), (1, 0, 0, 0))),
+    (Y_HALVES, ((0, 0, 0, 1), (0, 1, 0, 0))),
+    (QUADRANTS, ((0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 0))),
+)
+
+
+def split_kinds(bounds, child_offsets: np.ndarray) -> np.ndarray:
+    """Each node's split, as a ``uint8`` :data:`LEAF` ... :data:`QUADRANTS`.
+
+    ``bounds`` are the nodes' ``(x_lo, y_lo, x_hi, y_hi)`` vectors.  An
+    internal node must be split into two halves along one axis (lower
+    then upper) or into four quadrants (lower-left, lower-right,
+    upper-left, upper-right): every child bound equals the parent's or,
+    on the split side, the split coordinate, which is the first child's
+    upper bound on that axis.  Zero-width children qualify.  Raises
+    ``ValueError`` for any other set of children.
+    """
+    bounds = [np.asarray(vector) for vector in bounds]
+    fan_out = np.diff(child_offsets)
+    kinds = np.zeros(fan_out.size, dtype=np.uint8)
+    unmatched = fan_out > 0
+    for kind, cuts in _SHAPES:
+        nodes = np.flatnonzero(unmatched & (fan_out == len(cuts)))
+        if not nodes.size:
+            continue
+        first = child_offsets[nodes]
+        split = (bounds[2][first], bounds[3][first])
+        match = np.ones(nodes.size, dtype=bool)
+        for side, bound in enumerate(bounds):
+            parent = bound[nodes]
+            for child, cut in enumerate(cuts):
+                expected = split[side % 2] if cut[side] else parent
+                match &= bound[first + child] == expected
+        kinds[nodes[match]] = kind
+        unmatched[nodes[match]] = False
+    if unmatched.any():
+        node = int(np.flatnonzero(unmatched)[0])
+        raise ValueError(
+            f"node {node}'s {int(fan_out[node])} children are neither two "
+            "halves along one axis nor its four quadrants"
+        )
+    return kinds
 
 
 @dataclass
 class TreeArrays:
     """A spatial count tree as flat arrays in BFS level order.
+
+    Every internal node is split into two halves along one axis (lower,
+    then upper) or into four quadrants (lower-left, lower-right,
+    upper-left, upper-right); see :func:`split_kinds`.  Children may have
+    zero width.
 
     Attributes
     ----------
@@ -124,7 +188,8 @@ class TreeArrays:
         )
 
     def validate(self) -> None:
-        """Check the level-order invariants; raises ``ValueError`` on breakage.
+        """Check the level-order and split-shape invariants; raises
+        ``ValueError`` on breakage.
 
         Used by tests and by unpacking untrusted archives — the hot paths
         assume these invariants rather than re-checking them.
@@ -155,6 +220,7 @@ class TreeArrays:
             raise ValueError("child ranges must cover nodes 1..n exactly once")
         if n > 1 and not np.all(self.depths[children] == self.depths[parents] + 1):
             raise ValueError("children must be exactly one level below parents")
+        split_kinds(self.rects.T, self.child_offsets)
 
 
 def apply_tree_inference_arrays(tree: TreeArrays) -> None:

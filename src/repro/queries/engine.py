@@ -44,15 +44,16 @@ density of a uniform grid: its declared engine constructor lowers it
 onto that lattice and answers with :class:`BatchQueryEngine` itself (a
 default quadtree once the data fills it).  Every other tree keeps
 :class:`FlatTreeEngine`, which answers a whole batch by level-synchronous
-frontier descent: every live (query, node) pair is classified as
-contained / disjoint / partial in one vectorised pass per tree level,
-contained nodes contribute their counts through one ``bincount`` gather,
-partial leaves resolve the uniformity estimate in the same fused pass,
-a pair the query covers along one axis and cuts once along the other
-reads the node's edge table along that axis (the descent's exact
-answers at every coordinate below the node, interpolated by its leaves'
-ramp), and only the pairs that hold a query corner or are crossed by
-two parallel query edges expand to the next level's frontier.
+frontier descent over the (query, node) pairs that intersect: each pair
+carries its four cover bits, an expanding parent compares only its split
+coordinate with the query's edges to decide which children enter the
+next level and with which bits, contained nodes contribute their
+counts, partial leaves the uniformity estimate, a pair the query covers
+along one axis and cuts once along the other reads the node's edge
+table along that axis (the descent's exact answers at every coordinate
+below the node, interpolated by its leaves' ramp), and only the pairs
+that hold a query corner or are crossed by two parallel query edges
+expand.
 
 :func:`make_engine` returns the one engine a release keeps, building
 it on first use through the synopsis type's row of
@@ -67,10 +68,12 @@ query batches for every synopsis family.
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 import numpy as np
 
+from repro.baselines.tree import LEAF, QUADRANTS, X_HALVES, Y_HALVES, split_kinds
 from repro.core.geometry import Rect, rects_to_boxes
 
 __all__ = [
@@ -574,14 +577,16 @@ class FlatTreeEngine:
     TreeArrays` state into per-coordinate node vectors (rect bounds,
     counts, CSR child offsets, leaf areas) and builds per-node *edge
     tables* (below).  A batch is answered by level-synchronous frontier
-    descent: the frontier starts as one (query, root) pair per valid
-    query, and each round classifies every frontier pair in one
-    vectorised pass —
+    descent over (query, node) pairs whose closed rects intersect.  Each
+    pair carries four *cover bits*: ``q.x_lo <= x_lo``, ``x_hi <=
+    q.x_hi`` and the same two along y.  The frontier starts as one
+    (query, root) pair per valid query that meets the root, its bits
+    compared from the root's bounds.  Each round reads every frontier
+    pair's action from its bits and its node's split kind and tabled
+    axes (one table lookup) and sorts the pairs by it —
 
-    * **disjoint** pairs (node rect and closed query share no point)
-      are dropped;
-    * **contained** pairs (query covers the node rect) contribute the
-      node's whole count;
+    * **contained** pairs (all four bits set) contribute the node's
+      whole count;
     * **partial leaves** contribute ``count * overlap_fraction`` — the
       same uniformity estimate the scalar descent computes, with
       zero-area leaves counted fully when touched;
@@ -590,8 +595,21 @@ class FlatTreeEngine:
       read the node's edge table along that axis, one lookup instead of
       a descent of the subtree;
     * every other partial internal pair (it holds a query corner, or two
-      parallel query edges cross it) expands to its children via
-      ``repeat``/``arange`` arithmetic on the CSR offsets.
+      parallel query edges cross it) expands to the children it meets.
+
+    An expanding node is split into two halves along one axis or into
+    four quadrants (:func:`~repro.baselines.tree.split_kinds`, derived
+    once from the node vectors; any other tree raises ``ValueError``),
+    so a child's bounds are its parent's except at the split coordinate
+    ``s``, the first child's upper bound.  Comparing ``s`` with the
+    query's two edges on that axis (both axes for quadrants) decides
+    which children meet the query (the lower half iff ``q.lo <= s``,
+    the upper iff ``s <= q.hi``) and gives each child the one bit per
+    split axis it does not inherit, so a disjoint child never enters the
+    frontier and no pair gathers node bounds to be classified.  These
+    are the comparisons :meth:`Rect.intersects` and
+    :meth:`Rect.contains_rect` make on the child's own bounds, so every
+    pair lands where the scalar descent puts it.
 
     A node's table along an axis lists ``E``, the distinct coordinates
     of every node below it along that axis, with the scalar descent's
@@ -617,12 +635,15 @@ class FlatTreeEngine:
     in node order and searched with one ``searchsorted`` over an
     ``int64`` key ``node * len(coords) + rank(edge)``.
 
-    Contributions accumulate per query with ``np.bincount``; the loop
-    runs at most ``height + 1`` times regardless of batch size.  Answers
-    equal ``TreeSynopsis.answer`` up to floating-point rounding: the
-    per-pair classification and estimates evaluate the same expressions,
-    but contributions are summed in another order than the scalar
-    path's depth-first one.
+    The pairs that score are set aside each round and evaluated together
+    once the descent ends: one gather of contained counts, one pass over
+    the partial leaves, one table read per axis (each query edge ranked
+    in the table coordinates once per batch) and one ``np.bincount``
+    into the answers.  The loop runs at most ``height + 1`` times
+    regardless of batch size.  Answers equal ``TreeSynopsis.answer`` up
+    to floating-point rounding: the per-pair classification and
+    estimates evaluate the same expressions, but contributions are
+    summed in another order than the scalar path's depth-first one.
     """
 
     def __init__(self, synopsis, slabs: dict[str, np.ndarray] | None = None):
@@ -659,9 +680,17 @@ class FlatTreeEngine:
         self._counts = counts
         self._child_offsets = np.asarray(arrays.child_offsets, dtype=np.int64)
         self._fan_out = fan_out
-        self._is_leaf = is_leaf
         self._x_tables = _EdgeTables.from_slabs(slabs, "x", n)
         self._y_tables = _EdgeTables.from_slabs(slabs, "y", n)
+        # Each node's split kind and tabled axes, in the bits above a
+        # pair's cover bits (see _ACTIONS); it takes the leaf mask's
+        # place, which slabs derives from it.
+        kinds = split_kinds((x_lo, y_lo, x_hi, y_hi), self._child_offsets)
+        self._node_bits = (
+            (kinds << 4)
+            | (self._x_tables.tabled.view(np.uint8) << 6)
+            | (self._y_tables.tabled.view(np.uint8) << 7)
+        )
 
     @staticmethod
     def precompute(synopsis) -> dict[str, np.ndarray]:
@@ -715,7 +744,7 @@ class FlatTreeEngine:
             "y_hi": self._y_hi,
             "areas": self._areas,
             "fan_out": self._fan_out,
-            "is_leaf": self._is_leaf,
+            "is_leaf": (self._node_bits >> 4) & 3 == LEAF,
             **self._x_tables.slabs("x"),
             **self._y_tables.slabs("y"),
         }
@@ -728,8 +757,9 @@ class FlatTreeEngine:
     def buffer_nbytes(n_nodes: int) -> int:
         """Bytes of the node vectors of a tree of ``n_nodes`` nodes,
         without building the engine: seven 8-byte vectors per node
-        (bounds, areas, counts, fan-outs), ``n + 1`` child offsets, the
-        leaf mask.  :attr:`nbytes` adds :attr:`table_nbytes`."""
+        (bounds, areas, counts, fan-outs), ``n + 1`` child offsets, one
+        byte of split kind and tabled axes.  :attr:`nbytes` adds
+        :attr:`table_nbytes`."""
         return 8 * (8 * n_nodes + 1) + n_nodes
 
     @property
@@ -740,8 +770,11 @@ class FlatTreeEngine:
     @property
     def nbytes(self) -> int:
         """In-memory footprint of the prepared buffers."""
-        arrays = (self._counts, self._child_offsets, *self.slabs.values())
-        return sum(a.nbytes for a in arrays)
+        arrays = (
+            self._counts, self._child_offsets, self._x_lo, self._y_lo,
+            self._x_hi, self._y_hi, self._areas, self._fan_out, self._node_bits,
+        )
+        return sum(a.nbytes for a in arrays) + self.table_nbytes
 
     def answer_batch(self, rects: list[Rect] | np.ndarray) -> np.ndarray:
         """Uniformity estimates for every rectangle in the batch."""
@@ -749,94 +782,194 @@ class FlatTreeEngine:
         n = boxes.shape[0]
         if n == 0:
             return np.empty(0)
-        out = np.zeros(n)
+        edges = np.ascontiguousarray(boxes.T)
+        qx_lo, qy_lo, qx_hi, qy_hi = edges
         # Inverted rows (including NaN bounds) answer 0, matching
-        # scalar_answer_batch; they never enter the frontier.
-        valid = (boxes[:, 2] >= boxes[:, 0]) & (boxes[:, 3] >= boxes[:, 1])
-        frontier_q = np.flatnonzero(valid)
-        frontier_v = np.zeros(frontier_q.size, dtype=np.int64)
-        query = boxes[frontier_q]  # one (x_lo, y_lo, x_hi, y_hi) row per pair
+        # scalar_answer_batch; they never enter the frontier, and neither
+        # does a query that misses the root.
+        x_lo, y_lo, x_hi, y_hi = (
+            self._x_lo[0], self._y_lo[0], self._x_hi[0], self._y_hi[0]
+        )
+        q = np.flatnonzero(
+            (qx_hi >= qx_lo) & (qy_hi >= qy_lo)
+            & (x_lo <= qx_hi) & (qx_lo <= x_hi) & (y_lo <= qy_hi) & (qy_lo <= y_hi)
+        )
+        v = np.zeros(q.size, dtype=np.int64)
+        bits = (
+            (qx_lo[q] <= x_lo).view(np.uint8) * np.uint8(_LEFT)
+            | (x_hi <= qx_hi[q]).view(np.uint8) * np.uint8(_RIGHT)
+            | (qy_lo[q] <= y_lo).view(np.uint8) * np.uint8(_BOTTOM)
+            | (y_hi <= qy_hi[q]).view(np.uint8) * np.uint8(_TOP)
+        )
+        # Each round sorts the frontier by action, keeps the pairs that
+        # score for one pass after the descent (query and node indices as
+        # int32, half the bytes: no batch or tree comes near 2**31 rows)
+        # and expands the rest by split kind.
+        scored = []
+        while q.size:
+            action = _ACTIONS[bits | self._node_bits[v]]
+            order = np.argsort(action, kind="stable")
+            ends = np.cumsum(np.bincount(action, minlength=_N_ACTIONS)).tolist()
+            done = order[: ends[_EXPAND - 1]]
+            scored.append((
+                q[done].astype(np.int32), v[done].astype(np.int32),
+                bits[done], action[done],
+            ))
+            groups = [
+                order[start:stop]
+                for start, stop in zip(ends[_EXPAND - 1 :], ends[_EXPAND:])
+            ]
+            q, v, bits = self._expand(groups, q, v, bits, edges)
+        if not scored:
+            return np.zeros(n)
+        q, v, bits, action = (np.concatenate(column) for column in zip(*scored))
+        del scored
+        return np.bincount(
+            q, weights=self._scores(q, v, bits, action, edges), minlength=n
+        )
 
-        while frontier_q.size:
-            qx_lo, qy_lo, qx_hi, qy_hi = query.T
-            nx_lo = self._x_lo[frontier_v]
-            ny_lo = self._y_lo[frontier_v]
-            nx_hi = self._x_hi[frontier_v]
-            ny_hi = self._y_hi[frontier_v]
-            # Closed-rect classification: the same comparisons as
-            # Rect.intersects / Rect.contains_rect in the scalar descent.
-            intersects = (
-                (nx_lo <= qx_hi) & (qx_lo <= nx_hi)
-                & (ny_lo <= qy_hi) & (qy_lo <= ny_hi)
-            )
-            left = qx_lo <= nx_lo
-            right = nx_hi <= qx_hi
-            bottom = qy_lo <= ny_lo
-            top = ny_hi <= qy_hi
-            x_covered = left & right
-            y_covered = bottom & top
-            contained = x_covered & y_covered
-            leaf = self._is_leaf[frontier_v]
-            partial = intersects & ~contained
-            inner = partial & ~leaf
-
-            pairs = [np.flatnonzero(contained)]
-            scores = [self._counts[frontier_v[pairs[0]]]]
-            partial_leaf = np.flatnonzero(partial & leaf)
-            if partial_leaf.size:
-                pv = frontier_v[partial_leaf]
-                # interval_overlap per axis, then the overlap fraction —
-                # expression for expression what Rect.overlap_fraction
-                # computes, with zero-area regions counted fully.
-                dx = np.minimum(nx_hi[partial_leaf], qx_hi[partial_leaf]) - (
-                    np.maximum(nx_lo[partial_leaf], qx_lo[partial_leaf])
+    def _scores(self, q, v, bits, action, edges) -> np.ndarray:
+        """What each scoring pair contributes to its query's answer, one
+        action at a time (each in its own helper, so one action's
+        temporaries are freed before the next's are made)."""
+        scores = np.empty(q.size)
+        contained = np.flatnonzero(action == _CONTAINED)
+        scores[contained] = self._counts[v[contained]]
+        leaf = np.flatnonzero(action == _PARTIAL_LEAF)
+        scores[leaf] = self._leaf_scores(q[leaf], v[leaf], edges)
+        # The upper query edge cuts when the lower one covers.
+        for tables, cut, low_bit, q_lo, q_hi in (
+            (self._x_tables, action == _X_CUT, _LEFT, edges[0], edges[2]),
+            (self._y_tables, action == _Y_CUT, _BOTTOM, edges[1], edges[3]),
+        ):
+            cut = np.flatnonzero(cut)
+            if cut.size:
+                upper = (bits[cut] & low_bit) != 0
+                scores[cut] = self._cut_scores(
+                    tables, q[cut], v[cut], upper, q_lo, q_hi
                 )
-                dy = np.minimum(ny_hi[partial_leaf], qy_hi[partial_leaf]) - (
-                    np.maximum(ny_lo[partial_leaf], qy_lo[partial_leaf])
-                )
-                overlap = np.maximum(0.0, dx) * np.maximum(0.0, dy)
-                areas = self._areas[pv]
-                degenerate = areas == 0.0
-                fraction = overlap / np.where(degenerate, 1.0, areas)
-                fraction[degenerate] = 1.0
-                pairs.append(partial_leaf)
-                scores.append(self._counts[pv] * fraction)
+        return scores
 
-            # Single-cut pairs: covered along one axis, crossed by exactly
-            # one query edge along the other.  A node tabled along that
-            # axis answers with one lookup; the upper edge cuts when the
-            # lower one covers.
-            for tables, covered, low, high, q_lo, q_hi in (
-                (self._x_tables, y_covered, left, right, qx_lo, qx_hi),
-                (self._y_tables, x_covered, bottom, top, qy_lo, qy_hi),
-            ):
-                cut = np.flatnonzero(inner & covered & (low != high))
-                cut = cut[tables.tabled[frontier_v[cut]]]
-                if cut.size:
-                    upper = low[cut]
-                    below, above, _ = tables.lookup(
-                        frontier_v[cut], np.where(upper, q_hi[cut], q_lo[cut])
-                    )
-                    pairs.append(cut)
-                    scores.append(np.where(upper, below, above))
-                    inner[cut] = False
-            pairs = np.concatenate(pairs)
-            if pairs.size:
-                out += np.bincount(
-                    frontier_q[pairs], weights=np.concatenate(scores), minlength=n
-                )
+    def _leaf_scores(self, q, v, edges) -> np.ndarray:
+        """``count * overlap_fraction`` of partially covered leaves:
+        interval_overlap per axis, then the overlap fraction — expression
+        for expression what Rect.overlap_fraction computes, with
+        zero-area regions counted fully."""
+        qx_lo, qy_lo, qx_hi, qy_hi = edges
+        dx = np.minimum(self._x_hi[v], qx_hi[q]) - (
+            np.maximum(self._x_lo[v], qx_lo[q])
+        )
+        dy = np.minimum(self._y_hi[v], qy_hi[q]) - (
+            np.maximum(self._y_lo[v], qy_lo[q])
+        )
+        overlap = np.maximum(0.0, dx) * np.maximum(0.0, dy)
+        areas = self._areas[v]
+        degenerate = areas == 0.0
+        fraction = overlap / np.where(degenerate, 1.0, areas)
+        fraction[degenerate] = 1.0
+        return self._counts[v] * fraction
 
-            # Expand the remaining partial internal pairs to their children.
-            expand = np.flatnonzero(inner)
-            if not expand.size:
-                break
-            parents = frontier_v[expand]
-            fan_out = self._fan_out[parents]
-            frontier_v = _children(self._child_offsets, parents, fan_out)
-            expand = np.repeat(expand, fan_out)
-            frontier_q = frontier_q[expand]
-            query = query[expand]
-        return out
+    @staticmethod
+    def _cut_scores(tables, q, v, upper, q_lo, q_hi) -> np.ndarray:
+        """Single-cut pairs' table reads: ``TL`` where the upper query
+        edge cuts, ``TR`` where the lower one does.  Each query edge is
+        ranked in the table coordinates (the index of the last
+        coordinate ``<=`` it) once."""
+        rank = np.searchsorted(tables.coords, (q_lo, q_hi), side="right") - 1
+        below, above, _ = tables.lookup(
+            v,
+            np.where(upper, q_hi[q], q_lo[q]),
+            np.where(upper, rank[1][q], rank[0][q]),
+        )
+        return np.where(upper, below, above)
+
+    def _expand(self, groups, q, v, bits, edges):
+        """The frontier pairs of the children that the expanding pairs
+        meet: ``groups`` are the pairs whose nodes split into halves
+        along x, halves along y and quadrants."""
+        parts = []
+        for kind, group in zip((X_HALVES, Y_HALVES, QUADRANTS), groups):
+            if not group.size:
+                continue
+            pq = q[group]
+            first = self._child_offsets[v[group]]
+            halves = []
+            if kind != Y_HALVES:
+                halves.append(_halves(
+                    self._x_hi[first], edges[0][pq], edges[2][pq], _LEFT, _RIGHT
+                ))
+            if kind != X_HALVES:
+                halves.append(_halves(
+                    self._y_hi[first], edges[1][pq], edges[3][pq], _BOTTOM, _TOP
+                ))
+            pb = bits[group]
+            # Children in split order: x varies fastest.
+            for child, combo in enumerate(itertools.product(*reversed(halves))):
+                meets, keep, new = combo[0]
+                for other_meets, other_keep, other_new in combo[1:]:
+                    meets = meets & other_meets
+                    keep &= other_keep
+                    new = new | other_new
+                hit = np.flatnonzero(meets)
+                parts.append((pq[hit], first[hit] + child, (pb[hit] & keep) | new[hit]))
+        if not parts:
+            return _NO_PAIRS
+        return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+#: A pair's cover bits: the query reaches the node's lower x, upper x,
+#: lower y and upper y bound (``q.x_lo <= x_lo``, ``x_hi <= q.x_hi``, ...).
+_LEFT, _RIGHT, _BOTTOM, _TOP = 1, 2, 4, 8
+
+
+#: What a frontier pair does: the first four score (its node's count, a
+#: partial leaf's fraction, an x- or y-table read), and a pair whose
+#: node splits in kind ``k`` expands with action ``_EXPAND + k - 1``.
+_CONTAINED, _PARTIAL_LEAF, _X_CUT, _Y_CUT, _EXPAND = range(5)
+_N_ACTIONS = _EXPAND + QUADRANTS
+
+
+def _pair_actions() -> np.ndarray:
+    """Each pair's action, indexed by its cover bits OR'd with its
+    node's bits (split kind ``<< 4``, x tabled ``<< 6``, y tabled ``<<
+    7``).  A table read takes a pair the query covers along the other
+    axis and cuts once along the table's."""
+    code = np.arange(256)
+    left, right, bottom, top, _, _, x_tabled, y_tabled = (
+        (code >> bit) & 1 == 1 for bit in range(8)
+    )
+    kind = (code >> 4) & 3
+    return np.select(
+        [
+            code & 15 == 15,
+            kind == LEAF,
+            x_tabled & bottom & top & (left != right),
+            y_tabled & left & right & (bottom != top),
+        ],
+        [_CONTAINED, _PARTIAL_LEAF, _X_CUT, _Y_CUT],
+        default=_EXPAND - 1 + kind,
+    ).astype(np.uint8)
+
+
+_ACTIONS = _pair_actions()
+_NO_PAIRS = (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0, dtype=np.uint8),)
+
+
+def _halves(split, q_lo, q_hi, lo_bit: int, hi_bit: int):
+    """The lower and upper halves of a split at ``split``, each as
+    ``(meets, kept bits, new bits)``.
+
+    The lower half meets the query iff ``q_lo <= split`` and its upper
+    bound is covered iff ``split <= q_hi``; the upper half meets the
+    query iff ``split <= q_hi`` and its lower bound is covered iff
+    ``q_lo <= split``.  Every other bit is the parent's.
+    """
+    reach_lower = q_lo <= split
+    reach_upper = split <= q_hi
+    return (
+        (reach_lower, 15 ^ hi_bit, reach_upper.view(np.uint8) * np.uint8(hi_bit)),
+        (reach_upper, 15 ^ lo_bit, reach_lower.view(np.uint8) * np.uint8(lo_bit)),
+    )
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -911,17 +1044,14 @@ class _EdgeTables:
     def nbytes(self) -> int:
         return sum(getattr(self, name).nbytes for name in self.FIELDS)
 
-    def lookup(
-        self, nodes: np.ndarray, a: np.ndarray, rank: np.ndarray | None = None
-    ):
+    def lookup(self, nodes: np.ndarray, a: np.ndarray, rank: np.ndarray):
         """``(TL, TR, F)`` of each node's table read at coordinate ``a``:
         the upper-edge rule, the lower-edge rule and the ramp integral
-        (``a`` lies within the node's extent; ``rank``, when given, is
-        the index of the last coordinate ``<= a``)."""
+        (``a`` lies within the node's extent; ``rank`` is the index of
+        the last coordinate ``<= a``)."""
         size = self.coords.size
-        base = nodes * size
-        if rank is None:
-            rank = np.searchsorted(self.coords, a, side="right") - 1
+        # The keys are int64 whatever the dtype of ``nodes``.
+        base = np.asarray(nodes, dtype=np.int64) * size
         k = np.searchsorted(self.keys, base + rank, side="right") - 1
         k1 = np.minimum(k + 1, self.keys.size - 1)
         e0 = self.coords[self.keys[k] - base]

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.baselines.tree import TreeSynopsis
+from repro.baselines.tree import (
+    LEAF,
+    QUADRANTS,
+    X_HALVES,
+    Y_HALVES,
+    TreeSynopsis,
+    split_kinds,
+)
 from repro.core.geometry import Domain2D, Rect
 from tests.oracles.trees import (
     SpatialNode,
@@ -175,6 +182,75 @@ class TestTreeArrays:
             arrays.counts,
             [root.count, root.children[0].count, root.children[1].count],
         )
+
+
+def _split_root(*child_rects) -> SpatialNode:
+    """The unit square with one leaf per rect, in the order given."""
+    children = [
+        SpatialNode(rect=Rect(*rect), noisy_count=10.0, variance=2.0,
+                    count=10.0, depth=1)
+        for rect in child_rects
+    ]
+    return SpatialNode(
+        rect=Rect(0.0, 0.0, 1.0, 1.0), noisy_count=10.0 * len(children),
+        variance=2.0, count=10.0 * len(children), children=children,
+    )
+
+
+class TestSplitShapes:
+    """Every internal node is two halves along one axis or four
+    quadrants, in split order; the frontier kernel classifies children
+    from that split, so any other tree is refused."""
+
+    REFUSED = {
+        "swapped halves": [(0.5, 0.0, 1.0, 1.0), (0.0, 0.0, 0.5, 1.0)],
+        "three-way split": [
+            (0.0, 0.0, 0.25, 1.0), (0.25, 0.0, 0.5, 1.0), (0.5, 0.0, 1.0, 1.0),
+        ],
+        "quadrants column by column": [
+            (0.0, 0.0, 0.5, 0.5), (0.0, 0.5, 0.5, 1.0),
+            (0.5, 0.0, 1.0, 0.5), (0.5, 0.5, 1.0, 1.0),
+        ],
+        "halves with a gap": [(0.0, 0.0, 0.4, 1.0), (0.6, 0.0, 1.0, 1.0)],
+        "a child past its parent": [(0.0, 0.0, 0.5, 1.0), (0.5, 0.0, 1.5, 1.0)],
+        "one child": [(0.0, 0.0, 1.0, 1.0)],
+    }
+
+    @pytest.mark.parametrize("shape", sorted(REFUSED))
+    def test_other_splits_are_refused(self, shape):
+        from repro.queries.engine import FlatTreeEngine
+
+        arrays = tree_arrays(_split_root(*self.REFUSED[shape]))
+        with pytest.raises(ValueError, match="neither two halves"):
+            arrays.validate()
+        with pytest.raises(ValueError, match="neither two halves"):
+            FlatTreeEngine(TreeSynopsis(Domain2D.unit(), 1.0, arrays))
+
+    def test_archive_of_another_split_is_corrupt(self):
+        from repro.core.serialization import synopsis_from_bytes, synopsis_to_bytes
+
+        # Consistent and on the lattice, so it is served lowered and
+        # archives; unpacking validates the split shapes.
+        arrays = tree_arrays(_split_root(*self.REFUSED["swapped halves"]))
+        data = synopsis_to_bytes(TreeSynopsis(Domain2D.unit(), 1.0, arrays))
+        with pytest.raises(ValueError, match="corrupt tree archive"):
+            synopsis_from_bytes(data)
+
+    @pytest.mark.parametrize("rects, kind", [
+        ([(0.0, 0.0, 0.3, 1.0), (0.3, 0.0, 1.0, 1.0)], X_HALVES),
+        ([(0.0, 0.0, 1.0, 0.3), (0.0, 0.3, 1.0, 1.0)], Y_HALVES),
+        ([(0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 1.0, 1.0)], X_HALVES),  # zero-width
+        ([(0.0, 0.0, 1.0, 1.0), (0.0, 1.0, 1.0, 1.0)], Y_HALVES),  # zero-height
+        ([
+            (0.0, 0.0, 0.3, 0.6), (0.3, 0.0, 1.0, 0.6),
+            (0.0, 0.6, 0.3, 1.0), (0.3, 0.6, 1.0, 1.0),
+        ], QUADRANTS),
+    ])
+    def test_halves_and_quadrants_are_kept(self, rects, kind):
+        arrays = tree_arrays(_split_root(*rects))
+        arrays.validate()
+        kinds = split_kinds(arrays.rects.T, arrays.child_offsets)
+        assert kinds.tolist() == [kind] + [LEAF] * len(rects)
 
 
 @pytest.mark.parametrize("method", ["Quad", "Kst", "Khy"])

@@ -463,7 +463,9 @@ class TestMakeEngine:
     ):
         """The edge-table kernel equals the scalar descent on clustered
         KD-standard (uninferred) and KD-hybrid (inferred) releases: the
-        q1-q6 ladder plus out-of-domain, inverted and NaN rows."""
+        q1-q6 ladder plus out-of-domain, inverted and NaN rows, and rows
+        whose edges lie exactly on the release's split coordinates and
+        node edges, where a child's one recomputed cover bit flips."""
         from repro.baselines.kd_tree import KDHybridBuilder, KDStandardBuilder
         from repro.core.geometry import rects_to_boxes
         from repro.queries.engine import FlatTreeEngine
@@ -480,12 +482,56 @@ class TestMakeEngine:
             [np.nan, 0.1, 0.9, 0.9],
             [0.1, 0.1, 0.9, np.nan],
         ])
-        boxes = np.vstack([rects_to_boxes(small_workload.all_rects()), extra])
+        # Children's bounds are their parents' edges and split coordinates.
+        arrays = synopsis.arrays
+        children = arrays.rects[1:]
+        draw = np.random.default_rng(3)
+        on_edges = []
+        for _ in range(300):
+            rows = children[draw.integers(0, len(children), size=2)]
+            xs = np.sort(draw.choice(rows[:, [0, 2]].ravel(), size=2))
+            ys = np.sort(draw.choice(rows[:, [1, 3]].ravel(), size=2))
+            on_edges.append([xs[0], ys[0], xs[1], ys[1]])
+        # A node's own rect, and its halves at its first child's upper
+        # bounds (the split coordinate on the split axis).
+        for node in draw.choice(np.flatnonzero(~arrays.leaf_mask), size=40):
+            rect = arrays.rects[node]
+            first = arrays.rects[arrays.child_offsets[node]]
+            on_edges += [
+                rect,
+                [rect[0], rect[1], first[2], rect[3]],
+                [first[2], rect[1], rect[2], rect[3]],
+                [rect[0], rect[1], rect[2], first[3]],
+                [rect[0], first[3], rect[2], rect[3]],
+            ]
+        boxes = np.vstack(
+            [rects_to_boxes(small_workload.all_rects()), extra, on_edges]
+        )
         scalar = scalar_answer_batch(synopsis, boxes)
         scale = max(1.0, float(np.abs(scalar).max()))
         np.testing.assert_allclose(
             engine.answer_batch(boxes), scalar, rtol=1e-9, atol=1e-9 * scale
         )
+
+    def test_table_keys_past_int32_with_int32_nodes(self):
+        """A table key ``node * len(coords) + rank`` past 2**31 reads its
+        own entry when the nodes come as int32, as the descent keeps
+        them."""
+        from repro.queries.engine import _EdgeTables
+
+        node = 1_000_000_000
+        tables = _EdgeTables(
+            coords=np.array([0.0, 0.5, 1.0]),
+            keys=node * 3 + np.arange(3, dtype=np.int64),
+            below=np.array([0.0, 1.0, 2.0]),
+            above=np.array([2.0, 1.0, 0.0]),
+            ramp=np.array([0.0, 1.0, 2.0]),
+            tabled=np.zeros(0, dtype=bool),
+        )
+        below, above, ramp = tables.lookup(
+            np.array([node], dtype=np.int32), np.array([0.25]), np.array([0])
+        )
+        assert (below[0], above[0], ramp[0]) == (0.5, 1.5, 0.5)
 
     def test_pruned_deep_quadtree_keeps_frontier_kernel(self, rng):
         """One tight cluster: a depth-12 quadtree splits only along its
