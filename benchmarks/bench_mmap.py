@@ -25,7 +25,12 @@ throughput is all its workers' batches over the span from the first
 start to the last end.  Beside it, each worker's process CPU time over
 its timed loop gives the round's CPU milliseconds per batch: the
 store's serving cost, which does not move with how much CPU the shared
-host leaves free, as the wall-clock rate does.
+host leaves free, as the wall-clock rate does.  CPU time still moves
+with the speed of the host's vCPU, so each worker also times
+``perfbench/calibrate.py``'s fixed ``compute()`` work just before and
+after its loop, and ``cost_per_batch`` is its CPU milliseconds per
+batch over the mean of those two times (the workers' mean), the unit
+perfbench expresses its costs in.
 Bit-identity of v1 and v2 answers is asserted always, in both modes.
 
 Results land under ``mmap_scaling`` in ``BENCH_service.json``.  The
@@ -48,6 +53,7 @@ import numpy as np
 import pytest
 from conftest import update_json_report, write_report
 
+from perfbench.calibrate import compute as calibration_work
 from repro.core.serialization import synopsis_from_path
 from repro.experiments.report import format_table
 from repro.queries.engine import make_engine
@@ -115,6 +121,13 @@ def _worker_batches():
     return batches
 
 
+def _calibration_ms() -> float:
+    """Thread CPU milliseconds of perfbench's fixed calibration work."""
+    start = time.thread_time()
+    calibration_work()
+    return 1e3 * (time.thread_time() - start)
+
+
 def _child(write_fd, start_fd, store):
     """Post-fork worker body: load, prepare, answer the check batch,
     report ready, wait for the start signal, answer the timed batches,
@@ -129,8 +142,10 @@ def _child(write_fd, start_fd, store):
             ).tobytes()
         ).hexdigest()
         batches = _worker_batches()
+        calibration_work()  # the first call pays for page faults
         os.write(write_fd, b"R")
         os.read(start_fd, 1)  # the start barrier
+        calibration_ms = [_calibration_ms()]
         # perf_counter is the system-wide monotonic clock on Linux, so
         # the stamps of forked workers compare across processes.
         start = time.perf_counter()
@@ -139,6 +154,7 @@ def _child(write_fd, start_fd, store):
             service.answer(KEY, batches[index % len(batches)])
         cpu_s = time.process_time() - cpu_start
         end = time.perf_counter()
+        calibration_ms.append(_calibration_ms())
         private_after, rss, pss = _private_bytes()
         stats = service.stats()
         payload = {
@@ -149,6 +165,7 @@ def _child(write_fd, start_fd, store):
             "start_s": start,
             "end_s": end,
             "cpu_s": cpu_s,
+            "calibration_ms": float(np.mean(calibration_ms)),
             "engine_cold_starts": stats["engine_cold_starts"],
             "engine_sealed_loads": stats["engine_sealed_loads"],
             "answers_sha1": digest,
@@ -220,6 +237,11 @@ def _aggregate(reports):
         # The workers' own CPU time per batch: what serving costs,
         # whatever share of the CPUs the host gave the round.
         "cpu_ms_per_batch": round(1e3 * sum(r["cpu_s"] for r in reports) / batches, 4),
+        # The same CPU time in units of the calibration work, which
+        # follows the vCPU's speed while it was measured.
+        "cost_per_batch": round(float(np.mean([
+            1e3 * r["cpu_s"] / r["batches"] / r["calibration_ms"] for r in reports
+        ])), 5),
         "engine_cold_starts": sum(r["engine_cold_starts"] for r in reports),
         "engine_sealed_loads": sum(r["engine_sealed_loads"] for r in reports),
     }
@@ -296,6 +318,7 @@ def test_mmap_fork_scaling(tmp_path):
             f"{row[fmt]['mean_rss_bytes'] / 1e6:.1f}",
             f"{row[fmt]['batches_per_s']:.0f}",
             f"{row[fmt]['cpu_ms_per_batch']:.3f}",
+            f"{row[fmt]['cost_per_batch']:.4f}",
             str(row[fmt]["engine_cold_starts"]),
         ]
         for workers, row in scaling.items()
@@ -304,7 +327,7 @@ def test_mmap_fork_scaling(tmp_path):
     text = format_table(
         [
             "workers", "fmt", "private MB/worker", "rss MB", "batches/s",
-            "cpu ms/batch", "cold",
+            "cpu ms/batch", "cost/batch", "cold",
         ],
         rows,
     ) + (

@@ -15,13 +15,16 @@ paper's 6-sizes x 200-queries workload shape):
   graph (conversion included, as ``apply_tree_inference`` pays it),
   asserted bit-identical.
 * **batch query**: the engine production serves, ``make_engine``'s
-  (a lattice ``BatchQueryEngine`` for a quadtree that lowers, else the
-  edge-table ``FlatTreeEngine``), vs the scalar ``scalar_answer_batch``
-  loop (``TreeSynopsis.answer``, one recursion per visited node over the
+  (the lattice ``BatchQueryEngine`` the quadtree lowers onto, the
+  edge-table ``FlatTreeEngine`` of the uninferred KD-standard tree, the
+  two-level ``TwoLevelTreeEngine`` the inferred KD-hybrid tree lowers
+  onto), vs the scalar ``scalar_answer_batch`` loop
+  (``TreeSynopsis.answer``, one recursion per visited node over the
   released arrays) on the full workload, asserted equal to float
-  rounding; its class, the seconds its row's ``engine`` constructor
-  takes to build it (``engine_precompute_s``) and ``nbytes`` are
-  recorded beside it.
+  rounding; its class, asserted in both modes so that a method that
+  silently falls back to another kernel fails, the seconds its row's
+  ``engine`` constructor takes to build it (``engine_precompute_s``)
+  and ``nbytes`` are recorded beside it.
 
 Results are written to ``BENCH_tree_kernel.json`` at the repo root so
 the perf trajectory is tracked in-tree; ``cpu_count`` is recorded
@@ -73,6 +76,13 @@ EPSILON = 1.0
 #: The acceptance floors for the batch-query path and the build.
 MIN_QUERY_SPEEDUP = 5.0
 MIN_BUILD_SPEEDUP = 2.0
+
+#: The kernel each method's release is served by, at both scales.
+EXPECTED_ENGINE = {
+    "Quad": "BatchQueryEngine",
+    "Kst": "FlatTreeEngine",
+    "Khy": "TwoLevelTreeEngine",
+}
 
 
 def _builders():
@@ -175,6 +185,7 @@ def test_tree_kernel_vs_object_graph():
         row = synopsis_kind(type(flat))
         precompute_s = _best_seconds(lambda: row.engine(flat), rounds=rounds)
         flat_engine = make_engine(flat)
+        assert type(flat_engine).__name__ == EXPECTED_ENGINE[label], label
         flat_answers = flat_engine.answer_batch(rects)
         scalar_answers = scalar_answer_batch(oracle, rects)
         np.testing.assert_allclose(

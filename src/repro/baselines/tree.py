@@ -15,13 +15,17 @@ regions fully inside the query contribute their whole count, disjoint
 regions contribute nothing, and partially covered *leaves* fall back to
 the uniformity assumption (Section II-B of the paper).  Its scalar
 ``answer`` is that descent, one recursion per visited node over the
-arrays; batches go through the engine this module chooses
-(:func:`tree_engine`): a tree whose leaves lie on the
-``2^h x 2^h`` lattice of its domain and whose internal counts equal
-their children's sums is lowered onto that lattice (the grid kernel
-:class:`~repro.queries.engine.BatchQueryEngine` over the domain's
-``2^h x 2^h`` counts) when its prefix is no larger than the tree's own
-node vectors, any other tree goes through the frontier-descent
+arrays; batches go through one of three engines this module chooses
+(:func:`tree_engine`).  A tree whose internal counts equal their
+children's sums (a *consistent* tree, as constrained inference leaves
+it) answers with the integral of its leaves' piecewise-constant density,
+so it is lowered: onto the ``2^h x 2^h`` lattice of its domain (the grid
+kernel :class:`~repro.queries.engine.BatchQueryEngine`) when its leaves
+lie on that lattice and its prefix is no larger than the tree's own node
+vectors, else onto a two-level summed-area grid
+(:class:`~repro.queries.engine.TwoLevelTreeEngine`) when every leaf has
+positive area and the grid's tables are at most five times those node
+vectors.  Any other tree goes through the frontier-descent
 :class:`~repro.queries.engine.FlatTreeEngine` and its edge tables.
 
 BFS level order, concretely: node 0 is the root, children of node ``v``
@@ -230,8 +234,8 @@ def apply_tree_inference_arrays(tree: TreeArrays) -> None:
     :func:`~repro.baselines.constrained_inference.infer_level_order`).
     The write updates the existing ``counts`` buffer rather than
     rebinding it.  Build engines after inference: whether a tree lowers
-    onto its lattice depends on the counts, and a lattice engine holds a
-    prefix derived from them.
+    (onto its lattice or the two-level grid) depends on the counts, and a
+    lowered engine holds tables derived from them.
     """
     tree.counts[:] = infer_level_order(
         tree.noisy_counts, tree.variances, tree.child_offsets, tree.level_offsets
@@ -323,16 +327,31 @@ _LATTICE_ATOL = 1e-9
 _SUM_RTOL = 1e-9
 
 
+def _consistent(arrays: TreeArrays) -> bool:
+    """Whether every internal count equals its children's sum, within
+    :data:`_SUM_RTOL` of the largest count (an unmeasured, uninferred
+    node's NaN fails)."""
+    counts = arrays.counts
+    fan_out = np.diff(arrays.child_offsets)
+    internal = fan_out > 0
+    if not internal.any():
+        return True
+    parents = np.repeat(np.arange(arrays.n_nodes), fan_out)
+    child_sums = np.bincount(parents, weights=counts[1:], minlength=arrays.n_nodes)
+    tolerance = _SUM_RTOL * max(1.0, float(np.abs(counts).max()))
+    return bool(np.all(np.abs(counts[internal] - child_sums[internal]) <= tolerance))
+
+
 def _lattice_leaves(synopsis: TreeSynopsis):
     """``(side, lo, hi, counts)`` of the leaves on the release's lattice.
 
     ``side = 2^h`` for tree height ``h``; ``lo`` / ``hi`` are each leaf's
-    lattice index bounds as ``(x, y)`` rows.  ``None`` unless the release
-    lowers exactly onto the lattice: its prefix is no larger than the
-    :class:`~repro.queries.engine.FlatTreeEngine` node vectors (checked first,
-    so a pruned deep tree never sizes a huge lattice), every internal
-    count equals its children's sum, and every leaf spans whole lattice
-    cells of the domain.
+    lattice index bounds as ``(x, y)`` rows.  ``None`` unless the
+    release, whose counts the caller has found consistent, lowers
+    exactly onto the lattice: its prefix is no larger than the
+    :class:`~repro.queries.engine.FlatTreeEngine` node vectors (checked
+    first, so a pruned deep tree never sizes a huge lattice), and every
+    leaf spans whole lattice cells of the domain.
     """
     from repro.queries.engine import FlatTreeEngine
 
@@ -340,19 +359,7 @@ def _lattice_leaves(synopsis: TreeSynopsis):
     side = 1 << arrays.height()
     if 8 * (side + 1) ** 2 > FlatTreeEngine.buffer_nbytes(arrays.n_nodes):
         return None
-    counts = arrays.counts
-    fan_out = np.diff(arrays.child_offsets)
-    internal = fan_out > 0
-    if internal.any():
-        parents = np.repeat(np.arange(arrays.n_nodes), fan_out)
-        child_sums = np.bincount(
-            parents, weights=counts[1:], minlength=arrays.n_nodes
-        )
-        tolerance = _SUM_RTOL * max(1.0, float(np.abs(counts).max()))
-        # NaN (an unmeasured, uninferred node) fails the comparison.
-        if not np.all(np.abs(counts[internal] - child_sums[internal]) <= tolerance):
-            return None
-    leaves = np.flatnonzero(~internal)
+    leaves = np.flatnonzero(arrays.leaf_mask)
     domain = synopsis.domain
     origin = np.array([domain.bounds.x_lo, domain.bounds.y_lo] * 2)
     cells_per_unit = np.array([side / domain.width, side / domain.height] * 2)
@@ -365,7 +372,7 @@ def _lattice_leaves(synopsis: TreeSynopsis):
     lo, hi = index[:, :2], index[:, 2:]
     if lo.min() < 0 or hi.max() > side or np.any(hi <= lo):
         return None
-    return side, lo, hi, counts[leaves]
+    return side, lo, hi, arrays.counts[leaves]
 
 
 def _lattice_grid(side: int, lo, hi, leaf_counts) -> np.ndarray:
@@ -389,23 +396,90 @@ def _lattice_grid(side: int, lo, hi, leaf_counts) -> np.ndarray:
     return grid.reshape(side, side)
 
 
+#: A consistent tree lowers onto the two-level grid only while its
+#: tables take at most this many times the frontier engine's node vectors
+#: (about twice what the frontier engine holds with its edge tables).
+_GRID_BYTES_FACTOR = 5
+
+
+def _grid_engine(synopsis: TreeSynopsis, slabs: dict[str, np.ndarray] | None):
+    """The :class:`~repro.queries.engine.TwoLevelTreeEngine` of a
+    consistent release, or ``None`` when a leaf has zero area or the
+    tables would break the size rule.
+
+    A build sizes the tables first (:meth:`TwoLevelTreeEngine.layout`).
+    A load restores sealed tables with shape checks and the rule checked
+    on their bytes; slabs sealed by another kernel are sized from the
+    layout, which a release that lowers answers with ``KeyError`` (a
+    cold start: the engine is rebuilt on first use).
+    """
+    from repro.queries.engine import FlatTreeEngine, TwoLevelTreeEngine
+
+    arrays = synopsis.arrays
+    leaves = np.flatnonzero(arrays.leaf_mask)
+    rects = arrays.rects.take(leaves, axis=0)
+    widths = rects[:, 2:] - rects[:, :2]
+    if not np.all((widths > 0).all(axis=1) & (widths.prod(axis=1) > 0)):
+        return None
+    root = arrays.rects[0]
+    max_nbytes = _GRID_BYTES_FACTOR * FlatTreeEngine.buffer_nbytes(arrays.n_nodes)
+    if slabs is not None and "cell_prefix" in slabs:
+        engine = TwoLevelTreeEngine(root, slabs)
+        if engine.nbytes > max_nbytes:
+            raise ValueError(
+                f"sealed two-level tables hold {engine.nbytes} bytes, over "
+                f"the {max_nbytes}-byte size rule"
+            )
+        return engine
+    layout = TwoLevelTreeEngine.layout(root, rects, arrays.counts[leaves])
+    if layout.nbytes > max_nbytes:
+        return None
+    if slabs is not None:
+        raise KeyError("the sealed slabs precede the two-level grid")
+    return TwoLevelTreeEngine.build(layout)
+
+
 def tree_engine(synopsis: TreeSynopsis, slabs: dict[str, np.ndarray] | None = None):
     """The batch engine of a tree release, over ``slabs`` when given.
 
-    One lattice check decides the kernel: a release that lowers onto its
-    lattice gets :class:`~repro.queries.engine.BatchQueryEngine` over its
-    lattice counts, any other the frontier-descent
-    :class:`~repro.queries.engine.FlatTreeEngine`.  The kernel follows
-    the release, not the slabs: slabs sealed for the other kernel (e.g.
-    before lowering existed) raise ``KeyError`` or ``ValueError``.
+    A tree release has one of three kernels, decided once per engine
+    from the release itself:
+
+    * a consistent tree (every internal count its children's sum,
+      :data:`_SUM_RTOL`) whose leaves lie on the ``2^h x 2^h`` lattice
+      of its domain, with a lattice prefix no larger than the frontier
+      engine's node vectors, is lowered onto that lattice:
+      :class:`~repro.queries.engine.BatchQueryEngine` over its lattice
+      counts (a default quadtree once the data fills it);
+    * any other consistent tree whose leaves all have positive area is
+      lowered onto a two-level grid,
+      :class:`~repro.queries.engine.TwoLevelTreeEngine` (KD-hybrid, a
+      pruned quadtree), while its tables take at most
+      :data:`_GRID_BYTES_FACTOR` times the frontier engine's node
+      vectors;
+    * every other tree (KD-standard and any uninferred tree, a tree with
+      a zero-area leaf, a tree over the size rule) keeps the
+      frontier-descent :class:`~repro.queries.engine.FlatTreeEngine`.
+
+    The kernel follows the release, not the slabs: slabs sealed for
+    another kernel (e.g. before a lowering existed) raise ``KeyError`` or
+    ``ValueError``.
     """
     from repro.queries.engine import BatchQueryEngine, FlatTreeEngine
 
-    lowered = _lattice_leaves(synopsis)
-    if lowered is None:
-        return FlatTreeEngine(synopsis, slabs)
-    domain = synopsis.domain
-    if slabs is None:
-        return BatchQueryEngine(domain.lows, domain.highs, _lattice_grid(*lowered))
-    side = lowered[0]
-    return BatchQueryEngine.from_slabs(domain.lows, domain.highs, (side, side), slabs)
+    if _consistent(synopsis.arrays):
+        lowered = _lattice_leaves(synopsis)
+        if lowered is not None:
+            domain = synopsis.domain
+            if slabs is None:
+                return BatchQueryEngine(
+                    domain.lows, domain.highs, _lattice_grid(*lowered)
+                )
+            side = lowered[0]
+            return BatchQueryEngine.from_slabs(
+                domain.lows, domain.highs, (side, side), slabs
+            )
+        engine = _grid_engine(synopsis, slabs)
+        if engine is not None:
+            return engine
+    return FlatTreeEngine(synopsis, slabs)

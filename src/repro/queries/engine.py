@@ -36,24 +36,36 @@ tabulates both at those edges once; every corner then costs one
 bilinear prefix.
 
 Spatial trees (quadtree, KD-standard, KD-hybrid) release the flat
-level-order :class:`~repro.baselines.tree.TreeArrays`.  A tree whose
-leaves lie on the ``2^h x 2^h`` lattice of its domain, whose internal
-counts equal their children's sums, and whose lattice prefix is no larger
-than its :class:`FlatTreeEngine` node vectors is the piecewise-constant
-density of a uniform grid: its declared engine constructor lowers it
-onto that lattice and answers with :class:`BatchQueryEngine` itself (a
-default quadtree once the data fills it).  Every other tree keeps
-:class:`FlatTreeEngine`, which answers a whole batch by level-synchronous
-frontier descent over the (query, node) pairs that intersect: each pair
-carries its four cover bits, an expanding parent compares only its split
-coordinate with the query's edges to decide which children enter the
-next level and with which bits, contained nodes contribute their
-counts, partial leaves the uniformity estimate, a pair the query covers
-along one axis and cuts once along the other reads the node's edge
-table along that axis (the descent's exact answers at every coordinate
-below the node, interpolated by its leaves' ramp), and only the pairs
-that hold a query corner or are crossed by two parallel query edges
-expand.
+level-order :class:`~repro.baselines.tree.TreeArrays` and answer through
+one of three kernels, which :func:`~repro.baselines.tree.tree_engine`
+picks once per engine from the release:
+
+* a **consistent** tree (every internal count its children's sum, as
+  constrained inference leaves it) whose leaves lie on the ``2^h x
+  2^h`` lattice of its domain, with a lattice prefix no larger than its
+  :class:`FlatTreeEngine` node vectors, is the piecewise-constant
+  density of a uniform grid: it is lowered onto that lattice and
+  answered by :class:`BatchQueryEngine` itself (a default quadtree once
+  the data fills it);
+* any other consistent tree whose leaves all have positive area is the
+  piecewise-constant density of its leaves, which
+  :class:`TwoLevelTreeEngine` answers with AG's summed-area
+  decomposition over a uniform first level and each first-level cell's
+  overlay of the leaves (KD-hybrid, a pruned quadtree), while its tables
+  take at most five times the frontier engine's node vectors;
+* every other tree (KD-standard and any uninferred tree, a tree with a
+  zero-area leaf, a tree over the size rule) keeps
+  :class:`FlatTreeEngine`, which answers a whole batch by
+  level-synchronous frontier descent over the (query, node) pairs that
+  intersect: each pair carries its four cover bits, an expanding parent
+  compares only its split coordinate with the query's edges to decide
+  which children enter the next level and with which bits, contained
+  nodes contribute their counts, partial leaves the uniformity estimate,
+  a pair the query covers along one axis and cuts once along the other
+  reads the node's edge table along that axis (the descent's exact
+  answers at every coordinate below the node, interpolated by its
+  leaves' ramp), and only the pairs that hold a query corner or are
+  crossed by two parallel query edges expand.
 
 :func:`make_engine` returns the one engine a release keeps, building
 it on first use through the synopsis type's row of
@@ -69,6 +81,7 @@ query batches for every synopsis family.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 
 import numpy as np
@@ -80,6 +93,7 @@ __all__ = [
     "BatchQueryEngine",
     "FlatAdaptiveGridEngine",
     "FlatTreeEngine",
+    "TwoLevelTreeEngine",
     "make_engine",
     "scalar_answer_batch",
 ]
@@ -568,6 +582,543 @@ def _edge_lerp(
     flat = table.reshape(-1)
     below = flat[index]
     return below + t * (flat[index + width] - below)
+
+
+class TwoLevelTreeEngine:
+    """Summed-area batch engine for consistent ``TreeSynopsis`` releases.
+
+    A tree whose every internal count equals its children's sum and
+    whose leaves all have positive area answers a query with the
+    integral of the piecewise-constant density its leaves define: a
+    leaf inside the query counts whole, a cut leaf by its overlap
+    fraction, and a contained internal node's count is its leaves' sum.
+    That is the object :class:`FlatAdaptiveGridEngine` answers, so this
+    engine answers the same way, over a two-level grid of the leaves.
+
+    The first level is a uniform ``G x G`` grid over the root's rect
+    (:meth:`first_level_size`: about 16 leaves per cell).  Clipping
+    every leaf into the cells it meets gives each cell a rectilinear
+    overlay: the distinct x- and y-edges of its pieces and its own
+    lines.  Each overlay sub-cell lies in one leaf, so the cell's
+    zero-bordered summed-area table over its overlay, read bilinearly,
+    is exact inside it.  A corner ``(x, y)`` in cell ``(i, j)`` then
+    reads AG's decomposition in raw coordinates::
+
+        S(x, y) = F(x, j) + G(i, y) - TP[i, j] + P_cell(i, j, x, y)
+
+    ``F`` and ``G`` are tabulated at every distinct overlay edge along
+    their axis (each column's or row's union of its cells' edges, which
+    include the first-level lines) and read as :func:`_edge_lerp` reads
+    them: the rank ``k`` of the corner's x among the x-edges, then two
+    gathers.  ``k`` also gives the corner's cell column and, through a
+    ``uint16`` rank map ``x_ranks[k, j]``, the sub-cell of cell ``(i,
+    j)``'s overlay that holds the interval ``[x_k, x_{k+1})``, so the
+    bilinear read needs no search over the cell's own edges; the same
+    holds along y.  A batch is one stacked pass over its ``4n`` corners.
+
+    The tables are built vectorised from the pieces (leaf x cell ranges):
+    the edges of every cell from one ``np.unique`` over ``(cell, rank)``
+    keys, each cell's table from its sub-cells' masses by segmented
+    running sums, ``F`` and ``G`` from the cells' tables at every edge,
+    in chunks of bounded size; no step materialises the overlay of the
+    whole domain.  :meth:`layout` sizes the tables before any is
+    allocated.  Answers equal ``TreeSynopsis.answer`` up to rounding and
+    the consistency the tree was accepted with.
+    """
+
+    def __init__(self, bounds, slabs: dict[str, np.ndarray]):
+        """The engine over ``slabs`` (:meth:`build`'s) for a tree whose
+        root spans ``bounds`` ``(x_lo, y_lo, x_hi, y_hi)``.  Sealed
+        slabs may be read-only mmap views, which answers only read;
+        slabs of another kernel raise ``KeyError``, slabs whose shapes
+        disagree ``ValueError``."""
+        arrays = {
+            name: np.asarray(slabs[name], dtype=dtype)
+            for name, dtype in _GRID_SLAB_DTYPES.items()
+        }
+        size = arrays["totals_prefix"].shape[0] - 1
+        offsets = [arrays[name] for name in _GRID_OFFSETS]
+        counts = [
+            int(offset[-1]) if offset.ndim == 1 and offset.size else -1
+            for offset in offsets
+        ]
+        expected = _grid_slab_shapes(
+            size, arrays["x_edges"].size, arrays["y_edges"].size, *counts
+        )
+        mismatched = [
+            name for name, shape in expected.items()
+            if arrays[name].shape != shape
+        ]
+        edges = min(arrays["x_edges"].size, arrays["y_edges"].size)
+        if size < 1 or edges < 2 or min(counts) < 0 or mismatched:
+            raise ValueError(
+                f"sealed two-level tables {mismatched or '(offsets)'} do not "
+                "match their first level"
+            )
+        x_sizes, y_sizes, prefix_sizes = (np.diff(offset) for offset in offsets)
+        if np.any(x_sizes < 2) or np.any(y_sizes < 2) or np.any(
+            prefix_sizes != x_sizes * y_sizes
+        ):
+            raise ValueError("sealed two-level cell offsets are inconsistent")
+        self._bounds = tuple(float(bound) for bound in bounds)
+        self._size = size
+        self._arrays = arrays
+        for name, array in arrays.items():
+            setattr(self, f"_{name}", array)
+
+    @staticmethod
+    def first_level_size(n_leaves: int) -> int:
+        """``G = 2^round(log2 sqrt(n_leaves / 16))``, within 8 .. 128:
+        about 16 leaves per first-level cell, which gave the smallest
+        tables of ``G`` in 8 .. 128 on the landmark and storage trees."""
+        exponent = round(math.log2(max(n_leaves, 1) / 16) / 2)
+        return 1 << min(max(exponent, 3), 7)
+
+    @classmethod
+    def layout(cls, bounds, rects: np.ndarray, counts: np.ndarray) -> "_GridLayout":
+        """The pieces and edges of the tables over the leaves ``rects``
+        (positive-area ``(x_lo, y_lo, x_hi, y_hi)`` rows tiling
+        ``bounds``) with ``counts``; its ``nbytes`` are the tables'
+        bytes, known before :meth:`build` allocates them."""
+        return _GridLayout(bounds, rects, counts, cls.first_level_size(counts.size))
+
+    @classmethod
+    def build(cls, layout: "_GridLayout") -> "TwoLevelTreeEngine":
+        """The engine over the tables of ``layout``."""
+        return cls(layout.bounds, layout.tables())
+
+    @property
+    def slabs(self) -> dict[str, np.ndarray]:
+        """The buffers this engine answers from (see :meth:`build`)."""
+        return dict(self._arrays)
+
+    @property
+    def grid_size(self) -> int:
+        """``G``, the first level's cells per axis."""
+        return self._size
+
+    @property
+    def nbytes(self) -> int:
+        """In-memory footprint of the prepared buffers."""
+        return sum(array.nbytes for array in self._arrays.values())
+
+    def _summed_area(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """``S`` at the corners of ``xs x ys``, each a ``(2, n)`` stack of
+        one query edge per row inside the root's rect, as a ``(2, 2, n)``
+        array indexed ``[y row, x row]``.  Each edge is ranked once;
+        the corners combine the ranks by broadcasting."""
+        size = self._size
+        width = size + 1
+        kx = _last_at_most(self._x_edges, xs)
+        ky = _last_at_most(self._y_edges, ys)
+        x0 = self._x_edges[kx]
+        y0 = self._y_edges[ky]
+        tx = (xs - x0) / (self._x_edges[kx + 1] - x0)
+        ty = (ys - y0) / (self._y_edges[ky + 1] - y0)
+        # Corner arrays broadcast to (2, 2, n): x along axis 1, y along 0.
+        i = self._x_cells[kx][None]
+        j = self._y_cells[ky][:, None]
+        kx, tx, xs = kx[None], tx[None], xs[None]
+        ky, ty, ys = ky[:, None], ty[:, None], ys[:, None]
+        f_table = self._f_table.reshape(-1)
+        index = kx * width + j
+        below = f_table[index]
+        f = below + tx * (f_table[index + width] - below)
+        g_table = self._g_table.reshape(-1)
+        index = ky * width + i
+        below = g_table[index]
+        g = below + ty * (g_table[index + width] - below)
+        tp = self._totals_prefix.reshape(-1)[i * width + j]
+        # The corner's own cell: its overlay sub-cell from the rank maps,
+        # then bilinear in the cell's zero-bordered table.
+        cell = i * size + j
+        a = self._x_ranks.reshape(-1)[kx * size + j]
+        b = self._y_ranks.reshape(-1)[ky * size + i]
+        xa = self._cell_x_offsets[cell] + a
+        y_first = self._cell_y_offsets[cell]
+        stride = self._cell_y_offsets[cell + 1] - y_first
+        yb = y_first + b
+        left = self._cell_x[xa]
+        bottom = self._cell_y[yb]
+        u = (xs - left) / (self._cell_x[xa + 1] - left)
+        v = (ys - bottom) / (self._cell_y[yb + 1] - bottom)
+        base = self._cell_prefix_offsets[cell] + a * stride + b
+        p = self._cell_prefix
+        p00 = p[base]
+        p10 = p[base + stride]
+        low = p00 + v * (p[base + 1] - p00)
+        high = p10 + v * (p[base + stride + 1] - p10)
+        return f + g - tp + (low + u * (high - low))
+
+    def answer_batch(self, rects: list[Rect] | np.ndarray) -> np.ndarray:
+        """Uniformity estimates for every rectangle in the batch.
+
+        Rectangles are clipped to the root's rect; degenerate, inverted
+        and NaN rows answer 0, as in :class:`FlatAdaptiveGridEngine`.
+        """
+        boxes = rects_to_boxes(rects)
+        n = boxes.shape[0]
+        if n == 0:
+            return np.empty(0)
+        x_lo, y_lo, x_hi, y_hi = self._bounds
+        # Upper edges first: row 0 holds x_hi (y_hi), row 1 x_lo (y_lo).
+        xs = np.clip(boxes[:, 2::-2].T, x_lo, x_hi)
+        ys = np.clip(boxes[:, 3::-2].T, y_lo, y_hi)
+        empty = ~((xs[0] > xs[1]) & (ys[0] > ys[1]))
+        if empty.any():
+            # NaN would poison the searches; the mask zeroes the rows.
+            xs[:, empty] = x_lo
+            ys[:, empty] = y_lo
+        corners = self._summed_area(xs, ys)
+        estimate = corners[0, 0] - corners[0, 1] - corners[1, 0] + corners[1, 1]
+        estimate[empty] = 0.0
+        return estimate
+
+
+def _last_at_most(edges: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """For each coordinate, the index of the last edge ``<=`` it, at
+    most ``len(edges) - 2`` (the last interval is closed).  The
+    coordinates are searched in sorted order, which lets each search
+    start where the last one ended."""
+    flat = coords.reshape(-1)
+    order = np.argsort(flat)
+    rank = np.empty(flat.size, dtype=np.intp)
+    rank[order] = np.searchsorted(edges, flat[order], side="right")
+    np.minimum(rank - 1, edges.size - 2, out=rank)
+    return rank.reshape(coords.shape)
+
+
+#: Each slab of :class:`TwoLevelTreeEngine` and its dtype.
+_GRID_SLAB_DTYPES = {
+    "x_edges": np.float64,
+    "y_edges": np.float64,
+    "x_cells": np.int32,
+    "y_cells": np.int32,
+    "x_ranks": np.uint16,
+    "y_ranks": np.uint16,
+    "f_table": np.float64,
+    "g_table": np.float64,
+    "totals_prefix": np.float64,
+    "cell_x": np.float64,
+    "cell_y": np.float64,
+    "cell_x_offsets": np.int64,
+    "cell_y_offsets": np.int64,
+    "cell_prefix_offsets": np.int64,
+    "cell_prefix": np.float64,
+}
+
+#: The CSR offsets of the cells' x-edges, y-edges and tables.
+_GRID_OFFSETS = ("cell_x_offsets", "cell_y_offsets", "cell_prefix_offsets")
+
+#: Table entries a construction pass handles at once, which bounds the
+#: transient arrays of one pass.
+_GRID_CHUNK = 1 << 15
+
+
+def _grid_slab_shapes(
+    size: int, kx: int, ky: int, n_cell_x: int, n_cell_y: int, n_prefix: int
+) -> dict[str, tuple[int, ...]]:
+    """The shape of every :class:`TwoLevelTreeEngine` slab: a ``size x
+    size`` first level, ``kx`` / ``ky`` distinct edges, and the cells'
+    ``n_cell_x`` x-edges, ``n_cell_y`` y-edges and ``n_prefix`` table
+    entries."""
+    cells = size * size
+    return {
+        "x_edges": (kx,),
+        "y_edges": (ky,),
+        "x_cells": (kx - 1,),
+        "y_cells": (ky - 1,),
+        "x_ranks": (kx - 1, size),
+        "y_ranks": (ky - 1, size),
+        "f_table": (kx, size + 1),
+        "g_table": (ky, size + 1),
+        "totals_prefix": (size + 1, size + 1),
+        "cell_x": (n_cell_x,),
+        "cell_y": (n_cell_y,),
+        "cell_x_offsets": (cells + 1,),
+        "cell_y_offsets": (cells + 1,),
+        "cell_prefix_offsets": (cells + 1,),
+        "cell_prefix": (n_prefix,),
+    }
+
+
+class _AxisLayout:
+    """One axis of a :class:`_GridLayout`.
+
+    ``edges`` are the distinct piece bounds and first-level lines along
+    the axis, ``lines`` the lines' indices among them and ``cells`` each
+    edge interval's first-level index along the axis.  Each first-level
+    cell's own edges (its two lines and its pieces' bounds) are the
+    sorted ``(cell, rank)`` ``keys``, ``coords`` their coordinates and
+    ``offsets`` their CSR bounds per cell; ``lo`` / ``hi`` are each
+    piece's bounds as indices into its cell's edges.  ``axis`` is 0 for
+    x (a cell ``i * size + j`` is at ``i`` along it) and 1 for y.
+    """
+
+    def __init__(self, lo, hi, piece_cells, line_coords, axis: int):
+        n = lo.size
+        self.size = size = line_coords.size - 1
+        self.axis = axis
+        self.edges, rank = np.unique(
+            np.concatenate([lo, hi, line_coords]), return_inverse=True
+        )
+        k = self.edges.size
+        self.lines = rank[2 * n :]
+        every = np.arange(size * size)
+        along, _ = self.split(every)
+        self.keys, where = np.unique(
+            np.concatenate([
+                piece_cells * k + rank[:n],
+                piece_cells * k + rank[n : 2 * n],
+                every * k + self.lines[along],
+                every * k + self.lines[along + 1],
+            ]),
+            return_inverse=True,
+        )
+        self.offsets = np.zeros(size * size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.keys // k, minlength=size * size),
+                  out=self.offsets[1:])
+        first = self.offsets[piece_cells]
+        self.lo = where[:n] - first
+        self.hi = where[n : 2 * n] - first
+        self.coords = self.edges[self.keys % k]
+        self.cells = (
+            np.searchsorted(line_coords, self.edges[:-1], side="right") - 1
+        ).astype(np.int32)
+
+    def split(self, cells: np.ndarray):
+        """Each cell's index along this axis and along the other."""
+        along, across = np.divmod(cells, self.size)
+        return (along, across) if self.axis == 0 else (across, along)
+
+    def ranks(self) -> np.ndarray:
+        """The ``uint16`` rank map: entry ``(k, o)`` is the index of the
+        overlay sub-cell holding edge interval ``k`` in the cell at
+        ``o`` along the other axis, in the cell's own edges."""
+        k = self.edges.size
+        seen = np.zeros((k, self.size), dtype=np.int32)
+        seen[self.keys % k, self.split(self.keys // k)[1]] = 1
+        np.cumsum(seen, axis=0, out=seen)
+        # A cell's edges up to k, less those up to its lower line, which
+        # is its first edge.
+        return (seen[:-1] - seen[self.lines[self.cells]]).astype(np.uint16)
+
+
+class _GridLayout:
+    """A consistent tree's leaves laid over a ``size x size`` first level
+    (see :class:`TwoLevelTreeEngine`): the pieces, the edges and the
+    tables' shapes, before any table is allocated."""
+
+    def __init__(self, bounds, rects, counts, size: int):
+        x_lo, y_lo, x_hi, y_hi = (float(bound) for bound in bounds)
+        self.bounds = (x_lo, y_lo, x_hi, y_hi)
+        self.size = size
+        steps = np.arange(size + 1) / size
+        lines = []
+        for lo, hi in ((x_lo, x_hi), (y_lo, y_hi)):
+            coords = lo + (hi - lo) * steps
+            coords[-1] = hi
+            lines.append(coords)
+        # Every leaf's range of cells along each axis (the cells its
+        # interior meets), then one piece per leaf and cell.
+        first, stop = [], []
+        for axis, coords in enumerate(lines):
+            first.append(np.searchsorted(coords, rects[:, axis], side="right") - 1)
+            stop.append(np.searchsorted(coords, rects[:, axis + 2], side="left"))
+        columns = stop[0] - first[0]
+        rows = stop[1] - first[1]
+        leaf = np.repeat(np.arange(counts.size), columns * rows)
+        local = _ranges(np.zeros(counts.size, dtype=np.int64), columns * rows)
+        column = first[0][leaf] + local // rows[leaf]
+        row = first[1][leaf] + local % rows[leaf]
+        del local
+        cells = column * size + row
+        order = np.argsort(cells, kind="stable")
+        leaf, column, row, cells = leaf[order], column[order], row[order], cells[order]
+        self.cells = cells
+        self.x = _AxisLayout(
+            np.maximum(rects[leaf, 0], lines[0][column]),
+            np.minimum(rects[leaf, 2], lines[0][column + 1]),
+            cells, lines[0], axis=0,
+        )
+        self.y = _AxisLayout(
+            np.maximum(rects[leaf, 1], lines[1][row]),
+            np.minimum(rects[leaf, 3], lines[1][row + 1]),
+            cells, lines[1], axis=1,
+        )
+        areas = (rects[:, 2] - rects[:, 0]) * (rects[:, 3] - rects[:, 1])
+        self.density = (counts / areas)[leaf]
+        self.prefix_offsets = np.zeros(size * size + 1, dtype=np.int64)
+        np.cumsum(
+            np.diff(self.x.offsets) * np.diff(self.y.offsets),
+            out=self.prefix_offsets[1:],
+        )
+        shapes = _grid_slab_shapes(
+            size, self.x.edges.size, self.y.edges.size,
+            int(self.x.offsets[-1]), int(self.y.offsets[-1]),
+            int(self.prefix_offsets[-1]),
+        )
+        self.nbytes = sum(
+            math.prod(shape) * np.dtype(_GRID_SLAB_DTYPES[name]).itemsize
+            for name, shape in shapes.items()
+        )
+        # A rank map entry is a uint16: a cell with more overlay
+        # sub-cells along an axis cannot be tabled.
+        widest = max(int(np.diff(axis.offsets).max()) for axis in (self.x, self.y))
+        if widest - 2 > np.iinfo(np.uint16).max:
+            self.nbytes = math.inf
+
+    def tables(self) -> dict[str, np.ndarray]:
+        """The engine's slabs (see :class:`TwoLevelTreeEngine`)."""
+        size = self.size
+        prefix = self._cell_prefix()
+        totals_prefix = np.zeros((size + 1, size + 1))
+        np.cumsum(
+            np.cumsum(
+                prefix[self.prefix_offsets[1:] - 1].reshape(size, size), axis=0
+            ),
+            axis=1, out=totals_prefix[1:, 1:],
+        )
+        x_ranks = self.x.ranks()
+        y_ranks = self.y.ranks()
+        return {
+            "x_edges": self.x.edges,
+            "y_edges": self.y.edges,
+            "x_cells": self.x.cells,
+            "y_cells": self.y.cells,
+            "x_ranks": x_ranks,
+            "y_ranks": y_ranks,
+            "f_table": self._axis_table(self.x, x_ranks, prefix, totals_prefix),
+            "g_table": self._axis_table(self.y, y_ranks, prefix, totals_prefix),
+            "totals_prefix": totals_prefix,
+            "cell_x": self.x.coords,
+            "cell_y": self.y.coords,
+            "cell_x_offsets": self.x.offsets,
+            "cell_y_offsets": self.y.offsets,
+            "cell_prefix_offsets": self.prefix_offsets,
+            "cell_prefix": prefix,
+        }
+
+    def _cell_prefix(self) -> np.ndarray:
+        """Every cell's zero-bordered summed-area table over its overlay,
+        row-major (x-edge major), concatenated in cell order.
+
+        Each piece's overlay sub-cells get their masses (density times
+        sub-cell area) at their upper-right table entries, column-major,
+        one run of sub-cells per piece and overlay row; running sums down
+        the columns, a transpose into row-major and running sums along
+        the rows finish the tables.  Cells are handled in chunks of about
+        :data:`_GRID_CHUNK` entries.
+        """
+        x, y = self.x, self.y
+        x_counts = np.diff(x.offsets)
+        y_counts = np.diff(y.offsets)
+        # Sub-cell widths and heights by the index of their lower edge.
+        widths = np.diff(x.coords, append=0.0)
+        heights = np.diff(y.coords, append=0.0)
+        offsets = self.prefix_offsets
+        prefix = np.zeros(int(offsets[-1]))
+        piece_first = np.searchsorted(self.cells, np.arange(offsets.size))
+        chunk = offsets[:-1] // _GRID_CHUNK
+        bounds = np.concatenate([
+            [0], np.flatnonzero(np.diff(chunk)) + 1, [offsets.size - 1]
+        ])
+        for c0, c1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            start, stop = int(offsets[c0]), int(offsets[c1])
+            p0, p1 = int(piece_first[c0]), int(piece_first[c1])
+            # One run per piece and overlay row b: its sub-cells a0 .. a1.
+            high = y.hi[p0:p1] - y.lo[p0:p1]
+            piece = np.repeat(np.arange(p0, p1), high)
+            cell = self.cells[piece]
+            b = y.lo[piece] + _ranges(np.zeros(p1 - p0, dtype=np.int64), high)
+            a = x.lo[piece]
+            span = x.hi[piece] - a
+            value = self.density[piece] * heights[y.offsets[cell] + b]
+            at = offsets[cell] - start + (b + 1) * x_counts[cell] + a + 1
+            across = x.offsets[cell] + a
+            del piece, cell, b, a
+            local = _ranges(np.zeros(span.size, dtype=np.int64), span)
+            block = np.zeros(stop - start)
+            block[np.repeat(at, span) + local] = np.repeat(value, span) * widths[
+                np.repeat(across, span) + local
+            ]
+            del local, at, across, value
+            # Columns of x_count entries, y_count per cell.
+            starts = np.cumsum(np.repeat(x_counts[c0:c1], y_counts[c0:c1]))
+            starts = np.concatenate([[0], starts[:-1]])
+            _segment_cumsum(block, starts)
+            # The row-major index of each column-major entry: one row
+            # (y_count) further per entry, back to the next column's top
+            # at a column's start, and the next cell's first entry at a
+            # cell's start.
+            steps = np.repeat(y_counts[c0:c1], offsets[c0 + 1 : c1 + 1] - offsets[c0:c1])
+            steps[starts] = np.repeat(1 - (x_counts[c0:c1] - 1) * y_counts[c0:c1],
+                                      y_counts[c0:c1])
+            steps[offsets[c0:c1] - start] = 1
+            steps[0] = 0
+            table = prefix[start:stop]
+            table[np.cumsum(steps, out=steps)] = block
+            del steps, block
+            starts = np.cumsum(np.repeat(y_counts[c0:c1], x_counts[c0:c1]))
+            _segment_cumsum(table, np.concatenate([[0], starts[:-1]]))
+        return prefix
+
+    def _axis_table(self, layout: _AxisLayout, ranks, prefix, totals_prefix):
+        """``F`` (x) or ``G`` (y) at every edge along ``layout``'s axis:
+        ``table[e, o]`` counts the block from the root's lower corner to
+        edge ``e`` along the axis and to first-level line ``o`` along the
+        other axis, as :func:`_edge_table` does for AG.  Each cell of the
+        edge's column (row) counts its part left of (below) the edge
+        from its table's last row-major column (last row)."""
+        size = self.size
+        axis = layout.axis
+        x_counts = np.diff(self.x.offsets)
+        y_counts = np.diff(self.y.offsets)
+        starts = self.prefix_offsets[:-1]
+        # Per cell, indexed [along axis, other axis]: its first edge
+        # along the axis, the table entry of its first edge on the far
+        # side, and the step from one edge to the next there.
+        if axis == 0:
+            last, step = starts + y_counts - 1, y_counts
+        else:
+            last, step = starts + (x_counts - 1) * y_counts, np.ones_like(starts)
+            totals_prefix = totals_prefix.T
+        grids = [
+            array.reshape(size, size) if axis == 0 else array.reshape(size, size).T
+            for array in (layout.offsets[:-1], last, step)
+        ]
+        k = layout.edges.size
+        table = np.empty((k, size + 1))
+        table[-1] = totals_prefix[size]
+        rows = max(1, _GRID_CHUNK // size)
+        for e0 in range(0, k - 1, rows):
+            e1 = min(e0 + rows, k - 1)
+            along = layout.cells[e0:e1]
+            first, last, step = (grid[along] for grid in grids)
+            local = ranks[e0:e1]
+            first += local
+            edge = layout.coords[first]
+            t = (layout.edges[e0:e1, None] - edge) / (layout.coords[first + 1] - edge)
+            del first, edge
+            last += local * step
+            below = prefix[last]
+            partial = below + t * (prefix[last + step] - below)
+            table[e0:e1] = totals_prefix[along]
+            table[e0:e1, 1:] += np.cumsum(partial, axis=1)
+        return table
+
+
+def _segment_cumsum(values: np.ndarray, starts: np.ndarray) -> None:
+    """Running sums of ``values``, in place, restarted at every index of
+    ``starts`` (increasing, from 0).
+
+    One global ``cumsum``; each run's total is taken back at the next
+    run's first entry, so the running total stays at the scale of one
+    run's values (as in :func:`_scan`).
+    """
+    totals = np.add.reduceat(values, starts)
+    values[starts[1:]] -= totals[:-1]
+    np.cumsum(values, out=values)
 
 
 class FlatTreeEngine:
@@ -1286,7 +1837,8 @@ def make_engine(synopsis):
 
     Grid-shaped releases get the prefix-sum :class:`BatchQueryEngine`,
     adaptive grids the summed-area :class:`FlatAdaptiveGridEngine`,
-    spatial trees a lattice :class:`BatchQueryEngine` or the level-order
+    spatial trees a lattice :class:`BatchQueryEngine`, the two-level
+    :class:`TwoLevelTreeEngine` or the level-order
     :class:`FlatTreeEngine`.  The returned object exposes
     ``answer_batch(rects) -> np.ndarray`` and ``slabs``, and holds no
     reference to raw data, so it can be shared across threads.

@@ -62,7 +62,7 @@ class TestRoundTripMatrix:
         the step-by-step reference layout."""
         synopsis = build(dataset, method)
         archive = synopsis_to_bytes(synopsis)
-        assert isinstance(archive, bytearray)
+        assert isinstance(archive, memoryview)
         assert archive == v2_reference_bytes(synopsis)
 
     @pytest.mark.parametrize("method", method_names())

@@ -14,6 +14,12 @@ Three equivalences pin the kernel to its recursive references:
   node, on a node edge or on a leaf edge — over uninferred and inferred
   trees whose splits may produce zero-width children and zero-area
   leaves.
+* ``TwoLevelTreeEngine`` (the summed-area two-level grid a consistent
+  tree lowers onto) must match the same descent up to rounding on
+  inferred trees with positive-area leaves, with query edges on leaf
+  edges, first-level lines, the domain boundary and beyond it, and
+  restored over its own slabs as read-only views it must answer
+  **bit-identically**.
 * ``TreeSynopsis.answer`` (a recursion over the released arrays) must be
   **bit-identical** to the recursive descent over the equivalent
   ``SpatialNode`` graph, on the same query mixes.
@@ -27,7 +33,11 @@ from hypothesis import given, settings
 
 from repro.baselines.tree import TreeSynopsis, apply_tree_inference_arrays
 from repro.core.geometry import Domain2D, Rect, rects_to_boxes
-from repro.queries.engine import FlatTreeEngine, scalar_answer_batch
+from repro.queries.engine import (
+    FlatTreeEngine,
+    TwoLevelTreeEngine,
+    scalar_answer_batch,
+)
 from tests.oracles.inference import CountNode, infer_tree
 from tests.oracles.trees import SpatialNode, graph_answer, to_root, tree_arrays
 
@@ -298,6 +308,72 @@ def test_edge_tables_match_scalar_on_mixed_batches(release, rects):
     scale = max(1.0, float(np.abs(scalar).max()))
     np.testing.assert_allclose(
         engine.answer_batch(rects), scalar, rtol=1e-9, atol=1e-9 * scale
+    )
+
+
+@st.composite
+def consistent_releases_with_grid_queries(draw, max_queries: int = 24):
+    """An inferred (so consistent) tree release with positive-area leaves
+    and rows whose edges lie on leaf edges, on the two-level grid's
+    first-level lines, on the domain boundary, beyond it or anywhere
+    inside, plus degenerate, inverted and NaN rows."""
+    arrays = tree_arrays(draw(random_spatial_trees()))
+    apply_tree_inference_arrays(arrays)
+    leaves = arrays.rects[arrays.leaf_mask]
+    size = TwoLevelTreeEngine.first_level_size(leaves.shape[0])
+    lines = np.arange(size + 1) / size
+    places = {
+        "leaf edge": lambda axis: leaves[:, [axis, axis + 2]].ravel(),
+        "line": lambda axis: lines,
+        "boundary": lambda axis: np.array([0.0, 1.0]),
+        "beyond": lambda axis: np.array([-0.25, 1.25]),
+    }
+    inside = st.floats(0.0, 1.0)
+    boxes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_queries))):
+        row = [0.0] * 4
+        for axis in range(2):
+            edges = []
+            for _ in range(2):
+                place = draw(st.sampled_from(sorted(places) + ["inside"]))
+                if place == "inside":
+                    edges.append(draw(inside))
+                else:
+                    pool = places[place](axis)
+                    edges.append(pool[draw(st.integers(0, pool.size - 1))])
+            row[axis], row[axis + 2] = sorted(edges)
+        boxes.append(row)
+    boxes += [
+        [0.3, 0.3, 0.3, 0.8],  # zero width
+        [0.2, 0.5, 0.9, 0.5],  # zero height
+        [0.7, 0.2, 0.3, 0.6],  # inverted
+        [np.nan, 0.1, 0.9, 0.9],
+        [0.1, 0.1, 0.9, np.nan],
+    ]
+    return TreeSynopsis(Domain2D.unit(), 1.0, arrays), np.array(boxes)
+
+
+@settings(max_examples=150)
+@given(consistent_releases_with_grid_queries())
+def test_two_level_grid_matches_scalar_answer(release):
+    synopsis, boxes = release
+    arrays = synopsis.arrays
+    leaves = arrays.leaf_mask
+    engine = TwoLevelTreeEngine.build(TwoLevelTreeEngine.layout(
+        arrays.rects[0], arrays.rects[leaves], arrays.counts[leaves]
+    ))
+    answers = engine.answer_batch(boxes)
+    scalar = scalar_answer_batch(synopsis, boxes)
+    scale = max(1.0, float(np.abs(scalar).max()))
+    np.testing.assert_allclose(answers, scalar, rtol=1e-9, atol=1e-9 * scale)
+    # Restored over its own slabs, as an archive's read-only mappings.
+    views = {}
+    for name, slab in engine.slabs.items():
+        views[name] = slab.view()
+        views[name].flags.writeable = False
+    restored = TwoLevelTreeEngine(arrays.rects[0], views)
+    np.testing.assert_array_equal(
+        restored.answer_batch(boxes).view(np.uint64), answers.view(np.uint64)
     )
 
 

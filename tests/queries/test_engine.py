@@ -411,8 +411,9 @@ class TestMakeEngine:
     def test_default_quadtree_gets_lattice_kernel(self, rng):
         """50k points fill a default (depth-8) quadtree enough that its
         257 x 257 lattice prefix is smaller than its tree buffers.  (At
-        10k points the pruned tree is smaller than the lattice and keeps
-        the frontier kernel by the size rule.)"""
+        10k points the pruned tree is smaller than the lattice, and the
+        size rule passes it on: a pruned, inferred quadtree is
+        consistent, so it lowers onto the two-level grid.)"""
         from repro.baselines.quadtree import QuadtreeBuilder
         from repro.core.dataset import GeoDataset
         from repro.queries.engine import FlatTreeEngine
@@ -435,12 +436,14 @@ class TestMakeEngine:
     def test_trees_that_do_not_lower_keep_frontier_kernel(
         self, small_skewed, rng, method
     ):
-        """Kst answers from uninferred internal counts, Khy's kd-split
-        leaves are off the lattice, and a Quad without inference is
-        inconsistent like Kst."""
+        """None of them lowers onto its lattice: Kst answers from
+        uninferred internal counts, Khy's kd-split leaves are off the
+        lattice, and a Quad without inference is inconsistent like Kst.
+        The two inconsistent trees keep the frontier kernel; Khy, whose
+        inference makes it consistent, lowers onto the two-level grid."""
         from repro.baselines.kd_tree import KDHybridBuilder, KDStandardBuilder
         from repro.baselines.quadtree import QuadtreeBuilder
-        from repro.queries.engine import FlatTreeEngine
+        from repro.queries.engine import FlatTreeEngine, TwoLevelTreeEngine
 
         builder = {
             "Kst": KDStandardBuilder(),
@@ -449,31 +452,38 @@ class TestMakeEngine:
         }[method]
         synopsis = builder.fit(small_skewed, 1.0, rng)
         engine = make_engine(synopsis)
+        node_vectors = FlatTreeEngine.buffer_nbytes(synopsis.node_count())
+        if method == "Khy":
+            assert isinstance(engine, TwoLevelTreeEngine)
+            # The size rule: at most five times the frontier engine's
+            # node vectors.
+            assert engine.nbytes <= 5 * node_vectors
+            return
         assert isinstance(engine, FlatTreeEngine)
         # The size rule's estimate is the engine's node vectors; its
         # edge tables come on top.
-        assert engine.nbytes == (
-            FlatTreeEngine.buffer_nbytes(synopsis.node_count())
-            + engine.table_nbytes
-        )
+        assert engine.nbytes == node_vectors + engine.table_nbytes
 
     @pytest.mark.parametrize("method", ["Kst", "Khy"])
     def test_kd_trees_match_scalar_on_query_ladder(
         self, small_skewed, small_workload, rng, method
     ):
-        """The edge-table kernel equals the scalar descent on clustered
-        KD-standard (uninferred) and KD-hybrid (inferred) releases: the
-        q1-q6 ladder plus out-of-domain, inverted and NaN rows, and rows
-        whose edges lie exactly on the release's split coordinates and
-        node edges, where a child's one recomputed cover bit flips."""
+        """The served kernel equals the scalar descent on clustered
+        KD-standard (uninferred, the edge-table frontier kernel) and
+        KD-hybrid (inferred, the two-level grid) releases: the q1-q6
+        ladder plus out-of-domain, inverted and NaN rows, and rows whose
+        edges lie exactly on the release's split coordinates and node
+        edges, where a child's one recomputed cover bit flips and a
+        corner sits on an overlay edge."""
         from repro.baselines.kd_tree import KDHybridBuilder, KDStandardBuilder
         from repro.core.geometry import rects_to_boxes
-        from repro.queries.engine import FlatTreeEngine
+        from repro.queries.engine import FlatTreeEngine, TwoLevelTreeEngine
 
         builder = {"Kst": KDStandardBuilder, "Khy": KDHybridBuilder}[method]()
         synopsis = builder.fit(small_skewed, 1.0, rng)
         engine = make_engine(synopsis)
-        assert isinstance(engine, FlatTreeEngine)
+        kernel = {"Kst": FlatTreeEngine, "Khy": TwoLevelTreeEngine}[method]
+        assert isinstance(engine, kernel)
         extra = np.array([
             [-0.5, -0.5, 1.5, 1.5],  # covers the domain
             [1.2, 1.2, 1.5, 1.5],  # outside it
@@ -536,20 +546,108 @@ class TestMakeEngine:
     def test_pruned_deep_quadtree_keeps_frontier_kernel(self, rng):
         """One tight cluster: a depth-12 quadtree splits only along its
         branch, so its 4096 x 4096 lattice would dwarf the tree's own
-        buffers; the size rule keeps the frontier kernel."""
+        buffers and the size rule keeps it off the lattice.  Inferred,
+        the pruned tree is consistent, so it lowers onto the two-level
+        grid instead of keeping the frontier kernel."""
         from repro.baselines.quadtree import QuadtreeBuilder
         from repro.core.dataset import GeoDataset
-        from repro.queries.engine import FlatTreeEngine
+        from repro.queries.engine import TwoLevelTreeEngine
 
         points = 0.3 + 1e-5 * rng.standard_normal((2_000, 2))
         dataset = GeoDataset(points, Domain2D.unit(), name="tight-cluster")
         synopsis = QuadtreeBuilder(depth=12).fit(dataset, 1.0, rng)
         assert synopsis.height() == 12
         engine = make_engine(synopsis)
-        assert isinstance(engine, FlatTreeEngine)
+        assert isinstance(engine, TwoLevelTreeEngine)
         rect = Rect(0.25, 0.25, 0.3, 0.31)
         assert engine.answer_batch([rect])[0] == pytest.approx(
             synopsis.answer(rect), rel=1e-9
+        )
+
+    def test_consistent_tree_with_a_zero_area_leaf_keeps_frontier_kernel(self):
+        """The scalar descent counts a touched zero-area leaf whole, which
+        no density integrates to, so a consistent tree with one keeps
+        the frontier kernel."""
+        from repro.baselines.tree import TreeSynopsis
+        from repro.queries.engine import FlatTreeEngine
+        from tests.oracles.trees import SpatialNode, tree_arrays
+
+        root = SpatialNode(rect=Rect(0.0, 0.0, 1.0, 1.0), count=10.0, children=[
+            SpatialNode(rect=Rect(0.0, 0.0, 0.0, 1.0), count=4.0, depth=1),
+            SpatialNode(rect=Rect(0.0, 0.0, 1.0, 1.0), count=6.0, depth=1),
+        ])
+        synopsis = TreeSynopsis(Domain2D.unit(), 1.0, tree_arrays(root))
+        engine = make_engine(synopsis)
+        assert isinstance(engine, FlatTreeEngine)
+        rects = [Rect(0.0, 0.2, 0.5, 0.8), Rect(0.5, 0.0, 1.0, 1.0)]
+        np.testing.assert_allclose(
+            engine.answer_batch(rects), scalar_answer_batch(synopsis, rects),
+            rtol=1e-12,
+        )
+        assert engine.answer_batch(rects)[0] == pytest.approx(4.0 + 6.0 * 0.3)
+
+    def test_sealed_tables_over_the_size_rule_are_not_restored(
+        self, small_skewed, rng, monkeypatch
+    ):
+        """A load checks the size rule on the sealed tables' bytes: under
+        a rule they break, the archive restores no engine, and the first
+        use builds the frontier kernel the rule then asks for."""
+        from repro.baselines import tree
+        from repro.baselines.kd_tree import KDHybridBuilder
+        from repro.core.serialization import synopsis_from_bytes, synopsis_to_bytes
+        from repro.queries.engine import FlatTreeEngine, TwoLevelTreeEngine
+
+        synopsis = KDHybridBuilder().fit(small_skewed, 1.0, rng)
+        assert isinstance(make_engine(synopsis), TwoLevelTreeEngine)
+        archive = synopsis_to_bytes(synopsis)
+        assert isinstance(synopsis_from_bytes(archive).engine, TwoLevelTreeEngine)
+        monkeypatch.setattr(tree, "_GRID_BYTES_FACTOR", 0)
+        clone = synopsis_from_bytes(archive)
+        assert clone.engine is None
+        assert isinstance(make_engine(clone), FlatTreeEngine)
+
+    def test_consistent_tree_over_the_size_rule_keeps_frontier_kernel(self):
+        """A staircase of 401 leaves puts 201 x-edges and 201 y-edges into
+        one first-level cell, whose overlay table alone would outweigh
+        five times the frontier engine's node vectors: the size rule
+        keeps the frontier kernel."""
+        from repro.baselines.tree import TreeSynopsis, apply_tree_inference_arrays
+        from repro.queries.engine import FlatTreeEngine, TwoLevelTreeEngine
+        from tests.oracles.trees import SpatialNode, tree_arrays
+
+        steps = np.linspace(0.0, 0.1, 201)
+        root = node = SpatialNode(rect=Rect(0.0, 0.0, 1.0, 1.0))
+        for level in range(400):
+            x, y = steps[(level + 1) // 2], steps[level // 2]
+            if level % 2 == 0:  # a thin x-slab, then the rest
+                cut = steps[level // 2 + 1]
+                halves = [Rect(x, y, cut, 1.0), Rect(cut, y, 1.0, 1.0)]
+            else:  # a thin y-slab, then the rest
+                cut = steps[level // 2 + 1]
+                halves = [Rect(x, y, 1.0, cut), Rect(x, cut, 1.0, 1.0)]
+            node.children = [
+                SpatialNode(rect=rect, depth=level + 1) for rect in halves
+            ]
+            node.children[0].noisy_count, node.children[0].variance = 1.0, 1.0
+            node = node.children[1]
+        node.noisy_count, node.variance = 1.0, 1.0
+        # Unmeasured internal nodes: inference makes each its leaves' sum.
+        arrays = tree_arrays(root)
+        arrays.validate()
+        apply_tree_inference_arrays(arrays)
+        leaves = arrays.leaf_mask
+        synopsis = TreeSynopsis(Domain2D.unit(), 1.0, arrays)
+        leaf_rects = arrays.rects[leaves]
+        layout = TwoLevelTreeEngine.layout(
+            arrays.rects[0], leaf_rects, arrays.counts[leaves]
+        )
+        assert layout.nbytes > 5 * FlatTreeEngine.buffer_nbytes(arrays.n_nodes)
+        engine = make_engine(synopsis)
+        assert isinstance(engine, FlatTreeEngine)
+        rects = [Rect(0.01, 0.02, 0.5, 0.5), Rect(0.0, 0.0, 0.05, 1.0)]
+        np.testing.assert_allclose(
+            engine.answer_batch(rects), scalar_answer_batch(synopsis, rects),
+            rtol=1e-9,
         )
 
 

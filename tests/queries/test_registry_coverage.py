@@ -26,6 +26,7 @@ from repro.queries.engine import (
     BatchQueryEngine,
     FlatAdaptiveGridEngine,
     FlatTreeEngine,
+    TwoLevelTreeEngine,
     make_engine,
     scalar_answer_batch,
 )
@@ -87,9 +88,10 @@ def test_every_concrete_synopsis_has_a_row_and_round_trips(built_synopses):
 
 
 #: The engine class each servable method resolves to on the fixture's
-#: small dataset: every grid-shaped release shares the one grid kernel.
-#: (Quad lowers onto that kernel only once the data fills its lattice;
-#: ``test_engine.py`` pins both sides of that rule.)
+#: small dataset: every grid-shaped release shares the one grid kernel,
+#: and the inferred, consistent KD-hybrid lowers onto the two-level grid.
+#: (Quad lowers onto the grid kernel only once the data fills its
+#: lattice; ``test_engine.py`` pins both sides of that rule.)
 EXPECTED_ENGINE = {
     "UG": BatchQueryEngine,
     "Hier": BatchQueryEngine,
@@ -98,7 +100,7 @@ EXPECTED_ENGINE = {
     "Hier1d": BatchQueryEngine,
     "AG": FlatAdaptiveGridEngine,
     "Kst": FlatTreeEngine,
-    "Khy": FlatTreeEngine,
+    "Khy": TwoLevelTreeEngine,
 }
 
 

@@ -140,12 +140,14 @@ class TestSealedEngineLoads:
         assert stats["engine_cold_starts"] == 0
 
     @pytest.mark.parametrize(
-        "method", ["AG", "Quad", "Kst", "Privelet", "UGnd", "Hier1d"]
+        "method", ["AG", "Quad", "Kst", "Khy", "Privelet", "UGnd", "Hier1d"]
     )
     def test_stale_sealed_slabs_count_as_cold_start(self, tmp_path, method):
         """A v2 archive sealed by the previous kernels (AG's CSR prefix
         and totals prefix alone; a quadtree's frontier-descent vectors;
-        a KD-standard tree's seven node vectors without edge tables;
+        a KD-standard tree's seven node vectors without edge tables; a
+        KD-hybrid tree's frontier-descent slabs with edge tables, from
+        before consistent trees lowered onto the two-level grid;
         Privelet's empty coefficient-space sealing; the d-dimensional
         grid's raveled ``flat_prefix``; the 1-D histogram's ``(m + 1,)``
         prefix) cannot restore today's engine: it is rebuilt, answers
@@ -153,6 +155,7 @@ class TestSealedEngineLoads:
         from repro.queries.engine import (
             BatchQueryEngine,
             FlatTreeEngine,
+            TwoLevelTreeEngine,
             make_engine,
             scalar_answer_batch,
         )
@@ -174,6 +177,9 @@ class TestSealedEngineLoads:
             }
         elif method == "Quad":
             assert isinstance(make_engine(synopsis), BatchQueryEngine)
+            stale = FlatTreeEngine.precompute(synopsis)
+        elif method == "Khy":
+            assert isinstance(make_engine(synopsis), TwoLevelTreeEngine)
             stale = FlatTreeEngine.precompute(synopsis)
         elif method == "Kst":
             assert isinstance(make_engine(synopsis), FlatTreeEngine)
@@ -198,6 +204,7 @@ class TestSealedEngineLoads:
         oracle = scalar_answer_batch(service.store.get(k), BOXES)
         scale = max(1.0, float(np.abs(oracle).max()))
         np.testing.assert_allclose(estimates, oracle, rtol=1e-9, atol=1e-9 * scale)
+        assert type(service.store.get(k).engine) is type(make_engine(synopsis))
         stats = service.stats()
         assert stats["engine_cold_starts"] == 1
         assert stats["engine_sealed_loads"] == 0
@@ -213,32 +220,55 @@ class TestSealedEngineLoads:
     def test_one_lattice_check_per_tree_build_and_load(
         self, tmp_path, monkeypatch
     ):
-        """A tree's kernel is decided once per engine: one lattice check
-        when a store build prepares it (landmark Quad lowers, Kst does
-        not), and one when an archive load restores it."""
+        """A tree's kernel is decided once per engine: one consistency
+        check, then one lattice check for a consistent tree, then the
+        two-level grid's zero-area and size decision for one that does
+        not lower onto its lattice, when a store build prepares the
+        engine (landmark Quad lowers onto its lattice, Khy onto the
+        two-level grid, Kst neither) and when an archive load restores
+        it.  A build sizes the two-level tables from their layout, a
+        load from the sealed tables: the layout is never computed
+        twice, and never on load."""
         from repro.baselines import tree
         from repro.core.serialization import synopsis_from_path
-        from repro.queries.engine import BatchQueryEngine, FlatTreeEngine
+        from repro.queries.engine import (
+            BatchQueryEngine,
+            FlatTreeEngine,
+            TwoLevelTreeEngine,
+        )
 
         calls = []
-        lattice_leaves = tree._lattice_leaves
 
-        def counted(synopsis):
-            calls.append(synopsis)
-            return lattice_leaves(synopsis)
+        def counted(name, function):
+            def wrapper(*args):
+                calls.append(name)
+                return function(*args)
+            return wrapper
 
-        monkeypatch.setattr(tree, "_lattice_leaves", counted)
+        for name in ("_consistent", "_lattice_leaves", "_grid_engine"):
+            monkeypatch.setattr(tree, name, counted(name, getattr(tree, name)))
+        monkeypatch.setattr(
+            TwoLevelTreeEngine, "layout",
+            classmethod(counted("layout", TwoLevelTreeEngine.layout.__func__)),
+        )
         store = _store(tmp_path, n_points=100_000)
-        for method, kernel in (("Quad", BatchQueryEngine), ("Kst", FlatTreeEngine)):
+        for method, kernel, build_checks, load_checks in (
+            ("Quad", BatchQueryEngine, ["_consistent", "_lattice_leaves"],
+             ["_consistent", "_lattice_leaves"]),
+            ("Khy", TwoLevelTreeEngine,
+             ["_consistent", "_lattice_leaves", "_grid_engine", "layout"],
+             ["_consistent", "_lattice_leaves", "_grid_engine"]),
+            ("Kst", FlatTreeEngine, ["_consistent"], ["_consistent"]),
+        ):
             k = key(method=method, dataset="landmark")
             calls.clear()
             synopsis, built = store.build(k)
             assert built and isinstance(synopsis.engine, kernel)
-            assert len(calls) == 1, method
+            assert calls == build_checks, method
             calls.clear()
             loaded = synopsis_from_path(tmp_path / f"{k.slug()}.npz")
             assert isinstance(loaded.engine, kernel)
-            assert len(calls) == 1, method
+            assert calls == load_checks, method
 
 
 @pytest.mark.skipif(

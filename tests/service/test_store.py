@@ -478,6 +478,37 @@ class TestTreeReleases:
         with pytest.raises(BudgetRefused):
             store.build(key(method="Quad", epsilon=1.0))
 
+    def test_each_tree_release_gets_its_kernel(self):
+        """At the registry's full sizes: Khy lowers onto the two-level
+        grid (32 first-level cells a side on landmark at epsilon 1, 16 at
+        0.1, 8 on storage), on landmark at epsilon 1 within twice its
+        frontier engine's bytes; the default landmark Quad lowers onto
+        its lattice, the sparser storage Quad onto the two-level grid,
+        and Kst keeps the frontier kernel."""
+        from repro.queries.engine import (
+            BatchQueryEngine,
+            FlatTreeEngine,
+            TwoLevelTreeEngine,
+        )
+
+        store = SynopsisStore(dataset_budget=4.0)
+        expected = {
+            ("landmark", "Khy", 1.0): (TwoLevelTreeEngine, 32),
+            ("landmark", "Khy", 0.1): (TwoLevelTreeEngine, 16),
+            ("storage", "Khy", 1.0): (TwoLevelTreeEngine, 8),
+            ("landmark", "Quad", 1.0): (BatchQueryEngine, None),
+            ("storage", "Quad", 1.0): (TwoLevelTreeEngine, 8),
+            ("landmark", "Kst", 1.0): (FlatTreeEngine, None),
+        }
+        for (dataset, method, epsilon), (kernel, size) in expected.items():
+            k = key(method=method, epsilon=epsilon, dataset=dataset)
+            synopsis, _ = store.build(k)
+            assert type(synopsis.engine) is kernel, k
+            if size is not None:
+                assert synopsis.engine.grid_size == size, k
+        khy, _ = store.build(key(method="Khy", dataset="landmark"))
+        assert khy.engine.nbytes <= 2 * FlatTreeEngine(khy).nbytes
+
     def test_query_service_batch_serves_tree(self):
         from repro.queries.engine import FlatTreeEngine
         from repro.service.query_service import QueryService
