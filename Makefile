@@ -14,7 +14,7 @@ help:
 	@echo "make paper-claims        assert the paper's findings (Figures 1-6, Table II, ablations, scaling, dimensionality)"
 	@echo "make bench-quick         every paper experiment at quick scale, one report"
 	@echo "make bench-engine        engine perf benches only; refreshes BENCH_*.json"
-	@echo "make bench-flat-quick    AG flat kernel vs per-cell oracle smoke (small scale, no JSON)"
+	@echo "make bench-flat-quick    AG two-level grid engine vs per-cell oracle smoke (small scale, no JSON)"
 	@echo "make bench-experiments   evaluation fast-path benches; refreshes BENCH_experiments.json"
 	@echo "make bench-tree          flat tree kernel benches; refreshes BENCH_tree_kernel.json"
 	@echo "make bench-tree-quick    tree kernel equivalence smoke (small scale, no JSON)"

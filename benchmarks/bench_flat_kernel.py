@@ -1,4 +1,4 @@
-"""Performance benchmark: the flat AG kernel vs the per-cell loop.
+"""Performance benchmark: the flat AG build and engine vs the per-cell loop.
 
 Not a paper figure — an engineering benchmark for the library itself,
 covering both sides of the release boundary:
@@ -9,10 +9,14 @@ covering both sides of the release boundary:
   pre-flat-kernel m1 x m1 Python loop), at several first-level sizes.
   The releases must be bit-identical — the speedup is free of any change
   in what is released.
-* **query**: ``FlatAdaptiveGridEngine`` (four-corner inclusion-exclusion
-  over the summed-area function ``S = F + G - TP + P_cell``) vs the
-  oracle's per-cell composite ``AdaptiveGridEngine`` on a large mixed
-  q1-q6 batch, with answers matching to ``rtol=1e-9``.
+* **query**: the engine production serves, built by the
+  ``adaptive_grid`` kind row's ``engine`` constructor and asserted to be
+  ``TwoLevelGridEngine`` (four-corner inclusion-exclusion over the
+  two-level summed-area function ``S = F + G - TP + P_cell``, the
+  kernel consistent trees share), vs the oracle's per-cell composite
+  ``AdaptiveGridEngine`` on a large mixed q1-q6 batch, with answers
+  matching to ``rtol=1e-9``; the constructor's seconds are recorded as
+  the engine preparation.
 
 Results are written to ``BENCH_flat_kernel.json`` at the repo root so the
 perf trajectory is tracked in-tree.  The hard targets asserted here:
@@ -33,11 +37,11 @@ import time
 import numpy as np
 from conftest import BENCH_N, write_json_report, write_report
 
-from repro.core.adaptive_grid import AdaptiveGridBuilder
+from repro.core.adaptive_grid import AdaptiveGridBuilder, AdaptiveGridSynopsis
 from repro.core.geometry import rects_to_boxes
+from repro.core.serialization import synopsis_kind
 from repro.datasets.synthetic import make_landmark
 from repro.experiments.report import format_table
-from repro.queries.engine import FlatAdaptiveGridEngine
 from repro.queries.workload import QueryWorkload
 from tests.oracles.adaptive_grid import AdaptiveGridEngine, fit_percell
 
@@ -49,6 +53,9 @@ BUILD_M1 = (16, 32, 64)
 #: The acceptance assertion runs at the paper-realistic first-level size.
 ASSERT_M1 = 32
 ROUNDS = 1 if QUICK else 5
+
+#: The kernel an AG release is served by, at both scales.
+EXPECTED_ENGINE = "TwoLevelGridEngine"
 
 
 def _best_seconds(fn, rounds: int = ROUNDS) -> float:
@@ -105,8 +112,10 @@ def test_flat_kernel_build_and_query_speedups():
     boxes = rects_to_boxes(workload.all_rects())
     assert boxes.shape[0] >= 1_000
 
+    row = synopsis_kind(AdaptiveGridSynopsis)
     percell_engine = AdaptiveGridEngine(synopsis)
-    flat_engine = FlatAdaptiveGridEngine(synopsis)
+    flat_engine = row.engine(synopsis)
+    assert type(flat_engine).__name__ == EXPECTED_ENGINE
     percell_answers = percell_engine.answer_batch(boxes)
     flat_answers = flat_engine.answer_batch(boxes)
     np.testing.assert_allclose(flat_answers, percell_answers, rtol=1e-9, atol=1e-7)
@@ -125,7 +134,7 @@ def test_flat_kernel_build_and_query_speedups():
     query_speedup = percell_q_s / max(flat_q_s, 1e-9)
 
     prep_percell_s = _best_seconds(lambda: AdaptiveGridEngine(synopsis))
-    prep_flat_s = _best_seconds(lambda: FlatAdaptiveGridEngine(synopsis))
+    prep_flat_s = _best_seconds(lambda: row.engine(synopsis))
 
     write_report(
         "flat_kernel",
@@ -133,7 +142,7 @@ def test_flat_kernel_build_and_query_speedups():
             ["build", "per-cell loop (ms)", "flat kernel (ms)", "speedup"],
             build_rows,
             title=(
-                f"Flat AG kernel vs per-cell loop "
+                f"Flat AG build vs per-cell loop "
                 f"(landmark n={N_POINTS}, eps={EPSILON})"
             ),
         )
@@ -142,7 +151,7 @@ def test_flat_kernel_build_and_query_speedups():
             ["query path", "seconds"],
             [
                 [f"per-cell engine, {boxes.shape[0]} queries", f"{percell_q_s:.4f}"],
-                [f"summed-area engine, {boxes.shape[0]} queries", f"{flat_q_s:.4f}"],
+                [f"{EXPECTED_ENGINE}, {boxes.shape[0]} queries", f"{flat_q_s:.4f}"],
                 ["speedup", f"{query_speedup:.1f}x"],
             ],
             title=f"Batch query engines (m1={ASSERT_M1})",
@@ -165,6 +174,7 @@ def test_flat_kernel_build_and_query_speedups():
             "build_release_bit_identical": True,
             "query": {
                 "m1": ASSERT_M1,
+                "engine": EXPECTED_ENGINE,
                 "percell_engine_seconds": round(percell_q_s, 6),
                 "flat_engine_seconds": round(flat_q_s, 6),
                 "speedup": round(query_speedup, 2),

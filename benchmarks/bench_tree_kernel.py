@@ -17,7 +17,7 @@ paper's 6-sizes x 200-queries workload shape):
 * **batch query**: the engine production serves, ``make_engine``'s
   (the lattice ``BatchQueryEngine`` the quadtree lowers onto, the
   edge-table ``FlatTreeEngine`` of the uninferred KD-standard tree, the
-  two-level ``TwoLevelTreeEngine`` the inferred KD-hybrid tree lowers
+  two-level ``TwoLevelGridEngine`` the inferred KD-hybrid tree lowers
   onto), vs the scalar ``scalar_answer_batch`` loop
   (``TreeSynopsis.answer``, one recursion per visited node over the
   released arrays) on the full workload, asserted equal to float
@@ -81,7 +81,7 @@ MIN_BUILD_SPEEDUP = 2.0
 EXPECTED_ENGINE = {
     "Quad": "BatchQueryEngine",
     "Kst": "FlatTreeEngine",
-    "Khy": "TwoLevelTreeEngine",
+    "Khy": "TwoLevelGridEngine",
 }
 
 

@@ -59,8 +59,8 @@ from repro.privacy.budget import BudgetExceededError, PrivacyBudget
 from repro.baselines.tree import TreeArrays, TreeSynopsis
 from repro.queries.engine import (
     BatchQueryEngine,
-    FlatAdaptiveGridEngine,
     FlatTreeEngine,
+    TwoLevelGridEngine,
     make_engine,
 )
 from repro.queries.metrics import ErrorProfile, absolute_errors, relative_errors
@@ -77,7 +77,6 @@ __all__ = [
     "Domain2D",
     "ErrorProfile",
     "ExactGridBuilder",
-    "FlatAdaptiveGridEngine",
     "FlatTreeEngine",
     "GeoDataset",
     "GridLayout",
@@ -95,6 +94,7 @@ __all__ = [
     "SynopsisBuilder",
     "TreeArrays",
     "TreeSynopsis",
+    "TwoLevelGridEngine",
     "UniformGridBuilder",
     "UniformGridSynopsis",
     "absolute_errors",

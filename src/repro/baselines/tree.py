@@ -22,8 +22,9 @@ it) answers with the integral of its leaves' piecewise-constant density,
 so it is lowered: onto the ``2^h x 2^h`` lattice of its domain (the grid
 kernel :class:`~repro.queries.engine.BatchQueryEngine`) when its leaves
 lie on that lattice and its prefix is no larger than the tree's own node
-vectors, else onto a two-level summed-area grid
-(:class:`~repro.queries.engine.TwoLevelTreeEngine`) when every leaf has
+vectors, else onto a two-level summed-area grid of its leaves, the
+engine the adaptive grid answers through
+(:class:`~repro.queries.engine.TwoLevelGridEngine`), when every leaf has
 positive area and the grid's tables are at most five times those node
 vectors.  Any other tree goes through the frontier-descent
 :class:`~repro.queries.engine.FlatTreeEngine` and its edge tables.
@@ -47,6 +48,7 @@ child from its parent's split alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -164,6 +166,12 @@ class TreeArrays:
     def n_levels(self) -> int:
         return int(self.level_offsets.size - 1)
 
+    @cached_property
+    def kinds(self) -> np.ndarray:
+        """Each node's split kind (:func:`split_kinds`), derived once for
+        :meth:`validate` and the frontier engine."""
+        return split_kinds(self.rects.T, self.child_offsets)
+
     @property
     def leaf_mask(self) -> np.ndarray:
         """Boolean per-node mask of leaves (empty child range)."""
@@ -224,7 +232,7 @@ class TreeArrays:
             raise ValueError("child ranges must cover nodes 1..n exactly once")
         if n > 1 and not np.all(self.depths[children] == self.depths[parents] + 1):
             raise ValueError("children must be exactly one level below parents")
-        split_kinds(self.rects.T, self.child_offsets)
+        self.kinds  # raises for any other split, else kept for the engine
 
 
 def apply_tree_inference_arrays(tree: TreeArrays) -> None:
@@ -403,17 +411,17 @@ _GRID_BYTES_FACTOR = 5
 
 
 def _grid_engine(synopsis: TreeSynopsis, slabs: dict[str, np.ndarray] | None):
-    """The :class:`~repro.queries.engine.TwoLevelTreeEngine` of a
+    """The :class:`~repro.queries.engine.TwoLevelGridEngine` of a
     consistent release, or ``None`` when a leaf has zero area or the
     tables would break the size rule.
 
-    A build sizes the tables first (:meth:`TwoLevelTreeEngine.layout`).
+    A build sizes the tables first (:meth:`TwoLevelGridEngine.layout`).
     A load restores sealed tables with shape checks and the rule checked
     on their bytes; slabs sealed by another kernel are sized from the
     layout, which a release that lowers answers with ``KeyError`` (a
     cold start: the engine is rebuilt on first use).
     """
-    from repro.queries.engine import FlatTreeEngine, TwoLevelTreeEngine
+    from repro.queries.engine import FlatTreeEngine, TwoLevelGridEngine
 
     arrays = synopsis.arrays
     leaves = np.flatnonzero(arrays.leaf_mask)
@@ -424,19 +432,19 @@ def _grid_engine(synopsis: TreeSynopsis, slabs: dict[str, np.ndarray] | None):
     root = arrays.rects[0]
     max_nbytes = _GRID_BYTES_FACTOR * FlatTreeEngine.buffer_nbytes(arrays.n_nodes)
     if slabs is not None and "cell_prefix" in slabs:
-        engine = TwoLevelTreeEngine(root, slabs)
+        engine = TwoLevelGridEngine(root, slabs)
         if engine.nbytes > max_nbytes:
             raise ValueError(
                 f"sealed two-level tables hold {engine.nbytes} bytes, over "
                 f"the {max_nbytes}-byte size rule"
             )
         return engine
-    layout = TwoLevelTreeEngine.layout(root, rects, arrays.counts[leaves])
+    layout = TwoLevelGridEngine.layout(root, rects, arrays.counts[leaves])
     if layout.nbytes > max_nbytes:
         return None
     if slabs is not None:
         raise KeyError("the sealed slabs precede the two-level grid")
-    return TwoLevelTreeEngine.build(layout)
+    return TwoLevelGridEngine.build(layout)
 
 
 def tree_engine(synopsis: TreeSynopsis, slabs: dict[str, np.ndarray] | None = None):
@@ -452,8 +460,8 @@ def tree_engine(synopsis: TreeSynopsis, slabs: dict[str, np.ndarray] | None = No
       :class:`~repro.queries.engine.BatchQueryEngine` over its lattice
       counts (a default quadtree once the data fills it);
     * any other consistent tree whose leaves all have positive area is
-      lowered onto a two-level grid,
-      :class:`~repro.queries.engine.TwoLevelTreeEngine` (KD-hybrid, a
+      lowered onto a two-level grid of its leaves, the adaptive grid's
+      :class:`~repro.queries.engine.TwoLevelGridEngine` (KD-hybrid, a
       pruned quadtree), while its tables take at most
       :data:`_GRID_BYTES_FACTOR` times the frontier engine's node
       vectors;

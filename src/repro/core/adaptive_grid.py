@@ -29,10 +29,13 @@ and totals as ``(m1x, m1y)`` arrays plus one concatenated ``leaf_counts``
 vector indexed by CSR offsets.  Cell ``(i, j)`` (flat id ``c = i * m1y +
 j``, row-major) owns the slice ``leaf_counts[leaf_offsets[c] :
 leaf_offsets[c + 1]]``, which is its ``m2 x m2`` count matrix in C order.
-Both the builder (one pass over the data, one noise draw, one inference
-pass) and the batch query engine
-(:class:`~repro.queries.engine.FlatAdaptiveGridEngine`) operate directly
-on these arrays — no per-cell Python objects anywhere on the hot paths.
+The builder (one pass over the data, one noise draw, one inference pass)
+writes these arrays directly, and the batch query engine reads them:
+:meth:`~repro.queries.engine.TwoLevelGridEngine.adaptive_grid` computes
+each cell's uniform sub-grid edges from ``cell_sizes`` and its
+summed-area table from its slice of ``leaf_counts``, the same two-level
+engine consistent trees answer through — no per-cell Python objects
+anywhere on the hot paths.
 
 Noise-stream-order invariant
 ----------------------------

@@ -55,11 +55,7 @@ from repro.extensions.multidim import (
     NDGridLayout,
     NDUniformGridSynopsis,
 )
-from repro.queries.engine import (
-    BatchQueryEngine,
-    FlatAdaptiveGridEngine,
-    make_engine,
-)
+from repro.queries.engine import BatchQueryEngine, TwoLevelGridEngine, make_engine
 
 __all__ = [
     "KINDS",
@@ -680,8 +676,9 @@ def _plane_grid(synopsis: UniformGridSynopsis):
 #: would drop, so each has its own row; both still answer from their
 #: grid (Privelet's reconstructed counts, the hierarchy's inferred
 #: leaves).  The five grid-shaped rows share the one grid engine; the
-#: 1-D histogram is its ``m x 1`` grid.  A subclass of a declared type
-#: resolves to its nearest declared ancestor's row (see
+#: 1-D histogram is its ``m x 1`` grid.  The adaptive grid shares the
+#: two-level grid engine with the consistent trees.  A subclass of a
+#: declared type resolves to its nearest declared ancestor's row (see
 #: :func:`synopsis_kind`).
 KINDS: tuple[SynopsisKind, ...] = (
     _grid_kind(
@@ -698,7 +695,7 @@ KINDS: tuple[SynopsisKind, ...] = (
     ),
     SynopsisKind(
         "adaptive_grid", AdaptiveGridSynopsis, _pack_adaptive,
-        _unpack_adaptive, FlatAdaptiveGridEngine,
+        _unpack_adaptive, TwoLevelGridEngine.adaptive_grid,
     ),
     SynopsisKind("tree", TreeSynopsis, _pack_tree, _unpack_tree, tree_engine),
     _grid_kind(

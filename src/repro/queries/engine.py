@@ -20,20 +20,10 @@ inclusion-exclusion over ``S``; at d = 2, for ``[x0, x1] x [y0, y1]``::
 This is a summed-area table lookup (Crow, SIGGRAPH 1984): a whole batch
 is one stacked pass over all ``2^d n`` corners, ``2^d`` gathers each.
 
-Adaptive grids answer the same way.  A corner ``(x, y)`` in first-level
-cell ``(i, j)`` splits ``[X0, x] x [Y0, y]`` at the cell's lower-left
-corner ``(x_i, y_j)`` into four blocks, so::
-
-    S(x, y) = F(x, j) + G(i, y) - TP[i, j] + P_cell(i, j, x, y)
-
-where ``TP`` is the prefix over the released first-level totals,
-``F(x, j)`` the count of ``[X0, x] x [Y0, y_j]``, ``G(i, y)`` the count
-of ``[X0, x_i] x [Y0, y]`` and ``P_cell`` the cell's own sub-grid
-prefix.  ``F`` is linear in ``x`` between consecutive distinct sub-cell
-x-edges (and ``G`` likewise in ``y``), so :class:`FlatAdaptiveGridEngine`
-tabulates both at those edges once; every corner then costs one
-``searchsorted`` and two gathers per table plus the cell's four-gather
-bilinear prefix.
+Adaptive grids answer the same way, through
+:class:`TwoLevelGridEngine`: ``S`` at a corner in a first-level cell is
+three tabulated blocks plus the cell's own sub-grid prefix, so every
+corner costs a few gathers and no per-cell expansion.
 
 Spatial trees (quadtree, KD-standard, KD-hybrid) release the flat
 level-order :class:`~repro.baselines.tree.TreeArrays` and answer through
@@ -49,10 +39,10 @@ picks once per engine from the release:
   the data fills it);
 * any other consistent tree whose leaves all have positive area is the
   piecewise-constant density of its leaves, which
-  :class:`TwoLevelTreeEngine` answers with AG's summed-area
-  decomposition over a uniform first level and each first-level cell's
-  overlay of the leaves (KD-hybrid, a pruned quadtree), while its tables
-  take at most five times the frontier engine's node vectors;
+  :class:`TwoLevelGridEngine`, AG's engine, answers over a uniform first
+  level and each first-level cell's overlay of the leaves (KD-hybrid, a
+  pruned quadtree), while its tables take at most five times the
+  frontier engine's node vectors;
 * every other tree (KD-standard and any uninferred tree, a tree with a
   zero-area leaf, a tree over the size rule) keeps
   :class:`FlatTreeEngine`, which answers a whole batch by
@@ -86,14 +76,13 @@ import threading
 
 import numpy as np
 
-from repro.baselines.tree import LEAF, QUADRANTS, X_HALVES, Y_HALVES, split_kinds
+from repro.baselines.tree import LEAF, QUADRANTS, X_HALVES, Y_HALVES
 from repro.core.geometry import Rect, rects_to_boxes
 
 __all__ = [
     "BatchQueryEngine",
-    "FlatAdaptiveGridEngine",
     "FlatTreeEngine",
-    "TwoLevelTreeEngine",
+    "TwoLevelGridEngine",
     "make_engine",
     "scalar_answer_batch",
 ]
@@ -284,373 +273,79 @@ class BatchQueryEngine:
         return estimate
 
 
-class FlatAdaptiveGridEngine:
-    """Summed-area batch engine for ``AdaptiveGridSynopsis`` releases.
+class TwoLevelGridEngine:
+    """Summed-area batch engine over a two-level grid: adaptive grids
+    and consistent trees.
 
-    Answers every rectangle by the four-corner inclusion-exclusion of
-    :class:`BatchQueryEngine`, over the release's continuous summed-area
-    function ``S``.  A corner ``(x, y)`` in first-level cell ``(i, j)``
-    evaluates::
-
-        S(x, y) = F(x, j) + G(i, y) - TP[i, j] + P_cell(i, j, x, y)
-
-    * ``TP`` is the zero-bordered prefix over the released cell totals
-      ``v'``: ``TP[i, j]`` counts ``[X0, x_i] x [Y0, y_j]``;
-    * ``P_cell`` is cell ``(i, j)``'s own zero-bordered sub-grid prefix,
-      bilinearly interpolated at the corner's sub-cell coordinates (one
-      concatenated CSR buffer over all cells);
-    * ``F(x, j)`` counts ``[X0, x] x [Y0, y_j]``: ``TP[i, j]`` plus, for
-      every cell below row ``j`` in column ``i``, its leaves left of
-      ``x``.  It is linear in ``x`` between consecutive distinct sub-cell
-      x-edges (the union of the column's sub-grid edges), so it is
-      tabulated once at every such edge;
-    * ``G(i, y)`` is the transpose, counting ``[X0, x_i] x [Y0, y]``,
-      tabulated at every distinct sub-cell y-edge.
-
-    Coordinates run in first-level cell units (``(x - X0) /
-    cell_width``), where the sub-cell edges of column ``i`` are exactly
-    ``i + k / m2``.  Each table lookup is one ``searchsorted`` over the
-    edges and two gathers, and all ``4n`` corners of a batch go through
-    one stacked pass — no per-query or per-cell expansion.  The identity
-    needs each cell's leaves to sum to its released total, which
-    constrained inference enforces (``sum(u') == v'``) and a build
-    without inference satisfies by definition, so answers equal the
-    scalar two-level path up to floating-point rounding.
-    """
-
-    def __init__(self, synopsis, slabs: dict[str, np.ndarray] | None = None):
-        """The engine of ``synopsis`` over ``slabs`` (by default
-        :meth:`precompute`'s).  Sealed slabs may be read-only mmap views,
-        which answers only read; slabs an older precompute sealed raise
-        ``KeyError`` (missing) or ``ValueError`` (mismatched)."""
-        m1x, m1y = synopsis.first_level_size
-        sizes = synopsis.cell_sizes.reshape(-1)
-        if slabs is None:
-            slabs = self.precompute(synopsis)
-        prefix = np.asarray(slabs["prefix"], dtype=float)
-        prefix_offsets = np.asarray(slabs["prefix_offsets"], dtype=np.int64)
-        totals_prefix = np.asarray(slabs["totals_prefix"], dtype=float)
-        x_edges = np.asarray(slabs["x_edges"], dtype=float)
-        y_edges = np.asarray(slabs["y_edges"], dtype=float)
-        f_table = np.asarray(slabs["f_table"], dtype=float)
-        g_table = np.asarray(slabs["g_table"], dtype=float)
-        if prefix_offsets.shape != (sizes.size,):
-            raise ValueError(
-                f"sealed prefix offsets cover {prefix_offsets.shape[0]} "
-                f"cells, synopsis has {sizes.size}"
-            )
-        expected = int(((sizes + 1) ** 2).sum())
-        if prefix.shape != (expected,):
-            raise ValueError(
-                f"sealed CSR prefix holds {prefix.size} values, cell sizes "
-                f"require {expected}"
-            )
-        if totals_prefix.shape != (m1x + 1, m1y + 1):
-            raise ValueError(
-                f"sealed totals prefix shape {totals_prefix.shape} does not "
-                f"match first level ({m1x}, {m1y})"
-            )
-        for name, edges, table, extent, width in (
-            ("f_table", x_edges, f_table, m1x, m1y + 1),
-            ("g_table", y_edges, g_table, m1y, m1x + 1),
-        ):
-            if (
-                edges.ndim != 1
-                or edges.size < 2
-                or edges[0] != 0.0
-                or edges[-1] != extent
-                or table.shape != (edges.size, width)
-            ):
-                raise ValueError(
-                    f"sealed {name} of shape {table.shape} over "
-                    f"{edges.size} edges does not match first level "
-                    f"({m1x}, {m1y})"
-                )
-        self._domain = synopsis.domain
-        self._shape = (m1x, m1y)
-        self._cell_w = synopsis.domain.width / m1x
-        self._cell_h = synopsis.domain.height / m1y
-        self._sizes = sizes
-        self._prefix = prefix
-        self._prefix_offsets = prefix_offsets
-        self._totals_prefix = totals_prefix
-        self._x_edges = x_edges
-        self._y_edges = y_edges
-        self._f_table = f_table
-        self._g_table = g_table
-
-    @staticmethod
-    def precompute(synopsis) -> dict[str, np.ndarray]:
-        """Derived buffers to seal into a v2 archive at release time.
-
-        The CSR prefix buffer, the level-1 totals prefix and the ``F`` /
-        ``G`` edge tables (see the class docstring) are the whole
-        prepared state; restoring from them only checks shapes.
-        """
-        m1x, m1y = synopsis.first_level_size
-        sizes = synopsis.cell_sizes.reshape(-1)
-        leaf_offsets = synopsis.leaf_offsets
-        leaves = synopsis.leaf_counts
-
-        # CSR prefix buffer: cell c owns the (sizes[c]+1)^2 block at
-        # prefix_offsets[c], a row-major zero-bordered prefix-sum matrix.
-        prefix_sizes = (sizes + 1) ** 2
-        prefix_offsets = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(prefix_sizes, out=prefix_offsets[1:])
-        prefix = np.zeros(int(prefix_offsets[-1]))
-        # Vectorised per distinct m2: gather all same-size cells into one
-        # (k, m2, m2) tensor, cumsum both axes, scatter into the buffer.
-        for size in np.unique(sizes):
-            cells = np.flatnonzero(sizes == size)
-            src = leaf_offsets[cells][:, None] + np.arange(size * size)[None, :]
-            blocks = leaves[src].reshape(-1, size, size)
-            cums = blocks.cumsum(axis=1).cumsum(axis=2)
-            inner = (
-                np.arange(1, size + 1)[:, None] * (size + 1)
-                + np.arange(1, size + 1)[None, :]
-            ).reshape(-1)
-            dst = prefix_offsets[cells][:, None] + inner[None, :]
-            prefix[dst] = cums.reshape(cells.size, -1)
-        prefix_offsets = prefix_offsets[:-1]
-
-        totals_prefix = np.zeros((m1x + 1, m1y + 1))
-        np.cumsum(
-            np.cumsum(synopsis.cell_totals, axis=0), axis=1,
-            out=totals_prefix[1:, 1:],
-        )
-        x_edges, f_table = _edge_table(
-            synopsis.cell_sizes, prefix_offsets, prefix, totals_prefix, axis=0
-        )
-        y_edges, g_table = _edge_table(
-            synopsis.cell_sizes, prefix_offsets, prefix, totals_prefix, axis=1
-        )
-        return {
-            "prefix": prefix,
-            "prefix_offsets": prefix_offsets,
-            "totals_prefix": totals_prefix,
-            "x_edges": x_edges,
-            "y_edges": y_edges,
-            "f_table": f_table,
-            "g_table": g_table,
-        }
-
-    @property
-    def slabs(self) -> dict[str, np.ndarray]:
-        """The buffers this engine answers from (see :meth:`precompute`)."""
-        return {
-            "prefix": self._prefix,
-            "prefix_offsets": self._prefix_offsets,
-            "totals_prefix": self._totals_prefix,
-            "x_edges": self._x_edges,
-            "y_edges": self._y_edges,
-            "f_table": self._f_table,
-            "g_table": self._g_table,
-        }
-
-    @property
-    def n_cells(self) -> int:
-        """Number of first-level cells covered by the CSR buffer."""
-        return int(self._sizes.size)
-
-    @property
-    def nbytes(self) -> int:
-        """In-memory footprint of the prepared buffers."""
-        return self._sizes.nbytes + sum(a.nbytes for a in self.slabs.values())
-
-    def _summed_area(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-        """``S`` at corners given in first-level cell units (clipped)."""
-        mx, my = self._shape
-        i = np.minimum(gx.astype(np.int64), mx - 1)
-        j = np.minimum(gy.astype(np.int64), my - 1)
-        f = _edge_lerp(self._x_edges, self._f_table, gx, j)
-        g = _edge_lerp(self._y_edges, self._g_table, gy, i)
-        tp = self._totals_prefix.reshape(-1)[i * (my + 1) + j]
-        # The corner's own cell: bilinear in its zero-bordered prefix.
-        cell = i * my + j
-        size = self._sizes[cell]
-        xl = (gx - i) * size
-        yl = (gy - j) * size
-        x0 = np.minimum(xl.astype(np.int64), size - 1)
-        y0 = np.minimum(yl.astype(np.int64), size - 1)
-        tx = xl - x0
-        ty = yl - y0
-        stride = size + 1
-        base = self._prefix_offsets[cell] + x0 * stride + y0
-        p = self._prefix
-        p00 = p[base]
-        p10 = p[base + stride]
-        low = p00 + ty * (p[base + 1] - p00)
-        high = p10 + ty * (p[base + stride + 1] - p10)
-        return f + g - tp + (low + tx * (high - low))
-
-    def answer_batch(self, rects: list[Rect] | np.ndarray) -> np.ndarray:
-        """Uniformity estimates for every rectangle in the batch.
-
-        Rectangles are clipped to the domain; degenerate, inverted and
-        NaN rows answer 0, as in :class:`BatchQueryEngine`.
-        """
-        boxes = rects_to_boxes(rects)
-        n = boxes.shape[0]
-        if n == 0:
-            return np.empty(0)
-        mx, my = self._shape
-        bounds = self._domain.bounds
-        gx = np.clip((boxes[:, 0::2] - bounds.x_lo) / self._cell_w, 0.0, mx)
-        gy = np.clip((boxes[:, 1::2] - bounds.y_lo) / self._cell_h, 0.0, my)
-        empty = ~((gx[:, 1] > gx[:, 0]) & (gy[:, 1] > gy[:, 0]))
-        if empty.any():
-            # NaN would poison the int64 casts; the mask zeroes the rows.
-            gx[empty] = 0.0
-            gy[empty] = 0.0
-        x_lo, x_hi = gx[:, 0], gx[:, 1]
-        y_lo, y_hi = gy[:, 0], gy[:, 1]
-        corners = self._summed_area(
-            np.concatenate([x_hi, x_lo, x_hi, x_lo]),
-            np.concatenate([y_hi, y_hi, y_lo, y_lo]),
-        )
-        estimate = (
-            corners[:n] - corners[n : 2 * n] - corners[2 * n : 3 * n]
-            + corners[3 * n :]
-        )
-        estimate[empty] = 0.0
-        return estimate
-
-
-def _edge_table(
-    cell_sizes: np.ndarray,
-    prefix_offsets: np.ndarray,
-    prefix: np.ndarray,
-    totals_prefix: np.ndarray,
-    axis: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints and values of AG's ``F`` (``axis=0``) or ``G`` (``axis=1``).
-
-    Returns ``(edges, table)``: ``edges`` are the sorted distinct sub-cell
-    edges along ``axis`` in first-level cell units — ``i + k / m2`` for
-    every sub-grid size ``m2`` in first-level column ``i`` (row, for
-    ``axis=1``), then the far boundary — and ``table[e, j]`` counts the
-    block from the domain origin to edge ``e`` along ``axis`` and to
-    first-level edge ``j`` along the other axis.
-    """
-    ids = np.arange(cell_sizes.size).reshape(cell_sizes.shape)
-    if axis == 1:
-        cell_sizes, ids, totals_prefix = cell_sizes.T, ids.T, totals_prefix.T
-    n_cols, n_rows = cell_sizes.shape
-    # Each distinct (column, m2) pair contributes edges col + k / m2 for
-    # k < m2 (k = m2 is the next column's k = 0).  Equal fractions round
-    # to the same float, so np.unique merges e.g. 1/2 and 2/4 exactly.
-    span = int(cell_sizes.max()) + 1
-    pairs = np.unique(np.arange(n_cols)[:, None] * span + cell_sizes)
-    cols, m2 = pairs // span, pairs % span
-    k = np.arange(int(m2.sum())) - np.repeat(np.cumsum(m2) - m2, m2)
-    col = np.repeat(cols, m2)
-    frac = k / np.repeat(m2, m2)
-    edges, first = np.unique(col + frac, return_index=True)
-    col, frac = col[first], frac[first]
-    # Every cell of the edge's column, counted from the column start to
-    # the edge across its full extent on the other axis: the cell's
-    # prefix along its last column (axis 0) or last row (axis 1).
-    cells = ids[col]
-    size = cell_sizes[col]
-    pos = frac[:, None] * size
-    p0 = np.minimum(pos.astype(np.int64), size - 1)
-    stride = size + 1
-    if axis == 0:
-        lo = prefix_offsets[cells] + p0 * stride + size
-        step = stride
-    else:
-        lo = prefix_offsets[cells] + size * stride + p0
-        step = 1
-    below = prefix[lo]
-    partial = below + (pos - p0) * (prefix[lo + step] - below)
-    table = np.empty((edges.size + 1, n_rows + 1))
-    table[:-1] = totals_prefix[col]
-    table[:-1, 1:] += np.cumsum(partial, axis=1)
-    table[-1] = totals_prefix[n_cols]
-    return np.append(edges, float(n_cols)), table
-
-
-def _edge_lerp(
-    edges: np.ndarray, table: np.ndarray, coords: np.ndarray, other: np.ndarray
-) -> np.ndarray:
-    """``table`` linearly interpolated between ``edges`` at ``coords``,
-    in column ``other`` (one ``searchsorted`` and two gathers)."""
-    k = np.minimum(np.searchsorted(edges, coords, side="right") - 1, edges.size - 2)
-    t = (coords - edges[k]) / (edges[k + 1] - edges[k])
-    width = table.shape[1]
-    index = k * width + other
-    flat = table.reshape(-1)
-    below = flat[index]
-    return below + t * (flat[index + width] - below)
-
-
-class TwoLevelTreeEngine:
-    """Summed-area batch engine for consistent ``TreeSynopsis`` releases.
-
-    A tree whose every internal count equals its children's sum and
-    whose leaves all have positive area answers a query with the
-    integral of the piecewise-constant density its leaves define: a
-    leaf inside the query counts whole, a cut leaf by its overlap
-    fraction, and a contained internal node's count is its leaves' sum.
-    That is the object :class:`FlatAdaptiveGridEngine` answers, so this
-    engine answers the same way, over a two-level grid of the leaves.
-
-    The first level is a uniform ``G x G`` grid over the root's rect
-    (:meth:`first_level_size`: about 16 leaves per cell).  Clipping
-    every leaf into the cells it meets gives each cell a rectilinear
-    overlay: the distinct x- and y-edges of its pieces and its own
-    lines.  Each overlay sub-cell lies in one leaf, so the cell's
+    An ``AdaptiveGridSynopsis``, and a ``TreeSynopsis`` whose internal
+    counts equal their children's sums and whose leaves all have
+    positive area, answer a query with the integral of the
+    piecewise-constant density of their leaves.  The engine holds that
+    density over an ``mx x my`` first level.  Each first-level cell has
+    a rectilinear overlay, its leaves' distinct x- and y-edges and its
+    own lines; each overlay sub-cell lies in one leaf, so the cell's
     zero-bordered summed-area table over its overlay, read bilinearly,
-    is exact inside it.  A corner ``(x, y)`` in cell ``(i, j)`` then
-    reads AG's decomposition in raw coordinates::
+    is exact inside it.  A corner ``(x, y)`` in cell ``(i, j)`` reads::
 
         S(x, y) = F(x, j) + G(i, y) - TP[i, j] + P_cell(i, j, x, y)
 
-    ``F`` and ``G`` are tabulated at every distinct overlay edge along
-    their axis (each column's or row's union of its cells' edges, which
-    include the first-level lines) and read as :func:`_edge_lerp` reads
-    them: the rank ``k`` of the corner's x among the x-edges, then two
-    gathers.  ``k`` also gives the corner's cell column and, through a
+    ``TP`` is the prefix over the cells' totals, ``F(x, j)`` counts
+    ``[X0, x] x [Y0, y_j]``, ``G(i, y)`` counts ``[X0, x_i] x [Y0, y]``
+    and ``P_cell`` is the cell's table.  ``F`` is linear in ``x``
+    between consecutive overlay x-edges of column ``i`` (``G`` likewise
+    in ``y``), so both are tabulated at every distinct overlay edge
+    along their axis and read through the rank ``k`` of the corner's x
+    among those edges.  ``k`` also gives the cell column and, through a
     ``uint16`` rank map ``x_ranks[k, j]``, the sub-cell of cell ``(i,
-    j)``'s overlay that holds the interval ``[x_k, x_{k+1})``, so the
-    bilinear read needs no search over the cell's own edges; the same
-    holds along y.  A batch is one stacked pass over its ``4n`` corners.
+    j)``'s overlay that holds ``[x_k, x_{k+1})``, so the bilinear read
+    needs no search; the same holds along y.  A batch is one stacked
+    pass over its ``4n`` corners.
 
-    The tables are built vectorised from the pieces (leaf x cell ranges):
-    the edges of every cell from one ``np.unique`` over ``(cell, rank)``
-    keys, each cell's table from its sub-cells' masses by segmented
-    running sums, ``F`` and ``G`` from the cells' tables at every edge,
-    in chunks of bounded size; no step materialises the overlay of the
-    whole domain.  :meth:`layout` sizes the tables before any is
-    allocated.  Answers equal ``TreeSynopsis.answer`` up to rounding and
-    the consistency the tree was accepted with.
+    Two layouts supply the overlays and the cells' tables, from which
+    ``F``, ``G``, the rank maps and ``TP`` are built alike:
+
+    * :meth:`adaptive_grid`: AG's own first level, each cell's overlay
+      its uniform ``m2 x m2`` sub-grid with computed edges, each cell's
+      table its leaves' 2-D prefix sums.  Each cell's leaves sum to its
+      released total (constrained inference makes ``sum(u') == v'``; a
+      build without it releases that sum).
+    * :meth:`layout` and :meth:`build`: a uniform ``G x G`` first level
+      over a tree's root (:meth:`first_level_size`) and its leaves
+      clipped into the cells they meet: each cell's edges from one
+      ``np.unique`` over ``(cell, rank)`` keys, its table from its
+      sub-cells' masses by segmented running sums, in bounded chunks;
+      :meth:`layout` sizes the tables before any is allocated.
+
+    Answers equal the scalar ``answer`` of either release up to
+    rounding and, for a tree, the consistency it was accepted with.
     """
 
     def __init__(self, bounds, slabs: dict[str, np.ndarray]):
-        """The engine over ``slabs`` (:meth:`build`'s) for a tree whose
-        root spans ``bounds`` ``(x_lo, y_lo, x_hi, y_hi)``.  Sealed
-        slabs may be read-only mmap views, which answers only read;
-        slabs of another kernel raise ``KeyError``, slabs whose shapes
-        disagree ``ValueError``."""
+        """The engine over ``slabs`` (:meth:`build`'s or
+        :meth:`adaptive_grid`'s) for a first level spanning ``bounds``
+        ``(x_lo, y_lo, x_hi, y_hi)``.  Sealed slabs may be read-only mmap
+        views, which answers only read; slabs of another kernel raise
+        ``KeyError``, slabs whose shapes disagree ``ValueError``."""
         arrays = {
             name: np.asarray(slabs[name], dtype=dtype)
             for name, dtype in _GRID_SLAB_DTYPES.items()
         }
-        size = arrays["totals_prefix"].shape[0] - 1
+        # A totals prefix that is not a matrix fails the unpacking.
+        mx, my = (size - 1 for size in arrays["totals_prefix"].shape)
         offsets = [arrays[name] for name in _GRID_OFFSETS]
         counts = [
             int(offset[-1]) if offset.ndim == 1 and offset.size else -1
             for offset in offsets
         ]
         expected = _grid_slab_shapes(
-            size, arrays["x_edges"].size, arrays["y_edges"].size, *counts
+            (mx, my), arrays["x_edges"].size, arrays["y_edges"].size, *counts
         )
         mismatched = [
             name for name, shape in expected.items()
             if arrays[name].shape != shape
         ]
         edges = min(arrays["x_edges"].size, arrays["y_edges"].size)
-        if size < 1 or edges < 2 or min(counts) < 0 or mismatched:
+        if min(mx, my) < 1 or edges < 2 or min(counts) < 0 or mismatched:
             raise ValueError(
                 f"sealed two-level tables {mismatched or '(offsets)'} do not "
                 "match their first level"
@@ -661,29 +356,48 @@ class TwoLevelTreeEngine:
         ):
             raise ValueError("sealed two-level cell offsets are inconsistent")
         self._bounds = tuple(float(bound) for bound in bounds)
-        self._size = size
+        self._shape = (mx, my)
         self._arrays = arrays
         for name, array in arrays.items():
             setattr(self, f"_{name}", array)
 
+    @classmethod
+    def adaptive_grid(cls, synopsis, slabs: dict[str, np.ndarray] | None = None):
+        """The engine of an ``AdaptiveGridSynopsis`` release, restored
+        over ``slabs`` when given; slabs that do not fit the release's
+        first level and sub-grids raise ``ValueError``."""
+        if slabs is None:
+            return cls.build(_SubGridLayout(synopsis))
+        engine = cls(_bounds(synopsis.domain), slabs)
+        sizes = synopsis.cell_sizes
+        if engine.shape != sizes.shape or any(
+            not np.array_equal(np.diff(offsets), sizes.reshape(-1) + 1)
+            for offsets in (engine._cell_x_offsets, engine._cell_y_offsets)
+        ):
+            raise ValueError(
+                "sealed two-level tables do not match the release's sub-grids"
+            )
+        return engine
+
     @staticmethod
     def first_level_size(n_leaves: int) -> int:
-        """``G = 2^round(log2 sqrt(n_leaves / 16))``, within 8 .. 128:
-        about 16 leaves per first-level cell, which gave the smallest
-        tables of ``G`` in 8 .. 128 on the landmark and storage trees."""
+        """A tree's ``G = 2^round(log2 sqrt(n_leaves / 16))``, within 8 ..
+        128: about 16 leaves per first-level cell, which gave the
+        smallest tables of ``G`` in 8 .. 128 on the landmark and storage
+        trees."""
         exponent = round(math.log2(max(n_leaves, 1) / 16) / 2)
         return 1 << min(max(exponent, 3), 7)
 
     @classmethod
-    def layout(cls, bounds, rects: np.ndarray, counts: np.ndarray) -> "_GridLayout":
+    def layout(cls, bounds, rects: np.ndarray, counts: np.ndarray) -> "_LeafLayout":
         """The pieces and edges of the tables over the leaves ``rects``
         (positive-area ``(x_lo, y_lo, x_hi, y_hi)`` rows tiling
         ``bounds``) with ``counts``; its ``nbytes`` are the tables'
         bytes, known before :meth:`build` allocates them."""
-        return _GridLayout(bounds, rects, counts, cls.first_level_size(counts.size))
+        return _LeafLayout(bounds, rects, counts, cls.first_level_size(counts.size))
 
     @classmethod
-    def build(cls, layout: "_GridLayout") -> "TwoLevelTreeEngine":
+    def build(cls, layout: "_GridLayout") -> "TwoLevelGridEngine":
         """The engine over the tables of ``layout``."""
         return cls(layout.bounds, layout.tables())
 
@@ -693,9 +407,9 @@ class TwoLevelTreeEngine:
         return dict(self._arrays)
 
     @property
-    def grid_size(self) -> int:
-        """``G``, the first level's cells per axis."""
-        return self._size
+    def shape(self) -> tuple[int, int]:
+        """``(mx, my)``, the first level's cells along x and y."""
+        return self._shape
 
     @property
     def nbytes(self) -> int:
@@ -704,11 +418,10 @@ class TwoLevelTreeEngine:
 
     def _summed_area(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """``S`` at the corners of ``xs x ys``, each a ``(2, n)`` stack of
-        one query edge per row inside the root's rect, as a ``(2, 2, n)``
+        one query edge per row inside the first level, as a ``(2, 2, n)``
         array indexed ``[y row, x row]``.  Each edge is ranked once;
         the corners combine the ranks by broadcasting."""
-        size = self._size
-        width = size + 1
+        mx, my = self._shape
         kx = _last_at_most(self._x_edges, xs)
         ky = _last_at_most(self._y_edges, ys)
         x0 = self._x_edges[kx]
@@ -721,19 +434,19 @@ class TwoLevelTreeEngine:
         kx, tx, xs = kx[None], tx[None], xs[None]
         ky, ty, ys = ky[:, None], ty[:, None], ys[:, None]
         f_table = self._f_table.reshape(-1)
-        index = kx * width + j
+        index = kx * (my + 1) + j
         below = f_table[index]
-        f = below + tx * (f_table[index + width] - below)
+        f = below + tx * (f_table[index + my + 1] - below)
         g_table = self._g_table.reshape(-1)
-        index = ky * width + i
+        index = ky * (mx + 1) + i
         below = g_table[index]
-        g = below + ty * (g_table[index + width] - below)
-        tp = self._totals_prefix.reshape(-1)[i * width + j]
+        g = below + ty * (g_table[index + mx + 1] - below)
+        tp = self._totals_prefix.reshape(-1)[i * (my + 1) + j]
         # The corner's own cell: its overlay sub-cell from the rank maps,
         # then bilinear in the cell's zero-bordered table.
-        cell = i * size + j
-        a = self._x_ranks.reshape(-1)[kx * size + j]
-        b = self._y_ranks.reshape(-1)[ky * size + i]
+        cell = i * my + j
+        a = self._x_ranks.reshape(-1)[kx * my + j]
+        b = self._y_ranks.reshape(-1)[ky * mx + i]
         xa = self._cell_x_offsets[cell] + a
         y_first = self._cell_y_offsets[cell]
         stride = self._cell_y_offsets[cell + 1] - y_first
@@ -753,8 +466,8 @@ class TwoLevelTreeEngine:
     def answer_batch(self, rects: list[Rect] | np.ndarray) -> np.ndarray:
         """Uniformity estimates for every rectangle in the batch.
 
-        Rectangles are clipped to the root's rect; degenerate, inverted
-        and NaN rows answer 0, as in :class:`FlatAdaptiveGridEngine`.
+        Rectangles are clipped to the first level; degenerate, inverted
+        and NaN rows answer 0, as in :class:`BatchQueryEngine`.
         """
         boxes = rects_to_boxes(rects)
         n = boxes.shape[0]
@@ -775,6 +488,12 @@ class TwoLevelTreeEngine:
         return estimate
 
 
+def _bounds(domain) -> tuple[float, float, float, float]:
+    """``(x_lo, y_lo, x_hi, y_hi)`` of a :class:`Domain2D`."""
+    b = domain.bounds
+    return b.x_lo, b.y_lo, b.x_hi, b.y_hi
+
+
 def _last_at_most(edges: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """For each coordinate, the index of the last edge ``<=`` it, at
     most ``len(edges) - 2`` (the last interval is closed).  The
@@ -788,7 +507,7 @@ def _last_at_most(edges: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return rank.reshape(coords.shape)
 
 
-#: Each slab of :class:`TwoLevelTreeEngine` and its dtype.
+#: Each slab of :class:`TwoLevelGridEngine` and its dtype.
 _GRID_SLAB_DTYPES = {
     "x_edges": np.float64,
     "y_edges": np.float64,
@@ -816,23 +535,24 @@ _GRID_CHUNK = 1 << 15
 
 
 def _grid_slab_shapes(
-    size: int, kx: int, ky: int, n_cell_x: int, n_cell_y: int, n_prefix: int
+    shape, kx: int, ky: int, n_cell_x: int, n_cell_y: int, n_prefix: int
 ) -> dict[str, tuple[int, ...]]:
-    """The shape of every :class:`TwoLevelTreeEngine` slab: a ``size x
-    size`` first level, ``kx`` / ``ky`` distinct edges, and the cells'
-    ``n_cell_x`` x-edges, ``n_cell_y`` y-edges and ``n_prefix`` table
-    entries."""
-    cells = size * size
+    """The shape of every :class:`TwoLevelGridEngine` slab: an ``mx x
+    my`` first level (``shape``), ``kx`` / ``ky`` distinct edges, and the
+    cells' ``n_cell_x`` x-edges, ``n_cell_y`` y-edges and ``n_prefix``
+    table entries."""
+    mx, my = shape
+    cells = mx * my
     return {
         "x_edges": (kx,),
         "y_edges": (ky,),
         "x_cells": (kx - 1,),
         "y_cells": (ky - 1,),
-        "x_ranks": (kx - 1, size),
-        "y_ranks": (ky - 1, size),
-        "f_table": (kx, size + 1),
-        "g_table": (ky, size + 1),
-        "totals_prefix": (size + 1, size + 1),
+        "x_ranks": (kx - 1, my),
+        "y_ranks": (ky - 1, mx),
+        "f_table": (kx, my + 1),
+        "g_table": (ky, mx + 1),
+        "totals_prefix": (mx + 1, my + 1),
         "cell_x": (n_cell_x,),
         "cell_y": (n_cell_y,),
         "cell_x_offsets": (cells + 1,),
@@ -843,60 +563,90 @@ def _grid_slab_shapes(
 
 
 class _AxisLayout:
-    """One axis of a :class:`_GridLayout`.
+    """One axis of a :class:`_GridLayout` over an ``mx x my`` first level.
 
-    ``edges`` are the distinct piece bounds and first-level lines along
-    the axis, ``lines`` the lines' indices among them and ``cells`` each
-    edge interval's first-level index along the axis.  Each first-level
-    cell's own edges (its two lines and its pieces' bounds) are the
-    sorted ``(cell, rank)`` ``keys``, ``coords`` their coordinates and
-    ``offsets`` their CSR bounds per cell; ``lo`` / ``hi`` are each
-    piece's bounds as indices into its cell's edges.  ``axis`` is 0 for
-    x (a cell ``i * size + j`` is at ``i`` along it) and 1 for y.
+    ``edges`` are the distinct overlay edges along the axis, ``lines``
+    the first-level lines' indices among them and ``cells`` each edge
+    interval's first-level index along the axis.  Each first-level
+    cell's own edges (its two lines and its overlay's edges between) are
+    the sorted ``(cell, rank)`` ``keys``, ``coords`` their coordinates
+    and ``offsets`` their CSR bounds per cell.  ``axis`` is 0 for x (a
+    cell ``i * my + j`` is at ``i`` along it) and 1 for y.
     """
 
-    def __init__(self, lo, hi, piece_cells, line_coords, axis: int):
+    def __init__(self, edges, lines, keys, shape, axis: int):
+        k = edges.size
+        n_cells = shape[0] * shape[1]
+        self.edges, self.lines, self.keys = edges, lines, keys
+        self.shape, self.axis, self.size = shape, axis, shape[axis]
+        self.offsets = np.zeros(n_cells + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // k, minlength=n_cells), out=self.offsets[1:])
+        self.coords = edges[keys % k]
+        self.cells = (
+            np.searchsorted(lines, np.arange(k - 1), side="right") - 1
+        ).astype(np.int32)
+
+    @classmethod
+    def of_pieces(cls, lo, hi, piece_cells, line_coords, shape, axis: int):
+        """The axis of pieces bounded by ``lo`` .. ``hi`` along it in
+        cells ``piece_cells``, first-level lines at ``line_coords``.  The
+        edges are sorted out of the pieces' bounds; the layout keeps each
+        piece's bounds as indices into its cell's edges (``lo``,
+        ``hi``)."""
         n = lo.size
-        self.size = size = line_coords.size - 1
-        self.axis = axis
-        self.edges, rank = np.unique(
+        edges, rank = np.unique(
             np.concatenate([lo, hi, line_coords]), return_inverse=True
         )
-        k = self.edges.size
-        self.lines = rank[2 * n :]
-        every = np.arange(size * size)
-        along, _ = self.split(every)
-        self.keys, where = np.unique(
+        k = edges.size
+        lines = rank[2 * n :]
+        every = np.arange(shape[0] * shape[1])
+        along = np.divmod(every, shape[1])[axis]
+        keys, where = np.unique(
             np.concatenate([
                 piece_cells * k + rank[:n],
                 piece_cells * k + rank[n : 2 * n],
-                every * k + self.lines[along],
-                every * k + self.lines[along + 1],
+                every * k + lines[along],
+                every * k + lines[along + 1],
             ]),
             return_inverse=True,
         )
-        self.offsets = np.zeros(size * size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.keys // k, minlength=size * size),
-                  out=self.offsets[1:])
-        first = self.offsets[piece_cells]
-        self.lo = where[:n] - first
-        self.hi = where[n : 2 * n] - first
-        self.coords = self.edges[self.keys % k]
-        self.cells = (
-            np.searchsorted(line_coords, self.edges[:-1], side="right") - 1
-        ).astype(np.int32)
+        layout = cls(edges, lines, keys, shape, axis)
+        first = layout.offsets[piece_cells]
+        layout.lo = where[:n] - first
+        layout.hi = where[n : 2 * n] - first
+        return layout
+
+    @classmethod
+    def sub_grids(cls, lo, hi, sizes, shape, axis: int):
+        """The axis of first-level cells cut into ``sizes`` equal parts
+        along it, over ``shape[axis]`` equal parts of ``lo`` .. ``hi``.
+        Every edge is computed in first-level units, ``i + k / m2``, in
+        which equal fractions round to one float; the distinct edges
+        come from the distinct ``(i, m2)`` pairs."""
+        size = shape[axis]
+        every = np.arange(sizes.size)
+        along = np.divmod(every, shape[1])[axis]
+        span = int(sizes.max()) + 1
+        first, parts = np.divmod(np.unique(along * span + sizes), span)
+        units = np.unique(np.append(_fractions(first, parts, 0), size))
+        keys = np.repeat(every * units.size, sizes + 1) + np.searchsorted(
+            units, _fractions(along, sizes, 1)
+        )
+        edges = lo + (hi - lo) * (units / size)
+        edges[-1] = hi
+        return cls(edges, np.searchsorted(units, np.arange(size + 1)), keys, shape, axis)
 
     def split(self, cells: np.ndarray):
         """Each cell's index along this axis and along the other."""
-        along, across = np.divmod(cells, self.size)
-        return (along, across) if self.axis == 0 else (across, along)
+        pair = np.divmod(cells, self.shape[1])
+        return pair[self.axis], pair[1 - self.axis]
 
     def ranks(self) -> np.ndarray:
         """The ``uint16`` rank map: entry ``(k, o)`` is the index of the
         overlay sub-cell holding edge interval ``k`` in the cell at
         ``o`` along the other axis, in the cell's own edges."""
         k = self.edges.size
-        seen = np.zeros((k, self.size), dtype=np.int32)
+        seen = np.zeros((k, self.shape[1 - self.axis]), dtype=np.int32)
         seen[self.keys % k, self.split(self.keys // k)[1]] = 1
         np.cumsum(seen, axis=0, out=seen)
         # A cell's edges up to k, less those up to its lower line, which
@@ -904,15 +654,151 @@ class _AxisLayout:
         return (seen[:-1] - seen[self.lines[self.cells]]).astype(np.uint16)
 
 
+def _fractions(first: np.ndarray, parts: np.ndarray, extra: int) -> np.ndarray:
+    """``first[r] + k / parts[r]`` for ``k`` in ``0 .. parts[r] - 1 +
+    extra``, concatenated in order."""
+    counts = parts + extra
+    k = _ranges(np.zeros(parts.size, dtype=np.int64), counts)
+    return np.repeat(first, counts) + k / np.repeat(parts, counts)
+
+
 class _GridLayout:
+    """The overlays of an ``mx x my`` first level spanning ``bounds``
+    (see :class:`TwoLevelGridEngine`), one :class:`_AxisLayout` a side,
+    and each cell's table offsets.  A layout supplies its cells' tables
+    (``_cell_prefix``); :meth:`tables` derives the rest from them."""
+
+    def __init__(self, bounds, x: _AxisLayout, y: _AxisLayout):
+        self.bounds = tuple(float(bound) for bound in bounds)
+        self.shape = x.shape
+        self.x, self.y = x, y
+        self.prefix_offsets = np.zeros(x.offsets.size, dtype=np.int64)
+        np.cumsum(
+            np.diff(x.offsets) * np.diff(y.offsets), out=self.prefix_offsets[1:]
+        )
+
+    def tables(self) -> dict[str, np.ndarray]:
+        """The engine's slabs (see :class:`TwoLevelGridEngine`)."""
+        prefix = self._cell_prefix()
+        totals_prefix = np.zeros((self.shape[0] + 1, self.shape[1] + 1))
+        np.cumsum(
+            np.cumsum(
+                prefix[self.prefix_offsets[1:] - 1].reshape(self.shape), axis=0
+            ),
+            axis=1, out=totals_prefix[1:, 1:],
+        )
+        x_ranks = self.x.ranks()
+        y_ranks = self.y.ranks()
+        return {
+            "x_edges": self.x.edges,
+            "y_edges": self.y.edges,
+            "x_cells": self.x.cells,
+            "y_cells": self.y.cells,
+            "x_ranks": x_ranks,
+            "y_ranks": y_ranks,
+            "f_table": self._axis_table(self.x, x_ranks, prefix, totals_prefix),
+            "g_table": self._axis_table(self.y, y_ranks, prefix, totals_prefix),
+            "totals_prefix": totals_prefix,
+            "cell_x": self.x.coords,
+            "cell_y": self.y.coords,
+            "cell_x_offsets": self.x.offsets,
+            "cell_y_offsets": self.y.offsets,
+            "cell_prefix_offsets": self.prefix_offsets,
+            "cell_prefix": prefix,
+        }
+
+    def _axis_table(self, layout: _AxisLayout, ranks, prefix, totals_prefix):
+        """``F`` (x) or ``G`` (y) at every edge along ``layout``'s axis:
+        ``table[e, o]`` counts the block from the lower corner to edge
+        ``e`` along the axis and to first-level line ``o`` along the
+        other axis.  Each cell of the edge's column (row) counts its
+        part left of (below) the edge from its table's last row-major
+        column (last row)."""
+        axis = layout.axis
+        x_counts = np.diff(self.x.offsets)
+        y_counts = np.diff(self.y.offsets)
+        starts = self.prefix_offsets[:-1]
+        # Per cell, indexed [along axis, other axis]: its first edge
+        # along the axis, the table entry of its first edge on the far
+        # side, and the step from one edge to the next there.
+        if axis == 0:
+            last, step = starts + y_counts - 1, y_counts
+        else:
+            last, step = starts + (x_counts - 1) * y_counts, np.ones_like(starts)
+            totals_prefix = totals_prefix.T
+        grids = [
+            array.reshape(self.shape) if axis == 0 else array.reshape(self.shape).T
+            for array in (layout.offsets[:-1], last, step)
+        ]
+        k = layout.edges.size
+        across = self.shape[1 - axis]
+        table = np.empty((k, across + 1))
+        table[-1] = totals_prefix[layout.size]
+        rows = max(1, _GRID_CHUNK // across)
+        for e0 in range(0, k - 1, rows):
+            e1 = min(e0 + rows, k - 1)
+            along = layout.cells[e0:e1]
+            first, last, step = (grid[along] for grid in grids)
+            local = ranks[e0:e1]
+            first += local
+            edge = layout.coords[first]
+            t = (layout.edges[e0:e1, None] - edge) / (layout.coords[first + 1] - edge)
+            del first, edge
+            last += local * step
+            below = prefix[last]
+            partial = below + t * (prefix[last + step] - below)
+            table[e0:e1] = totals_prefix[along]
+            table[e0:e1, 1:] += np.cumsum(partial, axis=1)
+        return table
+
+
+class _SubGridLayout(_GridLayout):
+    """An AG release's first level, each cell's overlay its uniform
+    ``m2 x m2`` sub-grid (see :meth:`TwoLevelGridEngine.adaptive_grid`)."""
+
+    def __init__(self, synopsis):
+        bounds = _bounds(synopsis.domain)
+        shape = synopsis.first_level_size
+        self.sizes = synopsis.cell_sizes.reshape(-1)
+        self.leaf_offsets = synopsis.leaf_offsets
+        self.leaves = synopsis.leaf_counts
+        super().__init__(
+            bounds,
+            _AxisLayout.sub_grids(bounds[0], bounds[2], self.sizes, shape, axis=0),
+            _AxisLayout.sub_grids(bounds[1], bounds[3], self.sizes, shape, axis=1),
+        )
+
+    def _cell_prefix(self) -> np.ndarray:
+        """Every cell's leaves' zero-bordered 2-D prefix sums, the
+        ``(m2 + 1) x (m2 + 1)`` table over its sub-grid, row-major,
+        concatenated in cell order."""
+        sizes, prefix_offsets = self.sizes, self.prefix_offsets
+        leaf_offsets, leaves = self.leaf_offsets, self.leaves
+        prefix = np.zeros(int(prefix_offsets[-1]))
+        # Vectorised per distinct m2: gather all same-size cells into one
+        # (k, m2, m2) tensor, cumsum both axes, scatter into the buffer.
+        for size in np.unique(sizes):
+            cells = np.flatnonzero(sizes == size)
+            src = leaf_offsets[cells][:, None] + np.arange(size * size)[None, :]
+            blocks = leaves[src].reshape(-1, size, size)
+            cums = blocks.cumsum(axis=1).cumsum(axis=2)
+            inner = (
+                np.arange(1, size + 1)[:, None] * (size + 1)
+                + np.arange(1, size + 1)[None, :]
+            ).reshape(-1)
+            dst = prefix_offsets[cells][:, None] + inner[None, :]
+            prefix[dst] = cums.reshape(cells.size, -1)
+        return prefix
+
+
+class _LeafLayout(_GridLayout):
     """A consistent tree's leaves laid over a ``size x size`` first level
-    (see :class:`TwoLevelTreeEngine`): the pieces, the edges and the
-    tables' shapes, before any table is allocated."""
+    (see :class:`TwoLevelGridEngine`): the pieces, the edges and the
+    tables' bytes (``nbytes``), before any table is allocated."""
 
     def __init__(self, bounds, rects, counts, size: int):
         x_lo, y_lo, x_hi, y_hi = (float(bound) for bound in bounds)
-        self.bounds = (x_lo, y_lo, x_hi, y_hi)
-        self.size = size
+        shape = (size, size)
         steps = np.arange(size + 1) / size
         lines = []
         for lo, hi in ((x_lo, x_hi), (y_lo, y_hi)):
@@ -936,68 +822,35 @@ class _GridLayout:
         order = np.argsort(cells, kind="stable")
         leaf, column, row, cells = leaf[order], column[order], row[order], cells[order]
         self.cells = cells
-        self.x = _AxisLayout(
-            np.maximum(rects[leaf, 0], lines[0][column]),
-            np.minimum(rects[leaf, 2], lines[0][column + 1]),
-            cells, lines[0], axis=0,
-        )
-        self.y = _AxisLayout(
-            np.maximum(rects[leaf, 1], lines[1][row]),
-            np.minimum(rects[leaf, 3], lines[1][row + 1]),
-            cells, lines[1], axis=1,
+        super().__init__(
+            bounds,
+            _AxisLayout.of_pieces(
+                np.maximum(rects[leaf, 0], lines[0][column]),
+                np.minimum(rects[leaf, 2], lines[0][column + 1]),
+                cells, lines[0], shape, axis=0,
+            ),
+            _AxisLayout.of_pieces(
+                np.maximum(rects[leaf, 1], lines[1][row]),
+                np.minimum(rects[leaf, 3], lines[1][row + 1]),
+                cells, lines[1], shape, axis=1,
+            ),
         )
         areas = (rects[:, 2] - rects[:, 0]) * (rects[:, 3] - rects[:, 1])
         self.density = (counts / areas)[leaf]
-        self.prefix_offsets = np.zeros(size * size + 1, dtype=np.int64)
-        np.cumsum(
-            np.diff(self.x.offsets) * np.diff(self.y.offsets),
-            out=self.prefix_offsets[1:],
-        )
         shapes = _grid_slab_shapes(
-            size, self.x.edges.size, self.y.edges.size,
+            shape, self.x.edges.size, self.y.edges.size,
             int(self.x.offsets[-1]), int(self.y.offsets[-1]),
             int(self.prefix_offsets[-1]),
         )
         self.nbytes = sum(
-            math.prod(shape) * np.dtype(_GRID_SLAB_DTYPES[name]).itemsize
-            for name, shape in shapes.items()
+            math.prod(dims) * np.dtype(_GRID_SLAB_DTYPES[name]).itemsize
+            for name, dims in shapes.items()
         )
         # A rank map entry is a uint16: a cell with more overlay
         # sub-cells along an axis cannot be tabled.
         widest = max(int(np.diff(axis.offsets).max()) for axis in (self.x, self.y))
         if widest - 2 > np.iinfo(np.uint16).max:
             self.nbytes = math.inf
-
-    def tables(self) -> dict[str, np.ndarray]:
-        """The engine's slabs (see :class:`TwoLevelTreeEngine`)."""
-        size = self.size
-        prefix = self._cell_prefix()
-        totals_prefix = np.zeros((size + 1, size + 1))
-        np.cumsum(
-            np.cumsum(
-                prefix[self.prefix_offsets[1:] - 1].reshape(size, size), axis=0
-            ),
-            axis=1, out=totals_prefix[1:, 1:],
-        )
-        x_ranks = self.x.ranks()
-        y_ranks = self.y.ranks()
-        return {
-            "x_edges": self.x.edges,
-            "y_edges": self.y.edges,
-            "x_cells": self.x.cells,
-            "y_cells": self.y.cells,
-            "x_ranks": x_ranks,
-            "y_ranks": y_ranks,
-            "f_table": self._axis_table(self.x, x_ranks, prefix, totals_prefix),
-            "g_table": self._axis_table(self.y, y_ranks, prefix, totals_prefix),
-            "totals_prefix": totals_prefix,
-            "cell_x": self.x.coords,
-            "cell_y": self.y.coords,
-            "cell_x_offsets": self.x.offsets,
-            "cell_y_offsets": self.y.offsets,
-            "cell_prefix_offsets": self.prefix_offsets,
-            "cell_prefix": prefix,
-        }
 
     def _cell_prefix(self) -> np.ndarray:
         """Every cell's zero-bordered summed-area table over its overlay,
@@ -1063,50 +916,6 @@ class _GridLayout:
             _segment_cumsum(table, np.concatenate([[0], starts[:-1]]))
         return prefix
 
-    def _axis_table(self, layout: _AxisLayout, ranks, prefix, totals_prefix):
-        """``F`` (x) or ``G`` (y) at every edge along ``layout``'s axis:
-        ``table[e, o]`` counts the block from the root's lower corner to
-        edge ``e`` along the axis and to first-level line ``o`` along the
-        other axis, as :func:`_edge_table` does for AG.  Each cell of the
-        edge's column (row) counts its part left of (below) the edge
-        from its table's last row-major column (last row)."""
-        size = self.size
-        axis = layout.axis
-        x_counts = np.diff(self.x.offsets)
-        y_counts = np.diff(self.y.offsets)
-        starts = self.prefix_offsets[:-1]
-        # Per cell, indexed [along axis, other axis]: its first edge
-        # along the axis, the table entry of its first edge on the far
-        # side, and the step from one edge to the next there.
-        if axis == 0:
-            last, step = starts + y_counts - 1, y_counts
-        else:
-            last, step = starts + (x_counts - 1) * y_counts, np.ones_like(starts)
-            totals_prefix = totals_prefix.T
-        grids = [
-            array.reshape(size, size) if axis == 0 else array.reshape(size, size).T
-            for array in (layout.offsets[:-1], last, step)
-        ]
-        k = layout.edges.size
-        table = np.empty((k, size + 1))
-        table[-1] = totals_prefix[size]
-        rows = max(1, _GRID_CHUNK // size)
-        for e0 in range(0, k - 1, rows):
-            e1 = min(e0 + rows, k - 1)
-            along = layout.cells[e0:e1]
-            first, last, step = (grid[along] for grid in grids)
-            local = ranks[e0:e1]
-            first += local
-            edge = layout.coords[first]
-            t = (layout.edges[e0:e1, None] - edge) / (layout.coords[first + 1] - edge)
-            del first, edge
-            last += local * step
-            below = prefix[last]
-            partial = below + t * (prefix[last + step] - below)
-            table[e0:e1] = totals_prefix[along]
-            table[e0:e1, 1:] += np.cumsum(partial, axis=1)
-        return table
-
 
 def _segment_cumsum(values: np.ndarray, starts: np.ndarray) -> None:
     """Running sums of ``values``, in place, restarted at every index of
@@ -1149,8 +958,10 @@ class FlatTreeEngine:
       parallel query edges cross it) expands to the children it meets.
 
     An expanding node is split into two halves along one axis or into
-    four quadrants (:func:`~repro.baselines.tree.split_kinds`, derived
-    once from the node vectors; any other tree raises ``ValueError``),
+    four quadrants (the release's
+    :attr:`~repro.baselines.tree.TreeArrays.kinds`, which an archive
+    load's validation has already derived; any other tree raises
+    ``ValueError``),
     so a child's bounds are its parent's except at the split coordinate
     ``s``, the first child's upper bound.  Comparing ``s`` with the
     query's two edges on that axis (both axes for quadrants) decides
@@ -1236,9 +1047,8 @@ class FlatTreeEngine:
         # Each node's split kind and tabled axes, in the bits above a
         # pair's cover bits (see _ACTIONS); it takes the leaf mask's
         # place, which slabs derives from it.
-        kinds = split_kinds((x_lo, y_lo, x_hi, y_hi), self._child_offsets)
         self._node_bits = (
-            (kinds << 4)
+            (arrays.kinds << 4)
             | (self._x_tables.tabled.view(np.uint8) << 6)
             | (self._y_tables.tabled.view(np.uint8) << 7)
         )
@@ -1836,9 +1646,9 @@ def make_engine(synopsis):
     for an undeclared synopsis type.
 
     Grid-shaped releases get the prefix-sum :class:`BatchQueryEngine`,
-    adaptive grids the summed-area :class:`FlatAdaptiveGridEngine`,
-    spatial trees a lattice :class:`BatchQueryEngine`, the two-level
-    :class:`TwoLevelTreeEngine` or the level-order
+    adaptive grids the summed-area :class:`TwoLevelGridEngine`, spatial
+    trees a lattice :class:`BatchQueryEngine`, the same
+    :class:`TwoLevelGridEngine` or the level-order
     :class:`FlatTreeEngine`.  The returned object exposes
     ``answer_batch(rects) -> np.ndarray`` and ``slabs``, and holds no
     reference to raw data, so it can be shared across threads.

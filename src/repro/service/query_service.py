@@ -7,9 +7,9 @@ with that release's one prepared batch engine (the one
 the d-dimensional grid kernel :class:`~repro.queries.engine.
 BatchQueryEngine` for every grid-shaped release (UG, Hier, Privelet,
 UGnd, and Hier1d as an ``m x 1`` grid) and lattice-aligned trees, the
-summed-area :class:`~repro.queries.engine.FlatAdaptiveGridEngine` for
-adaptive grids, the level-order
-:class:`~repro.queries.engine.FlatTreeEngine` for the other tree
+two-level summed-area :class:`~repro.queries.engine.TwoLevelGridEngine`
+for adaptive grids and the other consistent trees, the level-order
+:class:`~repro.queries.engine.FlatTreeEngine` for the remaining tree
 baselines).  Engines are pure functions of released state, so
 concurrent batches against the same release run without locking — only
 the answer cache and the counters are guarded.

@@ -12,8 +12,8 @@
 * :class:`AdaptiveGridEngine` — one
   :class:`~repro.queries.engine.BatchQueryEngine` per first-level cell,
   summed.  Its per-cell structure mirrors the scalar definition, which
-  makes it the second opinion for the summed-area
-  :class:`~repro.queries.engine.FlatAdaptiveGridEngine`.
+  makes it the second opinion for the two-level summed-area
+  :class:`~repro.queries.engine.TwoLevelGridEngine` AG is served by.
 """
 
 from __future__ import annotations

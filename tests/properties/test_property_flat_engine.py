@@ -1,11 +1,13 @@
-"""Property tests: the flat CSR AG engine vs the scalar answer path.
+"""Property tests: the AG engine vs the scalar answer path.
 
-The flat kernel's whole value rests on one claim: expanding a batch into
-(query, touched-cell) pairs and gathering corners from a concatenated
-prefix buffer answers *exactly* what the scalar per-cell loop answers.
-These properties hammer that claim on random domains and builds, with the
-query mix the batch contract promises to handle: interior, edge-exact,
-degenerate, inverted, and fully out-of-domain rectangles.
+The flat AG release's whole value rests on two claims: the vectorised
+fit releases what the per-cell loop releases, and answering a batch by
+four-corner inclusion-exclusion over the two-level summed-area grid
+(``make_engine``'s ``TwoLevelGridEngine``) answers what the scalar
+per-cell loop answers.  These properties hammer both on random domains
+and builds, with the query mix the batch contract promises to handle:
+interior, edge-exact, degenerate, inverted, and fully out-of-domain
+rectangles.
 """
 
 import hypothesis.strategies as st
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from repro.core.adaptive_grid import AdaptiveGridBuilder
 from repro.core.geometry import Domain2D
 from repro.datasets.synthetic import make_gaussian_mixture
-from repro.queries.engine import FlatAdaptiveGridEngine, scalar_answer_batch
+from repro.queries.engine import make_engine, scalar_answer_batch
 from tests.oracles.adaptive_grid import AdaptiveGridEngine, fit_percell
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -63,10 +65,10 @@ def query_mix(domain: Domain2D, seed: int, n: int = 24) -> np.ndarray:
 @settings(max_examples=25, deadline=None)
 @given(domains(), m1_sizes, seeds, st.booleans())
 def test_flat_engine_matches_scalar_loop(domain, m1, seed, inference):
-    """`FlatAdaptiveGridEngine.answer_batch` == the scalar `answer` loop."""
+    """The AG engine's `answer_batch` == the scalar `answer` loop."""
     synopsis = build_synopsis(domain, m1, seed, inference)
     boxes = query_mix(domain, seed)
-    flat = FlatAdaptiveGridEngine(synopsis).answer_batch(boxes)
+    flat = make_engine(synopsis).answer_batch(boxes)
     scalar = scalar_answer_batch(synopsis, boxes)
     scale = max(1.0, float(np.abs(scalar).max()))
     np.testing.assert_allclose(flat, scalar, rtol=1e-9, atol=1e-9 * scale)
@@ -75,10 +77,10 @@ def test_flat_engine_matches_scalar_loop(domain, m1, seed, inference):
 @settings(max_examples=25, deadline=None)
 @given(domains(), m1_sizes, seeds)
 def test_flat_engine_matches_percell_engine(domain, m1, seed):
-    """Flat CSR engine == the retained one-engine-per-cell composite."""
+    """The AG engine == the retained one-engine-per-cell composite."""
     synopsis = build_synopsis(domain, m1, seed, True)
     boxes = query_mix(domain, seed)
-    flat = FlatAdaptiveGridEngine(synopsis).answer_batch(boxes)
+    flat = make_engine(synopsis).answer_batch(boxes)
     reference = AdaptiveGridEngine(synopsis).answer_batch(boxes)
     scale = max(1.0, float(np.abs(reference).max()))
     np.testing.assert_allclose(flat, reference, rtol=1e-9, atol=1e-9 * scale)

@@ -3,8 +3,9 @@
 Two releases answer by four-corner inclusion-exclusion over a summed-area
 function rather than by walking their own structure:
 
-* ``FlatAdaptiveGridEngine`` evaluates ``S = F + G - TP + P_cell`` from
-  tabulated edge functions; it must equal AG's scalar two-level path.
+* AG's ``TwoLevelGridEngine`` evaluates ``S = F + G - TP + P_cell``
+  from tabulated edge functions; it must equal AG's scalar two-level
+  path.
 * A default quadtree is lowered onto the ``2^h x 2^h`` lattice of its
   domain and answered by ``BatchQueryEngine``; it must equal the scalar
   tree descent.
@@ -21,12 +22,14 @@ import numpy as np
 from hypothesis import given, settings
 
 from repro.baselines.quadtree import QuadtreeBuilder
-from repro.core.adaptive_grid import AdaptiveGridBuilder
+from repro.core.adaptive_grid import AdaptiveGridBuilder, AdaptiveGridSynopsis
 from repro.core.geometry import Domain2D
+from repro.core.grid import GridLayout
+from repro.core.serialization import synopsis_from_bytes, synopsis_to_bytes
 from repro.datasets.synthetic import make_gaussian_mixture
 from repro.queries.engine import (
     BatchQueryEngine,
-    FlatAdaptiveGridEngine,
+    TwoLevelGridEngine,
     make_engine,
     scalar_answer_batch,
 )
@@ -108,21 +111,51 @@ def test_ag_kernel_matches_scalar(domain, m1, seed, epsilon, inference):
     ).fit(dataset, epsilon, np.random.default_rng(seed))
     x_edges, y_edges = ag_edges(synopsis)
     boxes = edge_aligned_mix(domain, x_edges, y_edges, seed)
-    assert_matches_scalar(FlatAdaptiveGridEngine(synopsis), synopsis, boxes)
+    assert_matches_scalar(make_engine(synopsis), synopsis, boxes)
+
+
+def rectangular_release(domain) -> AdaptiveGridSynopsis:
+    """A hand-built AG release over a 3 x 5 first level whose cells keep
+    m2 = 1 or cut into 2 .. 4 a side, each total its leaves' sum."""
+    rng = np.random.default_rng(5)
+    sizes = rng.choice([1, 1, 2, 3, 4], size=(3, 5))
+    sizes[0, 0], sizes[2, 4] = 1, 4
+    leaves = rng.uniform(0.0, 20.0, size=int((sizes**2).sum()))
+    starts = np.cumsum(sizes.reshape(-1) ** 2) - sizes.reshape(-1) ** 2
+    totals = np.add.reduceat(leaves, starts).reshape(3, 5)
+    return AdaptiveGridSynopsis(
+        domain, 0.1, GridLayout(domain, 3, 5), sizes, totals, leaves
+    )
 
 
 def test_ag_kernel_with_unit_sub_grids():
-    """At eps = 0.1 on sparse data most cells keep m2 = 1."""
+    """At eps = 0.1 on sparse data most cells keep m2 = 1; a hand-built
+    release mixes them on a rectangular first level.  Through an archive
+    round trip, the engine restored over its sealed slabs, read-only,
+    answers bit-identically."""
     domain = Domain2D(-3.0, 2.0, 5.0, 9.0)
     dataset = make_gaussian_mixture(1_000, n_clusters=2, rng=3, domain=domain)
-    synopsis = AdaptiveGridBuilder(first_level_size=5).fit(
+    built = AdaptiveGridBuilder(first_level_size=5).fit(
         dataset, 0.1, np.random.default_rng(3)
     )
-    assert (synopsis.cell_sizes == 1).any()
-    assert (synopsis.cell_sizes > 1).any()
-    x_edges, y_edges = ag_edges(synopsis)
-    boxes = edge_aligned_mix(domain, x_edges, y_edges, 3, n=200)
-    assert_matches_scalar(FlatAdaptiveGridEngine(synopsis), synopsis, boxes)
+    for synopsis in (built, rectangular_release(domain)):
+        assert (synopsis.cell_sizes == 1).any()
+        assert (synopsis.cell_sizes > 1).any()
+        x_edges, y_edges = ag_edges(synopsis)
+        boxes = edge_aligned_mix(domain, x_edges, y_edges, 3, n=200)
+        engine = make_engine(synopsis)
+        assert_matches_scalar(engine, synopsis, boxes)
+        clone = synopsis_from_bytes(synopsis_to_bytes(synopsis))
+        views = {}
+        for name, slab in clone.engine.slabs.items():
+            views[name] = slab.view()
+            views[name].flags.writeable = False
+        restored = TwoLevelGridEngine.adaptive_grid(clone, views)
+        assert restored.shape == engine.shape == synopsis.first_level_size
+        np.testing.assert_array_equal(
+            restored.answer_batch(boxes).view(np.uint64),
+            engine.answer_batch(boxes).view(np.uint64),
+        )
 
 
 @settings(max_examples=30, deadline=None)

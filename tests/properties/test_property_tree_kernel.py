@@ -14,7 +14,7 @@ Three equivalences pin the kernel to its recursive references:
   node, on a node edge or on a leaf edge — over uninferred and inferred
   trees whose splits may produce zero-width children and zero-area
   leaves.
-* ``TwoLevelTreeEngine`` (the summed-area two-level grid a consistent
+* ``TwoLevelGridEngine`` (the summed-area two-level grid a consistent
   tree lowers onto) must match the same descent up to rounding on
   inferred trees with positive-area leaves, with query edges on leaf
   edges, first-level lines, the domain boundary and beyond it, and
@@ -35,7 +35,7 @@ from repro.baselines.tree import TreeSynopsis, apply_tree_inference_arrays
 from repro.core.geometry import Domain2D, Rect, rects_to_boxes
 from repro.queries.engine import (
     FlatTreeEngine,
-    TwoLevelTreeEngine,
+    TwoLevelGridEngine,
     scalar_answer_batch,
 )
 from tests.oracles.inference import CountNode, infer_tree
@@ -320,7 +320,7 @@ def consistent_releases_with_grid_queries(draw, max_queries: int = 24):
     arrays = tree_arrays(draw(random_spatial_trees()))
     apply_tree_inference_arrays(arrays)
     leaves = arrays.rects[arrays.leaf_mask]
-    size = TwoLevelTreeEngine.first_level_size(leaves.shape[0])
+    size = TwoLevelGridEngine.first_level_size(leaves.shape[0])
     lines = np.arange(size + 1) / size
     places = {
         "leaf edge": lambda axis: leaves[:, [axis, axis + 2]].ravel(),
@@ -359,7 +359,7 @@ def test_two_level_grid_matches_scalar_answer(release):
     synopsis, boxes = release
     arrays = synopsis.arrays
     leaves = arrays.leaf_mask
-    engine = TwoLevelTreeEngine.build(TwoLevelTreeEngine.layout(
+    engine = TwoLevelGridEngine.build(TwoLevelGridEngine.layout(
         arrays.rects[0], arrays.rects[leaves], arrays.counts[leaves]
     ))
     answers = engine.answer_batch(boxes)
@@ -371,7 +371,7 @@ def test_two_level_grid_matches_scalar_answer(release):
     for name, slab in engine.slabs.items():
         views[name] = slab.view()
         views[name].flags.writeable = False
-    restored = TwoLevelTreeEngine(arrays.rects[0], views)
+    restored = TwoLevelGridEngine(arrays.rects[0], views)
     np.testing.assert_array_equal(
         restored.answer_batch(boxes).view(np.uint64), answers.view(np.uint64)
     )

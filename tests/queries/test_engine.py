@@ -9,7 +9,7 @@ from repro.core.grid import GridLayout
 from repro.core.uniform_grid import UniformGridBuilder
 from repro.queries.engine import (
     BatchQueryEngine,
-    FlatAdaptiveGridEngine,
+    TwoLevelGridEngine,
     make_engine,
     scalar_answer_batch,
 )
@@ -175,25 +175,28 @@ class TestAdaptiveGridEngine:
 
 
 class TestFlatAdaptiveGridEngine:
+    """The engine an AG release is served by (``make_engine``'s
+    :class:`TwoLevelGridEngine`) against the scalar and per-cell paths."""
+
     @pytest.mark.parametrize("constrained_inference", [True, False])
     def test_matches_scalar_answers(self, small_skewed, rng, constrained_inference):
-        """The flat CSR pair expansion equals the scalar two-level path."""
+        """The two-level grid engine equals the scalar two-level path."""
         synopsis = AdaptiveGridBuilder(
             constrained_inference=constrained_inference
         ).fit(small_skewed, 1.0, rng)
-        engine = FlatAdaptiveGridEngine(synopsis)
+        engine = make_engine(synopsis)
         rects = random_rects(rng)
         batch = engine.answer_batch(rects)
         singles = np.array([synopsis.answer(rect) for rect in rects])
         np.testing.assert_allclose(batch, singles, rtol=1e-9, atol=1e-7)
 
     def test_matches_per_cell_reference_engine(self, small_skewed, rng):
-        """Flat engine and the retained composite engine agree."""
+        """The AG engine and the retained composite engine agree."""
         synopsis = AdaptiveGridBuilder(first_level_size=6).fit(
             small_skewed, 1.0, rng
         )
         rects = random_rects(rng)
-        flat = FlatAdaptiveGridEngine(synopsis).answer_batch(rects)
+        flat = make_engine(synopsis).answer_batch(rects)
         reference = AdaptiveGridEngine(synopsis).answer_batch(rects)
         np.testing.assert_allclose(flat, reference, rtol=1e-9, atol=1e-9)
 
@@ -201,19 +204,19 @@ class TestFlatAdaptiveGridEngine:
         synopsis = AdaptiveGridBuilder(first_level_size=4).fit(
             small_skewed, 1.0, rng
         )
-        assert FlatAdaptiveGridEngine(synopsis).n_cells == 16
+        assert make_engine(synopsis).shape == (4, 4)
 
     def test_empty_batch(self, small_skewed, rng):
         synopsis = AdaptiveGridBuilder(first_level_size=3).fit(
             small_skewed, 1.0, rng
         )
-        assert FlatAdaptiveGridEngine(synopsis).answer_batch([]).shape == (0,)
+        assert make_engine(synopsis).answer_batch([]).shape == (0,)
 
     def test_all_rows_inverted(self, small_skewed, rng):
         synopsis = AdaptiveGridBuilder(first_level_size=3).fit(
             small_skewed, 1.0, rng
         )
-        engine = FlatAdaptiveGridEngine(synopsis)
+        engine = make_engine(synopsis)
         out = engine.answer_batch(np.array([[0.9, 0.2, 0.1, 0.6]] * 3))
         np.testing.assert_array_equal(out, np.zeros(3))
 
@@ -221,7 +224,7 @@ class TestFlatAdaptiveGridEngine:
         synopsis = AdaptiveGridBuilder(first_level_size=4).fit(
             small_skewed, 1.0, rng
         )
-        engine = FlatAdaptiveGridEngine(synopsis)
+        engine = make_engine(synopsis)
         good = [0.2, 0.2, 0.6, 0.6]
         alone = engine.answer_batch(np.array([good]))[0]
         assert alone != 0.0
@@ -233,7 +236,7 @@ class TestFlatAdaptiveGridEngine:
         synopsis = AdaptiveGridBuilder(first_level_size=3).fit(
             small_skewed, 1.0, rng
         )
-        engine = FlatAdaptiveGridEngine(synopsis)
+        engine = make_engine(synopsis)
         out = engine.answer_batch(
             np.array(
                 [
@@ -251,7 +254,7 @@ class TestFlatAdaptiveGridEngine:
         synopsis = AdaptiveGridBuilder(first_level_size=3).fit(
             small_skewed, 1.0, rng
         )
-        assert FlatAdaptiveGridEngine(synopsis).nbytes > 0
+        assert make_engine(synopsis).nbytes > 0
 
 
 class TestScalarAnswerBatch:
@@ -394,7 +397,7 @@ class TestMakeEngine:
         synopsis = AdaptiveGridBuilder(first_level_size=3).fit(
             small_skewed, 1.0, rng
         )
-        assert isinstance(make_engine(synopsis), FlatAdaptiveGridEngine)
+        assert isinstance(make_engine(synopsis), TwoLevelGridEngine)
 
     def test_tree_synopses_get_flat_tree_engine(self, small_skewed, rng):
         from repro.baselines.kd_tree import KDStandardBuilder
@@ -443,7 +446,7 @@ class TestMakeEngine:
         inference makes it consistent, lowers onto the two-level grid."""
         from repro.baselines.kd_tree import KDHybridBuilder, KDStandardBuilder
         from repro.baselines.quadtree import QuadtreeBuilder
-        from repro.queries.engine import FlatTreeEngine, TwoLevelTreeEngine
+        from repro.queries.engine import FlatTreeEngine, TwoLevelGridEngine
 
         builder = {
             "Kst": KDStandardBuilder(),
@@ -454,7 +457,7 @@ class TestMakeEngine:
         engine = make_engine(synopsis)
         node_vectors = FlatTreeEngine.buffer_nbytes(synopsis.node_count())
         if method == "Khy":
-            assert isinstance(engine, TwoLevelTreeEngine)
+            assert isinstance(engine, TwoLevelGridEngine)
             # The size rule: at most five times the frontier engine's
             # node vectors.
             assert engine.nbytes <= 5 * node_vectors
@@ -477,12 +480,12 @@ class TestMakeEngine:
         corner sits on an overlay edge."""
         from repro.baselines.kd_tree import KDHybridBuilder, KDStandardBuilder
         from repro.core.geometry import rects_to_boxes
-        from repro.queries.engine import FlatTreeEngine, TwoLevelTreeEngine
+        from repro.queries.engine import FlatTreeEngine, TwoLevelGridEngine
 
         builder = {"Kst": KDStandardBuilder, "Khy": KDHybridBuilder}[method]()
         synopsis = builder.fit(small_skewed, 1.0, rng)
         engine = make_engine(synopsis)
-        kernel = {"Kst": FlatTreeEngine, "Khy": TwoLevelTreeEngine}[method]
+        kernel = {"Kst": FlatTreeEngine, "Khy": TwoLevelGridEngine}[method]
         assert isinstance(engine, kernel)
         extra = np.array([
             [-0.5, -0.5, 1.5, 1.5],  # covers the domain
@@ -551,14 +554,14 @@ class TestMakeEngine:
         grid instead of keeping the frontier kernel."""
         from repro.baselines.quadtree import QuadtreeBuilder
         from repro.core.dataset import GeoDataset
-        from repro.queries.engine import TwoLevelTreeEngine
+        from repro.queries.engine import TwoLevelGridEngine
 
         points = 0.3 + 1e-5 * rng.standard_normal((2_000, 2))
         dataset = GeoDataset(points, Domain2D.unit(), name="tight-cluster")
         synopsis = QuadtreeBuilder(depth=12).fit(dataset, 1.0, rng)
         assert synopsis.height() == 12
         engine = make_engine(synopsis)
-        assert isinstance(engine, TwoLevelTreeEngine)
+        assert isinstance(engine, TwoLevelGridEngine)
         rect = Rect(0.25, 0.25, 0.3, 0.31)
         assert engine.answer_batch([rect])[0] == pytest.approx(
             synopsis.answer(rect), rel=1e-9
@@ -595,12 +598,12 @@ class TestMakeEngine:
         from repro.baselines import tree
         from repro.baselines.kd_tree import KDHybridBuilder
         from repro.core.serialization import synopsis_from_bytes, synopsis_to_bytes
-        from repro.queries.engine import FlatTreeEngine, TwoLevelTreeEngine
+        from repro.queries.engine import FlatTreeEngine, TwoLevelGridEngine
 
         synopsis = KDHybridBuilder().fit(small_skewed, 1.0, rng)
-        assert isinstance(make_engine(synopsis), TwoLevelTreeEngine)
+        assert isinstance(make_engine(synopsis), TwoLevelGridEngine)
         archive = synopsis_to_bytes(synopsis)
-        assert isinstance(synopsis_from_bytes(archive).engine, TwoLevelTreeEngine)
+        assert isinstance(synopsis_from_bytes(archive).engine, TwoLevelGridEngine)
         monkeypatch.setattr(tree, "_GRID_BYTES_FACTOR", 0)
         clone = synopsis_from_bytes(archive)
         assert clone.engine is None
@@ -612,7 +615,7 @@ class TestMakeEngine:
         five times the frontier engine's node vectors: the size rule
         keeps the frontier kernel."""
         from repro.baselines.tree import TreeSynopsis, apply_tree_inference_arrays
-        from repro.queries.engine import FlatTreeEngine, TwoLevelTreeEngine
+        from repro.queries.engine import FlatTreeEngine, TwoLevelGridEngine
         from tests.oracles.trees import SpatialNode, tree_arrays
 
         steps = np.linspace(0.0, 0.1, 201)
@@ -638,7 +641,7 @@ class TestMakeEngine:
         leaves = arrays.leaf_mask
         synopsis = TreeSynopsis(Domain2D.unit(), 1.0, arrays)
         leaf_rects = arrays.rects[leaves]
-        layout = TwoLevelTreeEngine.layout(
+        layout = TwoLevelGridEngine.layout(
             arrays.rects[0], leaf_rects, arrays.counts[leaves]
         )
         assert layout.nbytes > 5 * FlatTreeEngine.buffer_nbytes(arrays.n_nodes)

@@ -24,9 +24,8 @@ from repro.core.synopsis import Synopsis
 from repro.datasets.registry import get_spec
 from repro.queries.engine import (
     BatchQueryEngine,
-    FlatAdaptiveGridEngine,
     FlatTreeEngine,
-    TwoLevelTreeEngine,
+    TwoLevelGridEngine,
     make_engine,
     scalar_answer_batch,
 )
@@ -89,7 +88,7 @@ def test_every_concrete_synopsis_has_a_row_and_round_trips(built_synopses):
 
 #: The engine class each servable method resolves to on the fixture's
 #: small dataset: every grid-shaped release shares the one grid kernel,
-#: and the inferred, consistent KD-hybrid lowers onto the two-level grid.
+#: and AG and the inferred, consistent KD-hybrid share the two-level grid.
 #: (Quad lowers onto the grid kernel only once the data fills its
 #: lattice; ``test_engine.py`` pins both sides of that rule.)
 EXPECTED_ENGINE = {
@@ -98,9 +97,9 @@ EXPECTED_ENGINE = {
     "Privelet": BatchQueryEngine,
     "UGnd": BatchQueryEngine,
     "Hier1d": BatchQueryEngine,
-    "AG": FlatAdaptiveGridEngine,
+    "AG": TwoLevelGridEngine,
     "Kst": FlatTreeEngine,
-    "Khy": TwoLevelTreeEngine,
+    "Khy": TwoLevelGridEngine,
 }
 
 

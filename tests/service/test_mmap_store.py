@@ -144,18 +144,21 @@ class TestSealedEngineLoads:
     )
     def test_stale_sealed_slabs_count_as_cold_start(self, tmp_path, method):
         """A v2 archive sealed by the previous kernels (AG's CSR prefix
-        and totals prefix alone; a quadtree's frontier-descent vectors;
-        a KD-standard tree's seven node vectors without edge tables; a
-        KD-hybrid tree's frontier-descent slabs with edge tables, from
-        before consistent trees lowered onto the two-level grid;
-        Privelet's empty coefficient-space sealing; the d-dimensional
-        grid's raveled ``flat_prefix``; the 1-D histogram's ``(m + 1,)``
-        prefix) cannot restore today's engine: it is rebuilt, answers
-        match the scalar oracle, and the rebuild counts as a cold start."""
+        and totals prefix alone, and the seven slabs that added ``F`` /
+        ``G`` edge tables over edges in first-level cell units, from
+        before AG answered through the two-level grid; a quadtree's
+        frontier-descent vectors; a KD-standard tree's seven node
+        vectors without edge tables; a KD-hybrid tree's frontier-descent
+        slabs with edge tables, from before consistent trees lowered
+        onto the two-level grid; Privelet's empty coefficient-space
+        sealing; the d-dimensional grid's raveled ``flat_prefix``; the
+        1-D histogram's ``(m + 1,)`` prefix) cannot restore today's
+        engine: it is rebuilt, answers match the scalar oracle, and the
+        rebuild counts as a cold start."""
         from repro.queries.engine import (
             BatchQueryEngine,
             FlatTreeEngine,
-            TwoLevelTreeEngine,
+            TwoLevelGridEngine,
             make_engine,
             scalar_answer_batch,
         )
@@ -170,16 +173,31 @@ class TestSealedEngineLoads:
             k, options = key(method=method), {}
         synopsis, _ = _store(tmp_path, **options).build(k)
         slabs = make_engine(synopsis).slabs
+        stale = {}
         if method == "AG":
+            assert isinstance(make_engine(synopsis), TwoLevelGridEngine)
+            bounds = synopsis.domain.bounds
+            mx, my = synopsis.first_level_size
+            # The seven slabs the summed-area AG engine sealed before the
+            # two-level grid, with the values it computed up to rounding.
+            seven = {
+                "prefix": slabs["cell_prefix"],
+                "prefix_offsets": slabs["cell_prefix_offsets"][:-1],
+                "totals_prefix": slabs["totals_prefix"],
+                "x_edges": (slabs["x_edges"] - bounds.x_lo) * (mx / bounds.width),
+                "y_edges": (slabs["y_edges"] - bounds.y_lo) * (my / bounds.height),
+                "f_table": slabs["f_table"],
+                "g_table": slabs["g_table"],
+            }
             stale = {
-                name: slabs[name]
+                name: seven[name]
                 for name in ("prefix", "prefix_offsets", "totals_prefix")
             }
         elif method == "Quad":
             assert isinstance(make_engine(synopsis), BatchQueryEngine)
             stale = FlatTreeEngine.precompute(synopsis)
         elif method == "Khy":
-            assert isinstance(make_engine(synopsis), TwoLevelTreeEngine)
+            assert isinstance(make_engine(synopsis), TwoLevelGridEngine)
             stale = FlatTreeEngine.precompute(synopsis)
         elif method == "Kst":
             assert isinstance(make_engine(synopsis), FlatTreeEngine)
@@ -194,20 +212,21 @@ class TestSealedEngineLoads:
             stale = {"flat_prefix": np.ravel(slabs["prefix"])}
         elif method == "Hier1d":
             stale = {"prefix": np.concatenate([[0.0], np.cumsum(synopsis.released)])}
-        else:
-            stale = {}
-        (tmp_path / f"{k.slug()}.npz").write_bytes(
-            v2_reference_bytes(synopsis, slabs=stale)
-        )
-        service = QueryService(_store(tmp_path, **options))
-        estimates = service.answer(k, BOXES).estimates
-        oracle = scalar_answer_batch(service.store.get(k), BOXES)
-        scale = max(1.0, float(np.abs(oracle).max()))
-        np.testing.assert_allclose(estimates, oracle, rtol=1e-9, atol=1e-9 * scale)
-        assert type(service.store.get(k).engine) is type(make_engine(synopsis))
-        stats = service.stats()
-        assert stats["engine_cold_starts"] == 1
-        assert stats["engine_sealed_loads"] == 0
+        for sealed in [stale] + ([seven] if method == "AG" else []):
+            (tmp_path / f"{k.slug()}.npz").write_bytes(
+                v2_reference_bytes(synopsis, slabs=sealed)
+            )
+            service = QueryService(_store(tmp_path, **options))
+            estimates = service.answer(k, BOXES).estimates
+            oracle = scalar_answer_batch(service.store.get(k), BOXES)
+            scale = max(1.0, float(np.abs(oracle).max()))
+            np.testing.assert_allclose(
+                estimates, oracle, rtol=1e-9, atol=1e-9 * scale
+            )
+            assert type(service.store.get(k).engine) is type(make_engine(synopsis))
+            stats = service.stats()
+            assert stats["engine_cold_starts"] == 1, sorted(sealed)
+            assert stats["engine_sealed_loads"] == 0
 
     def test_v1_release_still_cold_starts(self, tmp_path):
         _v1_release(tmp_path, key())
@@ -234,7 +253,7 @@ class TestSealedEngineLoads:
         from repro.queries.engine import (
             BatchQueryEngine,
             FlatTreeEngine,
-            TwoLevelTreeEngine,
+            TwoLevelGridEngine,
         )
 
         calls = []
@@ -248,14 +267,14 @@ class TestSealedEngineLoads:
         for name in ("_consistent", "_lattice_leaves", "_grid_engine"):
             monkeypatch.setattr(tree, name, counted(name, getattr(tree, name)))
         monkeypatch.setattr(
-            TwoLevelTreeEngine, "layout",
-            classmethod(counted("layout", TwoLevelTreeEngine.layout.__func__)),
+            TwoLevelGridEngine, "layout",
+            classmethod(counted("layout", TwoLevelGridEngine.layout.__func__)),
         )
         store = _store(tmp_path, n_points=100_000)
         for method, kernel, build_checks, load_checks in (
             ("Quad", BatchQueryEngine, ["_consistent", "_lattice_leaves"],
              ["_consistent", "_lattice_leaves"]),
-            ("Khy", TwoLevelTreeEngine,
+            ("Khy", TwoLevelGridEngine,
              ["_consistent", "_lattice_leaves", "_grid_engine", "layout"],
              ["_consistent", "_lattice_leaves", "_grid_engine"]),
             ("Kst", FlatTreeEngine, ["_consistent"], ["_consistent"]),
@@ -269,6 +288,36 @@ class TestSealedEngineLoads:
             loaded = synopsis_from_path(tmp_path / f"{k.slug()}.npz")
             assert isinstance(loaded.engine, kernel)
             assert calls == load_checks, method
+
+    def test_one_split_kinds_pass_per_tree_build_and_load(
+        self, tmp_path, monkeypatch
+    ):
+        """A KD-standard release derives its nodes' split kinds once per
+        build (for the frontier engine) and once per archive load (for
+        the archive's validation, whose kinds the restored engine
+        reads)."""
+        from repro.baselines import tree
+        from repro.core.serialization import synopsis_from_path
+        from repro.queries import engine
+        from repro.queries.engine import FlatTreeEngine
+
+        calls = []
+        split_kinds = tree.split_kinds
+
+        def counted(*args):
+            calls.append(args)
+            return split_kinds(*args)
+
+        for module in (tree, engine):
+            monkeypatch.setattr(module, "split_kinds", counted, raising=False)
+        k = key(method="Kst", dataset="landmark")
+        synopsis, built = _store(tmp_path).build(k)
+        assert built and isinstance(synopsis.engine, FlatTreeEngine)
+        assert len(calls) == 1
+        calls.clear()
+        loaded = synopsis_from_path(tmp_path / f"{k.slug()}.npz")
+        assert isinstance(loaded.engine, FlatTreeEngine)
+        assert len(calls) == 1
 
 
 @pytest.mark.skipif(

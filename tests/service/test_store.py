@@ -488,16 +488,16 @@ class TestTreeReleases:
         from repro.queries.engine import (
             BatchQueryEngine,
             FlatTreeEngine,
-            TwoLevelTreeEngine,
+            TwoLevelGridEngine,
         )
 
         store = SynopsisStore(dataset_budget=4.0)
         expected = {
-            ("landmark", "Khy", 1.0): (TwoLevelTreeEngine, 32),
-            ("landmark", "Khy", 0.1): (TwoLevelTreeEngine, 16),
-            ("storage", "Khy", 1.0): (TwoLevelTreeEngine, 8),
+            ("landmark", "Khy", 1.0): (TwoLevelGridEngine, 32),
+            ("landmark", "Khy", 0.1): (TwoLevelGridEngine, 16),
+            ("storage", "Khy", 1.0): (TwoLevelGridEngine, 8),
             ("landmark", "Quad", 1.0): (BatchQueryEngine, None),
-            ("storage", "Quad", 1.0): (TwoLevelTreeEngine, 8),
+            ("storage", "Quad", 1.0): (TwoLevelGridEngine, 8),
             ("landmark", "Kst", 1.0): (FlatTreeEngine, None),
         }
         for (dataset, method, epsilon), (kernel, size) in expected.items():
@@ -505,7 +505,7 @@ class TestTreeReleases:
             synopsis, _ = store.build(k)
             assert type(synopsis.engine) is kernel, k
             if size is not None:
-                assert synopsis.engine.grid_size == size, k
+                assert synopsis.engine.shape == (size, size), k
         khy, _ = store.build(key(method="Khy", dataset="landmark"))
         assert khy.engine.nbytes <= 2 * FlatTreeEngine(khy).nbytes
 
